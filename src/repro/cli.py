@@ -37,9 +37,7 @@ from repro.experiments import (
     table3,
 )
 from repro.experiments.runner import ExperimentRunner
-from repro.scalar.arch_batch import ARCH_ENGINE_CHOICES, DEFAULT_ARCH_ENGINE
 from repro.timing.sm_event import DEFAULT_SM_ENGINE, SM_ENGINE_CHOICES
-from repro.scalar.batch import CLASSIFIER_CHOICES, DEFAULT_CLASSIFIER
 from repro.workloads.registry import SCALES
 
 _TRACE_EXPERIMENTS = (
@@ -150,12 +148,6 @@ def _lint_main(argv: list[str]) -> int:
         "instruction, message)",
     )
     parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the legacy nested per-kernel JSON reports "
-        "(prefer --format=json, a flat diagnostic array)",
-    )
-    parser.add_argument(
         "--fail-on",
         choices=("warning", "error"),
         default="error",
@@ -247,9 +239,7 @@ def _lint_main(argv: list[str]) -> int:
                 )
         write_prometheus(registry, args.metrics_out)
         print(f"[wrote lint metrics to {args.metrics_out}]", file=sys.stderr)
-    if args.json:
-        print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
-    elif args.output_format == "json":
+    if args.output_format == "json":
         # The stable machine interface: one flat array, one object per
         # diagnostic, in pass order within each kernel (shape pinned by
         # tests/analysis/test_static_lint.py).
@@ -328,28 +318,6 @@ def _profile_main(argv: list[str]) -> int:
         help="also stream span events as JSON Lines to PATH",
     )
     parser.add_argument(
-        "--classifier",
-        choices=CLASSIFIER_CHOICES,
-        default=DEFAULT_CLASSIFIER,
-        help="classification engine: 'batch' (vectorized, default) or "
-        "'event' (per-event reference path)",
-    )
-    parser.add_argument(
-        "--arch-engine",
-        choices=ARCH_ENGINE_CHOICES,
-        default=DEFAULT_ARCH_ENGINE,
-        help="architecture interpretation + power engine: 'batch' "
-        "(columnar, default) or 'event' (per-event reference path; "
-        "bit-identical output)",
-    )
-    parser.add_argument(
-        "--sm-engine",
-        choices=SM_ENGINE_CHOICES,
-        default=DEFAULT_SM_ENGINE,
-        help="SM timing engine: 'event' (event-driven, default) or "
-        "'cycle' (cycle-by-cycle reference model; bit-identical output)",
-    )
-    parser.add_argument(
         "--no-summary",
         action="store_true",
         help="skip the human-readable summary table",
@@ -366,12 +334,7 @@ def _profile_main(argv: list[str]) -> int:
     )
     sink = JsonlSink(args.events_out) if args.events_out is not None else None
     with telemetry_session(Telemetry(sink=sink)) as telemetry:
-        runner = ExperimentRunner(
-            scale=args.scale,
-            classifier=args.classifier,
-            arch_engine=args.arch_engine,
-            sm_engine=args.sm_engine,
-        )
+        runner = ExperimentRunner(scale=args.scale)
         with runner.stats.timer("profile", benchmark=bench):
             runner.run(bench)
             for arch in arches:
@@ -492,9 +455,7 @@ def _timeline_main(argv: list[str]) -> int:
         )
     arch = architecture_by_name(args.arch)
     bench = args.benchmark.strip().upper()
-    runner = ExperimentRunner(
-        scale=args.scale, config=config, sm_engine=args.sm_engine
-    )
+    runner = ExperimentRunner(scale=args.scale, config=config)
     recording = args.trace_out is not None or args.metrics_out is not None
     recorder = (
         FlightRecorder(
@@ -600,8 +561,8 @@ def _cache_main(argv: list[str]) -> int:
 
     ``stats`` prints a JSON inventory — per-stage entry counts and
     on-disk bytes (v5 kinds like ``trace``/``ccols``/``pcols`` plus the
-    legacy ``trace_npz``/``classified_pickle``/``results_pickle``
-    shapes) and the orphaned temp files / superseded bank directories
+    ``classified_pickle``/``results_pickle`` sidecars) and the
+    orphaned temp files / superseded bank directories
     still awaiting a sweep.  ``sweep`` reclaims those orphans now
     (every runner also sweeps on cache open, but only debris older than
     the age gate).
@@ -745,48 +706,19 @@ def main(argv: list[str] | None = None) -> int:
         help="enable telemetry and write Prometheus text metrics to PATH",
     )
     parser.add_argument(
-        "--classifier",
-        choices=CLASSIFIER_CHOICES,
-        default=DEFAULT_CLASSIFIER,
-        help="classification engine: 'batch' (vectorized, default) or "
-        "'event' (per-event reference path)",
-    )
-    parser.add_argument(
-        "--arch-engine",
-        choices=ARCH_ENGINE_CHOICES,
-        default=DEFAULT_ARCH_ENGINE,
-        help="architecture interpretation + power engine: 'batch' "
-        "(columnar, default) or 'event' (per-event reference path; "
-        "bit-identical output)",
-    )
-    parser.add_argument(
-        "--sm-engine",
-        choices=SM_ENGINE_CHOICES,
-        default=DEFAULT_SM_ENGINE,
-        help="SM timing engine: 'event' (event-driven, default) or "
-        "'cycle' (cycle-by-cycle reference model; bit-identical output)",
-    )
-    parser.add_argument(
         "--chunk-events",
         type=int,
         default=None,
         metavar="N",
         help="stream the pipeline in N-event chunks with carry state "
         "between chunks (bounded memory, bit-identical output; "
-        "default: whole-trace). Requires the batch classifier and "
-        "batch arch engine",
+        "default: whole-trace)",
     )
     args = parser.parse_args(arguments)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.chunk_events is not None:
-        if args.chunk_events < 1:
-            parser.error("--chunk-events must be >= 1")
-        if args.classifier != "batch" or args.arch_engine != "batch":
-            parser.error(
-                "--chunk-events requires --classifier=batch and "
-                "--arch-engine=batch"
-            )
+    if args.chunk_events is not None and args.chunk_events < 1:
+        parser.error("--chunk-events must be >= 1")
     if args.widths and args.experiment not in ("staticdyn", "all"):
         parser.error("--widths only applies to the staticdyn experiment")
 
@@ -832,9 +764,6 @@ def _experiment_main(
             scale=args.scale,
             verbose=args.verbose,
             cache_dir=cache_dir,
-            classifier=args.classifier,
-            arch_engine=args.arch_engine,
-            sm_engine=args.sm_engine,
             chunk_events=args.chunk_events,
         )
         if needs_runner

@@ -52,9 +52,7 @@ class GpuConfig:
     #: (GTO) is available for scheduler studies.
     scheduler_policy: SchedulerPolicy = SchedulerPolicy.LRR
     #: Base write-back latencies in cycles after dispatch completes
-    #: (sweepable via experiments/sensitivity.py; the historical
-    #: module-level constants in timing/sm.py are deprecated aliases of
-    #: these defaults).
+    #: (sweepable via experiments/sensitivity.py).
     alu_latency: int = 18
     long_alu_latency: int = 120
     sfu_latency: int = 22

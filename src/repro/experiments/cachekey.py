@@ -20,12 +20,11 @@ so a stale artifact is detected at load time and transparently
 re-executed and overwritten rather than replayed.
 
 Version-bump note: the columnar trace format
-(:data:`repro.simt.serialize._FORMAT_VERSION` = 3) and the batch
-classifier (``STAGE_VERSION`` = 2 in :mod:`repro.experiments.runner`)
-each invalidate the corresponding cached artifacts — v2 ``.npz`` traces
-and v1 pickle sidecars from older checkouts fail their fingerprint or
-version check on load and are transparently re-executed, never
-misread.
+(:data:`repro.simt.serialize._FORMAT_VERSION`) and the stage version
+(``STAGE_VERSION`` in :mod:`repro.experiments.runner`) each invalidate
+the corresponding cached artifacts — entries from older checkouts fail
+their fingerprint or version check on load and are transparently
+re-executed, never misread.
 
 Everything is canonicalized to JSON before hashing: dataclasses become
 ``{type, fields}`` maps, enums become ``{type, name}`` maps, and dict
@@ -117,23 +116,12 @@ def trace_fingerprint(kernel: Kernel, scale: ScaleConfig, warp_size: int) -> str
     )
 
 
-def classified_fingerprint(
-    trace_fp: str, stage_version: int, classifier: str = "batch"
-) -> str:
-    """Fingerprint identifying one classified event stream.
-
-    ``classifier`` names the engine that produced the stream (``batch``
-    or ``event``).  The engines are differentially tested to emit
-    identical streams, but keying the sidecar on the engine keeps a
-    ``--classifier=event`` differential run from silently replaying the
-    other engine's cache — each engine's output is provably its own.
-    """
-    return fingerprint("classified", stage_version, classifier, trace_fp)
+def classified_fingerprint(trace_fp: str, stage_version: int) -> str:
+    """Fingerprint identifying one classified event stream."""
+    return fingerprint("classified", stage_version, trace_fp)
 
 
-def columns_fingerprint(
-    trace_fp: str, stage_version: int, classifier: str = "batch"
-) -> str:
+def columns_fingerprint(trace_fp: str, stage_version: int) -> str:
     """Fingerprint identifying one :class:`ClassifiedColumns` bank set.
 
     Same dependency closure as :func:`classified_fingerprint` — the
@@ -141,7 +129,7 @@ def columns_fingerprint(
     distinct label, so the columnar bank entry and the event-list
     sidecar for the same stream can never be confused for one another.
     """
-    return fingerprint("ccols", stage_version, classifier, trace_fp)
+    return fingerprint("ccols", stage_version, trace_fp)
 
 
 def processed_fingerprint(
@@ -149,21 +137,16 @@ def processed_fingerprint(
     arch: ArchitectureConfig,
     config: GpuConfig,
     stage_version: int,
-    engine: str = "batch",
-    classifier: str = "batch",
     analysis_version: int | None = None,
 ) -> str:
     """Fingerprint identifying one :class:`ProcessedColumns` bank set.
 
     Processed columns depend on the architecture interpretation but not
-    on the SM timing engine or the energy parameters — unlike
-    :func:`stage_fingerprint` for the timing/power results — so they
-    get their own, narrower closure: swapping ``--sm-engine`` reuses
-    the processed banks while re-simulating, exactly as it should.
+    on the energy parameters — unlike :func:`stage_fingerprint` for the
+    timing/power results — so they get their own, narrower closure:
+    re-costing energy reuses the processed banks.
     """
-    parts = [
-        "pcols", stage_version, trace_fp, arch, config, engine, classifier,
-    ]
+    parts = ["pcols", stage_version, trace_fp, arch, config]
     if analysis_version is not None:
         parts.append(("analysis", analysis_version))
     return fingerprint(*parts)
@@ -175,26 +158,19 @@ def stage_fingerprint(
     config: GpuConfig,
     params: EnergyParams,
     stage_version: int,
-    engine: str = "batch",
-    sm_engine: str = "event",
     analysis_version: int | None = None,
 ) -> str:
     """Fingerprint identifying one (benchmark, architecture) result pair.
 
     Timing depends on the architecture and GPU configuration; power
     additionally depends on the energy parameters.  Both live in one
-    sidecar, so the fingerprint covers the union.  ``engine`` names the
-    architecture-interpretation engine (``"batch"`` / ``"event"``) and
-    ``sm_engine`` the SM timing engine (``"event"`` / ``"cycle"``) that
-    produced the results — each engine pair is differentially tested to
-    be bit-identical, but keying them separately guarantees one engine
-    can never silently replay the other's sidecars while investigating
-    a divergence.  ``analysis_version`` keys results that consume a
-    static-analysis artifact (the width analysis feeding
-    ``static_compress``) to that analysis's version, so tightening a
-    transfer function invalidates exactly the results it can change.
+    sidecar, so the fingerprint covers the union.  ``analysis_version``
+    keys results that consume a static-analysis artifact (the width
+    analysis feeding ``static_compress``) to that analysis's version,
+    so tightening a transfer function invalidates exactly the results
+    it can change.
     """
-    parts = ["stage", stage_version, trace_fp, arch, config, params, engine, sm_engine]
+    parts = ["stage", stage_version, trace_fp, arch, config, params]
     if analysis_version is not None:
         parts.append(("analysis", analysis_version))
     return fingerprint(*parts)

@@ -25,12 +25,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.config import ArchitectureConfig, GpuConfig
-from repro.experiments.runner import (
-    DEFAULT_TRANSPORT,
-    ExperimentRunner,
-    RunnerStats,
-    paper_architectures,
-)
+from repro.experiments.runner import ExperimentRunner, RunnerStats, paper_architectures
 from repro.experiments.shm import AdoptedSegment, ShmHandle
 from repro.obs.telemetry import telemetry_session
 from repro.power.energy import EnergyParams
@@ -63,10 +58,6 @@ class MatrixTask:
     config: GpuConfig | None
     params: EnergyParams | None
     telemetry: bool = False
-    classifier: str = "batch"
-    arch_engine: str = "batch"
-    sm_engine: str = "event"
-    transport: str = DEFAULT_TRANSPORT
     chunk_events: int | None = None
     shm: ShmHandle | None = None
     bank_hints: tuple[tuple[str, str], ...] = ()
@@ -78,10 +69,6 @@ def _run_task(task: MatrixTask) -> dict:
         config=task.config,
         params=task.params,
         cache_dir=task.cache_dir,
-        classifier=task.classifier,
-        arch_engine=task.arch_engine,
-        sm_engine=task.sm_engine,
-        transport=task.transport,
         chunk_events=task.chunk_events,
     )
     if task.bank_hints:
@@ -142,10 +129,6 @@ def run_matrix(
     params: EnergyParams | None = None,
     progress: Callable[[str, int, int], None] | None = None,
     telemetry: bool = False,
-    classifier: str = "batch",
-    arch_engine: str = "batch",
-    sm_engine: str = "event",
-    transport: str = DEFAULT_TRANSPORT,
     chunk_events: int | None = None,
     shm_handles: "dict[str, ShmHandle] | None" = None,
     bank_hints: "dict[str, tuple[tuple[str, str], ...]] | None" = None,
@@ -178,10 +161,6 @@ def run_matrix(
             config=config,
             params=params,
             telemetry=telemetry,
-            classifier=classifier,
-            arch_engine=arch_engine,
-            sm_engine=sm_engine,
-            transport=transport,
             chunk_events=chunk_events,
             shm=handles.get(abbr),
             bank_hints=hints.get(abbr, ()),

@@ -5,7 +5,7 @@ configuration and lazily computes, per benchmark:
 
 * the functional trace (executed once, shared by every architecture),
 * the classified event stream (tracker output, architecture-independent),
-* per-architecture processed events, timing results and power reports.
+* per-architecture processed columns, timing results and power reports.
 
 Every figure regenerator takes a runner, so a full ``python -m repro all``
 executes each benchmark exactly once.
@@ -20,16 +20,19 @@ it can be shared *across* processes:
 * classified event streams and per-architecture timing/power results
   as small pickle sidecars.
 
-Legacy v3 ``.npz`` traces are still read and upgraded to v5 in place;
-``transport="legacy"`` pins the old npz path (migration tests, the
-transport benchmark's reference arm).  Each cached artifact embeds a
-content fingerprint
+Each stage has one engine: the batch classifier, the columnar
+architecture interpretation and power accounting, and the event-driven
+SM simulator.  The per-event engines they replaced stay in ``src/`` as
+reference oracles for tests, ``bench`` and ``timeline
+--compare-engines``; the runner never selects them.  Each cached
+artifact embeds a content fingerprint
 (:mod:`repro.experiments.cachekey`) covering the kernel, scale, warp
 size, architecture, GPU configuration and energy parameters; a
 mismatch — or any corrupt file — falls back to re-execution and
 overwrites the stale entry, and staleness is decided from the v5
 manifest (or a peek at a pickle sidecar's first bytes) without
-materializing payloads.  :meth:`ExperimentRunner.prefetch` fans the
+materializing payloads.  Files from older cache layouts are never
+read: they are plain misses.  :meth:`ExperimentRunner.prefetch` fans the
 benchmark × architecture matrix out over a process pool
 (:mod:`repro.experiments.parallel`) that communicates through this
 cache plus shared-memory exports of already-materialized traces
@@ -51,7 +54,6 @@ from typing import Callable, Iterator, Sequence
 
 from repro.analysis.static_.widths import WIDTH_ANALYSIS_VERSION, analyze_widths
 from repro.config import ArchitectureConfig, GpuConfig
-from repro.errors import TraceError
 from repro.experiments import cachekey, store
 from repro.obs.instrument import record_columnar_warps
 from repro.obs.memory import record_bytes_in_flight, record_peak_rss
@@ -60,45 +62,27 @@ from repro.experiments.streaming import _array_bytes
 from repro.power.accounting import PowerAccountant, _PowerAggregates
 from repro.power.energy import DEFAULT_ENERGY, EnergyParams
 from repro.power.report import PowerReport
-from repro.scalar.arch_batch import (
-    ARCH_ENGINE_CHOICES,
-    DEFAULT_ARCH_ENGINE,
-    ArchCarry,
-    process_columns,
-    process_columns_chunk,
-)
-from repro.scalar.architectures import ProcessedEvent, process_classified
+from repro.scalar.arch_batch import ArchCarry, process_columns, process_columns_chunk
 from repro.scalar.batch import (
-    CLASSIFIER_CHOICES,
-    DEFAULT_CLASSIFIER,
     ClassifierCarry,
     classify_columnar_batch,
     classify_columnar_chunk,
-    classify_trace_with,
+    classify_trace_batch,
 )
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.scalar.tracker import ClassifiedEvent
 from repro.simt.executor import run_kernel
-from repro.simt.serialize import (
-    load_columnar,
-    load_columnar_v5,
-    save_columnar_v5,
-    save_trace,
-)
+from repro.simt.serialize import load_columnar_v5, save_columnar_v5
 from repro.simt.trace import (
     ColumnarTrace,
     KernelTrace,
     iter_chunks,
     opcode_labels,
 )
-from repro.timing.gpu import (
-    simulate_architecture,
-    simulate_architecture_columns,
-    simulate_warp_ops,
-)
+from repro.timing.gpu import simulate_architecture_columns, simulate_warp_ops
 from repro.timing.ops import build_timing_ops_columns
 from repro.timing.sm import TimingResult
-from repro.timing.sm_event import DEFAULT_SM_ENGINE, SM_ENGINE_CHOICES
+from repro.timing.sm_event import DEFAULT_SM_ENGINE
 from repro.workloads.registry import SCALES, BuiltWorkload, all_workloads, workload_by_name
 from repro.workloads.synth import (
     iter_synthetic_chunks,
@@ -122,17 +106,9 @@ from repro.workloads.synth import (
 #: per-scheduler taxonomy (:class:`~repro.timing.sm.StallBreakdown` was
 #: reshaped and :class:`~repro.timing.sm.TimingResult` gained
 #: ``stalls_per_scheduler``), changing the pickled timing-result shape.
-STAGE_VERSION = 6
-
-#: Cache transports.  ``mmap`` (default) reads and writes the v5
-#: manifest + page-aligned bank layout (:mod:`repro.experiments.store`)
-#: and opens banks as read-only memory maps — with transparent dual
-#: read of legacy v3 ``.npz`` traces, which are upgraded to v5 on their
-#: first hit.  ``legacy`` pins the pre-v5 compressed-npz/pickle forms,
-#: kept for migration tests and as the reference arm of
-#: ``bench --transport``.
-TRANSPORT_CHOICES = ("mmap", "legacy")
-DEFAULT_TRANSPORT = "mmap"
+#: Version 7: the engine switches were removed, so the fingerprints no
+#: longer carry classifier, arch-engine or SM-engine names.
+STAGE_VERSION = 7
 
 #: Chunk size used when a synthetic (``synthetic_events > 0``) scale is
 #: streamed without an explicit ``--chunk-events``.
@@ -157,13 +133,6 @@ class _ChunkBankMiss(Exception):
     Raised inside a warm streamed pass; carry state cannot restart
     mid-stream, so the handler recomputes the whole pass cold.
     """
-
-
-def _columnar_nbytes(columnar: ColumnarTrace) -> int:
-    """Total payload bytes of a columnar trace's arrays."""
-    from repro.simt.serialize import _ARRAY_FIELDS
-
-    return int(sum(getattr(columnar, name).nbytes for name in _ARRAY_FIELDS))
 
 
 def paper_architectures() -> tuple[ArchitectureConfig, ...]:
@@ -420,47 +389,12 @@ class ExperimentRunner:
         params: EnergyParams | None = None,
         verbose: bool = False,
         cache_dir: str | Path | None = None,
-        classifier: str = DEFAULT_CLASSIFIER,
-        arch_engine: str = DEFAULT_ARCH_ENGINE,
-        sm_engine: str = DEFAULT_SM_ENGINE,
-        transport: str = DEFAULT_TRANSPORT,
         chunk_events: int | None = None,
     ):
         if scale not in SCALES:
             raise ValueError(f"unknown scale {scale!r}; known: {', '.join(SCALES)}")
-        if chunk_events is not None:
-            if chunk_events < 1:
-                raise ValueError(f"chunk_events must be >= 1, got {chunk_events}")
-            if classifier != "batch" or arch_engine != "batch":
-                raise ValueError(
-                    "chunked streaming requires the batch classifier and "
-                    "batch arch engine (the per-event engines have no "
-                    "chunk carry-state)"
-                )
-        if transport not in TRANSPORT_CHOICES:
-            raise ValueError(
-                f"unknown transport {transport!r}; known: "
-                f"{', '.join(TRANSPORT_CHOICES)}"
-            )
-        if classifier not in CLASSIFIER_CHOICES:
-            raise ValueError(
-                f"unknown classifier {classifier!r}; known: "
-                f"{', '.join(CLASSIFIER_CHOICES)}"
-            )
-        if arch_engine not in ARCH_ENGINE_CHOICES:
-            raise ValueError(
-                f"unknown arch engine {arch_engine!r}; known: "
-                f"{', '.join(ARCH_ENGINE_CHOICES)}"
-            )
-        if sm_engine not in SM_ENGINE_CHOICES:
-            raise ValueError(
-                f"unknown SM engine {sm_engine!r}; known: "
-                f"{', '.join(SM_ENGINE_CHOICES)}"
-            )
-        self.classifier = classifier
-        self.arch_engine = arch_engine
-        self.sm_engine = sm_engine
-        self.transport = transport
+        if chunk_events is not None and chunk_events < 1:
+            raise ValueError(f"chunk_events must be >= 1, got {chunk_events}")
         self.chunk_events = chunk_events
         self.scale = SCALES[scale]
         self.config = config or GpuConfig()
@@ -495,7 +429,6 @@ class ExperimentRunner:
         self._bank_hints: dict[str, str] = {}
         self._warp_traces: dict[tuple[str, int], ColumnarTrace] = {}
         self._static_widths: dict[str, tuple[int, ...]] = {}
-        self._processed: dict[tuple[str, str], list[list[ProcessedEvent]]] = {}
         self._classified_columns: dict[str, ClassifiedColumns] = {}
         self._processed_columns: dict[tuple[str, str], ProcessedColumns] = {}
         self._timing: dict[tuple[str, str], TimingResult] = {}
@@ -516,10 +449,6 @@ class ExperimentRunner:
     def _trace_stem(self, key: str, warp_size: int) -> str:
         suffix = "" if warp_size == 32 else f"_w{warp_size}"
         return f"{key}_{self.scale.name}{suffix}"
-
-    def _trace_path(self, key: str, warp_size: int) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{self._trace_stem(key, warp_size)}.npz"
 
     def _stage_stem(self, key: str, stage: str) -> str:
         return f"{key}_{self.scale.name}_{stage}"
@@ -619,14 +548,12 @@ class ExperimentRunner:
         """Load a fingerprint-matching cached trace or execute and cache.
 
         A cache hit returns the :class:`ColumnarTrace` exactly as it
-        lies on disk — under the default ``mmap`` transport its arrays
-        are read-only memory maps of the v5 banks, so the hit copies
-        nothing.  Legacy v3 ``.npz`` entries are still read (and
-        upgraded to v5 in place) when no v5 entry exists.  Callers that
-        need the event form either hand it to the batch classifier
-        (which materializes events once, during classification) or call
-        ``.to_trace()`` themselves.  A cache miss executes and returns
-        the event-form :class:`KernelTrace` directly.
+        lies on disk: its arrays are read-only memory maps of the v5
+        banks, so the hit copies nothing.  Callers that need the event
+        form either hand it to the batch classifier (which materializes
+        events once, during classification) or call ``.to_trace()``
+        themselves.  A cache miss executes and returns the event-form
+        :class:`KernelTrace` directly.
         """
         fingerprint = cachekey.trace_fingerprint(built.kernel, self.scale, warp_size)
         if warp_size == 32:
@@ -637,47 +564,20 @@ class ExperimentRunner:
                 self._log(f"adopted shared-memory trace for {key}")
                 self._record_trace_hit(key, adopted[0])
                 return adopted[0], fingerprint
-        path = None
+        stem = self._trace_stem(key, warp_size)
         if self.cache_dir is not None:
-            stem = self._trace_stem(key, warp_size)
-            path = self._trace_path(key, warp_size)
-            if self.transport != "legacy":
-                with self.stats.timer(
-                    "trace_load", benchmark=key, warp_size=warp_size
-                ):
-                    columnar, status, entry = load_columnar_v5(
-                        self.cache_dir, stem, fingerprint
-                    )
-                if status == "hit":
-                    self.stats.bump("bytes_mapped", entry.bytes_mapped)
-                    self._log(f"mapped v5 trace for {key} (warp {warp_size})")
-                    self._record_trace_hit(key, columnar)
-                    return columnar, fingerprint
-                if status in ("stale", "corrupt"):
-                    self._log(f"discarding {status} v5 trace entry for {key}")
-                    self.stats.bump("trace_cache_invalid")
-            if path.exists():
-                try:
-                    with self.stats.timer("trace_load", benchmark=key, warp_size=warp_size):
-                        columnar = load_columnar(path, expected_fingerprint=fingerprint)
-                except TraceError as exc:
-                    self._log(f"discarding cached trace {path.name}: {exc}")
-                    self.stats.bump("trace_cache_invalid")
-                else:
-                    self.stats.bump("bytes_deserialized", _columnar_nbytes(columnar))
-                    self._log(f"loaded cached trace for {key} (warp {warp_size})")
-                    if self.transport != "legacy":
-                        # Write-through upgrade: the next hit on this
-                        # entry is a zero-copy map, not a decompress.
-                        with self.stats.timer(
-                            "trace_save", benchmark=key, warp_size=warp_size
-                        ):
-                            save_columnar_v5(
-                                columnar, self.cache_dir, stem, fingerprint
-                            )
-                        self.stats.bump("cache_migrated_v5")
-                    self._record_trace_hit(key, columnar)
-                    return columnar, fingerprint
+            with self.stats.timer("trace_load", benchmark=key, warp_size=warp_size):
+                columnar, status, entry = load_columnar_v5(
+                    self.cache_dir, stem, fingerprint
+                )
+            if status == "hit":
+                self.stats.bump("bytes_mapped", entry.bytes_mapped)
+                self._log(f"mapped v5 trace for {key} (warp {warp_size})")
+                self._record_trace_hit(key, columnar)
+                return columnar, fingerprint
+            if status in ("stale", "corrupt"):
+                self._log(f"discarding {status} v5 trace entry for {key}")
+                self.stats.bump("trace_cache_invalid")
             self.stats.bump("trace_cache_misses")
         self._log(f"executing {key} at scale {self.scale.name!r} warp {warp_size}")
         self.stats.bump("trace_executions")
@@ -685,20 +585,9 @@ class ExperimentRunner:
             trace = run_kernel(
                 built.kernel, built.launch, built.memory, warp_size=warp_size
             )
-        if path is not None:
+        if self.cache_dir is not None:
             with self.stats.timer("trace_save", benchmark=key, warp_size=warp_size):
-                if self.transport == "legacy":
-                    # Write-then-rename so a concurrent reader never
-                    # sees a half-written archive (np.savez only
-                    # appends ".npz" to names lacking it, so the temp
-                    # name must keep the suffix).
-                    tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
-                    save_trace(trace, tmp, fingerprint=fingerprint)
-                    self._replace_into(tmp, path)
-                else:
-                    save_columnar_v5(
-                        trace.to_columnar(), self.cache_dir, stem, fingerprint
-                    )
+                save_columnar_v5(trace.to_columnar(), self.cache_dir, stem, fingerprint)
         return trace, fingerprint
 
     def _obtain_classified(
@@ -710,15 +599,15 @@ class ExperimentRunner:
         nothing here executes until a consumer actually reads the
         per-event stream, so a warm run that only replays results
         sidecars (or only touches the columnar banks) never unpickles
-        the event list at all.  When the trace is columnar and the
-        batch engine is selected, classification runs straight off the
-        columnar arrays and materializes the event form as a by-product
-        — one object per event total, shared between ``run.trace`` and
-        the classified stream.
+        the event list at all.  When the trace is columnar,
+        classification runs straight off the columnar arrays and
+        materializes the event form as a by-product — one object per
+        event total, shared between ``run.trace`` and the classified
+        stream.
         """
         key = run.abbr
         fingerprint = cachekey.classified_fingerprint(
-            run.trace_fingerprint, STAGE_VERSION, self.classifier
+            run.trace_fingerprint, STAGE_VERSION
         )
         path = None
         if self.cache_dir is not None:
@@ -728,16 +617,13 @@ class ExperimentRunner:
                 self.stats.bump("classified_cache_hits")
                 return payload["classified"]
             self.stats.bump("classified_cache_misses")
+        num_registers = run.built.kernel.num_registers
         with self.stats.timer("classify", benchmark=key):
-            if run._trace is None and self.classifier == "batch":
-                trace, classified = classify_columnar_batch(
-                    run.columnar, run.built.kernel.num_registers
-                )
+            if run._trace is None:
+                trace, classified = classify_columnar_batch(run.columnar, num_registers)
                 run._trace = trace
             else:
-                classified = classify_trace_with(
-                    run.trace, run.built.kernel.num_registers, self.classifier
-                )
+                classified = classify_trace_batch(run.trace, num_registers)
         if path is not None:
             self._store_sidecar(
                 path, {"fingerprint": fingerprint, "classified": classified}
@@ -752,8 +638,8 @@ class ExperimentRunner:
     def run(self, abbr: str) -> BenchmarkRun:
         """Execute (or fetch) one benchmark's functional trace.
 
-        With ``cache_dir`` set, traces persist across processes as
-        ``.npz`` files and classified streams as pickle sidecars, both
+        With ``cache_dir`` set, traces persist across processes as v5
+        entries and classified streams as pickle sidecars, both
         validated against a content fingerprint before reuse.
         """
         key = self._normalize(abbr)
@@ -830,10 +716,10 @@ class ExperimentRunner:
         """Per-register guaranteed ``enc`` table from the width analysis.
 
         Architecture-independent (a pure function of the kernel), cached
-        per benchmark and fed to the ``static_compress`` interpretation
-        by both engines.  Cheap relative to tracing, so it is recomputed
-        per process rather than persisted; the results sidecars it feeds
-        are keyed on :data:`~repro.analysis.static_.widths.WIDTH_ANALYSIS_VERSION`.
+        per benchmark and fed to the ``static_compress`` interpretation.
+        Cheap relative to tracing, so it is recomputed per process
+        rather than persisted; the results sidecars it feeds are keyed
+        on :data:`~repro.analysis.static_.widths.WIDTH_ANALYSIS_VERSION`.
         """
         key = self._normalize(abbr)
         if key not in self._static_widths:
@@ -846,20 +732,6 @@ class ExperimentRunner:
 
     def _widths_for(self, abbr: str, arch: ArchitectureConfig):
         return self.static_widths(abbr) if arch.static_compression else None
-
-    def processed(
-        self, abbr: str, arch: ArchitectureConfig
-    ) -> list[list[ProcessedEvent]]:
-        """Per-architecture processed events for one benchmark."""
-        key = (self._normalize(abbr), arch.name)
-        if key not in self._processed:
-            run = self.run(key[0])
-            widths = self._widths_for(key[0], arch)
-            with self.stats.timer("process", benchmark=key[0], arch=arch.name):
-                self._processed[key] = process_classified(
-                    run.classified, arch, run.warp_size, static_widths=widths
-                )
-        return self._processed[key]
 
     def adopt_bank_hints(self, hints: dict[str, str]) -> None:
         """Pre-seed v5 bank stems -> fingerprints verified by the parent.
@@ -875,7 +747,7 @@ class ExperimentRunner:
 
     def _load_column_banks(self, stem: str, fingerprint: str, kind: str):
         """Open one v5 column-bank entry; ``None`` unless a clean hit."""
-        if self.cache_dir is None or self.transport == "legacy":
+        if self.cache_dir is None:
             return None
         if self._bank_hints.get(stem) == fingerprint:
             self.stats.bump("bank_hint_hits")
@@ -900,7 +772,7 @@ class ExperimentRunner:
         arrays,
         extra_meta: dict | None = None,
     ) -> None:
-        if self.cache_dir is None or self.transport == "legacy":
+        if self.cache_dir is None:
             return
         meta = {"warp_size": int(warp_size)}
         if extra_meta:
@@ -917,7 +789,7 @@ class ExperimentRunner:
 
     def classified_columns(self, abbr: str) -> ClassifiedColumns:
         """Columnar classified stream (architecture-independent, shared
-        by every architecture's batch interpretation).
+        by every architecture's interpretation).
 
         Persisted as v5 ``ccols`` banks: a warm hit maps the arrays
         read-only and never touches the classified event pickle.
@@ -926,7 +798,7 @@ class ExperimentRunner:
         if key not in self._classified_columns:
             run = self.run(key)
             fingerprint = cachekey.columns_fingerprint(
-                run.trace_fingerprint, STAGE_VERSION, self.classifier
+                run.trace_fingerprint, STAGE_VERSION
             )
             stem = self._stage_stem(key, "ccols")
             entry = self._load_column_banks(stem, fingerprint, "ccols")
@@ -945,28 +817,28 @@ class ExperimentRunner:
             self._classified_columns[key] = ccols
         return self._classified_columns[key]
 
+    def _processed_fingerprint(self, run: BenchmarkRun, arch: ArchitectureConfig) -> str:
+        return cachekey.processed_fingerprint(
+            run.trace_fingerprint,
+            arch,
+            self.config,
+            STAGE_VERSION,
+            analysis_version=(
+                WIDTH_ANALYSIS_VERSION if arch.static_compression else None
+            ),
+        )
+
     def processed_columns(self, abbr: str, arch: ArchitectureConfig) -> ProcessedColumns:
         """Per-architecture columnar processed trace for one benchmark.
 
         Persisted as v5 ``pcols`` banks keyed on the interpretation
-        closure only (not the SM engine or energy parameters), so
-        re-simulating under a different SM engine replays these banks
-        instead of re-interpreting.
+        closure only (not the energy parameters), so re-costing energy
+        replays these banks instead of re-interpreting.
         """
         key = (self._normalize(abbr), arch.name)
         if key not in self._processed_columns:
             run = self.run(key[0])
-            fingerprint = cachekey.processed_fingerprint(
-                run.trace_fingerprint,
-                arch,
-                self.config,
-                STAGE_VERSION,
-                engine=self.arch_engine,
-                classifier=self.classifier,
-                analysis_version=(
-                    WIDTH_ANALYSIS_VERSION if arch.static_compression else None
-                ),
-            )
+            fingerprint = self._processed_fingerprint(run, arch)
             stem = self._stage_stem(key[0], f"pcols_{arch.name}")
             entry = self._load_column_banks(stem, fingerprint, "pcols")
             if entry is not None:
@@ -991,8 +863,6 @@ class ExperimentRunner:
             self.config,
             self.params,
             STAGE_VERSION,
-            engine=self.arch_engine,
-            sm_engine=self.sm_engine,
             analysis_version=(
                 WIDTH_ANALYSIS_VERSION if arch.static_compression else None
             ),
@@ -1033,28 +903,15 @@ class ExperimentRunner:
 
     def _compute_timing(self, key: str, arch: ArchitectureConfig) -> None:
         self._log(f"timing {key} on {arch.name}")
-        run = self.run(key)
-        warps_per_cta = run.built.launch.warps_per_cta(run.warp_size)
-        with self.stats.timer(
-            "timing", benchmark=key, arch=arch.name, sm_engine=self.sm_engine
-        ):
-            if self.arch_engine == "batch":
-                self._timing[(key, arch.name)] = simulate_architecture_columns(
-                    self.classified_columns(key),
-                    self.processed_columns(key, arch),
-                    arch,
-                    self.config,
-                    warps_per_cta=warps_per_cta,
-                    sm_engine=self.sm_engine,
-                )
-            else:
-                self._timing[(key, arch.name)] = simulate_architecture(
-                    self.processed(key, arch),
-                    arch,
-                    self.config,
-                    warps_per_cta=warps_per_cta,
-                    sm_engine=self.sm_engine,
-                )
+        warps_per_cta = self.warps_per_cta(key)
+        with self.stats.timer("timing", benchmark=key, arch=arch.name):
+            self._timing[(key, arch.name)] = simulate_architecture_columns(
+                self.classified_columns(key),
+                self.processed_columns(key, arch),
+                arch,
+                self.config,
+                warps_per_cta=warps_per_cta,
+            )
 
     # ------------------------------------------------------------------
     # Chunk-streaming compute (``chunk_events`` set).
@@ -1079,7 +936,7 @@ class ExperimentRunner:
 
     def _warm_chunk_index(self, key: str, fingerprint: str) -> dict | None:
         """The chunk-grid index entry's meta, on a clean hit only."""
-        if self.cache_dir is None or self.transport == "legacy":
+        if self.cache_dir is None:
             return None
         entry, status = store.load_entry(
             self.cache_dir, self._chunk_index_stem(key), fingerprint
@@ -1100,7 +957,7 @@ class ExperimentRunner:
         missing chunk halfway through (carry state cannot restart
         mid-stream; a miss would force a full recompute anyway).
         """
-        if self.cache_dir is None or self.transport == "legacy":
+        if self.cache_dir is None:
             return False
         for stem in stems:
             if self._bank_hints.get(stem) == fingerprint:
@@ -1128,7 +985,7 @@ class ExperimentRunner:
         """
         run = self.run(key)
         fingerprint = cachekey.columns_fingerprint(
-            run.trace_fingerprint, STAGE_VERSION, self.classifier
+            run.trace_fingerprint, STAGE_VERSION
         )
         if not force_cold:
             index = self._warm_chunk_index(key, fingerprint)
@@ -1175,7 +1032,7 @@ class ExperimentRunner:
             )
             chunk_metas.append(meta)
             yield meta, ccols
-        if self.cache_dir is not None and self.transport != "legacy":
+        if self.cache_dir is not None:
             store.store_entry(
                 self.cache_dir,
                 self._chunk_index_stem(key),
@@ -1197,20 +1054,8 @@ class ExperimentRunner:
         run = self.run(key)
         widths = self._widths_for(key, arch)
         accountant = PowerAccountant(arch, self.params, self.config)
-        pfp = cachekey.processed_fingerprint(
-            run.trace_fingerprint,
-            arch,
-            self.config,
-            STAGE_VERSION,
-            engine=self.arch_engine,
-            classifier=self.classifier,
-            analysis_version=(
-                WIDTH_ANALYSIS_VERSION if arch.static_compression else None
-            ),
-        )
-        cfp = cachekey.columns_fingerprint(
-            run.trace_fingerprint, STAGE_VERSION, self.classifier
-        )
+        pfp = self._processed_fingerprint(run, arch)
+        cfp = cachekey.columns_fingerprint(run.trace_fingerprint, STAGE_VERSION)
         pcols_warm = False
         if not force_cold:
             index = self._warm_chunk_index(key, cfp)
@@ -1273,16 +1118,10 @@ class ExperimentRunner:
                 _array_bytes(ccols) + _array_bytes(pcols), self.stats.telemetry
             )
             record_peak_rss(self.stats.telemetry)
-        warps_per_cta = run.built.launch.warps_per_cta(run.warp_size)
-        with self.stats.timer(
-            "timing", benchmark=key, arch=arch.name, sm_engine=self.sm_engine
-        ):
+        warps_per_cta = self.warps_per_cta(key)
+        with self.stats.timer("timing", benchmark=key, arch=arch.name):
             timing = simulate_warp_ops(
-                warp_ops,
-                arch,
-                self.config,
-                warps_per_cta=warps_per_cta,
-                sm_engine=self.sm_engine,
+                warp_ops, arch, self.config, warps_per_cta=warps_per_cta
             )
         with self.stats.timer("power", benchmark=key, arch=arch.name):
             power = accountant.account_aggregates(agg, timing)
@@ -1320,41 +1159,30 @@ class ExperimentRunner:
         abbr: str,
         arch: ArchitectureConfig,
         recorder,
-        sm_engine: str | None = None,
+        sm_engine: str = DEFAULT_SM_ENGINE,
     ) -> TimingResult:
         """Re-run timing with a flight recorder threaded through.
 
         Always simulates (never replays a sidecar — recorded events
         cannot come from a cache) and never stores the result, so the
         recorded run cannot pollute the recorder-free result cache.
-        ``sm_engine`` overrides the runner's engine for one run (the
-        ``repro timeline --compare-engines`` path drives both engines
-        over the same streams).
+        ``sm_engine`` picks the SM engine for this one run: the
+        ``repro timeline --compare-engines`` gate drives both engines
+        over the same streams.
         """
         key = self._normalize(abbr)
-        engine = sm_engine or self.sm_engine
-        run = self.run(key)
-        warps_per_cta = run.built.launch.warps_per_cta(run.warp_size)
-        self._log(f"timeline {key} on {arch.name} ({engine} engine)")
+        warps_per_cta = self.warps_per_cta(key)
+        self._log(f"timeline {key} on {arch.name} ({sm_engine} engine)")
         with self.stats.timer(
-            "timeline", benchmark=key, arch=arch.name, sm_engine=engine
+            "timeline", benchmark=key, arch=arch.name, sm_engine=sm_engine
         ):
-            if self.arch_engine == "batch":
-                return simulate_architecture_columns(
-                    self.classified_columns(key),
-                    self.processed_columns(key, arch),
-                    arch,
-                    self.config,
-                    warps_per_cta=warps_per_cta,
-                    sm_engine=engine,
-                    recorder=recorder,
-                )
-            return simulate_architecture(
-                self.processed(key, arch),
+            return simulate_architecture_columns(
+                self.classified_columns(key),
+                self.processed_columns(key, arch),
                 arch,
                 self.config,
                 warps_per_cta=warps_per_cta,
-                sm_engine=engine,
+                sm_engine=sm_engine,
                 recorder=recorder,
             )
 
@@ -1369,14 +1197,9 @@ class ExperimentRunner:
                 return self._power[(key, arch.name)]
             accountant = PowerAccountant(arch, self.params, self.config)
             with self.stats.timer("power", benchmark=key, arch=arch.name):
-                if self.arch_engine == "batch":
-                    self._power[(key, arch.name)] = accountant.account_columns(
-                        self.processed_columns(key, arch), timing
-                    )
-                else:
-                    self._power[(key, arch.name)] = accountant.account(
-                        self.processed(key, arch), timing
-                    )
+                self._power[(key, arch.name)] = accountant.account_columns(
+                    self.processed_columns(key, arch), timing
+                )
             self._store_results(key, arch)
         return self._power[(key, arch.name)]
 
@@ -1473,10 +1296,6 @@ class ExperimentRunner:
                         params=self.params,
                         progress=progress,
                         telemetry=get_telemetry().enabled,
-                        classifier=self.classifier,
-                        arch_engine=self.arch_engine,
-                        sm_engine=self.sm_engine,
-                        transport=self.transport,
                         chunk_events=self.chunk_events,
                         shm_handles=handles or None,
                         bank_hints=bank_hints or None,

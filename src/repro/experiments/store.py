@@ -57,8 +57,7 @@ from typing import Any
 import numpy as np
 
 #: Version of the manifest/bank cache layout.  Entries written by a
-#: different layout are ignored (the reader falls back to the legacy
-#: v3 ``.npz`` / v4 pickle forms, then to recomputation).
+#: different layout are ignored (the reader recomputes them).
 CACHE_LAYOUT_VERSION = 5
 
 #: Bank ``.npy`` headers are padded so array data starts on a page
@@ -237,8 +236,10 @@ def peek_manifest(cache_dir: str | Path, stem: str) -> dict | None:
     """Read an entry's manifest without opening any bank.
 
     Returns the manifest dict, or ``None`` when absent/damaged/foreign
-    layout.  This is the O(1) staleness probe: the fingerprint lives in
-    the manifest, so deciding hit-vs-stale never deserializes payloads.
+    layout (a manifest without a string ``fingerprint`` and
+    ``bank_dir`` counts as damaged).  This is the O(1) staleness probe:
+    the fingerprint lives in the manifest, so deciding hit-vs-stale
+    never deserializes payloads.
     """
     path = manifest_path(Path(cache_dir), stem)
     try:
@@ -250,6 +251,7 @@ def peek_manifest(cache_dir: str | Path, stem: str) -> dict | None:
         not isinstance(manifest, dict)
         or manifest.get("layout") != CACHE_LAYOUT_VERSION
         or not isinstance(manifest.get("fingerprint"), str)
+        or not isinstance(manifest.get("bank_dir"), str)
     ):
         return None
     return manifest
@@ -266,7 +268,7 @@ def load_entry(
     ``status`` is ``"hit"`` (entry returned), ``"absent"`` (no v5
     manifest), ``"stale"`` (fingerprint mismatch — payloads untouched)
     or ``"corrupt"`` (manifest or banks damaged).  Callers recover by
-    falling back to the legacy layout or recomputing; nothing raises.
+    recomputing; nothing raises.
     """
     cache_dir = Path(cache_dir)
     if not manifest_path(cache_dir, stem).exists():
@@ -376,9 +378,8 @@ def sweep_orphans(
 
     Removes, when older than ``age_seconds``:
 
-    * ``*.tmp`` / ``*.tmp.npz`` files (half-written legacy archives,
-      pickle sidecars and manifests abandoned before their rename), and
-      ``*.tmp`` bank directories;
+    * ``*.tmp`` files (pickle sidecars and manifests abandoned before
+      their rename) and ``*.tmp`` bank directories;
     * fingerprint-named ``*.v5`` bank directories whose manifest is
       missing or now points at a different fingerprint (an entry
       replacement happened; any reader still mapping the old banks
@@ -400,7 +401,7 @@ def sweep_orphans(
             continue
         if mtime > cutoff:
             continue
-        if name.endswith(".tmp") or name.endswith(".tmp.npz"):
+        if name.endswith(".tmp"):
             size = _tree_bytes(child)
             try:
                 if child.is_dir():
@@ -428,19 +429,19 @@ def sweep_orphans(
     return stats
 
 
-#: Legacy filename shapes recognized by :func:`scan_cache`.
-_LEGACY_RESULTS_RE = re.compile(r"_results_[^.]+\.pkl$")
-_LEGACY_CLASSIFIED_RE = re.compile(r"_classified\.pkl$")
+#: Pickle sidecar filename shapes recognized by :func:`scan_cache`.
+_RESULTS_PICKLE_RE = re.compile(r"_results_[^.]+\.pkl$")
+_CLASSIFIED_PICKLE_RE = re.compile(r"_classified\.pkl$")
 
 
 def scan_cache(cache_dir: str | Path) -> dict:
     """Inventory a cache directory: per-stage entry counts and bytes.
 
     Returns a JSON-ready dict: ``stages`` maps a stage label (v5 kinds
-    like ``trace``/``ccols``/``pcols``/``results`` and legacy labels
-    like ``trace_npz``/``classified_pickle``/``results_pickle``) to
-    ``{"entries": n, "bytes": b}``; ``orphans`` counts ``*.tmp`` debris
-    and unreferenced bank directories still awaiting a sweep.
+    like ``trace``/``ccols``/``pcols`` and the pickle sidecar labels
+    ``classified_pickle``/``results_pickle``) to ``{"entries": n,
+    "bytes": b}``; ``orphans`` counts ``*.tmp`` debris and
+    unreferenced bank directories still awaiting a sweep.
     """
     cache_dir = Path(cache_dir)
     stages: dict[str, dict[str, int]] = {}
@@ -459,7 +460,7 @@ def scan_cache(cache_dir: str | Path) -> dict:
         name = child.name
         size = _tree_bytes(child)
         total += size
-        if name.endswith(".tmp") or name.endswith(".tmp.npz"):
+        if name.endswith(".tmp"):
             orphans["tmp_files"] += 1
             orphans["tmp_bytes"] += size
             continue
@@ -480,11 +481,9 @@ def scan_cache(cache_dir: str | Path) -> dict:
             else:
                 bump(manifest.get("kind", "unknown"), 0, size)
             continue
-        if name.endswith(".npz"):
-            bump("trace_npz", 1, size)
-        elif _LEGACY_CLASSIFIED_RE.search(name):
+        if _CLASSIFIED_PICKLE_RE.search(name):
             bump("classified_pickle", 1, size)
-        elif _LEGACY_RESULTS_RE.search(name):
+        elif _RESULTS_PICKLE_RE.search(name):
             bump("results_pickle", 1, size)
         elif name.endswith(".pkl"):
             bump("other_pickle", 1, size)

@@ -8,18 +8,8 @@ from repro.scalar.architectures import (
     process_trace,
     processed_statistics,
 )
-from repro.scalar.arch_batch import (
-    ARCH_ENGINE_CHOICES,
-    DEFAULT_ARCH_ENGINE,
-    process_columns,
-)
-from repro.scalar.batch import (
-    CLASSIFIER_CHOICES,
-    DEFAULT_CLASSIFIER,
-    classify_columnar_batch,
-    classify_trace_batch,
-    classify_trace_with,
-)
+from repro.scalar.arch_batch import process_columns
+from repro.scalar.batch import classify_columnar_batch, classify_trace_batch
 from repro.scalar.columns import (
     ClassifiedColumns,
     ProcessedColumns,
@@ -48,10 +38,6 @@ from repro.scalar.tracker import (
 )
 
 __all__ = [
-    "ARCH_ENGINE_CHOICES",
-    "CLASSIFIER_CHOICES",
-    "DEFAULT_ARCH_ENGINE",
-    "DEFAULT_CLASSIFIER",
     "HALF_GRANULARITY",
     "ArchitectureView",
     "ClassifiedColumns",
@@ -71,7 +57,6 @@ __all__ = [
     "classify_source_read",
     "classify_trace",
     "classify_trace_batch",
-    "classify_trace_with",
     "classify_warp",
     "process_classified",
     "process_columns",

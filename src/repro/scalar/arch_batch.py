@@ -58,10 +58,6 @@ from repro.scalar.columns import (
 )
 from repro.scalar.eligibility import ID_TO_SCALAR_CLASS, SCALAR_CLASS_TO_ID, ScalarClass
 
-#: Architecture-interpretation engines selectable via ``--arch-engine``.
-ARCH_ENGINE_CHOICES = ("batch", "event")
-DEFAULT_ARCH_ENGINE = "batch"
-
 _ALU_SCALAR_ID = SCALAR_CLASS_TO_ID[ScalarClass.ALU_SCALAR]
 _HALF_SCALAR_ID = SCALAR_CLASS_TO_ID[ScalarClass.HALF_SCALAR]
 

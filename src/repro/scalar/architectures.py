@@ -18,7 +18,7 @@ from repro.config import ArchitectureConfig, ScalarMode
 from repro.errors import ConfigError
 from repro.regfile.access import AccessKind, RegisterAccess
 from repro.regfile.scalar_rf import ScalarRegisterFile
-from repro.scalar.batch import classify_trace_with
+from repro.scalar.batch import classify_trace_batch
 from repro.scalar.eligibility import ScalarClass
 from repro.scalar.tracker import ClassifiedEvent
 from repro.simt.trace import KernelTrace
@@ -421,16 +421,11 @@ def process_trace(
     trace: KernelTrace,
     arch: ArchitectureConfig,
     num_registers: int,
-    classifier: str = "batch",
     static_widths=None,
 ) -> list[list[ProcessedEvent]]:
-    """Classify and process a whole kernel trace for one architecture.
-
-    ``classifier`` selects the classification engine: ``"batch"`` (the
-    default, vectorized) or ``"event"`` (the original per-event
-    tracker) — both produce identical streams.
-    """
-    classified = classify_trace_with(trace, num_registers, classifier)
+    """Classify (batch engine) and process a whole kernel trace for one
+    architecture."""
+    classified = classify_trace_batch(trace, num_registers)
     processed: list[list[ProcessedEvent]] = []
     for warp_events in classified:
         view = ArchitectureView(arch, trace.warp_size, static_widths=static_widths)

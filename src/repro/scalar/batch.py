@@ -62,11 +62,6 @@ from repro.simt.trace import (
     WarpTrace,
 )
 
-#: Classification engines selectable via ``--classifier``.
-CLASSIFIER_CHOICES = ("batch", "event")
-DEFAULT_CLASSIFIER = "batch"
-
-
 def _half_granularity(warp_size: int) -> int:
     """The tracker's half size in lanes (16 even for 64-thread warps)."""
     return min(HALF_GRANULARITY, max(1, warp_size // 2))
@@ -679,23 +674,3 @@ def classify_columnar_chunk(
             if continues:
                 carry.last_class[global_warp] = last
     return classified
-
-
-def classify_trace_with(
-    trace: KernelTrace, num_registers: int, classifier: str = DEFAULT_CLASSIFIER
-) -> list[list[ClassifiedEvent]]:
-    """Dispatch to the selected classification engine.
-
-    ``"batch"`` (the default) runs the vectorized engine; ``"event"``
-    runs the original per-event tracker — kept for differential
-    checking (``--classifier=event``).
-    """
-    if classifier == "batch":
-        return classify_trace_batch(trace, num_registers)
-    if classifier == "event":
-        from repro.scalar.tracker import classify_trace
-
-        return classify_trace(trace, num_registers)
-    raise ValueError(
-        f"unknown classifier {classifier!r}; known: {', '.join(CLASSIFIER_CHOICES)}"
-    )

@@ -265,127 +265,6 @@ def measure_pipeline(
     }
 
 
-def measure_transport(
-    benchmark: str, scale: str, repeats: int, warmup: int = DEFAULT_WARMUP
-) -> dict:
-    """Median cache-transport seconds per arm for one benchmark.
-
-    Times the trace transport itself — the serialization layer the
-    :class:`~repro.experiments.runner.ExperimentRunner` cache sits on —
-    with the kernel executed once up front so workload construction
-    never pollutes the warm arms:
-
-    * **cold miss** — execute the kernel and write a fresh v5 entry:
-      what a cache miss costs, for context.
-    * **legacy warm hit** — :func:`~repro.simt.serialize.load_columnar`
-      on the v3 ``.npz`` archive: decompress and copy every array.
-    * **mmap warm hit** — :func:`~repro.simt.serialize.
-      load_columnar_v5`: map the page-aligned banks read-only.  Two
-      numbers: the lazy map alone (``mmap_warm_seconds``, what a
-      sidecar-replay run pays — results replay without ever faulting
-      the trace pages in) and the map plus a full read of every array
-      (``mmap_warm_touch_seconds``, the worst case where a consumer
-      touches every page).
-
-    The reported ``speedup`` — the number the perf-smoke gate pins —
-    is deliberately the *conservative* ratio, legacy-warm over
-    mmap-warm-**touch**: even charged for faulting in every page, the
-    map must beat the decompress.  An equivalence gate pins the two
-    warm traces bit-identical array by array before any timing.
-    """
-    import tempfile
-    from pathlib import Path
-
-    import numpy as np
-
-    from repro.simt.serialize import (
-        _ARRAY_FIELDS,
-        load_columnar,
-        load_columnar_v5,
-        save_columnar_v5,
-        save_trace,
-    )
-
-    built = build_workload(benchmark, scale)
-    trace: KernelTrace = run_kernel(built.kernel, built.launch, built.memory)
-    columnar = trace.to_columnar()
-    fingerprint = "bench-transport"
-    with tempfile.TemporaryDirectory(prefix="bench-transport-") as root:
-        root_path = Path(root)
-        npz_path = root_path / f"{benchmark}.npz"
-        save_trace(trace, npz_path, fingerprint=fingerprint)
-        save_columnar_v5(columnar, root_path, benchmark, fingerprint)
-
-        # Equivalence gate: the mapped v5 trace is bit-identical to the
-        # decompressed legacy one, or the timings are meaningless.
-        legacy_columnar = load_columnar(npz_path, expected_fingerprint=fingerprint)
-        mapped_columnar, status, _ = load_columnar_v5(
-            root_path, benchmark, fingerprint
-        )
-        assert status == "hit", f"{benchmark}: v5 entry unreadable ({status})"
-        for name in _ARRAY_FIELDS:
-            if not np.array_equal(
-                getattr(legacy_columnar, name), getattr(mapped_columnar, name)
-            ):
-                raise AssertionError(
-                    f"{benchmark}: transports disagree on trace array {name!r}"
-                )
-        trace_bytes = sum(
-            int(getattr(mapped_columnar, name).nbytes) for name in _ARRAY_FIELDS
-        )
-        del legacy_columnar, mapped_columnar
-
-        cold_index = 0
-
-        def cold_miss() -> None:
-            nonlocal cold_index
-            cold_index += 1
-            fresh = run_kernel(built.kernel, built.launch, built.memory)
-            save_columnar_v5(
-                fresh.to_columnar(),
-                root_path / f"cold{cold_index}",
-                benchmark,
-                fingerprint,
-            )
-
-        def legacy_warm() -> None:
-            load_columnar(npz_path, expected_fingerprint=fingerprint)
-
-        def mmap_warm() -> None:
-            loaded, loaded_status, _ = load_columnar_v5(
-                root_path, benchmark, fingerprint
-            )
-            assert loaded_status == "hit"
-
-        def mmap_warm_touch() -> None:
-            loaded, loaded_status, _ = load_columnar_v5(
-                root_path, benchmark, fingerprint
-            )
-            assert loaded_status == "hit"
-            for name in _ARRAY_FIELDS:
-                array = getattr(loaded, name)
-                if array.size:  # fault every page in
-                    array.any() if array.dtype == np.bool_ else array.sum()
-
-        cold_seconds = _median_seconds(cold_miss, repeats, warmup)
-        legacy_seconds = _median_seconds(legacy_warm, repeats, warmup)
-        mmap_seconds = _median_seconds(mmap_warm, repeats, warmup)
-        touch_seconds = _median_seconds(mmap_warm_touch, repeats, warmup)
-    return {
-        "benchmark": benchmark,
-        "scale": scale,
-        "repeats": repeats,
-        "warmup": warmup,
-        "events": trace.total_instructions,
-        "trace_bytes": trace_bytes,
-        "cold_miss_seconds": round(cold_seconds, 6),
-        "legacy_warm_seconds": round(legacy_seconds, 6),
-        "mmap_warm_seconds": round(mmap_seconds, 6),
-        "mmap_warm_touch_seconds": round(touch_seconds, 6),
-        "speedup": round(legacy_seconds / touch_seconds, 3),
-    }
-
-
 def _run_streaming_arm(
     benchmark: str, scale_name: str, arm: str, chunk_events: int
 ) -> dict:
@@ -623,14 +502,6 @@ def main(argv: list[str] | None = None) -> int:
         "event SM engine)",
     )
     parser.add_argument(
-        "--transport",
-        action="store_true",
-        help="benchmark cache transports instead of engines: cold miss "
-        "(execute + write) vs legacy warm hit (npz decompress) vs mmap "
-        "warm hit (v5 zero-copy map); speedup is legacy-warm over "
-        "mmap-warm",
-    )
-    parser.add_argument(
         "--streaming",
         action="store_true",
         help="benchmark the chunk-streaming pipeline's memory boundedness "
@@ -668,10 +539,8 @@ def main(argv: list[str] | None = None) -> int:
         help="also write the report to PATH",
     )
     args = parser.parse_args(arguments)
-    if sum((args.pipeline, args.transport, args.streaming)) > 1:
-        parser.error(
-            "--pipeline, --transport and --streaming are mutually exclusive"
-        )
+    if args.pipeline and args.streaming:
+        parser.error("--pipeline and --streaming are mutually exclusive")
     if args.chunk_events is not None and not args.streaming:
         parser.error("--chunk-events only applies to --streaming")
     if args.chunk_events is not None and args.chunk_events < 1:
@@ -692,12 +561,7 @@ def main(argv: list[str] | None = None) -> int:
             for name in benchmarks
         ]
     else:
-        if args.transport:
-            measurer = measure_transport
-        elif args.pipeline:
-            measurer = measure_pipeline
-        else:
-            measurer = measure
+        measurer = measure_pipeline if args.pipeline else measure
         results = [
             measurer(name, args.scale, args.repeats, args.warmup)
             for name in benchmarks
@@ -709,8 +573,6 @@ def main(argv: list[str] | None = None) -> int:
     ]
     if args.streaming:
         mode = "streaming"
-    elif args.transport:
-        mode = "transport"
     elif args.pipeline:
         mode = "pipeline"
     else:

@@ -10,7 +10,6 @@ from repro.simt.grid import (
     popcount,
 )
 from repro.simt.memory_state import MemoryImage
-from repro.simt.serialize import load_trace, save_trace
 from repro.simt.trace import KernelTrace, TraceEvent, WarpTrace
 
 __all__ = [
@@ -23,9 +22,7 @@ __all__ = [
     "WarpTrace",
     "enumerate_warps",
     "int_to_mask",
-    "load_trace",
     "mask_to_int",
     "popcount",
-    "save_trace",
     "run_kernel",
 ]

@@ -1,46 +1,34 @@
-"""Trace serialization: save/load dynamic traces as compressed ``.npz``.
+"""Trace serialization: columnar traces as v5 cache entries.
 
 Functional execution is the most expensive stage of the pipeline for
 large launches; persisting traces lets analysis runs (figures,
 architecture sweeps) reuse them across processes.  The on-disk layout
 *is* the columnar form (:class:`~repro.simt.trace.ColumnarTrace`): flat
 per-event arrays with offset tables for the ragged fields and one
-``(n_rows, warp_size)`` matrix of destination snapshots.  A cache hit
-therefore needs no per-event reconstruction — :func:`load_columnar`
-hands the arrays straight to the batch classifier; the event form is
-only materialized (:func:`load_trace`) for consumers that walk
+``(n_rows, warp_size)`` matrix of destination snapshots, each stored as
+one page-aligned bank of a v5 entry (:mod:`repro.experiments.store`).
+A cache hit therefore needs no per-event reconstruction —
+:func:`load_columnar_v5` hands memory-mapped arrays straight to the
+batch classifier; the event form is only materialized
+(:meth:`ColumnarTrace.to_trace`) for consumers that walk
 :class:`~repro.simt.trace.TraceEvent` objects.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-import numpy as np
+from repro.simt.trace import ColumnarTrace
 
-from repro.errors import TraceError
-from repro.simt.trace import (
-    ID_TO_OPCODE,
-    OPCODE_TO_ID,
-    ColumnarTrace,
-    KernelTrace,
-)
-
-#: Backwards-compatible aliases for the stable opcode numbering, which
-#: now lives beside the columnar form in :mod:`repro.simt.trace`.
-_OPCODE_TO_ID = OPCODE_TO_ID
-_ID_TO_OPCODE = ID_TO_OPCODE
-
-#: Bump whenever the archive layout or header schema changes; cached
-#: traces with a different version are re-executed, never re-interpreted.
-#: Version 2 added the embedded content ``fingerprint`` header field.
-#: Version 3 stores the columnar form directly: warp ids/lengths moved
-#: from the JSON header into proper integer arrays, so the header stays
-#: O(1) regardless of warp count and a load is array-copy only.
+#: Bump whenever the columnar layout or its metadata schema changes;
+#: cached traces with a different version are re-executed, never
+#: re-interpreted.  Version 2 added the embedded content fingerprint.
+#: Version 3 stores the columnar form directly: warp ids/lengths are
+#: proper integer arrays, so the metadata stays O(1) regardless of warp
+#: count.
 _FORMAT_VERSION = 3
 
-#: Array fields of :class:`ColumnarTrace`, in archive order.
+#: Array fields of :class:`ColumnarTrace`, in bank order.
 _ARRAY_FIELDS = (
     "warp_ids",
     "warp_lengths",
@@ -59,35 +47,6 @@ _ARRAY_FIELDS = (
 )
 
 
-def save_columnar(
-    columnar: ColumnarTrace, path: str | Path, fingerprint: str | None = None
-) -> None:
-    """Write a columnar trace to ``path`` (``.npz``, compressed).
-
-    ``fingerprint`` (see :mod:`repro.experiments.cachekey`) is stored in
-    the header so :func:`load_columnar` can reject stale caches whose
-    source kernel, scale or warp size has since changed.
-    """
-    header = {
-        "version": _FORMAT_VERSION,
-        "fingerprint": fingerprint,
-        "kernel_name": columnar.kernel_name,
-        "warp_size": columnar.warp_size,
-    }
-    np.savez_compressed(
-        Path(path),
-        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        **{name: getattr(columnar, name) for name in _ARRAY_FIELDS},
-    )
-
-
-def save_trace(
-    trace: KernelTrace, path: str | Path, fingerprint: str | None = None
-) -> None:
-    """Write an event-form trace to ``path`` (packs to columnar first)."""
-    save_columnar(trace.to_columnar(), path, fingerprint=fingerprint)
-
-
 def save_columnar_v5(
     columnar: ColumnarTrace,
     cache_dir: str | Path,
@@ -96,11 +55,10 @@ def save_columnar_v5(
 ) -> None:
     """Write a columnar trace as a v5 manifest + page-aligned banks.
 
-    Unlike :func:`save_columnar`, nothing is compressed: each array
-    lands as its own ``.npy`` bank so :func:`load_columnar_v5` can hand
-    back read-only memory-mapped views instead of decompressed copies.
-    The fingerprint lives in the manifest, so staleness is decided
-    without opening a single bank.
+    Nothing is compressed: each array lands as its own ``.npy`` bank so
+    :func:`load_columnar_v5` can hand back read-only memory-mapped
+    views instead of decompressed copies.  The fingerprint lives in the
+    manifest, so staleness is decided without opening a single bank.
     """
     from repro.experiments import store
 
@@ -128,9 +86,10 @@ def load_columnar_v5(
 
     ``status`` follows :func:`repro.experiments.store.load_entry`
     (``hit`` / ``absent`` / ``stale`` / ``corrupt``); on anything but a
-    hit the first two members are ``(None, status, None)`` and callers
-    fall back to the legacy ``.npz`` or re-execute.  On a hit the
-    columnar arrays are read-only mmap views; ``entry`` carries the
+    hit the result is ``(None, status, None)`` and callers re-execute.
+    A manifest of another format version, or whose warp lengths do not
+    sum to its event count, is ``corrupt``.  On a hit the columnar
+    arrays are read-only mmap views; ``entry`` carries the
     ``bytes_mapped`` / ``bytes_deserialized`` transport counters.
     """
     from repro.experiments import store
@@ -155,63 +114,3 @@ def load_columnar_v5(
     if int(columnar.warp_lengths.sum()) != columnar.num_events:
         return None, "corrupt", None
     return columnar, "hit", entry
-
-
-def load_columnar(
-    path: str | Path, expected_fingerprint: str | None = None
-) -> ColumnarTrace:
-    """Read the columnar trace previously written to ``path``.
-
-    Raises :class:`~repro.errors.TraceError` when the file is corrupt,
-    written by a different format version, or — with
-    ``expected_fingerprint`` given — was produced from a kernel/scale/
-    warp-size combination other than the one being requested (a *stale*
-    cache entry).  Callers are expected to recover by re-executing and
-    overwriting; nothing here is fatal to an experiment run.
-    """
-    try:
-        return _load_columnar_strict(Path(path), expected_fingerprint)
-    except TraceError:
-        raise
-    except Exception as exc:  # zip/json/array damage of any shape
-        raise TraceError(f"corrupt or unreadable trace file {path}: {exc}") from exc
-
-
-def load_trace(
-    path: str | Path, expected_fingerprint: str | None = None
-) -> KernelTrace:
-    """Read a trace and materialize the event form."""
-    return load_columnar(path, expected_fingerprint).to_trace()
-
-
-def _load_columnar_strict(
-    path: Path, expected_fingerprint: str | None
-) -> ColumnarTrace:
-    with np.load(path) as archive:
-        header = json.loads(bytes(archive["header"]).decode())
-        if header.get("version") != _FORMAT_VERSION:
-            raise TraceError(
-                f"unsupported trace format version {header.get('version')!r}"
-            )
-        if (
-            expected_fingerprint is not None
-            and header.get("fingerprint") != expected_fingerprint
-        ):
-            raise TraceError(
-                f"stale trace cache {path}: fingerprint "
-                f"{header.get('fingerprint')!r} != expected {expected_fingerprint!r}"
-            )
-        arrays = {name: archive[name] for name in _ARRAY_FIELDS}
-
-    columnar = ColumnarTrace(
-        kernel_name=header["kernel_name"],
-        warp_size=header["warp_size"],
-        **arrays,
-    )
-    if int(columnar.warp_lengths.sum()) != columnar.num_events:
-        raise TraceError(
-            f"corrupt trace file {path}: warp lengths sum to "
-            f"{int(columnar.warp_lengths.sum())}, have "
-            f"{columnar.num_events} events"
-        )
-    return columnar

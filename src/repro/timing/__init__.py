@@ -6,7 +6,6 @@ from repro.timing.gpu import (
     simulate_architecture,
     simulate_architecture_columns,
 )
-from repro.timing.multisim import GpuTimingResult, simulate_gpu
 from repro.timing.memory import (
     MemoryAccessCounts,
     MemoryModel,
@@ -27,10 +26,6 @@ from repro.timing.scheduler import (
 )
 from repro.timing.scoreboard import Scoreboard
 from repro.timing.sm import (
-    ALU_LATENCY,
-    CTRL_LATENCY,
-    LONG_ALU_LATENCY,
-    SFU_LATENCY,
     STALL_CAUSES,
     SmSimulator,
     StallBreakdown,
@@ -44,16 +39,11 @@ from repro.timing.sm_event import (
 )
 
 __all__ = [
-    "ALU_LATENCY",
-    "CTRL_LATENCY",
-    "LONG_ALU_LATENCY",
     "SCALAR_RF_BANK",
-    "SFU_LATENCY",
     "STALL_CAUSES",
     "DEFAULT_SM_ENGINE",
     "SM_ENGINE_CHOICES",
     "EventSmSimulator",
-    "GpuTimingResult",
     "MemoryAccessCounts",
     "MemoryModel",
     "Scoreboard",
@@ -74,5 +64,4 @@ __all__ = [
     "scheduler_of_slot",
     "simulate_architecture",
     "simulate_architecture_columns",
-    "simulate_gpu",
 ]

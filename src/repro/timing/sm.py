@@ -26,14 +26,6 @@ from repro.timing.ops import SCALAR_RF_BANK, TimingOp
 from repro.timing.scheduler import partition_warps
 from repro.timing.scoreboard import Scoreboard
 
-# Deprecated aliases of the GpuConfig latency defaults: the simulator
-# reads config.alu_latency & co. so sensitivity sweeps can vary them;
-# these module-level names remain for backward compatibility only.
-ALU_LATENCY = GpuConfig().alu_latency
-LONG_ALU_LATENCY = GpuConfig().long_alu_latency
-SFU_LATENCY = GpuConfig().sfu_latency
-CTRL_LATENCY = GpuConfig().ctrl_latency
-
 #: Sentinel for "blocked until the branch writes back".
 _BLOCKED_ON_BRANCH = 1 << 60
 #: Sentinel for "blocked at a CTA barrier".
@@ -97,18 +89,6 @@ class StallBreakdown:
     stream_exhausted: int = 0
     collectors_full: int = 0
     bank_conflict: int = 0
-
-    @property
-    def no_ready_warp(self) -> int:
-        """Deprecated two-bucket view: every stall that is not collector
-        back-pressure.  Kept as a derived sum for stats-json and other
-        back-compat consumers of the old counter."""
-        return (
-            self.scoreboard
-            + self.branch_shadow
-            + self.barrier
-            + self.stream_exhausted
-        )
 
     @property
     def total(self) -> int:

@@ -25,9 +25,15 @@ class TestRunner:
 
     def test_processed_cached_per_architecture(self, runner):
         arch = ArchitectureConfig.gscalar()
-        first = runner.processed("BP", arch)
-        second = runner.processed("BP", arch)
+        first = runner.processed_columns("BP", arch)
+        second = runner.processed_columns("BP", arch)
         assert first is second
+
+    def test_columns_cached_per_architecture(self, runner):
+        base = runner.processed_columns("BP", ArchitectureConfig.baseline())
+        gscalar = runner.processed_columns("BP", ArchitectureConfig.gscalar())
+        assert base is not gscalar
+        assert runner.processed_columns("BP", ArchitectureConfig.baseline()) is base
 
     def test_timing_and_power(self, runner):
         arch = ArchitectureConfig.baseline()
@@ -51,6 +57,25 @@ class TestRunner:
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
             ExperimentRunner(scale="nope")
+
+
+class TestStaticCompressRunner:
+    """The runner feeds the width analysis into the fifth architecture."""
+
+    ARCH = ArchitectureConfig.static_compress()
+
+    def test_widths_cached_per_benchmark(self, runner):
+        first = runner.static_widths("BP")
+        second = runner.static_widths("BP")
+        assert first is second
+        assert any(enc > 0 for enc in first)
+
+    def test_static_power_differs_from_baseline(self, runner):
+        base = runner.power("BP", ArchitectureConfig.baseline())
+        static = runner.power("BP", self.ARCH)
+        assert static.breakdown.rf_pj < base.breakdown.rf_pj
+        # No runtime detection: the only codec energy is decompression.
+        assert static.breakdown.compression_pj > 0
 
 
 class TestRunnerStats:
@@ -198,56 +223,61 @@ class TestTraceCache:
         assert tweaked.stats.counters["sidecar_stale_skipped"] >= 1
 
 
+def _write_pre_v5_cache(cache_dir):
+    """A cache left by an older checkout: an HS ``.npz`` trace archive
+    and pickle sidecars under a fingerprint no current input produces."""
+    import json
+    import pickle
+
+    import numpy as np
+
+    from repro.experiments.runner import matrix_architectures
+    from repro.simt.executor import run_kernel
+    from repro.workloads.registry import build_workload
+
+    built = build_workload("HS", scale="tiny")
+    columnar = run_kernel(built.kernel, built.launch, built.memory).to_columnar()
+    header = {"version": 3, "fingerprint": "0" * 16,
+              "kernel_name": columnar.kernel_name, "warp_size": columnar.warp_size}
+    np.savez_compressed(
+        cache_dir / "HS_tiny.npz",
+        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        warp_ids=columnar.warp_ids,
+        values=columnar.values,
+    )
+    stale = {"fingerprint": "0" * 16, "classified": [], "timing": None, "power": None}
+    sidecars = ["HS_tiny_classified.pkl"] + [
+        f"HS_tiny_results_{arch.name}.pkl" for arch in matrix_architectures()
+    ]
+    for name in sidecars:
+        (cache_dir / name).write_bytes(pickle.dumps(stale))
+
+
 class TestTransport:
-    def test_unknown_transport_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="transport"):
-            ExperimentRunner(scale="tiny", cache_dir=tmp_path, transport="carrier-pigeon")
-
-    def test_legacy_transport_writes_npz(self, tmp_path):
-        legacy = ExperimentRunner(scale="tiny", cache_dir=tmp_path, transport="legacy")
-        legacy.run("HS")
-        assert (tmp_path / "HS_tiny.npz").exists()
-        assert not (tmp_path / "HS_tiny.v5.json").exists()
-        warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path, transport="legacy")
-        warm.run("HS")
-        assert warm.stats.trace_executions == 0
-        assert warm.stats.counters["trace_cache_hits"] == 1
-        assert warm.stats.counters["bytes_deserialized"] > 0
-        assert warm.stats.counters.get("bytes_mapped", 0) == 0
-
-    def test_legacy_npz_migrates_to_v5(self, tmp_path):
-        legacy = ExperimentRunner(scale="tiny", cache_dir=tmp_path, transport="legacy")
-        expected = legacy.run("HS").trace.total_instructions
-        # First mmap-transport open reads the npz once and writes the
-        # entry through to v5 — no re-execution.
-        migrator = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        assert migrator.run("HS").trace.total_instructions == expected
-        assert migrator.stats.trace_executions == 0
-        assert migrator.stats.counters["cache_migrated_v5"] == 1
-        assert (tmp_path / "HS_tiny.v5.json").exists()
-        # From then on the hit is a zero-copy map, not a decompress.
-        warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        assert warm.run("HS").trace.total_instructions == expected
-        assert warm.stats.counters.get("cache_migrated_v5", 0) == 0
-        assert warm.stats.counters["bytes_mapped"] > 0
-
-    def test_mmap_hit_results_match_legacy(self, tmp_path):
-        """Every modeled architecture's power report is bit-identical
-        whether the trace came through the legacy decompress path or
-        the v5 zero-copy map."""
+    def test_pre_v5_entries_are_a_miss(self, tmp_path):
+        """Old cache files are never read or migrated: the runner
+        executes once, replays none of the old sidecars and writes v5."""
         from repro.experiments.runner import matrix_architectures
 
-        legacy_dir = tmp_path / "legacy"
-        mmap_dir = tmp_path / "mmap"
-        legacy = ExperimentRunner(scale="tiny", cache_dir=legacy_dir, transport="legacy")
-        seeder = ExperimentRunner(scale="tiny", cache_dir=mmap_dir)
+        _write_pre_v5_cache(tmp_path)
+        cold = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        for arch in matrix_architectures():
+            assert cold.power("HS", arch).ipc_per_watt > 0
+        assert cold.stats.trace_executions == 1
+        assert cold.stats.counters.get("result_cache_hits", 0) == 0
+        assert (tmp_path / "HS_tiny.v5.json").exists()
+
+    def test_warm_hit_matches_uncached_runner(self, tmp_path, runner):
+        """After the miss, a warm run maps the v5 entry and reports the
+        same power as a runner without any cache, on every architecture."""
+        from repro.experiments.runner import matrix_architectures
+
+        _write_pre_v5_cache(tmp_path)
+        seeder = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         for arch in matrix_architectures():
             seeder.power("HS", arch)
-        warm = ExperimentRunner(scale="tiny", cache_dir=mmap_dir)
+        warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         for arch in matrix_architectures():
-            via_pickle = legacy.power("HS", arch)
-            via_mmap = warm.power("HS", arch)
-            assert via_mmap.ipc_per_watt == via_pickle.ipc_per_watt
-            assert via_mmap.cycles == via_pickle.cycles
-            assert via_mmap.total_power_w == via_pickle.total_power_w
+            assert warm.power("HS", arch) == runner.power("HS", arch)
+        assert warm.stats.trace_executions == 0
         assert warm.stats.counters["bytes_mapped"] > 0

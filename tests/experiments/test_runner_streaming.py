@@ -58,22 +58,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentRunner(scale="tiny", chunk_events=0)
 
-    def test_event_classifier_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(scale="tiny", chunk_events=8, classifier="event")
-
-    def test_event_arch_engine_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(scale="tiny", chunk_events=8, arch_engine="event")
-
     def test_cli_rejects_bad_chunk_events(self):
         with pytest.raises(SystemExit):
             cli_main(["fig1", "--scale", "tiny", "--chunk-events", "0"])
-        with pytest.raises(SystemExit):
-            cli_main(
-                ["fig1", "--scale", "tiny", "--chunk-events", "8",
-                 "--classifier", "event"]
-            )
 
 
 class TestChunkedEqualsWhole:

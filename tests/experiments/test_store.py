@@ -104,6 +104,29 @@ class TestEntryRoundTrip:
         entry, status = store.load_entry(tmp_path, "entry", "a" * 16)
         assert (entry, status) == (None, "corrupt")
 
+    def test_manifest_without_bank_dir_is_corrupt(self, tmp_path):
+        (tmp_path / f"entry{store.MANIFEST_SUFFIX}").write_text(
+            json.dumps({"layout": store.CACHE_LAYOUT_VERSION,
+                        "fingerprint": "abcdef12", "kind": "trace"})
+        )
+        assert store.peek_manifest(tmp_path, "entry") is None
+        entry, status = store.load_entry(tmp_path, "entry", "abcdef12")
+        assert (entry, status) == (None, "corrupt")
+
+    def test_runner_recomputes_over_manifest_without_bank_dir(self, tmp_path):
+        from repro.experiments.runner import ExperimentRunner
+
+        seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        expected = seeded.run("HS").columnar.num_events
+        manifest = tmp_path / f"HS_tiny{store.MANIFEST_SUFFIX}"
+        doc = json.loads(manifest.read_text())
+        del doc["bank_dir"]
+        manifest.write_text(json.dumps(doc))
+        runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        assert runner.run("HS").columnar.num_events == expected
+        assert runner.stats.trace_executions == 1
+        assert runner.stats.counters["trace_cache_invalid"] == 1
+
 
 class TestReplacement:
     def test_replacing_entry_keeps_live_readers_consistent(self, tmp_path):
@@ -144,17 +167,15 @@ class TestSweep:
     def test_old_debris_is_reclaimed(self, tmp_path):
         tmp_file = tmp_path / "half-written.12345.tmp"
         tmp_file.write_bytes(b"x" * 64)
-        npz_tmp = tmp_path / "HS_tiny.99.tmp.npz"
-        npz_tmp.write_bytes(b"y" * 32)
         tmp_bank = tmp_path / "entry.00ff.v5.777.tmp"
         tmp_bank.mkdir()
         (tmp_bank / "ints.npy").write_bytes(b"z" * 16)
         old = time.time() - 3600
-        for path in (tmp_file, npz_tmp, tmp_bank):
+        for path in (tmp_file, tmp_bank):
             os.utime(path, (old, old))
         swept = store.sweep_orphans(tmp_path, age_seconds=600.0)
-        assert swept.tmp_files == 3
-        assert swept.bytes_freed == 64 + 32 + 16
+        assert swept.tmp_files == 2
+        assert swept.bytes_freed == 64 + 16
         assert list(tmp_path.iterdir()) == []
 
     def test_referenced_banks_are_never_swept(self, tmp_path):
@@ -170,13 +191,13 @@ class TestSweep:
 class TestScan:
     def test_mixed_version_directory_inventoried(self, tmp_path):
         _store_sample(tmp_path)
-        (tmp_path / "HS_tiny.npz").write_bytes(b"legacy npz bytes")
-        (tmp_path / "HS_tiny_classified.pkl").write_bytes(b"legacy pickle")
-        (tmp_path / "HS_tiny_results_gscalar.pkl").write_bytes(b"legacy pickle")
+        (tmp_path / "HS_tiny.npz").write_bytes(b"pre-v5 npz bytes")
+        (tmp_path / "HS_tiny_classified.pkl").write_bytes(b"pickle")
+        (tmp_path / "HS_tiny_results_gscalar.pkl").write_bytes(b"pickle")
         (tmp_path / "debris.1.tmp").write_bytes(b"junk")
         report = store.scan_cache(tmp_path)
         assert report["stages"]["sample"]["entries"] == 1
-        assert report["stages"]["trace_npz"]["entries"] == 1
+        assert report["stages"]["other"]["entries"] == 1
         assert report["stages"]["classified_pickle"]["entries"] == 1
         assert report["stages"]["results_pickle"]["entries"] == 1
         assert report["orphans"]["tmp_files"] == 1

@@ -131,11 +131,12 @@ class TestLintMetrics:
 
     def test_lint_json_shape_unchanged_with_metrics(self, tmp_path, capsys):
         code = main(
-            ["lint", "BP", "--json", "--metrics-out", str(tmp_path / "l.prom")]
+            ["lint", "BP", "--format=json", "--metrics-out", str(tmp_path / "l.prom")]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert isinstance(payload, list) and len(payload) == 1
+        assert isinstance(payload, list) and payload
+        assert {d["kernel"] for d in payload} == {"backprop"}
 
 
 class TestStatsJsonCompatibility:

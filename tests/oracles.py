@@ -1,9 +1,11 @@
-"""Per-event reference walks for the columnar figure analyses.
+"""Per-event reference walks for the columnar figure analyses and stages.
 
 Each function here is the event-at-a-time form of a columnar kernel in
 ``src/``: it walks :class:`~repro.simt.trace.KernelTrace` events (or a
 classified stream) in program order, keeping per-warp register state in
-dicts.  The differential tests pin the columnar kernels to these walks.
+dicts.  The differential tests pin the columnar kernels to these walks,
+and :func:`reference_timing_and_power` pins the runner's production
+stage engines to the per-event ones.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.power.rf_techniques import (
 )
 from repro.regfile.layout import BankGeometry, BaselineLayout
 from repro.scalar.architectures import process_classified
+from repro.scalar.tracker import classify_trace
 from repro.simt.trace import KernelTrace
 from repro.timing.gpu import simulate_architecture
 
@@ -244,14 +247,59 @@ def _sweep_points(parameter, scale_factors, names, value_of, report_of):
     return points
 
 
+def processed_events(runner, abbr, arch, classified=None):
+    """``ArchitectureView`` output for one pair of a runner's benchmarks.
+
+    ``classified`` defaults to the runner's (batch-classified) stream;
+    the static width table is fed to ``static_compress`` as the runner
+    does.
+    """
+    run = runner.run(abbr)
+    widths = runner.static_widths(abbr) if arch.static_compression else None
+    return process_classified(
+        run.classified if classified is None else classified,
+        arch,
+        run.warp_size,
+        static_widths=widths,
+    )
+
+
+def reference_timing_and_power(runner, abbr, arch):
+    """Timing and power of one pair through the per-event engines.
+
+    The chain is the per-event tracker, ``ArchitectureView``, the
+    cycle-level SM simulator and per-event power accounting, in the
+    runner's configuration.
+    """
+    run = runner.run(abbr)
+    classified = classify_trace(run.trace, run.built.kernel.num_registers)
+    processed = processed_events(runner, abbr, arch, classified)
+    timing = simulate_architecture(
+        processed,
+        arch,
+        runner.config,
+        warp_size=run.warp_size,
+        warps_per_cta=runner.warps_per_cta(abbr),
+        sm_engine="cycle",
+    )
+    power = PowerAccountant(arch, runner.params, runner.config).account(
+        processed, timing
+    )
+    return timing, power
+
+
 def sweep_energy_parameter_events(runner, parameter, scale_factors, names):
-    """The energy sweep over ``runner.processed`` and per-event accounting."""
+    """The energy sweep over per-event processed traces and accounting."""
     base = getattr(runner.params, parameter)
+    processed = {}
 
     def report_of(abbr, arch, factor):
+        key = (abbr, arch.name)
+        if key not in processed:
+            processed[key] = processed_events(runner, abbr, arch)
         params = dataclasses.replace(runner.params, **{parameter: base * factor})
         return PowerAccountant(arch, params, runner.config).account(
-            runner.processed(abbr, arch), runner.timing(abbr, arch)
+            processed[key], runner.timing(abbr, arch)
         )
 
     return _sweep_points(
@@ -262,13 +310,17 @@ def sweep_energy_parameter_events(runner, parameter, scale_factors, names):
 def sweep_latency_parameter_events(runner, parameter, scale_factors, names):
     """The latency sweep re-simulating per-event processed traces."""
     base = getattr(runner.config, parameter)
+    cached = {}
 
     def value_of(factor):
         return max(1, round(base * factor))
 
     def report_of(abbr, arch, factor):
         config = dataclasses.replace(runner.config, **{parameter: value_of(factor)})
-        processed = runner.processed(abbr, arch)
+        key = (abbr, arch.name)
+        if key not in cached:
+            cached[key] = processed_events(runner, abbr, arch)
+        processed = cached[key]
         timing = simulate_architecture(
             processed,
             arch,

@@ -22,13 +22,12 @@ from repro.compression.half import compress_halves, compress_halves_batch
 from repro.config import ArchitectureConfig
 from repro.errors import TraceError
 from repro.isa import KernelBuilder
-from repro.scalar.architectures import process_trace, processed_statistics
-from repro.scalar.batch import (
-    CLASSIFIER_CHOICES,
-    classify_columnar_batch,
-    classify_trace_batch,
-    classify_trace_with,
+from repro.scalar.architectures import (
+    process_classified,
+    process_trace,
+    processed_statistics,
 )
+from repro.scalar.batch import classify_columnar_batch, classify_trace_batch
 from repro.scalar.tracker import classify_trace, trace_statistics
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 
@@ -121,8 +120,10 @@ class TestDifferentialEquivalence:
             ArchitectureConfig.alu_scalar(),
             ArchitectureConfig.gscalar(),
         ):
-            via_batch = process_trace(trace, arch, n, classifier="batch")
-            via_event = process_trace(trace, arch, n, classifier="event")
+            via_batch = process_trace(trace, arch, n)
+            via_event = process_classified(
+                classify_trace(trace, n), arch, trace.warp_size
+            )
             assert processed_statistics(via_batch) == processed_statistics(
                 via_event
             )
@@ -140,22 +141,6 @@ class TestDifferentialEquivalence:
 
 
 class TestDispatch:
-    def test_choices_cover_both_engines(self):
-        assert set(CLASSIFIER_CHOICES) == {"batch", "event"}
-
-    def test_event_engine_selected(self, scalar_heavy_kernel):
-        trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
-        n = scalar_heavy_kernel.num_registers
-        assert_classified_equal(
-            classify_trace(trace, n),
-            classify_trace_with(trace, n, classifier="event"),
-        )
-
-    def test_unknown_engine_rejected(self, scalar_heavy_kernel):
-        trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
-        with pytest.raises(ValueError, match="unknown classifier"):
-            classify_trace_with(trace, 8, classifier="turbo")
-
     def test_negative_registers_rejected(self, scalar_heavy_kernel):
         trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
         with pytest.raises(TraceError):

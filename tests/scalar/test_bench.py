@@ -42,53 +42,7 @@ class TestMeasure:
         assert result["speedup"] > 0
 
 
-class TestMeasureTransport:
-    def test_transport_measure_reports_all_arms(self):
-        result = bench.measure_transport("BP", "tiny", repeats=1, warmup=0)
-        assert result["benchmark"] == "BP"
-        assert result["trace_bytes"] > 0
-        assert result["cold_miss_seconds"] > 0
-        assert result["legacy_warm_seconds"] > 0
-        assert result["mmap_warm_seconds"] > 0
-        assert result["mmap_warm_touch_seconds"] > 0
-        # The gate ratio is the conservative one: decompress vs
-        # map-plus-touch-every-page.
-        import pytest
-
-        assert result["speedup"] == pytest.approx(
-            result["legacy_warm_seconds"] / result["mmap_warm_touch_seconds"],
-            rel=0.01,
-        )
-
-
 class TestCli:
-    def test_transport_json_report(self, tmp_path):
-        out = tmp_path / "report.json"
-        code = bench.main(
-            [
-                "BP",
-                "--scale",
-                "tiny",
-                "--repeats",
-                "1",
-                "--warmup",
-                "0",
-                "--transport",
-                "--json",
-                str(out),
-            ]
-        )
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["mode"] == "transport"
-        assert len(report["results"]) == 1
-
-    def test_transport_and_pipeline_are_exclusive(self):
-        import pytest
-
-        with pytest.raises(SystemExit):
-            bench.main(["BP", "--pipeline", "--transport"])
-
     def test_pipeline_json_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = bench.main(

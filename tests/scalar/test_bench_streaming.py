@@ -61,10 +61,6 @@ class TestCliWiring:
         with pytest.raises(SystemExit):
             main(["--streaming", "--pipeline"])
 
-    def test_streaming_conflicts_with_transport_mode(self):
-        with pytest.raises(SystemExit):
-            main(["--streaming", "--transport"])
-
     def test_chunk_events_requires_streaming(self):
         with pytest.raises(SystemExit):
             main(["--chunk-events", "64"])

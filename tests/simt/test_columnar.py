@@ -1,9 +1,9 @@
-"""Tests for the columnar trace form and the v3 on-disk format.
+"""Tests for the columnar trace form and its v5 on-disk entry.
 
 Covers the lossless ``to_columnar``/``from_columnar`` round trip, the
-columnar ``.npz`` archive (version gate, fingerprint gate, corruption),
-and the experiment runner's transparent recovery: a cache entry written
-by an older format version is silently re-executed, never
+v5 trace entry (version gate, fingerprint gate, inconsistent warp
+lengths), and the experiment runner's transparent recovery: a cache
+entry written by an older format version is silently re-executed, never
 re-interpreted.
 """
 
@@ -17,10 +17,8 @@ from repro.simt import LaunchConfig, MemoryImage, run_kernel
 from repro.simt.serialize import (
     _ARRAY_FIELDS,
     _FORMAT_VERSION,
-    load_columnar,
-    load_trace,
-    save_columnar,
-    save_trace,
+    load_columnar_v5,
+    save_columnar_v5,
 )
 from repro.simt.trace import ColumnarTrace, KernelTrace
 
@@ -70,26 +68,13 @@ class TestColumnarRoundTrip:
             columnar.to_trace()
 
 
-def _rewrite_header(path, **overrides):
-    """Rewrite the archive header in place (simulates other versions)."""
-    with np.load(path) as archive:
-        header = json.loads(bytes(archive["header"]).decode())
-        arrays = {name: archive[name] for name in _ARRAY_FIELDS}
-    header.update(overrides)
-    np.savez_compressed(
-        path,
-        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        **arrays,
-    )
-
-
 class TestColumnarSerialization:
     def test_save_load_columnar(self, divergent_kernel, tmp_path):
         trace = _multi_warp_trace(divergent_kernel)
         columnar = trace.to_columnar()
-        path = tmp_path / "trace.npz"
-        save_columnar(columnar, path, fingerprint="fp-1")
-        loaded = load_columnar(path, expected_fingerprint="fp-1")
+        save_columnar_v5(columnar, tmp_path, "trace", "fp-1")
+        loaded, status, _ = load_columnar_v5(tmp_path, "trace", "fp-1")
+        assert status == "hit"
         assert isinstance(loaded, ColumnarTrace)
         assert loaded.kernel_name == columnar.kernel_name
         assert loaded.warp_size == columnar.warp_size
@@ -101,41 +86,34 @@ class TestColumnarSerialization:
 
     def test_save_trace_load_trace_symmetry(self, saxpy_kernel, simple_memory, tmp_path):
         trace = run_one_warp(saxpy_kernel, simple_memory)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        assert_traces_equal(trace, load_trace(path))
+        save_columnar_v5(trace.to_columnar(), tmp_path, "trace", "fp-1")
+        loaded, status, _ = load_columnar_v5(tmp_path, "trace", "fp-1")
+        assert status == "hit"
+        assert_traces_equal(trace, loaded.to_trace())
 
     def test_stale_fingerprint_rejected(self, loop_kernel, tmp_path):
-        path = tmp_path / "trace.npz"
-        save_trace(run_one_warp(loop_kernel), path, fingerprint="fp-old")
-        with pytest.raises(TraceError, match="stale trace cache"):
-            load_columnar(path, expected_fingerprint="fp-new")
-        # Without an expectation the fingerprint is not checked.
-        load_columnar(path)
+        columnar = run_one_warp(loop_kernel).to_columnar()
+        save_columnar_v5(columnar, tmp_path, "trace", "fp-old")
+        assert load_columnar_v5(tmp_path, "trace", "fp-new") == (None, "stale", None)
 
     def test_legacy_version_rejected(self, loop_kernel, tmp_path):
-        path = tmp_path / "trace.npz"
-        save_trace(run_one_warp(loop_kernel), path)
-        _rewrite_header(path, version=_FORMAT_VERSION - 1)
-        with pytest.raises(TraceError, match="unsupported trace format"):
-            load_columnar(path)
+        columnar = run_one_warp(loop_kernel).to_columnar()
+        save_columnar_v5(columnar, tmp_path, "trace", "fp-1")
+        manifest = tmp_path / "trace.v5.json"
+        doc = json.loads(manifest.read_text())
+        doc["meta"]["format_version"] = _FORMAT_VERSION - 1
+        manifest.write_text(json.dumps(doc))
+        assert load_columnar_v5(tmp_path, "trace", "fp-1") == (None, "corrupt", None)
 
     def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "trace.npz"
-        path.write_bytes(b"not an npz archive at all")
-        with pytest.raises(TraceError, match="corrupt or unreadable"):
-            load_columnar(path)
+        (tmp_path / "trace.v5.json").write_bytes(b"not a v5 manifest at all")
+        assert load_columnar_v5(tmp_path, "trace", "fp-1") == (None, "corrupt", None)
 
     def test_truncated_arrays_rejected(self, loop_kernel, tmp_path):
-        path = tmp_path / "trace.npz"
-        save_trace(run_one_warp(loop_kernel), path)
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in _ARRAY_FIELDS}
-            header = archive["header"]
-        arrays["warp_lengths"] = arrays["warp_lengths"] + 5
-        np.savez_compressed(path, header=header, **arrays)
-        with pytest.raises(TraceError, match="corrupt trace file"):
-            load_columnar(path)
+        columnar = run_one_warp(loop_kernel).to_columnar()
+        columnar.warp_lengths = columnar.warp_lengths + 5
+        save_columnar_v5(columnar, tmp_path, "trace", "fp-1")
+        assert load_columnar_v5(tmp_path, "trace", "fp-1") == (None, "corrupt", None)
 
 
 class TestRunnerCacheRecovery:
@@ -173,22 +151,3 @@ class TestRunnerCacheRecovery:
         assert trace_statistics(warm.run("BP").classified) == baseline_stats
         assert warm.stats.counters["trace_cache_hits"] == 1
         assert warm.stats.counters.get("trace_executions", 0) == 0
-
-    def test_event_classifier_does_not_reuse_batch_sidecar(self, tmp_path):
-        """The classified sidecar is keyed on the engine name, so a
-        ``--classifier=event`` differential run never replays the batch
-        engine's cached stream (or vice versa)."""
-        from repro.experiments.runner import ExperimentRunner
-        from repro.scalar.tracker import trace_statistics
-
-        batch_runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        batch_stats = trace_statistics(batch_runner.run("BP").classified)
-
-        event_runner = ExperimentRunner(
-            scale="tiny", cache_dir=tmp_path, classifier="event"
-        )
-        event_stats = trace_statistics(event_runner.run("BP").classified)
-        counters = event_runner.stats.counters
-        assert counters["trace_cache_hits"] == 1
-        assert counters.get("classified_cache_hits", 0) == 0
-        assert event_stats == batch_stats

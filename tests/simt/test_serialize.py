@@ -1,12 +1,14 @@
-"""Round-trip tests for trace serialization."""
+"""Round-trip tests for v5 trace serialization."""
 
 import numpy as np
-import pytest
 
 from repro.simt import MemoryImage
-from repro.simt.serialize import load_trace, save_trace
+from repro.simt.serialize import load_columnar_v5, save_columnar_v5
+from repro.simt.trace import ColumnarTrace, KernelTrace
 
 from tests.conftest import run_one_warp
+
+FINGERPRINT = "deadbeef00000000"
 
 
 def assert_traces_equal(a, b):
@@ -34,36 +36,33 @@ def assert_traces_equal(a, b):
                 assert np.array_equal(ev_a.addresses, ev_b.addresses)
 
 
+def round_trip(trace, cache_dir):
+    """Save ``trace`` as a v5 entry and load its event form back."""
+    save_columnar_v5(trace.to_columnar(), cache_dir, "trace", FINGERPRINT)
+    columnar, status, _ = load_columnar_v5(cache_dir, "trace", FINGERPRINT)
+    assert status == "hit"
+    return columnar.to_trace()
+
+
 class TestRoundTrip:
     def test_divergent_trace(self, divergent_kernel, tmp_path):
         trace = run_one_warp(divergent_kernel, MemoryImage(), cta=64)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        assert_traces_equal(trace, load_trace(path))
+        assert_traces_equal(trace, round_trip(trace, tmp_path))
 
     def test_memory_trace(self, saxpy_kernel, simple_memory, tmp_path):
         trace = run_one_warp(saxpy_kernel, simple_memory)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        assert_traces_equal(trace, load_trace(path))
+        assert_traces_equal(trace, round_trip(trace, tmp_path))
 
     def test_empty_trace(self, tmp_path):
-        from repro.simt.trace import KernelTrace
-
         trace = KernelTrace(kernel_name="empty", warp_size=32)
-        path = tmp_path / "empty.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert loaded.total_instructions == 0
+        assert round_trip(trace, tmp_path).total_instructions == 0
 
     def test_downstream_results_identical(self, divergent_kernel, tmp_path):
         """A reloaded trace must classify identically."""
         from repro.scalar import classify_trace, trace_statistics
 
         trace = run_one_warp(divergent_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        reloaded = load_trace(path)
+        reloaded = round_trip(trace, tmp_path)
         original = trace_statistics(
             classify_trace(trace, divergent_kernel.num_registers)
         )
@@ -78,85 +77,72 @@ class TestRoundTrip:
 
         built = build_workload("HS", scale="tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        path = tmp_path / "hs.npz"
-        save_trace(trace, path)
-        assert_traces_equal(trace, load_trace(path))
-        assert path.stat().st_size > 0
+        assert_traces_equal(trace, round_trip(trace, tmp_path))
+        assert any(path.stat().st_size > 0 for path in tmp_path.rglob("*.npy"))
 
 
 class TestFingerprint:
     def test_matching_fingerprint_round_trips(self, saxpy_kernel, tmp_path):
-        from repro.simt.trace import KernelTrace
-
         trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path, fingerprint="deadbeef00000000")
-        loaded = load_trace(path, expected_fingerprint="deadbeef00000000")
-        assert isinstance(loaded, KernelTrace)
-        assert_traces_equal(trace, loaded)
-
-    def test_mismatched_fingerprint_raises(self, saxpy_kernel, tmp_path):
-        from repro.errors import TraceError
-
-        trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path, fingerprint="deadbeef00000000")
-        with pytest.raises(TraceError, match="stale"):
-            load_trace(path, expected_fingerprint="0123456789abcdef")
-
-    def test_missing_fingerprint_raises_when_expected(self, saxpy_kernel, tmp_path):
-        from repro.errors import TraceError
-
-        trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)  # no fingerprint embedded
-        with pytest.raises(TraceError, match="stale"):
-            load_trace(path, expected_fingerprint="0123456789abcdef")
+        save_columnar_v5(trace.to_columnar(), tmp_path, "trace", FINGERPRINT)
+        loaded, status, entry = load_columnar_v5(tmp_path, "trace", FINGERPRINT)
+        assert status == "hit"
+        assert isinstance(loaded, ColumnarTrace)
+        assert entry.bytes_mapped > 0
+        assert_traces_equal(trace, loaded.to_trace())
 
     def test_no_expected_fingerprint_skips_check(self, saxpy_kernel, tmp_path):
         trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path, fingerprint="deadbeef00000000")
-        assert_traces_equal(trace, load_trace(path))
+        save_columnar_v5(trace.to_columnar(), tmp_path, "trace", FINGERPRINT)
+        loaded, status, _ = load_columnar_v5(tmp_path, "trace")
+        assert status == "hit"
+        assert_traces_equal(trace, loaded.to_trace())
+
+    def test_mismatched_fingerprint_raises(self, saxpy_kernel, tmp_path):
+        """A stale entry is reported, never handed back as a hit."""
+        trace = run_one_warp(saxpy_kernel, MemoryImage())
+        save_columnar_v5(trace.to_columnar(), tmp_path, "trace", FINGERPRINT)
+        assert load_columnar_v5(tmp_path, "trace", "0123456789abcdef") == (
+            None, "stale", None,
+        )
 
 
 class TestCorruption:
-    def test_garbage_file_raises_trace_error(self, tmp_path):
-        from repro.errors import TraceError
+    """A damaged entry loads as ``corrupt`` instead of raising, so the
+    runner re-executes the trace rather than aborting the run."""
 
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"this is not a zip archive at all")
-        with pytest.raises(TraceError, match="corrupt"):
-            load_trace(path)
+    def test_garbage_file_raises_trace_error(self, tmp_path):
+        (tmp_path / "trace.v5.json").write_bytes(b"this is not a manifest at all")
+        assert load_columnar_v5(tmp_path, "trace", FINGERPRINT) == (
+            None, "corrupt", None,
+        )
 
     def test_truncated_archive_raises_trace_error(self, saxpy_kernel, tmp_path):
-        from repro.errors import TraceError
+        from repro.experiments import store
 
         trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(TraceError):
-            load_trace(path)
+        save_columnar_v5(trace.to_columnar(), tmp_path, "trace", FINGERPRINT)
+        bank = tmp_path / store.bank_dir_name("trace", FINGERPRINT) / "values.npy"
+        data = bank.read_bytes()
+        bank.write_bytes(data[: len(data) // 2])
+        assert load_columnar_v5(tmp_path, "trace", FINGERPRINT) == (
+            None, "corrupt", None,
+        )
 
     def test_empty_file_raises_trace_error(self, tmp_path):
-        from repro.errors import TraceError
-
-        path = tmp_path / "empty.npz"
-        path.write_bytes(b"")
-        with pytest.raises(TraceError):
-            load_trace(path)
+        (tmp_path / "trace.v5.json").write_bytes(b"")
+        assert load_columnar_v5(tmp_path, "trace", FINGERPRINT) == (
+            None, "corrupt", None,
+        )
 
     def test_wrong_version_raises_trace_error(self, saxpy_kernel, tmp_path):
         from unittest import mock
 
-        from repro.errors import TraceError
         from repro.simt import serialize
 
         trace = run_one_warp(saxpy_kernel, MemoryImage())
-        path = tmp_path / "trace.npz"
         with mock.patch.object(serialize, "_FORMAT_VERSION", 999):
-            save_trace(trace, path)
-        with pytest.raises(TraceError, match="version"):
-            load_trace(path)
+            save_columnar_v5(trace.to_columnar(), tmp_path, "trace", FINGERPRINT)
+        assert load_columnar_v5(tmp_path, "trace", FINGERPRINT) == (
+            None, "corrupt", None,
+        )

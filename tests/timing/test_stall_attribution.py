@@ -133,12 +133,11 @@ class TestCauseSemantics:
 
 
 class TestBackCompat:
-    def test_no_ready_warp_is_derived(self):
+    def test_total_sums_every_cause(self):
         breakdown = StallBreakdown(
             scoreboard=3, branch_shadow=2, barrier=1, stream_exhausted=4,
             collectors_full=7, bank_conflict=5,
         )
-        assert breakdown.no_ready_warp == 3 + 2 + 1 + 4
         assert breakdown.total == 3 + 2 + 1 + 4 + 7 + 5
 
     def test_as_dict_order_matches_taxonomy(self):
@@ -148,4 +147,5 @@ class TestBackCompat:
     def test_no_ready_warp_is_not_a_field(self):
         names = {field.name for field in dataclasses.fields(StallBreakdown)}
         assert "no_ready_warp" not in names
+        assert not hasattr(StallBreakdown(), "no_ready_warp")
         assert names == set(STALL_CAUSES)
