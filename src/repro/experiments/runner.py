@@ -80,7 +80,7 @@ from repro.simt.trace import (
     opcode_labels,
 )
 from repro.timing.gpu import simulate_architecture_columns, simulate_warp_ops
-from repro.timing.ops import build_timing_ops_columns
+from repro.timing.ops import TimingOpTable, build_timing_ops_columns
 from repro.timing.sm import TimingResult
 from repro.timing.sm_event import DEFAULT_SM_ENGINE
 from repro.workloads.registry import SCALES, BuiltWorkload, all_workloads, workload_by_name
@@ -1069,7 +1069,8 @@ class ExperimentRunner:
                 )
         carry = ArchCarry()
         agg = _PowerAggregates()
-        warp_ops: list[list] = []
+        tables: list[TimingOpTable] = []
+        continued: list[bool] = []
         for meta, ccols in self._iter_ccols_fragments(key, force_cold=force_cold):
             warp_start = int(meta["warp_start"])
             if pcols_warm:
@@ -1103,13 +1104,8 @@ class ExperimentRunner:
                     extra_meta={"warp_start": warp_start, "index": int(meta["index"])},
                 )
             agg.merge(accountant.aggregates_from_columns(pcols, warp_base=warp_start))
-            fragments = build_timing_ops_columns(ccols, pcols, arch, self.config)
-            for local, fragment in enumerate(fragments):
-                warp = warp_start + local
-                if warp < len(warp_ops):
-                    warp_ops[warp].extend(fragment)
-                else:
-                    warp_ops.append(fragment)
+            tables.append(build_timing_ops_columns(ccols, pcols, arch, self.config))
+            continued.append(bool(meta["first_warp_continued"]))
             self.stats.bump("stream_chunks")
             # Gauges land in the stats registry: the shared one when
             # telemetry is on, else the runner's private registry — so
@@ -1119,9 +1115,11 @@ class ExperimentRunner:
             )
             record_peak_rss(self.stats.telemetry)
         warps_per_cta = self.warps_per_cta(key)
+        table = TimingOpTable.concat(tables, continued)
+        del tables  # only the joined table crosses the SM barrier
         with self.stats.timer("timing", benchmark=key, arch=arch.name):
             timing = simulate_warp_ops(
-                warp_ops, arch, self.config, warps_per_cta=warps_per_cta
+                table, arch, self.config, warps_per_cta=warps_per_cta
             )
         with self.stats.timer("power", benchmark=key, arch=arch.name):
             power = accountant.account_aggregates(agg, timing)

@@ -2,7 +2,7 @@
 
 The whole-trace pipeline materializes every stage for the full event
 stream: trace -> classified columns -> per-architecture processed
-columns -> timing ops -> power report.  For a 10^6+-event trace the
+columns -> timing-op table -> power report.  For a 10^6+-event trace the
 intermediate columns dominate memory.  This module threads the same
 stages chunk by chunk instead, with explicit carry state between
 chunks at every layer:
@@ -14,10 +14,12 @@ chunks at every layer:
 * :class:`repro.scalar.arch_batch.ArchCarry` — the prior-work
   architecture's scalar-register-file LRU residency, per architecture;
 * timing — :func:`repro.timing.ops.build_timing_ops_columns` is a pure
-  per-event lowering, so each chunk's op fragments append onto their
-  (global) warp's accumulated list.  Both SM engines schedule whole
-  warps, so the single simulation pass at :meth:`StreamingPipeline.finish`
-  is the one whole-trace barrier the stream keeps;
+  per-event lowering, so each chunk lowers to its own
+  :class:`~repro.timing.ops.TimingOpTable` and
+  :meth:`~repro.timing.ops.TimingOpTable.concat` joins them, merging a
+  warp a chunk boundary cut.  Both SM engines schedule whole warps, so
+  the single simulation pass at :meth:`StreamingPipeline.finish` is the
+  one whole-trace barrier the stream keeps;
 * power — each chunk reduces to an integer
   :class:`repro.power.accounting._PowerAggregates`, merged additively
   and evaluated once, which is exact.
@@ -50,7 +52,7 @@ from repro.scalar.arch_batch import ArchCarry, process_columns_chunk
 from repro.scalar.batch import ClassifierCarry, classify_columnar_chunk
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.timing.gpu import simulate_warp_ops
-from repro.timing.ops import TimingOp, build_timing_ops_columns
+from repro.timing.ops import TimingOpTable, build_timing_ops_columns
 from repro.timing.sm import TimingResult
 from repro.timing.sm_event import DEFAULT_SM_ENGINE
 from repro.simt.trace import TraceChunk
@@ -90,7 +92,7 @@ class StreamingPipeline:
     the whole-trace path feeds :func:`repro.scalar.arch_batch.process_columns`).
     ``collect_timing_ops=False`` skips the timing lowering entirely —
     the benchmark harness uses this to measure the bounded-memory
-    classify/process/account spine on its own (the op lists are the
+    classify/process/account spine on its own (the op tables are the
     one stage whose footprint grows with the trace).
 
     ``on_classified(chunk, ccols)`` / ``on_processed(chunk, arch, pcols)``
@@ -129,9 +131,11 @@ class StreamingPipeline:
         self.aggregates: dict[str, _PowerAggregates] = {
             arch.name: _PowerAggregates() for arch in self.arches
         }
-        self.warp_ops: dict[str, list[list[TimingOp]]] = {
+        self.op_tables: dict[str, list[TimingOpTable]] = {
             arch.name: [] for arch in self.arches
         }
+        #: Per fed chunk: does its first warp continue the previous one?
+        self.continued: list[bool] = []
         self.num_events = 0
         self.num_chunks = 0
         self.peak_bytes_in_flight = 0
@@ -175,17 +179,11 @@ class StreamingPipeline:
             )
 
             if self.collect_timing_ops:
-                ops = self.warp_ops[arch.name]
-                fragments = build_timing_ops_columns(
-                    ccols, pcols, arch, self.config
+                self.op_tables[arch.name].append(
+                    build_timing_ops_columns(ccols, pcols, arch, self.config)
                 )
-                for local, fragment in enumerate(fragments):
-                    warp = chunk.warp_start + local
-                    if warp < len(ops):
-                        ops[warp].extend(fragment)
-                    else:
-                        ops.append(fragment)
 
+        self.continued.append(chunk.first_warp_continued)
         self.num_events += chunk.num_events
         self.num_chunks += 1
         if live_bytes > self.peak_bytes_in_flight:
@@ -211,8 +209,9 @@ class StreamingPipeline:
         timing: dict[str, TimingResult] = {}
         power: dict[str, PowerReport] = {}
         for arch in self.arches:
+            # pop: the fragments die once joined, before the simulation.
             result = simulate_warp_ops(
-                self.warp_ops[arch.name],
+                TimingOpTable.concat(self.op_tables.pop(arch.name), self.continued),
                 arch,
                 self.config,
                 warps_per_cta=warps_per_cta,

@@ -75,10 +75,10 @@ from repro.simt.executor import run_kernel
 from repro.simt.trace import KernelTrace
 from repro.timing.gpu import (
     lower_to_timing_ops,
-    lower_to_timing_ops_columns,
     simulate_architecture,
     simulate_architecture_columns,
 )
+from repro.timing.ops import build_timing_ops_columns
 from repro.workloads.registry import SCALES, all_workloads, build_workload
 
 # BP and LC exercise the compute-heavy paths; LBM (memory_intensive in
@@ -185,7 +185,7 @@ def measure_pipeline(
                 f"{benchmark}/{arch.name}: engines disagree on processed columns"
             )
         event_ops = lower_to_timing_ops(processed, arch, config, warp_size)
-        if event_ops != lower_to_timing_ops_columns(ccols, pcols, arch, config):
+        if event_ops != build_timing_ops_columns(ccols, pcols, arch, config).to_ops():
             raise AssertionError(
                 f"{benchmark}/{arch.name}: engines disagree on timing ops"
             )

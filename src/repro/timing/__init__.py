@@ -2,7 +2,6 @@
 
 from repro.timing.gpu import (
     lower_to_timing_ops,
-    lower_to_timing_ops_columns,
     simulate_architecture,
     simulate_architecture_columns,
 )
@@ -14,6 +13,7 @@ from repro.timing.memory import (
 from repro.timing.ops import (
     SCALAR_RF_BANK,
     TimingOp,
+    TimingOpTable,
     build_timing_ops,
     build_timing_ops_columns,
     coalesce_addresses,
@@ -51,6 +51,7 @@ __all__ = [
     "SmSimulator",
     "StallBreakdown",
     "TimingOp",
+    "TimingOpTable",
     "TimingResult",
     "WarpScheduler",
     "build_timing_ops",
@@ -58,7 +59,6 @@ __all__ = [
     "coalesce_addresses",
     "create_sm_simulator",
     "lower_to_timing_ops",
-    "lower_to_timing_ops_columns",
     "partition_slots",
     "partition_warps",
     "scheduler_of_slot",

@@ -2,17 +2,23 @@
 
 The evaluation simulates one SM's worth of warps (the paper's per-SM
 statistics scale symmetrically to 15 SMs since the proxies are
-homogeneous across CTAs).  :func:`simulate_architecture` lowers a
-processed trace to timing ops and runs the SM model with the
-architecture's extra pipeline latency.
+homogeneous across CTAs).  :func:`simulate_architecture_columns` lowers
+a columnar processed trace to a :class:`~repro.timing.ops.TimingOpTable`
+and runs the SM model with the architecture's extra pipeline latency;
+:func:`simulate_architecture` is its per-event oracle.
 """
 
 from __future__ import annotations
 
 from repro.config import ArchitectureConfig, GpuConfig
 from repro.scalar.architectures import ProcessedEvent
-from repro.timing.ops import TimingOp, build_timing_ops, build_timing_ops_columns
-from repro.timing.sm import SmSimulator, TimingResult
+from repro.timing.ops import (
+    TimingOp,
+    TimingOpTable,
+    build_timing_ops,
+    build_timing_ops_columns,
+)
+from repro.timing.sm import TimingResult
 from repro.timing.sm_event import DEFAULT_SM_ENGINE, create_sm_simulator
 
 
@@ -50,25 +56,14 @@ def simulate_architecture(
     """
     config = config or GpuConfig()
     warp_ops = lower_to_timing_ops(processed, arch, config, warp_size)
-    simulator = create_sm_simulator(
-        sm_engine,
-        warp_ops,
+    return simulate_warp_ops(
+        TimingOpTable.from_ops(warp_ops),
+        arch,
         config,
-        extra_latency=arch.extra_pipeline_cycles,
         warps_per_cta=warps_per_cta,
+        sm_engine=sm_engine,
         recorder=recorder,
     )
-    return simulator.run()
-
-
-def lower_to_timing_ops_columns(
-    ccols,
-    pcols,
-    arch: ArchitectureConfig,
-    config: GpuConfig,
-) -> list[list[TimingOp]]:
-    """Lower a columnar classified/processed pair to timing ops."""
-    return build_timing_ops_columns(ccols, pcols, arch, config)
 
 
 def simulate_architecture_columns(
@@ -87,39 +82,37 @@ def simulate_architecture_columns(
     event path for the same stream.
     """
     config = config or GpuConfig()
-    warp_ops = build_timing_ops_columns(ccols, pcols, arch, config)
-    simulator = create_sm_simulator(
-        sm_engine,
-        warp_ops,
+    return simulate_warp_ops(
+        build_timing_ops_columns(ccols, pcols, arch, config),
+        arch,
         config,
-        extra_latency=arch.extra_pipeline_cycles,
         warps_per_cta=warps_per_cta,
+        sm_engine=sm_engine,
         recorder=recorder,
     )
-    return simulator.run()
 
 
 def simulate_warp_ops(
-    warp_ops: list[list[TimingOp]],
+    table: TimingOpTable,
     arch: ArchitectureConfig,
     config: GpuConfig | None = None,
     warps_per_cta: int | None = None,
     sm_engine: str = DEFAULT_SM_ENGINE,
     recorder=None,
 ) -> TimingResult:
-    """Run the SM timing model over pre-lowered per-warp op lists.
+    """Run the SM timing model over a lowered op table.
 
-    The chunk-streaming pipeline lowers timing ops chunk by chunk
+    The chunk-streaming pipeline lowers one table per chunk
     (:func:`build_timing_ops_columns` is a pure per-event function, so
-    fragment lowering is exact) and appends each fragment to its
-    warp's accumulated list; this entry point runs the simulation once
-    over the fully-assembled lists — both SM engines schedule whole
-    warps, so this is the one whole-trace barrier the stream keeps.
+    fragment lowering is exact) and joins them with
+    :meth:`TimingOpTable.concat`; this entry point runs the simulation
+    once over the joined table — both SM engines schedule whole warps,
+    so this is the one whole-trace barrier the stream keeps.
     """
     config = config or GpuConfig()
     simulator = create_sm_simulator(
         sm_engine,
-        warp_ops,
+        table,
         config,
         extra_latency=arch.extra_pipeline_cycles,
         warps_per_cta=warps_per_cta,

@@ -1,10 +1,11 @@
 """Event-driven SM timing engine — the fast twin of :mod:`repro.timing.sm`.
 
-:class:`EventSmSimulator` consumes the same per-warp
-:class:`~repro.timing.ops.TimingOp` streams (including
-:func:`~repro.timing.ops.build_timing_ops_columns` output) as the
-cycle-level :class:`~repro.timing.sm.SmSimulator` and produces a
-**bit-identical** :class:`~repro.timing.sm.TimingResult` — cycles,
+:class:`EventSmSimulator` runs a :class:`~repro.timing.ops.TimingOpTable`
+(the output of :func:`~repro.timing.ops.build_timing_ops_columns`),
+compiling its columns straight into flat per-op rows.  Over the same
+ops — ``table.to_ops()`` — the cycle-level
+:class:`~repro.timing.sm.SmSimulator` produces a **bit-identical**
+:class:`~repro.timing.sm.TimingResult` — cycles,
 instruction counts, memory counters, per-scheduler issue counts, bank
 conflict counters and per-scheduler stall-cause attributions all match
 exactly (the differential suite pins this on all 17 workloads × 5
@@ -25,10 +26,10 @@ architectures).  What differs is how time advances:
 
 Per-cycle work is therefore proportional to the events of that cycle
 rather than to machine size, which is where the pipeline speedup comes
-from.  The reference model stays available as ``--sm-engine=cycle`` and
-is the differential oracle; this engine is the default
-(``--sm-engine=event``), mirroring the ``--classifier`` /
-``--arch-engine`` engine-pair pattern.
+from.  This engine is the only one the runner uses.  The cycle model is
+its differential oracle: tests, ``repro.scalar.bench --pipeline`` and
+``repro timeline --sm-engine cycle`` / ``--compare-engines`` reach it
+through :func:`create_sm_simulator`.
 
 Semantics replicated from the reference (same event order per cycle):
 write-backs, then operand collection (one request per bank per cycle,
@@ -44,11 +45,14 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
+import numpy as np
+
 from repro.config import GpuConfig, SchedulerPolicy
 from repro.errors import TimingError
 from repro.isa.opcodes import OpCategory
+from repro.scalar.columns import CATEGORY_TO_CODE, CTRL_CODE
 from repro.timing.memory import MemoryModel
-from repro.timing.ops import SCALAR_RF_BANK, TimingOp
+from repro.timing.ops import SCALAR_RF_BANK, TimingOpTable
 from repro.timing.scheduler import partition_slots
 from repro.timing.sm import (
     _BLOCKED_ON_BARRIER,
@@ -65,9 +69,10 @@ from repro.timing.sm import (
     TimingResult,
 )
 
-#: SM timing engines selectable via ``--sm-engine``.  ``event`` is this
-#: module's event-driven engine; ``cycle`` is the per-cycle reference
-#: model in :mod:`repro.timing.sm`.
+#: SM timing engines :func:`create_sm_simulator` builds (``repro
+#: timeline --sm-engine``).  ``event`` is this module's event-driven
+#: engine, the runner's; ``cycle`` is the per-cycle oracle in
+#: :mod:`repro.timing.sm`.
 SM_ENGINE_CHOICES = ("event", "cycle")
 DEFAULT_SM_ENGINE = "event"
 
@@ -75,13 +80,14 @@ DEFAULT_SM_ENGINE = "event"
 _PORT_ALU = 0
 _PORT_MEM = 1
 _PORT_SFU = 2
+_ALU_CODE = CATEGORY_TO_CODE[OpCategory.ALU]
 
 #: OpCategory.name per port group, for flight-recorder labels (CTRL is
 #: distinguished by the compiled row's _IS_CTRL flag).
 _PORT_CATEGORY_NAMES = ("ALU", "MEM", "SFU")
 
-# Compiled-op tuple layout (one tuple per TimingOp; plain tuples index
-# faster than dataclass attribute access in the hot loop).
+# Compiled-op tuple layout (one tuple per table row; plain tuples index
+# faster than array or attribute access in the hot loop).
 _DST = 0
 _SRC_REGS = 1
 _SRC_BANKS = 2
@@ -95,31 +101,43 @@ _MEM_SEGMENTS = 9
 _IS_SHARED = 10
 _IS_STORE = 11
 
+#: Table rows compiled per step (bounds the compile's temporary lists).
+_COMPILE_BLOCK_ROWS = 16384
+
+
+def _ragged_tuples(values, offsets, lo: int, hi: int) -> list[tuple]:
+    """Rows ``lo:hi`` of a ragged table as one tuple each."""
+    bounds = offsets[lo : hi + 1]
+    flat = values[bounds[0] : bounds[-1]].tolist()
+    bounds = (bounds - bounds[0]).tolist()
+    return [tuple(flat[start:end]) for start, end in zip(bounds, bounds[1:])]
+
 
 def create_sm_simulator(
     engine: str,
-    warp_ops: list[list[TimingOp]],
+    table: TimingOpTable,
     config: GpuConfig,
     extra_latency: int = 0,
     memory: MemoryModel | None = None,
     warps_per_cta: int | None = None,
     recorder=None,
 ):
-    """Instantiate the selected SM timing engine over one op stream.
+    """Instantiate the selected SM timing engine over one op table.
 
-    ``recorder`` (a :class:`repro.obs.timeline.FlightRecorder`) opts the
-    run into per-warp lifecycle recording; both engines accept it.
+    The cycle model runs ``table.to_ops()``.  ``recorder`` (a
+    :class:`repro.obs.timeline.FlightRecorder`) opts the run into
+    per-warp lifecycle recording; both engines accept it.
     """
     if engine == "event":
-        cls = EventSmSimulator
+        cls, ops = EventSmSimulator, table
     elif engine == "cycle":
-        cls = SmSimulator
+        cls, ops = SmSimulator, table.to_ops()
     else:
         raise TimingError(
             f"unknown SM engine {engine!r}; known: {', '.join(SM_ENGINE_CHOICES)}"
         )
     return cls(
-        warp_ops,
+        ops,
         config,
         extra_latency=extra_latency,
         memory=memory,
@@ -131,14 +149,14 @@ def create_sm_simulator(
 class EventSmSimulator:
     """Event-driven simulation of one SM running fixed warps to completion.
 
-    Drop-in constructor/run() compatible with
-    :class:`~repro.timing.sm.SmSimulator`; see the module docstring for
-    how the two engines relate.
+    Constructor and run() mirror :class:`~repro.timing.sm.SmSimulator`,
+    with a :class:`~repro.timing.ops.TimingOpTable` in place of per-warp
+    op lists; see the module docstring for how the two engines relate.
     """
 
     def __init__(
         self,
-        warp_ops: list[list[TimingOp]],
+        table: TimingOpTable,
         config: GpuConfig,
         extra_latency: int = 0,
         memory: MemoryModel | None = None,
@@ -149,7 +167,7 @@ class EventSmSimulator:
             raise TimingError(f"extra_latency must be >= 0, got {extra_latency}")
         if warps_per_cta is not None and warps_per_cta < 1:
             raise TimingError(f"warps_per_cta must be >= 1, got {warps_per_cta}")
-        self.warp_ops = warp_ops
+        self.table = table
         self.config = config
         self.extra_latency = extra_latency
         self.recorder = recorder
@@ -158,7 +176,7 @@ class EventSmSimulator:
             l1_size_bytes=config.l1_cache_bytes,
             l2_share_bytes=max(8 * 1024, config.l2_cache_bytes // config.num_sms),
         )
-        self.num_warps = len(warp_ops)
+        self.num_warps = len(table.warp_lengths)
         self.max_resident = min(config.max_warps_per_sm, self.num_warps)
         if self.num_warps and min(self.warps_per_cta, self.num_warps) > self.max_resident:
             raise TimingError(
@@ -169,47 +187,57 @@ class EventSmSimulator:
 
     # ------------------------------------------------------------------
     def _compile(self) -> list[list[tuple]]:
-        """Pre-resolve every op's static timing facts into flat tuples."""
+        """Pre-resolve every op's static timing facts into flat tuples,
+        one list per warp, straight from the table's columns."""
+        table = self.table
         config = self.config
-        extra = self.extra_latency
-        compiled: list[list[tuple]] = []
-        for ops in self.warp_ops:
-            rows = []
-            for op in ops:
-                category = op.category
-                if category is OpCategory.MEM:
-                    port = _PORT_MEM
-                    delta = -1  # latency comes from the memory model
-                elif category in (OpCategory.ALU, OpCategory.CTRL):
-                    port = _PORT_ALU
-                    if category is OpCategory.CTRL:
-                        latency = config.ctrl_latency
-                    elif op.long_latency:
-                        latency = config.long_alu_latency
-                    else:
-                        latency = config.alu_latency
-                    delta = op.dispatch_cycles + latency + extra
-                else:
-                    port = _PORT_SFU
-                    delta = op.dispatch_cycles + config.sfu_latency + extra
-                rows.append(
-                    (
-                        op.dst,
-                        op.src_regs,
-                        op.src_banks,
-                        op.dispatch_cycles,
-                        port,
-                        delta,
-                        category is OpCategory.CTRL,
-                        op.is_barrier,
-                        op.inserted,
-                        op.mem_segments,
-                        op.is_shared_mem,
-                        op.is_store,
-                    )
+        # Pipeline port and write-back latency per category code; a MEM
+        # op's latency comes from the memory model at dispatch.
+        port_of = np.zeros(len(CATEGORY_TO_CODE), dtype=np.int64)
+        latency_of = np.zeros(len(CATEGORY_TO_CODE), dtype=np.int64)
+        for category, code in CATEGORY_TO_CODE.items():
+            port_of[code], latency_of[code] = {
+                OpCategory.ALU: (_PORT_ALU, config.alu_latency),
+                OpCategory.CTRL: (_PORT_ALU, config.ctrl_latency),
+                OpCategory.MEM: (_PORT_MEM, 0),
+                OpCategory.SFU: (_PORT_SFU, config.sfu_latency),
+            }[category]
+        codes = table.category_codes
+        port = port_of[codes]
+        latency = np.where(
+            table.long_latency & (codes == _ALU_CODE),
+            config.long_alu_latency,
+            latency_of[codes],
+        )
+        delta = np.where(
+            port == _PORT_MEM,
+            -1,
+            table.dispatch_cycles + latency + self.extra_latency,
+        )
+        is_ctrl = codes == CTRL_CODE
+        rows: list[tuple] = []
+        # Block by block, so the per-column Python lists built on the
+        # way stay small next to the rows they become.
+        for lo in range(0, table.num_ops, _COMPILE_BLOCK_ROWS):
+            hi = lo + _COMPILE_BLOCK_ROWS
+            rows.extend(
+                zip(
+                    [None if dst < 0 else dst for dst in table.dst[lo:hi].tolist()],
+                    _ragged_tuples(table.src_regs, table.src_offsets, lo, hi),
+                    _ragged_tuples(table.src_banks, table.src_offsets, lo, hi),
+                    table.dispatch_cycles[lo:hi].tolist(),
+                    port[lo:hi].tolist(),
+                    delta[lo:hi].tolist(),
+                    is_ctrl[lo:hi].tolist(),
+                    table.is_barrier[lo:hi].tolist(),
+                    table.inserted[lo:hi].tolist(),
+                    _ragged_tuples(table.segments, table.seg_offsets, lo, hi),
+                    table.is_shared_mem[lo:hi].tolist(),
+                    table.is_store[lo:hi].tolist(),
                 )
-            compiled.append(rows)
-        return compiled
+            )
+        bounds = table.warp_bounds().tolist()
+        return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     # ------------------------------------------------------------------
     def run(self, max_cycles: int = 50_000_000) -> TimingResult:

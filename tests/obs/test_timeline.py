@@ -17,7 +17,7 @@ from repro.obs.timeline import (
 )
 
 _STALL_KIND = EVENT_KIND_NAMES.index("stall")
-from repro.timing.ops import TimingOp
+from repro.timing.ops import TimingOp, TimingOpTable
 from repro.timing.sm import SmSimulator
 from repro.timing.sm_event import EventSmSimulator
 
@@ -135,9 +135,12 @@ class TestEngineIdenticalStreams:
             [],
         ]
         streams = []
-        for engine in (SmSimulator, EventSmSimulator):
+        for engine, ops in (
+            (SmSimulator, warps),
+            (EventSmSimulator, TimingOpTable.from_ops(warps)),
+        ):
             recorder = FlightRecorder()
-            engine(warps, CONFIG, warps_per_cta=2, recorder=recorder).run()
+            engine(ops, CONFIG, warps_per_cta=2, recorder=recorder).run()
             streams.append(
                 sorted(
                     (s.name, s.cat, s.ts_us, s.dur_us, s.pid, s.tid,

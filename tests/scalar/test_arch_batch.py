@@ -17,6 +17,7 @@ from repro.scalar.arch_batch import process_columns
 from repro.scalar.architectures import process_classified
 from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import (
+    CTRL_CODE,
     ClassifiedColumns,
     ProcessedColumns,
     processed_columns_diff,
@@ -24,11 +25,9 @@ from repro.scalar.columns import (
 from repro.scalar.compiler import MoveElisionAnalysis
 from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage, run_kernel
-from repro.timing.gpu import (
-    lower_to_timing_ops,
-    lower_to_timing_ops_columns,
-    simulate_architecture,
-)
+from repro.experiments.runner import matrix_architectures
+from repro.timing.gpu import lower_to_timing_ops, simulate_architecture
+from repro.timing.ops import build_timing_ops_columns
 from repro.analysis.static_.widths import analyze_widths
 from repro.workloads.registry import all_workloads, build_workload
 
@@ -88,21 +87,46 @@ class TestWorkloadMatrix:
         assert_processed_identical(classified, ccols, arch, trace.warp_size)
 
 
+def assert_lowering_identical(classified, ccols, arch, warp_size, **kwargs):
+    """The op table of the columns holds the event path's op streams."""
+    config = GpuConfig()
+    processed = process_classified(classified, arch, warp_size, **kwargs)
+    pcols = process_columns(ccols, arch, **kwargs)
+    assert build_timing_ops_columns(
+        ccols, pcols, arch, config
+    ).to_ops() == lower_to_timing_ops(processed, arch, config, warp_size)
+    return processed, pcols
+
+
 class TestDownstreamParity:
     """Timing ops and power reports built from columns match the events."""
 
     BENCHES = ("BP", "SR2", "MQ", "HS")
+
+    @pytest.mark.parametrize("abbr", WORKLOAD_ABBRS)
+    def test_timing_op_table_identical(self, abbr):
+        """All 17 workloads x 5 architectures (static widths included)
+        plus the fast-dispatch ablation."""
+        trace, classified, ccols = workload_case(abbr)
+        widths = static_widths_case(abbr)
+        fast = ArchitectureConfig.gscalar().replace(scalar_fast_dispatch=True)
+        for arch in (*matrix_architectures(), fast):
+            assert_lowering_identical(
+                classified,
+                ccols,
+                arch,
+                trace.warp_size,
+                static_widths=widths if arch.static_compression else None,
+            )
 
     @pytest.mark.parametrize("abbr", BENCHES)
     @pytest.mark.parametrize("arch", EVALUATED_ARCHITECTURES, ids=ARCH_IDS)
     def test_timing_ops_and_power_identical(self, abbr, arch):
         trace, classified, ccols = workload_case(abbr)
         config = GpuConfig()
-        processed = process_classified(classified, arch, trace.warp_size)
-        pcols = process_columns(ccols, arch)
-        assert lower_to_timing_ops_columns(
-            ccols, pcols, arch, config
-        ) == lower_to_timing_ops(processed, arch, config, trace.warp_size)
+        processed, pcols = assert_lowering_identical(
+            classified, ccols, arch, trace.warp_size
+        )
         timing = simulate_architecture(processed, arch, config, trace.warp_size)
         accountant = PowerAccountant(arch, config=config)
         assert accountant.account_columns(pcols, timing) == accountant.account(
@@ -112,12 +136,13 @@ class TestDownstreamParity:
     def test_scalar_fast_dispatch_ablation(self):
         trace, classified, ccols = workload_case("BP")
         arch = ArchitectureConfig.gscalar().replace(scalar_fast_dispatch=True)
-        config = GpuConfig()
-        processed = process_classified(classified, arch, trace.warp_size)
-        pcols = process_columns(ccols, arch)
-        assert lower_to_timing_ops_columns(
-            ccols, pcols, arch, config
-        ) == lower_to_timing_ops(processed, arch, config, trace.warp_size)
+        _, pcols = assert_lowering_identical(classified, ccols, arch, trace.warp_size)
+        # The ablation really changes dispatch: a scalar op takes 1 cycle.
+        table = build_timing_ops_columns(ccols, pcols, arch, GpuConfig())
+        assert pcols.scalar_executed.any()
+        assert (table.dispatch_cycles[~table.inserted] == 1).sum() > (
+            pcols.category_codes == CTRL_CODE
+        ).sum()
 
 
 class TestMoveElision:
@@ -204,13 +229,9 @@ class TestStaticCompress:
         trace, classified, ccols = workload_case(abbr)
         widths = static_widths_case(abbr)
         config = GpuConfig()
-        processed = process_classified(
-            classified, self.ARCH, trace.warp_size, static_widths=widths
+        processed, pcols = assert_lowering_identical(
+            classified, ccols, self.ARCH, trace.warp_size, static_widths=widths
         )
-        pcols = process_columns(ccols, self.ARCH, static_widths=widths)
-        assert lower_to_timing_ops_columns(
-            ccols, pcols, self.ARCH, config
-        ) == lower_to_timing_ops(processed, self.ARCH, config, trace.warp_size)
         timing = simulate_architecture(
             processed, self.ARCH, config, trace.warp_size
         )

@@ -20,7 +20,7 @@ from repro.config import GpuConfig, SchedulerPolicy
 from repro.errors import TimingError
 from repro.isa.opcodes import OpCategory
 from repro.timing.memory import MemoryModel
-from repro.timing.ops import TimingOp
+from repro.timing.ops import TimingOp, TimingOpTable
 from repro.timing.scheduler import WarpScheduler
 from repro.timing.sm import SmSimulator
 from repro.timing.sm_event import EventSmSimulator
@@ -129,7 +129,7 @@ class TestGtoForget:
         chain = [_alu(dst=0)] + [_alu(dst=0, srcs=(0,)) for _ in range(6)]
         warps = [[_alu(dst=1)], list(chain), list(chain)]
         ref = SmSimulator(warps, config).run()
-        got = EventSmSimulator(warps, config).run()
+        got = EventSmSimulator(TimingOpTable.from_ops(warps), config).run()
         assert ref == got
         assert ref.instructions == sum(len(w) for w in warps)
 
@@ -141,7 +141,7 @@ class TestWholeCtaActivation:
         with pytest.raises(TimingError, match="residency"):
             SmSimulator(warps, config, warps_per_cta=3)
         with pytest.raises(TimingError, match="residency"):
-            EventSmSimulator(warps, config, warps_per_cta=3)
+            EventSmSimulator(TimingOpTable.from_ops(warps), config, warps_per_cta=3)
 
     def test_cta_spanning_generations_completes(self):
         """Two CTAs, one SM generation each: barriers inside the second
@@ -151,7 +151,7 @@ class TestWholeCtaActivation:
         warps = [list(warp) for _ in range(4)]  # 2 CTAs of 2 warps
         for simulator in (
             SmSimulator(warps, config, warps_per_cta=2),
-            EventSmSimulator(warps, config, warps_per_cta=2),
+            EventSmSimulator(TimingOpTable.from_ops(warps), config, warps_per_cta=2),
         ):
             result = simulator.run(max_cycles=100_000)
             assert result.instructions == 12
@@ -161,7 +161,9 @@ class TestWholeCtaActivation:
         warp = [_BARRIER, _alu(dst=0)]
         warps = [list(warp) for _ in range(5)]  # CTAs {0,1}, {2,3}, {4}
         ref = SmSimulator(warps, config, warps_per_cta=2).run()
-        got = EventSmSimulator(warps, config, warps_per_cta=2).run()
+        got = EventSmSimulator(
+            TimingOpTable.from_ops(warps), config, warps_per_cta=2
+        ).run()
         assert ref == got
         assert ref.instructions == 10
 
@@ -194,8 +196,8 @@ class TestWholeCtaActivation:
         ref = SmSimulator(placed, config, warps_per_cta=warps_per_cta).run(
             max_cycles=2_000_000
         )
-        got = EventSmSimulator(placed, config, warps_per_cta=warps_per_cta).run(
-            max_cycles=2_000_000
-        )
+        got = EventSmSimulator(
+            TimingOpTable.from_ops(placed), config, warps_per_cta=warps_per_cta
+        ).run(max_cycles=2_000_000)
         assert ref == got
         assert ref.instructions == sum(len(w) for w in placed)

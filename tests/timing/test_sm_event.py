@@ -25,7 +25,7 @@ from repro.scalar.architectures import process_classified
 from repro.scalar.batch import classify_trace_batch
 from repro.simt.executor import run_kernel
 from repro.timing.gpu import lower_to_timing_ops
-from repro.timing.ops import TimingOp
+from repro.timing.ops import TimingOp, TimingOpTable
 from repro.timing.sm import SmSimulator
 from repro.timing.sm_event import (
     DEFAULT_SM_ENGINE,
@@ -37,6 +37,7 @@ from repro.workloads.registry import all_workloads, build_workload
 from tests.timing.test_sm_properties import random_ops
 
 WORKLOADS = [spec.abbr for spec in all_workloads()]
+EMPTY = TimingOpTable.from_ops([])
 
 
 def _assert_identical(ref, got, context: str) -> None:
@@ -55,7 +56,10 @@ def _run_both(warp_ops, config, extra_latency=0, warps_per_cta=None):
         warp_ops, config, extra_latency=extra_latency, warps_per_cta=warps_per_cta
     ).run(max_cycles=2_000_000)
     got = EventSmSimulator(
-        warp_ops, config, extra_latency=extra_latency, warps_per_cta=warps_per_cta
+        TimingOpTable.from_ops(warp_ops),
+        config,
+        extra_latency=extra_latency,
+        warps_per_cta=warps_per_cta,
     ).run(max_cycles=2_000_000)
     return ref, got
 
@@ -173,10 +177,10 @@ class TestEngineFactory:
         assert set(SM_ENGINE_CHOICES) == {"event", "cycle"}
 
     def test_factory_selects_engine(self):
-        ops = [[TimingOp(
+        ops = TimingOpTable.from_ops([[TimingOp(
             category=OpCategory.ALU, dst=0, src_regs=(), src_banks=(),
             dispatch_cycles=2, long_latency=False, is_store=False,
-        )]]
+        )]])
         assert isinstance(
             create_sm_simulator("event", ops, GpuConfig()), EventSmSimulator
         )
@@ -186,15 +190,15 @@ class TestEngineFactory:
 
     def test_factory_rejects_unknown_engine(self):
         with pytest.raises(TimingError):
-            create_sm_simulator("warp-speed", [], GpuConfig())
+            create_sm_simulator("warp-speed", EMPTY, GpuConfig())
 
     def test_event_engine_validates_like_reference(self):
         with pytest.raises(TimingError):
-            EventSmSimulator([], GpuConfig(), extra_latency=-1)
+            EventSmSimulator(EMPTY, GpuConfig(), extra_latency=-1)
         with pytest.raises(TimingError):
-            EventSmSimulator([], GpuConfig(), warps_per_cta=0)
+            EventSmSimulator(EMPTY, GpuConfig(), warps_per_cta=0)
 
     def test_empty_simulation(self):
-        result = EventSmSimulator([], GpuConfig()).run()
+        result = EventSmSimulator(EMPTY, GpuConfig()).run()
         assert result.cycles == 0
         assert result.instructions == 0

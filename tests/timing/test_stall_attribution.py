@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import GpuConfig
 from repro.isa.opcodes import OpCategory
-from repro.timing.ops import TimingOp
+from repro.timing.ops import TimingOp, TimingOpTable
 from repro.timing.sm import STALL_CAUSES, SmSimulator, StallBreakdown
 from repro.timing.sm_event import EventSmSimulator
 
@@ -48,7 +48,9 @@ def barrier_op():
 
 def run_both(warps, config=CONFIG, warps_per_cta=None):
     ref = SmSimulator(warps, config, warps_per_cta=warps_per_cta).run()
-    got = EventSmSimulator(warps, config, warps_per_cta=warps_per_cta).run()
+    got = EventSmSimulator(
+        TimingOpTable.from_ops(warps), config, warps_per_cta=warps_per_cta
+    ).run()
     assert ref == got
     return ref
 
