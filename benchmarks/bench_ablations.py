@@ -22,8 +22,8 @@ import dataclasses
 from repro.config import ArchitectureConfig, GpuConfig, SchedulerPolicy
 from repro.experiments.runner import ExperimentRunner
 from repro.power.accounting import PowerAccountant
-from repro.scalar.architectures import process_classified
-from repro.timing.gpu import simulate_architecture
+from repro.scalar.arch_batch import process_columns
+from repro.timing.gpu import simulate_architecture_columns
 
 from conftest import run_once
 
@@ -31,13 +31,12 @@ _SFU_HEAVY = ("BP", "MQ", "SR1")
 
 
 def _efficiency(runner, abbr, arch, config=None):
-    run = runner.run(abbr)
-    processed = process_classified(run.classified, arch, run.trace.warp_size)
-    timing = simulate_architecture(processed, arch, config)
-    report = PowerAccountant(arch, runner.params, config or runner.config).account(
-        processed, timing
-    )
-    return report
+    columns = runner.classified_columns(abbr)
+    processed = process_columns(columns, arch)
+    timing = simulate_architecture_columns(columns, processed, arch, config)
+    return PowerAccountant(
+        arch, runner.params, config or runner.config
+    ).account_columns(processed, timing)
 
 
 def bench_ablation_fast_dispatch(benchmark, shared_runner):
@@ -131,16 +130,13 @@ def bench_ablation_compiler_assist(benchmark, shared_runner):
         names = shared_runner.benchmark_names()
         for abbr in names:
             run = shared_runner.run(abbr)
-            stats = trace_statistics(run.classified)
+            columns = shared_runner.classified_columns(abbr)
+            stats = trace_statistics(columns)
             total += stats.total_instructions
             moves_hw += stats.decompress_moves
             elision = MoveElisionAnalysis(run.built.kernel)
-            processed = process_classified(
-                run.classified, gscalar, run.trace.warp_size, move_elision=elision
-            )
-            moves_compiler += sum(
-                p.extra_instructions for warp in processed for p in warp
-            )
+            processed = process_columns(columns, gscalar, move_elision=elision)
+            moves_compiler += int(processed.extra_instructions.sum())
             dynamic_fraction += stats.eligible_fraction
             static_fraction += StaticScalarization(
                 run.built.kernel
@@ -177,8 +173,8 @@ def bench_ablation_warp64(benchmark, shared_runner):
     GPUs "continuously benefit from scalar execution"."""
     import dataclasses
 
-    from repro.scalar.tracker import classify_trace, trace_statistics
-    from repro.power.accounting import PowerAccountant
+    from repro.scalar.batch import classify_columnar_batch
+    from repro.scalar.tracker import trace_statistics
 
     def compute():
         arch = ArchitectureConfig.gscalar()
@@ -189,30 +185,34 @@ def bench_ablation_warp64(benchmark, shared_runner):
         results = {}
         for abbr in ("BP", "HS", "MM"):
             # Warp 32 (the paper's machine).
-            run32 = shared_runner.run(abbr)
+            columns32 = shared_runner.classified_columns(abbr)
             eff32 = {}
             for a in (base, arch):
-                processed = process_classified(run32.classified, a, 32)
-                timing = simulate_architecture(processed, a, shared_runner.config)
-                report = PowerAccountant(a, shared_runner.params).account(
+                processed = process_columns(columns32, a)
+                timing = simulate_architecture_columns(
+                    columns32, processed, a, shared_runner.config
+                )
+                report = PowerAccountant(a, shared_runner.params).account_columns(
                     processed, timing
                 )
                 eff32[a.name] = report.ipc_per_watt
             # Warp 64 (the future machine).
-            trace64 = shared_runner.trace_with_warp_size(abbr, 64).to_trace()
             built = shared_runner.run(abbr).built
-            classified64 = classify_trace(trace64, built.kernel.num_registers)
+            columns64 = classify_columnar_batch(
+                shared_runner.trace_with_warp_size(abbr, 64),
+                built.kernel.num_registers,
+            )
             eff64 = {}
             for a in (base, arch):
-                processed = process_classified(classified64, a, 64)
-                timing = simulate_architecture(
-                    processed, a, config64, warp_size=64
+                processed = process_columns(columns64, a)
+                timing = simulate_architecture_columns(
+                    columns64, processed, a, config64
                 )
                 report = PowerAccountant(
                     a, shared_runner.params, config64
-                ).account(processed, timing)
+                ).account_columns(processed, timing)
                 eff64[a.name] = report.ipc_per_watt
-            stats64 = trace_statistics(classified64)
+            stats64 = trace_statistics(columns64)
             results[abbr] = {
                 "gain32": eff32["gscalar"] / eff32["baseline"],
                 "gain64": eff64["gscalar"] / eff64["baseline"],
@@ -243,13 +243,13 @@ def bench_ablation_scalar_bank_bottleneck(benchmark, shared_runner):
         gscalar = ArchitectureConfig.gscalar()
         results = {}
         for abbr in ("MM", "MQ", "BP"):  # scalar-heavy benchmarks
-            run = shared_runner.run(abbr)
+            columns = shared_runner.classified_columns(abbr)
             out = {}
             for arch in (alu_scalar, gscalar):
-                processed = process_classified(
-                    run.classified, arch, run.trace.warp_size
+                processed = process_columns(columns, arch)
+                timing = simulate_architecture_columns(
+                    columns, processed, arch, shared_runner.config
                 )
-                timing = simulate_architecture(processed, arch, shared_runner.config)
                 out[arch.name] = timing
             results[abbr] = out
         return results

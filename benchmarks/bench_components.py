@@ -2,7 +2,8 @@
 
 These are conventional pytest-benchmark measurements (many rounds) of
 the pieces that dominate a full figure regeneration: the functional
-executor, the enc-bit compressor, the tracker and the SM timing loop.
+executor, the enc-bit compressor, the classifier, the timing-op
+lowering and the SM timing loop, each on its production engine.
 """
 
 import numpy as np
@@ -10,11 +11,13 @@ import numpy as np
 from repro.compression.bdi import bdi_compress
 from repro.compression.gscalar import common_prefix_bytes, compress
 from repro.config import ArchitectureConfig, GpuConfig
-from repro.scalar.tracker import classify_warp
+from repro.scalar.arch_batch import process_columns
+from repro.scalar.batch import classify_columnar_batch
 from repro.simt.executor import run_kernel
 from repro.simt.grid import LaunchConfig
 from repro.simt.memory_state import MemoryImage
-from repro.timing.gpu import lower_to_timing_ops, simulate_architecture
+from repro.timing.gpu import simulate_architecture_columns
+from repro.timing.ops import build_timing_ops_columns
 from repro.workloads.registry import SCALES, build_workload
 
 
@@ -56,37 +59,38 @@ def bench_bdi_throughput(benchmark):
 
 
 def bench_tracker_throughput(benchmark):
-    """Classification rate over one warp's trace."""
+    """Classification rate over one benchmark's columnar trace."""
     built = build_workload("SAD", scale="tiny")
-    trace = run_kernel(built.kernel, built.launch, built.memory)
-    warp = trace.warps[0]
+    columnar = run_kernel(built.kernel, built.launch, built.memory).to_columnar()
     registers = built.kernel.num_registers
 
-    result = benchmark(lambda: classify_warp(warp, registers))
-    assert len(result) == len(warp.events)
+    result = benchmark(lambda: classify_columnar_batch(columnar, registers))
+    assert result.num_events == columnar.num_events
 
 
 def bench_sm_timing_throughput(benchmark):
     """Cycle-loop rate of the SM simulator."""
     built = build_workload("PF", scale="tiny")
     trace = run_kernel(built.kernel, built.launch, built.memory)
-    from repro.scalar.architectures import process_trace
-
+    columns = classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers)
     arch = ArchitectureConfig.baseline()
-    processed = process_trace(trace, arch, built.kernel.num_registers)
+    processed = process_columns(columns, arch)
 
-    result = benchmark(lambda: simulate_architecture(processed, arch))
+    result = benchmark(
+        lambda: simulate_architecture_columns(columns, processed, arch)
+    )
     assert result.cycles > 0
 
 
 def bench_timing_op_lowering(benchmark):
     built = build_workload("MM", scale="tiny")
     trace = run_kernel(built.kernel, built.launch, built.memory)
-    from repro.scalar.architectures import process_trace
-
+    columns = classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers)
     arch = ArchitectureConfig.gscalar()
-    processed = process_trace(trace, arch, built.kernel.num_registers)
+    processed = process_columns(columns, arch)
     config = GpuConfig()
 
-    ops = benchmark(lambda: lower_to_timing_ops(processed, arch, config, 32))
-    assert sum(len(w) for w in ops) > 0
+    table = benchmark(
+        lambda: build_timing_ops_columns(columns, processed, arch, config)
+    )
+    assert len(table.warp_lengths) > 0

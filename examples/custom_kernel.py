@@ -15,9 +15,9 @@ from repro.analysis import access_distribution, divergence_stats
 from repro.config import ArchitectureConfig
 from repro.isa import KernelBuilder, validate_kernel
 from repro.power import PowerAccountant
-from repro.scalar import classify_trace, process_classified, trace_statistics
+from repro.scalar import classify_columnar_batch, process_columns, trace_statistics
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
-from repro.timing import simulate_architecture
+from repro.timing import simulate_architecture_columns
 
 
 def reduction_kernel(cta_size=128):
@@ -75,10 +75,10 @@ def main():
     assert np.array_equal(sums, expected), (sums, expected)
     print(f"block sums verified: {sums.tolist()}")
 
-    classified = classify_trace(trace, kernel.num_registers)
-    div = divergence_stats(classified)
-    stats = trace_statistics(classified)
-    dist = access_distribution(classified)
+    columns = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
+    div = divergence_stats(columns)
+    stats = trace_statistics(columns)
+    dist = access_distribution(columns)
     print(f"\ndivergent instructions : {100 * div.divergent_fraction:.1f}%")
     print(f"scalar-eligible        : {100 * stats.eligible_fraction:.1f}%")
     print("RF reads by class      : "
@@ -88,9 +88,11 @@ def main():
     print("\npower efficiency:")
     warps_per_cta = launch.warps_per_cta(trace.warp_size)
     for arch in (ArchitectureConfig.baseline(), ArchitectureConfig.gscalar()):
-        processed = process_classified(classified, arch, trace.warp_size)
-        timing = simulate_architecture(processed, arch, warps_per_cta=warps_per_cta)
-        power = PowerAccountant(arch).account(processed, timing)
+        processed = process_columns(columns, arch)
+        timing = simulate_architecture_columns(
+            columns, processed, arch, warps_per_cta=warps_per_cta
+        )
+        power = PowerAccountant(arch).account_columns(processed, timing)
         print(f"  {arch.name:10s} ipc/W = {power.ipc_per_watt:.3f}")
 
 

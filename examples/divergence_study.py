@@ -19,9 +19,9 @@ from repro.config import ArchitectureConfig
 from repro.analysis import divergence_stats
 from repro.isa import KernelBuilder
 from repro.power import PowerAccountant
-from repro.scalar import classify_trace, process_classified
+from repro.scalar import classify_columnar_batch, process_columns
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
-from repro.timing import simulate_architecture
+from repro.timing import simulate_architecture_columns
 from repro.workloads import datagen
 
 
@@ -55,17 +55,17 @@ def run_at_mixed_fraction(mixed_fraction, threads=512):
     )
     memory.bind_array(0x1000, datagen.narrow_floats(threads, 1.0, 0.01, seed=7))
     trace = run_kernel(kernel, LaunchConfig(grid_dim=4, cta_dim=threads // 4), memory)
-    classified = classify_trace(trace, kernel.num_registers)
+    columns = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
 
-    stats = divergence_stats(classified)
+    stats = divergence_stats(columns)
     efficiencies = {}
     for arch in (
         ArchitectureConfig.gscalar_no_divergent(),
         ArchitectureConfig.gscalar(),
     ):
-        processed = process_classified(classified, arch, trace.warp_size)
-        timing = simulate_architecture(processed, arch)
-        report = PowerAccountant(arch).account(processed, timing)
+        processed = process_columns(columns, arch)
+        timing = simulate_architecture_columns(columns, processed, arch)
+        report = PowerAccountant(arch).account_columns(processed, timing)
         efficiencies[arch.name] = report.ipc_per_watt
     return stats, efficiencies
 

@@ -16,9 +16,14 @@ import numpy as np
 from repro.config import ArchitectureConfig
 from repro.isa import KernelBuilder
 from repro.power import PowerAccountant
-from repro.scalar import ScalarClass, classify_trace, process_classified
+from repro.scalar import (
+    ScalarClass,
+    classify_columnar_batch,
+    process_columns,
+    trace_statistics,
+)
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
-from repro.timing import simulate_architecture
+from repro.timing import simulate_architecture_columns
 
 
 def build_kernel():
@@ -49,22 +54,18 @@ def main():
     print(f"executed {trace.total_instructions} dynamic instructions "
           f"over {len(trace.warps)} warps")
 
-    classified = classify_trace(trace, kernel.num_registers)
-    counts = {cls: 0 for cls in ScalarClass}
-    for warp_events in classified:
-        for item in warp_events:
-            counts[item.scalar_class] += 1
-    total = trace.total_instructions
+    columns = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
+    stats = trace_statistics(columns)
     print("\nscalar eligibility (Figure 9 buckets):")
-    for cls, count in counts.items():
-        if count:
-            print(f"  {cls.value:18s} {100 * count / total:5.1f}%")
+    for cls in ScalarClass:
+        if stats.class_counts[cls]:
+            print(f"  {cls.value:18s} {100 * stats.fraction(cls):5.1f}%")
 
     print("\narchitecture comparison:")
     for arch in (ArchitectureConfig.baseline(), ArchitectureConfig.gscalar()):
-        processed = process_classified(classified, arch, trace.warp_size)
-        timing = simulate_architecture(processed, arch)
-        report = PowerAccountant(arch).account(processed, timing)
+        processed = process_columns(columns, arch)
+        timing = simulate_architecture_columns(columns, processed, arch)
+        report = PowerAccountant(arch).account_columns(processed, timing)
         print(
             f"  {arch.name:10s} ipc={report.ipc:5.2f} "
             f"power={report.total_power_w:5.2f} W/SM "

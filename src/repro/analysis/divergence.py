@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.scalar.eligibility import ScalarClass
-from repro.scalar.tracker import ClassifiedEvent
+import numpy as np
+
+from repro.scalar.columns import ClassifiedColumns
+from repro.scalar.eligibility import SCALAR_CLASS_TO_ID, ScalarClass
 
 
 @dataclass(frozen=True)
@@ -43,20 +45,14 @@ class DivergenceStats:
         return self.divergent_scalar_instructions / self.divergent_instructions
 
 
-def divergence_stats(classified: list[list[ClassifiedEvent]]) -> DivergenceStats:
-    """Compute Figure 1 statistics from a classified trace."""
-    total = 0
-    divergent = 0
-    divergent_scalar = 0
-    for warp_events in classified:
-        for item in warp_events:
-            total += 1
-            if item.divergent:
-                divergent += 1
-                if item.scalar_class is ScalarClass.DIVERGENT_SCALAR:
-                    divergent_scalar += 1
+def divergence_stats(columns: ClassifiedColumns) -> DivergenceStats:
+    """Compute Figure 1 statistics from classified columns."""
+    divergent = columns.divergent
+    divergent_scalar = divergent & (
+        columns.scalar_class_ids == SCALAR_CLASS_TO_ID[ScalarClass.DIVERGENT_SCALAR]
+    )
     return DivergenceStats(
-        total_instructions=total,
-        divergent_instructions=divergent,
-        divergent_scalar_instructions=divergent_scalar,
+        total_instructions=columns.num_events,
+        divergent_instructions=int(np.count_nonzero(divergent)),
+        divergent_scalar_instructions=int(np.count_nonzero(divergent_scalar)),
     )

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.scalar.tracker import ClassifiedEvent
+import numpy as np
+
+from repro.scalar.columns import ClassifiedColumns
 
 #: Bucket names in Figure 8's order.
 CATEGORIES = ("scalar", "3-byte", "2-byte", "1-byte", "divergent", "other")
@@ -38,22 +40,27 @@ class AccessDistribution:
             self.counts[name] += count
 
 
-_ENC_TO_CATEGORY = {4: "scalar", 3: "3-byte", 2: "2-byte", 1: "1-byte", 0: "other"}
+#: Category of a convergent read by the source's enc prefix length.
+_ENC_CATEGORIES = ("other", "1-byte", "2-byte", "3-byte", "scalar")
 
 
-def access_distribution(classified: list[list[ClassifiedEvent]]) -> AccessDistribution:
-    """Bucket every source-register read per Figure 8's rules."""
+def access_distribution(columns: ClassifiedColumns) -> AccessDistribution:
+    """Bucket every source-register read per Figure 8's rules.
+
+    Reads by a divergent instruction are "divergent"; D=1 registers
+    read by convergent instructions are stored (and fetched)
+    uncompressed, so they count as "other"; the remaining reads bucket
+    by their enc prefix.
+    """
+    reader_divergent = np.repeat(columns.divergent, np.diff(columns.src_offsets))
+    uncompressed = ~reader_divergent & columns.src_divergent
+    by_enc = np.bincount(
+        columns.src_enc[~reader_divergent & ~columns.src_divergent].astype(np.int64),
+        minlength=len(_ENC_CATEGORIES),
+    )
     distribution = AccessDistribution()
-    for warp_events in classified:
-        for item in warp_events:
-            for source in item.sources:
-                if item.divergent:
-                    distribution.counts["divergent"] += 1
-                elif source.encoding.divergent:
-                    # D=1 registers read by convergent instructions are
-                    # stored (and fetched) uncompressed.
-                    distribution.counts["other"] += 1
-                else:
-                    category = _ENC_TO_CATEGORY[source.encoding.enc]
-                    distribution.counts[category] += 1
+    for enc, category in enumerate(_ENC_CATEGORIES):
+        distribution.counts[category] += int(by_enc[enc])
+    distribution.counts["divergent"] = int(np.count_nonzero(reader_divergent))
+    distribution.counts["other"] += int(np.count_nonzero(uncompressed))
     return distribution

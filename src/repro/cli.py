@@ -560,10 +560,9 @@ def _cache_main(argv: list[str]) -> int:
     """``repro cache``: inventory and maintenance of a cache directory.
 
     ``stats`` prints a JSON inventory — per-stage entry counts and
-    on-disk bytes (v5 kinds like ``trace``/``ccols``/``pcols`` plus the
-    ``classified_pickle``/``results_pickle`` sidecars) and the
-    orphaned temp files / superseded bank directories
-    still awaiting a sweep.  ``sweep`` reclaims those orphans now
+    on-disk bytes (v5 kinds like ``trace``/``ccols``/``pcols``/``result``)
+    and the orphaned temp files / superseded bank directories still
+    awaiting a sweep.  ``sweep`` reclaims those orphans now
     (every runner also sweeps on cache open, but only debris older than
     the age gate).
     """

@@ -9,13 +9,15 @@ a cached stage actually depends on:
 * **traces** — the kernel's full static content (blocks, instructions,
   terminators), the scale parameters, the warp size and the on-disk
   trace format version;
-* **classified streams** — the trace fingerprint plus the classifier
-  stage version;
-* **timing/power sidecars** — the trace fingerprint, the architecture
+* **classified columns** — the trace fingerprint plus the stage
+  version;
+* **processed columns** — the same plus the architecture and GPU
+  configuration;
+* **timing/power results** — the trace fingerprint, the architecture
   configuration, the GPU configuration, the energy parameters and the
   stage version.
 
-Fingerprints are embedded *inside* the cached file (not in its name),
+Fingerprints are embedded in each entry's manifest (not in its name),
 so a stale artifact is detected at load time and transparently
 re-executed and overwritten rather than replayed.
 
@@ -116,19 +118,9 @@ def trace_fingerprint(kernel: Kernel, scale: ScaleConfig, warp_size: int) -> str
     )
 
 
-def classified_fingerprint(trace_fp: str, stage_version: int) -> str:
-    """Fingerprint identifying one classified event stream."""
-    return fingerprint("classified", stage_version, trace_fp)
-
-
 def columns_fingerprint(trace_fp: str, stage_version: int) -> str:
-    """Fingerprint identifying one :class:`ClassifiedColumns` bank set.
-
-    Same dependency closure as :func:`classified_fingerprint` — the
-    columns are a pure function of the classified stream — but under a
-    distinct label, so the columnar bank entry and the event-list
-    sidecar for the same stream can never be confused for one another.
-    """
+    """Fingerprint identifying one :class:`ClassifiedColumns` bank set
+    (a pure function of the trace and the stage version)."""
     return fingerprint("ccols", stage_version, trace_fp)
 
 
@@ -164,7 +156,7 @@ def stage_fingerprint(
 
     Timing depends on the architecture and GPU configuration; power
     additionally depends on the energy parameters.  Both live in one
-    sidecar, so the fingerprint covers the union.  ``analysis_version``
+    ``result`` entry, so the fingerprint covers the union.  ``analysis_version``
     keys results that consume a static-analysis artifact (the width
     analysis feeding ``static_compress``) to that analysis's version,
     so tightening a transfer function invalidates exactly the results

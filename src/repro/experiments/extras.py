@@ -87,7 +87,7 @@ def compute(runner: ExperimentRunner) -> ExtrasData:
         comparison = compare_trace(run.columnar)
         ratio_ours_sum += comparison.ours_ratio
         ratio_bdi_sum += comparison.bdi_ratio
-        stats = trace_statistics(run.classified)
+        stats = trace_statistics(runner.classified_columns(abbr))
         if stats.total_instructions:
             move_overhead_sum += stats.decompress_moves / stats.total_instructions
             with_compiler = process_columns(

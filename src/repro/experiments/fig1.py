@@ -48,8 +48,8 @@ def compute(runner: ExperimentRunner) -> Fig1Data:
     """Regenerate Figure 1's series over all 17 benchmarks."""
     rows = []
     for abbr in runner.benchmark_names():
-        run = runner.run(abbr)
-        rows.append(Fig1Row(abbr=abbr, stats=divergence_stats(run.classified)))
+        stats = divergence_stats(runner.classified_columns(abbr))
+        rows.append(Fig1Row(abbr=abbr, stats=stats))
     return Fig1Data(rows=rows)
 
 

@@ -37,8 +37,8 @@ def compute(runner: ExperimentRunner) -> Fig8Data:
     """Regenerate Figure 8's stacked distribution."""
     rows = []
     for abbr in runner.benchmark_names():
-        run = runner.run(abbr)
-        rows.append(Fig8Row(abbr=abbr, distribution=access_distribution(run.classified)))
+        distribution = access_distribution(runner.classified_columns(abbr))
+        rows.append(Fig8Row(abbr=abbr, distribution=distribution))
     return Fig8Data(rows=rows)
 
 

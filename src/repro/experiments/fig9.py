@@ -55,8 +55,7 @@ def compute(runner: ExperimentRunner) -> Fig9Data:
     """Regenerate Figure 9's stacked eligibility series."""
     rows = []
     for abbr in runner.benchmark_names():
-        run = runner.run(abbr)
-        stats = trace_statistics(run.classified)
+        stats = trace_statistics(runner.classified_columns(abbr))
         rows.append(
             Fig9Row(
                 abbr=abbr,

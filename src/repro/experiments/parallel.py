@@ -1,7 +1,7 @@
 """Process-pool fan-out over the benchmark × architecture matrix.
 
 The 17-benchmark × 4-architecture matrix is embarrassingly parallel at
-benchmark granularity: each benchmark's trace, classified stream and
+benchmark granularity: each benchmark's trace, classified columns and
 per-architecture timing/power results are independent of every other
 benchmark's.  :func:`run_matrix` spawns one :class:`MatrixTask` per
 benchmark and executes them on a :class:`~concurrent.futures.\

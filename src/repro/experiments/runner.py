@@ -4,36 +4,32 @@ One :class:`ExperimentRunner` owns a scale and a GPU/energy
 configuration and lazily computes, per benchmark:
 
 * the functional trace (executed once, shared by every architecture),
-* the classified event stream (tracker output, architecture-independent),
+* the classified columns (architecture-independent),
 * per-architecture processed columns, timing results and power reports.
 
 Every figure regenerator takes a runner, so a full ``python -m repro all``
 executes each benchmark exactly once.
 
 With ``cache_dir`` set, every expensive stage also persists on disk so
-it can be shared *across* processes:
+it can be shared *across* processes, all in the v5 manifest/bank layout
+(:mod:`repro.experiments.store`): traces, classified columns and
+processed columns as page-aligned ``.npy`` banks a warm hit
+memory-maps read-only, and each (benchmark, architecture) timing and
+power result as a ``result`` entry with two small object banks.
 
-* traces, classified columns and processed columns in the zero-copy v5
-  manifest/bank layout (:mod:`repro.experiments.store`) — a warm hit
-  memory-maps page-aligned ``.npy`` banks read-only instead of
-  deserializing them;
-* classified event streams and per-architecture timing/power results
-  as small pickle sidecars.
-
-Each stage has one engine: the batch classifier, the columnar
+Each stage has one engine: the vectorized classifier, the columnar
 architecture interpretation and power accounting, and the event-driven
 SM simulator.  The per-event engines they replaced stay in ``src/`` as
-reference oracles for tests, ``bench`` and ``timeline
---compare-engines``; the runner never selects them.  Each cached
-artifact embeds a content fingerprint
-(:mod:`repro.experiments.cachekey`) covering the kernel, scale, warp
-size, architecture, GPU configuration and energy parameters; a
-mismatch — or any corrupt file — falls back to re-execution and
-overwrites the stale entry, and staleness is decided from the v5
-manifest (or a peek at a pickle sidecar's first bytes) without
-materializing payloads.  Files from older cache layouts are never
-read: they are plain misses.  :meth:`ExperimentRunner.prefetch` fans the
-benchmark × architecture matrix out over a process pool
+reference oracles for tests and ``timeline --compare-engines``; the
+runner never selects them.  Each cached artifact embeds a content
+fingerprint (:mod:`repro.experiments.cachekey`) covering the kernel,
+scale, warp size, architecture, GPU configuration and energy
+parameters; a mismatch — or any corrupt file — falls back to
+re-execution and overwrites the stale entry, and staleness is decided
+from the v5 manifest without materializing payloads.  Files from older
+cache layouts are never read: they are plain misses.
+:meth:`ExperimentRunner.prefetch` fans the benchmark × architecture
+matrix out over a process pool
 (:mod:`repro.experiments.parallel`) that communicates through this
 cache plus shared-memory exports of already-materialized traces
 (:mod:`repro.experiments.shm`), and :attr:`ExperimentRunner.stats`
@@ -44,9 +40,6 @@ transport byte counters (``bytes_mapped`` / ``bytes_copied`` /
 
 from __future__ import annotations
 
-import os
-import pickle
-import re
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -67,18 +60,11 @@ from repro.scalar.batch import (
     ClassifierCarry,
     classify_columnar_batch,
     classify_columnar_chunk,
-    classify_trace_batch,
 )
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
-from repro.scalar.tracker import ClassifiedEvent
 from repro.simt.executor import run_kernel
 from repro.simt.serialize import load_columnar_v5, save_columnar_v5
-from repro.simt.trace import (
-    ColumnarTrace,
-    KernelTrace,
-    iter_chunks,
-    opcode_labels,
-)
+from repro.simt.trace import ColumnarTrace, iter_chunks, opcode_labels
 from repro.timing.gpu import simulate_architecture_columns, simulate_warp_ops
 from repro.timing.ops import TimingOpTable, build_timing_ops_columns
 from repro.timing.sm import TimingResult
@@ -90,9 +76,10 @@ from repro.workloads.synth import (
     synthetic_replicas,
 )
 
-#: Version of the pickled stage sidecars (classified streams and
-#: timing/power results).  Bump to invalidate all of them at once,
-#: e.g. when a classifier or timing-model change alters their meaning.
+#: Version of the derived stage entries (classified and processed
+#: columns, timing/power results).  Bump to invalidate all of them at
+#: once, e.g. when a classifier or timing-model change alters their
+#: meaning.
 #: Version 2: the batch classification engine became the default and
 #: the classified-stream fingerprint gained the engine name.
 #: Version 4: the columnar architecture/power engine became the default
@@ -113,19 +100,6 @@ STAGE_VERSION = 7
 #: Chunk size used when a synthetic (``synthetic_events > 0``) scale is
 #: streamed without an explicit ``--chunk-events``.
 DEFAULT_STREAM_CHUNK = 65536
-
-#: Pickle-protocol-aware fingerprint peek for legacy sidecars: the
-#: payload dicts are written fingerprint-first, so the SHORT_BINUNICODE
-#: key/value pair (``\x8c <len> bytes``, optionally memoized) sits in
-#: the first few dozen bytes of the file.  Matching it there lets the
-#: staleness check skip unpickling megabytes of stale payload.
-_PICKLE_FP_RE = re.compile(
-    rb"\x8c\x0bfingerprint\x94?\x8c"
-    + bytes([cachekey.DIGEST_CHARS])
-    + rb"([0-9a-f]{%d})" % cachekey.DIGEST_CHARS
-)
-_PICKLE_PEEK_BYTES = 512
-
 
 class _ChunkBankMiss(Exception):
     """A per-chunk v5 bank verified present vanished before its load.
@@ -157,7 +131,7 @@ class RunnerStats:
 
     ``counters`` tracks cache outcomes (``trace_cache_hits``,
     ``trace_cache_misses``, ``trace_cache_invalid``,
-    ``trace_executions``, ``classified_cache_hits``, ...);
+    ``trace_executions``, ``ccols_cache_hits``, ...);
     ``stage_seconds`` accumulates wall time per pipeline stage.  Stats
     merge across processes, so a parallel prefetch reports the totals
     over all workers.
@@ -287,12 +261,10 @@ class RunnerStats:
 class BenchmarkRun:
     """Cached functional-level artifacts of one benchmark.
 
-    ``trace`` (the per-event form) and ``classified`` (the classified
-    event stream) are **lazy**: a cache hit hands back columnar arrays
-    — memory-mapped under the v5 transport — and neither the event
-    objects nor the classified pickle are materialized until something
-    actually reads them.  A fully warm run that replays its results
-    sidecars therefore never unpickles a single event.
+    ``columnar`` is the trace in its columnar form: a cache hit hands
+    in memory-mapped v5 banks, a miss the packed execution, and the
+    synthetic large tier a deferred loader, so a streamed run (which
+    consumes the replica generator) never builds the whole trace.
     """
 
     def __init__(
@@ -300,29 +272,19 @@ class BenchmarkRun:
         abbr: str,
         built: BuiltWorkload,
         trace_fingerprint: str = "",
-        trace: KernelTrace | None = None,
         columnar: ColumnarTrace | None = None,
-        classified: list[list[ClassifiedEvent]] | None = None,
-        classified_loader: "Callable[[BenchmarkRun], list[list[ClassifiedEvent]]] | None" = None,
         columnar_loader: "Callable[[BenchmarkRun], ColumnarTrace] | None" = None,
         warp_size: int | None = None,
     ):
-        if trace is None and columnar is None and columnar_loader is None:
-            raise ValueError("BenchmarkRun needs a trace or a columnar trace")
+        if columnar is None and columnar_loader is None:
+            raise ValueError("BenchmarkRun needs a columnar trace or a loader")
         self.abbr = abbr
         self.built = built
         #: Content fingerprint of the (kernel, scale, warp-size)
-        #: combination that produced the trace; stage sidecars derive
+        #: combination that produced the trace; stage entries derive
         #: their keys from it.
         self.trace_fingerprint = trace_fingerprint
         self._columnar = columnar
-        self._trace = trace
-        self._classified = classified
-        self._classified_loader = classified_loader
-        #: Deferred materializer for the columnar form — the synthetic
-        #: large tier installs one so a streamed run (which consumes the
-        #: replica generator, never the whole trace) can carry a
-        #: BenchmarkRun without paying the materialization.
         self._columnar_loader = columnar_loader
         self._warp_size = warp_size
 
@@ -337,46 +299,16 @@ class BenchmarkRun:
         """Warp size without forcing any materialization."""
         if self._warp_size is not None:
             return self._warp_size
-        if self._trace is not None:
-            return self._trace.warp_size
         return self.columnar.warp_size
 
     @property
     def columnar(self) -> ColumnarTrace:
-        """The columnar form of the trace.
-
-        A cache hit or a shared-memory adoption hands the arrays in
-        directly, a synthetic run materializes them through its deferred
-        loader, and a freshly executed trace is packed once on first
-        access; the columnar consumers reuse these arrays instead of
-        re-extracting them from event objects.
-        """
+        """The columnar trace (the deferred loader runs on first access)."""
         if self._columnar is None:
-            if self._columnar_loader is not None:
-                loader = self._columnar_loader
-                self._columnar_loader = None
-                self._columnar = loader(self)
-            else:
-                self._columnar = self._trace.to_columnar()
+            loader = self._columnar_loader
+            self._columnar_loader = None
+            self._columnar = loader(self)
         return self._columnar
-
-    @property
-    def trace(self) -> KernelTrace:
-        """The event-form trace (materialized from columnar on demand)."""
-        if self._trace is None:
-            self._trace = self.columnar.to_trace()
-        return self._trace
-
-    @property
-    def classified(self) -> list[list[ClassifiedEvent]]:
-        """The classified stream (loaded or computed on first access)."""
-        if self._classified is None:
-            loader = self._classified_loader
-            if loader is None:
-                raise ValueError(f"{self.abbr}: no classified stream available")
-            self._classified = loader(self)
-            self._classified_loader = None
-        return self._classified
 
 
 class ExperimentRunner:
@@ -453,64 +385,6 @@ class ExperimentRunner:
     def _stage_stem(self, key: str, stage: str) -> str:
         return f"{key}_{self.scale.name}_{stage}"
 
-    def _sidecar_path(self, key: str, stage: str) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{self._stage_stem(key, stage)}.pkl"
-
-    @staticmethod
-    def _replace_into(tmp: Path, final: Path) -> None:
-        os.replace(tmp, final)
-
-    @staticmethod
-    def _peek_sidecar_fingerprint(path: Path) -> str | None:
-        """Extract a legacy sidecar's fingerprint from its first bytes.
-
-        ``None`` when the pattern isn't found (unreadable file, foreign
-        pickle protocol, reordered payload) — the caller then falls
-        back to the full unpickle-and-check, so the peek is purely an
-        optimization, never a correctness dependency.
-        """
-        try:
-            with open(path, "rb") as handle:
-                head = handle.read(_PICKLE_PEEK_BYTES)
-        except OSError:
-            return None
-        match = _PICKLE_FP_RE.search(head)
-        return match.group(1).decode() if match else None
-
-    def _load_sidecar(self, path: Path, fingerprint: str) -> dict | None:
-        """Read a pickle sidecar; ``None`` on absence, damage or staleness.
-
-        Staleness is decided from the fingerprint *peeked* out of the
-        file's first bytes whenever possible, so a stale entry is
-        rejected without deserializing its (potentially large) payload.
-        """
-        if not path.exists():
-            return None
-        peeked = self._peek_sidecar_fingerprint(path)
-        if peeked is not None and peeked != fingerprint:
-            self._log(f"discarding stale sidecar {path.name} (header peek)")
-            self.stats.bump("sidecar_stale_skipped")
-            self.stats.bump("sidecar_invalid")
-            return None
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if payload.get("fingerprint") == fingerprint:
-                self.stats.bump("bytes_deserialized", path.stat().st_size)
-                return payload
-            self._log(f"discarding stale sidecar {path.name}")
-        except Exception as exc:
-            self._log(f"discarding corrupt sidecar {path.name}: {exc}")
-        self.stats.bump("sidecar_invalid")
-        return None
-
-    def _store_sidecar(self, path: Path, payload: dict) -> None:
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        self._replace_into(tmp, path)
-
     # ------------------------------------------------------------------
     # Trace stage.
     # ------------------------------------------------------------------
@@ -544,16 +418,14 @@ class ExperimentRunner:
 
     def _obtain_trace(
         self, key: str, built: BuiltWorkload, warp_size: int
-    ) -> tuple[KernelTrace | ColumnarTrace, str]:
+    ) -> tuple[ColumnarTrace, str]:
         """Load a fingerprint-matching cached trace or execute and cache.
 
         A cache hit returns the :class:`ColumnarTrace` exactly as it
         lies on disk: its arrays are read-only memory maps of the v5
-        banks, so the hit copies nothing.  Callers that need the event
-        form either hand it to the batch classifier (which materializes
-        events once, during classification) or call ``.to_trace()``
-        themselves.  A cache miss executes and returns the event-form
-        :class:`KernelTrace` directly.
+        banks, so the hit copies nothing.  A cache miss executes, packs
+        the trace once, saves that object and returns it; the event
+        form is dropped.
         """
         fingerprint = cachekey.trace_fingerprint(built.kernel, self.scale, warp_size)
         if warp_size == 32:
@@ -585,50 +457,11 @@ class ExperimentRunner:
             trace = run_kernel(
                 built.kernel, built.launch, built.memory, warp_size=warp_size
             )
+        columnar = trace.to_columnar()
         if self.cache_dir is not None:
             with self.stats.timer("trace_save", benchmark=key, warp_size=warp_size):
-                save_columnar_v5(trace.to_columnar(), self.cache_dir, stem, fingerprint)
-        return trace, fingerprint
-
-    def _obtain_classified(
-        self, run: BenchmarkRun
-    ) -> list[list[ClassifiedEvent]]:
-        """Classified stream for one run (cached or computed).
-
-        This is :class:`BenchmarkRun`'s lazy ``classified`` loader —
-        nothing here executes until a consumer actually reads the
-        per-event stream, so a warm run that only replays results
-        sidecars (or only touches the columnar banks) never unpickles
-        the event list at all.  When the trace is columnar,
-        classification runs straight off the columnar arrays and
-        materializes the event form as a by-product — one object per
-        event total, shared between ``run.trace`` and the classified
-        stream.
-        """
-        key = run.abbr
-        fingerprint = cachekey.classified_fingerprint(
-            run.trace_fingerprint, STAGE_VERSION
-        )
-        path = None
-        if self.cache_dir is not None:
-            path = self._sidecar_path(key, "classified")
-            payload = self._load_sidecar(path, fingerprint)
-            if payload is not None:
-                self.stats.bump("classified_cache_hits")
-                return payload["classified"]
-            self.stats.bump("classified_cache_misses")
-        num_registers = run.built.kernel.num_registers
-        with self.stats.timer("classify", benchmark=key):
-            if run._trace is None:
-                trace, classified = classify_columnar_batch(run.columnar, num_registers)
-                run._trace = trace
-            else:
-                classified = classify_trace_batch(run.trace, num_registers)
-        if path is not None:
-            self._store_sidecar(
-                path, {"fingerprint": fingerprint, "classified": classified}
-            )
-        return classified
+                save_columnar_v5(columnar, self.cache_dir, stem, fingerprint)
+        return columnar, fingerprint
 
     # ------------------------------------------------------------------
     def benchmark_names(self) -> list[str]:
@@ -639,44 +472,38 @@ class ExperimentRunner:
         """Execute (or fetch) one benchmark's functional trace.
 
         With ``cache_dir`` set, traces persist across processes as v5
-        entries and classified streams as pickle sidecars, both
-        validated against a content fingerprint before reuse.
+        entries validated against a content fingerprint before reuse.
         """
         key = self._normalize(abbr)
         if key not in self._runs:
             spec = workload_by_name(key)
             built = spec.builder(self.scale)
-            trace, fingerprint = self._obtain_trace(key, built, 32)
-            columnar = trace if isinstance(trace, ColumnarTrace) else None
+            columnar, fingerprint = self._obtain_trace(key, built, 32)
             if self.scale.synthetic_events > 0:
                 # Synthetic tier: what was executed (and cached) above is
                 # the *seed* trace.  The run carries a deferred
                 # materializer instead of the replicated whole trace, so
                 # a streamed pass (which consumes the replica generator)
                 # never pays for — or holds — the 10^6+-event form.
-                seed = columnar if columnar is not None else trace.to_columnar()
-                replicas = synthetic_replicas(seed, self.scale)
-                self._seeds[key] = (seed, replicas)
+                replicas = synthetic_replicas(columnar, self.scale)
+                self._seeds[key] = (columnar, replicas)
                 self._log(
                     f"{key}: synthetic tier, {replicas} replicas of "
-                    f"{seed.num_events} seed events"
+                    f"{columnar.num_events} seed events"
                 )
                 self._runs[key] = BenchmarkRun(
                     abbr=key,
                     built=built,
                     trace_fingerprint=fingerprint,
                     columnar_loader=self._materialize_synthetic,
-                    warp_size=seed.warp_size,
-                    classified_loader=self._obtain_classified,
+                    warp_size=columnar.warp_size,
                 )
             else:
                 self._runs[key] = BenchmarkRun(
                     abbr=key,
                     built=built,
-                    trace=None if columnar is not None else trace,
                     trace_fingerprint=fingerprint,
                     columnar=columnar,
-                    classified_loader=self._obtain_classified,
                 )
         return self._runs[key]
 
@@ -705,10 +532,7 @@ class ExperimentRunner:
         if token not in self._warp_traces:
             spec = workload_by_name(key)
             built = spec.builder(self.scale)
-            trace, _ = self._obtain_trace(key, built, warp_size)
-            if isinstance(trace, KernelTrace):
-                trace = trace.to_columnar()
-            self._warp_traces[token] = trace
+            self._warp_traces[token], _ = self._obtain_trace(key, built, warp_size)
         return self._warp_traces[token]
 
     # ------------------------------------------------------------------
@@ -718,7 +542,7 @@ class ExperimentRunner:
         Architecture-independent (a pure function of the kernel), cached
         per benchmark and fed to the ``static_compress`` interpretation.
         Cheap relative to tracing, so it is recomputed per process
-        rather than persisted; the results sidecars it feeds are keyed
+        rather than persisted; the result entries it feeds are keyed
         on :data:`~repro.analysis.static_.widths.WIDTH_ANALYSIS_VERSION`.
         """
         key = self._normalize(abbr)
@@ -746,7 +570,7 @@ class ExperimentRunner:
             self.stats.bump("bank_hints_adopted", len(hints))
 
     def _load_column_banks(self, stem: str, fingerprint: str, kind: str):
-        """Open one v5 column-bank entry; ``None`` unless a clean hit."""
+        """Open one v5 entry of ``kind``; ``None`` unless a clean hit."""
         if self.cache_dir is None:
             return None
         if self._bank_hints.get(stem) == fingerprint:
@@ -755,6 +579,8 @@ class ExperimentRunner:
         if status == "hit" and entry.kind == kind:
             self.stats.bump(f"{kind}_cache_hits")
             self.stats.bump("bytes_mapped", entry.bytes_mapped)
+            if entry.bytes_deserialized:
+                self.stats.bump("bytes_deserialized", entry.bytes_deserialized)
             self._bank_hints[stem] = fingerprint
             return entry
         if status == "hit" or status in ("stale", "corrupt"):
@@ -769,8 +595,9 @@ class ExperimentRunner:
         fingerprint: str,
         kind: str,
         warp_size: int,
-        arrays,
+        arrays=None,
         extra_meta: dict | None = None,
+        objects: dict | None = None,
     ) -> None:
         if self.cache_dir is None:
             return
@@ -784,15 +611,16 @@ class ExperimentRunner:
             kind=kind,
             meta=meta,
             arrays=arrays,
+            objects=objects,
         )
         self._bank_hints[stem] = fingerprint
 
     def classified_columns(self, abbr: str) -> ClassifiedColumns:
-        """Columnar classified stream (architecture-independent, shared
-        by every architecture's interpretation).
+        """Classified columns of one benchmark (architecture-independent,
+        shared by every architecture's interpretation).
 
         Persisted as v5 ``ccols`` banks: a warm hit maps the arrays
-        read-only and never touches the classified event pickle.
+        read-only instead of classifying again.
         """
         key = self._normalize(abbr)
         if key not in self._classified_columns:
@@ -807,9 +635,9 @@ class ExperimentRunner:
                     int(entry.meta["warp_size"]), entry.arrays
                 )
                 return self._classified_columns[key]
-            with self.stats.timer("columns", benchmark=key):
-                ccols = ClassifiedColumns.from_classified(
-                    run.classified, run.warp_size, columnar=run.columnar
+            with self.stats.timer("classify", benchmark=key):
+                ccols = classify_columnar_batch(
+                    run.columnar, run.built.kernel.num_registers
                 )
             self._store_column_banks(
                 stem, fingerprint, "ccols", ccols.warp_size, ccols.as_arrays()
@@ -869,28 +697,30 @@ class ExperimentRunner:
         )
 
     def _load_results(self, key: str, arch: ArchitectureConfig) -> bool:
-        """Try the timing/power sidecar; ``True`` when both were restored."""
+        """Try the ``result`` entry; ``True`` when timing and power were
+        restored from its object banks."""
         if self.cache_dir is None:
             return False
         run = self.run(key)
-        path = self._sidecar_path(key, f"results_{arch.name}")
-        payload = self._load_sidecar(path, self._results_fingerprint(run, arch))
-        if payload is None:
-            self.stats.bump("result_cache_misses")
+        entry = self._load_column_banks(
+            self._stage_stem(key, f"results_{arch.name}"),
+            self._results_fingerprint(run, arch),
+            "result",
+        )
+        if entry is None:
             return False
-        self._timing[(key, arch.name)] = payload["timing"]
-        self._power[(key, arch.name)] = payload["power"]
-        self.stats.bump("result_cache_hits")
+        self._timing[(key, arch.name)] = entry.objects["timing"]
+        self._power[(key, arch.name)] = entry.objects["power"]
         return True
 
     def _store_results(self, key: str, arch: ArchitectureConfig) -> None:
-        if self.cache_dir is None:
-            return
         run = self.run(key)
-        self._store_sidecar(
-            self._sidecar_path(key, f"results_{arch.name}"),
-            {
-                "fingerprint": self._results_fingerprint(run, arch),
+        self._store_column_banks(
+            self._stage_stem(key, f"results_{arch.name}"),
+            self._results_fingerprint(run, arch),
+            "result",
+            run.warp_size,
+            objects={
                 "timing": self._timing[(key, arch.name)],
                 "power": self._power[(key, arch.name)],
             },
@@ -1007,13 +837,9 @@ class ExperimentRunner:
         chunk_metas: list[dict] = []
         for chunk in self._chunk_stream(key):
             with self.stats.timer("classify", benchmark=key):
-                classified = classify_columnar_chunk(
+                ccols = classify_columnar_chunk(
                     chunk, run.built.kernel.num_registers, carry
                 )
-                ccols = ClassifiedColumns.from_classified(
-                    classified, chunk.columnar.warp_size, columnar=chunk.columnar
-                )
-            del classified
             meta = {
                 "warp_size": int(ccols.warp_size),
                 "index": int(chunk.index),
@@ -1161,7 +987,7 @@ class ExperimentRunner:
     ) -> TimingResult:
         """Re-run timing with a flight recorder threaded through.
 
-        Always simulates (never replays a sidecar — recorded events
+        Always simulates (never replays a result entry — recorded events
         cannot come from a cache) and never stores the result, so the
         recorded run cannot pollute the recorder-free result cache.
         ``sm_engine`` picks the SM engine for this one run: the

@@ -31,7 +31,8 @@ prediction (the §4.2 mask-equality rule certifies it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 from repro.analysis.static_.uniformity import (
     StaticScalarClass,
@@ -42,46 +43,104 @@ from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
 from repro.isa.kernel import Kernel
 from repro.isa.opcodes import Opcode
-from repro.scalar.eligibility import ScalarClass
-from repro.scalar.tracker import ClassifiedEvent
-from repro.simt.trace import WarpTrace
+from repro.scalar.columns import ClassifiedColumns
+from repro.scalar.eligibility import SCALAR_CLASS_TO_ID, ScalarClass
+from repro.simt.trace import ID_TO_OPCODE, OPCODE_TO_ID
+
+_BRA_ID = OPCODE_TO_ID[Opcode.BRA]
+_FULL_SCALAR_IDS = [
+    SCALAR_CLASS_TO_ID[c] for c in ScalarClass if c.is_full_scalar
+]
+_DIVERGENT_SCALAR_ID = SCALAR_CLASS_TO_ID[ScalarClass.DIVERGENT_SCALAR]
+
+
+def _site_table(kernel: Kernel, values, fill) -> tuple[np.ndarray, np.ndarray]:
+    """``(block_offsets, table)``: one entry per static body site.
+
+    Site ``(block, index)`` is entry ``block_offsets[block] + index``
+    of ``table``; ``values(block, index, inst)`` fills it.  One last
+    ``fill`` entry, at ``block_offsets[-1]``, stands for "no site".
+    """
+    lengths = [len(block.instructions) for block in kernel.blocks]
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    table = np.array(
+        [
+            values(block.block_id, index, inst)
+            for block in kernel.blocks
+            for index, inst in enumerate(block.instructions)
+        ]
+        + [fill]
+    )
+    return offsets, table
+
+
+def _site_rows(
+    offsets: np.ndarray, blocks: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """Row of each event's site in a :func:`_site_table` (``BRA``
+    events get the "no site" row)."""
+    return np.where(index >= 0, offsets[blocks] + index, offsets[-1])
 
 
 def annotate_sites(
-    kernel: Kernel, warp: WarpTrace
-) -> Iterator[tuple[int, tuple[int, int] | None]]:
-    """Yield ``(event_index, (block_id, inst_index) | None)`` per event.
+    kernel: Kernel, columns: ClassifiedColumns
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each dynamic event's *static site*: ``(block_ids, body_index)``.
 
-    Recovers each dynamic event's *static site* — which the trace does
-    not record — by replaying the warp's event stream against the CFG:
-    events of one block body arrive in program order, so a counter per
-    current block suffices.  The counter resets when the block id
-    changes, after a ``BRA`` event (a terminator: the next event starts
-    a new body, possibly of the *same* block for a self-loop), and on
-    overflow (the same block re-entered back-to-back by both arms of a
-    degenerate branch).  ``BRA`` terminators have no body index and map
-    to ``None``.
+    The trace does not record sites, so they are recovered from the
+    block ids: events of one block body arrive in program order.  A run
+    of body events starts at each warp start, at each block change and
+    after each ``BRA`` (a terminator: the next event starts a new body,
+    possibly of the *same* block for a self-loop); an event's index is
+    its distance from the run start modulo the body length (the same
+    block re-entered back-to-back by both arms of a degenerate branch).
+    ``BRA`` terminators have no body index: ``-1``.  Raises
+    ``ValueError`` when an event's opcode is not its site's.
     """
-    current_block: int | None = None
-    index = 0
-    for event_index, event in enumerate(warp.events):
-        if event.opcode is Opcode.BRA:
-            yield event_index, None
-            current_block = None
-            continue
-        body = kernel.blocks[event.block_id].instructions
-        if event.block_id != current_block or index >= len(body):
-            current_block = event.block_id
-            index = 0
-        inst = body[index]
-        if inst.opcode is not event.opcode:
-            raise ValueError(
-                f"trace desynchronized from kernel {kernel.name!r}: event "
-                f"{event_index} is {event.opcode.name} but static site "
-                f"b{event.block_id}:i{index} is {inst.opcode.name}"
-            )
-        yield event_index, (event.block_id, index)
-        index += 1
+    blocks = columns.blocks.astype(np.int64)
+    count = blocks.size
+    is_bra = columns.opcode_ids == _BRA_ID
+    offsets, static_opcodes = _site_table(
+        kernel, lambda block, index, inst: OPCODE_TO_ID[inst.opcode], -1
+    )
+    lengths = np.diff(offsets)
+    warp_starts = columns.warp_bounds()[:-1]
+    positions = np.arange(count, dtype=np.int64)
+    run_start = np.zeros(count, dtype=bool)
+    run_start[warp_starts[columns.warp_lengths > 0]] = True
+    run_start[1:] |= (blocks[1:] != blocks[:-1]) | is_bra[:-1]
+    start_of_run = np.maximum.accumulate(np.where(run_start, positions, 0))
+    body = lengths[blocks]
+    index = np.where(
+        is_bra | (body == 0), -1, (positions - start_of_run) % np.maximum(body, 1)
+    )
+    wrong = ~is_bra & (
+        static_opcodes[_site_rows(offsets, blocks, index)] != columns.opcode_ids
+    )
+    if wrong.any():
+        first = int(np.flatnonzero(wrong)[0])
+        warp_start = int(warp_starts[np.searchsorted(warp_starts, first, "right") - 1])
+        block = int(blocks[first])
+        if body[first]:
+            site = int(index[first])
+            static = kernel.blocks[block].instructions[site].opcode.name
+        else:
+            site, static = 0, "past the block end"
+        raise ValueError(
+            f"trace desynchronized from kernel {kernel.name!r}: event "
+            f"{first - warp_start} is "
+            f"{ID_TO_OPCODE[int(columns.opcode_ids[first])].name} but static "
+            f"site b{block}:i{site} is {static}"
+        )
+    return blocks, index
+
+
+def _entry_masks(columns: ClassifiedColumns) -> np.ndarray:
+    """Per event: the active mask of its warp's first event."""
+    lengths = columns.warp_lengths
+    starts = columns.warp_bounds()[:-1][lengths > 0]
+    return np.repeat(columns.masks[starts], lengths[lengths > 0])
 
 
 @dataclass
@@ -147,53 +206,38 @@ class StaticDynData:
 
 
 def score_benchmark(
-    abbr: str,
-    kernel: Kernel,
-    warps: list[WarpTrace],
-    classified: list[list[ClassifiedEvent]],
+    abbr: str, kernel: Kernel, columns: ClassifiedColumns
 ) -> StaticDynRow:
     """Join one benchmark's static predictions against its trace."""
     result = analyze_uniformity(kernel)
     counts = result.counts()
-
-    total = predicted = true_positive = 0
-    dynamic_full = recalled = violations = 0
-    for warp, events in zip(warps, classified):
-        if not warp.events:
-            continue
-        entry_mask = warp.events[0].active_mask
-        for event_index, site in annotate_sites(kernel, warp):
-            ce = events[event_index]
-            total += 1
-            is_full = ce.scalar_class.is_full_scalar
-            if is_full:
-                dynamic_full += 1
-            if site is None:
-                continue  # BRA terminators are not classified statically
-            if result.class_of(*site) is not StaticScalarClass.PROVABLY_SCALAR:
-                continue
-            predicted += 1
-            if ce.event.active_mask != entry_mask:
-                violations += 1
-            if is_full:
-                recalled += 1
-                true_positive += 1
-            elif (
-                ce.scalar_class is ScalarClass.DIVERGENT_SCALAR
-                and ce.event.active_mask == entry_mask
-            ):
-                true_positive += 1  # partial-launch tail warp, still scalar
+    offsets, provable = _site_table(
+        kernel,
+        lambda block, index, inst: result.class_of(block, index)
+        is StaticScalarClass.PROVABLY_SCALAR,
+        False,
+    )
+    blocks, index = annotate_sites(kernel, columns)
+    # BRA terminators are not classified statically: "no site", False.
+    predicted = provable[_site_rows(offsets, blocks, index)]
+    at_entry = columns.masks == _entry_masks(columns)
+    is_full = np.isin(columns.scalar_class_ids, _FULL_SCALAR_IDS)
+    # A divergent-scalar event at the entry mask is a partial-launch
+    # tail warp: still scalar.
+    tail_scalar = (columns.scalar_class_ids == _DIVERGENT_SCALAR_ID) & at_entry
+    recalled = int(np.count_nonzero(predicted & is_full))
     return StaticDynRow(
         abbr=abbr,
         static_provable=counts[StaticScalarClass.PROVABLY_SCALAR],
         static_possible=counts[StaticScalarClass.POSSIBLY_SCALAR],
         static_divergent=counts[StaticScalarClass.DIVERGENT],
-        total_events=total,
-        predicted_events=predicted,
-        true_positive_events=true_positive,
-        dynamic_full_scalar_events=dynamic_full,
+        total_events=columns.num_events,
+        predicted_events=int(np.count_nonzero(predicted)),
+        true_positive_events=recalled
+        + int(np.count_nonzero(predicted & ~is_full & tail_scalar)),
+        dynamic_full_scalar_events=int(np.count_nonzero(is_full)),
         recalled_events=recalled,
-        soundness_violations=violations,
+        soundness_violations=int(np.count_nonzero(predicted & ~at_entry)),
     )
 
 
@@ -201,11 +245,9 @@ def compute(runner: ExperimentRunner) -> StaticDynData:
     """Score the static predictor against every benchmark's trace."""
     rows = []
     for abbr in runner.benchmark_names():
-        run = runner.run(abbr)
+        kernel = runner.run(abbr).built.kernel
         rows.append(
-            score_benchmark(
-                abbr, run.built.kernel, run.trace.warps, run.classified
-            )
+            score_benchmark(abbr, kernel, runner.classified_columns(abbr))
         )
     return StaticDynData(rows=rows)
 
@@ -288,45 +330,28 @@ class WidthDynData:
 
 
 def score_widths_benchmark(
-    abbr: str,
-    kernel: Kernel,
-    warps: list[WarpTrace],
-    classified: list[list[ClassifiedEvent]],
-    warp_size: int = 32,
+    abbr: str, kernel: Kernel, columns: ClassifiedColumns
 ) -> WidthDynRow:
     """Join one benchmark's width claims against its dynamic trace."""
-    result = analyze_widths(kernel, warp_size=warp_size)
+    result = analyze_widths(kernel, warp_size=columns.warp_size)
     counts = result.counts()
-
-    write_events = claimed_events = over = 0
-    claimed_bytes = confirmed_bytes = observed_bytes = 0
-    for warp, events in zip(warps, classified):
-        for event_index, site in annotate_sites(kernel, warp):
-            if site is None:
-                continue
-            item = events[event_index]
-            if item.dst_encoding is None:
-                continue
-            observed = item.dst_encoding.enc
-            claim = result.claim_at(*site) or 0
-            write_events += 1
-            observed_bytes += observed
-            claimed_bytes += claim
-            confirmed_bytes += min(claim, observed)
-            if claim >= 1:
-                claimed_events += 1
-            if observed < claim:
-                over += 1
+    offsets, claims = _site_table(
+        kernel, lambda block, index, inst: result.claim_at(block, index) or 0, 0
+    )
+    blocks, index = annotate_sites(kernel, columns)
+    writes = (index >= 0) & columns.has_dst_enc
+    claim = claims[_site_rows(offsets, blocks, index)[writes]].astype(np.int64)
+    observed = columns.dst_enc[writes].astype(np.int64)
     return WidthDynRow(
         abbr=abbr,
         narrow_registers=counts["narrow_registers"],
         registers=counts["registers"],
-        write_events=write_events,
-        claimed_events=claimed_events,
-        over_claims=over,
-        claimed_bytes=claimed_bytes,
-        confirmed_bytes=confirmed_bytes,
-        observed_bytes=observed_bytes,
+        write_events=int(np.count_nonzero(writes)),
+        claimed_events=int(np.count_nonzero(claim >= 1)),
+        over_claims=int(np.count_nonzero(observed < claim)),
+        claimed_bytes=int(claim.sum()),
+        confirmed_bytes=int(np.minimum(claim, observed).sum()),
+        observed_bytes=int(observed.sum()),
     )
 
 
@@ -334,15 +359,9 @@ def compute_widths(runner: ExperimentRunner) -> WidthDynData:
     """Validate the width analysis against every benchmark's trace."""
     rows = []
     for abbr in runner.benchmark_names():
-        run = runner.run(abbr)
+        kernel = runner.run(abbr).built.kernel
         rows.append(
-            score_widths_benchmark(
-                abbr,
-                run.built.kernel,
-                run.trace.warps,
-                run.classified,
-                warp_size=run.trace.warp_size,
-            )
+            score_widths_benchmark(abbr, kernel, runner.classified_columns(abbr))
         )
     return WidthDynData(rows=rows)
 

@@ -14,7 +14,7 @@ JSON *manifest* per entry:
 * ``<stem>.<fingerprint>.v5/`` — the bank directory named after the
   manifest's fingerprint, one ``.npy`` file per array (data offset
   padded to :data:`PAGE_ALIGN`) plus one ``.pkl`` file per small
-  pickled object (timing/power results).
+  pickled object (the timing and power results of a ``result`` entry).
 
 A cache hit opens the banks with ``np.load(..., mmap_mode="r")``:
 readers get read-only memory-mapped views — the OS pages data in on
@@ -378,8 +378,8 @@ def sweep_orphans(
 
     Removes, when older than ``age_seconds``:
 
-    * ``*.tmp`` files (pickle sidecars and manifests abandoned before
-      their rename) and ``*.tmp`` bank directories;
+    * ``*.tmp`` files (manifests abandoned before their rename) and
+      ``*.tmp`` bank directories;
     * fingerprint-named ``*.v5`` bank directories whose manifest is
       missing or now points at a different fingerprint (an entry
       replacement happened; any reader still mapping the old banks
@@ -429,17 +429,12 @@ def sweep_orphans(
     return stats
 
 
-#: Pickle sidecar filename shapes recognized by :func:`scan_cache`.
-_RESULTS_PICKLE_RE = re.compile(r"_results_[^.]+\.pkl$")
-_CLASSIFIED_PICKLE_RE = re.compile(r"_classified\.pkl$")
-
-
 def scan_cache(cache_dir: str | Path) -> dict:
     """Inventory a cache directory: per-stage entry counts and bytes.
 
-    Returns a JSON-ready dict: ``stages`` maps a stage label (v5 kinds
-    like ``trace``/``ccols``/``pcols`` and the pickle sidecar labels
-    ``classified_pickle``/``results_pickle``) to ``{"entries": n,
+    Returns a JSON-ready dict: ``stages`` maps a stage label (the v5
+    kinds ``trace``/``ccols``/``pcols``/``result``/``ckidx``, or
+    ``other`` for files outside the v5 layout) to ``{"entries": n,
     "bytes": b}``; ``orphans`` counts ``*.tmp`` debris and
     unreferenced bank directories still awaiting a sweep.
     """
@@ -481,14 +476,7 @@ def scan_cache(cache_dir: str | Path) -> dict:
             else:
                 bump(manifest.get("kind", "unknown"), 0, size)
             continue
-        if _CLASSIFIED_PICKLE_RE.search(name):
-            bump("classified_pickle", 1, size)
-        elif _RESULTS_PICKLE_RE.search(name):
-            bump("results_pickle", 1, size)
-        elif name.endswith(".pkl"):
-            bump("other_pickle", 1, size)
-        else:
-            bump("other", 1, size)
+        bump("other", 1, size)
     return {
         "cache_dir": str(cache_dir),
         "stages": {k: dict(v) for k, v in sorted(stages.items())},

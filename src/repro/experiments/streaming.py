@@ -7,10 +7,9 @@ intermediate columns dominate memory.  This module threads the same
 stages chunk by chunk instead, with explicit carry state between
 chunks at every layer:
 
-* :class:`repro.scalar.batch.ClassifierCarry` — per-warp BVR/EBR
-  sidecar state, the classifier's interned-read cache, and the last
-  scalar class (telemetry transitions) for warps split by a chunk
-  boundary;
+* :class:`repro.scalar.batch.ClassifierCarry` — the BVR/EBR sidecar
+  state (last write per register) and the last scalar class (telemetry
+  transitions) of the warp a chunk boundary splits;
 * :class:`repro.scalar.arch_batch.ArchCarry` — the prior-work
   architecture's scalar-register-file LRU residency, per architecture;
 * timing — :func:`repro.timing.ops.build_timing_ops_columns` is a pure
@@ -146,18 +145,13 @@ class StreamingPipeline:
         """Run one chunk through every stage, carrying state forward."""
         if self._finished:
             raise RuntimeError("StreamingPipeline.feed after finish")
-        columnar = chunk.columnar
-        classified = classify_columnar_chunk(
+        ccols = classify_columnar_chunk(
             chunk, self.num_registers, self.classifier_carry
         )
-        ccols = ClassifiedColumns.from_classified(
-            classified, columnar.warp_size, columnar=columnar
-        )
-        del classified  # fragments die here; only columns stay live
         if self.on_classified is not None:
             self.on_classified(chunk, ccols)
 
-        live_bytes = _array_bytes(columnar) + _array_bytes(ccols)
+        live_bytes = _array_bytes(chunk.columnar) + _array_bytes(ccols)
         for arch in self.arches:
             pcols = process_columns_chunk(
                 ccols,

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
-from repro.isa.opcodes import OpCategory
+from repro.scalar.columns import MEM_CODE, SFU_CODE
 from repro.scalar.eligibility import ScalarClass
 from repro.scalar.tracker import trace_statistics
 
@@ -61,9 +63,8 @@ def compute(runner: ExperimentRunner) -> SuiteData:
     """Collect the statistics table over all 17 benchmarks."""
     rows = []
     for abbr in runner.benchmark_names():
-        run = runner.run(abbr)
-        stats = trace_statistics(run.classified)
-        histogram = run.trace.category_histogram()
+        columns = runner.classified_columns(abbr)
+        stats = trace_statistics(columns)
         total = max(1, stats.total_instructions)
         rows.append(
             SuiteRow(
@@ -76,8 +77,8 @@ def compute(runner: ExperimentRunner) -> SuiteData:
                 half_scalar=stats.fraction(ScalarClass.HALF_SCALAR),
                 divergent_scalar=stats.fraction(ScalarClass.DIVERGENT_SCALAR),
                 eligible=stats.eligible_fraction,
-                sfu_mix=histogram[OpCategory.SFU] / total,
-                mem_mix=histogram[OpCategory.MEM] / total,
+                sfu_mix=np.count_nonzero(columns.category_codes == SFU_CODE) / total,
+                mem_mix=np.count_nonzero(columns.category_codes == MEM_CODE) / total,
             )
         )
     return SuiteData(rows=rows)

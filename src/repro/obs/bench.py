@@ -1,9 +1,10 @@
 """Null-sink overhead benchmark for the telemetry hooks.
 
-Runs the functional-execute + classify front of the pipeline plus the
-event-driven SM timing loop (recorder disabled — the configuration
-every normal run uses, which the flight-recorder hooks must not slow
-down) on one benchmark repeatedly under three settings:
+Runs the production chain on one benchmark — functional execution,
+columnar packing, vectorized classification, columnar interpretation
+and the event-driven SM timing loop (recorder disabled — the
+configuration every normal run uses, which the flight-recorder hooks
+must not slow down) — repeatedly under three settings:
 
 * ``off`` — the process-global registry is the disabled null registry
   (the default for every normal run; this is the "seed-equivalent"
@@ -34,26 +35,26 @@ from repro.obs.telemetry import Telemetry, telemetry_session
 
 def _one_run(benchmark: str, scale: str) -> float:
     from repro.experiments.runner import paper_architectures
-    from repro.scalar.architectures import process_classified
-    from repro.scalar.tracker import classify_trace
+    from repro.scalar.arch_batch import process_columns
+    from repro.scalar.batch import classify_columnar_batch
     from repro.simt.executor import run_kernel
-    from repro.timing.gpu import simulate_architecture
+    from repro.timing.gpu import simulate_architecture_columns
     from repro.workloads.registry import build_workload
 
     built = build_workload(benchmark, scale)
     arch = paper_architectures()[0]
     started = time.perf_counter()
-    trace = run_kernel(built.kernel, built.launch, built.memory)
-    classified = classify_trace(trace, built.kernel.num_registers)
+    columnar = run_kernel(built.kernel, built.launch, built.memory).to_columnar()
+    ccols = classify_columnar_batch(columnar, built.kernel.num_registers)
     # The SM timing loop runs inside the measured region so the CI
     # bound also covers the flight-recorder hook sites (recorder=None,
     # the default every normal run takes).
-    processed = process_classified(classified, arch, trace.warp_size)
-    simulate_architecture(
-        processed,
+    simulate_architecture_columns(
+        ccols,
+        process_columns(ccols, arch),
         arch,
-        warp_size=trace.warp_size,
-        warps_per_cta=built.launch.warps_per_cta(trace.warp_size),
+        warps_per_cta=built.launch.warps_per_cta(columnar.warp_size),
+        sm_engine="event",
     )
     return time.perf_counter() - started
 
@@ -87,7 +88,7 @@ def measure(benchmark: str, scale: str, repeats: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.obs.bench",
-        description="Measure telemetry overhead on the execute+classify path.",
+        description="Measure telemetry overhead on the production pipeline.",
     )
     parser.add_argument("--benchmark", default="BP", help="workload abbreviation")
     parser.add_argument("--scale", default="small", help="workload problem size")

@@ -1,13 +1,13 @@
 """Aggregation helpers bridging the pipeline to the telemetry registry.
 
-Each helper takes a whole batch (one warp's trace, one warp's classified
-events, one event's register accesses, one benchmark's energy
+Each helper takes a whole batch (one warp's trace, one classified
+column set, one event's register accesses, one benchmark's energy
 breakdown), folds it into compact per-metric aggregates, and records
 those — so the instrumented modules pay one ``enabled`` check plus one
 aggregation pass per batch, never per-instruction telemetry calls in
 their hot loops.  Everything here is duck-typed against the trace /
-classified-event / access objects, which keeps :mod:`repro.obs` free of
-imports from the simulation packages (no import cycles).
+column / access objects, which keeps :mod:`repro.obs` free of imports
+from the simulation packages (no import cycles).
 
 Metric vocabulary (all exported under the ``repro_`` prefix by
 :mod:`repro.obs.prometheus`):
@@ -83,69 +83,79 @@ def record_columnar_warps(
         telemetry.observe("warp_instructions", length)
 
 
-def record_classified_warp(
+def record_classified_columns(
     telemetry: Telemetry,
-    events: Iterable[Any],
-    warp_size: int,
-    previous_class: str | None = None,
-) -> str | None:
-    """Roll one warp's classified event stream into the registry.
+    columns: Any,
+    class_labels: dict[int, str],
+    previous_class: int | None = None,
+) -> None:
+    """Roll one classified column set into the registry.
 
     Covers the tracker-level distributions the paper's figures are
-    built from: ScalarClass counts and consecutive-class transitions,
-    the enc-prefix distribution of full register writes (byte-wise
-    compressor output, comparable with
+    built from: ScalarClass counts and the transitions between
+    consecutive events of one warp, the enc-prefix distribution of
+    full register writes (byte-wise compressor output, comparable with
     :func:`repro.compression.stats.compare_trace`), the data-array
     bytes the prefix elides, the §4.2 divergent-mask match/miss rate,
-    and the §3.3 decompress-move count.
+    and the §3.3 decompress-move count.  ``columns`` is a
+    ``repro.scalar.columns.ClassifiedColumns``; ``class_labels`` maps
+    its class ids to label strings, keeping this module free of
+    simulation-package imports.
 
-    ``previous_class`` resumes the consecutive-class transition counter
-    across a chunk boundary for a warp split mid-stream; the returned
-    value is the fragment's last class (or ``previous_class`` when the
-    fragment is empty), which the chunked classifier carries to the
-    warp's next fragment so chunked telemetry matches whole-trace
-    telemetry exactly.
+    ``previous_class`` is the class id of the event before the first
+    one, when a chunk boundary cut the first warp: the transition
+    across the cut is counted too, so chunked telemetry matches
+    whole-trace telemetry exactly.
     """
-    classes: dict[str, int] = {}
-    transitions: dict[tuple[str, str], int] = {}
-    enc_counts: dict[int, int] = {}
-    mask_checks = {"match": 0, "miss": 0}
-    decompress_moves = 0
+    import numpy as np
 
-    for item in events:
-        name = item.scalar_class.value
-        classes[name] = classes.get(name, 0) + 1
-        if previous_class is not None:
-            key = (previous_class, name)
-            transitions[key] = transitions.get(key, 0) + 1
-        previous_class = name
-        if item.needs_decompress_move:
-            decompress_moves += 1
-        for source in item.sources:
-            if source.encoding.divergent:
-                mask_checks["match" if source.scalar_for_read else "miss"] += 1
-        encoding = item.dst_encoding
-        if encoding is not None and not encoding.divergent:
-            enc_counts[encoding.enc] = enc_counts.get(encoding.enc, 0) + 1
+    class_ids = columns.scalar_class_ids.astype(np.int64)
+    kinds = len(class_labels)
+    for class_id, count in enumerate(
+        np.bincount(class_ids, minlength=kinds).tolist()
+    ):
+        if count:
+            telemetry.count("scalar_class", count, **{"class": class_labels[class_id]})
 
-    for name, count in classes.items():
-        telemetry.count("scalar_class", count, **{"class": name})
-    for (source, target), count in transitions.items():
+    previous = np.empty_like(class_ids)
+    previous[1:] = class_ids[:-1]
+    follows = np.ones(class_ids.size, dtype=bool)
+    warp_starts = np.cumsum(columns.warp_lengths)[:-1]
+    follows[warp_starts[warp_starts < class_ids.size]] = False
+    if class_ids.size:
+        follows[0] = previous_class is not None
+        previous[0] = previous_class if previous_class is not None else 0
+    pairs = np.bincount(
+        previous[follows] * kinds + class_ids[follows], minlength=kinds * kinds
+    )
+    for pair in np.flatnonzero(pairs).tolist():
         telemetry.count(
-            "scalar_class_transitions", count, **{"from": source, "to": target}
+            "scalar_class_transitions",
+            int(pairs[pair]),
+            **{"from": class_labels[pair // kinds], "to": class_labels[pair % kinds]},
         )
-    for enc, count in enc_counts.items():
+
+    full_writes = columns.has_dst_enc & ~columns.divergent
+    enc_counts = np.bincount(
+        columns.dst_enc[full_writes].astype(np.int64), minlength=5
+    )
+    for enc in np.flatnonzero(enc_counts).tolist():
+        count = int(enc_counts[enc])
         telemetry.count("enc_prefix", count, enc=enc)
         if enc:
             telemetry.count(
-                "compression_bytes_saved", count * enc * warp_size, enc=enc
+                "compression_bytes_saved", count * enc * columns.warp_size, enc=enc
             )
-    for result, count in mask_checks.items():
+    checked = columns.src_divergent
+    for result, count in (
+        ("match", np.count_nonzero(checked & columns.src_scalar_for_read)),
+        ("miss", np.count_nonzero(checked & ~columns.src_scalar_for_read)),
+    ):
         if count:
-            telemetry.count("divergent_mask_checks", count, result=result)
-    if decompress_moves:
-        telemetry.count("decompress_moves", decompress_moves)
-    return previous_class
+            telemetry.count("divergent_mask_checks", int(count), result=result)
+    moves = int(np.count_nonzero(columns.needs_move))
+    if moves:
+        telemetry.count("decompress_moves", moves)
 
 
 def record_rf_accesses(

@@ -5,11 +5,14 @@ from repro.scalar.architectures import (
     ProcessedEvent,
     ProcessedStatistics,
     process_classified,
-    process_trace,
     processed_statistics,
 )
 from repro.scalar.arch_batch import process_columns
-from repro.scalar.batch import classify_columnar_batch, classify_trace_batch
+from repro.scalar.batch import (
+    ClassifierCarry,
+    classify_columnar_batch,
+    classify_columnar_chunk,
+)
 from repro.scalar.columns import (
     ClassifiedColumns,
     ProcessedColumns,
@@ -42,6 +45,7 @@ __all__ = [
     "ArchitectureView",
     "ClassifiedColumns",
     "ClassifiedEvent",
+    "ClassifierCarry",
     "MoveElisionAnalysis",
     "ProcessedColumns",
     "ProcessedEvent",
@@ -53,14 +57,13 @@ __all__ = [
     "TrackerStatistics",
     "ValueKind",
     "classify_columnar_batch",
+    "classify_columnar_chunk",
     "classify_instruction",
     "classify_source_read",
     "classify_trace",
-    "classify_trace_batch",
     "classify_warp",
     "process_classified",
     "process_columns",
-    "process_trace",
     "processed_columns_diff",
     "processed_columns_equal",
     "processed_statistics",

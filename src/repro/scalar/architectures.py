@@ -7,7 +7,9 @@ many execution lanes burn energy, what shape every register-file access
 takes, and which extra decompress/spill instructions get inserted.
 
 One view instance handles one warp (the ALU-scalar view keeps scalar-RF
-residency state); use :func:`process_trace` for whole-trace processing.
+residency state); use :func:`process_classified` for a whole classified
+trace.  This per-event chain is the reference oracle of the columnar
+engine (:func:`repro.scalar.arch_batch.process_columns`).
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ from repro.config import ArchitectureConfig, ScalarMode
 from repro.errors import ConfigError
 from repro.regfile.access import AccessKind, RegisterAccess
 from repro.regfile.scalar_rf import ScalarRegisterFile
-from repro.scalar.batch import classify_trace_batch
 from repro.scalar.eligibility import ScalarClass
 from repro.scalar.tracker import ClassifiedEvent
-from repro.simt.trace import KernelTrace
 
 
 @dataclass(frozen=True)
@@ -415,22 +415,6 @@ class ArchitectureView:
             lanes += 1 if hi_half else self.half_lanes
             return lanes
         return active
-
-
-def process_trace(
-    trace: KernelTrace,
-    arch: ArchitectureConfig,
-    num_registers: int,
-    static_widths=None,
-) -> list[list[ProcessedEvent]]:
-    """Classify (batch engine) and process a whole kernel trace for one
-    architecture."""
-    classified = classify_trace_batch(trace, num_registers)
-    processed: list[list[ProcessedEvent]] = []
-    for warp_events in classified:
-        view = ArchitectureView(arch, trace.warp_size, static_widths=static_widths)
-        processed.append([view.process(item) for item in warp_events])
-    return processed
 
 
 def process_classified(

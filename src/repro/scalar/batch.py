@@ -1,676 +1,414 @@
-"""Vectorized batch classification engine.
+"""Vectorized classification straight to :class:`ClassifiedColumns`.
 
-:func:`repro.scalar.tracker.classify_trace` replays a trace one
-:class:`~repro.simt.trace.TraceEvent` at a time, paying Python dispatch
-plus several tiny 32-lane numpy calls (``common_prefix_bytes``,
-``compress_halves``) per dynamic instruction.  The enc-bit math is
-embarrassingly data-parallel across dynamic instructions, so this
-module computes all of it as whole-warp-stream array kernels instead:
+Under G-Scalar's sidecar rules a source read sees the encoding that its
+register's latest write in the warp left in the BVR/EBR (§3.1); when
+that write was divergent, the read also compares the reader's active
+mask against the mask the BVR holds (§4.2).  Classification is
+therefore a gather over write rows, not a sequential state machine:
 
-* one ``(n_writes, warp_size)`` matrix of destination snapshots per
-  warp, byte-prefix enc via XOR against lane 0 + OR-reduce across the
-  lane axis (:func:`~repro.compression.gscalar.prefix_bytes_batch`),
-* half-warp enc pairs via chunked reduces
-  (:func:`~repro.compression.half.compress_halves_batch`),
-* divergent-write encodings via the masked variant with the lane-mask
-  matrix expanded from the integer active masks.
+* every write row's encoding comes from one whole-trace array kernel —
+  the byte prefix (:func:`~repro.compression.gscalar.prefix_bytes_batch`)
+  and the half-register pairs
+  (:func:`~repro.compression.half.compress_halves_batch`) for full
+  writes, the masked prefix
+  (:func:`~repro.compression.gscalar.masked_prefix_bytes_batch`) over
+  the expanded lane masks for divergent ones;
+* :meth:`~repro.simt.trace.ColumnarTrace.latest_writes` finds, for
+  every source read and every destination write, the write row whose
+  sidecar state it sees;
+* the Figure 9 bucketing is a handful of boolean array operations.
 
-Only the cheap sequential sidecar state machine (register -> last
-:class:`~repro.compression.encoding.RegisterEncoding`) remains a Python
-loop, working over plain ints.  The output is **bit-identical** to the
-per-event tracker: the same :class:`ClassifiedEvent` stream, the same
-:class:`TrackerStatistics`, the same telemetry counters (the
-differential suite in ``tests/scalar/test_batch.py`` pins this).
-
-Both trace representations are accepted: :func:`classify_trace_batch`
-takes the event form (reusing its event objects), while
-:func:`classify_columnar_batch` runs straight off a
-:class:`~repro.simt.trace.ColumnarTrace` — e.g. a cache hit from
-:mod:`repro.simt.serialize` — materializing each event exactly once.
+:func:`classify_columnar_chunk` runs the same pass over one
+:class:`~repro.simt.trace.TraceChunk`; a :class:`ClassifierCarry`
+holds the sidecar state of the one warp a chunk boundary cuts.  The
+per-event tracker (:func:`repro.scalar.tracker.classify_trace`) is the
+test oracle: ``tests/scalar/test_batch.py`` pins the two array for
+array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.encoding import SCALAR_PREFIX, RegisterEncoding
+from repro.compression.encoding import SCALAR_PREFIX
 from repro.compression.gscalar import (
     masked_prefix_bytes_batch,
     prefix_bytes_batch,
 )
 from repro.compression.half import compress_halves_batch
 from repro.errors import TraceError
-from repro.isa.opcodes import Opcode, OpCategory, category_of
-from repro.obs.instrument import record_classified_warp
+from repro.obs.instrument import record_classified_columns
 from repro.obs.telemetry import get_telemetry
+from repro.scalar.columns import (
+    CATEGORY_CODE_BY_OPCODE,
+    CTRL_CODE,
+    MEM_CODE,
+    SFU_CODE,
+    ClassifiedColumns,
+    _popcount,
+)
 from repro.scalar.eligibility import (
+    ID_TO_SCALAR_CLASS,
+    SCALAR_CLASS_TO_ID,
     ScalarClass,
-    SourceRead,
-    classify_instruction,
 )
-from repro.scalar.tracker import (
-    HALF_GRANULARITY,
-    ClassifiedEvent,
-    RegisterStateTracker,
-)
-from repro.simt.trace import (
-    ID_TO_OPCODE,
-    ColumnarTrace,
-    KernelTrace,
-    TraceChunk,
-    TraceEvent,
-    WarpTrace,
-)
+from repro.scalar.tracker import HALF_GRANULARITY
+from repro.simt.trace import ColumnarTrace, TraceChunk
 
-def _half_granularity(warp_size: int) -> int:
-    """The tracker's half size in lanes (16 even for 64-thread warps)."""
-    return min(HALF_GRANULARITY, max(1, warp_size // 2))
+_NOT_ELIGIBLE = SCALAR_CLASS_TO_ID[ScalarClass.NOT_ELIGIBLE]
+_ALU = SCALAR_CLASS_TO_ID[ScalarClass.ALU_SCALAR]
+_SFU = SCALAR_CLASS_TO_ID[ScalarClass.SFU_SCALAR]
+_MEM = SCALAR_CLASS_TO_ID[ScalarClass.MEM_SCALAR]
+_HALF = SCALAR_CLASS_TO_ID[ScalarClass.HALF_SCALAR]
+_DIVERGENT = SCALAR_CLASS_TO_ID[ScalarClass.DIVERGENT_SCALAR]
+
+#: Class id -> telemetry label (the enum value string).
+_CLASS_LABELS = {index: cls.value for index, cls in ID_TO_SCALAR_CLASS.items()}
 
 
-def _write_encodings(
-    values: np.ndarray, masks: np.ndarray, warp_size: int
-) -> list[RegisterEncoding]:
-    """Destination-side sidecar encodings for one warp's register writes.
+class ClassifierCarry:
+    """Sidecar state of the warp a chunk boundary cuts.
 
-    ``values`` is the ``(n_writes, warp_size)`` snapshot matrix in
-    write order and ``masks`` the writers' integer active masks.  Full
-    writes get the §3.1 prefix + §4.3 half pairs; divergent writes get
-    the §4.2 masked prefix with the BVR holding the writer's mask.  All
-    heavy math is vectorized over the write axis; the returned list of
-    :class:`RegisterEncoding` matches ``RegisterStateTracker``'s
-    ``_full_write_state`` / ``_divergent_write_state`` element-wise.
+    ``registers`` (ascending) and the parallel state arrays hold that
+    warp's last write per register so far — what its BVR/EBR contain:
+    the prefix ``enc``, the half pair ``enc_lo``/``enc_hi``, the D bit
+    (``divergent``) and the writer's active ``mask``.  ``last_class``
+    is the warp's last scalar class id, which resumes telemetry's
+    consecutive-class transition counter.  Between whole warps the
+    carry is empty.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget the carried warp (the last warp ended in its chunk)."""
+        self._set(
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int8),
+            np.zeros(0, dtype=np.int8),
+            np.zeros(0, dtype=np.int8),
+            np.zeros(0, dtype=bool),
+            np.zeros(0, dtype=np.uint64),
+        )
+        self.last_class: int | None = None
+
+    def _set(self, registers, enc, enc_lo, enc_hi, divergent, mask) -> None:
+        self.registers = registers
+        self.enc = enc
+        self.enc_lo = enc_lo
+        self.enc_hi = enc_hi
+        self.divergent = divergent
+        self.mask = mask
+
+    def _states(self) -> tuple[np.ndarray, ...]:
+        return self.enc, self.enc_lo, self.enc_hi, self.divergent, self.mask
+
+
+def _write_states(
+    values: np.ndarray, masks: np.ndarray, divergent: np.ndarray, warp_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(enc, enc_lo, enc_hi)`` of each write row.
+
+    Full writes get the §3.1 prefix and the §4.3 half pairs; divergent
+    writes get the §4.2 masked prefix over their active lanes and no
+    half pairs (zero, as the tracker's ``RegisterEncoding`` holds).
     """
     count = values.shape[0]
-    if count == 0:
-        return []
-    full_mask = (1 << warp_size) - 1
-    mask_ints = masks.tolist()
-    encodings: list[RegisterEncoding | None] = [None] * count
-    # Registers are rewritten with the same value constantly (loop
-    # counters, zeros, broadcast constants), so intern the frozen
-    # encodings: repeated states share one object and skip the
-    # dataclass __init__/__post_init__.  Equality semantics (and hence
-    # downstream output) are unchanged — only identity is shared.
-    interned: dict[tuple, RegisterEncoding] = {}
-
-    full_rows = [i for i, mask in enumerate(mask_ints) if mask == full_mask]
-    if full_rows:
-        full_values = values[full_rows]
-        enc = prefix_bytes_batch(full_values).tolist()
+    enc = np.zeros(count, dtype=np.int8)
+    enc_lo = np.zeros(count, dtype=np.int8)
+    enc_hi = np.zeros(count, dtype=np.int8)
+    full = ~divergent
+    if full.any():
+        full_values = values[full]
+        enc[full] = prefix_bytes_batch(full_values)
         halves = compress_halves_batch(
-            full_values, granularity=_half_granularity(warp_size)
+            full_values, granularity=min(HALF_GRANULARITY, warp_size // 2)
         )
-        base = full_values[:, 0].tolist()
-        enc_lo = halves.enc_lo.tolist()
-        enc_hi = halves.enc_hi.tolist()
-        base_lo = halves.base_lo.tolist()
-        base_hi = halves.base_hi.tolist()
-        full_scalar = halves.full_scalar.tolist()
-        for j, i in enumerate(full_rows):
-            key = (
-                enc[j],
-                base[j],
-                enc_lo[j],
-                enc_hi[j],
-                base_lo[j],
-                base_hi[j],
-                full_scalar[j],
-            )
-            encoding = interned.get(key)
-            if encoding is None:
-                encoding = RegisterEncoding(
-                    enc=enc[j],
-                    base=base[j],
-                    divergent=False,
-                    enc_lo=enc_lo[j],
-                    enc_hi=enc_hi[j],
-                    base_lo=base_lo[j],
-                    base_hi=base_hi[j],
-                    full_scalar=full_scalar[j],
-                )
-                interned[key] = encoding
-            encodings[i] = encoding
-
-    divergent_rows = [
-        i for i, mask in enumerate(mask_ints) if mask != full_mask
-    ]
-    if divergent_rows:
-        divergent_values = values[divergent_rows]
-        divergent_masks = masks[divergent_rows].astype(np.uint64)
-        lane_masks = (
-            (divergent_masks[:, None] >> np.arange(warp_size, dtype=np.uint64))
+        enc_lo[full] = halves.enc_lo
+        enc_hi[full] = halves.enc_hi
+    if divergent.any():
+        lanes = (
+            (masks[divergent, None] >> np.arange(warp_size, dtype=np.uint64))
             & np.uint64(1)
         ).astype(bool)
-        enc = masked_prefix_bytes_batch(divergent_values, lane_masks).tolist()
-        for j, i in enumerate(divergent_rows):
-            key = (enc[j], mask_ints[i])
-            encoding = interned.get(key)
-            if encoding is None:
-                encoding = RegisterEncoding(
-                    enc=enc[j], base=mask_ints[i], divergent=True
-                )
-                interned[key] = encoding
-            encodings[i] = encoding
-    return encodings  # type: ignore[return-value]
+        enc[divergent] = masked_prefix_bytes_batch(values[divergent], lanes)
+    return enc, enc_lo, enc_hi
 
 
-_UNCOMPRESSED = RegisterEncoding.uncompressed()
+def _all_per_event(
+    source_events: np.ndarray, flags: np.ndarray, count: int
+) -> np.ndarray:
+    """Per event: is ``flags`` true for every one of its sources?
 
-#: Pipeline category per opcode *value*, precomputed once (saves a
-#: function call plus set probes per dynamic instruction in the sidecar
-#: loop; keyed by the value string because str hashes are cached while
-#: ``Enum.__hash__`` is a Python-level call).
-_CATEGORY: dict[str, OpCategory] = {
-    opcode.value: category_of(opcode) for opcode in Opcode
-}
-
-
-def _classify_events(
-    events: list[TraceEvent],
-    write_encodings: list[RegisterEncoding],
-    warp_size: int,
-    state: dict[int, RegisterEncoding] | None = None,
-    read_cache: (
-        dict[int, tuple[RegisterEncoding, int | None, SourceRead]] | None
-    ) = None,
-) -> list[ClassifiedEvent]:
-    """The slim sequential sidecar loop over one warp's events.
-
-    ``write_encodings`` carries the precomputed destination encoding of
-    each register-writing event, in event order; everything left here
-    is integer compares, dict lookups and object assembly.
-    :func:`classify_source_read` and :func:`classify_instruction` are
-    inlined (their results fold into the same pass that assembles the
-    source tuple), and :class:`SourceRead` objects are reused while the
-    source register's sidecar state is unchanged — both transparent to
-    the output, which stays field-identical to the per-event tracker.
-
-    ``state`` / ``read_cache`` (optional) resume a warp split across
-    chunk boundaries: the chunked classifier passes the dicts carried
-    from the previous fragment and this pass mutates them in place, so
-    the next fragment continues exactly where this one stopped.  Fresh
-    dicts (the default) give whole-warp behavior, unchanged.
+    Events without sources count as all-true, as ``all(())`` does.
     """
-    full_mask = (1 << warp_size) - 1
-    if state is None:
-        state = {}
-    state_get = state.get
-    # register -> (encoding identity, reader mask or None, SourceRead);
-    # reads of an unchanged register rebuild nothing.  The mask only
-    # matters for divergently-written sources (§4.2's BVR comparison).
-    if read_cache is None:
-        read_cache = {}
-    cache_get = read_cache.get
-    classified: list[ClassifiedEvent] = []
-    append = classified.append
-    write_cursor = 0
-    categories = _CATEGORY
-    not_eligible = ScalarClass.NOT_ELIGIBLE
-    half_scalar = ScalarClass.HALF_SCALAR
-    divergent_scalar = ScalarClass.DIVERGENT_SCALAR
-    ctrl = OpCategory.CTRL
-    sfu = OpCategory.SFU
-    mem = OpCategory.MEM
-
-    for event in events:
-        mask = event.active_mask
-        divergent = mask != full_mask
-
-        all_scalar = all_lo = all_hi = True
-        sources = []
-        sources_append = sources.append
-        for register in event.src_regs:
-            encoding = state_get(register, _UNCOMPRESSED)
-            cached = cache_get(register)
-            if (
-                cached is not None
-                and cached[0] is encoding
-                and (cached[1] is None or cached[1] == (divergent, mask))
-            ):
-                read = cached[2]
-                scalar = read.scalar_for_read
-                lo_scalar = read.lo_scalar
-                hi_scalar = read.hi_scalar
-            else:
-                # Inlined classify_source_read (§4.1/§4.2): plain int
-                # compares against the sidecar state.
-                if encoding.divergent:
-                    scalar = (
-                        divergent
-                        and encoding.enc == SCALAR_PREFIX
-                        and encoding.base == mask
-                    )
-                    lo_scalar = hi_scalar = False
-                    cache_key = (divergent, mask)
-                else:
-                    scalar = encoding.enc == SCALAR_PREFIX
-                    lo_scalar = encoding.enc_lo == SCALAR_PREFIX
-                    hi_scalar = encoding.enc_hi == SCALAR_PREFIX
-                    cache_key = None
-                read = SourceRead(
-                    register, encoding, scalar, lo_scalar, hi_scalar
-                )
-                read_cache[register] = (encoding, cache_key, read)
-            sources_append(read)
-            if not scalar:
-                all_scalar = False
-            if not lo_scalar:
-                all_lo = False
-            if not hi_scalar:
-                all_hi = False
-        sources_tuple = tuple(sources)
-
-        # Inlined classify_instruction: same Figure 9 bucketing, with
-        # the all()-over-sources folds already computed above.
-        category = categories[event.opcode.value]
-        lo_ok = hi_ok = False
-        if category is ctrl or event.varying_special_src:
-            scalar_class = not_eligible
-        elif divergent:
-            scalar_class = divergent_scalar if all_scalar else not_eligible
-        elif all_scalar:
-            if category is sfu:
-                scalar_class = ScalarClass.SFU_SCALAR
-            elif category is mem:
-                scalar_class = ScalarClass.MEM_SCALAR
-            else:
-                scalar_class = ScalarClass.ALU_SCALAR
-        elif all_lo or all_hi:
-            scalar_class = half_scalar
-            lo_ok = all_lo
-            hi_ok = all_hi
-        else:
-            scalar_class = not_eligible
-
-        dst_before: RegisterEncoding | None = None
-        dst_after: RegisterEncoding | None = None
-        needs_move = False
-        if event.dst is not None and event.dst_values is not None:
-            dst_before = state_get(event.dst, _UNCOMPRESSED)
-            dst_after = write_encodings[write_cursor]
-            write_cursor += 1
-            if divergent:
-                needs_move = not dst_before.divergent and dst_before.enc > 0
-            state[event.dst] = dst_after
-
-        append(
-            ClassifiedEvent(
-                event,
-                scalar_class,
-                divergent,
-                sources_tuple,
-                dst_after,
-                dst_before,
-                needs_move,
-                lo_ok,
-                hi_ok,
-            )
-        )
-    return classified
+    misses = np.bincount(source_events, weights=~flags, minlength=count)
+    return misses == 0
 
 
-def _classify_warp_events(
-    events: list[TraceEvent], warp_size: int, num_registers: int
-) -> list[ClassifiedEvent]:
-    """Batch-classify one warp's event list."""
-    if warp_size % 2 != 0:
-        # Odd warp sizes cannot form half-register pairs; delegate to
-        # the per-event tracker so error behavior stays identical.
-        tracker = RegisterStateTracker(num_registers, warp_size)
-        return [tracker.classify(event) for event in events]
-    write_rows = [
-        event.dst_values
-        for event in events
-        if event.dst is not None and event.dst_values is not None
-    ]
-    if write_rows:
-        values = np.ascontiguousarray(np.stack(write_rows), dtype=np.uint32)
-        masks = np.fromiter(
-            (
-                event.active_mask
-                for event in events
-                if event.dst is not None and event.dst_values is not None
-            ),
-            dtype=np.uint64,
-            count=len(write_rows),
-        )
-        encodings = _write_encodings(values, masks, warp_size)
-    else:
-        encodings = []
-    return _classify_events(events, encodings, warp_size)
+def _classify(
+    columnar: ColumnarTrace,
+    num_registers: int,
+    carry: ClassifierCarry | None = None,
+    continued: bool = False,
+    continues: bool = False,
+) -> ClassifiedColumns:
+    """Classify one columnar trace or chunk (see the module docstring).
 
-
-def classify_trace_batch(
-    trace: KernelTrace, num_registers: int
-) -> list[list[ClassifiedEvent]]:
-    """Batch-classify an event-form trace (fresh sidecar per warp).
-
-    Drop-in replacement for
-    :func:`repro.scalar.tracker.classify_trace`: identical output,
-    identical telemetry, ~an order of magnitude less per-event work.
-    The destination-encoding math runs as **one** whole-trace batch:
-    every warp's register writes are stacked into a single matrix so
-    the array kernels amortize their dispatch over the full launch
-    (per-warp sidecar replay is unaffected — each warp still gets a
-    fresh state machine over its own slice of the encodings).
-    """
-    if num_registers < 0:
-        raise TraceError(f"num_registers must be >= 0, got {num_registers}")
-    telemetry = get_telemetry()
-    warp_size = trace.warp_size
-    classified: list[list[ClassifiedEvent]] = []
-    with telemetry.span(
-        f"classify:{trace.kernel_name}", cat="kernel", kernel=trace.kernel_name
-    ):
-        if warp_size % 2 != 0:
-            for warp in trace.warps:
-                events = _classify_warp_events(
-                    warp.events, warp_size, num_registers
-                )
-                classified.append(events)
-                if telemetry.enabled:
-                    record_classified_warp(telemetry, events, warp_size)
-            return classified
-
-        write_rows: list[np.ndarray] = []
-        write_masks: list[int] = []
-        warp_write_counts: list[int] = []
-        for warp in trace.warps:
-            start = len(write_rows)
-            for event in warp.events:
-                if event.dst is not None and event.dst_values is not None:
-                    write_rows.append(event.dst_values)
-                    write_masks.append(event.active_mask)
-            warp_write_counts.append(len(write_rows) - start)
-        if write_rows:
-            encodings = _write_encodings(
-                np.ascontiguousarray(np.stack(write_rows), dtype=np.uint32),
-                np.array(write_masks, dtype=np.uint64),
-                warp_size,
-            )
-        else:
-            encodings = []
-
-        cursor = 0
-        for warp, count in zip(trace.warps, warp_write_counts):
-            events = _classify_events(
-                warp.events, encodings[cursor : cursor + count], warp_size
-            )
-            cursor += count
-            classified.append(events)
-            if telemetry.enabled:
-                record_classified_warp(telemetry, events, warp_size)
-    return classified
-
-
-def classify_columnar_batch(
-    columnar: ColumnarTrace, num_registers: int
-) -> tuple[KernelTrace, list[list[ClassifiedEvent]]]:
-    """Batch-classify straight off the columnar arrays.
-
-    Returns ``(trace, classified)`` where ``trace`` is the event form
-    materialized exactly once — each :class:`TraceEvent` is shared
-    between the returned trace and the classified stream, and snapshot
-    rows are views into the columnar value matrix (nothing downstream
-    mutates them), so a cache hit pays one object per event instead of
-    a reconstruct-then-classify double pass.
+    ``continued``: the first warp resumes the warp ``carry`` holds, so
+    its reads and writes fall back to the carried state for registers
+    it has not written yet in this chunk.  ``continues``: the last warp
+    goes on in the next chunk, so ``carry`` is refilled from it;
+    otherwise ``carry`` is emptied.
     """
     if num_registers < 0:
         raise TraceError(f"num_registers must be >= 0, got {num_registers}")
     warp_size = columnar.warp_size
-    telemetry = get_telemetry()
-    trace = KernelTrace(kernel_name=columnar.kernel_name, warp_size=warp_size)
-    classified: list[list[ClassifiedEvent]] = []
-
-    opcode_ids = columnar.opcode_ids.tolist()
-    dst = columnar.dst.tolist()
-    mask_ints = columnar.masks.tolist()
-    blocks = columnar.blocks.tolist()
-    varying = columnar.varying.tolist()
-    scalar_nonreg = columnar.scalar_nonreg.tolist()
-    src_offsets = columnar.src_offsets.tolist()
-    src_flat = columnar.src_flat.tolist()
-    values_index = columnar.values_index.tolist()
-    addr_index = columnar.addr_index.tolist()
-    values_matrix = columnar.values
-    addresses_matrix = columnar.addresses
-    lane_limit = 1 << warp_size
-
-    if warp_size % 2 == 0 and columnar.num_events:
-        # One whole-trace encoding batch: the write rows of every warp
-        # in one matrix, sliced back per warp below via searchsorted.
-        write_positions_all = np.flatnonzero(
-            (columnar.dst >= 0) & (columnar.values_index >= 0)
-        )
-        if write_positions_all.size:
-            all_encodings = _write_encodings(
-                np.ascontiguousarray(
-                    values_matrix[columnar.values_index[write_positions_all]],
-                    dtype=np.uint32,
-                ),
-                columnar.masks[write_positions_all],
-                warp_size,
+    masks = columnar.masks
+    if warp_size < 64:
+        wide = np.flatnonzero(masks >> np.uint64(warp_size))
+        if wide.size:
+            raise TraceError(
+                f"event mask {int(masks[wide[0]]):#x} wider than warp size "
+                f"{warp_size}"
             )
-        else:
-            all_encodings = []
-    else:
-        write_positions_all = np.empty(0, dtype=np.int64)
-        all_encodings = []
+    count = columnar.num_events
+    divergent = masks != np.uint64((1 << warp_size) - 1)
+    dst = columnar.dst
+    writes = np.flatnonzero((dst >= 0) & (columnar.values_index >= 0))
+    write_masks = masks[writes]
+    write_divergent = divergent[writes]
+    write_enc, write_lo, write_hi = _write_states(
+        columnar.values[columnar.values_index[writes]],
+        write_masks,
+        write_divergent,
+        warp_size,
+    )
 
+    # One state table: this trace's write rows, then the carried rows,
+    # then one uncompressed row for registers no write has reached.
+    if continued and carry is not None:
+        carried = carry._states()
+        carried_registers = carry.registers
+    else:
+        carried = ClassifierCarry()._states()
+        carried_registers = np.zeros(0, dtype=np.int64)
+    num_writes = writes.size
+    uncompressed = num_writes + carried_registers.size
+    table_enc, table_lo, table_hi, table_divergent, table_mask = (
+        np.concatenate([mine, theirs, np.zeros(1, dtype=mine.dtype)])
+        for mine, theirs in zip(
+            (write_enc, write_lo, write_hi, write_divergent, write_masks),
+            carried,
+        )
+    )
+
+    # Whose state each source read and each destination write sees.
+    source_events = columnar.source_events()
+    num_sources = source_events.size
+    query_events = np.concatenate([source_events, writes])
+    query_registers = np.concatenate(
+        [columnar.src_flat.astype(np.int64), dst[writes].astype(np.int64)]
+    )
+    latest = columnar.latest_writes(query_events, query_registers)
+    row_of_event = np.full(count, -1, dtype=np.int64)
+    row_of_event[writes] = np.arange(num_writes, dtype=np.int64)
+    state = np.where(latest >= 0, row_of_event[latest], uncompressed)
+    if carried_registers.size:
+        first_warp_end = int(columnar.warp_lengths[0])
+        fallback = np.flatnonzero((latest < 0) & (query_events < first_warp_end))
+        position = np.searchsorted(carried_registers, query_registers[fallback])
+        position = np.minimum(position, carried_registers.size - 1)
+        hit = carried_registers[position] == query_registers[fallback]
+        state[fallback[hit]] = num_writes + position[hit]
+    source_state = state[:num_sources]
+    before_state = state[num_sources:]
+
+    # §4.1/§4.2 source rules.
+    src_enc = table_enc[source_state]
+    src_enc_lo = table_lo[source_state]
+    src_enc_hi = table_hi[source_state]
+    src_divergent = table_divergent[source_state]
+    src_scalar = src_enc == SCALAR_PREFIX
+    src_scalar_for_read = np.where(
+        src_divergent,
+        divergent[source_events]
+        & src_scalar
+        & (table_mask[source_state] == masks[source_events]),
+        src_scalar,
+    )
+    # Divergent writers hold no half pairs (enc_lo/enc_hi are zero).
+    all_scalar = _all_per_event(source_events, src_scalar_for_read, count)
+    all_lo = _all_per_event(source_events, src_enc_lo == SCALAR_PREFIX, count)
+    all_hi = _all_per_event(source_events, src_enc_hi == SCALAR_PREFIX, count)
+
+    # Figure 9 bucketing (classify_instruction, vectorized).
+    category_codes = CATEGORY_CODE_BY_OPCODE[columnar.opcode_ids]
+    eligible = (category_codes != CTRL_CODE) & ~columnar.varying
+    convergent_scalar = eligible & ~divergent & all_scalar
+    half = eligible & ~divergent & ~all_scalar & (all_lo | all_hi)
+    class_ids = np.full(count, _NOT_ELIGIBLE, dtype=np.uint8)
+    class_ids[eligible & divergent & all_scalar] = _DIVERGENT
+    class_ids[convergent_scalar] = _ALU
+    class_ids[convergent_scalar & (category_codes == SFU_CODE)] = _SFU
+    class_ids[convergent_scalar & (category_codes == MEM_CODE)] = _MEM
+    class_ids[half] = _HALF
+
+    # Destinations: the state after the write, and the §3.3 move a
+    # divergent write into a compressed register needs first.
+    has_dst_enc = np.zeros(count, dtype=bool)
+    has_dst_enc[writes] = True
+    dst_enc = np.zeros(count, dtype=np.int8)
+    dst_enc_lo = np.zeros(count, dtype=np.int8)
+    dst_enc_hi = np.zeros(count, dtype=np.int8)
+    dst_enc[writes] = write_enc
+    dst_enc_lo[writes] = write_lo
+    dst_enc_hi[writes] = write_hi
+    dst_is_scalar = np.zeros(count, dtype=bool)
+    dst_is_scalar[writes] = write_enc == SCALAR_PREFIX
+    moves = (
+        write_divergent
+        & ~table_divergent[before_state]
+        & (table_enc[before_state] > 0)
+    )
+    needs_move = np.zeros(count, dtype=bool)
+    needs_move[writes] = moves
+    before_enc = np.zeros(count, dtype=np.int8)
+    before_enc_lo = np.zeros(count, dtype=np.int8)
+    before_enc_hi = np.zeros(count, dtype=np.int8)
+    moved = writes[moves]
+    before_enc[moved] = table_enc[before_state[moves]]
+    before_enc_lo[moved] = table_lo[before_state[moves]]
+    before_enc_hi[moved] = table_hi[before_state[moves]]
+
+    columns = ClassifiedColumns(
+        warp_size=warp_size,
+        warp_lengths=columnar.warp_lengths.astype(np.int64),
+        opcode_ids=columnar.opcode_ids,
+        category_codes=category_codes,
+        masks=masks,
+        active_lanes=_popcount(masks),
+        divergent=divergent,
+        blocks=columnar.blocks,
+        dst=dst,
+        scalar_class_ids=class_ids,
+        lo_half_exec=half & all_lo,
+        hi_half_exec=half & all_hi,
+        has_dst_enc=has_dst_enc,
+        needs_move=needs_move,
+        dst_enc=dst_enc,
+        dst_enc_lo=dst_enc_lo,
+        dst_enc_hi=dst_enc_hi,
+        dst_is_scalar=dst_is_scalar,
+        before_enc=before_enc,
+        before_enc_lo=before_enc_lo,
+        before_enc_hi=before_enc_hi,
+        src_offsets=columnar.src_offsets,
+        src_registers=columnar.src_flat,
+        src_enc=src_enc,
+        src_enc_lo=src_enc_lo,
+        src_enc_hi=src_enc_hi,
+        src_divergent=src_divergent,
+        src_scalar_for_read=src_scalar_for_read,
+        addr_index=columnar.addr_index,
+        addresses=columnar.addresses,
+    )
+
+    previous_class = carry.last_class if continued and carry is not None else None
+    telemetry = get_telemetry()
+    if telemetry.enabled:
+        record_classified_columns(
+            telemetry, columns, _CLASS_LABELS, previous_class=previous_class
+        )
+    if carry is not None:
+        if continues:
+            _refill_carry(
+                carry,
+                columnar,
+                writes,
+                (
+                    dst[writes].astype(np.int64),
+                    write_enc,
+                    write_lo,
+                    write_hi,
+                    write_divergent,
+                    write_masks,
+                ),
+                (carried_registers,) + carried if columnar.num_warps == 1 else None,
+            )
+            carry.last_class = int(class_ids[-1])
+        else:
+            carry.clear()
+    return columns
+
+
+def _refill_carry(
+    carry: ClassifierCarry,
+    columnar: ColumnarTrace,
+    writes: np.ndarray,
+    write_columns: tuple[np.ndarray, ...],
+    resumed: tuple[np.ndarray, ...] | None,
+) -> None:
+    """Store the last warp's last write per register in ``carry``.
+
+    ``write_columns`` are (register, enc, enc_lo, enc_hi, divergent,
+    mask) per write row.  ``resumed`` holds the carried columns when
+    the last warp is also the continued first warp (a warp spanning
+    three or more chunks): this chunk's writes then land on top of
+    them.
+    """
+    last_start = columnar.num_events - int(columnar.warp_lengths[-1])
+    tail = int(np.searchsorted(writes, last_start))
+    merged = [column[tail:] for column in write_columns]
+    if resumed is not None:
+        merged = [np.concatenate(pair) for pair in zip(resumed, merged)]
+    # Each register's last write ends its run in a stable sort (fancy
+    # assignment with repeated indices has no guaranteed order).
+    order = np.argsort(merged[0], kind="stable")
+    ordered = merged[0][order]
+    run_end = np.ones(ordered.size, dtype=bool)
+    run_end[:-1] = ordered[1:] != ordered[:-1]
+    last = order[run_end]
+    carry._set(*(column[last] for column in merged))
+
+
+def classify_columnar_batch(
+    columnar: ColumnarTrace, num_registers: int
+) -> ClassifiedColumns:
+    """Classify a whole columnar trace (fresh sidecar state per warp)."""
+    telemetry = get_telemetry()
     with telemetry.span(
         f"classify:{columnar.kernel_name}",
         cat="kernel",
         kernel=columnar.kernel_name,
     ):
-        for warp_id, segment in columnar.warp_slices():
-            events: list[TraceEvent] = []
-            for position in range(segment.start, segment.stop):
-                mask = mask_ints[position]
-                if mask >= lane_limit:
-                    raise TraceError(
-                        f"event mask {mask:#x} wider than warp size "
-                        f"{warp_size}"
-                    )
-                value_row = values_index[position]
-                addr_row = addr_index[position]
-                events.append(
-                    TraceEvent(
-                        opcode=ID_TO_OPCODE[opcode_ids[position]],
-                        dst=None if dst[position] < 0 else dst[position],
-                        src_regs=tuple(
-                            src_flat[
-                                src_offsets[position]:src_offsets[position + 1]
-                            ]
-                        ),
-                        active_mask=mask,
-                        block_id=blocks[position],
-                        dst_values=values_matrix[value_row]
-                        if value_row >= 0
-                        else None,
-                        addresses=addresses_matrix[addr_row]
-                        if addr_row >= 0
-                        else None,
-                        varying_special_src=varying[position],
-                        scalar_nonreg_srcs=scalar_nonreg[position],
-                    )
-                )
-            warp = WarpTrace(
-                warp_id=warp_id, warp_size=warp_size, events=events
-            )
-            trace.warps.append(warp)
-
-            if warp_size % 2 != 0:
-                classified_warp = _classify_warp_events(
-                    events, warp_size, num_registers
-                )
-            else:
-                lo = int(
-                    np.searchsorted(write_positions_all, segment.start, "left")
-                )
-                hi = int(
-                    np.searchsorted(write_positions_all, segment.stop, "left")
-                )
-                classified_warp = _classify_events(
-                    events, all_encodings[lo:hi], warp_size
-                )
-            classified.append(classified_warp)
-            if telemetry.enabled:
-                record_classified_warp(telemetry, classified_warp, warp_size)
-    return trace, classified
-
-
-class ClassifierCarry:
-    """Per-warp sidecar state threaded between trace chunks.
-
-    The batch classifier's only sequential state is per-warp: the
-    register -> :class:`RegisterEncoding` sidecar map (BVR/EBR contents)
-    and the identity-keyed read cache of :func:`_classify_events`, plus
-    the warp's last scalar class (telemetry's consecutive-class
-    transition counter spans chunk boundaries).  The carry keys them by
-    *global* warp index; completed warps are dropped eagerly so the
-    carry holds at most one split warp between chunks.  Odd warp sizes
-    delegate to the per-event tracker, whose whole state machine is
-    carried instead.
-    """
-
-    def __init__(self) -> None:
-        self.states: dict[int, dict[int, RegisterEncoding]] = {}
-        self.read_caches: dict[
-            int, dict[int, tuple[RegisterEncoding, int | None, SourceRead]]
-        ] = {}
-        self.trackers: dict[int, RegisterStateTracker] = {}
-        self.last_class: dict[int, str | None] = {}
+        return _classify(columnar, num_registers)
 
 
 def classify_columnar_chunk(
     chunk: TraceChunk,
     num_registers: int,
     carry: ClassifierCarry,
-) -> list[list[ClassifiedEvent]]:
-    """Batch-classify one :class:`~repro.simt.trace.TraceChunk`.
+) -> ClassifiedColumns:
+    """Classify one :class:`~repro.simt.trace.TraceChunk`.
 
-    The chunk-streaming counterpart of :func:`classify_columnar_batch`:
-    same per-chunk whole-batch encoding math, same sequential sidecar
-    loop — but warps cut by a chunk boundary resume from the carried
-    ``state``/``read_cache`` dicts instead of starting fresh, so
-    concatenating every chunk's fragments reproduces the whole-trace
-    classified stream bit-for-bit.  Returns one event-fragment list per
-    warp present in the chunk (split warps contribute one fragment per
-    chunk they span); the event form is *not* accumulated — per-event
-    Python objects live only as long as the chunk's fragments do.
+    A warp cut by a chunk boundary resumes from ``carry``, so
+    :func:`~repro.scalar.columns.concat_classified_columns` over every
+    chunk's columns equals :func:`classify_columnar_batch` on the
+    whole trace, and the telemetry counters match too.
     """
-    if num_registers < 0:
-        raise TraceError(f"num_registers must be >= 0, got {num_registers}")
     columnar = chunk.columnar
-    warp_size = columnar.warp_size
     telemetry = get_telemetry()
-    classified: list[list[ClassifiedEvent]] = []
-
-    opcode_ids = columnar.opcode_ids.tolist()
-    dst = columnar.dst.tolist()
-    mask_ints = columnar.masks.tolist()
-    blocks = columnar.blocks.tolist()
-    varying = columnar.varying.tolist()
-    scalar_nonreg = columnar.scalar_nonreg.tolist()
-    src_offsets = columnar.src_offsets.tolist()
-    src_flat = columnar.src_flat.tolist()
-    values_index = columnar.values_index.tolist()
-    addr_index = columnar.addr_index.tolist()
-    values_matrix = columnar.values
-    addresses_matrix = columnar.addresses
-    lane_limit = 1 << warp_size
-
-    if warp_size % 2 == 0 and columnar.num_events:
-        write_positions_all = np.flatnonzero(
-            (columnar.dst >= 0) & (columnar.values_index >= 0)
+    with telemetry.span(
+        f"classify:{columnar.kernel_name}",
+        cat="kernel",
+        kernel=columnar.kernel_name,
+    ):
+        return _classify(
+            columnar,
+            num_registers,
+            carry,
+            continued=chunk.first_warp_continued,
+            continues=chunk.last_warp_continues,
         )
-        if write_positions_all.size:
-            all_encodings = _write_encodings(
-                np.ascontiguousarray(
-                    values_matrix[columnar.values_index[write_positions_all]],
-                    dtype=np.uint32,
-                ),
-                columnar.masks[write_positions_all],
-                warp_size,
-            )
-        else:
-            all_encodings = []
-    else:
-        write_positions_all = np.empty(0, dtype=np.int64)
-        all_encodings = []
-
-    num_warps = columnar.num_warps
-    for local, (_, segment) in enumerate(columnar.warp_slices()):
-        global_warp = chunk.warp_start + local
-        continued = local == 0 and chunk.first_warp_continued
-        continues = local == num_warps - 1 and chunk.last_warp_continues
-        events: list[TraceEvent] = []
-        for position in range(segment.start, segment.stop):
-            mask = mask_ints[position]
-            if mask >= lane_limit:
-                raise TraceError(
-                    f"event mask {mask:#x} wider than warp size {warp_size}"
-                )
-            value_row = values_index[position]
-            addr_row = addr_index[position]
-            events.append(
-                TraceEvent(
-                    opcode=ID_TO_OPCODE[opcode_ids[position]],
-                    dst=None if dst[position] < 0 else dst[position],
-                    src_regs=tuple(
-                        src_flat[
-                            src_offsets[position]:src_offsets[position + 1]
-                        ]
-                    ),
-                    active_mask=mask,
-                    block_id=blocks[position],
-                    dst_values=values_matrix[value_row]
-                    if value_row >= 0
-                    else None,
-                    addresses=addresses_matrix[addr_row]
-                    if addr_row >= 0
-                    else None,
-                    varying_special_src=varying[position],
-                    scalar_nonreg_srcs=scalar_nonreg[position],
-                )
-            )
-
-        if warp_size % 2 != 0:
-            tracker = carry.trackers.pop(global_warp, None) if continued else None
-            if tracker is None:
-                tracker = RegisterStateTracker(num_registers, warp_size)
-            fragment = [tracker.classify(event) for event in events]
-            if continues:
-                carry.trackers[global_warp] = tracker
-        else:
-            state = carry.states.pop(global_warp, None) if continued else None
-            read_cache = (
-                carry.read_caches.pop(global_warp, None) if continued else None
-            )
-            if state is None:
-                state = {}
-            if read_cache is None:
-                read_cache = {}
-            lo = int(
-                np.searchsorted(write_positions_all, segment.start, "left")
-            )
-            hi = int(
-                np.searchsorted(write_positions_all, segment.stop, "left")
-            )
-            fragment = _classify_events(
-                events, all_encodings[lo:hi], warp_size, state, read_cache
-            )
-            if continues:
-                carry.states[global_warp] = state
-                carry.read_caches[global_warp] = read_cache
-        classified.append(fragment)
-        if telemetry.enabled:
-            previous = (
-                carry.last_class.pop(global_warp, None) if continued else None
-            )
-            last = record_classified_warp(
-                telemetry, fragment, warp_size, previous_class=previous
-            )
-            if continues:
-                carry.last_class[global_warp] = last
-    return classified

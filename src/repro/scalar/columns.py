@@ -1,19 +1,15 @@
 """Columnar (struct-of-arrays) forms of the classified/processed trace.
 
-PR 4 stopped the struct-of-arrays pipeline at classification: the batch
-classifier still hands every downstream consumer per-event
-:class:`~repro.scalar.tracker.ClassifiedEvent` /
-:class:`~repro.scalar.architectures.ProcessedEvent` objects.  This
-module defines the two containers that carry the columnar spine the
-rest of the way:
+This module defines the two containers of the columnar spine after
+the trace itself:
 
-* :class:`ClassifiedColumns` — everything the per-architecture
-  interpretation and timing lowering read from a classified stream,
-  as flat numpy arrays (one extraction pass, shared by every
-  architecture).  Ragged per-source data uses the same offset-table
-  idiom as :class:`~repro.simt.trace.ColumnarTrace`; when the columnar
-  trace is available (the cache-hit path) its arrays are reused
-  directly instead of being re-extracted.
+* :class:`ClassifiedColumns` — the classifier's output
+  (:func:`repro.scalar.batch.classify_columnar_batch`): everything the
+  figure analyses, the per-architecture interpretation and the timing
+  lowering read, as flat numpy arrays shared by every architecture.
+  Ragged per-source data uses the same offset-table idiom as
+  :class:`~repro.simt.trace.ColumnarTrace`, whose event-side arrays it
+  reuses directly.
 
 * :class:`ProcessedColumns` — one architecture's interpretation of the
   stream: per-event ``scalar_executed`` / ``exec_lanes`` /
@@ -40,8 +36,7 @@ import numpy as np
 
 from repro.isa.opcodes import OpCategory, Opcode, category_of
 from repro.regfile.access import ACCESS_KIND_TO_ID, WRITE_KIND_IDS, AccessKind
-from repro.scalar.eligibility import SCALAR_CLASS_TO_ID
-from repro.simt.trace import OPCODE_TO_ID, ColumnarTrace
+from repro.simt.trace import OPCODE_TO_ID
 
 #: Stable integer coding of :class:`~repro.isa.opcodes.OpCategory`,
 #: keyed by the value string (same convention as the other id tables).
@@ -155,155 +150,6 @@ class ClassifiedColumns:
         bounds = np.zeros(len(self.warp_lengths) + 1, dtype=np.int64)
         np.cumsum(self.warp_lengths, out=bounds[1:])
         return bounds
-
-    @classmethod
-    def from_classified(
-        cls,
-        classified: list[list],
-        warp_size: int,
-        columnar: ColumnarTrace | None = None,
-    ) -> "ClassifiedColumns":
-        """Extract the columns from a classified stream (one pass).
-
-        ``columnar``, when given, must be the trace the stream was
-        classified from; its event-side arrays (opcodes, masks, blocks,
-        destinations, source registers, addresses) are reused directly
-        so the extraction loop only walks the classification outputs.
-        """
-        count = sum(len(warp) for warp in classified)
-        class_ids = np.empty(count, dtype=np.uint8)
-        lo_half = np.empty(count, dtype=bool)
-        hi_half = np.empty(count, dtype=bool)
-        divergent = np.empty(count, dtype=bool)
-        has_dst = np.empty(count, dtype=bool)
-        needs_move = np.empty(count, dtype=bool)
-        dst_enc = np.zeros(count, dtype=np.int8)
-        dst_enc_lo = np.zeros(count, dtype=np.int8)
-        dst_enc_hi = np.zeros(count, dtype=np.int8)
-        dst_is_scalar = np.zeros(count, dtype=bool)
-        before_enc = np.zeros(count, dtype=np.int8)
-        before_enc_lo = np.zeros(count, dtype=np.int8)
-        before_enc_hi = np.zeros(count, dtype=np.int8)
-
-        class_to_id = SCALAR_CLASS_TO_ID
-        src_enc: list[int] = []
-        src_enc_lo: list[int] = []
-        src_enc_hi: list[int] = []
-        src_div: list[bool] = []
-        src_scalar: list[bool] = []
-        enc_append = src_enc.append
-        lo_append = src_enc_lo.append
-        hi_append = src_enc_hi.append
-        div_append = src_div.append
-        scalar_append = src_scalar.append
-
-        need_events = columnar is None
-        if need_events:
-            opcode_ids = np.empty(count, dtype=np.uint16)
-            masks = np.empty(count, dtype=np.uint64)
-            blocks = np.empty(count, dtype=np.int32)
-            dst = np.empty(count, dtype=np.int32)
-            src_offsets = np.zeros(count + 1, dtype=np.int64)
-            src_registers: list[int] = []
-            addr_index = np.full(count, -1, dtype=np.int64)
-            addr_rows: list[np.ndarray] = []
-            opcode_to_id = OPCODE_TO_ID
-        position = 0
-        for warp_events in classified:
-            for item in warp_events:
-                class_ids[position] = class_to_id[item.scalar_class]
-                lo_half[position] = item.lo_half_scalar_exec
-                hi_half[position] = item.hi_half_scalar_exec
-                divergent[position] = item.divergent
-                needs_move[position] = item.needs_decompress_move
-                encoding = item.dst_encoding
-                if encoding is None:
-                    has_dst[position] = False
-                else:
-                    has_dst[position] = True
-                    dst_enc[position] = encoding.enc
-                    dst_enc_lo[position] = encoding.enc_lo
-                    dst_enc_hi[position] = encoding.enc_hi
-                    dst_is_scalar[position] = encoding.is_scalar
-                    if item.needs_decompress_move:
-                        before = item.dst_encoding_before
-                        before_enc[position] = before.enc
-                        before_enc_lo[position] = before.enc_lo
-                        before_enc_hi[position] = before.enc_hi
-                for source in item.sources:
-                    encoding = source.encoding
-                    enc_append(encoding.enc)
-                    lo_append(encoding.enc_lo)
-                    hi_append(encoding.enc_hi)
-                    div_append(encoding.divergent)
-                    scalar_append(source.scalar_for_read)
-                if need_events:
-                    event = item.event
-                    opcode_ids[position] = opcode_to_id[event.opcode]
-                    masks[position] = event.active_mask
-                    blocks[position] = event.block_id
-                    dst[position] = -1 if event.dst is None else event.dst
-                    src_registers.extend(event.src_regs)
-                    src_offsets[position + 1] = len(src_registers)
-                    if event.addresses is not None:
-                        addr_index[position] = len(addr_rows)
-                        addr_rows.append(
-                            np.asarray(event.addresses, dtype=np.uint32)
-                        )
-                position += 1
-
-        if columnar is not None:
-            opcode_ids = columnar.opcode_ids
-            masks = columnar.masks
-            blocks = columnar.blocks
-            dst = columnar.dst
-            src_offsets = columnar.src_offsets
-            registers = columnar.src_flat
-            addr_index = columnar.addr_index
-            addresses = columnar.addresses
-        else:
-            registers = np.array(src_registers, dtype=np.int32)
-            addresses = (
-                np.stack(addr_rows)
-                if addr_rows
-                else np.empty((0, warp_size), dtype=np.uint32)
-            )
-
-        active_lanes = _popcount(masks)
-        return cls(
-            warp_size=warp_size,
-            warp_lengths=np.array(
-                [len(warp) for warp in classified], dtype=np.int64
-            ),
-            opcode_ids=opcode_ids,
-            category_codes=CATEGORY_CODE_BY_OPCODE[opcode_ids],
-            masks=masks,
-            active_lanes=active_lanes,
-            divergent=divergent,
-            blocks=blocks,
-            dst=dst,
-            scalar_class_ids=class_ids,
-            lo_half_exec=lo_half,
-            hi_half_exec=hi_half,
-            has_dst_enc=has_dst,
-            needs_move=needs_move,
-            dst_enc=dst_enc,
-            dst_enc_lo=dst_enc_lo,
-            dst_enc_hi=dst_enc_hi,
-            dst_is_scalar=dst_is_scalar,
-            before_enc=before_enc,
-            before_enc_lo=before_enc_lo,
-            before_enc_hi=before_enc_hi,
-            src_offsets=src_offsets,
-            src_registers=registers,
-            src_enc=np.array(src_enc, dtype=np.int8),
-            src_enc_lo=np.array(src_enc_lo, dtype=np.int8),
-            src_enc_hi=np.array(src_enc_hi, dtype=np.int8),
-            src_divergent=np.array(src_div, dtype=bool),
-            src_scalar_for_read=np.array(src_scalar, dtype=bool),
-            addr_index=addr_index,
-            addresses=addresses,
-        )
 
 
 #: Array fields of :class:`ClassifiedColumns` in declaration order —

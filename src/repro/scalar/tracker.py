@@ -5,7 +5,11 @@ sidecar arrays: it walks one warp's trace in order, updates each
 destination register's :class:`~repro.compression.encoding.RegisterEncoding`
 exactly as the Figure 3/Figure 7 comparison logic would, and emits a
 :class:`ClassifiedEvent` per dynamic instruction carrying everything the
-architecture views, figures and power model need.
+architecture views and the per-event power model need.  It is the
+reference oracle of the vectorized classifier
+(:mod:`repro.scalar.batch`), which the experiments run; this module
+also keeps :func:`trace_statistics`, the Figure 9 counts over the
+classified columns.
 
 The state evolution is architecture-independent (the enc bits are
 produced whether or not a given architecture uses them); which
@@ -19,14 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compression.encoding import SCALAR_PREFIX, RegisterEncoding
+from repro.compression.encoding import RegisterEncoding
 from repro.compression.gscalar import common_prefix_bytes
 from repro.compression.half import compress_halves
 from repro.errors import TraceError
 from repro.isa.opcodes import OpCategory
-from repro.obs.instrument import record_classified_warp
-from repro.obs.telemetry import get_telemetry
 from repro.scalar.eligibility import (
+    SCALAR_CLASS_TO_ID,
     ScalarClass,
     SourceRead,
     classify_instruction,
@@ -179,18 +182,15 @@ class RegisterStateTracker:
 
 
 def classify_trace(trace: KernelTrace, num_registers: int) -> list[list[ClassifiedEvent]]:
-    """Classify every warp of a kernel trace (fresh tracker per warp)."""
-    telemetry = get_telemetry()
+    """Classify every warp of a kernel trace (fresh tracker per warp).
+
+    The per-event reference for :func:`repro.scalar.batch.classify_columnar_batch`,
+    which the runner uses; tests compare the two array for array.
+    """
     classified: list[list[ClassifiedEvent]] = []
-    with telemetry.span(
-        f"classify:{trace.kernel_name}", cat="kernel", kernel=trace.kernel_name
-    ):
-        for warp in trace.warps:
-            tracker = RegisterStateTracker(num_registers, trace.warp_size)
-            events = [tracker.classify(e) for e in warp.events]
-            classified.append(events)
-            if telemetry.enabled:
-                record_classified_warp(telemetry, events, trace.warp_size)
+    for warp in trace.warps:
+        tracker = RegisterStateTracker(num_registers, trace.warp_size)
+        classified.append([tracker.classify(e) for e in warp.events])
     return classified
 
 
@@ -200,15 +200,13 @@ def classify_warp(warp: WarpTrace, num_registers: int) -> list[ClassifiedEvent]:
     return [tracker.classify(e) for e in warp.events]
 
 
-def trace_statistics(classified: list[list[ClassifiedEvent]]) -> TrackerStatistics:
-    """Aggregate classification counters over all warps."""
-    stats = TrackerStatistics()
-    for warp_events in classified:
-        for item in warp_events:
-            stats.total_instructions += 1
-            if item.divergent:
-                stats.divergent_instructions += 1
-            if item.needs_decompress_move:
-                stats.decompress_moves += 1
-            stats.class_counts[item.scalar_class] += 1
-    return stats
+def trace_statistics(columns) -> TrackerStatistics:
+    """Aggregate classification counters over a
+    :class:`~repro.scalar.columns.ClassifiedColumns` set."""
+    counts = np.bincount(columns.scalar_class_ids, minlength=len(ScalarClass))
+    return TrackerStatistics(
+        total_instructions=columns.num_events,
+        divergent_instructions=int(np.count_nonzero(columns.divergent)),
+        decompress_moves=int(np.count_nonzero(columns.needs_move)),
+        class_counts={c: int(counts[SCALAR_CLASS_TO_ID[c]]) for c in ScalarClass},
+    )

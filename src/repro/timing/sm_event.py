@@ -27,8 +27,8 @@ architectures).  What differs is how time advances:
 Per-cycle work is therefore proportional to the events of that cycle
 rather than to machine size, which is where the pipeline speedup comes
 from.  This engine is the only one the runner uses.  The cycle model is
-its differential oracle: tests, ``repro.scalar.bench --pipeline`` and
-``repro timeline --sm-engine cycle`` / ``--compare-engines`` reach it
+its differential oracle: tests and ``repro timeline --sm-engine
+cycle`` / ``--compare-engines`` reach it
 through :func:`create_sm_simulator`.
 
 Semantics replicated from the reference (same event order per cycle):

@@ -4,15 +4,20 @@ import pytest
 
 from repro.analysis.similarity import CATEGORIES, access_distribution
 from repro.isa import KernelBuilder
+from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.tracker import classify_trace
-from repro.simt import MemoryImage
+from repro.simt import MemoryImage, run_kernel
+from repro.workloads.registry import all_workloads, build_workload
 
 from tests.conftest import run_one_warp
+from tests.oracles import access_distribution_events
 
 
 def distribution_for(kernel):
     trace = run_one_warp(kernel, MemoryImage())
-    return access_distribution(classify_trace(trace, kernel.num_registers))
+    return access_distribution(
+        classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
+    )
 
 
 class TestAccessDistribution:
@@ -47,3 +52,14 @@ class TestAccessDistribution:
     def test_categories_order(self):
         assert CATEGORIES[0] == "scalar"
         assert "divergent" in CATEGORIES
+
+
+@pytest.mark.parametrize("abbr", [spec.abbr for spec in all_workloads()])
+def test_columns_match_event_walk(abbr):
+    built = build_workload(abbr, "tiny")
+    trace = run_kernel(built.kernel, built.launch, built.memory)
+    expected = access_distribution_events(
+        classify_trace(trace, built.kernel.num_registers)
+    )
+    columns = classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers)
+    assert access_distribution(columns).counts == expected.counts

@@ -30,8 +30,8 @@ class TestExecuteTask:
         assert stats["counters"]["trace_executions"] == 2  # warp 32 + 64
         assert (tmp_path / "HS_tiny.v5.json").exists()
         assert (tmp_path / "HS_tiny_w64.v5.json").exists()
-        assert (tmp_path / "HS_tiny_classified.pkl").exists()
-        assert (tmp_path / "HS_tiny_results_baseline.pkl").exists()
+        assert (tmp_path / "HS_tiny_ccols.v5.json").exists()
+        assert (tmp_path / "HS_tiny_results_baseline.v5.json").exists()
 
 
 class TestRunMatrix:
@@ -49,9 +49,7 @@ class TestRunMatrix:
         for abbr in SUBSET:
             run_s = serial.run(abbr)
             run_p = parallel.run(abbr)
-            masks_s = [e.active_mask for e in run_s.trace.all_events()]
-            masks_p = [e.active_mask for e in run_p.trace.all_events()]
-            assert masks_s == masks_p
+            assert run_s.columnar.masks.tolist() == run_p.columnar.masks.tolist()
             # Figure-10 data: chunk-scalar fractions from both warp sizes.
             for warp_size in (32, 64):
                 trace_s = serial.trace_with_warp_size(abbr, warp_size)

@@ -1,5 +1,7 @@
 """Tests for the caching experiment runner."""
 
+import json
+
 import pytest
 
 from repro.config import ArchitectureConfig
@@ -110,10 +112,27 @@ class TestTraceCache:
         run_b = second.run("HS")
         assert second.stats.trace_executions == 0
         assert second.stats.counters["trace_cache_hits"] == 1
-        assert run_a.trace.total_instructions == run_b.trace.total_instructions
-        masks_a = [e.active_mask for e in run_a.trace.all_events()]
-        masks_b = [e.active_mask for e in run_b.trace.all_events()]
-        assert masks_a == masks_b
+        assert run_a.columnar.num_events == run_b.columnar.num_events
+        assert run_a.columnar.masks.tolist() == run_b.columnar.masks.tolist()
+
+    def test_cold_miss_packs_each_trace_once(self, tmp_path, monkeypatch):
+        """A cold cached run packs each executed trace exactly once: the
+        packed object is both what the cache stores and what the run
+        returns."""
+        from repro.simt.trace import ColumnarTrace
+
+        packed = []
+        original = ColumnarTrace.from_trace.__func__
+
+        def counting(cls, trace):
+            packed.append(trace.warp_size)
+            return original(cls, trace)
+
+        monkeypatch.setattr(ColumnarTrace, "from_trace", classmethod(counting))
+        runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        assert runner.run("HS").columnar.warp_size == 32
+        assert runner.trace_with_warp_size("HS", 64).warp_size == 64
+        assert packed == [32, 64]
 
     def test_warp64_trace_cached_on_disk(self, tmp_path):
         first = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
@@ -133,13 +152,13 @@ class TestTraceCache:
         assert (tmp_path / "HS_tiny_w64.v5.json").exists()
         fresh = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         assert fresh.trace_with_warp_size("HS", 64).warp_size == 64
-        assert fresh.run("HS").trace.warp_size == 32
+        assert fresh.run("HS").warp_size == 32
 
     def test_fingerprint_mismatch_triggers_reexecution(self, tmp_path):
         import json
 
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        good = seeded.run("HS").trace
+        good = seeded.run("HS").columnar
         manifest = tmp_path / "HS_tiny.v5.json"
         # Rewrite the manifest under a wrong fingerprint, simulating a
         # kernel/scale edit since the trace was recorded.  The peek is
@@ -155,16 +174,16 @@ class TestTraceCache:
         verifier = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         verifier.run("HS")
         assert verifier.stats.trace_executions == 0
-        assert run.trace.total_instructions == good.total_instructions
+        assert run.columnar.num_events == good.num_events
 
     def test_corrupt_cache_file_recovered(self, tmp_path):
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        expected = seeded.run("HS").trace.total_instructions
+        expected = seeded.run("HS").columnar.num_events
         path = tmp_path / "HS_tiny.v5.json"
         path.write_bytes(b"not a manifest")
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         run = runner.run("HS")
-        assert run.trace.total_instructions == expected
+        assert run.columnar.num_events == expected
         assert runner.stats.trace_executions == 1
         assert runner.stats.counters["trace_cache_invalid"] == 1
         # And the overwrite repaired the cache for the next process.
@@ -173,25 +192,33 @@ class TestTraceCache:
         assert repaired.stats.trace_executions == 0
 
     def test_corrupt_sidecar_recovered(self, tmp_path):
+        """A damaged derived entry — a garbage classified-columns
+        manifest, a garbage result object bank — is recomputed."""
         arch = ArchitectureConfig.gscalar()
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         expected = seeded.power("HS", arch).ipc_per_watt
-        (tmp_path / "HS_tiny_classified.pkl").write_bytes(b"junk")
-        (tmp_path / f"HS_tiny_results_{arch.name}.pkl").write_bytes(b"junk")
+        (tmp_path / "HS_tiny_ccols.v5.json").write_bytes(b"junk")
+        (timing_bank,) = tmp_path.glob(f"HS_tiny_results_{arch.name}.*.v5/timing.pkl")
+        timing_bank.write_bytes(b"junk")
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         assert runner.power("HS", arch).ipc_per_watt == expected
         assert runner.stats.counters["sidecar_invalid"] >= 2
+        assert runner.stats.counters["result_cache_misses"] >= 1
 
     def test_result_sidecars_replay_timing_and_power(self, tmp_path):
+        """Timing and power persist as one v5 ``result`` entry whose
+        replay equals the computed objects."""
         arch = ArchitectureConfig.gscalar()
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         timing = seeded.timing("HS", arch)
         power = seeded.power("HS", arch)
-        assert (tmp_path / f"HS_tiny_results_{arch.name}.pkl").exists()
+        manifest = tmp_path / f"HS_tiny_results_{arch.name}.v5.json"
+        assert json.loads(manifest.read_text())["kind"] == "result"
         warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        assert warm.power("HS", arch).ipc_per_watt == power.ipc_per_watt
-        assert warm.timing("HS", arch).cycles == timing.cycles
+        assert warm.power("HS", arch) == power
+        assert warm.timing("HS", arch) == timing
         assert warm.stats.counters["result_cache_hits"] == 1
+        assert warm.stats.counters["bytes_deserialized"] > 0
         assert "timing" not in warm.stats.stage_seconds
 
     def test_energy_param_change_invalidates_results(self, tmp_path):
@@ -208,9 +235,9 @@ class TestTraceCache:
         assert tweaked.stats.counters["result_cache_misses"] >= 1
 
     def test_stale_sidecar_skipped_without_unpickling(self, tmp_path):
-        """A result sidecar left by different energy params is rejected
-        from its peeked fingerprint alone — counted separately from
-        damage, because no payload was materialized to find out."""
+        """A result entry left by different energy params is rejected
+        from its manifest's fingerprint alone: no object bank is
+        unpickled to find out."""
         from repro.power.energy import EnergyParams
 
         arch = ArchitectureConfig.gscalar()
@@ -220,7 +247,10 @@ class TestTraceCache:
             scale="tiny", cache_dir=tmp_path, params=EnergyParams(alu_lane_pj=99.0)
         )
         tweaked.power("HS", arch)
-        assert tweaked.stats.counters["sidecar_stale_skipped"] >= 1
+        counters = tweaked.stats.counters
+        assert counters["sidecar_invalid"] >= 1
+        assert counters["result_cache_misses"] >= 1
+        assert counters.get("bytes_deserialized", 0) == 0
 
 
 def _write_pre_v5_cache(cache_dir):

@@ -46,7 +46,7 @@ def warm_cache(tmp_path_factory, whole_reference):
 
 def _drop_result_sidecars(cache):
     removed = 0
-    for path in cache.glob("*_results_*.pkl"):
+    for path in cache.glob("*_results_*.v5.json"):
         path.unlink()
         removed += 1
     assert removed > 0

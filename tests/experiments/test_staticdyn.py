@@ -5,6 +5,7 @@ never label a site provably-scalar if any dynamic instance of it runs
 under a mask narrower than its warp's entry mask.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.static_ import StaticScalarClass, analyze_uniformity
@@ -12,8 +13,16 @@ from repro.experiments import staticdyn
 from repro.experiments.runner import ExperimentRunner
 from repro.isa import KernelBuilder
 from repro.isa.opcodes import Opcode
-from repro.scalar.tracker import classify_trace
+from repro.scalar.batch import classify_columnar_batch
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
+from repro.simt.trace import OPCODE_TO_ID
+from repro.workloads.registry import all_workloads
+
+from tests.oracles import annotate_sites_events
+
+
+def columns_of(kernel, trace):
+    return classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
 
 
 @pytest.fixture(scope="module")
@@ -28,18 +37,29 @@ def data(runner):
 
 class TestAnnotateSites:
     def test_straight_line_sites_are_sequential(self, runner):
-        run = runner.run("MM")
-        kernel = run.built.kernel
-        warp = run.trace.warps[0]
-        for event_index, site in staticdyn.annotate_sites(kernel, warp):
-            event = warp.events[event_index]
-            if event.opcode is Opcode.BRA:
-                assert site is None
+        kernel = runner.run("MM").built.kernel
+        columns = runner.classified_columns("MM")
+        blocks, index = staticdyn.annotate_sites(kernel, columns)
+        assert np.array_equal(blocks, columns.blocks)
+        for position in range(int(columns.warp_lengths[0])):
+            opcode_id = int(columns.opcode_ids[position])
+            if opcode_id == OPCODE_TO_ID[Opcode.BRA]:
+                assert index[position] == -1
             else:
-                block_id, inst_index = site
-                assert block_id == event.block_id
-                inst = kernel.blocks[block_id].instructions[inst_index]
-                assert inst.opcode is event.opcode
+                inst = kernel.blocks[blocks[position]].instructions[index[position]]
+                assert OPCODE_TO_ID[inst.opcode] == opcode_id
+
+    @pytest.mark.parametrize("abbr", [spec.abbr for spec in all_workloads()])
+    def test_matches_event_walk(self, runner, abbr):
+        kernel = runner.run(abbr).built.kernel
+        columns = runner.classified_columns(abbr)
+        blocks, index = staticdyn.annotate_sites(kernel, columns)
+        expected = [
+            -1 if site is None else site[1]
+            for warp in runner.run(abbr).columnar.to_trace().warps
+            for _, site in annotate_sites_events(kernel, warp)
+        ]
+        assert index.tolist() == expected
 
     def test_loop_reexecution_resets_the_counter(self):
         b = KernelBuilder("loop")
@@ -50,16 +70,15 @@ class TestAnnotateSites:
         b.st_global(b.imad(tid, 4, 0x100), acc)
         kernel = b.finish()
         trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage())
-        warp = trace.warps[0]
-        sites = dict(staticdyn.annotate_sites(kernel, warp))
+        columns = columns_of(kernel, trace)
+        blocks, index = staticdyn.annotate_sites(kernel, columns)
         # The body block's two IADDs (accumulator + loop counter) are
         # each hit once per iteration, always at the same static site.
+        iadd = columns.opcode_ids == OPCODE_TO_ID[Opcode.IADD]
         body_sites = [
-            site
-            for event_index, site in sites.items()
-            if site is not None
-            and warp.events[event_index].opcode is Opcode.IADD
-            and site[0] != 0
+            (int(block), int(site))
+            for block, site, is_iadd in zip(blocks, index, iadd)
+            if site >= 0 and is_iadd and block != 0
         ]
         assert len(body_sites) == 8  # 2 static IADDs x 4 iterations
         unique = set(body_sites)
@@ -75,7 +94,7 @@ class TestAnnotateSites:
         other = KernelBuilder("other")
         other.iadd(other.mov(1), 2)
         with pytest.raises(ValueError, match="desynchronized"):
-            list(staticdyn.annotate_sites(other.finish(), trace.warps[0]))
+            staticdyn.annotate_sites(other.finish(), columns_of(kernel, trace))
 
 
 class TestSoundness:
@@ -89,19 +108,23 @@ class TestSoundness:
         # Event-level restatement over one divergent benchmark: every
         # dynamic instance of a PROVABLY_SCALAR site keeps its warp's
         # entry mask.
-        run = runner.run("BT")
-        kernel = run.built.kernel
+        kernel = runner.run("BT").built.kernel
+        columns = runner.classified_columns("BT")
         result = analyze_uniformity(kernel)
+        blocks, index = staticdyn.annotate_sites(kernel, columns)
+        bounds = columns.warp_bounds()
         checked = 0
-        for warp in run.trace.warps:
-            if not warp.events:
+        for warp in range(len(columns.warp_lengths)):
+            start, stop = int(bounds[warp]), int(bounds[warp + 1])
+            if start == stop:
                 continue
-            entry_mask = warp.events[0].active_mask
-            for event_index, site in staticdyn.annotate_sites(kernel, warp):
-                if site is None:
+            entry_mask = columns.masks[start]
+            for position in range(start, stop):
+                if index[position] < 0:
                     continue
-                if result.class_of(*site) is StaticScalarClass.PROVABLY_SCALAR:
-                    assert warp.events[event_index].active_mask == entry_mask
+                verdict = result.class_of(int(blocks[position]), int(index[position]))
+                if verdict is StaticScalarClass.PROVABLY_SCALAR:
+                    assert columns.masks[position] == entry_mask
                     checked += 1
         assert checked > 0
 
@@ -131,10 +154,7 @@ class TestMetrics:
         b.st_global(b.mov(0x100), value)
         kernel = b.finish()
         trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage())
-        classified = classify_trace(trace, kernel.num_registers)
-        row = staticdyn.score_benchmark(
-            "U", kernel, trace.warps, classified
-        )
+        row = staticdyn.score_benchmark("U", kernel, columns_of(kernel, trace))
         assert row.static_provable == kernel.static_instruction_count()
         assert row.soundness_violations == 0
         assert row.precision == 1.0
@@ -190,9 +210,8 @@ class TestWidthSoundness:
         b.st_global(b.imad(tid, 4, 0x100), small)
         kernel = b.finish()
         trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage())
-        classified = classify_trace(trace, kernel.num_registers)
         row = staticdyn.score_widths_benchmark(
-            "N", kernel, trace.warps, classified, warp_size=trace.warp_size
+            "N", kernel, columns_of(kernel, trace)
         )
         assert row.over_claims == 0
         assert row.claimed_bytes > 0

@@ -20,7 +20,7 @@ from repro.experiments.runner import matrix_architectures
 from repro.experiments.streaming import StreamingPipeline, stream_pipeline
 from repro.power.accounting import PowerAccountant
 from repro.scalar.arch_batch import process_columns
-from repro.scalar.batch import classify_columnar_batch
+from repro.scalar.tracker import classify_trace
 from repro.scalar.columns import (
     ClassifiedColumns,
     concat_classified_columns,
@@ -31,6 +31,8 @@ from repro.simt import run_kernel
 from repro.simt.trace import iter_chunks
 from repro.timing.gpu import simulate_architecture_columns
 from repro.workloads.registry import all_workloads, build_workload
+
+from tests.oracles import columns_from_classified
 
 ARCHES = matrix_architectures()
 ARCH_IDS = [arch.name for arch in ARCHES]
@@ -52,9 +54,12 @@ def workload_case(abbr: str) -> dict:
             arch.name: (widths if arch.static_compression else None)
             for arch in ARCHES
         }
-        _, classified = classify_columnar_batch(columnar, built.kernel.num_registers)
-        ccols = ClassifiedColumns.from_classified(
-            classified, trace.warp_size, columnar=columnar
+        # The whole-trace reference is the tracker oracle's stream, so
+        # the matrix pins chunked classification to it.
+        ccols = columns_from_classified(
+            classify_trace(trace, built.kernel.num_registers),
+            trace.warp_size,
+            columnar=columnar,
         )
         reference = {}
         for arch in ARCHES:

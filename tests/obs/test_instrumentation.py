@@ -4,17 +4,21 @@ import pytest
 
 from repro.compression.stats import compare_trace
 from repro.obs.telemetry import Telemetry, telemetry_session
+from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.tracker import classify_trace
 from repro.simt.executor import run_kernel
 from repro.workloads.registry import build_workload
 
 
 def _run_instrumented(abbr: str, scale: str = "tiny"):
+    """Execute and classify (production classifier) under telemetry."""
     built = build_workload(abbr, scale)
     with telemetry_session() as telemetry:
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classified = classify_trace(trace, built.kernel.num_registers)
-    return telemetry, trace, classified
+        ccols = classify_columnar_batch(
+            trace.to_columnar(), built.kernel.num_registers
+        )
+    return telemetry, trace, ccols
 
 
 class TestExecutorMetrics:
@@ -47,7 +51,10 @@ class TestExecutorMetrics:
 
 class TestTrackerMetrics:
     def test_scalar_class_totals_match_classification(self):
-        telemetry, _, classified = _run_instrumented("BP")
+        telemetry, trace, _ = _run_instrumented("BP")
+        # Ground truth: the per-event tracker, which records nothing.
+        num_registers = build_workload("BP", "tiny").kernel.num_registers
+        classified = classify_trace(trace, num_registers)
         by_class: dict[str, int] = {}
         for warp_events in classified:
             for item in warp_events:
@@ -60,12 +67,12 @@ class TestTrackerMetrics:
         assert recorded == by_class
 
     def test_transitions_sum_to_events_minus_warps(self):
-        telemetry, _, classified = _run_instrumented("BP")
-        total = sum(len(w) for w in classified)
+        telemetry, _, ccols = _run_instrumented("BP")
+        total = ccols.num_events
         transitions = sum(
             telemetry.counters_named("scalar_class_transitions").values()
         )
-        nonempty_warps = sum(1 for w in classified if w)
+        nonempty_warps = int((ccols.warp_lengths > 0).sum())
         assert transitions == total - nonempty_warps
 
     @pytest.mark.parametrize("abbr", ["BP", "HS"])
@@ -204,7 +211,6 @@ class TestColumnarAccountingMetrics:
         from repro.power.accounting import PowerAccountant
         from repro.scalar.arch_batch import process_columns
         from repro.scalar.architectures import process_classified
-        from repro.scalar.columns import ClassifiedColumns
         from repro.timing.gpu import simulate_architecture
 
         built = build_workload("BP", "tiny")
@@ -213,7 +219,8 @@ class TestColumnarAccountingMetrics:
         arch = architecture_by_name(arch_name)
         processed = process_classified(classified, arch, trace.warp_size)
         pcols = process_columns(
-            ClassifiedColumns.from_classified(classified, trace.warp_size), arch
+            classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers),
+            arch,
         )
         timing = simulate_architecture(processed, arch, warp_size=trace.warp_size)
         accountant = PowerAccountant(arch)

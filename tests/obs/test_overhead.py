@@ -12,8 +12,8 @@ import pytest
 
 from repro.obs.bench import measure
 from repro.obs.telemetry import NULL_TELEMETRY, get_telemetry
+from repro.scalar.batch import classify_columnar_batch
 from repro.simt.executor import run_kernel
-from repro.scalar.tracker import classify_trace
 from repro.workloads.registry import build_workload
 
 
@@ -31,13 +31,14 @@ class TestStructuralZeroWork:
         run_kernel(built.kernel, built.launch, built.memory)
 
     def test_tracker_skips_helpers_when_disabled(self, monkeypatch):
+        # The production classifier is the sidecar tracker of the runs.
         assert get_telemetry() is NULL_TELEMETRY
         monkeypatch.setattr(
-            "repro.scalar.tracker.record_classified_warp", _fail_if_called
+            "repro.scalar.batch.record_classified_columns", _fail_if_called
         )
         built = build_workload("BP", "tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classify_trace(trace, built.kernel.num_registers)
+        classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers)
 
     def test_power_accounting_skips_helpers_when_disabled(self, monkeypatch):
         from repro.experiments.runner import ExperimentRunner, paper_architectures
@@ -55,7 +56,7 @@ class TestStructuralZeroWork:
     def test_null_registry_accumulates_nothing(self):
         built = build_workload("BP", "tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classify_trace(trace, built.kernel.num_registers)
+        classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers)
         assert NULL_TELEMETRY.counters == {}
         assert NULL_TELEMETRY.histograms == {}
         assert NULL_TELEMETRY.spans == []

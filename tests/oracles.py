@@ -14,7 +14,9 @@ import dataclasses
 
 import numpy as np
 
+from repro.analysis.divergence import DivergenceStats
 from repro.analysis.halfwarp import ChunkScalarStats
+from repro.analysis.similarity import AccessDistribution
 from repro.compression.bdi import BdiMode, bdi_compress
 from repro.compression.gscalar import common_prefix_bytes, compressed_bits
 from repro.compression.stats import CompressionComparison
@@ -30,12 +32,244 @@ from repro.power.rf_techniques import (
     _bdi_access_pj,
     technique_architecture,
 )
+from repro.isa.kernel import Kernel
+from repro.isa.opcodes import Opcode
 from repro.regfile.layout import BankGeometry, BaselineLayout
 from repro.scalar.architectures import process_classified
+from repro.scalar.columns import (
+    CATEGORY_CODE_BY_OPCODE,
+    ClassifiedColumns,
+    _popcount,
+)
+from repro.scalar.eligibility import SCALAR_CLASS_TO_ID, ScalarClass
 from repro.scalar.tracker import classify_trace
-from repro.simt.trace import KernelTrace
+from repro.simt.trace import OPCODE_TO_ID, ColumnarTrace, KernelTrace, WarpTrace
 from repro.timing.gpu import simulate_architecture
 
+
+def columns_from_classified(
+    classified: list[list],
+    warp_size: int,
+    columnar: ColumnarTrace | None = None,
+) -> ClassifiedColumns:
+    """Pack a per-event classified stream into :class:`ClassifiedColumns`.
+
+    The bridge from the tracker oracle (:func:`classify_trace`) to the
+    columns :func:`repro.scalar.batch.classify_columnar_batch` writes.
+    ``columnar``, when given, must be the trace the stream was
+    classified from; its event-side arrays (opcodes, masks, blocks,
+    destinations, source registers, addresses) are reused directly.
+    """
+    count = sum(len(warp) for warp in classified)
+    class_ids = np.empty(count, dtype=np.uint8)
+    lo_half = np.empty(count, dtype=bool)
+    hi_half = np.empty(count, dtype=bool)
+    divergent = np.empty(count, dtype=bool)
+    has_dst = np.empty(count, dtype=bool)
+    needs_move = np.empty(count, dtype=bool)
+    dst_enc = np.zeros(count, dtype=np.int8)
+    dst_enc_lo = np.zeros(count, dtype=np.int8)
+    dst_enc_hi = np.zeros(count, dtype=np.int8)
+    dst_is_scalar = np.zeros(count, dtype=bool)
+    before_enc = np.zeros(count, dtype=np.int8)
+    before_enc_lo = np.zeros(count, dtype=np.int8)
+    before_enc_hi = np.zeros(count, dtype=np.int8)
+
+    class_to_id = SCALAR_CLASS_TO_ID
+    src_enc: list[int] = []
+    src_enc_lo: list[int] = []
+    src_enc_hi: list[int] = []
+    src_div: list[bool] = []
+    src_scalar: list[bool] = []
+    enc_append = src_enc.append
+    lo_append = src_enc_lo.append
+    hi_append = src_enc_hi.append
+    div_append = src_div.append
+    scalar_append = src_scalar.append
+
+    need_events = columnar is None
+    if need_events:
+        opcode_ids = np.empty(count, dtype=np.uint16)
+        masks = np.empty(count, dtype=np.uint64)
+        blocks = np.empty(count, dtype=np.int32)
+        dst = np.empty(count, dtype=np.int32)
+        src_offsets = np.zeros(count + 1, dtype=np.int64)
+        src_registers: list[int] = []
+        addr_index = np.full(count, -1, dtype=np.int64)
+        addr_rows: list[np.ndarray] = []
+        opcode_to_id = OPCODE_TO_ID
+    position = 0
+    for warp_events in classified:
+        for item in warp_events:
+            class_ids[position] = class_to_id[item.scalar_class]
+            lo_half[position] = item.lo_half_scalar_exec
+            hi_half[position] = item.hi_half_scalar_exec
+            divergent[position] = item.divergent
+            needs_move[position] = item.needs_decompress_move
+            encoding = item.dst_encoding
+            if encoding is None:
+                has_dst[position] = False
+            else:
+                has_dst[position] = True
+                dst_enc[position] = encoding.enc
+                dst_enc_lo[position] = encoding.enc_lo
+                dst_enc_hi[position] = encoding.enc_hi
+                dst_is_scalar[position] = encoding.is_scalar
+                if item.needs_decompress_move:
+                    before = item.dst_encoding_before
+                    before_enc[position] = before.enc
+                    before_enc_lo[position] = before.enc_lo
+                    before_enc_hi[position] = before.enc_hi
+            for source in item.sources:
+                encoding = source.encoding
+                enc_append(encoding.enc)
+                lo_append(encoding.enc_lo)
+                hi_append(encoding.enc_hi)
+                div_append(encoding.divergent)
+                scalar_append(source.scalar_for_read)
+            if need_events:
+                event = item.event
+                opcode_ids[position] = opcode_to_id[event.opcode]
+                masks[position] = event.active_mask
+                blocks[position] = event.block_id
+                dst[position] = -1 if event.dst is None else event.dst
+                src_registers.extend(event.src_regs)
+                src_offsets[position + 1] = len(src_registers)
+                if event.addresses is not None:
+                    addr_index[position] = len(addr_rows)
+                    addr_rows.append(
+                        np.asarray(event.addresses, dtype=np.uint32)
+                    )
+            position += 1
+
+    if columnar is not None:
+        opcode_ids = columnar.opcode_ids
+        masks = columnar.masks
+        blocks = columnar.blocks
+        dst = columnar.dst
+        src_offsets = columnar.src_offsets
+        registers = columnar.src_flat
+        addr_index = columnar.addr_index
+        addresses = columnar.addresses
+    else:
+        registers = np.array(src_registers, dtype=np.int32)
+        addresses = (
+            np.stack(addr_rows)
+            if addr_rows
+            else np.empty((0, warp_size), dtype=np.uint32)
+        )
+
+    active_lanes = _popcount(masks)
+    return ClassifiedColumns(
+        warp_size=warp_size,
+        warp_lengths=np.array(
+            [len(warp) for warp in classified], dtype=np.int64
+        ),
+        opcode_ids=opcode_ids,
+        category_codes=CATEGORY_CODE_BY_OPCODE[opcode_ids],
+        masks=masks,
+        active_lanes=active_lanes,
+        divergent=divergent,
+        blocks=blocks,
+        dst=dst,
+        scalar_class_ids=class_ids,
+        lo_half_exec=lo_half,
+        hi_half_exec=hi_half,
+        has_dst_enc=has_dst,
+        needs_move=needs_move,
+        dst_enc=dst_enc,
+        dst_enc_lo=dst_enc_lo,
+        dst_enc_hi=dst_enc_hi,
+        dst_is_scalar=dst_is_scalar,
+        before_enc=before_enc,
+        before_enc_lo=before_enc_lo,
+        before_enc_hi=before_enc_hi,
+        src_offsets=src_offsets,
+        src_registers=registers,
+        src_enc=np.array(src_enc, dtype=np.int8),
+        src_enc_lo=np.array(src_enc_lo, dtype=np.int8),
+        src_enc_hi=np.array(src_enc_hi, dtype=np.int8),
+        src_divergent=np.array(src_div, dtype=bool),
+        src_scalar_for_read=np.array(src_scalar, dtype=bool),
+        addr_index=addr_index,
+        addresses=addresses,
+    )
+
+
+def annotate_sites_events(kernel: Kernel, warp: WarpTrace):
+    """Yield ``(event_index, (block_id, inst_index) | None)`` per event.
+
+    The event-walk form of :func:`repro.experiments.staticdyn.annotate_sites`:
+    events of one block body arrive in program order, so a counter per
+    current block suffices.  The counter resets when the block id
+    changes, after a ``BRA`` event, and on overflow.  ``BRA``
+    terminators map to ``None``.
+    """
+    current_block = None
+    index = 0
+    for event_index, event in enumerate(warp.events):
+        if event.opcode is Opcode.BRA:
+            yield event_index, None
+            current_block = None
+            continue
+        body = kernel.blocks[event.block_id].instructions
+        if event.block_id != current_block or index >= len(body):
+            current_block = event.block_id
+            index = 0
+        inst = body[index]
+        if inst.opcode is not event.opcode:
+            raise ValueError(
+                f"trace desynchronized from kernel {kernel.name!r}: event "
+                f"{event_index} is {event.opcode.name} but static site "
+                f"b{event.block_id}:i{index} is {inst.opcode.name}"
+            )
+        yield event_index, (event.block_id, index)
+        index += 1
+
+
+def process_trace_events(trace: KernelTrace, arch, num_registers: int, static_widths=None):
+    """Classify (tracker) and interpret (``ArchitectureView``) a whole
+    event-form trace for one architecture: the per-event chain."""
+    return process_classified(
+        classify_trace(trace, num_registers),
+        arch,
+        trace.warp_size,
+        static_widths=static_widths,
+    )
+
+def divergence_stats_events(classified) -> DivergenceStats:
+    """Figure 1 counts by walking a classified stream."""
+    total = divergent = divergent_scalar = 0
+    for warp_events in classified:
+        for item in warp_events:
+            total += 1
+            if item.divergent:
+                divergent += 1
+                if item.scalar_class is ScalarClass.DIVERGENT_SCALAR:
+                    divergent_scalar += 1
+    return DivergenceStats(
+        total_instructions=total,
+        divergent_instructions=divergent,
+        divergent_scalar_instructions=divergent_scalar,
+    )
+
+
+def access_distribution_events(classified) -> AccessDistribution:
+    """Figure 8 buckets by walking every source read of a classified
+    stream: divergent readers first, then D=1 sources ("other"), then
+    the source's enc prefix."""
+    by_enc = {4: "scalar", 3: "3-byte", 2: "2-byte", 1: "1-byte", 0: "other"}
+    distribution = AccessDistribution()
+    for warp_events in classified:
+        for item in warp_events:
+            for source in item.sources:
+                if item.divergent:
+                    distribution.counts["divergent"] += 1
+                elif source.encoding.divergent:
+                    distribution.counts["other"] += 1
+                else:
+                    distribution.counts[by_enc[source.encoding.enc]] += 1
+    return distribution
 
 def rf_energy_events(
     classified, technique: str, warp_size: int, params: EnergyParams | None = None
@@ -247,17 +481,24 @@ def _sweep_points(parameter, scale_factors, names, value_of, report_of):
     return points
 
 
+def classified_events(runner, abbr):
+    """The tracker's classified stream of one runner benchmark's trace."""
+    run = runner.run(abbr)
+    return classify_trace(run.columnar.to_trace(), run.built.kernel.num_registers)
+
 def processed_events(runner, abbr, arch, classified=None):
     """``ArchitectureView`` output for one pair of a runner's benchmarks.
 
-    ``classified`` defaults to the runner's (batch-classified) stream;
+    ``classified`` defaults to the tracker's stream of the run's trace;
     the static width table is fed to ``static_compress`` as the runner
     does.
     """
     run = runner.run(abbr)
     widths = runner.static_widths(abbr) if arch.static_compression else None
+    if classified is None:
+        classified = classified_events(runner, abbr)
     return process_classified(
-        run.classified if classified is None else classified,
+        classified,
         arch,
         run.warp_size,
         static_widths=widths,
@@ -272,8 +513,7 @@ def reference_timing_and_power(runner, abbr, arch):
     runner's configuration.
     """
     run = runner.run(abbr)
-    classified = classify_trace(run.trace, run.built.kernel.num_registers)
-    processed = processed_events(runner, abbr, arch, classified)
+    processed = processed_events(runner, abbr, arch)
     timing = simulate_architecture(
         processed,
         arch,

@@ -4,16 +4,16 @@ import pytest
 
 from repro.config import ArchitectureConfig
 from repro.power.accounting import PowerAccountant
-from repro.scalar.architectures import process_trace
 from repro.simt import MemoryImage
 from repro.timing.gpu import simulate_architecture
 
 from tests.conftest import run_one_warp
+from tests.oracles import process_trace_events
 
 
 def full_run(kernel, arch):
     trace = run_one_warp(kernel, MemoryImage(), cta=64)
-    processed = process_trace(trace, arch, kernel.num_registers)
+    processed = process_trace_events(trace, arch, kernel.num_registers)
     timing = simulate_architecture(processed, arch)
     return PowerAccountant(arch).account(processed, timing)
 

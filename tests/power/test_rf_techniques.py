@@ -11,13 +11,17 @@ from repro.power.rf_techniques import (
     technique_architecture,
 )
 from repro.scalar.arch_batch import process_columns
-from repro.scalar.columns import ClassifiedColumns
+from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage
 from repro.workloads.registry import all_workloads
 
 from tests.conftest import run_one_warp
-from tests.oracles import rf_energy_events, wc_bdi_energy_events
+from tests.oracles import (
+    classified_events,
+    rf_energy_events,
+    wc_bdi_energy_events,
+)
 
 
 def energies_for(kernel):
@@ -25,9 +29,7 @@ def energies_for(kernel):
     trace = run_one_warp(kernel, MemoryImage())
     classified = classify_trace(trace, kernel.num_registers)
     columnar = trace.to_columnar()
-    ccols = ClassifiedColumns.from_classified(
-        classified, trace.warp_size, columnar=columnar
-    )
+    ccols = classify_columnar_batch(columnar, kernel.num_registers)
     results = {"wc_bdi": rf_energy_for_technique(columnar, "wc_bdi")}
     for technique in ("baseline", "scalar_rf", "ours"):
         pcols = process_columns(ccols, technique_architecture(technique))
@@ -105,7 +107,9 @@ def small_runner():
 def test_wc_bdi_matches_event_walk(small_runner, abbr):
     run = small_runner.run(abbr)
     columnar = rf_energy_for_technique(run.columnar, "wc_bdi")
-    oracle = wc_bdi_energy_events(run.classified, run.warp_size)
+    oracle = wc_bdi_energy_events(
+        classified_events(small_runner, abbr), run.warp_size
+    )
     assert columnar.accesses == oracle.accesses
     assert columnar.rf_pj == pytest.approx(oracle.rf_pj, rel=1e-12, abs=0)
 
@@ -114,12 +118,13 @@ def test_wc_bdi_matches_event_walk(small_runner, abbr):
 def test_power_report_rf_energy_is_the_technique_energy(small_runner, abbr):
     """Figure 12 reads three series from the power reports."""
     run = small_runner.run(abbr)
+    classified = classified_events(small_runner, abbr)
     for technique in ("baseline", "scalar_rf", "ours"):
         arch = technique_architecture(technique)
         result = rf_energy_for_technique(
             small_runner.processed_columns(abbr, arch), technique
         )
         assert result.rf_pj == small_runner.power(abbr, arch).breakdown.rf_pj
-        oracle = rf_energy_events(run.classified, technique, run.warp_size)
+        oracle = rf_energy_events(classified, technique, run.warp_size)
         assert result.accesses == oracle.accesses
         assert result.rf_pj == pytest.approx(oracle.rf_pj, rel=1e-12, abs=0)

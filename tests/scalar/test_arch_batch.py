@@ -18,7 +18,6 @@ from repro.scalar.architectures import process_classified
 from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import (
     CTRL_CODE,
-    ClassifiedColumns,
     ProcessedColumns,
     processed_columns_diff,
 )
@@ -41,16 +40,14 @@ _WIDTHS_CACHE: dict[str, tuple[int, ...]] = {}
 
 
 def workload_case(abbr: str):
-    """Trace + both classified forms for one small-scale workload."""
+    """Trace, tracker stream and classified columns for one small-scale
+    workload."""
     if abbr not in _CASE_CACHE:
         built = build_workload(abbr, "small")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        columnar = trace.to_columnar()
-        _, classified = classify_columnar_batch(
-            columnar, built.kernel.num_registers
-        )
-        ccols = ClassifiedColumns.from_classified(
-            classified, trace.warp_size, columnar=columnar
+        classified = classify_trace(trace, built.kernel.num_registers)
+        ccols = classify_columnar_batch(
+            trace.to_columnar(), built.kernel.num_registers
         )
         _CASE_CACHE[abbr] = (trace, classified, ccols)
     return _CASE_CACHE[abbr]
@@ -150,7 +147,9 @@ class TestMoveElision:
         built = build_workload("BP", "small")
         trace = run_kernel(built.kernel, built.launch, built.memory)
         classified = classify_trace(trace, built.kernel.num_registers)
-        ccols = ClassifiedColumns.from_classified(classified, trace.warp_size)
+        ccols = classify_columnar_batch(
+            trace.to_columnar(), built.kernel.num_registers
+        )
         elision = MoveElisionAnalysis(built.kernel)
         arch = ArchitectureConfig.gscalar()
         with_elision = assert_processed_identical(
@@ -166,7 +165,9 @@ class TestScalarRfPath:
     def test_divergent_overwrite_stream(self, divergent_kernel):
         trace = run_one_warp(divergent_kernel, MemoryImage())
         classified = classify_trace(trace, divergent_kernel.num_registers)
-        ccols = ClassifiedColumns.from_classified(classified, trace.warp_size)
+        ccols = classify_columnar_batch(
+            trace.to_columnar(), divergent_kernel.num_registers
+        )
         assert_processed_identical(
             classified, ccols, ArchitectureConfig.alu_scalar(), trace.warp_size
         )
@@ -183,7 +184,7 @@ class TestScalarRfPath:
         kernel = b.finish()
         trace = run_one_warp(kernel, MemoryImage())
         classified = classify_trace(trace, kernel.num_registers)
-        ccols = ClassifiedColumns.from_classified(classified, trace.warp_size)
+        ccols = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
         assert_processed_identical(
             classified, ccols, ArchitectureConfig.alu_scalar(), trace.warp_size
         )
@@ -191,8 +192,10 @@ class TestScalarRfPath:
 
 class TestValidation:
     def test_bad_warp_size_rejected(self):
-        trace, classified, _ = workload_case("BP")
-        ccols = ClassifiedColumns.from_classified(classified, trace.warp_size)
+        trace, _, _ = workload_case("BP")
+        ccols = classify_columnar_batch(
+            trace.to_columnar(), build_workload("BP", "small").kernel.num_registers
+        )
         ccols.warp_size = 0
         with pytest.raises(ConfigError):
             process_columns(ccols, ArchitectureConfig.baseline())

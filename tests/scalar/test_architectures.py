@@ -7,7 +7,6 @@ from repro.isa import KernelBuilder
 from repro.regfile.access import AccessKind
 from repro.scalar.architectures import (
     process_classified,
-    process_trace,
     processed_statistics,
 )
 from repro.scalar.eligibility import ScalarClass
@@ -15,6 +14,7 @@ from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage
 
 from tests.conftest import run_one_warp
+from tests.oracles import process_trace_events
 
 BASELINE = ArchitectureConfig.baseline()
 ALU_SCALAR = ArchitectureConfig.alu_scalar()
@@ -50,19 +50,19 @@ def divergent_scalar_trace():
 class TestScalarExecutionDecisions:
     def test_baseline_never_scalar(self):
         trace, kernel = scalar_chain_trace()
-        processed = process_trace(trace, BASELINE, kernel.num_registers)
+        processed = process_trace_events(trace, BASELINE, kernel.num_registers)
         assert all(not p.scalar_executed for warp in processed for p in warp)
 
     def test_alu_scalar_takes_only_alu(self):
         trace, kernel = scalar_chain_trace()
-        processed = process_trace(trace, ALU_SCALAR, kernel.num_registers)
+        processed = process_trace_events(trace, ALU_SCALAR, kernel.num_registers)
         executed = [p for warp in processed for p in warp if p.scalar_executed]
         assert executed
         assert all(p.scalar_class is ScalarClass.ALU_SCALAR for p in executed)
 
     def test_gscalar_takes_sfu_and_mem(self):
         trace, kernel = scalar_chain_trace()
-        processed = process_trace(trace, GSCALAR, kernel.num_registers)
+        processed = process_trace_events(trace, GSCALAR, kernel.num_registers)
         classes = {
             p.scalar_class for warp in processed for p in warp if p.scalar_executed
         }
@@ -71,8 +71,8 @@ class TestScalarExecutionDecisions:
 
     def test_divergent_scalar_gated_by_flag(self):
         trace, kernel = divergent_scalar_trace()
-        without = process_trace(trace, GS_NO_DIV, kernel.num_registers)
-        with_div = process_trace(trace, GSCALAR, kernel.num_registers)
+        without = process_trace_events(trace, GS_NO_DIV, kernel.num_registers)
+        with_div = process_trace_events(trace, GSCALAR, kernel.num_registers)
 
         def executed_divergent(processed):
             return [
@@ -90,7 +90,7 @@ class TestScalarExecutionDecisions:
 class TestExecLanes:
     def test_scalar_execution_uses_one_lane(self):
         trace, kernel = scalar_chain_trace()
-        processed = process_trace(trace, GSCALAR, kernel.num_registers)
+        processed = process_trace_events(trace, GSCALAR, kernel.num_registers)
         for warp in processed:
             for p in warp:
                 if p.scalar_executed:
@@ -98,7 +98,7 @@ class TestExecLanes:
 
     def test_vector_execution_uses_active_lanes(self):
         trace, kernel = divergent_scalar_trace()
-        processed = process_trace(trace, BASELINE, kernel.num_registers)
+        processed = process_trace_events(trace, BASELINE, kernel.num_registers)
         for warp in processed:
             for p in warp:
                 if p.classified.divergent and not p.scalar_executed:
@@ -106,7 +106,7 @@ class TestExecLanes:
 
     def test_control_consumes_no_exec_lanes(self):
         trace, kernel = divergent_scalar_trace()
-        processed = process_trace(trace, BASELINE, kernel.num_registers)
+        processed = process_trace_events(trace, BASELINE, kernel.num_registers)
         from repro.isa.opcodes import OpCategory
 
         for warp in processed:
@@ -118,7 +118,7 @@ class TestExecLanes:
 class TestRegisterFileAccesses:
     def test_baseline_all_full_accesses(self):
         trace, kernel = scalar_chain_trace()
-        processed = process_trace(trace, BASELINE, kernel.num_registers)
+        processed = process_trace_events(trace, BASELINE, kernel.num_registers)
         kinds = {
             a.kind for warp in processed for p in warp for a in p.rf_accesses
         }
@@ -127,7 +127,7 @@ class TestRegisterFileAccesses:
 
     def test_gscalar_scalar_reads_hit_sidecar_only(self):
         trace, kernel = scalar_chain_trace()
-        processed = process_trace(trace, GSCALAR, kernel.num_registers)
+        processed = process_trace_events(trace, GSCALAR, kernel.num_registers)
         kinds = [
             a.kind for warp in processed for p in warp for a in p.rf_accesses
         ]
@@ -136,7 +136,7 @@ class TestRegisterFileAccesses:
 
     def test_alu_scalar_uses_dedicated_rf(self):
         trace, kernel = scalar_chain_trace()
-        processed = process_trace(trace, ALU_SCALAR, kernel.num_registers)
+        processed = process_trace_events(trace, ALU_SCALAR, kernel.num_registers)
         kinds = [
             a.kind for warp in processed for p in warp for a in p.rf_accesses
         ]
@@ -145,7 +145,7 @@ class TestRegisterFileAccesses:
 
     def test_divergent_write_is_partial_with_mask(self):
         trace, kernel = divergent_scalar_trace()
-        processed = process_trace(trace, GSCALAR, kernel.num_registers)
+        processed = process_trace_events(trace, GSCALAR, kernel.num_registers)
         partials = [
             a
             for warp in processed
@@ -165,7 +165,7 @@ class TestRegisterFileAccesses:
             value = b.mov(9, dst=value)  # divergent overwrite
         kernel = b.finish()
         trace = run_one_warp(kernel, MemoryImage())
-        processed = process_trace(trace, GSCALAR, kernel.num_registers)
+        processed = process_trace_events(trace, GSCALAR, kernel.num_registers)
         movers = [
             p for warp in processed for p in warp if p.extra_instructions
         ]
@@ -177,7 +177,7 @@ class TestRegisterFileAccesses:
     def test_baseline_has_no_compression_ops(self):
         trace, kernel = scalar_chain_trace()
         stats = processed_statistics(
-            process_trace(trace, BASELINE, kernel.num_registers)
+            process_trace_events(trace, BASELINE, kernel.num_registers)
         )
         assert stats.compressor_ops == 0
         assert stats.decompressor_ops == 0
@@ -185,7 +185,7 @@ class TestRegisterFileAccesses:
     def test_gscalar_counts_compression_ops(self):
         trace, kernel = scalar_chain_trace()
         stats = processed_statistics(
-            process_trace(trace, GSCALAR, kernel.num_registers)
+            process_trace_events(trace, GSCALAR, kernel.num_registers)
         )
         assert stats.compressor_ops > 0
 
@@ -194,7 +194,7 @@ class TestProcessClassified:
     def test_matches_process_trace(self):
         trace, kernel = scalar_chain_trace()
         classified = classify_trace(trace, kernel.num_registers)
-        a = process_trace(trace, GSCALAR, kernel.num_registers)
+        a = process_trace_events(trace, GSCALAR, kernel.num_registers)
         b = process_classified(classified, GSCALAR, trace.warp_size)
         stats_a = processed_statistics(a)
         stats_b = processed_statistics(b)

@@ -1,10 +1,12 @@
-"""Differential tests: batch classification engine vs the per-event tracker.
+"""Differential tests: vectorized classifier vs the per-event tracker.
 
-The batch engine (:mod:`repro.scalar.batch`) must be *bit-identical* to
-the original per-event state machine — same ``ClassifiedEvent`` stream,
-field for field, on every workload.  These tests compare the two engines
-(plus the columnar entry point) event by event, and fuzz the vectorized
-compression kernels against their scalar references.
+:func:`repro.scalar.batch.classify_columnar_batch` must write exactly
+the :class:`~repro.scalar.columns.ClassifiedColumns` the per-event
+state machine (:func:`repro.scalar.tracker.classify_trace`) implies —
+array for array, dtypes included — on every workload, whole or
+chunked.  These tests compare the two through the oracle bridge
+(:func:`tests.oracles.columns_from_classified`), and fuzz the
+vectorized compression kernels against their scalar references.
 """
 
 import numpy as np
@@ -20,53 +22,62 @@ from repro.compression.gscalar import (
 )
 from repro.compression.half import compress_halves, compress_halves_batch
 from repro.config import ArchitectureConfig
-from repro.errors import TraceError
+from repro.errors import CompressionError, TraceError
 from repro.isa import KernelBuilder
-from repro.scalar.architectures import (
-    process_classified,
-    process_trace,
-    processed_statistics,
+from repro.obs.telemetry import telemetry_session
+from repro.scalar.arch_batch import process_columns
+from repro.scalar.architectures import process_classified
+from repro.scalar.batch import (
+    ClassifierCarry,
+    classify_columnar_batch,
+    classify_columnar_chunk,
 )
-from repro.scalar.batch import classify_columnar_batch, classify_trace_batch
+from repro.scalar.columns import (
+    CLASSIFIED_ARRAY_FIELDS,
+    ProcessedColumns,
+    concat_classified_columns,
+    processed_columns_diff,
+)
 from repro.scalar.tracker import classify_trace, trace_statistics
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
+from repro.simt.trace import iter_chunks
 
 from tests.conftest import run_one_warp
+from tests.oracles import columns_from_classified
 from repro.workloads.registry import all_workloads, build_workload
 
 
-def assert_classified_equal(expected, actual):
-    """Field-by-field equality of two per-warp classified streams."""
-    assert len(expected) == len(actual)
-    for warp_e, warp_a in zip(expected, actual):
-        assert len(warp_e) == len(warp_a)
-        for ev_e, ev_a in zip(warp_e, warp_a):
-            assert ev_e.event.opcode is ev_a.event.opcode
-            assert ev_e.event.dst == ev_a.event.dst
-            assert ev_e.event.src_regs == ev_a.event.src_regs
-            assert ev_e.event.active_mask == ev_a.event.active_mask
-            assert ev_e.scalar_class is ev_a.scalar_class
-            assert ev_e.divergent == ev_a.divergent
-            assert ev_e.sources == ev_a.sources
-            assert ev_e.dst_encoding == ev_a.dst_encoding
-            assert ev_e.dst_encoding_before == ev_a.dst_encoding_before
-            assert ev_e.needs_decompress_move == ev_a.needs_decompress_move
-            assert ev_e.lo_half_scalar_exec == ev_a.lo_half_scalar_exec
-            assert ev_e.hi_half_scalar_exec == ev_a.hi_half_scalar_exec
+def assert_columns_equal(expected, actual):
+    """Array-for-array (and dtype-for-dtype) equality of two column sets."""
+    assert expected.warp_size == actual.warp_size
+    for name in CLASSIFIED_ARRAY_FIELDS:
+        left = getattr(expected, name)
+        right = getattr(actual, name)
+        assert left.dtype == right.dtype, name
+        assert left.shape == right.shape, name
+        assert np.array_equal(left, right), name
+
+
+def classify_chunked(columnar, num_registers, chunk_events):
+    """Classify chunk by chunk and join the fragments."""
+    carry = ClassifierCarry()
+    fragments, continued = [], []
+    for chunk in iter_chunks(columnar, chunk_events):
+        fragments.append(classify_columnar_chunk(chunk, num_registers, carry))
+        continued.append(chunk.first_warp_continued)
+    return concat_classified_columns(fragments, continued)
 
 
 def assert_engines_agree(trace, num_registers):
-    """Event, batch and columnar-batch engines produce one stream."""
-    reference = classify_trace(trace, num_registers)
-    batch = classify_trace_batch(trace, num_registers)
-    assert_classified_equal(reference, batch)
-    rebuilt, columnar_batch = classify_columnar_batch(
-        trace.to_columnar(), num_registers
+    """The vectorized classifier writes the tracker's columns."""
+    columnar = trace.to_columnar()
+    reference = columns_from_classified(
+        classify_trace(trace, num_registers), trace.warp_size, columnar=columnar
     )
-    assert_classified_equal(reference, columnar_batch)
-    assert rebuilt.total_instructions == trace.total_instructions
-    assert trace_statistics(reference) == trace_statistics(batch)
-    assert trace_statistics(reference) == trace_statistics(columnar_batch)
+    columns = classify_columnar_batch(columnar, num_registers)
+    assert_columns_equal(reference, columns)
+    assert trace_statistics(reference) == trace_statistics(columns)
+    return columnar, columns
 
 
 ALL_ABBRS = [spec.abbr for spec in all_workloads()]
@@ -77,6 +88,12 @@ class TestDifferentialEquivalence:
     def test_every_workload_tiny(self, abbr):
         built = build_workload(abbr, "tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
+        assert_engines_agree(trace, built.kernel.num_registers)
+
+    @pytest.mark.parametrize("abbr", ALL_ABBRS)
+    def test_every_workload_tiny_warp64(self, abbr):
+        built = build_workload(abbr, "tiny")
+        trace = run_kernel(built.kernel, built.launch, built.memory, warp_size=64)
         assert_engines_agree(trace, built.kernel.num_registers)
 
     def test_divergent_kernel(self, divergent_kernel):
@@ -115,44 +132,114 @@ class TestDifferentialEquivalence:
     def test_architecture_results_identical(self, divergent_kernel):
         trace = run_one_warp(divergent_kernel, MemoryImage(), cta=64)
         n = divergent_kernel.num_registers
+        columns = classify_columnar_batch(trace.to_columnar(), n)
+        classified = classify_trace(trace, n)
         for arch in (
             ArchitectureConfig.baseline(),
             ArchitectureConfig.alu_scalar(),
             ArchitectureConfig.gscalar(),
         ):
-            via_batch = process_trace(trace, arch, n)
-            via_event = process_classified(
-                classify_trace(trace, n), arch, trace.warp_size
+            via_events = ProcessedColumns.from_events(
+                process_classified(classified, arch, trace.warp_size),
+                trace.warp_size,
             )
-            assert processed_statistics(via_batch) == processed_statistics(
-                via_event
+            assert not processed_columns_diff(
+                via_events, process_columns(columns, arch)
+            ), arch.name
+
+
+def _counters(telemetry):
+    return {key: value for key, value in telemetry.counters.items()}
+
+
+class TestChunked:
+    """Chunk fragments joined equal the whole-trace columns."""
+
+    @pytest.fixture(scope="class")
+    def hs(self):
+        built = build_workload("HS", "tiny")
+        trace = run_kernel(built.kernel, built.launch, built.memory)
+        return trace.to_columnar(), built.kernel.num_registers
+
+    def test_chunk_sizes(self, hs):
+        columnar, n = hs
+        whole = classify_columnar_batch(columnar, n)
+        longest = int(columnar.warp_lengths.max())
+        # A third of the longest warp cuts it across >= 3 chunks.
+        for size in (1, 7, max(1, longest // 3), columnar.num_events):
+            assert_columns_equal(whole, classify_chunked(columnar, n, size))
+
+    def test_warp_spans_three_or_more_chunks(self, hs):
+        columnar, _ = hs
+        size = max(1, int(columnar.warp_lengths.max()) // 3)
+        spans = [
+            sum(1 for _ in range(0, int(length), size))
+            for length in columnar.warp_lengths
+        ]
+        assert max(spans) >= 3
+
+    @pytest.mark.parametrize("abbr", ["BP", "LBM", "MQ"])
+    def test_divergent_workloads_chunked(self, abbr):
+        built = build_workload(abbr, "tiny")
+        trace = run_kernel(built.kernel, built.launch, built.memory)
+        columnar, columns = assert_engines_agree(trace, built.kernel.num_registers)
+        for size in (1, 7, 50):
+            assert_columns_equal(
+                columns, classify_chunked(columnar, built.kernel.num_registers, size)
             )
-            flags_batch = [
-                (p.scalar_executed, p.lo_half_scalar, p.hi_half_scalar, p.exec_lanes)
-                for warp in via_batch
-                for p in warp
-            ]
-            flags_event = [
-                (p.scalar_executed, p.lo_half_scalar, p.hi_half_scalar, p.exec_lanes)
-                for warp in via_event
-                for p in warp
-            ]
-            assert flags_batch == flags_event
+
+    def test_telemetry_equal_chunked_and_whole(self, hs):
+        columnar, n = hs
+        with telemetry_session() as whole:
+            classify_columnar_batch(columnar, n)
+        for size in (1, 7, max(1, int(columnar.warp_lengths.max()) // 3)):
+            with telemetry_session() as chunked:
+                classify_chunked(columnar, n, size)
+            assert _counters(chunked) == _counters(whole), size
+        assert whole.counters_named("scalar_class_transitions")
+
+    def test_carry_empties_after_a_whole_warp(self, hs):
+        columnar, n = hs
+        carry = ClassifierCarry()
+        chunks = list(iter_chunks(columnar, 7))
+        classify_columnar_chunk(chunks[0], n, carry)
+        assert chunks[0].last_warp_continues
+        assert carry.registers.size and carry.last_class is not None
+        for chunk in chunks[1:]:
+            classify_columnar_chunk(chunk, n, carry)
+        assert carry.registers.size == 0 and carry.last_class is None
 
 
 class TestDispatch:
     def test_negative_registers_rejected(self, scalar_heavy_kernel):
         trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
         with pytest.raises(TraceError):
-            classify_trace_batch(trace, -1)
-        with pytest.raises(TraceError):
             classify_columnar_batch(trace.to_columnar(), -1)
+        with pytest.raises(TraceError):
+            chunk = next(iter_chunks(trace.to_columnar(), 4))
+            classify_columnar_chunk(chunk, -1, ClassifierCarry())
 
     def test_oversized_mask_rejected(self, scalar_heavy_kernel):
         trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
         columnar = trace.to_columnar()
         columnar.masks[0] = np.uint64(1) << np.uint64(trace.warp_size)
         with pytest.raises(TraceError, match="wider than warp size"):
+            classify_columnar_batch(columnar, scalar_heavy_kernel.num_registers)
+
+    def test_full_warp64_mask_accepted(self, divergent_kernel):
+        trace = run_one_warp(divergent_kernel, MemoryImage(), warp_size=64, cta=64)
+        columns = classify_columnar_batch(
+            trace.to_columnar(), divergent_kernel.num_registers
+        )
+        assert columns.masks.max() == np.uint64(2**64 - 1)
+
+    def test_odd_warp_size_rejected(self, scalar_heavy_kernel):
+        trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
+        columnar = trace.to_columnar()
+        columnar.warp_size = 31
+        columnar.masks[:] = np.uint64(2**31 - 1)
+        columnar.values = np.ascontiguousarray(columnar.values[:, :31])
+        with pytest.raises(CompressionError):
             classify_columnar_batch(columnar, scalar_heavy_kernel.num_registers)
 
 

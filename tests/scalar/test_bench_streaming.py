@@ -1,4 +1,4 @@
-"""The streaming memory benchmark harness (``bench --streaming``)."""
+"""The streaming memory check (``python -m repro.scalar.bench``)."""
 
 import json
 
@@ -57,14 +57,13 @@ class TestCliWiring:
     def test_streaming_defaults(self):
         assert DEFAULT_STREAMING_BENCHMARKS == ("HS",)
 
-    def test_streaming_conflicts_with_pipeline_mode(self):
-        with pytest.raises(SystemExit):
-            main(["--streaming", "--pipeline"])
-
-    def test_chunk_events_requires_streaming(self):
-        with pytest.raises(SystemExit):
-            main(["--chunk-events", "64"])
+    def test_removed_modes_rejected(self):
+        # The streaming check is the only mode: the classify and
+        # pipeline ratio modes and their flags are gone.
+        for flag in ("--streaming", "--pipeline", "--repeats", "--warmup"):
+            with pytest.raises(SystemExit):
+                main([flag])
 
     def test_bad_chunk_events_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--streaming", "--chunk-events", "0"])
+            main(["--chunk-events", "0"])

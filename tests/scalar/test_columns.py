@@ -10,7 +10,6 @@ from repro.scalar.columns import (
     CATEGORY_CODE_BY_OPCODE,
     CATEGORY_TO_CODE,
     CODE_TO_CATEGORY,
-    ClassifiedColumns,
     ProcessedColumns,
     processed_columns_diff,
     processed_columns_equal,
@@ -21,6 +20,7 @@ from repro.simt import MemoryImage, run_kernel
 from repro.workloads.registry import build_workload
 
 from tests.conftest import run_one_warp
+from tests.oracles import columns_from_classified
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ def bp_small():
     built = build_workload("BP", "small")
     trace = run_kernel(built.kernel, built.launch, built.memory)
     columnar = trace.to_columnar()
-    _, classified = classify_columnar_batch(columnar, built.kernel.num_registers)
+    classified = classify_trace(trace, built.kernel.num_registers)
     return trace, columnar, classified
 
 
@@ -53,7 +53,7 @@ class TestIdTables:
 class TestClassifiedColumns:
     def test_from_classified_matches_event_stream(self, bp_small):
         trace, columnar, classified = bp_small
-        cols = ClassifiedColumns.from_classified(classified, trace.warp_size)
+        cols = columns_from_classified(classified, trace.warp_size)
         events = [ev for warp in classified for ev in warp]
         assert cols.num_events == len(events)
         assert cols.warp_lengths.tolist() == [len(w) for w in classified]
@@ -70,9 +70,9 @@ class TestClassifiedColumns:
 
     def test_columnar_backed_equals_extracted(self, bp_small):
         trace, columnar, classified = bp_small
-        extracted = ClassifiedColumns.from_classified(classified, trace.warp_size)
-        backed = ClassifiedColumns.from_classified(
-            classified, trace.warp_size, columnar=columnar
+        extracted = columns_from_classified(classified, trace.warp_size)
+        backed = classify_columnar_batch(
+            columnar, build_workload("BP", "small").kernel.num_registers
         )
         assert np.array_equal(extracted.opcode_ids, backed.opcode_ids)
         assert np.array_equal(extracted.masks, backed.masks)
@@ -81,8 +81,10 @@ class TestClassifiedColumns:
         assert np.array_equal(extracted.dst, backed.dst)
 
     def test_warp_bounds_tile_the_stream(self, bp_small):
-        trace, _, classified = bp_small
-        cols = ClassifiedColumns.from_classified(classified, trace.warp_size)
+        _, columnar, _ = bp_small
+        cols = classify_columnar_batch(
+            columnar, build_workload("BP", "small").kernel.num_registers
+        )
         bounds = cols.warp_bounds()
         assert bounds[0] == 0
         assert bounds[-1] == cols.num_events

@@ -183,6 +183,7 @@ class TestStaticScalarization:
     def test_compiler_captures_fewer_than_gscalar(self):
         """The §6 claim: static scalarization misses a sizeable share of
         what dynamic detection finds (paper: 24% fewer)."""
+        from repro.scalar.batch import classify_columnar_batch
         from repro.scalar.tracker import trace_statistics
         from repro.workloads.registry import build_workload
 
@@ -191,8 +192,10 @@ class TestStaticScalarization:
         for abbr in ("BP", "HS", "LBM", "MM", "SAD"):
             built = build_workload(abbr, scale="tiny")
             trace = run_kernel(built.kernel, built.launch, built.memory)
-            classified = classify_trace(trace, built.kernel.num_registers)
-            dynamic_total += trace_statistics(classified).eligible_fraction
+            ccols = classify_columnar_batch(
+                trace.to_columnar(), built.kernel.num_registers
+            )
+            dynamic_total += trace_statistics(ccols).eligible_fraction
             scalarization = StaticScalarization(built.kernel)
             fraction = scalarization.dynamic_static_scalar_fraction(
                 trace.to_columnar()

@@ -15,6 +15,7 @@ from repro.simt.trace import TraceEvent
 from repro.isa.opcodes import Opcode
 
 from tests.conftest import run_one_warp
+from tests.oracles import columns_from_classified
 
 FULL = 0xFFFFFFFF
 EVENS = 0x55555555
@@ -143,7 +144,7 @@ class TestTraceLevel:
     def test_statistics_roll_up(self, divergent_kernel):
         trace = run_one_warp(divergent_kernel, MemoryImage())
         classified = classify_trace(trace, divergent_kernel.num_registers)
-        stats = trace_statistics(classified)
+        stats = trace_statistics(columns_from_classified(classified, 32))
         assert stats.total_instructions == trace.total_instructions
         assert stats.divergent_instructions > 0
         assert sum(stats.class_counts.values()) == stats.total_instructions

@@ -124,23 +124,24 @@ class TestRunnerCacheRecovery:
         from repro.scalar.tracker import trace_statistics
 
         cold = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        baseline_stats = trace_statistics(cold.run("BP").classified)
+        baseline_stats = trace_statistics(cold.classified_columns("BP"))
         assert cold.stats.counters["trace_executions"] == 1
 
         manifests = [
             path
             for path in tmp_path.glob("*.v5.json")
-            if "_ccols" not in path.name and "_pcols" not in path.name
+            if "_ccols" not in path.name
         ]
         assert len(manifests) == 1
         doc = json.loads(manifests[0].read_text())
         doc["meta"]["format_version"] = _FORMAT_VERSION - 1
         manifests[0].write_text(json.dumps(doc))
-        for sidecar in tmp_path.glob("*.pkl"):
-            sidecar.unlink()
+        # Classify the re-executed trace again rather than replay.
+        for derived in tmp_path.glob("*_ccols.v5.json"):
+            derived.unlink()
 
         recovered = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        stats = trace_statistics(recovered.run("BP").classified)
+        stats = trace_statistics(recovered.classified_columns("BP"))
         counters = recovered.stats.counters
         assert counters["trace_cache_invalid"] == 1
         assert counters["trace_executions"] == 1
@@ -148,6 +149,6 @@ class TestRunnerCacheRecovery:
 
         # The overwritten entry is a clean v5 entry: a third runner hits.
         warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        assert trace_statistics(warm.run("BP").classified) == baseline_stats
+        assert trace_statistics(warm.classified_columns("BP")) == baseline_stats
         assert warm.stats.counters["trace_cache_hits"] == 1
         assert warm.stats.counters.get("trace_executions", 0) == 0

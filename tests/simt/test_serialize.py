@@ -59,15 +59,19 @@ class TestRoundTrip:
 
     def test_downstream_results_identical(self, divergent_kernel, tmp_path):
         """A reloaded trace must classify identically."""
-        from repro.scalar import classify_trace, trace_statistics
+        from repro.scalar import classify_columnar_batch, trace_statistics
 
         trace = run_one_warp(divergent_kernel, MemoryImage())
         reloaded = round_trip(trace, tmp_path)
         original = trace_statistics(
-            classify_trace(trace, divergent_kernel.num_registers)
+            classify_columnar_batch(
+                trace.to_columnar(), divergent_kernel.num_registers
+            )
         )
         recovered = trace_statistics(
-            classify_trace(reloaded, divergent_kernel.num_registers)
+            classify_columnar_batch(
+                reloaded.to_columnar(), divergent_kernel.num_registers
+            )
         )
         assert original.class_counts == recovered.class_counts
 

@@ -15,6 +15,8 @@ from repro.simt.executor import run_kernel
 from repro.timing.gpu import simulate_architecture
 from repro.workloads.registry import SCALES, build_workload
 
+from tests.oracles import columns_from_classified
+
 ARCHES = {arch.name: arch for arch in EVALUATED_ARCHITECTURES}
 
 
@@ -99,7 +101,9 @@ class TestEnergyInvariants:
 class TestStatisticsConsistency:
     def test_tracker_and_views_agree_on_totals(self, pipeline):
         for abbr, (trace, classified, per_arch) in pipeline.items():
-            tracker_stats = trace_statistics(classified)
+            tracker_stats = trace_statistics(
+                columns_from_classified(classified, trace.warp_size)
+            )
             assert tracker_stats.total_instructions == trace.total_instructions
             for name, (processed, _, _) in per_arch.items():
                 view_stats = processed_statistics(processed)

@@ -5,11 +5,12 @@ import numpy as np
 from repro.config import ArchitectureConfig, GpuConfig
 from repro.isa import KernelBuilder
 from repro.isa.opcodes import OpCategory
-from repro.scalar.architectures import process_trace
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 from repro.timing.gpu import lower_to_timing_ops, simulate_architecture
 from repro.timing.ops import TimingOp
 from repro.timing.sm import SmSimulator
+
+from tests.oracles import process_trace_events
 
 CONFIG = GpuConfig()
 
@@ -86,7 +87,7 @@ class TestEndToEndBarrierKernel:
         memory = MemoryImage()
         trace = run_kernel(kernel, LaunchConfig(1, 64), memory)
         arch = ArchitectureConfig.gscalar()
-        processed = process_trace(trace, arch, kernel.num_registers)
+        processed = process_trace_events(trace, arch, kernel.num_registers)
         result = simulate_architecture(processed, arch, warps_per_cta=2)
         assert result.instructions == trace.total_instructions
         # And the functional output is the partner lane's id.
@@ -100,7 +101,7 @@ class TestEndToEndBarrierKernel:
         kernel = b.finish()
         trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage())
         arch = ArchitectureConfig.baseline()
-        processed = process_trace(trace, arch, kernel.num_registers)
+        processed = process_trace_events(trace, arch, kernel.num_registers)
         ops = lower_to_timing_ops(processed, arch, CONFIG, 32)
         assert ops[0][0].is_barrier
         assert not ops[0][1].is_barrier

@@ -30,8 +30,8 @@ from repro.isa.opcodes import OpCategory, Opcode
 from repro.obs.timeline import FlightRecorder
 from repro.scalar.arch_batch import process_columns
 from repro.scalar.architectures import process_classified
-from repro.scalar.batch import classify_columnar_batch, classify_trace_batch
-from repro.scalar.columns import ClassifiedColumns
+from repro.scalar.batch import classify_columnar_batch
+from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage, run_kernel
 from repro.simt.trace import iter_chunks
 from repro.timing import sm_event
@@ -141,8 +141,8 @@ def shared_barrier():
     b.st_global(b.imad(tid, 4, 0x3000), value)
     kernel = b.finish()
     trace = run_one_warp(kernel, cta=64)
-    classified = classify_trace_batch(trace, kernel.num_registers)
-    ccols = ClassifiedColumns.from_classified(classified, trace.warp_size)
+    classified = classify_trace(trace, kernel.num_registers)
+    ccols = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
     widths = analyze_widths(kernel, warp_size=trace.warp_size).register_enc
     return kernel, trace, classified, ccols, widths
 
@@ -174,10 +174,7 @@ def lc_tiny():
     built = build_workload("LC", "tiny")
     trace = run_kernel(built.kernel, built.launch, built.memory)
     columnar = trace.to_columnar()
-    _, classified = classify_columnar_batch(columnar, built.kernel.num_registers)
-    ccols = ClassifiedColumns.from_classified(
-        classified, trace.warp_size, columnar=columnar
-    )
+    ccols = classify_columnar_batch(columnar, built.kernel.num_registers)
     widths = analyze_widths(built.kernel, warp_size=trace.warp_size).register_enc
     static_widths = {
         arch.name: widths if arch.static_compression else None
@@ -334,7 +331,7 @@ class TestScalarSegmentLane:
         memory = MemoryImage()
         memory.bind_array(0x1000, np.arange(32, dtype=np.uint32))
         trace = run_one_warp(kernel, memory)
-        classified = classify_trace_batch(trace, kernel.num_registers)
+        classified = classify_trace(trace, kernel.num_registers)
         arch = ArchitectureConfig.gscalar()
         config = GpuConfig()
 
@@ -348,7 +345,7 @@ class TestScalarSegmentLane:
         assert int(load.classified.event.addresses[0]) == 0x9000  # stale lane 0
 
         oracle = build_timing_ops(processed[0], arch, config, trace.warp_size)
-        ccols = ClassifiedColumns.from_classified(classified, trace.warp_size)
+        ccols = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
         table = build_timing_ops_columns(
             ccols, process_columns(ccols, arch), arch, config
         )

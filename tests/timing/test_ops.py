@@ -5,11 +5,11 @@ import numpy as np
 from repro.config import ArchitectureConfig, GpuConfig
 from repro.isa import KernelBuilder
 from repro.isa.opcodes import OpCategory
-from repro.scalar.architectures import process_trace
 from repro.simt import MemoryImage
 from repro.timing.ops import SCALAR_RF_BANK, build_timing_ops, coalesce_addresses
 
 from tests.conftest import run_one_warp
+from tests.oracles import process_trace_events
 
 CONFIG = GpuConfig()
 
@@ -17,7 +17,7 @@ CONFIG = GpuConfig()
 def ops_for(kernel_builder_fn, arch):
     kernel = kernel_builder_fn()
     trace = run_one_warp(kernel, MemoryImage())
-    processed = process_trace(trace, arch, kernel.num_registers)
+    processed = process_trace_events(trace, arch, kernel.num_registers)
     return build_timing_ops(processed[0], arch, CONFIG, 32)
 
 

@@ -22,7 +22,7 @@ from repro.errors import TimingError
 from repro.experiments.runner import matrix_architectures, paper_architectures
 from repro.isa.opcodes import OpCategory
 from repro.scalar.architectures import process_classified
-from repro.scalar.batch import classify_trace_batch
+from repro.scalar.tracker import classify_trace
 from repro.simt.executor import run_kernel
 from repro.timing.gpu import lower_to_timing_ops
 from repro.timing.ops import TimingOp, TimingOpTable
@@ -73,7 +73,7 @@ def workload_streams():
     for abbr in WORKLOADS:
         built = build_workload(abbr, "tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classified = classify_trace_batch(trace, built.kernel.num_registers)
+        classified = classify_trace(trace, built.kernel.num_registers)
         streams[abbr] = (
             classified,
             trace.warp_size,

@@ -6,7 +6,8 @@ import pytest
 from repro.isa.opcodes import OpCategory
 from repro.isa.validation import validate_kernel
 from repro.scalar.eligibility import ScalarClass
-from repro.scalar.tracker import classify_trace, trace_statistics
+from repro.scalar.batch import classify_columnar_batch
+from repro.scalar.tracker import trace_statistics
 from repro.simt.executor import run_kernel
 from repro.workloads.registry import SCALES, all_workloads, build_workload
 
@@ -20,8 +21,10 @@ def all_stats():
     for spec in all_workloads():
         built = spec.builder(SCALE)
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classified = classify_trace(trace, built.kernel.num_registers)
-        results[spec.abbr] = (built, trace, trace_statistics(classified))
+        ccols = classify_columnar_batch(
+            trace.to_columnar(), built.kernel.num_registers
+        )
+        results[spec.abbr] = (built, trace, trace_statistics(ccols))
     return results
 
 
