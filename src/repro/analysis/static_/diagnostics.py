@@ -12,7 +12,6 @@ severity filtering and JSON export.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 
@@ -185,9 +184,6 @@ class LintReport:
             "counts": counts,
             "diagnostics": [d.to_dict() for d in self.diagnostics],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def render(self, min_severity: Severity = Severity.INFO) -> str:
         lines = [d.render() for d in self.diagnostics if d.severity >= min_severity]

@@ -57,13 +57,6 @@ class Fig11Data:
         """Mean normalized IPC of G-Scalar (paper: ~0.983)."""
         return self._average(lambda r: r.normalized_ipc("gscalar"))
 
-    @property
-    def gain_over_alu_scalar(self) -> float:
-        """G-Scalar's efficiency gain over the prior architecture."""
-        base = self.average_alu_scalar_efficiency
-        return self.average_gscalar_efficiency / base if base else 0.0
-
-
 _ARCHES = paper_architectures()
 
 

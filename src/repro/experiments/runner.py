@@ -28,14 +28,18 @@ parameters; a mismatch — or any corrupt file — falls back to
 re-execution and overwrites the stale entry, and staleness is decided
 from the v5 manifest without materializing payloads.  Files from older
 cache layouts are never read: they are plain misses.
+
+With ``chunk_events`` set, each (benchmark, architecture) pair streams
+its trace chunk by chunk through one
+:class:`~repro.experiments.streaming.StreamingPipeline`; only the
+pair's ``result`` entry is cached.
+
 :meth:`ExperimentRunner.prefetch` fans the benchmark × architecture
 matrix out over a process pool
 (:mod:`repro.experiments.parallel`) that communicates through this
-cache plus shared-memory exports of already-materialized traces
-(:mod:`repro.experiments.shm`), and :attr:`ExperimentRunner.stats`
-counts cache hits, misses, re-executions, per-stage wall time and the
-transport byte counters (``bytes_mapped`` / ``bytes_copied`` /
-``bytes_deserialized``) for observability.
+cache, and :attr:`ExperimentRunner.stats` counts cache hits, misses,
+re-executions, per-stage wall time and the transport byte counters
+(``bytes_mapped`` / ``bytes_deserialized``) for observability.
 """
 
 from __future__ import annotations
@@ -48,25 +52,20 @@ from typing import Callable, Iterator, Sequence
 from repro.analysis.static_.widths import WIDTH_ANALYSIS_VERSION, analyze_widths
 from repro.config import ArchitectureConfig, GpuConfig
 from repro.experiments import cachekey, store
+from repro.experiments.streaming import StreamingPipeline
 from repro.obs.instrument import record_columnar_warps
 from repro.obs.memory import record_bytes_in_flight, record_peak_rss
 from repro.obs.telemetry import Telemetry, get_telemetry
-from repro.experiments.streaming import _array_bytes
-from repro.power.accounting import PowerAccountant, _PowerAggregates
+from repro.power.accounting import PowerAccountant
 from repro.power.energy import DEFAULT_ENERGY, EnergyParams
 from repro.power.report import PowerReport
-from repro.scalar.arch_batch import ArchCarry, process_columns, process_columns_chunk
-from repro.scalar.batch import (
-    ClassifierCarry,
-    classify_columnar_batch,
-    classify_columnar_chunk,
-)
+from repro.scalar.arch_batch import process_columns
+from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.simt.executor import run_kernel
 from repro.simt.serialize import load_columnar_v5, save_columnar_v5
 from repro.simt.trace import ColumnarTrace, iter_chunks, opcode_labels
-from repro.timing.gpu import simulate_architecture_columns, simulate_warp_ops
-from repro.timing.ops import TimingOpTable, build_timing_ops_columns
+from repro.timing.gpu import simulate_architecture_columns
 from repro.timing.sm import TimingResult
 from repro.timing.sm_event import DEFAULT_SM_ENGINE
 from repro.workloads.registry import SCALES, BuiltWorkload, all_workloads, workload_by_name
@@ -96,17 +95,6 @@ from repro.workloads.synth import (
 #: Version 7: the engine switches were removed, so the fingerprints no
 #: longer carry classifier, arch-engine or SM-engine names.
 STAGE_VERSION = 7
-
-#: Chunk size used when a synthetic (``synthetic_events > 0``) scale is
-#: streamed without an explicit ``--chunk-events``.
-DEFAULT_STREAM_CHUNK = 65536
-
-class _ChunkBankMiss(Exception):
-    """A per-chunk v5 bank verified present vanished before its load.
-
-    Raised inside a warm streamed pass; carry state cannot restart
-    mid-stream, so the handler recomputes the whole pass cold.
-    """
 
 
 def paper_architectures() -> tuple[ArchitectureConfig, ...]:
@@ -352,13 +340,6 @@ class ExperimentRunner:
                 self.stats.bump("cache_bytes_swept", swept.bytes_freed)
         self._runs: dict[str, BenchmarkRun] = {}
         self._seeds: dict[str, tuple[ColumnarTrace, int]] = {}
-        self._adopted: dict[str, tuple[ColumnarTrace, str, int]] = {}
-        #: v5 bank stems this runner has verified (stored or cleanly
-        #: loaded) mapped to their fingerprints.  Prefetch ships the
-        #: relevant slice to pool workers (:meth:`adopt_bank_hints`), so
-        #: workers trust the parent's verification instead of re-probing
-        #: every manifest.
-        self._bank_hints: dict[str, str] = {}
         self._warp_traces: dict[tuple[str, int], ColumnarTrace] = {}
         self._static_widths: dict[str, tuple[int, ...]] = {}
         self._classified_columns: dict[str, ClassifiedColumns] = {}
@@ -397,25 +378,6 @@ class ExperimentRunner:
             # either way.
             record_columnar_warps(telemetry, columnar, opcode_labels())
 
-    def adopt_shared(
-        self,
-        abbr: str,
-        columnar: ColumnarTrace,
-        fingerprint: str,
-        nbytes: int = 0,
-    ) -> None:
-        """Pre-seed a benchmark's trace from a shared-memory segment.
-
-        Pool workers call this with the views of an
-        :class:`~repro.experiments.shm.AdoptedSegment` before running:
-        :meth:`run` then starts from the parent's already-materialized
-        columns instead of touching the disk cache at all.  The
-        fingerprint travels with the handle and is re-checked against
-        the worker's own kernel/scale at use, so an adopted segment can
-        never smuggle in a stale trace.
-        """
-        self._adopted[self._normalize(abbr)] = (columnar, fingerprint, nbytes)
-
     def _obtain_trace(
         self, key: str, built: BuiltWorkload, warp_size: int
     ) -> tuple[ColumnarTrace, str]:
@@ -428,14 +390,6 @@ class ExperimentRunner:
         form is dropped.
         """
         fingerprint = cachekey.trace_fingerprint(built.kernel, self.scale, warp_size)
-        if warp_size == 32:
-            adopted = self._adopted.get(key)
-            if adopted is not None and adopted[1] == fingerprint:
-                self.stats.bump("trace_shm_adopted")
-                self.stats.bump("bytes_mapped", adopted[2])
-                self._log(f"adopted shared-memory trace for {key}")
-                self._record_trace_hit(key, adopted[0])
-                return adopted[0], fingerprint
         stem = self._trace_stem(key, warp_size)
         if self.cache_dir is not None:
             with self.stats.timer("trace_load", benchmark=key, warp_size=warp_size):
@@ -557,31 +511,16 @@ class ExperimentRunner:
     def _widths_for(self, abbr: str, arch: ArchitectureConfig):
         return self.static_widths(abbr) if arch.static_compression else None
 
-    def adopt_bank_hints(self, hints: dict[str, str]) -> None:
-        """Pre-seed v5 bank stems -> fingerprints verified by the parent.
-
-        Pool workers receive the parent's already-verified manifest set
-        (:meth:`prefetch` collects it from every store and clean load),
-        so their presence probes — chunk-grid completeness checks in
-        particular — skip the per-manifest re-read.
-        """
-        self._bank_hints.update(hints)
-        if hints:
-            self.stats.bump("bank_hints_adopted", len(hints))
-
     def _load_column_banks(self, stem: str, fingerprint: str, kind: str):
         """Open one v5 entry of ``kind``; ``None`` unless a clean hit."""
         if self.cache_dir is None:
             return None
-        if self._bank_hints.get(stem) == fingerprint:
-            self.stats.bump("bank_hint_hits")
         entry, status = store.load_entry(self.cache_dir, stem, fingerprint)
         if status == "hit" and entry.kind == kind:
             self.stats.bump(f"{kind}_cache_hits")
             self.stats.bump("bytes_mapped", entry.bytes_mapped)
             if entry.bytes_deserialized:
                 self.stats.bump("bytes_deserialized", entry.bytes_deserialized)
-            self._bank_hints[stem] = fingerprint
             return entry
         if status == "hit" or status in ("stale", "corrupt"):
             self._log(f"discarding {status} {kind} banks {stem}")
@@ -596,24 +535,19 @@ class ExperimentRunner:
         kind: str,
         warp_size: int,
         arrays=None,
-        extra_meta: dict | None = None,
         objects: dict | None = None,
     ) -> None:
         if self.cache_dir is None:
             return
-        meta = {"warp_size": int(warp_size)}
-        if extra_meta:
-            meta.update(extra_meta)
         store.store_entry(
             self.cache_dir,
             stem,
             fingerprint=fingerprint,
             kind=kind,
-            meta=meta,
+            meta={"warp_size": int(warp_size)},
             arrays=arrays,
             objects=objects,
         )
-        self._bank_hints[stem] = fingerprint
 
     def classified_columns(self, abbr: str) -> ClassifiedColumns:
         """Classified columns of one benchmark (architecture-independent,
@@ -696,63 +630,54 @@ class ExperimentRunner:
             ),
         )
 
-    def _load_results(self, key: str, arch: ArchitectureConfig) -> bool:
-        """Try the ``result`` entry; ``True`` when timing and power were
-        restored from its object banks."""
-        if self.cache_dir is None:
-            return False
-        run = self.run(key)
-        entry = self._load_column_banks(
-            self._stage_stem(key, f"results_{arch.name}"),
-            self._results_fingerprint(run, arch),
-            "result",
-        )
-        if entry is None:
-            return False
-        self._timing[(key, arch.name)] = entry.objects["timing"]
-        self._power[(key, arch.name)] = entry.objects["power"]
-        return True
-
-    def _store_results(self, key: str, arch: ArchitectureConfig) -> None:
-        run = self.run(key)
-        self._store_column_banks(
-            self._stage_stem(key, f"results_{arch.name}"),
-            self._results_fingerprint(run, arch),
-            "result",
-            run.warp_size,
-            objects={
-                "timing": self._timing[(key, arch.name)],
-                "power": self._power[(key, arch.name)],
-            },
-        )
-
     def warps_per_cta(self, abbr: str) -> int | None:
         """Warps per CTA of one benchmark's launch (barrier scope)."""
         run = self.run(self._normalize(abbr))
         return run.built.launch.warps_per_cta(run.warp_size)
 
-    def _compute_timing(self, key: str, arch: ArchitectureConfig) -> None:
+    def _results(self, key: str, arch: ArchitectureConfig) -> None:
+        """Fill timing and power for one pair.
+
+        Probes the ``result`` entry once; on a miss, computes timing and
+        power together — whole-trace, or streamed when ``chunk_events``
+        is set — and stores them as one entry.
+        """
+        run = self.run(key)
+        stem = self._stage_stem(key, f"results_{arch.name}")
+        fingerprint = self._results_fingerprint(run, arch)
+        entry = self._load_column_banks(stem, fingerprint, "result")
+        if entry is not None:
+            timing, power = entry.objects["timing"], entry.objects["power"]
+        else:
+            if self.chunk_events is not None:
+                timing, power = self._compute_streamed(key, arch)
+            else:
+                timing, power = self._compute_whole(key, arch)
+            self._store_column_banks(
+                stem,
+                fingerprint,
+                "result",
+                run.warp_size,
+                objects={"timing": timing, "power": power},
+            )
+        self._timing[(key, arch.name)] = timing
+        self._power[(key, arch.name)] = power
+
+    def _compute_whole(
+        self, key: str, arch: ArchitectureConfig
+    ) -> tuple[TimingResult, PowerReport]:
         self._log(f"timing {key} on {arch.name}")
+        ccols = self.classified_columns(key)
+        pcols = self.processed_columns(key, arch)
         warps_per_cta = self.warps_per_cta(key)
         with self.stats.timer("timing", benchmark=key, arch=arch.name):
-            self._timing[(key, arch.name)] = simulate_architecture_columns(
-                self.classified_columns(key),
-                self.processed_columns(key, arch),
-                arch,
-                self.config,
-                warps_per_cta=warps_per_cta,
+            timing = simulate_architecture_columns(
+                ccols, pcols, arch, self.config, warps_per_cta=warps_per_cta
             )
-
-    # ------------------------------------------------------------------
-    # Chunk-streaming compute (``chunk_events`` set).
-    # ------------------------------------------------------------------
-    def _chunk_stem(self, key: str, stage: str, index: int) -> str:
-        """Stem of one per-chunk v5 bank entry (grid size in the name,
-        so different chunk sizes never collide)."""
-        return self._stage_stem(key, f"{stage}_ck{self.chunk_events}_{index:05d}")
-
-    def _chunk_index_stem(self, key: str) -> str:
-        return self._stage_stem(key, f"ccols_ck{self.chunk_events}_idx")
+        accountant = PowerAccountant(arch, self.params, self.config)
+        with self.stats.timer("power", benchmark=key, arch=arch.name):
+            power = accountant.account_columns(pcols, timing)
+        return timing, power
 
     def _chunk_stream(self, key: str) -> Iterator:
         """The chunk source: replica generator for synthetic tiers
@@ -764,218 +689,39 @@ class ExperimentRunner:
             return iter_synthetic_chunks(seeded[0], seeded[1], self.chunk_events)
         return iter_chunks(run.columnar, self.chunk_events)
 
-    def _warm_chunk_index(self, key: str, fingerprint: str) -> dict | None:
-        """The chunk-grid index entry's meta, on a clean hit only."""
-        if self.cache_dir is None:
-            return None
-        entry, status = store.load_entry(
-            self.cache_dir, self._chunk_index_stem(key), fingerprint
-        )
-        if entry is None or entry.kind != "ckidx":
-            if status in ("stale", "corrupt"):
-                self._log(f"discarding {status} chunk index for {key}")
-                self.stats.bump("sidecar_invalid")
-            return None
-        if int(entry.meta.get("chunk_events", -1)) != self.chunk_events:
-            return None
-        return entry.meta
-
-    def _chunks_all_present(self, stems: list[str], fingerprint: str) -> bool:
-        """O(1)-per-chunk probe that every bank entry exists and matches.
-
-        Checked *before* streaming so a warm pass never discovers a
-        missing chunk halfway through (carry state cannot restart
-        mid-stream; a miss would force a full recompute anyway).
-        """
-        if self.cache_dir is None:
-            return False
-        for stem in stems:
-            if self._bank_hints.get(stem) == fingerprint:
-                # Verified by this runner (or shipped from the parent's
-                # verification via adopt_bank_hints): no manifest re-read.
-                self.stats.bump("bank_probes_skipped")
-                continue
-            manifest = store.peek_manifest(self.cache_dir, stem)
-            if manifest is None or manifest.get("fingerprint") != fingerprint:
-                return False
-            self._bank_hints[stem] = fingerprint
-        return True
-
-    def _iter_ccols_fragments(
-        self, key: str, force_cold: bool = False
-    ) -> Iterator[tuple[dict, ClassifiedColumns]]:
-        """Yield ``(chunk_meta, ccols)`` per chunk, warm or cold.
-
-        Warm: every chunk's ``ccols`` banks verified present up front,
-        then streamed one memory-mapped fragment at a time — the full
-        classified columns never coexist.  Cold: classify each chunk
-        with the carry threaded through, persist its banks, and write
-        the grid index entry last (so a crashed writer never leaves a
-        complete-looking index over missing chunks).
-        """
-        run = self.run(key)
-        fingerprint = cachekey.columns_fingerprint(
-            run.trace_fingerprint, STAGE_VERSION
-        )
-        if not force_cold:
-            index = self._warm_chunk_index(key, fingerprint)
-            if index is not None:
-                stems = [
-                    self._chunk_stem(key, "ccols", i)
-                    for i in range(int(index["num_chunks"]))
-                ]
-                if self._chunks_all_present(stems, fingerprint):
-                    for stem in stems:
-                        entry = self._load_column_banks(stem, fingerprint, "ccols")
-                        if entry is None:
-                            raise _ChunkBankMiss(stem)
-                        yield entry.meta, ClassifiedColumns.from_arrays(
-                            int(entry.meta["warp_size"]), entry.arrays
-                        )
-                    return
-        carry = ClassifierCarry()
-        chunk_metas: list[dict] = []
-        for chunk in self._chunk_stream(key):
-            with self.stats.timer("classify", benchmark=key):
-                ccols = classify_columnar_chunk(
-                    chunk, run.built.kernel.num_registers, carry
-                )
-            meta = {
-                "warp_size": int(ccols.warp_size),
-                "index": int(chunk.index),
-                "start_event": int(chunk.start_event),
-                "warp_start": int(chunk.warp_start),
-                "first_warp_continued": bool(chunk.first_warp_continued),
-                "last_warp_continues": bool(chunk.last_warp_continues),
-            }
-            self._store_column_banks(
-                self._chunk_stem(key, "ccols", chunk.index),
-                fingerprint,
-                "ccols",
-                ccols.warp_size,
-                ccols.as_arrays(),
-                extra_meta=meta,
-            )
-            chunk_metas.append(meta)
-            yield meta, ccols
-        if self.cache_dir is not None:
-            store.store_entry(
-                self.cache_dir,
-                self._chunk_index_stem(key),
-                fingerprint=fingerprint,
-                kind="ckidx",
-                meta={
-                    "chunk_events": int(self.chunk_events),
-                    "num_chunks": len(chunk_metas),
-                    "chunks": chunk_metas,
-                },
-            )
-            self._bank_hints[self._chunk_index_stem(key)] = fingerprint
-
-    def _stream_arch_pass(
-        self, key: str, arch: ArchitectureConfig, force_cold: bool = False
-    ) -> None:
-        """One architecture's full streamed pass: chunked classify /
-        process / aggregate, then the SM simulation barrier."""
-        run = self.run(key)
-        widths = self._widths_for(key, arch)
-        accountant = PowerAccountant(arch, self.params, self.config)
-        pfp = self._processed_fingerprint(run, arch)
-        cfp = cachekey.columns_fingerprint(run.trace_fingerprint, STAGE_VERSION)
-        pcols_warm = False
-        if not force_cold:
-            index = self._warm_chunk_index(key, cfp)
-            if index is not None:
-                pcols_warm = self._chunks_all_present(
-                    [
-                        self._chunk_stem(key, f"pcols_{arch.name}", i)
-                        for i in range(int(index["num_chunks"]))
-                    ],
-                    pfp,
-                )
-        carry = ArchCarry()
-        agg = _PowerAggregates()
-        tables: list[TimingOpTable] = []
-        continued: list[bool] = []
-        for meta, ccols in self._iter_ccols_fragments(key, force_cold=force_cold):
-            warp_start = int(meta["warp_start"])
-            if pcols_warm:
-                entry = self._load_column_banks(
-                    self._chunk_stem(key, f"pcols_{arch.name}", int(meta["index"])),
-                    pfp,
-                    "pcols",
-                )
-                if entry is None:
-                    raise _ChunkBankMiss(f"pcols_{arch.name} chunk {meta['index']}")
-                pcols = ProcessedColumns.from_arrays(
-                    int(entry.meta["warp_size"]), entry.arrays
-                )
-            else:
-                with self.stats.timer("process", benchmark=key, arch=arch.name):
-                    pcols = process_columns_chunk(
-                        ccols,
-                        arch,
-                        carry,
-                        warp_start=warp_start,
-                        first_warp_continued=bool(meta["first_warp_continued"]),
-                        last_warp_continues=bool(meta["last_warp_continues"]),
-                        static_widths=widths,
-                    )
-                self._store_column_banks(
-                    self._chunk_stem(key, f"pcols_{arch.name}", int(meta["index"])),
-                    pfp,
-                    "pcols",
-                    pcols.warp_size,
-                    pcols.as_arrays(),
-                    extra_meta={"warp_start": warp_start, "index": int(meta["index"])},
-                )
-            agg.merge(accountant.aggregates_from_columns(pcols, warp_base=warp_start))
-            tables.append(build_timing_ops_columns(ccols, pcols, arch, self.config))
-            continued.append(bool(meta["first_warp_continued"]))
-            self.stats.bump("stream_chunks")
-            # Gauges land in the stats registry: the shared one when
-            # telemetry is on, else the runner's private registry — so
-            # ``--stats-json`` reports them without a telemetry session.
-            record_bytes_in_flight(
-                _array_bytes(ccols) + _array_bytes(pcols), self.stats.telemetry
-            )
-            record_peak_rss(self.stats.telemetry)
-        warps_per_cta = self.warps_per_cta(key)
-        table = TimingOpTable.concat(tables, continued)
-        del tables  # only the joined table crosses the SM barrier
-        with self.stats.timer("timing", benchmark=key, arch=arch.name):
-            timing = simulate_warp_ops(
-                table, arch, self.config, warps_per_cta=warps_per_cta
-            )
-        with self.stats.timer("power", benchmark=key, arch=arch.name):
-            power = accountant.account_aggregates(agg, timing)
-        self._timing[(key, arch.name)] = timing
-        self._power[(key, arch.name)] = power
-
-    def _compute_streamed(self, key: str, arch: ArchitectureConfig) -> None:
-        """Streamed timing + power for one pair (fills both caches).
-
-        A chunk bank vanishing between the up-front presence probe and
-        its load (concurrent sweep) aborts the pass; carry state cannot
-        resume mid-stream, so the recovery is one full cold recompute.
-        """
+    def _compute_streamed(
+        self, key: str, arch: ArchitectureConfig
+    ) -> tuple[TimingResult, PowerReport]:
+        """One pair through a one-architecture :class:`StreamingPipeline`:
+        chunked classify / process / lower / aggregate, then the SM
+        simulation barrier at ``finish``."""
         self._log(f"streaming {key} on {arch.name} (chunk_events={self.chunk_events})")
-        try:
-            self._stream_arch_pass(key, arch)
-        except _ChunkBankMiss as exc:
-            self._log(f"chunk bank vanished mid-stream ({exc}); recomputing cold")
-            self.stats.bump("stream_cold_restarts")
-            self._stream_arch_pass(key, arch, force_cold=True)
-        self._store_results(key, arch)
+        pipeline = StreamingPipeline(
+            (arch,),
+            self.run(key).built.kernel.num_registers,
+            config=self.config,
+            params=self.params,
+            static_widths={arch.name: self._widths_for(key, arch)},
+        )
+        for chunk in self._chunk_stream(key):
+            with self.stats.timer("stream", benchmark=key, arch=arch.name):
+                pipeline.feed(chunk)
+        warps_per_cta = self.warps_per_cta(key)
+        with self.stats.timer("timing", benchmark=key, arch=arch.name):
+            outcome = pipeline.finish(warps_per_cta=warps_per_cta)
+        self.stats.bump("stream_chunks", outcome.num_chunks)
+        # Gauges land in the stats registry: the shared one when
+        # telemetry is on, else the runner's private registry — so
+        # ``--stats-json`` reports them without a telemetry session.
+        record_bytes_in_flight(outcome.peak_bytes_in_flight, self.stats.telemetry)
+        record_peak_rss(self.stats.telemetry)
+        return outcome.timing[arch.name], outcome.power[arch.name]
 
     def timing(self, abbr: str, arch: ArchitectureConfig) -> TimingResult:
         """Cycle-level result for one (benchmark, architecture) pair."""
         key = self._normalize(abbr)
-        if (key, arch.name) not in self._timing and not self._load_results(key, arch):
-            if self.chunk_events is not None:
-                self._compute_streamed(key, arch)
-            else:
-                self._compute_timing(key, arch)
+        if (key, arch.name) not in self._timing:
+            self._results(key, arch)
         return self._timing[(key, arch.name)]
 
     def timeline(
@@ -1013,18 +759,8 @@ class ExperimentRunner:
     def power(self, abbr: str, arch: ArchitectureConfig) -> PowerReport:
         """Power report for one (benchmark, architecture) pair."""
         key = self._normalize(abbr)
-        if (key, arch.name) not in self._power and not self._load_results(key, arch):
-            timing = self.timing(key, arch)
-            if (key, arch.name) in self._power:
-                # A streamed timing pass accounts power chunk by chunk
-                # alongside timing, so both landed in one pass.
-                return self._power[(key, arch.name)]
-            accountant = PowerAccountant(arch, self.params, self.config)
-            with self.stats.timer("power", benchmark=key, arch=arch.name):
-                self._power[(key, arch.name)] = accountant.account_columns(
-                    self.processed_columns(key, arch), timing
-                )
-            self._store_results(key, arch)
+        if (key, arch.name) not in self._power:
+            self._results(key, arch)
         return self._power[(key, arch.name)]
 
     # ------------------------------------------------------------------
@@ -1071,58 +807,19 @@ class ExperimentRunner:
                         "processes communicate through the on-disk cache"
                     )
                 from repro.experiments.parallel import run_matrix
-                from repro.experiments.shm import ShmExporter
 
-                # In-process fan-out shortcut: any columnar trace this
-                # runner already materialized is exported once into
-                # shared memory so workers adopt the pages instead of
-                # re-opening the disk entry.  The one export copy is
-                # what ``bytes_copied`` counts; each adoption counts as
-                # mapped bytes in the worker that performs it.
-                handles = {}
-                with ShmExporter() as exporter:
-                    for abbr in wanted:
-                        seeded = self._runs.get(abbr)
-                        if seeded is None or abbr in self._seeds:
-                            # Synthetic runs export nothing: workers
-                            # regenerate replicas from the (cached)
-                            # seed rather than shipping 10^6+ events.
-                            continue
-                        with self.stats.timer("shm_export", benchmark=abbr):
-                            handle = exporter.export_columnar(
-                                seeded.columnar, seeded.trace_fingerprint
-                            )
-                        handles[abbr] = handle
-                        self.stats.bump("shm_exports")
-                        self.stats.bump("bytes_copied", handle.total_bytes)
-                    # Ship each worker the manifest set this runner has
-                    # already verified for its benchmark, so the worker
-                    # skips per-manifest re-probes on warm banks.
-                    bank_hints = {
-                        abbr: hints
-                        for abbr in wanted
-                        if (
-                            hints := tuple(
-                                (stem, fp)
-                                for stem, fp in self._bank_hints.items()
-                                if stem.startswith(f"{abbr}_")
-                            )
-                        )
-                    }
-                    worker_stats = run_matrix(
-                        names=wanted,
-                        scale=self.scale.name,
-                        cache_dir=self.cache_dir,
-                        jobs=jobs,
-                        warp_sizes=tuple(warp_sizes),
-                        arches=arch_list,
-                        config=self.config,
-                        params=self.params,
-                        progress=progress,
-                        telemetry=get_telemetry().enabled,
-                        chunk_events=self.chunk_events,
-                        shm_handles=handles or None,
-                        bank_hints=bank_hints or None,
-                    )
+                worker_stats = run_matrix(
+                    names=wanted,
+                    scale=self.scale.name,
+                    cache_dir=self.cache_dir,
+                    jobs=jobs,
+                    warp_sizes=tuple(warp_sizes),
+                    arches=arch_list,
+                    config=self.config,
+                    params=self.params,
+                    progress=progress,
+                    telemetry=get_telemetry().enabled,
+                    chunk_events=self.chunk_events,
+                )
                 self.stats.merge(worker_stats)
         return self.stats

@@ -53,11 +53,6 @@ class Scorecard:
     def count(self, grade: str) -> int:
         return sum(1 for claim in self.claims if claim.grade == grade)
 
-    @property
-    def all_directionally_correct(self) -> bool:
-        return all(claim.grade != "DEVIATES" for claim in self.claims)
-
-
 def compute(runner: ExperimentRunner) -> Scorecard:
     """Run every experiment the headline claims draw on."""
     data_fig1 = fig1.compute(runner)

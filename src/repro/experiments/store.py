@@ -433,10 +433,10 @@ def scan_cache(cache_dir: str | Path) -> dict:
     """Inventory a cache directory: per-stage entry counts and bytes.
 
     Returns a JSON-ready dict: ``stages`` maps a stage label (the v5
-    kinds ``trace``/``ccols``/``pcols``/``result``/``ckidx``, or
-    ``other`` for files outside the v5 layout) to ``{"entries": n,
-    "bytes": b}``; ``orphans`` counts ``*.tmp`` debris and
-    unreferenced bank directories still awaiting a sweep.
+    kinds ``trace``/``ccols``/``pcols``/``result``, or ``other`` for
+    files outside the v5 layout) to ``{"entries": n, "bytes": b}``;
+    ``orphans`` counts ``*.tmp`` debris and unreferenced bank
+    directories still awaiting a sweep.
     """
     cache_dir = Path(cache_dir)
     stages: dict[str, dict[str, int]] = {}

@@ -53,7 +53,6 @@ from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.timing.gpu import simulate_warp_ops
 from repro.timing.ops import TimingOpTable, build_timing_ops_columns
 from repro.timing.sm import TimingResult
-from repro.timing.sm_event import DEFAULT_SM_ENGINE
 from repro.simt.trace import TraceChunk
 
 
@@ -95,8 +94,12 @@ class StreamingPipeline:
     one stage whose footprint grows with the trace).
 
     ``on_classified(chunk, ccols)`` / ``on_processed(chunk, arch, pcols)``
-    observe each fragment as it is produced (the runner stores them as
-    per-chunk v5 banks; tests reassemble them for exact comparison).
+    observe each fragment as it is produced (tests reassemble them for
+    exact comparison).
+
+    :class:`~repro.experiments.runner.ExperimentRunner` streams each
+    (benchmark, architecture) pair through a one-architecture pipeline
+    when ``chunk_events`` is set.
     """
 
     def __init__(
@@ -188,12 +191,10 @@ class StreamingPipeline:
             record_peak_rss(telemetry)
 
     # ------------------------------------------------------------------
-    def finish(
-        self,
-        warps_per_cta: int | None = None,
-        sm_engine: str = DEFAULT_SM_ENGINE,
-    ) -> StreamOutcome:
+    def finish(self, warps_per_cta: int | None = None) -> StreamOutcome:
         """Run the SM simulation per architecture and evaluate power."""
+        if self._finished:
+            raise RuntimeError("StreamingPipeline.finish after finish")
         if not self.collect_timing_ops:
             raise RuntimeError(
                 "finish() needs timing ops; this pipeline was built with "
@@ -209,7 +210,6 @@ class StreamingPipeline:
                 arch,
                 self.config,
                 warps_per_cta=warps_per_cta,
-                sm_engine=sm_engine,
             )
             timing[arch.name] = result
             power[arch.name] = self.accountants[arch.name].account_aggregates(
@@ -235,7 +235,6 @@ def stream_pipeline(
     params: EnergyParams | None = None,
     static_widths: dict[str, tuple[int, ...] | None] | None = None,
     warps_per_cta: int | None = None,
-    sm_engine: str = DEFAULT_SM_ENGINE,
     on_classified: Callable[[TraceChunk, ClassifiedColumns], None] | None = None,
     on_processed: (
         Callable[[TraceChunk, ArchitectureConfig, ProcessedColumns], None] | None
@@ -253,4 +252,4 @@ def stream_pipeline(
     )
     for chunk in chunks:
         pipeline.feed(chunk)
-    return pipeline.finish(warps_per_cta=warps_per_cta, sm_engine=sm_engine)
+    return pipeline.finish(warps_per_cta=warps_per_cta)

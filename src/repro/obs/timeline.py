@@ -220,14 +220,6 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Exports.
     # ------------------------------------------------------------------
-    def scheduler_of_warp(self, warp: int, num_schedulers: int) -> int | None:
-        from repro.timing.scheduler import scheduler_of_slot
-
-        slot = self._warp_slots.get(warp)
-        if slot is None:
-            return None
-        return scheduler_of_slot(slot, num_schedulers)
-
     def to_spans(self) -> list[SpanEvent]:
         """The surviving ring events as Chrome-traceable spans.
 

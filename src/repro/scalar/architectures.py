@@ -455,12 +455,6 @@ class ProcessedStatistics:
         default_factory=lambda: {c: 0 for c in ScalarClass}
     )
 
-    @property
-    def scalar_fraction(self) -> float:
-        if self.total_instructions == 0:
-            return 0.0
-        return self.scalar_executed / self.total_instructions
-
 
 def processed_statistics(processed: list[list[ProcessedEvent]]) -> ProcessedStatistics:
     """Roll up per-event results into one summary."""

@@ -47,6 +47,9 @@ from repro.workloads.registry import SCALES, all_workloads, build_workload
 #: and both uniform and divergent phases).
 DEFAULT_STREAMING_BENCHMARKS = ("HS",)
 
+#: Chunk size in events when ``--chunk-events`` is not given.
+DEFAULT_STREAM_CHUNK = 65536
+
 
 def _run_streaming_arm(
     benchmark: str, scale_name: str, arm: str, chunk_events: int
@@ -256,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="chunk size in events (default: the runner's streaming default)",
+        help=f"chunk size in events (default: {DEFAULT_STREAM_CHUNK})",
     )
     parser.add_argument(
         "--rss-limit-mb",
@@ -287,8 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         name.strip().upper()
         for name in (args.benchmarks or DEFAULT_STREAMING_BENCHMARKS)
     ]
-
-    from repro.experiments.runner import DEFAULT_STREAM_CHUNK
 
     chunk_events = args.chunk_events or DEFAULT_STREAM_CHUNK
     results = [

@@ -53,10 +53,3 @@ def half_parameter(b: KernelBuilder, base: int) -> Reg:
     lane = b.lane()
     half_index = b.shr(lane, 4)
     return b.ld_global(b.imad(half_index, 4, base))
-
-
-def quarter_parameter(b: KernelBuilder, base: int) -> Reg:
-    """Per-16-lane parameter for warp sizes above 32 (Figure 10)."""
-    lane = b.lane()
-    quarter_index = b.shr(lane, 4)
-    return b.ld_global(b.imad(quarter_index, 4, base))

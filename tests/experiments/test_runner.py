@@ -221,6 +221,33 @@ class TestTraceCache:
         assert warm.stats.counters["bytes_deserialized"] > 0
         assert "timing" not in warm.stats.stage_seconds
 
+    def test_cold_pair_probes_its_result_entry_once(self, tmp_path):
+        """A cold pair misses its ``result`` entry once, whichever of
+        timing and power asks first: both are computed and stored
+        together."""
+        from repro.experiments.runner import paper_architectures
+
+        arches = paper_architectures()
+        cold = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        for arch in arches:
+            cold.power("HS", arch)
+            cold.timing("HS", arch)
+        counters = cold.stats.counters
+        assert counters["result_cache_misses"] == len(arches)
+        assert counters.get("result_cache_hits", 0) == 0
+
+    def test_timing_only_run_stores_its_result(self, tmp_path):
+        """A run that only asks for timing (``repro stalls``) still
+        stores the pair's ``result`` entry, so the next runner replays
+        it instead of simulating again."""
+        arch = ArchitectureConfig.gscalar()
+        first = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        timing = first.timing("HS", arch)
+        second = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        assert second.timing("HS", arch) == timing
+        assert second.stats.counters["result_cache_hits"] == 1
+        assert "timing" not in second.stats.stage_seconds
+
     def test_energy_param_change_invalidates_results(self, tmp_path):
         from repro.power.energy import EnergyParams
 

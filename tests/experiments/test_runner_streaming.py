@@ -1,10 +1,10 @@
 """ExperimentRunner in chunked-streaming mode: equality, cache, wiring.
 
 The runner's ``chunk_events`` mode must produce bit-identical results
-to whole-trace mode (cold, from the results sidecar, and from per-chunk
-v5 banks), keep the synthetic tier fully streamed (no whole trace ever
-materialized), honour parent-shipped bank hints, and surface the memory
-gauges through ``stats.to_dict``.
+to whole-trace mode (cold, from the ``result`` entries, and re-streamed
+once those are gone), cache nothing per chunk, keep the synthetic tier
+fully streamed (no whole trace ever materialized), and surface the
+memory gauges through ``stats.to_dict``.
 """
 
 import dataclasses
@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.cli import main as cli_main
+from repro.experiments import store
 from repro.experiments.parallel import MatrixTask, run_matrix
 from repro.experiments.runner import ExperimentRunner, matrix_architectures
 from repro.workloads.registry import SCALES
@@ -70,7 +71,8 @@ class TestChunkedEqualsWhole:
             assert power[pair] == report, f"chunked != whole for {pair}"
         counters = runner.stats.counters
         assert counters.get("stream_chunks", 0) > 0
-        assert counters.get("stream_cold_restarts", 0) == 0
+        stages = runner.stats.stage_seconds
+        assert "stream" in stages and "timing" in stages
 
     def test_timing_cached_alongside_power(self, warm_cache):
         _, runner, _ = warm_cache
@@ -90,6 +92,10 @@ class TestChunkedEqualsWhole:
         assert counters.get("stream_chunks", 0) == 0  # nothing streamed
 
     def test_chunk_bank_replay_without_recompute(self, warm_cache, whole_reference):
+        """Chunked runs cache only their ``result`` entries, so there is
+        no chunk bank to replay: with the entries dropped, a chunked
+        runner streams every pair again and still equals the whole
+        reference."""
         cache, _, _ = warm_cache
         _drop_result_sidecars(cache)
         runner = ExperimentRunner(scale="tiny", cache_dir=cache, chunk_events=CHUNK)
@@ -97,24 +103,16 @@ class TestChunkedEqualsWhole:
             for arch in ARCHES:
                 assert runner.power(abbr, arch) == whole_reference[(abbr, arch.name)]
         counters = runner.stats.counters
-        assert counters.get("ccols_cache_hits", 0) > 0
-        assert counters.get("pcols_cache_hits", 0) > 0
-        stages = runner.stats.stage_seconds
-        assert "classify" not in stages  # warm banks: classifier never ran
-        assert "process" not in stages
+        assert counters.get("stream_chunks", 0) > 0
+        assert counters.get("result_cache_hits", 0) == 0
+        assert counters["result_cache_misses"] == len(BENCHES) * len(ARCHES)
 
-    def test_bank_hints_skip_probes(self, warm_cache, whole_reference):
-        cache, cold_runner, _ = warm_cache
-        _drop_result_sidecars(cache)
-        runner = ExperimentRunner(scale="tiny", cache_dir=cache, chunk_events=CHUNK)
-        runner.adopt_bank_hints(dict(cold_runner._bank_hints))
-        for abbr in BENCHES:
-            for arch in ARCHES:
-                assert runner.power(abbr, arch) == whole_reference[(abbr, arch.name)]
-        counters = runner.stats.counters
-        assert counters.get("bank_hints_adopted", 0) > 0
-        assert counters.get("bank_probes_skipped", 0) > 0
-        assert counters.get("bank_hint_hits", 0) > 0
+    def test_chunked_cache_holds_no_chunk_entries(self, warm_cache):
+        cache, _, _ = warm_cache
+        assert list(cache.glob("*_ck*")) == []
+        stages = store.scan_cache(cache)["stages"]
+        assert "ckidx" not in stages
+        assert stages["result"]["entries"] > 0
 
     def test_different_chunk_size_same_results(self, warm_cache, whole_reference):
         cache, _, _ = warm_cache
@@ -163,7 +161,6 @@ class TestParallelPassthrough:
             warp_sizes=(32,), arches=ARCHES[:1], config=None, params=None,
         )
         assert task.chunk_events is None
-        assert task.bank_hints == ()
 
     def test_run_matrix_chunked(self, tmp_path, whole_reference):
         stats = run_matrix(

@@ -118,7 +118,6 @@ def stream_case(case: dict, chunk_events: int):
         config=case["config"],
         static_widths=case["static_widths"],
         warps_per_cta=case["warps_per_cta"],
-        sm_engine="event",
         on_classified=on_classified,
         on_processed=on_processed,
     )
@@ -189,7 +188,7 @@ class TestChunkEdgeCases:
         )
         for chunk in chunks:
             pipeline.feed(chunk)
-        outcome = pipeline.finish(sm_engine="event")
+        outcome = pipeline.finish()
         assert outcome.num_events == 0
         for arch in ARCHES:
             assert outcome.timing[arch.name].cycles == 0
@@ -204,9 +203,22 @@ class TestChunkEdgeCases:
         )
         chunks = list(iter_chunks(case["columnar"], 64))
         pipeline.feed(chunks[0])
-        pipeline.finish(sm_engine="event")
+        pipeline.finish()
         with pytest.raises(RuntimeError):
             pipeline.feed(chunks[0])
+
+    def test_finish_twice_rejected(self):
+        case = workload_case("HS")
+        pipeline = StreamingPipeline(
+            ARCHES[:1],
+            case["built"].kernel.num_registers,
+            config=case["config"],
+        )
+        for chunk in iter_chunks(case["columnar"], 64):
+            pipeline.feed(chunk)
+        pipeline.finish()
+        with pytest.raises(RuntimeError, match="after finish"):
+            pipeline.finish()
 
     def test_aggregates_only_mode_refuses_finish(self):
         case = workload_case("HS")

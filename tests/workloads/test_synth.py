@@ -169,7 +169,6 @@ class TestSyntheticChunkStream:
             built.kernel.num_registers,
             config=config,
             warps_per_cta=warps_per_cta,
-            sm_engine="event",
         )
         whole = materialize_synthetic(seed, self.REPLICAS)
         materialized = stream_pipeline(
@@ -178,7 +177,6 @@ class TestSyntheticChunkStream:
             built.kernel.num_registers,
             config=config,
             warps_per_cta=warps_per_cta,
-            sm_engine="event",
         )
         assert streamed.num_events == materialized.num_events == whole.num_events
         for arch in arches:
