@@ -61,7 +61,7 @@ def bench_bdi_throughput(benchmark):
 def bench_tracker_throughput(benchmark):
     """Classification rate over one benchmark's columnar trace."""
     built = build_workload("SAD", scale="tiny")
-    columnar = run_kernel(built.kernel, built.launch, built.memory).to_columnar()
+    columnar = run_kernel(built.kernel, built.launch, built.memory)
     registers = built.kernel.num_registers
 
     result = benchmark(lambda: classify_columnar_batch(columnar, registers))
@@ -72,7 +72,7 @@ def bench_sm_timing_throughput(benchmark):
     """Cycle-loop rate of the SM simulator."""
     built = build_workload("PF", scale="tiny")
     trace = run_kernel(built.kernel, built.launch, built.memory)
-    columns = classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers)
+    columns = classify_columnar_batch(trace, built.kernel.num_registers)
     arch = ArchitectureConfig.baseline()
     processed = process_columns(columns, arch)
 
@@ -85,7 +85,7 @@ def bench_sm_timing_throughput(benchmark):
 def bench_timing_op_lowering(benchmark):
     built = build_workload("MM", scale="tiny")
     trace = run_kernel(built.kernel, built.launch, built.memory)
-    columns = classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers)
+    columns = classify_columnar_batch(trace, built.kernel.num_registers)
     arch = ArchitectureConfig.gscalar()
     processed = process_columns(columns, arch)
     config = GpuConfig()

@@ -75,7 +75,7 @@ def main():
     assert np.array_equal(sums, expected), (sums, expected)
     print(f"block sums verified: {sums.tolist()}")
 
-    columns = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
+    columns = classify_columnar_batch(trace, kernel.num_registers)
     div = divergence_stats(columns)
     stats = trace_statistics(columns)
     dist = access_distribution(columns)

@@ -55,7 +55,7 @@ def run_at_mixed_fraction(mixed_fraction, threads=512):
     )
     memory.bind_array(0x1000, datagen.narrow_floats(threads, 1.0, 0.01, seed=7))
     trace = run_kernel(kernel, LaunchConfig(grid_dim=4, cta_dim=threads // 4), memory)
-    columns = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
+    columns = classify_columnar_batch(trace, kernel.num_registers)
 
     stats = divergence_stats(columns)
     efficiencies = {}

@@ -52,9 +52,9 @@ def main():
 
     trace = run_kernel(kernel, launch, memory)
     print(f"executed {trace.total_instructions} dynamic instructions "
-          f"over {len(trace.warps)} warps")
+          f"over {trace.num_warps} warps")
 
-    columns = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
+    columns = classify_columnar_batch(trace, kernel.num_registers)
     stats = trace_statistics(columns)
     print("\nscalar eligibility (Figure 9 buckets):")
     for cls in ScalarClass:

@@ -37,7 +37,6 @@ from repro.experiments import (
     table3,
 )
 from repro.experiments.runner import ExperimentRunner
-from repro.timing.sm_event import DEFAULT_SM_ENGINE, SM_ENGINE_CHOICES
 from repro.workloads.registry import SCALES
 
 _TRACE_EXPERIMENTS = (
@@ -360,10 +359,8 @@ def _timeline_main(argv: list[str]) -> int:
     timelines) and a Prometheus exposition (attribution counters plus
     the occupancy and issued-IPC interval series).
 
-    ``--compare-engines`` additionally runs the *other* SM engine over
-    the same streams and exits 1 unless both produce bit-identical
-    per-scheduler attributions — the CI smoke hook for the
-    cycle-vs-event differential guarantee.
+    The recorded run uses the event-driven SM engine, the one every
+    other command uses.
     """
     import dataclasses
 
@@ -399,18 +396,6 @@ def _timeline_main(argv: list[str]) -> int:
         choices=arch_names,
         default="baseline",
         help="architecture to simulate (default: baseline)",
-    )
-    parser.add_argument(
-        "--sm-engine",
-        choices=SM_ENGINE_CHOICES,
-        default=DEFAULT_SM_ENGINE,
-        help="SM timing engine driving the recorded run (default: event)",
-    )
-    parser.add_argument(
-        "--compare-engines",
-        action="store_true",
-        help="also run the other SM engine and exit 1 unless the "
-        "per-scheduler stall attributions are bit-identical",
     )
     parser.add_argument(
         "--trace-out",
@@ -465,39 +450,7 @@ def _timeline_main(argv: list[str]) -> int:
         if recording
         else None
     )
-    result = runner.timeline(bench, arch, recorder, sm_engine=args.sm_engine)
-
-    if args.compare_engines:
-        other = "cycle" if args.sm_engine == "event" else "event"
-        other_result = runner.timeline(bench, arch, None, sm_engine=other)
-        mismatches = []
-        if result.cycles != other_result.cycles:
-            mismatches.append(
-                f"cycles: {args.sm_engine}={result.cycles} "
-                f"{other}={other_result.cycles}"
-            )
-        if result.stalls_per_scheduler != other_result.stalls_per_scheduler:
-            mismatches.append(
-                f"stalls_per_scheduler: {args.sm_engine}="
-                f"{[b.as_dict() for b in result.stalls_per_scheduler]} "
-                f"{other}="
-                f"{[b.as_dict() for b in other_result.stalls_per_scheduler]}"
-            )
-        if result.issued_per_scheduler != other_result.issued_per_scheduler:
-            mismatches.append(
-                f"issued_per_scheduler: {args.sm_engine}="
-                f"{result.issued_per_scheduler} "
-                f"{other}={other_result.issued_per_scheduler}"
-            )
-        if mismatches:
-            for line in mismatches:
-                print(f"[engine mismatch] {line}", file=sys.stderr)
-            return 1
-        print(
-            f"[engines agree: {args.sm_engine} == {other} on "
-            f"{len(result.stalls_per_scheduler)} scheduler(s)]",
-            file=sys.stderr,
-        )
+    result = runner.timeline(bench, arch, recorder)
 
     # Per-scheduler attribution table (the six-cause taxonomy), with
     # the aggregate row last; issued + causes tiles cycles × schedulers.
@@ -523,7 +476,7 @@ def _timeline_main(argv: list[str]) -> int:
         render_table(
             headers,
             rows,
-            title=f"{bench} on {arch.name} ({args.sm_engine} engine): "
+            title=f"{bench} on {arch.name} (event engine): "
             f"{result.cycles} cycles, IPC {result.ipc:.3f}",
         )
     )
@@ -560,7 +513,7 @@ def _cache_main(argv: list[str]) -> int:
     """``repro cache``: inventory and maintenance of a cache directory.
 
     ``stats`` prints a JSON inventory — per-stage entry counts and
-    on-disk bytes (v5 kinds like ``trace``/``ccols``/``pcols``/``result``)
+    on-disk bytes (v5 kinds like ``trace``/``ccols``/``result``)
     and the orphaned temp files / superseded bank directories still
     awaiting a sweep.  ``sweep`` reclaims those orphans now
     (every runner also sweeps on cache open, but only debris older than

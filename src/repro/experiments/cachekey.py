@@ -11,8 +11,6 @@ a cached stage actually depends on:
   trace format version;
 * **classified columns** — the trace fingerprint plus the stage
   version;
-* **processed columns** — the same plus the architecture and GPU
-  configuration;
 * **timing/power results** — the trace fingerprint, the architecture
   configuration, the GPU configuration, the energy parameters and the
   stage version.
@@ -122,26 +120,6 @@ def columns_fingerprint(trace_fp: str, stage_version: int) -> str:
     """Fingerprint identifying one :class:`ClassifiedColumns` bank set
     (a pure function of the trace and the stage version)."""
     return fingerprint("ccols", stage_version, trace_fp)
-
-
-def processed_fingerprint(
-    trace_fp: str,
-    arch: ArchitectureConfig,
-    config: GpuConfig,
-    stage_version: int,
-    analysis_version: int | None = None,
-) -> str:
-    """Fingerprint identifying one :class:`ProcessedColumns` bank set.
-
-    Processed columns depend on the architecture interpretation but not
-    on the energy parameters — unlike :func:`stage_fingerprint` for the
-    timing/power results — so they get their own, narrower closure:
-    re-costing energy reuses the processed banks.
-    """
-    parts = ["pcols", stage_version, trace_fp, arch, config]
-    if analysis_version is not None:
-        parts.append(("analysis", analysis_version))
-    return fingerprint(*parts)
 
 
 def stage_fingerprint(

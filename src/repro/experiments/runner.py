@@ -12,22 +12,23 @@ executes each benchmark exactly once.
 
 With ``cache_dir`` set, every expensive stage also persists on disk so
 it can be shared *across* processes, all in the v5 manifest/bank layout
-(:mod:`repro.experiments.store`): traces, classified columns and
-processed columns as page-aligned ``.npy`` banks a warm hit
-memory-maps read-only, and each (benchmark, architecture) timing and
-power result as a ``result`` entry with two small object banks.
+(:mod:`repro.experiments.store`): traces and classified columns as
+page-aligned ``.npy`` banks a warm hit memory-maps read-only, and each
+(benchmark, architecture) timing and power result as a ``result``
+entry with two small object banks.  Processed columns are memoized in
+memory only.
 
 Each stage has one engine: the vectorized classifier, the columnar
 architecture interpretation and power accounting, and the event-driven
 SM simulator.  The per-event engines they replaced stay in ``src/`` as
-reference oracles for tests and ``timeline --compare-engines``; the
-runner never selects them.  Each cached artifact embeds a content
-fingerprint (:mod:`repro.experiments.cachekey`) covering the kernel,
-scale, warp size, architecture, GPU configuration and energy
-parameters; a mismatch — or any corrupt file — falls back to
-re-execution and overwrites the stale entry, and staleness is decided
-from the v5 manifest without materializing payloads.  Files from older
-cache layouts are never read: they are plain misses.
+reference oracles for tests; the runner never selects them.  Each
+cached artifact embeds a content fingerprint
+(:mod:`repro.experiments.cachekey`) covering the kernel, scale, warp
+size, architecture, GPU configuration and energy parameters; a
+mismatch — or any corrupt file — falls back to re-execution and
+overwrites the stale entry, and staleness is decided from the v5
+manifest without materializing payloads.  Files from older cache
+layouts are never read: they are plain misses.
 
 With ``chunk_events`` set, each (benchmark, architecture) pair streams
 its trace chunk by chunk through one
@@ -67,7 +68,6 @@ from repro.simt.serialize import load_columnar_v5, save_columnar_v5
 from repro.simt.trace import ColumnarTrace, iter_chunks, opcode_labels
 from repro.timing.gpu import simulate_architecture_columns
 from repro.timing.sm import TimingResult
-from repro.timing.sm_event import DEFAULT_SM_ENGINE
 from repro.workloads.registry import SCALES, BuiltWorkload, all_workloads, workload_by_name
 from repro.workloads.synth import (
     iter_synthetic_chunks,
@@ -250,7 +250,7 @@ class BenchmarkRun:
     """Cached functional-level artifacts of one benchmark.
 
     ``columnar`` is the trace in its columnar form: a cache hit hands
-    in memory-mapped v5 banks, a miss the packed execution, and the
+    in memory-mapped v5 banks, a miss the executor's trace, and the
     synthetic large tier a deferred loader, so a streamed run (which
     consumes the replica generator) never builds the whole trace.
     """
@@ -373,9 +373,8 @@ class ExperimentRunner:
         self.stats.bump("trace_cache_hits")
         telemetry = get_telemetry()
         if telemetry.enabled:
-            # Cache hits skip the executor, so feed the instruction-mix
-            # counters from the columnar arrays instead — same numbers
-            # either way.
+            # Cache hits skip the executor, so record the instruction
+            # mix here, through the same recorder the executor uses.
             record_columnar_warps(telemetry, columnar, opcode_labels())
 
     def _obtain_trace(
@@ -385,9 +384,9 @@ class ExperimentRunner:
 
         A cache hit returns the :class:`ColumnarTrace` exactly as it
         lies on disk: its arrays are read-only memory maps of the v5
-        banks, so the hit copies nothing.  A cache miss executes, packs
-        the trace once, saves that object and returns it; the event
-        form is dropped.
+        banks, so the hit copies nothing.  A cache miss executes (the
+        executor writes the columnar trace directly), saves that object
+        and returns it.
         """
         fingerprint = cachekey.trace_fingerprint(built.kernel, self.scale, warp_size)
         stem = self._trace_stem(key, warp_size)
@@ -408,10 +407,9 @@ class ExperimentRunner:
         self._log(f"executing {key} at scale {self.scale.name!r} warp {warp_size}")
         self.stats.bump("trace_executions")
         with self.stats.timer("trace_execute", benchmark=key, warp_size=warp_size):
-            trace = run_kernel(
+            columnar = run_kernel(
                 built.kernel, built.launch, built.memory, warp_size=warp_size
             )
-        columnar = trace.to_columnar()
         if self.cache_dir is not None:
             with self.stats.timer("trace_save", benchmark=key, warp_size=warp_size):
                 save_columnar_v5(columnar, self.cache_dir, stem, fingerprint)
@@ -579,43 +577,21 @@ class ExperimentRunner:
             self._classified_columns[key] = ccols
         return self._classified_columns[key]
 
-    def _processed_fingerprint(self, run: BenchmarkRun, arch: ArchitectureConfig) -> str:
-        return cachekey.processed_fingerprint(
-            run.trace_fingerprint,
-            arch,
-            self.config,
-            STAGE_VERSION,
-            analysis_version=(
-                WIDTH_ANALYSIS_VERSION if arch.static_compression else None
-            ),
-        )
-
     def processed_columns(self, abbr: str, arch: ArchitectureConfig) -> ProcessedColumns:
         """Per-architecture columnar processed trace for one benchmark.
 
-        Persisted as v5 ``pcols`` banks keyed on the interpretation
-        closure only (not the energy parameters), so re-costing energy
-        replays these banks instead of re-interpreting.
+        Memoized in memory only: the result entries it feeds are what
+        the disk cache keeps, and the energy sweeps re-cost from this
+        memo instead of re-interpreting.
         """
         key = (self._normalize(abbr), arch.name)
         if key not in self._processed_columns:
-            run = self.run(key[0])
-            fingerprint = self._processed_fingerprint(run, arch)
-            stem = self._stage_stem(key[0], f"pcols_{arch.name}")
-            entry = self._load_column_banks(stem, fingerprint, "pcols")
-            if entry is not None:
-                self._processed_columns[key] = ProcessedColumns.from_arrays(
-                    int(entry.meta["warp_size"]), entry.arrays
-                )
-                return self._processed_columns[key]
             ccols = self.classified_columns(key[0])
             widths = self._widths_for(key[0], arch)
             with self.stats.timer("process", benchmark=key[0], arch=arch.name):
-                pcols = process_columns(ccols, arch, static_widths=widths)
-            self._store_column_banks(
-                stem, fingerprint, "pcols", pcols.warp_size, pcols.as_arrays()
-            )
-            self._processed_columns[key] = pcols
+                self._processed_columns[key] = process_columns(
+                    ccols, arch, static_widths=widths
+                )
         return self._processed_columns[key]
 
     def _results_fingerprint(self, run: BenchmarkRun, arch: ArchitectureConfig) -> str:
@@ -729,30 +705,23 @@ class ExperimentRunner:
         abbr: str,
         arch: ArchitectureConfig,
         recorder,
-        sm_engine: str = DEFAULT_SM_ENGINE,
     ) -> TimingResult:
         """Re-run timing with a flight recorder threaded through.
 
         Always simulates (never replays a result entry — recorded events
         cannot come from a cache) and never stores the result, so the
         recorded run cannot pollute the recorder-free result cache.
-        ``sm_engine`` picks the SM engine for this one run: the
-        ``repro timeline --compare-engines`` gate drives both engines
-        over the same streams.
         """
         key = self._normalize(abbr)
         warps_per_cta = self.warps_per_cta(key)
-        self._log(f"timeline {key} on {arch.name} ({sm_engine} engine)")
-        with self.stats.timer(
-            "timeline", benchmark=key, arch=arch.name, sm_engine=sm_engine
-        ):
+        self._log(f"timeline {key} on {arch.name}")
+        with self.stats.timer("timeline", benchmark=key, arch=arch.name):
             return simulate_architecture_columns(
                 self.classified_columns(key),
                 self.processed_columns(key, arch),
                 arch,
                 self.config,
                 warps_per_cta=warps_per_cta,
-                sm_engine=sm_engine,
                 recorder=recorder,
             )
 

@@ -16,7 +16,7 @@ JSON *manifest* per entry:
   padded to :data:`PAGE_ALIGN`) plus one ``.pkl`` file per small
   pickled object (the timing and power results of a ``result`` entry).
 
-A cache hit opens the banks with ``np.load(..., mmap_mode="r")``:
+A cache hit maps each bank at the data offset its manifest records:
 readers get read-only memory-mapped views — the OS pages data in on
 demand and shares the page cache between every process mapping the same
 entry, so one cache directory serves many workers without a copy.  The
@@ -216,11 +216,10 @@ def store_entry(
 class LoadedEntry:
     """One v5 entry opened for reading.
 
-    ``arrays`` are read-only (memory-mapped unless ``mmap=False`` was
-    requested, in which case they are private copies still marked
-    read-only so the mutation-safety contract holds either way).
+    ``arrays`` are read-only memory maps of the banks.
     ``bytes_mapped`` / ``bytes_deserialized`` feed the transport
-    counters: mapped bytes are *virtual* — the OS pages them in lazily.
+    counters: mapped bytes are *virtual* — the OS pages them in lazily,
+    and only the pickled object banks are deserialized.
     """
 
     kind: str
@@ -261,14 +260,14 @@ def load_entry(
     cache_dir: str | Path,
     stem: str,
     expected_fingerprint: str | None = None,
-    mmap: bool = True,
 ) -> tuple[LoadedEntry | None, str]:
     """Open one v5 entry; returns ``(entry, status)``.
 
     ``status`` is ``"hit"`` (entry returned), ``"absent"`` (no v5
     manifest), ``"stale"`` (fingerprint mismatch — payloads untouched)
-    or ``"corrupt"`` (manifest or banks damaged).  Callers recover by
-    recomputing; nothing raises.
+    or ``"corrupt"`` (manifest or banks damaged, including a non-empty
+    bank spec without the data ``offset`` every write records).
+    Callers recover by recomputing; nothing raises.
     """
     cache_dir = Path(cache_dir)
     if not manifest_path(cache_dir, stem).exists():
@@ -294,11 +293,11 @@ def load_entry(
             shape = tuple(spec["shape"])
             if spec["file"] is None:
                 array = np.empty(shape, dtype=dtype)
-            elif mmap and "offset" in spec:
-                # Fast path: the manifest records where the payload
-                # starts, so the hit maps it directly — one open + one
-                # mmap per bank, no ``.npy`` header re-parse (the
-                # header still exists for np.load and external tools).
+            else:
+                # The manifest records where the payload starts, so the
+                # hit maps it directly — one open + one mmap per bank,
+                # no ``.npy`` header re-parse (the header still exists
+                # for np.load and external tools).
                 offset = int(spec["offset"])
                 nbytes = int(spec["nbytes"])
                 with open(bank_dir / spec["file"], "rb") as handle:
@@ -315,20 +314,6 @@ def load_entry(
                     offset=offset,
                 ).reshape(shape)
                 entry.bytes_mapped += int(array.nbytes)
-            else:
-                array = np.load(
-                    bank_dir / spec["file"], mmap_mode="r" if mmap else None
-                )
-                if array.dtype != dtype or array.shape != shape:
-                    raise StoreError(
-                        f"bank {spec['file']} does not match its manifest "
-                        f"schema ({array.dtype}{array.shape} != "
-                        f"{dtype}{shape})"
-                    )
-                if mmap:
-                    entry.bytes_mapped += int(array.nbytes)
-                else:
-                    entry.bytes_deserialized += int(array.nbytes)
             array.flags.writeable = False
             entry.arrays[name] = array
         for spec in manifest.get("objects", ()):
@@ -433,7 +418,7 @@ def scan_cache(cache_dir: str | Path) -> dict:
     """Inventory a cache directory: per-stage entry counts and bytes.
 
     Returns a JSON-ready dict: ``stages`` maps a stage label (the v5
-    kinds ``trace``/``ccols``/``pcols``/``result``, or ``other`` for
+    kinds ``trace``/``ccols``/``result``, or ``other`` for
     files outside the v5 layout) to ``{"entries": n, "bytes": b}``;
     ``orphans`` counts ``*.tmp`` debris and unreferenced bank
     directories still awaiting a sweep.

@@ -1,10 +1,10 @@
 """Null-sink overhead benchmark for the telemetry hooks.
 
 Runs the production chain on one benchmark — functional execution,
-columnar packing, vectorized classification, columnar interpretation
-and the event-driven SM timing loop (recorder disabled — the
-configuration every normal run uses, which the flight-recorder hooks
-must not slow down) — repeatedly under three settings:
+vectorized classification, columnar interpretation and the
+event-driven SM timing loop (recorder disabled — the configuration
+every normal run uses, which the flight-recorder hooks must not slow
+down) — repeatedly under three settings:
 
 * ``off`` — the process-global registry is the disabled null registry
   (the default for every normal run; this is the "seed-equivalent"
@@ -44,7 +44,7 @@ def _one_run(benchmark: str, scale: str) -> float:
     built = build_workload(benchmark, scale)
     arch = paper_architectures()[0]
     started = time.perf_counter()
-    columnar = run_kernel(built.kernel, built.launch, built.memory).to_columnar()
+    columnar = run_kernel(built.kernel, built.launch, built.memory)
     ccols = classify_columnar_batch(columnar, built.kernel.num_registers)
     # The SM timing loop runs inside the measured region so the CI
     # bound also covers the flight-recorder hook sites (recorder=None,
@@ -54,7 +54,6 @@ def _one_run(benchmark: str, scale: str) -> float:
         process_columns(ccols, arch),
         arch,
         warps_per_cta=built.launch.warps_per_cta(columnar.warp_size),
-        sm_engine="event",
     )
     return time.perf_counter() - started
 

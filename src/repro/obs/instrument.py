@@ -1,11 +1,11 @@
 """Aggregation helpers bridging the pipeline to the telemetry registry.
 
-Each helper takes a whole batch (one warp's trace, one classified
-column set, one event's register accesses, one benchmark's energy
-breakdown), folds it into compact per-metric aggregates, and records
-those — so the instrumented modules pay one ``enabled`` check plus one
-aggregation pass per batch, never per-instruction telemetry calls in
-their hot loops.  Everything here is duck-typed against the trace /
+Each helper takes a whole batch (one kernel's columnar trace, one
+classified column set, one event's register accesses, one benchmark's
+energy breakdown), folds it into compact per-metric aggregates, and
+records those — so the instrumented modules pay one ``enabled`` check
+plus one aggregation pass per batch, never per-instruction telemetry
+calls in their hot loops.  Everything here is duck-typed against the trace /
 column / access objects, which keeps :mod:`repro.obs` free of imports
 from the simulation packages (no import cycles).
 
@@ -36,42 +36,22 @@ from typing import Any, Iterable
 from repro.obs.telemetry import Telemetry
 
 
-def record_warp_trace(
-    telemetry: Telemetry, warp: Any, max_stack_depth: int
-) -> None:
-    """Roll one executed warp's trace into the registry.
-
-    Records the dynamic opcode mix, the instructions retired by this
-    warp (histogram over warps) and the deepest reconvergence-stack
-    nesting the warp reached.
-    """
-    mix: dict[tuple[str, str], int] = {}
-    for event in warp.events:
-        key = (event.category.value, event.opcode.value)
-        mix[key] = mix.get(key, 0) + 1
-    for (category, opcode), count in mix.items():
-        telemetry.count(
-            "instructions", count, category=category, opcode=opcode
-        )
-    telemetry.observe("warp_instructions", len(warp.events))
-    telemetry.observe("reconvergence_stack_depth", max_stack_depth)
-
-
 def record_columnar_warps(
     telemetry: Telemetry, columnar: Any, opcode_labels: dict[int, tuple[str, str]]
 ) -> None:
-    """Roll a columnar trace's warps into the registry (cache-hit path).
+    """Roll a columnar trace's warps into the registry.
 
-    The array-side counterpart of :func:`record_warp_trace`: the
-    dynamic opcode mix comes from one ``np.unique`` over the stored
+    The dynamic opcode mix comes from one ``np.unique`` over the stored
     opcode ids and the per-warp instruction histogram from the warp
-    length table, so a trace loaded from cache reports the same
-    ``instructions_total`` / ``warp_instructions`` numbers as the run
-    that executed it.  ``opcode_labels`` maps stored opcode ids to
-    ``(category, opcode)`` label pairs (see
-    :func:`repro.simt.trace.opcode_labels`), keeping this module free
-    of simulation-package imports.  The reconvergence-stack depth is an
-    executor-side observable and is not recorded here.
+    length table.  The executor records every trace it runs through
+    here, and the runner records every trace it loads from cache, so a
+    cache hit reports the same ``instructions_total`` /
+    ``warp_instructions`` numbers as the run that executed it.
+    ``opcode_labels`` maps stored opcode ids to ``(category, opcode)``
+    label pairs (see :func:`repro.simt.trace.opcode_labels`), keeping
+    this module free of simulation-package imports.  The
+    reconvergence-stack depth is an executor-side observable, recorded
+    by the executor itself (one observation per warp).
     """
     import numpy as np
 

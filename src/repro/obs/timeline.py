@@ -2,15 +2,15 @@
 
 :class:`FlightRecorder` is the opt-in cycle-level introspection layer
 shared by :class:`~repro.timing.sm.SmSimulator` and
-:class:`~repro.timing.sm_event.EventSmSimulator`: pass one as the
-``recorder`` argument of :func:`~repro.timing.sm_event.create_sm_simulator`
-and the engine streams per-warp lifecycle events into a **bounded ring
-buffer** — warp activation/retirement, every issue (with category and
-scheduler), write-backs, barrier arrivals/releases, and stall spans
-derived lazily from the gap between consecutive issues of a warp,
-labelled with the cause the engine computed when the gap opened
-(branch shadow, barrier wait, scoreboard — including the blocking
-registers — or scheduler/collector contention).
+:class:`~repro.timing.sm_event.EventSmSimulator`: pass one as either
+engine's ``recorder`` argument and the engine streams per-warp
+lifecycle events into a **bounded ring buffer** — warp
+activation/retirement, every issue (with category and scheduler),
+write-backs, barrier arrivals/releases, and stall spans derived lazily
+from the gap between consecutive issues of a warp, labelled with the
+cause the engine computed when the gap opened (branch shadow, barrier
+wait, scoreboard — including the blocking registers — or
+scheduler/collector contention).
 
 The ring is a ``collections.deque(maxlen=capacity)``: recording never
 allocates beyond the cap, the oldest events fall off first, and

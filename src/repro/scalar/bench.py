@@ -71,7 +71,7 @@ def _run_streaming_arm(
     )
 
     built = build_workload(benchmark, scale_name)
-    seed = run_kernel(built.kernel, built.launch, built.memory).to_columnar()
+    seed = run_kernel(built.kernel, built.launch, built.memory)
     num_registers = built.kernel.num_registers
     del built
     scale = SCALES[scale_name]
@@ -151,7 +151,7 @@ def measure_streaming(
     from repro.simt.trace import iter_chunks
 
     built = build_workload(benchmark, scale)
-    seed = run_kernel(built.kernel, built.launch, built.memory).to_columnar()
+    seed = run_kernel(built.kernel, built.launch, built.memory)
     num_registers = built.kernel.num_registers
     config = GpuConfig()
     arches = paper_architectures()
@@ -169,7 +169,7 @@ def measure_streaming(
         pcols = process_columns(ccols, arch)
         timing = simulate_architecture_columns(
             ccols, pcols, arch, config,
-            warps_per_cta=warps_per_cta, sm_engine="event",
+            warps_per_cta=warps_per_cta,
         )
         report = PowerAccountant(arch, config=config).account_columns(
             pcols, timing

@@ -217,20 +217,6 @@ class ProcessedColumns:
     def num_accesses(self) -> int:
         return int(self.acc_kind_ids.shape[0])
 
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """All array fields by name (the v5 bank payload)."""
-        return {name: getattr(self, name) for name in PROCESSED_ARRAY_FIELDS}
-
-    @classmethod
-    def from_arrays(
-        cls, warp_size: int, arrays: dict[str, np.ndarray]
-    ) -> "ProcessedColumns":
-        """Rebuild from :meth:`as_arrays` output (mmap views welcome)."""
-        return cls(
-            warp_size=warp_size,
-            **{name: arrays[name] for name in PROCESSED_ARRAY_FIELDS},
-        )
-
     @classmethod
     def from_events(
         cls, processed: list[list], warp_size: int
@@ -315,13 +301,6 @@ class ProcessedColumns:
             acc_masks=np.array(acc_masks, dtype=np.uint64),
             acc_sidecar=np.array(sidecar, dtype=bool),
         )
-
-
-#: Array fields of :class:`ProcessedColumns` in declaration order — the
-#: schema of its v5 cache banks.
-PROCESSED_ARRAY_FIELDS = tuple(
-    f.name for f in fields(ProcessedColumns) if f.name != "warp_size"
-)
 
 
 def _merge_warp_lengths(

@@ -4,7 +4,9 @@ Executes a kernel warp by warp, handling branch divergence with the
 classic immediate-post-dominator reconvergence stack (the same scheme
 GPGPU-Sim and Fermi-class hardware use), and records a full dynamic
 trace with operand values for the downstream compression, scalar and
-power models.
+power models.  Each warp appends one row per dynamic instruction to its
+:class:`~repro.simt.trace.WarpRows` buffer; :func:`run_kernel` packs
+the buffers into one :class:`~repro.simt.trace.ColumnarTrace`.
 
 Warps of a CTA synchronize at ``bar.sync`` barriers: the coordinator in
 :func:`run_kernel` runs every warp to its next barrier (or completion)
@@ -15,7 +17,7 @@ interleaving — the model is not a race detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,27 +25,36 @@ from repro.errors import ExecutionError
 from repro.isa.instructions import Imm, Instruction, Operand, Reg, SpecialReg
 from repro.isa.kernel import EXIT_NODE, Branch, Exit, Jump, Kernel, immediate_postdominators
 from repro.isa.opcodes import Opcode
-from repro.obs.instrument import record_warp_trace
+from repro.obs.instrument import record_columnar_warps
 from repro.obs.telemetry import get_telemetry
 from repro.simt.grid import LaunchConfig, WarpIdentity, enumerate_warps, mask_to_int
 from repro.simt.memory_state import MemoryImage
 from repro.simt.special import UNARY_SFU, sfu_fdiv
-from repro.simt.trace import KernelTrace, TraceEvent, WarpTrace
+from repro.simt.trace import OPCODE_TO_ID, ColumnarTrace, WarpRows, opcode_labels
 
 #: Specials whose value differs between lanes of a warp.
 _VARYING_SPECIALS = frozenset({SpecialReg.TID, SpecialReg.LANE})
+
+_BRA_ID = OPCODE_TO_ID[Opcode.BRA]
+_BAR_ID = OPCODE_TO_ID[Opcode.BAR]
 
 
 @dataclass
 class _StackEntry:
     """One SIMT reconvergence-stack entry: run ``pc`` under ``mask``
-    until reaching ``rpc``.  ``inst_index`` is the resume point within
-    the block (used when execution pauses at a CTA barrier)."""
+    until reaching ``rpc``.  ``bits`` is ``mask`` packed to an int once,
+    when the entry is created; every row the entry runs records it.
+    ``inst_index`` is the resume point within the block (used when
+    execution pauses at a CTA barrier)."""
 
     pc: int
     rpc: int
     mask: np.ndarray
     inst_index: int = 0
+    bits: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.bits = mask_to_int(self.mask)
 
 
 def _u32(array: np.ndarray) -> np.ndarray:
@@ -84,7 +95,7 @@ class WarpExecutor:
         self.registers = np.zeros((kernel.num_registers, self.warp_size), dtype=np.uint32)
         self._tid = identity.global_thread_ids()
         self._lane = identity.lane_indices()
-        self.trace = WarpTrace(warp_id=identity.warp_id, warp_size=self.warp_size)
+        self.rows = WarpRows(identity.warp_id)
         self._stack: list[_StackEntry] | None = None
         self._executed = 0
         #: Deepest reconvergence-stack nesting reached (telemetry).
@@ -222,8 +233,11 @@ class WarpExecutor:
     # ------------------------------------------------------------------
     # Instruction execution with masking and trace recording.
     # ------------------------------------------------------------------
-    def _execute_instruction(self, inst: Instruction, mask: np.ndarray, block_id: int) -> None:
+    def _execute_instruction(
+        self, inst: Instruction, entry: _StackEntry, block_id: int
+    ) -> None:
         op = inst.opcode
+        mask = entry.mask
         values = [self._value_of(s) for s in inst.srcs]
         varying = any(
             isinstance(s, SpecialReg) and s in _VARYING_SPECIALS for s in inst.srcs
@@ -254,28 +268,21 @@ class WarpExecutor:
             np.copyto(register, computed, where=mask)
             dst_snapshot = register.copy()
 
-        self.trace.append(
-            TraceEvent(
-                opcode=op,
-                dst=inst.dst.index if inst.dst is not None else None,
-                src_regs=tuple(r.index for r in inst.source_registers),
-                active_mask=mask_to_int(mask),
-                block_id=block_id,
-                dst_values=dst_snapshot,
-                addresses=addresses,
-                varying_special_src=varying,
-                scalar_nonreg_srcs=scalar_nonreg,
-            )
+        self.rows.append(
+            OPCODE_TO_ID[op],
+            -1 if inst.dst is None else inst.dst.index,
+            [r.index for r in inst.source_registers],
+            entry.bits,
+            block_id,
+            dst_snapshot,
+            addresses,
+            varying,
+            scalar_nonreg,
         )
 
     # ------------------------------------------------------------------
     # SIMT-stack main loop.
     # ------------------------------------------------------------------
-    @property
-    def done(self) -> bool:
-        """True once the warp has executed to completion."""
-        return self._stack is not None and not self._stack
-
     def run_until_barrier(self) -> str:
         """Execute until the next CTA barrier or completion.
 
@@ -309,14 +316,8 @@ class WarpExecutor:
                 cond = self.registers[terminator.cond.index]
                 taken_mask = entry.mask & (cond != 0)
                 not_taken_mask = entry.mask & ~taken_mask
-                self.trace.append(
-                    TraceEvent(
-                        opcode=Opcode.BRA,
-                        dst=None,
-                        src_regs=(terminator.cond.index,),
-                        active_mask=mask_to_int(entry.mask),
-                        block_id=block.block_id,
-                    )
+                self.rows.append(
+                    _BRA_ID, -1, (terminator.cond.index,), entry.bits, block.block_id
                 )
                 self._executed += 1
                 if not not_taken_mask.any():
@@ -356,19 +357,11 @@ class WarpExecutor:
                         "divergent mask is undefined behaviour "
                         f"(kernel {self.kernel.name!r}, block {block.block_id})"
                     )
-                self.trace.append(
-                    TraceEvent(
-                        opcode=Opcode.BAR,
-                        dst=None,
-                        src_regs=(),
-                        active_mask=mask_to_int(entry.mask),
-                        block_id=block.block_id,
-                    )
-                )
+                self.rows.append(_BAR_ID, -1, (), entry.bits, block.block_id)
                 self._executed += 1
                 entry.inst_index += 1
                 return True
-            self._execute_instruction(inst, entry.mask, block.block_id)
+            self._execute_instruction(inst, entry, block.block_id)
             self._executed += 1
             if self._executed > self.max_instructions:
                 raise ExecutionError(
@@ -379,17 +372,6 @@ class WarpExecutor:
             entry.inst_index += 1
         return False
 
-    def run(self) -> WarpTrace:
-        """Execute the warp to completion (barriers pass trivially).
-
-        Standalone execution treats each barrier as immediately
-        satisfied — valid only for single-warp CTAs; multi-warp barrier
-        coordination is :func:`run_kernel`'s job.
-        """
-        while self.run_until_barrier() == "barrier":
-            pass
-        return self.trace
-
 
 def run_kernel(
     kernel: Kernel,
@@ -397,7 +379,7 @@ def run_kernel(
     memory: MemoryImage,
     warp_size: int = 32,
     max_warp_instructions: int = 2_000_000,
-) -> KernelTrace:
+) -> ColumnarTrace:
     """Execute a kernel launch and return its full dynamic trace.
 
     ``memory`` is the global memory image (mutated in place by stores).
@@ -405,9 +387,10 @@ def run_kernel(
     Warps of a CTA synchronize at ``bar.sync``: every warp runs to its
     next barrier (or completion) before any warp continues past it, so
     pre-barrier shared-memory writes are visible after the barrier.
+    The warps' row buffers are packed warp-major into one
+    :class:`ColumnarTrace` at the end.
     """
     ipdom = immediate_postdominators(kernel)
-    trace = KernelTrace(kernel_name=kernel.name, warp_size=warp_size)
     by_cta: dict[int, list[WarpExecutor]] = {}
     shared_by_cta: dict[int, MemoryImage] = {}
     for identity in enumerate_warps(launch, warp_size):
@@ -422,18 +405,20 @@ def run_kernel(
             max_instructions=max_warp_instructions,
         )
         shared.append(executor)
+    executors = [executor for cta in by_cta.values() for executor in cta]
     telemetry = get_telemetry()
     with telemetry.span(
         f"execute:{kernel.name}", cat="kernel", kernel=kernel.name, warp_size=warp_size
     ):
-        for cta_id, executors in by_cta.items():
-            _run_cta(kernel, cta_id, executors)
-            for executor in executors:
-                trace.warps.append(executor.trace)
-                if telemetry.enabled:
-                    record_warp_trace(
-                        telemetry, executor.trace, executor.max_stack_depth
-                    )
+        for cta_id, cta_executors in by_cta.items():
+            _run_cta(kernel, cta_id, cta_executors)
+        trace = ColumnarTrace.pack(
+            kernel.name, warp_size, [executor.rows for executor in executors]
+        )
+    if telemetry.enabled:
+        record_columnar_warps(telemetry, trace, opcode_labels())
+        for executor in executors:
+            telemetry.observe("reconvergence_stack_depth", executor.max_stack_depth)
     return trace
 
 

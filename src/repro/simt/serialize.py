@@ -7,11 +7,10 @@ architecture sweeps) reuse them across processes.  The on-disk layout
 per-event arrays with offset tables for the ragged fields and one
 ``(n_rows, warp_size)`` matrix of destination snapshots, each stored as
 one page-aligned bank of a v5 entry (:mod:`repro.experiments.store`).
-A cache hit therefore needs no per-event reconstruction —
-:func:`load_columnar_v5` hands memory-mapped arrays straight to the
-batch classifier; the event form is only materialized
-(:meth:`ColumnarTrace.to_trace`) for consumers that walk
-:class:`~repro.simt.trace.TraceEvent` objects.
+The executor writes the same form, so a cache miss saves the trace
+:func:`~repro.simt.executor.run_kernel` returned as it is, and a hit
+needs no per-event reconstruction: :func:`load_columnar_v5` hands
+memory-mapped arrays straight to the batch classifier.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ def load_columnar_v5(
     cache_dir: str | Path,
     stem: str,
     expected_fingerprint: str | None = None,
-    mmap: bool = True,
 ):
     """Read a v5 trace entry; returns ``(columnar, status, entry)``.
 
@@ -94,9 +92,7 @@ def load_columnar_v5(
     """
     from repro.experiments import store
 
-    entry, status = store.load_entry(
-        cache_dir, stem, expected_fingerprint, mmap=mmap
-    )
+    entry, status = store.load_entry(cache_dir, stem, expected_fingerprint)
     if entry is None:
         return None, status, None
     meta = entry.meta

@@ -1,31 +1,35 @@
 """Dynamic-trace containers produced by the functional executor.
 
-A :class:`TraceEvent` is one dynamic instruction executed by one warp:
+The executor records every dynamic instruction of a warp as one row:
 opcode, register numbers, the active mask it ran under, and — for
 instructions that write a register — a snapshot of the destination
 register's full contents *after* the write.  That snapshot is what the
 compression / scalar-eligibility machinery consumes, so a trace is
 self-contained: no re-execution is ever needed downstream.
 
-Two equivalent representations exist:
+The trace has one production form, :class:`ColumnarTrace`: a
+struct-of-arrays layout packing every per-event field into flat numpy
+arrays with offset tables for the ragged ones, plus one
+``(n_rows, warp_size)`` uint32 matrix of destination snapshots.
+:func:`repro.simt.executor.run_kernel` appends each warp's rows to a
+:class:`WarpRows` buffer and packs the buffers once
+(:meth:`ColumnarTrace.pack`); the batch classifier
+(:mod:`repro.scalar.batch`) and the on-disk format
+(:mod:`repro.simt.serialize`) read the result.
 
-* the *event* form (:class:`KernelTrace` of :class:`WarpTrace` of
-  :class:`TraceEvent`) — one Python object per dynamic instruction,
-  convenient for sequential consumers, and
-* the *columnar* form (:class:`ColumnarTrace`) — a struct-of-arrays
-  layout packing every per-event field into flat numpy arrays with
-  offset tables for the ragged ones, plus one ``(n_rows, warp_size)``
-  uint32 matrix of destination snapshots.  This is what the batch
-  classifier (:mod:`repro.scalar.batch`) and the on-disk format
-  (:mod:`repro.simt.serialize`) operate on.
-
-:meth:`KernelTrace.to_columnar` / :meth:`KernelTrace.from_columnar`
-convert losslessly in both directions.
+The *event* form (:class:`KernelTrace` of :class:`WarpTrace` of
+:class:`TraceEvent`, one Python object per dynamic instruction) exists
+for the per-event reference engines and hand-written test traces:
+:meth:`ColumnarTrace.to_trace` builds it and
+:meth:`ColumnarTrace.from_trace` packs it back through the same row
+buffers, losslessly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -143,14 +147,76 @@ class KernelTrace:
         )
         return divergent / total
 
-    def to_columnar(self) -> "ColumnarTrace":
-        """Pack this trace into the struct-of-arrays form (lossless)."""
-        return ColumnarTrace.from_trace(self)
 
-    @staticmethod
-    def from_columnar(columnar: "ColumnarTrace") -> "KernelTrace":
-        """Rebuild the event form from a columnar trace (lossless)."""
-        return columnar.to_trace()
+class WarpRows:
+    """One warp's trace rows, appended in program order.
+
+    Per-event fields go into Python lists; destination snapshots and
+    per-lane addresses into lists of rows.  :meth:`ColumnarTrace.pack`
+    concatenates the buffers of every warp into one trace.
+    """
+
+    __slots__ = (
+        "warp_id",
+        "opcode_ids",
+        "dst",
+        "masks",
+        "blocks",
+        "varying",
+        "scalar_nonreg",
+        "src_counts",
+        "src_flat",
+        "has_values",
+        "values",
+        "has_addresses",
+        "addresses",
+    )
+
+    def __init__(self, warp_id: int):
+        self.warp_id = warp_id
+        self.opcode_ids: list[int] = []
+        self.dst: list[int] = []
+        self.masks: list[int] = []
+        self.blocks: list[int] = []
+        self.varying: list[bool] = []
+        self.scalar_nonreg: list[int] = []
+        self.src_counts: list[int] = []
+        self.src_flat: list[int] = []
+        self.has_values: list[bool] = []
+        self.values: list[np.ndarray] = []
+        self.has_addresses: list[bool] = []
+        self.addresses: list[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return len(self.opcode_ids)
+
+    def append(
+        self,
+        opcode_id: int,
+        dst: int,
+        src_regs: Sequence[int],
+        mask: int,
+        block: int,
+        values: np.ndarray | None = None,
+        addresses: np.ndarray | None = None,
+        varying: bool = False,
+        scalar_nonreg: int = 0,
+    ) -> None:
+        """Record one row; ``dst`` is ``-1`` when nothing is written."""
+        self.opcode_ids.append(opcode_id)
+        self.dst.append(dst)
+        self.masks.append(mask)
+        self.blocks.append(block)
+        self.varying.append(varying)
+        self.scalar_nonreg.append(scalar_nonreg)
+        self.src_counts.append(len(src_regs))
+        self.src_flat.extend(src_regs)
+        self.has_values.append(values is not None)
+        if values is not None:
+            self.values.append(values)
+        self.has_addresses.append(addresses is not None)
+        if addresses is not None:
+            self.addresses.append(addresses)
 
 
 @dataclass
@@ -263,63 +329,75 @@ class ColumnarTrace:
         return slices
 
     @classmethod
-    def from_trace(cls, trace: KernelTrace) -> "ColumnarTrace":
-        """Pack an event-form trace (one pass, no event mutation)."""
-        events = [event for warp in trace.warps for event in warp.events]
-        count = len(events)
+    def pack(
+        cls, kernel_name: str, warp_size: int, warps: list[WarpRows]
+    ) -> "ColumnarTrace":
+        """Concatenate per-warp row buffers, warp-major, into one trace."""
+        count = sum(len(rows) for rows in warps)
 
-        opcode_ids = np.empty(count, dtype=np.uint16)
-        dst = np.empty(count, dtype=np.int32)
-        masks = np.empty(count, dtype=np.uint64)
-        blocks = np.empty(count, dtype=np.int32)
-        varying = np.empty(count, dtype=bool)
-        scalar_nonreg = np.empty(count, dtype=np.uint8)
+        def column(name: str, dtype) -> np.ndarray:
+            return np.fromiter(
+                chain.from_iterable(getattr(rows, name) for rows in warps),
+                dtype=dtype,
+                count=count,
+            )
+
+        def row_index(flags: str) -> np.ndarray:
+            # Rows are appended in event order, so an event's row is the
+            # number of rows recorded before it.
+            present = column(flags, bool)
+            return np.where(present, np.cumsum(present, dtype=np.int64) - 1, -1)
+
+        def matrix(name: str) -> np.ndarray:
+            rows = [row for buffer in warps for row in getattr(buffer, name)]
+            if not rows:
+                return np.empty((0, warp_size), dtype=np.uint32)
+            return np.stack(rows)
+
         src_offsets = np.zeros(count + 1, dtype=np.int64)
-        src_flat: list[int] = []
-        values_index = np.full(count, -1, dtype=np.int64)
-        values_rows: list[np.ndarray] = []
-        addr_index = np.full(count, -1, dtype=np.int64)
-        addr_rows: list[np.ndarray] = []
-
-        for position, event in enumerate(events):
-            opcode_ids[position] = OPCODE_TO_ID[event.opcode]
-            dst[position] = -1 if event.dst is None else event.dst
-            masks[position] = event.active_mask
-            blocks[position] = event.block_id
-            varying[position] = event.varying_special_src
-            scalar_nonreg[position] = event.scalar_nonreg_srcs
-            src_flat.extend(event.src_regs)
-            src_offsets[position + 1] = len(src_flat)
-            if event.dst_values is not None:
-                values_index[position] = len(values_rows)
-                values_rows.append(event.dst_values)
-            if event.addresses is not None:
-                addr_index[position] = len(addr_rows)
-                addr_rows.append(event.addresses)
-
-        empty = np.empty((0, trace.warp_size), dtype=np.uint32)
+        np.cumsum(column("src_counts", np.int64), out=src_offsets[1:])
         return cls(
-            kernel_name=trace.kernel_name,
-            warp_size=trace.warp_size,
-            warp_ids=np.array(
-                [warp.warp_id for warp in trace.warps], dtype=np.int32
-            ),
-            warp_lengths=np.array(
-                [len(warp) for warp in trace.warps], dtype=np.int64
-            ),
-            opcode_ids=opcode_ids,
-            dst=dst,
-            masks=masks,
-            blocks=blocks,
-            varying=varying,
-            scalar_nonreg=scalar_nonreg,
+            kernel_name=kernel_name,
+            warp_size=warp_size,
+            warp_ids=np.array([rows.warp_id for rows in warps], dtype=np.int32),
+            warp_lengths=np.array([len(rows) for rows in warps], dtype=np.int64),
+            opcode_ids=column("opcode_ids", np.uint16),
+            dst=column("dst", np.int32),
+            masks=column("masks", np.uint64),
+            blocks=column("blocks", np.int32),
+            varying=column("varying", bool),
+            scalar_nonreg=column("scalar_nonreg", np.uint8),
             src_offsets=src_offsets,
-            src_flat=np.array(src_flat, dtype=np.int32),
-            values_index=values_index,
-            values=np.stack(values_rows) if values_rows else empty,
-            addr_index=addr_index,
-            addresses=np.stack(addr_rows) if addr_rows else empty,
+            src_flat=np.fromiter(
+                chain.from_iterable(rows.src_flat for rows in warps),
+                dtype=np.int32,
+            ),
+            values_index=row_index("has_values"),
+            values=matrix("values"),
+            addr_index=row_index("has_addresses"),
+            addresses=matrix("addresses"),
         )
+
+    @classmethod
+    def from_trace(cls, trace: KernelTrace) -> "ColumnarTrace":
+        """Pack an event-form trace through :class:`WarpRows` buffers."""
+        warps = []
+        for warp in trace.warps:
+            rows = WarpRows(warp.warp_id)
+            for event in warp.events:
+                rows.append(
+                    OPCODE_TO_ID[event.opcode],
+                    -1 if event.dst is None else event.dst,
+                    event.src_regs,
+                    event.active_mask,
+                    event.block_id,
+                    event.dst_values,
+                    event.addresses,
+                    event.varying_special_src,
+                    event.scalar_nonreg_srcs,
+                )
+            warps.append(rows)
+        return cls.pack(trace.kernel_name, trace.warp_size, warps)
 
     def slice_events(self, start: int, stop: int) -> "ColumnarTrace":
         """View-based sub-trace over the event range ``[start, stop)``.
@@ -328,7 +406,7 @@ class ColumnarTrace:
         the ragged tables (``src_offsets``/``values_index``/
         ``addr_index``) are rebased to the range, which is cheap — the
         snapshot and address *rows* stay views because
-        :meth:`from_trace` appends them in event order, so any event
+        :meth:`pack` stores them in event order, so any event
         range maps to a contiguous row range.  Warp tables cover the
         warps whose segments intersect the range, with boundary warps'
         lengths clipped to it (:class:`TraceChunk` records whether they

@@ -31,18 +31,11 @@ from repro.timing.sm import (
     StallBreakdown,
     TimingResult,
 )
-from repro.timing.sm_event import (
-    DEFAULT_SM_ENGINE,
-    SM_ENGINE_CHOICES,
-    EventSmSimulator,
-    create_sm_simulator,
-)
+from repro.timing.sm_event import EventSmSimulator
 
 __all__ = [
     "SCALAR_RF_BANK",
     "STALL_CAUSES",
-    "DEFAULT_SM_ENGINE",
-    "SM_ENGINE_CHOICES",
     "EventSmSimulator",
     "MemoryAccessCounts",
     "MemoryModel",
@@ -57,7 +50,6 @@ __all__ = [
     "build_timing_ops",
     "build_timing_ops_columns",
     "coalesce_addresses",
-    "create_sm_simulator",
     "lower_to_timing_ops",
     "partition_slots",
     "partition_warps",

@@ -4,8 +4,11 @@ The evaluation simulates one SM's worth of warps (the paper's per-SM
 statistics scale symmetrically to 15 SMs since the proxies are
 homogeneous across CTAs).  :func:`simulate_architecture_columns` lowers
 a columnar processed trace to a :class:`~repro.timing.ops.TimingOpTable`
-and runs the SM model with the architecture's extra pipeline latency;
-:func:`simulate_architecture` is its per-event oracle.
+and runs the event-driven SM model with the architecture's extra
+pipeline latency; :func:`simulate_architecture` is its per-event
+lowering oracle.  The cycle-level
+:class:`~repro.timing.sm.SmSimulator` is not reachable from here:
+tests build it over ``table.to_ops()``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from repro.timing.ops import (
     build_timing_ops_columns,
 )
 from repro.timing.sm import TimingResult
-from repro.timing.sm_event import DEFAULT_SM_ENGINE, create_sm_simulator
+from repro.timing.sm_event import EventSmSimulator
 
 
 def lower_to_timing_ops(
@@ -41,18 +44,14 @@ def simulate_architecture(
     config: GpuConfig | None = None,
     warp_size: int = 32,
     warps_per_cta: int | None = None,
-    sm_engine: str = DEFAULT_SM_ENGINE,
     recorder=None,
 ) -> TimingResult:
     """Run the SM timing model for one architecture's processed trace.
 
     ``warps_per_cta`` enables CTA-barrier coordination for kernels that
     use ``bar.sync``; without it each warp is treated as its own CTA.
-    ``sm_engine`` selects the SM timing engine (``"event"`` or the
-    ``"cycle"`` reference model; they are differentially tested to
-    produce bit-identical results).  ``recorder`` (a
-    :class:`repro.obs.timeline.FlightRecorder`) opts into per-warp
-    lifecycle recording.
+    ``recorder`` (a :class:`repro.obs.timeline.FlightRecorder`) opts
+    into per-warp lifecycle recording.
     """
     config = config or GpuConfig()
     warp_ops = lower_to_timing_ops(processed, arch, config, warp_size)
@@ -61,7 +60,6 @@ def simulate_architecture(
         arch,
         config,
         warps_per_cta=warps_per_cta,
-        sm_engine=sm_engine,
         recorder=recorder,
     )
 
@@ -72,7 +70,6 @@ def simulate_architecture_columns(
     arch: ArchitectureConfig,
     config: GpuConfig | None = None,
     warps_per_cta: int | None = None,
-    sm_engine: str = DEFAULT_SM_ENGINE,
     recorder=None,
 ) -> TimingResult:
     """Columnar counterpart of :func:`simulate_architecture`.
@@ -87,7 +84,6 @@ def simulate_architecture_columns(
         arch,
         config,
         warps_per_cta=warps_per_cta,
-        sm_engine=sm_engine,
         recorder=recorder,
     )
 
@@ -97,25 +93,21 @@ def simulate_warp_ops(
     arch: ArchitectureConfig,
     config: GpuConfig | None = None,
     warps_per_cta: int | None = None,
-    sm_engine: str = DEFAULT_SM_ENGINE,
     recorder=None,
 ) -> TimingResult:
-    """Run the SM timing model over a lowered op table.
+    """Run the event-driven SM timing model over a lowered op table.
 
     The chunk-streaming pipeline lowers one table per chunk
     (:func:`build_timing_ops_columns` is a pure per-event function, so
     fragment lowering is exact) and joins them with
     :meth:`TimingOpTable.concat`; this entry point runs the simulation
-    once over the joined table — both SM engines schedule whole warps,
+    once over the joined table — the SM engine schedules whole warps,
     so this is the one whole-trace barrier the stream keeps.
     """
-    config = config or GpuConfig()
-    simulator = create_sm_simulator(
-        sm_engine,
+    return EventSmSimulator(
         table,
-        config,
+        config or GpuConfig(),
         extra_latency=arch.extra_pipeline_cycles,
         warps_per_cta=warps_per_cta,
         recorder=recorder,
-    )
-    return simulator.run()
+    ).run()

@@ -27,9 +27,8 @@ architectures).  What differs is how time advances:
 Per-cycle work is therefore proportional to the events of that cycle
 rather than to machine size, which is where the pipeline speedup comes
 from.  This engine is the only one the runner uses.  The cycle model is
-its differential oracle: tests and ``repro timeline --sm-engine
-cycle`` / ``--compare-engines`` reach it
-through :func:`create_sm_simulator`.
+its differential oracle: tests build it over ``table.to_ops()``
+(``tests/timing/test_engine_gate.py`` is the CI gate).
 
 Semantics replicated from the reference (same event order per cycle):
 write-backs, then operand collection (one request per bank per cycle,
@@ -64,17 +63,9 @@ from repro.timing.sm import (
     STALL_COLLECTORS_FULL,
     STALL_SCOREBOARD,
     STALL_STREAM_EXHAUSTED,
-    SmSimulator,
     StallBreakdown,
     TimingResult,
 )
-
-#: SM timing engines :func:`create_sm_simulator` builds (``repro
-#: timeline --sm-engine``).  ``event`` is this module's event-driven
-#: engine, the runner's; ``cycle`` is the per-cycle oracle in
-#: :mod:`repro.timing.sm`.
-SM_ENGINE_CHOICES = ("event", "cycle")
-DEFAULT_SM_ENGINE = "event"
 
 # Pipeline-port groups (index into the per-group port lists).
 _PORT_ALU = 0
@@ -111,39 +102,6 @@ def _ragged_tuples(values, offsets, lo: int, hi: int) -> list[tuple]:
     flat = values[bounds[0] : bounds[-1]].tolist()
     bounds = (bounds - bounds[0]).tolist()
     return [tuple(flat[start:end]) for start, end in zip(bounds, bounds[1:])]
-
-
-def create_sm_simulator(
-    engine: str,
-    table: TimingOpTable,
-    config: GpuConfig,
-    extra_latency: int = 0,
-    memory: MemoryModel | None = None,
-    warps_per_cta: int | None = None,
-    recorder=None,
-):
-    """Instantiate the selected SM timing engine over one op table.
-
-    The cycle model runs ``table.to_ops()``.  ``recorder`` (a
-    :class:`repro.obs.timeline.FlightRecorder`) opts the run into
-    per-warp lifecycle recording; both engines accept it.
-    """
-    if engine == "event":
-        cls, ops = EventSmSimulator, table
-    elif engine == "cycle":
-        cls, ops = SmSimulator, table.to_ops()
-    else:
-        raise TimingError(
-            f"unknown SM engine {engine!r}; known: {', '.join(SM_ENGINE_CHOICES)}"
-        )
-    return cls(
-        ops,
-        config,
-        extra_latency=extra_latency,
-        memory=memory,
-        warps_per_cta=warps_per_cta,
-        recorder=recorder,
-    )
 
 
 class EventSmSimulator:

@@ -6,15 +6,15 @@ from repro.analysis.divergence import divergence_stats
 from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage, run_kernel
-from repro.simt.trace import KernelTrace
+from repro.simt.trace import ColumnarTrace, KernelTrace
 from repro.workloads.registry import all_workloads, build_workload
 
 from tests.conftest import run_one_warp
 from tests.oracles import divergence_stats_events
 
 
-def columns_for(trace, num_registers):
-    return classify_columnar_batch(trace.to_columnar(), num_registers)
+def columns_for(columnar, num_registers):
+    return classify_columnar_batch(columnar, num_registers)
 
 
 def stats_for(kernel):
@@ -47,7 +47,8 @@ class TestDivergenceStats:
             assert stats.scalar_share_of_divergent == pytest.approx(expected)
 
     def test_empty_trace(self):
-        stats = divergence_stats(columns_for(KernelTrace("empty", 32), 0))
+        empty = ColumnarTrace.from_trace(KernelTrace("empty", 32))
+        stats = divergence_stats(columns_for(empty, 0))
         assert stats.divergent_fraction == 0.0
         assert stats.scalar_share_of_divergent == 0.0
 
@@ -57,6 +58,6 @@ def test_columns_match_event_walk(abbr):
     built = build_workload(abbr, "tiny")
     trace = run_kernel(built.kernel, built.launch, built.memory)
     expected = divergence_stats_events(
-        classify_trace(trace, built.kernel.num_registers)
+        classify_trace(trace.to_trace(), built.kernel.num_registers)
     )
     assert divergence_stats(columns_for(trace, built.kernel.num_registers)) == expected

@@ -33,20 +33,20 @@ class TestChunkScalar:
     def test_half_scalar_detected_at_warp32(self):
         kernel, memory = half_scalar_kernel()
         trace = run_one_warp(kernel, memory)
-        stats = chunk_scalar_stats(trace.to_columnar(), granularity=16)
+        stats = chunk_scalar_stats(trace, granularity=16)
         assert stats.chunk_scalar_instructions >= 2
         assert stats.warp_size == 32
 
     def test_full_scalar_not_counted_as_chunk(self, scalar_heavy_kernel):
         trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
-        stats = chunk_scalar_stats(trace.to_columnar(), granularity=16)
+        stats = chunk_scalar_stats(trace, granularity=16)
         assert stats.full_scalar_instructions > 0
         assert stats.chunk_scalar_instructions == 0
 
     def test_warp64_quarter_scalar(self):
         kernel, memory = half_scalar_kernel()
         trace = run_one_warp(kernel, memory, warp_size=64, cta=64)
-        stats = chunk_scalar_stats(trace.to_columnar(), granularity=16)
+        stats = chunk_scalar_stats(trace, granularity=16)
         # lanes 0-15 read param[0], 16-63 read param[1..3] per the shr
         # pattern; chunks are individually scalar but not all equal.
         assert stats.chunk_scalar_instructions >= 2
@@ -68,18 +68,18 @@ class TestChunkScalar:
             memory = MemoryImage()
             memory.bind_array(0x1000, np.array([5, 9], dtype=np.uint32))
             trace = run_one_warp(kernel, memory, warp_size=warp_size, cta=64)
-            return chunk_scalar_stats(trace.to_columnar(), 16).chunk_scalar_fraction
+            return chunk_scalar_stats(trace, 16).chunk_scalar_fraction
 
         assert fraction(64) > fraction(32)
 
     def test_bad_granularity_rejected(self, scalar_heavy_kernel):
         trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
         with pytest.raises(TraceError):
-            chunk_scalar_stats(trace.to_columnar(), granularity=5)
+            chunk_scalar_stats(trace, granularity=5)
 
     def test_divergent_writes_invalidate_state(self, divergent_kernel):
         trace = run_one_warp(divergent_kernel, MemoryImage())
-        stats = chunk_scalar_stats(trace.to_columnar(), granularity=16)
+        stats = chunk_scalar_stats(trace, granularity=16)
         assert stats.total_instructions == trace.total_instructions
 
 

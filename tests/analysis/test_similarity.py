@@ -16,7 +16,7 @@ from tests.oracles import access_distribution_events
 def distribution_for(kernel):
     trace = run_one_warp(kernel, MemoryImage())
     return access_distribution(
-        classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
+        classify_columnar_batch(trace, kernel.num_registers)
     )
 
 
@@ -59,7 +59,7 @@ def test_columns_match_event_walk(abbr):
     built = build_workload(abbr, "tiny")
     trace = run_kernel(built.kernel, built.launch, built.memory)
     expected = access_distribution_events(
-        classify_trace(trace, built.kernel.num_registers)
+        classify_trace(trace.to_trace(), built.kernel.num_registers)
     )
-    columns = classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers)
+    columns = classify_columnar_batch(trace, built.kernel.num_registers)
     assert access_distribution(columns).counts == expected.counts

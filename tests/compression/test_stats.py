@@ -53,16 +53,16 @@ class TestCompareTrace:
             value = b.mov(9, dst=value)  # divergent write (skipped)
         b.st_global(b.imad(tid, 4, 0x100), value)
         trace = run_one_warp(b.finish(), MemoryImage())
-        comparison = compare_trace(trace.to_columnar())
+        comparison = compare_trace(trace)
         total_writes = sum(
-            1 for e in trace.all_events() if e.dst_values is not None
+            1 for e in trace.to_trace().all_events() if e.dst_values is not None
         )
         assert comparison.registers_seen < total_writes
         assert comparison.registers_seen > 0
 
     def test_ratios_track_value_structure(self, scalar_heavy_kernel):
         trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
-        comparison = compare_trace(trace.to_columnar())
+        comparison = compare_trace(trace)
         # A scalar-chain kernel compresses extremely well under both.
         assert comparison.ours_ratio > 5
         assert comparison.bdi_ratio > 5

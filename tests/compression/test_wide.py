@@ -79,17 +79,17 @@ class TestAddressWidthStudy:
         return run_kernel(b.finish(), LaunchConfig(1, 32), MemoryImage())
 
     def test_wider_addresses_compress_better(self):
-        study = address_width_study(self._trace().to_columnar())
+        study = address_width_study(self._trace())
         assert study.accesses == 2
         # §5.3: 64-bit addressing leaves a smaller stored fraction.
         assert study.stored_fraction_64bit < study.stored_fraction_32bit
         assert study.savings_64bit > study.savings_32bit
 
     def test_empty_trace(self):
-        from repro.simt.trace import KernelTrace
+        from repro.simt.trace import ColumnarTrace, KernelTrace
 
         study = address_width_study(
-            KernelTrace(kernel_name="e", warp_size=32).to_columnar()
+            ColumnarTrace.from_trace(KernelTrace(kernel_name="e", warp_size=32))
         )
         assert study.accesses == 0
         assert study.stored_fraction_32bit == 1.0
@@ -100,7 +100,7 @@ class TestAddressWidthStudy:
 
         built = build_workload("LBM", scale="tiny")
         trace = rk(built.kernel, built.launch, built.memory)
-        study = address_width_study(trace.to_columnar())
-        assert study == address_width_study_events(trace)
+        study = address_width_study(trace)
+        assert study == address_width_study_events(trace.to_trace())
         assert study.accesses > 0
         assert study.savings_64bit >= study.savings_32bit

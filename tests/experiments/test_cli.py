@@ -257,11 +257,6 @@ class TestTimelineCommand:
                       "stream_exhausted", "collectors_full", "bank_conflict"):
             assert cause in out
 
-    def test_compare_engines_agree(self, capsys):
-        argv = ["timeline", "hs", "--scale", "tiny", "--compare-engines"]
-        assert main(argv) == 0
-        assert "engines agree" in capsys.readouterr().err
-
     def test_exports_written(self, tmp_path, capsys):
         import json
 
@@ -282,12 +277,14 @@ class TestTimelineCommand:
         assert "repro_timeline_issued_total" in text
 
     def test_arch_and_engine_selection(self, capsys):
-        argv = [
-            "timeline", "bp", "--scale", "tiny",
-            "--arch", "gscalar", "--sm-engine", "cycle",
-        ]
+        argv = ["timeline", "bp", "--scale", "tiny", "--arch", "gscalar"]
         assert main(argv) == 0
-        assert "gscalar (cycle engine)" in capsys.readouterr().out
+        assert "gscalar (event engine)" in capsys.readouterr().out
+
+    def test_engine_switches_removed(self):
+        for flags in (["--sm-engine", "cycle"], ["--compare-engines"]):
+            with pytest.raises(SystemExit):
+                main(["timeline", "bp", "--scale", "tiny", *flags])
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(SystemExit):

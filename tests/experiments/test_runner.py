@@ -122,13 +122,13 @@ class TestTraceCache:
         from repro.simt.trace import ColumnarTrace
 
         packed = []
-        original = ColumnarTrace.from_trace.__func__
+        original = ColumnarTrace.pack.__func__
 
-        def counting(cls, trace):
-            packed.append(trace.warp_size)
-            return original(cls, trace)
+        def counting(cls, kernel_name, warp_size, warps):
+            packed.append(warp_size)
+            return original(cls, kernel_name, warp_size, warps)
 
-        monkeypatch.setattr(ColumnarTrace, "from_trace", classmethod(counting))
+        monkeypatch.setattr(ColumnarTrace, "pack", classmethod(counting))
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         assert runner.run("HS").columnar.warp_size == 32
         assert runner.trace_with_warp_size("HS", 64).warp_size == 64
@@ -293,7 +293,7 @@ def _write_pre_v5_cache(cache_dir):
     from repro.workloads.registry import build_workload
 
     built = build_workload("HS", scale="tiny")
-    columnar = run_kernel(built.kernel, built.launch, built.memory).to_columnar()
+    columnar = run_kernel(built.kernel, built.launch, built.memory)
     header = {"version": 3, "fingerprint": "0" * 16,
               "kernel_name": columnar.kernel_name, "warp_size": columnar.warp_size}
     np.savez_compressed(

@@ -22,7 +22,7 @@ from tests.oracles import annotate_sites_events
 
 
 def columns_of(kernel, trace):
-    return classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
+    return classify_columnar_batch(trace, kernel.num_registers)
 
 
 @pytest.fixture(scope="module")

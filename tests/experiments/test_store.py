@@ -66,13 +66,16 @@ class TestEntryRoundTrip:
         with pytest.raises(ValueError):
             entry.arrays["ints"][0] = 99
 
-    def test_no_mmap_copies_but_stays_read_only(self, tmp_path):
-        _store_sample(tmp_path)
-        entry, status = store.load_entry(tmp_path, "entry", "a" * 16, mmap=False)
-        assert status == "hit"
-        assert entry.bytes_mapped == 0
-        assert entry.bytes_deserialized > 0
-        assert not entry.arrays["ints"].flags.writeable
+    def test_bank_without_offset_is_corrupt(self, tmp_path):
+        """Every write records each non-empty bank's data offset, so a
+        bank spec without one is damaged: a recompute, not a read."""
+        manifest = _store_sample(tmp_path)
+        doc = json.loads(manifest.read_text())
+        spec = next(a for a in doc["arrays"] if a["name"] == "ints")
+        del spec["offset"]
+        manifest.write_text(json.dumps(doc))
+        entry, status = store.load_entry(tmp_path, "entry", "a" * 16)
+        assert (entry, status) == (None, "corrupt")
 
     def test_absent(self, tmp_path):
         entry, status = store.load_entry(tmp_path, "nothing", "a" * 16)

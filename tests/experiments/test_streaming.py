@@ -45,8 +45,8 @@ def workload_case(abbr: str) -> dict:
     """Tiny-scale trace plus the whole-trace reference per architecture."""
     if abbr not in _CASE_CACHE:
         built = build_workload(abbr, "tiny")
-        trace = run_kernel(built.kernel, built.launch, built.memory)
-        columnar = trace.to_columnar()
+        columnar = run_kernel(built.kernel, built.launch, built.memory)
+        trace = columnar.to_trace()
         config = GpuConfig()
         warps_per_cta = built.launch.warps_per_cta(trace.warp_size)
         widths = analyze_widths(built.kernel, warp_size=trace.warp_size).register_enc
@@ -72,7 +72,6 @@ def workload_case(abbr: str) -> dict:
                 arch,
                 config,
                 warps_per_cta=warps_per_cta,
-                sm_engine="event",
             )
             power = PowerAccountant(arch, config=config).account_columns(
                 pcols, timing

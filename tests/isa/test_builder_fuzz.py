@@ -131,7 +131,7 @@ def test_random_programs_execute_and_reconverge(description):
     memory = MemoryImage()
     trace = run_kernel(
         kernel, LaunchConfig(1, 32), memory, max_warp_instructions=100_000
-    )
+    ).to_trace()
     assert trace.total_instructions > 0
     # The final store happens after all reconvergence: full mask.
     final_store = trace.warps[0].events[-1]

@@ -15,31 +15,27 @@ def _run_instrumented(abbr: str, scale: str = "tiny"):
     built = build_workload(abbr, scale)
     with telemetry_session() as telemetry:
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        ccols = classify_columnar_batch(
-            trace.to_columnar(), built.kernel.num_registers
-        )
+        ccols = classify_columnar_batch(trace, built.kernel.num_registers)
     return telemetry, trace, ccols
 
 
 class TestExecutorMetrics:
     def test_instruction_mix_matches_trace(self):
         telemetry, trace, _ = _run_instrumented("BP")
-        total_events = sum(len(warp.events) for warp in trace.warps)
+        total_events = trace.num_events
         recorded = sum(telemetry.counters_named("instructions").values())
         assert recorded == total_events
 
     def test_warp_instruction_histogram_covers_every_warp(self):
         telemetry, trace, _ = _run_instrumented("BP")
         histogram = telemetry.histogram("warp_instructions")
-        assert sum(histogram.values()) == len(trace.warps)
-        assert sum(v * c for v, c in histogram.items()) == sum(
-            len(warp.events) for warp in trace.warps
-        )
+        assert sum(histogram.values()) == trace.num_warps
+        assert sum(v * c for v, c in histogram.items()) == trace.num_events
 
     def test_stack_depth_recorded_per_warp(self):
         telemetry, trace, _ = _run_instrumented("BP")
         histogram = telemetry.histogram("reconvergence_stack_depth")
-        assert sum(histogram.values()) == len(trace.warps)
+        assert sum(histogram.values()) == trace.num_warps
         assert min(histogram) >= 1
 
     def test_kernel_and_warp_spans_recorded(self):
@@ -49,12 +45,38 @@ class TestExecutorMetrics:
         assert "warp" in cats
 
 
+class TestTraceCacheMetrics:
+    def test_cache_hit_records_what_execution_recorded(self, tmp_path):
+        from repro.experiments.runner import ExperimentRunner
+
+        registries, runners = [], []
+        for _ in range(2):
+            with telemetry_session() as telemetry:
+                runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+                runner.run("BP")
+                runner.trace_with_warp_size("BP", 64)
+            registries.append(telemetry)
+            runners.append(runner)
+        executed, hit = registries
+        assert runners[0].stats.trace_executions == 2
+        assert runners[1].stats.trace_executions == 0
+        assert runners[1].stats.counters["trace_cache_hits"] == 2
+        assert executed.counters_named("instructions")
+        assert hit.counters_named("instructions") == executed.counters_named(
+            "instructions"
+        )
+        assert executed.histogram("warp_instructions")
+        assert hit.histogram("warp_instructions") == executed.histogram(
+            "warp_instructions"
+        )
+
+
 class TestTrackerMetrics:
     def test_scalar_class_totals_match_classification(self):
         telemetry, trace, _ = _run_instrumented("BP")
         # Ground truth: the per-event tracker, which records nothing.
         num_registers = build_workload("BP", "tiny").kernel.num_registers
-        classified = classify_trace(trace, num_registers)
+        classified = classify_trace(trace.to_trace(), num_registers)
         by_class: dict[str, int] = {}
         for warp_events in classified:
             for item in warp_events:
@@ -82,7 +104,7 @@ class TestTrackerMetrics:
         # with the same byte-wise prefix rule, so they must agree
         # exactly (the Figure 8 cross-check).
         telemetry, trace, _ = _run_instrumented(abbr)
-        comparison = compare_trace(trace.to_columnar())
+        comparison = compare_trace(trace)
         recorded = {
             int(dict(labels)["enc"]): int(value)
             for labels, value in telemetry.counters_named("enc_prefix").items()
@@ -215,11 +237,11 @@ class TestColumnarAccountingMetrics:
 
         built = build_workload("BP", "tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classified = classify_trace(trace, built.kernel.num_registers)
+        classified = classify_trace(trace.to_trace(), built.kernel.num_registers)
         arch = architecture_by_name(arch_name)
         processed = process_classified(classified, arch, trace.warp_size)
         pcols = process_columns(
-            classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers),
+            classify_columnar_batch(trace, built.kernel.num_registers),
             arch,
         )
         timing = simulate_architecture(processed, arch, warp_size=trace.warp_size)

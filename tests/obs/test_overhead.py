@@ -25,7 +25,7 @@ class TestStructuralZeroWork:
     def test_executor_skips_helpers_when_disabled(self, monkeypatch):
         assert get_telemetry() is NULL_TELEMETRY
         monkeypatch.setattr(
-            "repro.simt.executor.record_warp_trace", _fail_if_called
+            "repro.simt.executor.record_columnar_warps", _fail_if_called
         )
         built = build_workload("BP", "tiny")
         run_kernel(built.kernel, built.launch, built.memory)
@@ -38,7 +38,7 @@ class TestStructuralZeroWork:
         )
         built = build_workload("BP", "tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers)
+        classify_columnar_batch(trace, built.kernel.num_registers)
 
     def test_power_accounting_skips_helpers_when_disabled(self, monkeypatch):
         from repro.experiments.runner import ExperimentRunner, paper_architectures
@@ -56,7 +56,7 @@ class TestStructuralZeroWork:
     def test_null_registry_accumulates_nothing(self):
         built = build_workload("BP", "tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classify_columnar_batch(trace.to_columnar(), built.kernel.num_registers)
+        classify_columnar_batch(trace, built.kernel.num_registers)
         assert NULL_TELEMETRY.counters == {}
         assert NULL_TELEMETRY.histograms == {}
         assert NULL_TELEMETRY.spans == []

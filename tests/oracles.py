@@ -44,7 +44,8 @@ from repro.scalar.columns import (
 from repro.scalar.eligibility import SCALAR_CLASS_TO_ID, ScalarClass
 from repro.scalar.tracker import classify_trace
 from repro.simt.trace import OPCODE_TO_ID, ColumnarTrace, KernelTrace, WarpTrace
-from repro.timing.gpu import simulate_architecture
+from repro.timing.gpu import lower_to_timing_ops, simulate_architecture
+from repro.timing.sm import SmSimulator
 
 
 def columns_from_classified(
@@ -514,14 +515,12 @@ def reference_timing_and_power(runner, abbr, arch):
     """
     run = runner.run(abbr)
     processed = processed_events(runner, abbr, arch)
-    timing = simulate_architecture(
-        processed,
-        arch,
+    timing = SmSimulator(
+        lower_to_timing_ops(processed, arch, runner.config, run.warp_size),
         runner.config,
-        warp_size=run.warp_size,
+        extra_latency=arch.extra_pipeline_cycles,
         warps_per_cta=runner.warps_per_cta(abbr),
-        sm_engine="cycle",
-    )
+    ).run()
     power = PowerAccountant(arch, runner.params, runner.config).account(
         processed, timing
     )

@@ -12,7 +12,7 @@ from tests.oracles import process_trace_events
 
 
 def full_run(kernel, arch):
-    trace = run_one_warp(kernel, MemoryImage(), cta=64)
+    trace = run_one_warp(kernel, MemoryImage(), cta=64).to_trace()
     processed = process_trace_events(trace, arch, kernel.num_registers)
     timing = simulate_architecture(processed, arch)
     return PowerAccountant(arch).account(processed, timing)

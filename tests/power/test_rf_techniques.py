@@ -26,9 +26,9 @@ from tests.oracles import (
 
 def energies_for(kernel):
     """Each technique's energy on one warp, plus the per-event oracle's."""
-    trace = run_one_warp(kernel, MemoryImage())
+    columnar = run_one_warp(kernel, MemoryImage())
+    trace = columnar.to_trace()
     classified = classify_trace(trace, kernel.num_registers)
-    columnar = trace.to_columnar()
     ccols = classify_columnar_batch(columnar, kernel.num_registers)
     results = {"wc_bdi": rf_energy_for_technique(columnar, "wc_bdi")}
     for technique in ("baseline", "scalar_rf", "ours"):
@@ -72,7 +72,7 @@ class TestOrdering:
     def test_unknown_technique_rejected(self, scalar_heavy_kernel):
         trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
         with pytest.raises(ConfigError):
-            rf_energy_for_technique(trace.to_columnar(), "magic")
+            rf_energy_for_technique(trace, "magic")
 
     def test_wc_bdi_has_no_architecture(self):
         with pytest.raises(ConfigError):

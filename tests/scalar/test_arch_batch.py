@@ -45,9 +45,9 @@ def workload_case(abbr: str):
     if abbr not in _CASE_CACHE:
         built = build_workload(abbr, "small")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classified = classify_trace(trace, built.kernel.num_registers)
+        classified = classify_trace(trace.to_trace(), built.kernel.num_registers)
         ccols = classify_columnar_batch(
-            trace.to_columnar(), built.kernel.num_registers
+            trace, built.kernel.num_registers
         )
         _CASE_CACHE[abbr] = (trace, classified, ccols)
     return _CASE_CACHE[abbr]
@@ -146,9 +146,9 @@ class TestMoveElision:
     def test_move_elision_matches_event_path(self):
         built = build_workload("BP", "small")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classified = classify_trace(trace, built.kernel.num_registers)
+        classified = classify_trace(trace.to_trace(), built.kernel.num_registers)
         ccols = classify_columnar_batch(
-            trace.to_columnar(), built.kernel.num_registers
+            trace, built.kernel.num_registers
         )
         elision = MoveElisionAnalysis(built.kernel)
         arch = ArchitectureConfig.gscalar()
@@ -164,9 +164,9 @@ class TestScalarRfPath:
 
     def test_divergent_overwrite_stream(self, divergent_kernel):
         trace = run_one_warp(divergent_kernel, MemoryImage())
-        classified = classify_trace(trace, divergent_kernel.num_registers)
+        classified = classify_trace(trace.to_trace(), divergent_kernel.num_registers)
         ccols = classify_columnar_batch(
-            trace.to_columnar(), divergent_kernel.num_registers
+            trace, divergent_kernel.num_registers
         )
         assert_processed_identical(
             classified, ccols, ArchitectureConfig.alu_scalar(), trace.warp_size
@@ -183,8 +183,8 @@ class TestScalarRfPath:
         b.st_global(b.imad(tid, 4, 0x3000), acc)
         kernel = b.finish()
         trace = run_one_warp(kernel, MemoryImage())
-        classified = classify_trace(trace, kernel.num_registers)
-        ccols = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
+        classified = classify_trace(trace.to_trace(), kernel.num_registers)
+        ccols = classify_columnar_batch(trace, kernel.num_registers)
         assert_processed_identical(
             classified, ccols, ArchitectureConfig.alu_scalar(), trace.warp_size
         )
@@ -194,7 +194,7 @@ class TestValidation:
     def test_bad_warp_size_rejected(self):
         trace, _, _ = workload_case("BP")
         ccols = classify_columnar_batch(
-            trace.to_columnar(), build_workload("BP", "small").kernel.num_registers
+            trace, build_workload("BP", "small").kernel.num_registers
         )
         ccols.warp_size = 0
         with pytest.raises(ConfigError):

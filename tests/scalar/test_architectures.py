@@ -32,7 +32,7 @@ def scalar_chain_trace():
     f = b.ld_global(addr)
     b.st_global(b.imad(tid, 4, 0x2000), b.iadd(f, tid))
     kernel = b.finish()
-    return run_one_warp(kernel, MemoryImage()), kernel
+    return run_one_warp(kernel, MemoryImage()).to_trace(), kernel
 
 
 def divergent_scalar_trace():
@@ -44,7 +44,7 @@ def divergent_scalar_trace():
         x = b.iadd(c, 1)
         b.iadd(x, 2)
     kernel = b.finish()
-    return run_one_warp(kernel, MemoryImage()), kernel
+    return run_one_warp(kernel, MemoryImage()).to_trace(), kernel
 
 
 class TestScalarExecutionDecisions:
@@ -164,7 +164,7 @@ class TestRegisterFileAccesses:
         with b.if_(cond):
             value = b.mov(9, dst=value)  # divergent overwrite
         kernel = b.finish()
-        trace = run_one_warp(kernel, MemoryImage())
+        trace = run_one_warp(kernel, MemoryImage()).to_trace()
         processed = process_trace_events(trace, GSCALAR, kernel.num_registers)
         movers = [
             p for warp in processed for p in warp if p.extra_instructions

@@ -68,9 +68,9 @@ def classify_chunked(columnar, num_registers, chunk_events):
     return concat_classified_columns(fragments, continued)
 
 
-def assert_engines_agree(trace, num_registers):
+def assert_engines_agree(columnar, num_registers):
     """The vectorized classifier writes the tracker's columns."""
-    columnar = trace.to_columnar()
+    trace = columnar.to_trace()
     reference = columns_from_classified(
         classify_trace(trace, num_registers), trace.warp_size, columnar=columnar
     )
@@ -117,7 +117,7 @@ class TestDifferentialEquivalence:
         memory = MemoryImage()
         launch = LaunchConfig(grid_dim=2, cta_dim=96)
         trace = run_kernel(loop_kernel, launch, memory)
-        assert len(trace.warps) == 6
+        assert trace.num_warps == 6
         assert_engines_agree(trace, loop_kernel.num_registers)
 
     def test_barrier_kernel(self):
@@ -132,8 +132,8 @@ class TestDifferentialEquivalence:
     def test_architecture_results_identical(self, divergent_kernel):
         trace = run_one_warp(divergent_kernel, MemoryImage(), cta=64)
         n = divergent_kernel.num_registers
-        columns = classify_columnar_batch(trace.to_columnar(), n)
-        classified = classify_trace(trace, n)
+        columns = classify_columnar_batch(trace, n)
+        classified = classify_trace(trace.to_trace(), n)
         for arch in (
             ArchitectureConfig.baseline(),
             ArchitectureConfig.alu_scalar(),
@@ -158,8 +158,10 @@ class TestChunked:
     @pytest.fixture(scope="class")
     def hs(self):
         built = build_workload("HS", "tiny")
-        trace = run_kernel(built.kernel, built.launch, built.memory)
-        return trace.to_columnar(), built.kernel.num_registers
+        return (
+            run_kernel(built.kernel, built.launch, built.memory),
+            built.kernel.num_registers,
+        )
 
     def test_chunk_sizes(self, hs):
         columnar, n = hs
@@ -214,28 +216,24 @@ class TestDispatch:
     def test_negative_registers_rejected(self, scalar_heavy_kernel):
         trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
         with pytest.raises(TraceError):
-            classify_columnar_batch(trace.to_columnar(), -1)
+            classify_columnar_batch(trace, -1)
         with pytest.raises(TraceError):
-            chunk = next(iter_chunks(trace.to_columnar(), 4))
+            chunk = next(iter_chunks(trace, 4))
             classify_columnar_chunk(chunk, -1, ClassifierCarry())
 
     def test_oversized_mask_rejected(self, scalar_heavy_kernel):
-        trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
-        columnar = trace.to_columnar()
-        columnar.masks[0] = np.uint64(1) << np.uint64(trace.warp_size)
+        columnar = run_one_warp(scalar_heavy_kernel, MemoryImage())
+        columnar.masks[0] = np.uint64(1) << np.uint64(columnar.warp_size)
         with pytest.raises(TraceError, match="wider than warp size"):
             classify_columnar_batch(columnar, scalar_heavy_kernel.num_registers)
 
     def test_full_warp64_mask_accepted(self, divergent_kernel):
         trace = run_one_warp(divergent_kernel, MemoryImage(), warp_size=64, cta=64)
-        columns = classify_columnar_batch(
-            trace.to_columnar(), divergent_kernel.num_registers
-        )
+        columns = classify_columnar_batch(trace, divergent_kernel.num_registers)
         assert columns.masks.max() == np.uint64(2**64 - 1)
 
     def test_odd_warp_size_rejected(self, scalar_heavy_kernel):
-        trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
-        columnar = trace.to_columnar()
+        columnar = run_one_warp(scalar_heavy_kernel, MemoryImage())
         columnar.warp_size = 31
         columnar.masks[:] = np.uint64(2**31 - 1)
         columnar.values = np.ascontiguousarray(columnar.values[:, :31])

@@ -26,8 +26,8 @@ from tests.oracles import columns_from_classified
 @pytest.fixture(scope="module")
 def bp_small():
     built = build_workload("BP", "small")
-    trace = run_kernel(built.kernel, built.launch, built.memory)
-    columnar = trace.to_columnar()
+    columnar = run_kernel(built.kernel, built.launch, built.memory)
+    trace = columnar.to_trace()
     classified = classify_trace(trace, built.kernel.num_registers)
     return trace, columnar, classified
 
@@ -93,7 +93,7 @@ class TestClassifiedColumns:
 
 class TestProcessedColumns:
     def _processed(self, kernel, arch):
-        trace = run_one_warp(kernel, MemoryImage())
+        trace = run_one_warp(kernel, MemoryImage()).to_trace()
         classified = classify_trace(trace, kernel.num_registers)
         processed = process_classified(classified, arch, trace.warp_size)
         return ProcessedColumns.from_events(processed, trace.warp_size)

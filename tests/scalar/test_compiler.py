@@ -20,7 +20,7 @@ GSCALAR = ArchitectureConfig.gscalar()
 
 
 def run(kernel, cta=32):
-    trace = run_kernel(kernel, LaunchConfig(1, cta), MemoryImage())
+    trace = run_kernel(kernel, LaunchConfig(1, cta), MemoryImage()).to_trace()
     return trace, classify_trace(trace, kernel.num_registers)
 
 
@@ -106,7 +106,7 @@ class TestMoveElision:
         for abbr in ("LBM", "HS", "SAD"):
             built = build_workload(abbr, scale="tiny")
             trace = run_kernel(built.kernel, built.launch, built.memory)
-            classified = classify_trace(trace, built.kernel.num_registers)
+            classified = classify_trace(trace.to_trace(), built.kernel.num_registers)
             without = processed_statistics(
                 process_classified(classified, GSCALAR, 32)
             )
@@ -192,16 +192,12 @@ class TestStaticScalarization:
         for abbr in ("BP", "HS", "LBM", "MM", "SAD"):
             built = build_workload(abbr, scale="tiny")
             trace = run_kernel(built.kernel, built.launch, built.memory)
-            ccols = classify_columnar_batch(
-                trace.to_columnar(), built.kernel.num_registers
-            )
+            ccols = classify_columnar_batch(trace, built.kernel.num_registers)
             dynamic_total += trace_statistics(ccols).eligible_fraction
             scalarization = StaticScalarization(built.kernel)
-            fraction = scalarization.dynamic_static_scalar_fraction(
-                trace.to_columnar()
-            )
+            fraction = scalarization.dynamic_static_scalar_fraction(trace)
             assert fraction == dynamic_static_scalar_fraction_events(
-                scalarization, trace
+                scalarization, trace.to_trace()
             )
             static_total += fraction
         assert static_total < dynamic_total

@@ -136,13 +136,13 @@ class TestMaskMatching:
 
 class TestTraceLevel:
     def test_classify_trace_per_warp_isolation(self, divergent_kernel):
-        trace = run_one_warp(divergent_kernel, MemoryImage(), cta=64)
+        trace = run_one_warp(divergent_kernel, MemoryImage(), cta=64).to_trace()
         classified = classify_trace(trace, divergent_kernel.num_registers)
         assert len(classified) == 2
         assert len(classified[0]) == len(trace.warps[0].events)
 
     def test_statistics_roll_up(self, divergent_kernel):
-        trace = run_one_warp(divergent_kernel, MemoryImage())
+        trace = run_one_warp(divergent_kernel, MemoryImage()).to_trace()
         classified = classify_trace(trace, divergent_kernel.num_registers)
         stats = trace_statistics(columns_from_classified(classified, 32))
         assert stats.total_instructions == trace.total_instructions
@@ -150,7 +150,7 @@ class TestTraceLevel:
         assert sum(stats.class_counts.values()) == stats.total_instructions
 
     def test_scalar_chain_fully_eligible(self, scalar_heavy_kernel):
-        trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
+        trace = run_one_warp(scalar_heavy_kernel, MemoryImage()).to_trace()
         classified = classify_warp(trace.warps[0], scalar_heavy_kernel.num_registers)
         buckets = [item.scalar_class for item in classified]
         assert ScalarClass.SFU_SCALAR in buckets
@@ -166,7 +166,7 @@ class TestTraceLevel:
             y = b.iadd(x, 2)  # x is D=1, enc=1111, same mask
             b.iadd(y, 3)
         kernel = b.finish()
-        trace = run_one_warp(kernel, MemoryImage())
+        trace = run_one_warp(kernel, MemoryImage()).to_trace()
         classified = classify_warp(trace.warps[0], kernel.num_registers)
         divergent_scalars = [
             i for i in classified if i.scalar_class is ScalarClass.DIVERGENT_SCALAR

@@ -36,9 +36,9 @@ def assert_traces_equal(a, b):
                 assert np.array_equal(ev_a.addresses, ev_b.addresses)
 
 
-def round_trip(trace, cache_dir):
-    """Save ``trace`` as a v5 entry and load its event form back."""
-    save_columnar_v5(trace.to_columnar(), cache_dir, "trace", FINGERPRINT)
+def round_trip(columnar, cache_dir):
+    """Save ``columnar`` as a v5 entry and load its event form back."""
+    save_columnar_v5(columnar, cache_dir, "trace", FINGERPRINT)
     columnar, status, _ = load_columnar_v5(cache_dir, "trace", FINGERPRINT)
     assert status == "hit"
     return columnar.to_trace()
@@ -47,15 +47,16 @@ def round_trip(trace, cache_dir):
 class TestRoundTrip:
     def test_divergent_trace(self, divergent_kernel, tmp_path):
         trace = run_one_warp(divergent_kernel, MemoryImage(), cta=64)
-        assert_traces_equal(trace, round_trip(trace, tmp_path))
+        assert_traces_equal(trace.to_trace(), round_trip(trace, tmp_path))
 
     def test_memory_trace(self, saxpy_kernel, simple_memory, tmp_path):
         trace = run_one_warp(saxpy_kernel, simple_memory)
-        assert_traces_equal(trace, round_trip(trace, tmp_path))
+        assert_traces_equal(trace.to_trace(), round_trip(trace, tmp_path))
 
     def test_empty_trace(self, tmp_path):
         trace = KernelTrace(kernel_name="empty", warp_size=32)
-        assert round_trip(trace, tmp_path).total_instructions == 0
+        columnar = ColumnarTrace.from_trace(trace)
+        assert round_trip(columnar, tmp_path).total_instructions == 0
 
     def test_downstream_results_identical(self, divergent_kernel, tmp_path):
         """A reloaded trace must classify identically."""
@@ -64,13 +65,12 @@ class TestRoundTrip:
         trace = run_one_warp(divergent_kernel, MemoryImage())
         reloaded = round_trip(trace, tmp_path)
         original = trace_statistics(
-            classify_columnar_batch(
-                trace.to_columnar(), divergent_kernel.num_registers
-            )
+            classify_columnar_batch(trace, divergent_kernel.num_registers)
         )
         recovered = trace_statistics(
             classify_columnar_batch(
-                reloaded.to_columnar(), divergent_kernel.num_registers
+                ColumnarTrace.from_trace(reloaded),
+                divergent_kernel.num_registers,
             )
         )
         assert original.class_counts == recovered.class_counts
@@ -81,31 +81,31 @@ class TestRoundTrip:
 
         built = build_workload("HS", scale="tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        assert_traces_equal(trace, round_trip(trace, tmp_path))
+        assert_traces_equal(trace.to_trace(), round_trip(trace, tmp_path))
         assert any(path.stat().st_size > 0 for path in tmp_path.rglob("*.npy"))
 
 
 class TestFingerprint:
     def test_matching_fingerprint_round_trips(self, saxpy_kernel, tmp_path):
         trace = run_one_warp(saxpy_kernel, MemoryImage())
-        save_columnar_v5(trace.to_columnar(), tmp_path, "trace", FINGERPRINT)
+        save_columnar_v5(trace, tmp_path, "trace", FINGERPRINT)
         loaded, status, entry = load_columnar_v5(tmp_path, "trace", FINGERPRINT)
         assert status == "hit"
         assert isinstance(loaded, ColumnarTrace)
         assert entry.bytes_mapped > 0
-        assert_traces_equal(trace, loaded.to_trace())
+        assert_traces_equal(trace.to_trace(), loaded.to_trace())
 
     def test_no_expected_fingerprint_skips_check(self, saxpy_kernel, tmp_path):
         trace = run_one_warp(saxpy_kernel, MemoryImage())
-        save_columnar_v5(trace.to_columnar(), tmp_path, "trace", FINGERPRINT)
+        save_columnar_v5(trace, tmp_path, "trace", FINGERPRINT)
         loaded, status, _ = load_columnar_v5(tmp_path, "trace")
         assert status == "hit"
-        assert_traces_equal(trace, loaded.to_trace())
+        assert_traces_equal(trace.to_trace(), loaded.to_trace())
 
     def test_mismatched_fingerprint_raises(self, saxpy_kernel, tmp_path):
         """A stale entry is reported, never handed back as a hit."""
         trace = run_one_warp(saxpy_kernel, MemoryImage())
-        save_columnar_v5(trace.to_columnar(), tmp_path, "trace", FINGERPRINT)
+        save_columnar_v5(trace, tmp_path, "trace", FINGERPRINT)
         assert load_columnar_v5(tmp_path, "trace", "0123456789abcdef") == (
             None, "stale", None,
         )
@@ -125,7 +125,7 @@ class TestCorruption:
         from repro.experiments import store
 
         trace = run_one_warp(saxpy_kernel, MemoryImage())
-        save_columnar_v5(trace.to_columnar(), tmp_path, "trace", FINGERPRINT)
+        save_columnar_v5(trace, tmp_path, "trace", FINGERPRINT)
         bank = tmp_path / store.bank_dir_name("trace", FINGERPRINT) / "values.npy"
         data = bank.read_bytes()
         bank.write_bytes(data[: len(data) // 2])
@@ -146,7 +146,7 @@ class TestCorruption:
 
         trace = run_one_warp(saxpy_kernel, MemoryImage())
         with mock.patch.object(serialize, "_FORMAT_VERSION", 999):
-            save_columnar_v5(trace.to_columnar(), tmp_path, "trace", FINGERPRINT)
+            save_columnar_v5(trace, tmp_path, "trace", FINGERPRINT)
         assert load_columnar_v5(tmp_path, "trace", FINGERPRINT) == (
             None, "corrupt", None,
         )

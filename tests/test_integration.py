@@ -26,7 +26,7 @@ def pipeline():
     results = {}
     for abbr in ("HS", "BP"):
         built = build_workload(abbr, scale="tiny")
-        trace = run_kernel(built.kernel, built.launch, built.memory)
+        trace = run_kernel(built.kernel, built.launch, built.memory).to_trace()
         from repro.scalar.tracker import classify_trace
 
         classified = classify_trace(trace, built.kernel.num_registers)
@@ -124,7 +124,7 @@ class TestDeterminism:
     def test_full_pipeline_is_reproducible(self):
         def run_once():
             built = build_workload("SR1", scale="tiny")
-            trace = run_kernel(built.kernel, built.launch, built.memory)
+            trace = run_kernel(built.kernel, built.launch, built.memory).to_trace()
             from repro.scalar.tracker import classify_trace
 
             classified = classify_trace(trace, built.kernel.num_registers)

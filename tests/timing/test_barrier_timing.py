@@ -85,7 +85,7 @@ class TestEndToEndBarrierKernel:
         b.st_global(b.imad(b.tid(), 4, 0x2000), partner)
         kernel = b.finish()
         memory = MemoryImage()
-        trace = run_kernel(kernel, LaunchConfig(1, 64), memory)
+        trace = run_kernel(kernel, LaunchConfig(1, 64), memory).to_trace()
         arch = ArchitectureConfig.gscalar()
         processed = process_trace_events(trace, arch, kernel.num_registers)
         result = simulate_architecture(processed, arch, warps_per_cta=2)
@@ -99,7 +99,7 @@ class TestEndToEndBarrierKernel:
         b.barrier()
         b.mov(1)
         kernel = b.finish()
-        trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage())
+        trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage()).to_trace()
         arch = ArchitectureConfig.baseline()
         processed = process_trace_events(trace, arch, kernel.num_registers)
         ops = lower_to_timing_ops(processed, arch, CONFIG, 32)

@@ -141,8 +141,8 @@ def shared_barrier():
     b.st_global(b.imad(tid, 4, 0x3000), value)
     kernel = b.finish()
     trace = run_one_warp(kernel, cta=64)
-    classified = classify_trace(trace, kernel.num_registers)
-    ccols = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
+    classified = classify_trace(trace.to_trace(), kernel.num_registers)
+    ccols = classify_columnar_batch(trace, kernel.num_registers)
     widths = analyze_widths(kernel, warp_size=trace.warp_size).register_enc
     return kernel, trace, classified, ccols, widths
 
@@ -172,10 +172,9 @@ class TestHandBuiltLowering:
 def lc_tiny():
     """LC at tiny scale: four warps, decompress moves under G-Scalar."""
     built = build_workload("LC", "tiny")
-    trace = run_kernel(built.kernel, built.launch, built.memory)
-    columnar = trace.to_columnar()
+    columnar = run_kernel(built.kernel, built.launch, built.memory)
     ccols = classify_columnar_batch(columnar, built.kernel.num_registers)
-    widths = analyze_widths(built.kernel, warp_size=trace.warp_size).register_enc
+    widths = analyze_widths(built.kernel, warp_size=columnar.warp_size).register_enc
     static_widths = {
         arch.name: widths if arch.static_compression else None
         for arch in matrix_architectures()
@@ -331,7 +330,7 @@ class TestScalarSegmentLane:
         memory = MemoryImage()
         memory.bind_array(0x1000, np.arange(32, dtype=np.uint32))
         trace = run_one_warp(kernel, memory)
-        classified = classify_trace(trace, kernel.num_registers)
+        classified = classify_trace(trace.to_trace(), kernel.num_registers)
         arch = ArchitectureConfig.gscalar()
         config = GpuConfig()
 
@@ -345,7 +344,7 @@ class TestScalarSegmentLane:
         assert int(load.classified.event.addresses[0]) == 0x9000  # stale lane 0
 
         oracle = build_timing_ops(processed[0], arch, config, trace.warp_size)
-        ccols = classify_columnar_batch(trace.to_columnar(), kernel.num_registers)
+        ccols = classify_columnar_batch(trace, kernel.num_registers)
         table = build_timing_ops_columns(
             ccols, process_columns(ccols, arch), arch, config
         )

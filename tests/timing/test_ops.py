@@ -16,7 +16,7 @@ CONFIG = GpuConfig()
 
 def ops_for(kernel_builder_fn, arch):
     kernel = kernel_builder_fn()
-    trace = run_one_warp(kernel, MemoryImage())
+    trace = run_one_warp(kernel, MemoryImage()).to_trace()
     processed = process_trace_events(trace, arch, kernel.num_registers)
     return build_timing_ops(processed[0], arch, CONFIG, 32)
 

@@ -27,12 +27,7 @@ from repro.simt.executor import run_kernel
 from repro.timing.gpu import lower_to_timing_ops
 from repro.timing.ops import TimingOp, TimingOpTable
 from repro.timing.sm import SmSimulator
-from repro.timing.sm_event import (
-    DEFAULT_SM_ENGINE,
-    SM_ENGINE_CHOICES,
-    EventSmSimulator,
-    create_sm_simulator,
-)
+from repro.timing.sm_event import EventSmSimulator
 from repro.workloads.registry import all_workloads, build_workload
 from tests.timing.test_sm_properties import random_ops
 
@@ -73,7 +68,7 @@ def workload_streams():
     for abbr in WORKLOADS:
         built = build_workload(abbr, "tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classified = classify_trace(trace, built.kernel.num_registers)
+        classified = classify_trace(trace.to_trace(), built.kernel.num_registers)
         streams[abbr] = (
             classified,
             trace.warp_size,
@@ -172,26 +167,6 @@ class TestRandomStreamDifferential:
 
 
 class TestEngineFactory:
-    def test_choices_and_default(self):
-        assert DEFAULT_SM_ENGINE == "event"
-        assert set(SM_ENGINE_CHOICES) == {"event", "cycle"}
-
-    def test_factory_selects_engine(self):
-        ops = TimingOpTable.from_ops([[TimingOp(
-            category=OpCategory.ALU, dst=0, src_regs=(), src_banks=(),
-            dispatch_cycles=2, long_latency=False, is_store=False,
-        )]])
-        assert isinstance(
-            create_sm_simulator("event", ops, GpuConfig()), EventSmSimulator
-        )
-        assert isinstance(
-            create_sm_simulator("cycle", ops, GpuConfig()), SmSimulator
-        )
-
-    def test_factory_rejects_unknown_engine(self):
-        with pytest.raises(TimingError):
-            create_sm_simulator("warp-speed", EMPTY, GpuConfig())
-
     def test_event_engine_validates_like_reference(self):
         with pytest.raises(TimingError):
             EventSmSimulator(EMPTY, GpuConfig(), extra_latency=-1)

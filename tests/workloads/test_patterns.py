@@ -19,7 +19,7 @@ class TestLoadBroadcast:
         kernel = b.finish()
         memory = MemoryImage()
         memory.bind_array(patterns.PARAMS_BASE, np.array([42], dtype=np.uint32))
-        trace = run_one_warp(kernel, memory)
+        trace = run_one_warp(kernel, memory).to_trace()
         classified = classify_warp(trace.warps[0], kernel.num_registers)
         classes = [item.scalar_class for item in classified]
         assert ScalarClass.MEM_SCALAR in classes
@@ -48,7 +48,7 @@ class TestThreadElementAddr:
         b.st_global(addr, tid)
         kernel = b.finish()
         memory = MemoryImage()
-        trace = run_one_warp(kernel, memory)
+        trace = run_one_warp(kernel, memory).to_trace()
         store = [e for e in trace.warps[0] if e.addresses is not None][-1]
         assert store.addresses[1] - store.addresses[0] == 8
 
@@ -80,7 +80,7 @@ class TestHalfParameter:
         memory.bind_array(
             patterns.PARAMS_BASE, np.array([10, 20], dtype=np.uint32)
         )
-        trace = run_one_warp(kernel, memory)
+        trace = run_one_warp(kernel, memory).to_trace()
         classified = classify_warp(trace.warps[0], kernel.num_registers)
         assert classified[-1].scalar_class is ScalarClass.HALF_SCALAR
 

@@ -31,8 +31,10 @@ _SEED_CACHE: dict[str, tuple] = {}
 def seed_case(abbr: str = "HS"):
     if abbr not in _SEED_CACHE:
         built = build_workload(abbr, "tiny")
-        trace = run_kernel(built.kernel, built.launch, built.memory)
-        _SEED_CACHE[abbr] = (built, trace.to_columnar())
+        _SEED_CACHE[abbr] = (
+            built,
+            run_kernel(built.kernel, built.launch, built.memory),
+        )
     return _SEED_CACHE[abbr]
 
 

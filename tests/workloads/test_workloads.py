@@ -20,11 +20,9 @@ def all_stats():
     results = {}
     for spec in all_workloads():
         built = spec.builder(SCALE)
-        trace = run_kernel(built.kernel, built.launch, built.memory)
-        ccols = classify_columnar_batch(
-            trace.to_columnar(), built.kernel.num_registers
-        )
-        results[spec.abbr] = (built, trace, trace_statistics(ccols))
+        columnar = run_kernel(built.kernel, built.launch, built.memory)
+        ccols = classify_columnar_batch(columnar, built.kernel.num_registers)
+        results[spec.abbr] = (built, columnar.to_trace(), trace_statistics(ccols))
     return results
 
 
@@ -107,8 +105,8 @@ def test_memory_intensive_benchmarks_issue_more_memory_ops(all_stats):
 def test_workloads_are_deterministic():
     built_a = build_workload("SAD", scale="tiny")
     built_b = build_workload("SAD", scale="tiny")
-    trace_a = run_kernel(built_a.kernel, built_a.launch, built_a.memory)
-    trace_b = run_kernel(built_b.kernel, built_b.launch, built_b.memory)
+    trace_a = run_kernel(built_a.kernel, built_a.launch, built_a.memory).to_trace()
+    trace_b = run_kernel(built_b.kernel, built_b.launch, built_b.memory).to_trace()
     assert trace_a.total_instructions == trace_b.total_instructions
     masks_a = [e.active_mask for e in trace_a.all_events()]
     masks_b = [e.active_mask for e in trace_b.all_events()]
