@@ -12,8 +12,9 @@ Run with:  python examples/custom_kernel.py
 import numpy as np
 
 from repro.analysis import access_distribution, divergence_stats
+from repro.analysis.static_ import lint_kernel
 from repro.config import ArchitectureConfig
-from repro.isa import KernelBuilder, validate_kernel
+from repro.isa import KernelBuilder
 from repro.power import PowerAccountant
 from repro.scalar import classify_columnar_batch, process_columns, trace_statistics
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
@@ -58,10 +59,7 @@ def reduction_kernel(cta_size=128):
 def main():
     cta = 128
     kernel = reduction_kernel(cta)
-    report = validate_kernel(kernel)
-    print(f"kernel: {report.num_blocks} blocks, "
-          f"{report.num_instructions} static instructions, "
-          f"{report.num_registers} registers")
+    print(lint_kernel(kernel).render())
 
     memory = MemoryImage()
     data = np.arange(512, dtype=np.uint32)

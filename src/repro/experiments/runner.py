@@ -20,8 +20,8 @@ memory only.
 
 Each stage has one engine: the vectorized classifier, the columnar
 architecture interpretation and power accounting, and the event-driven
-SM simulator.  The per-event engines they replaced stay in ``src/`` as
-reference oracles for tests; the runner never selects them.  Each
+SM simulator.  The per-event engines they replaced live in
+``tests/reference`` as oracles for the tests.  Each
 cached artifact embeds a content fingerprint
 (:mod:`repro.experiments.cachekey`) covering the kernel, scale, warp
 size, architecture, GPU configuration and energy parameters; a
@@ -181,24 +181,14 @@ class RunnerStats:
     def merge(self, other: "RunnerStats | dict") -> None:
         """Fold another stats object (or a worker payload) into this one.
 
-        Accepts another :class:`RunnerStats`, a full :meth:`to_payload`
-        dict (merged registry-to-registry, spans included), or the
-        legacy ``{"counters", "stage_seconds"}`` shape of
-        :meth:`to_dict`.
+        Accepts another :class:`RunnerStats` or a :meth:`to_payload`
+        dict, merged registry-to-registry (spans included); the
+        payload's ``counters``/``stage_seconds`` are already inside its
+        ``telemetry`` snapshot.
         """
-        if isinstance(other, RunnerStats):
-            self.telemetry.merge(other.telemetry)
-            return
-        snapshot = other.get("telemetry")
-        if snapshot is not None:
-            # Full payload: counters/stage_seconds are already inside
-            # the registry snapshot; folding both would double-count.
-            self.telemetry.merge(snapshot)
-            return
-        for name, amount in other.get("counters", {}).items():
-            self.bump(name, amount)
-        for stage, value in other.get("stage_seconds", {}).items():
-            self.add_time(stage, value)
+        self.telemetry.merge(
+            other.telemetry if isinstance(other, RunnerStats) else other["telemetry"]
+        )
 
     @property
     def trace_executions(self) -> int:

@@ -42,7 +42,6 @@ from repro.isa.opcodes import (
     is_store,
     source_arity,
 )
-from repro.isa.validation import KernelReport, validate_kernel
 
 __all__ = [
     "EXIT_NODE",
@@ -58,7 +57,6 @@ __all__ = [
     "Jump",
     "Kernel",
     "KernelBuilder",
-    "KernelReport",
     "OpCategory",
     "Opcode",
     "Reg",
@@ -74,5 +72,4 @@ __all__ = [
     "is_sfu",
     "is_store",
     "source_arity",
-    "validate_kernel",
 ]

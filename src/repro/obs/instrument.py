@@ -1,7 +1,7 @@
 """Aggregation helpers bridging the pipeline to the telemetry registry.
 
 Each helper takes a whole batch (one kernel's columnar trace, one
-classified column set, one event's register accesses, one benchmark's
+classified column set, one processed access table, one benchmark's
 energy breakdown), folds it into compact per-metric aggregates, and
 records those — so the instrumented modules pay one ``enabled`` check
 plus one aggregation pass per batch, never per-instruction telemetry
@@ -31,7 +31,7 @@ Metric vocabulary (all exported under the ``repro_`` prefix by
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.obs.telemetry import Telemetry
 
@@ -138,30 +138,6 @@ def record_classified_columns(
         telemetry.count("decompress_moves", moves)
 
 
-def record_rf_accesses(
-    telemetry: Telemetry,
-    accesses: Iterable[Any],
-    warp_index: int,
-    num_banks: int,
-) -> None:
-    """Roll one event's register-file accesses into the registry.
-
-    Bank attribution uses the file's standard interleaved mapping —
-    architectural register *r* of warp *w* lands in bank
-    ``(r + w) % num_banks`` (:mod:`repro.regfile.registerfile`).
-    """
-    for access in accesses:
-        kind = access.kind.value
-        telemetry.count("rf_accesses", kind=kind)
-        if access.sidecar:
-            telemetry.count("sidecar_accesses")
-        telemetry.count(
-            "regfile_bank_activations",
-            bank=(access.register + warp_index) % num_banks,
-            op="read" if "read" in kind else "write",
-        )
-
-
 def record_rf_accesses_columns(
     telemetry: Telemetry,
     columns: Any,
@@ -171,14 +147,16 @@ def record_rf_accesses_columns(
 ) -> None:
     """Roll a whole columnar access table into the registry.
 
-    The array-side counterpart of :func:`record_rf_accesses`: one pass
-    over the flat access table of a
-    ``repro.scalar.columns.ProcessedColumns`` produces the same
+    One pass over the flat access table of a
+    ``repro.scalar.columns.ProcessedColumns`` produces the
     ``rf_accesses_total{kind}`` / ``sidecar_accesses_total`` /
-    ``regfile_bank_activations_total{bank,op}`` totals as recording
-    every event's accesses individually (the counters are additive).
-    ``kind_labels`` maps stored access-kind ids to their label strings,
-    keeping this module free of simulation-package imports.
+    ``regfile_bank_activations_total{bank,op}`` totals; the counters
+    are additive, so they equal recording every event's accesses one
+    at a time.  Bank attribution uses the register file's interleaved
+    mapping: architectural register *r* of warp *w* lands in bank
+    ``(r + w) % num_banks``.  ``kind_labels`` maps stored access-kind
+    ids to their label strings, keeping this module free of
+    simulation-package imports.
     ``warp_base`` is the global index of the table's first warp — the
     chunk-streaming pipeline records one fragment at a time, and bank
     attribution must use global warp indices for chunked totals to

@@ -1,9 +1,9 @@
 """Warp-timeline flight recorder for the SM timing engines.
 
 :class:`FlightRecorder` is the opt-in cycle-level introspection layer
-shared by :class:`~repro.timing.sm.SmSimulator` and
-:class:`~repro.timing.sm_event.EventSmSimulator`: pass one as either
-engine's ``recorder`` argument and the engine streams per-warp
+shared by :class:`~repro.timing.sm_event.EventSmSimulator` and the
+cycle-level reference ``SmSimulator``: pass one as either engine's
+``recorder`` argument and the engine streams per-warp
 lifecycle events into a **bounded ring buffer** — warp
 activation/retirement, every issue (with category and scheduler),
 write-backs, barrier arrivals/releases, and stall spans derived lazily

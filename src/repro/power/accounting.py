@@ -1,20 +1,20 @@
 """Walk a processed trace + timing result and produce a power report.
 
 One :class:`PowerAccountant` pairs an architecture with energy
-parameters; :meth:`account` consumes the per-event execution decisions
-(lanes active, register-file access shapes, compressor activity) and
-the timing result (cycles, memory traffic) and emits a
-:class:`~repro.power.report.PowerReport`.
+parameters; :meth:`~PowerAccountant.account_columns` consumes the
+per-event execution decisions (lanes active, register-file access
+shapes, compressor activity) and the timing result (cycles, memory
+traffic) and emits a :class:`~repro.power.report.PowerReport`.
 
-Two accounting engines share one evaluator.  Every energy component is
-linear in integer counts (exec-lane sums per opcode, access counts per
-energy-distinct shape, compressor/decompressor/instruction totals), so
-both :meth:`account` (the per-event reference walk) and
-:meth:`account_columns` (the vectorized columnar walk) first reduce
-their input to the same :class:`_PowerAggregates` and then evaluate it
-with the same float arithmetic in the same (sorted-key) order — two
-engines fed bit-identical processed streams produce bit-identical
-reports by construction.
+Every energy component is linear in integer counts (exec-lane sums per
+opcode, access counts per energy-distinct shape,
+compressor/decompressor/instruction totals), so a processed stream
+first reduces to a :class:`_PowerAggregates` and one evaluator turns
+that into picojoules, iterating keys in sorted order.  Per-chunk
+aggregates merge exactly, and the per-event reference walk in
+``tests/reference`` fills the same aggregates — two walks of
+bit-identical processed streams produce bit-identical reports by
+construction.
 """
 
 from __future__ import annotations
@@ -25,20 +25,15 @@ import numpy as np
 
 from repro.config import ArchitectureConfig, GpuConfig
 from repro.isa.opcodes import OpCategory, category_of
-from repro.obs.instrument import (
-    record_power_breakdown,
-    record_rf_accesses,
-    record_rf_accesses_columns,
-)
+from repro.obs.instrument import record_power_breakdown, record_rf_accesses_columns
 from repro.obs.telemetry import get_telemetry
 from repro.power.energy import DEFAULT_ENERGY, EnergyParams
 from repro.power.report import EnergyBreakdown, PowerReport
 from repro.power.rf_energy import AccessEnergy, RegisterFileEnergyModel, TallyKey
 from repro.regfile.access import ID_TO_ACCESS_KIND
 from repro.regfile.layout import BankGeometry
-from repro.scalar.architectures import ProcessedEvent
 from repro.scalar.columns import PARTIAL_WRITE_ID, ProcessedColumns
-from repro.simt.trace import ID_TO_OPCODE, OPCODE_TO_ID
+from repro.simt.trace import ID_TO_OPCODE
 from repro.timing.sm import TimingResult
 
 
@@ -103,56 +98,12 @@ class PowerAccountant:
         self._rf_model = RegisterFileEnergyModel(arch, self.params, geometry)
 
     # ------------------------------------------------------------------
-    def account(
-        self,
-        processed: list[list[ProcessedEvent]],
-        timing: TimingResult,
-    ) -> PowerReport:
-        """Produce the power report for one benchmark run (per-event)."""
-        telemetry = get_telemetry()
-        observe = telemetry.enabled
-        num_banks = self.config.register_file_banks
-        rf_model = self._rf_model
-
-        agg = _PowerAggregates()
-        lanes_by_opcode = agg.exec_lanes_by_opcode
-        tally = agg.access_tally
-        for warp_index, warp_events in enumerate(processed):
-            for item in warp_events:
-                if observe:
-                    record_rf_accesses(
-                        telemetry, item.rf_accesses, warp_index, num_banks
-                    )
-                event = item.classified.event
-                opcode_id = OPCODE_TO_ID[event.opcode]
-                lanes_by_opcode[opcode_id] = (
-                    lanes_by_opcode.get(opcode_id, 0) + item.exec_lanes
-                )
-                for access in item.rf_accesses:
-                    key = rf_model.tally_key(access)
-                    tally[key] = tally.get(key, 0) + 1
-                agg.instructions += 1
-                agg.extra_instructions += item.extra_instructions
-                agg.extra_exec_lanes += (
-                    item.extra_instructions * event.active_lane_count()
-                )
-                agg.compressor_ops += item.compressor_ops
-                agg.decompressor_ops += item.decompressor_ops
-
-        return self._report_from_aggregates(agg, timing, telemetry)
-
-    # ------------------------------------------------------------------
     def account_columns(
         self,
         columns: ProcessedColumns,
         timing: TimingResult,
     ) -> PowerReport:
-        """Produce the power report from a columnar processed trace.
-
-        Builds the same :class:`_PowerAggregates` as :meth:`account`
-        with array reductions, then shares its evaluator — the output
-        is bit-identical to the per-event engine for the same stream.
-        """
+        """Produce the power report from a columnar processed trace."""
         return self.account_aggregates(
             self.aggregates_from_columns(columns), timing
         )
@@ -166,21 +117,6 @@ class PowerAccountant:
         """
         tally = self.aggregates_from_columns(columns).access_tally
         return self._rf_model.tally_energy(tally)
-
-    # ------------------------------------------------------------------
-    def account_aggregates(
-        self,
-        agg: _PowerAggregates,
-        timing: TimingResult,
-    ) -> PowerReport:
-        """Evaluate pre-built aggregates (the chunk-streaming entry).
-
-        The streaming pipeline builds one :class:`_PowerAggregates` per
-        chunk with :meth:`aggregates_from_columns` and folds them with
-        :meth:`_PowerAggregates.merge`; this evaluates the merged total
-        exactly as :meth:`account_columns` would for the whole trace.
-        """
-        return self._report_from_aggregates(agg, timing, get_telemetry())
 
     # ------------------------------------------------------------------
     def aggregates_from_columns(
@@ -283,13 +219,18 @@ class PowerAccountant:
         return agg
 
     # ------------------------------------------------------------------
-    def _report_from_aggregates(
+    def account_aggregates(
         self,
         agg: _PowerAggregates,
         timing: TimingResult,
-        telemetry,
     ) -> PowerReport:
-        """Shared aggregate -> report evaluation (both engines)."""
+        """Evaluate aggregates into a power report.
+
+        The streaming pipeline builds one :class:`_PowerAggregates` per
+        chunk with :meth:`aggregates_from_columns` and folds them with
+        :meth:`_PowerAggregates.merge`; this evaluates the merged total
+        exactly as :meth:`account_columns` would for the whole trace.
+        """
         params = self.params
         breakdown = EnergyBreakdown()
 
@@ -329,6 +270,7 @@ class PowerAccountant:
         breakdown.memory_pj += counts.dram_accesses * params.dram_access_pj
         breakdown.memory_pj += counts.shared_accesses * params.shared_access_pj
 
+        telemetry = get_telemetry()
         if telemetry.enabled:
             record_power_breakdown(telemetry, self.arch.name, breakdown)
 

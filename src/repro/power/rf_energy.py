@@ -138,23 +138,11 @@ class RegisterFileEnergyModel:
 
         raise ConfigError(f"unhandled access kind {kind}")
 
-    def total_energy(self, accesses: tuple[RegisterAccess, ...]) -> AccessEnergy:
-        """Summed energy of one event's accesses."""
-        rf = 0.0
-        crossbar = 0.0
-        for access in accesses:
-            energy = self.energy_of(access)
-            rf += energy.rf_pj
-            crossbar += energy.crossbar_pj
-        return AccessEnergy(rf_pj=rf, crossbar_pj=crossbar)
-
     # ------------------------------------------------------------------
-    # Tally evaluation: the aggregated form of energy_of used by both
-    # power-accounting engines.  Energy is a pure function of the tally
-    # key, so a whole access stream reduces to key -> count and one
-    # energy evaluation per distinct key.  Both engines route their
-    # totals through tally_energy so the summation order (sorted keys)
-    # is shared — bit-identical reports by construction.
+    # Tally evaluation: the aggregated form of energy_of.  Energy is a
+    # pure function of the tally key, so a whole access stream reduces
+    # to key -> count and one energy evaluation per distinct key, summed
+    # in sorted-key order.
     # ------------------------------------------------------------------
     def partial_arrays(self, active_mask: int) -> int:
         """Arrays activated by a divergent partial write of this mask."""
@@ -166,32 +154,6 @@ class RegisterFileEnergyModel:
             arrays = self._baseline.arrays_for_partial_write(active_mask)
             memo[active_mask] = arrays
         return arrays
-
-    def tally_key(self, access: RegisterAccess) -> TallyKey:
-        """Reduce one access to the fields its energy depends on."""
-        kind_id = ACCESS_KIND_TO_ID[access.kind]
-        if kind_id == _PARTIAL_WRITE_ID:
-            mask = int(access.active_mask)
-            return (
-                kind_id,
-                0,
-                0,
-                0,
-                False,
-                bool(access.sidecar),
-                mask.bit_count(),
-                self.partial_arrays(mask),
-            )
-        return (
-            kind_id,
-            int(access.enc),
-            int(access.enc_lo),
-            int(access.enc_hi),
-            bool(access.half_compressed),
-            bool(access.sidecar),
-            0,
-            0,
-        )
 
     def energy_of_key(self, key: TallyKey) -> AccessEnergy:
         """Energy of one access identified by its tally key."""

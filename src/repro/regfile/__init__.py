@@ -1,4 +1,4 @@
-"""The banked register file: layouts, structural bank, crossbar, scalar RF."""
+"""The banked register file: access shapes, layouts, scalar RF."""
 
 from repro.regfile.access import (
     ACCESS_KIND_TO_ID,
@@ -7,19 +7,12 @@ from repro.regfile.access import (
     AccessKind,
     RegisterAccess,
 )
-from repro.regfile.bank import AccessRecord, RegisterBank
-from repro.regfile.crossbar import (
-    CrossbarTraffic,
-    scalar_read_traffic,
-    traffic_for_access,
-)
 from repro.regfile.layout import (
     SIDECAR_ENERGY_FRACTION,
     BankGeometry,
     BaselineLayout,
     ByteRotatedLayout,
 )
-from repro.regfile.registerfile import RegisterFile, RegisterLocation
 from repro.regfile.scalar_rf import SCALAR_RF_ENERGY_FRACTION, ScalarRegisterFile
 
 __all__ = [
@@ -28,17 +21,10 @@ __all__ = [
     "SCALAR_RF_ENERGY_FRACTION",
     "SIDECAR_ENERGY_FRACTION",
     "AccessKind",
-    "AccessRecord",
     "BankGeometry",
     "BaselineLayout",
     "ByteRotatedLayout",
-    "CrossbarTraffic",
     "RegisterAccess",
-    "RegisterFile",
-    "RegisterBank",
-    "RegisterLocation",
     "ScalarRegisterFile",
     "WRITE_KIND_IDS",
-    "scalar_read_traffic",
-    "traffic_for_access",
 ]

@@ -1,13 +1,13 @@
 """Vectorized per-architecture interpretation over classified columns.
 
-:class:`~repro.scalar.architectures.ArchitectureView` interprets one
-dynamic instruction at a time, building a frozen
-:class:`~repro.scalar.architectures.ProcessedEvent` with a tuple of
-:class:`~repro.regfile.access.RegisterAccess` objects per event.  The
-interpretation itself is almost entirely stateless — every decision is
+The classifier computes what the hardware *could* know; interpretation
+decides what a concrete architecture *does* with it: which
+instructions execute as scalar, how many execution lanes burn energy,
+what shape every register-file access takes, and which extra
+decompress/spill instructions get inserted.  Almost every decision is
 a pure function of the classification outputs and the architecture
-flags — so this module computes it as whole-trace array kernels over
-:class:`~repro.scalar.columns.ClassifiedColumns` instead, scattering
+flags, so this module computes it as whole-trace array kernels over
+:class:`~repro.scalar.columns.ClassifiedColumns`, scattering
 register-file accesses straight into the flat table of a
 :class:`~repro.scalar.columns.ProcessedColumns`.
 
@@ -16,32 +16,27 @@ Three interpretation regimes exist, dispatched on the architecture:
 * **compression-backed** (G-Scalar variants): fully vectorized; the
   per-event access block is laid out ``[sources…, decompress-move
   read/write, final write]`` with positions computed by the
-  repeat-offset idiom, matching the event engine's emission order
-  exactly.
+  repeat-offset idiom.
 * **dedicated scalar RF** (prior-work ALU-scalar): the
   :class:`~repro.regfile.scalar_rf.ScalarRegisterFile` residency walk
   is inherently sequential (LRU eviction feeds back into later
   decisions), so this path keeps a slim per-warp Python loop over the
-  columns — the same sidecar-loop pattern PR 4 used for BVR/EBR state —
-  driving a *real* ``ScalarRegisterFile`` so eviction behavior is
-  identical by construction.
+  columns driving a *real* ``ScalarRegisterFile``.
 * **plain** (baseline, no compression, no scalar RF): trivially
   vectorized.
 
-Output is **bit-identical** to the event engine: the differential
-suite compares :func:`process_columns` against
-:meth:`ProcessedColumns.from_events` array-for-array across every
-workload and every architecture.
+The differential suite pins :func:`process_columns` array for array to
+the per-event ``ArchitectureView`` reference in ``tests/reference``,
+across every workload and every architecture.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.config import ArchitectureConfig
+from repro.config import ArchitectureConfig, ScalarMode
 from repro.errors import ConfigError
 from repro.regfile.scalar_rf import ScalarRegisterFile
-from repro.scalar.architectures import _arch_accepts
 from repro.scalar.columns import (
     COMPRESSED_READ_ID,
     COMPRESSED_WRITE_ID,
@@ -62,9 +57,22 @@ _ALU_SCALAR_ID = SCALAR_CLASS_TO_ID[ScalarClass.ALU_SCALAR]
 _HALF_SCALAR_ID = SCALAR_CLASS_TO_ID[ScalarClass.HALF_SCALAR]
 
 
+def _arch_accepts(arch: ArchitectureConfig, scalar_class: ScalarClass) -> bool:
+    """Does this architecture scalarize instructions of this class?"""
+    if scalar_class is ScalarClass.ALU_SCALAR:
+        return arch.scalar_mode is not ScalarMode.NONE
+    if scalar_class in (ScalarClass.SFU_SCALAR, ScalarClass.MEM_SCALAR):
+        return arch.scalar_mode is ScalarMode.ALL_PIPELINES
+    if scalar_class is ScalarClass.HALF_SCALAR:
+        return arch.half_warp_scalar
+    if scalar_class is ScalarClass.DIVERGENT_SCALAR:
+        return arch.divergent_scalar
+    return False
+
+
 def _accepts_lut(arch: ArchitectureConfig) -> np.ndarray:
     """Boolean acceptance per scalar-class id (vector form of
-    :func:`repro.scalar.architectures._arch_accepts`)."""
+    :func:`_arch_accepts`)."""
     lut = np.zeros(len(ID_TO_SCALAR_CLASS), dtype=bool)
     for class_id, scalar_class in ID_TO_SCALAR_CLASS.items():
         lut[class_id] = _arch_accepts(arch, scalar_class)
@@ -79,8 +87,6 @@ def process_columns(
 ) -> ProcessedColumns:
     """Interpret a classified column set for one architecture.
 
-    The columnar counterpart of
-    :func:`repro.scalar.architectures.process_classified`:
     ``move_elision`` optionally applies the §3.3 compiler-assisted
     decompress-move elision (compression-backed architectures only,
     same as the event engine); ``static_widths`` is the per-register

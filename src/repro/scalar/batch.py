@@ -21,9 +21,8 @@ therefore a gather over write rows, not a sequential state machine:
 :func:`classify_columnar_chunk` runs the same pass over one
 :class:`~repro.simt.trace.TraceChunk`; a :class:`ClassifierCarry`
 holds the sidecar state of the one warp a chunk boundary cuts.  The
-per-event tracker (:func:`repro.scalar.tracker.classify_trace`) is the
-test oracle: ``tests/scalar/test_batch.py`` pins the two array for
-array.
+per-event tracker in ``tests/reference`` is the test oracle:
+``tests/scalar/test_batch.py`` pins the two array for array.
 """
 
 from __future__ import annotations
@@ -393,10 +392,9 @@ def classify_columnar_chunk(
 ) -> ClassifiedColumns:
     """Classify one :class:`~repro.simt.trace.TraceChunk`.
 
-    A warp cut by a chunk boundary resumes from ``carry``, so
-    :func:`~repro.scalar.columns.concat_classified_columns` over every
-    chunk's columns equals :func:`classify_columnar_batch` on the
-    whole trace, and the telemetry counters match too.
+    A warp cut by a chunk boundary resumes from ``carry``, so every
+    chunk's columns, concatenated, equal :func:`classify_columnar_batch`
+    on the whole trace, and the telemetry counters match too.
     """
     columnar = chunk.columnar
     telemetry = get_telemetry()

@@ -17,10 +17,6 @@ bucket, matching the stacked categories of Figure 9:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-from repro.compression.encoding import SCALAR_PREFIX, RegisterEncoding
-from repro.isa.opcodes import OpCategory
 
 
 class ScalarClass(enum.Enum):
@@ -51,83 +47,3 @@ SCALAR_CLASS_TO_ID = {
     for index, cls in enumerate(sorted(ScalarClass, key=lambda c: c.value))
 }
 ID_TO_SCALAR_CLASS = {index: cls for cls, index in SCALAR_CLASS_TO_ID.items()}
-
-
-@dataclass(frozen=True, slots=True)
-class SourceRead:
-    """State of one source register at the moment it was read.
-
-    ``scalar_for_read`` already accounts for the §4.2 mask check: a
-    divergently-written source is scalar only when the reader's active
-    mask equals the mask stored in the BVR.
-    """
-
-    register: int
-    encoding: RegisterEncoding
-    scalar_for_read: bool
-    lo_scalar: bool
-    hi_scalar: bool
-
-
-def classify_source_read(
-    encoding: RegisterEncoding, reader_divergent: bool, reader_mask: int
-) -> SourceRead:
-    """Apply §4.1/§4.2 rules to one source register."""
-    if encoding.divergent:
-        # D=1: values stored uncompressed; BVR holds the writer's mask.
-        # enc==1111 plus an exact mask match makes it a divergent scalar
-        # source; a non-divergent reader can never treat it as scalar.
-        scalar = (
-            reader_divergent
-            and encoding.enc == SCALAR_PREFIX
-            and encoding.base == reader_mask
-        )
-        lo_scalar = hi_scalar = False
-    else:
-        scalar = encoding.enc == SCALAR_PREFIX
-        lo_scalar = encoding.enc_lo == SCALAR_PREFIX
-        hi_scalar = encoding.enc_hi == SCALAR_PREFIX
-    return SourceRead(
-        register=-1,  # filled in by the tracker
-        encoding=encoding,
-        scalar_for_read=scalar,
-        lo_scalar=lo_scalar,
-        hi_scalar=hi_scalar,
-    )
-
-
-def classify_instruction(
-    category: OpCategory,
-    divergent: bool,
-    sources: tuple[SourceRead, ...],
-    varying_special_src: bool,
-) -> tuple[ScalarClass, bool, bool]:
-    """Bucket one instruction; returns (class, lo_half_ok, hi_half_ok).
-
-    The half flags report which 16-lane halves could execute as scalar
-    (meaningful for ``HALF_SCALAR``; both are True for full-scalar
-    classes by construction).
-    """
-    if category is OpCategory.CTRL:
-        return ScalarClass.NOT_ELIGIBLE, False, False
-    if varying_special_src:
-        # A %tid/%lane operand varies per lane: never scalar.
-        return ScalarClass.NOT_ELIGIBLE, False, False
-
-    if divergent:
-        if all(s.scalar_for_read for s in sources):
-            return ScalarClass.DIVERGENT_SCALAR, False, False
-        return ScalarClass.NOT_ELIGIBLE, False, False
-
-    if all(s.scalar_for_read for s in sources):
-        if category is OpCategory.SFU:
-            return ScalarClass.SFU_SCALAR, True, True
-        if category is OpCategory.MEM:
-            return ScalarClass.MEM_SCALAR, True, True
-        return ScalarClass.ALU_SCALAR, True, True
-
-    lo_ok = all(s.lo_scalar for s in sources)
-    hi_ok = all(s.hi_scalar for s in sources)
-    if lo_ok or hi_ok:
-        return ScalarClass.HALF_SCALAR, lo_ok, hi_ok
-    return ScalarClass.NOT_ELIGIBLE, False, False

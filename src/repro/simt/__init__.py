@@ -10,16 +10,12 @@ from repro.simt.grid import (
     popcount,
 )
 from repro.simt.memory_state import MemoryImage
-from repro.simt.trace import KernelTrace, TraceEvent, WarpTrace
 
 __all__ = [
-    "KernelTrace",
     "LaunchConfig",
     "MemoryImage",
-    "TraceEvent",
     "WarpExecutor",
     "WarpIdentity",
-    "WarpTrace",
     "enumerate_warps",
     "int_to_mask",
     "mask_to_int",

@@ -16,25 +16,18 @@ arrays with offset tables for the ragged ones, plus one
 (:meth:`ColumnarTrace.pack`); the batch classifier
 (:mod:`repro.scalar.batch`) and the on-disk format
 (:mod:`repro.simt.serialize`) read the result.
-
-The *event* form (:class:`KernelTrace` of :class:`WarpTrace` of
-:class:`TraceEvent`, one Python object per dynamic instruction) exists
-for the per-event reference engines and hand-written test traces:
-:meth:`ColumnarTrace.to_trace` builds it and
-:meth:`ColumnarTrace.from_trace` packs it back through the same row
-buffers, losslessly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.isa.opcodes import OpCategory, Opcode, category_of
+from repro.isa.opcodes import Opcode, category_of
 
 #: Stable opcode numbering shared by the columnar form and the on-disk
 #: format (enum order would silently re-map if opcodes were reordered).
@@ -55,97 +48,6 @@ def opcode_labels() -> dict[int, tuple[str, str]]:
         index: (category_of(opcode).value, opcode.value)
         for index, opcode in ID_TO_OPCODE.items()
     }
-
-
-@dataclass(slots=True)
-class TraceEvent:
-    """One dynamic instruction from one warp.
-
-    ``dst_values`` is the destination register's full warp-wide contents
-    after the write (``None`` for stores and branches).  ``active_mask``
-    is an integer bitmask, lane 0 in bit 0.  ``varying_special_src`` is
-    True when a non-register source varies per lane (``%tid``/``%lane``),
-    which disqualifies the operand from being scalar.
-    """
-
-    opcode: Opcode
-    dst: int | None
-    src_regs: tuple[int, ...]
-    active_mask: int
-    block_id: int
-    dst_values: np.ndarray | None = None
-    addresses: np.ndarray | None = None
-    varying_special_src: bool = False
-    scalar_nonreg_srcs: int = 0
-
-    @property
-    def category(self) -> OpCategory:
-        return category_of(self.opcode)
-
-    def is_divergent(self, warp_size: int) -> bool:
-        """True when the event ran under a non-full active mask."""
-        return self.active_mask != (1 << warp_size) - 1
-
-    def active_lane_count(self) -> int:
-        return int(self.active_mask).bit_count()
-
-
-@dataclass
-class WarpTrace:
-    """All events of one warp, in program order."""
-
-    warp_id: int
-    warp_size: int
-    events: list[TraceEvent] = field(default_factory=list)
-
-    def append(self, event: TraceEvent) -> None:
-        if event.active_mask >> self.warp_size:
-            raise TraceError(
-                f"event mask {event.active_mask:#x} wider than warp size "
-                f"{self.warp_size}"
-            )
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-
-@dataclass
-class KernelTrace:
-    """The full dynamic trace of one kernel launch."""
-
-    kernel_name: str
-    warp_size: int
-    warps: list[WarpTrace] = field(default_factory=list)
-
-    @property
-    def total_instructions(self) -> int:
-        return sum(len(w) for w in self.warps)
-
-    def all_events(self):
-        """Iterate events warp-major (warp 0's stream, then warp 1's...)."""
-        for warp in self.warps:
-            yield from warp.events
-
-    def category_histogram(self) -> dict[OpCategory, int]:
-        """Dynamic instruction count per pipeline category."""
-        histogram: dict[OpCategory, int] = {c: 0 for c in OpCategory}
-        for event in self.all_events():
-            histogram[event.category] += 1
-        return histogram
-
-    def divergent_fraction(self) -> float:
-        """Fraction of dynamic instructions with a non-full active mask."""
-        total = self.total_instructions
-        if total == 0:
-            return 0.0
-        divergent = sum(
-            1 for e in self.all_events() if e.is_divergent(self.warp_size)
-        )
-        return divergent / total
 
 
 class WarpRows:
@@ -378,27 +280,6 @@ class ColumnarTrace:
             addresses=matrix("addresses"),
         )
 
-    @classmethod
-    def from_trace(cls, trace: KernelTrace) -> "ColumnarTrace":
-        """Pack an event-form trace through :class:`WarpRows` buffers."""
-        warps = []
-        for warp in trace.warps:
-            rows = WarpRows(warp.warp_id)
-            for event in warp.events:
-                rows.append(
-                    OPCODE_TO_ID[event.opcode],
-                    -1 if event.dst is None else event.dst,
-                    event.src_regs,
-                    event.active_mask,
-                    event.block_id,
-                    event.dst_values,
-                    event.addresses,
-                    event.varying_special_src,
-                    event.scalar_nonreg_srcs,
-                )
-            warps.append(rows)
-        return cls.pack(trace.kernel_name, trace.warp_size, warps)
-
     def slice_events(self, start: int, stop: int) -> "ColumnarTrace":
         """View-based sub-trace over the event range ``[start, stop)``.
 
@@ -477,59 +358,6 @@ class ColumnarTrace:
             starts[warp_lo:warp_hi], start, stop
         )
         return warp_lo, warp_hi, lengths.astype(np.int64)
-
-    def to_trace(self) -> KernelTrace:
-        """Materialize the event form (each snapshot row copied out)."""
-        if int(self.warp_lengths.sum()) != self.num_events:
-            raise TraceError(
-                f"columnar trace {self.kernel_name!r}: warp lengths sum to "
-                f"{int(self.warp_lengths.sum())}, have "
-                f"{self.num_events} events"
-            )
-        trace = KernelTrace(
-            kernel_name=self.kernel_name, warp_size=self.warp_size
-        )
-        opcode_ids = self.opcode_ids.tolist()
-        dst = self.dst.tolist()
-        masks = self.masks.tolist()
-        blocks = self.blocks.tolist()
-        varying = self.varying.tolist()
-        scalar_nonreg = self.scalar_nonreg.tolist()
-        src_offsets = self.src_offsets.tolist()
-        src_flat = self.src_flat.tolist()
-        values_index = self.values_index.tolist()
-        addr_index = self.addr_index.tolist()
-
-        position = 0
-        for warp_id, length in zip(
-            self.warp_ids.tolist(), self.warp_lengths.tolist()
-        ):
-            warp = WarpTrace(warp_id=warp_id, warp_size=self.warp_size)
-            for _ in range(length):
-                value_row = values_index[position]
-                addr_row = addr_index[position]
-                warp.append(
-                    TraceEvent(
-                        opcode=ID_TO_OPCODE[opcode_ids[position]],
-                        dst=None if dst[position] < 0 else dst[position],
-                        src_regs=tuple(
-                            src_flat[src_offsets[position]:src_offsets[position + 1]]
-                        ),
-                        active_mask=masks[position],
-                        block_id=blocks[position],
-                        dst_values=self.values[value_row].copy()
-                        if value_row >= 0
-                        else None,
-                        addresses=self.addresses[addr_row].copy()
-                        if addr_row >= 0
-                        else None,
-                        varying_special_src=varying[position],
-                        scalar_nonreg_srcs=scalar_nonreg[position],
-                    )
-                )
-                position += 1
-            trace.warps.append(warp)
-        return trace
 
 
 def _rebase_rows(

@@ -5,63 +5,15 @@ statistics scale symmetrically to 15 SMs since the proxies are
 homogeneous across CTAs).  :func:`simulate_architecture_columns` lowers
 a columnar processed trace to a :class:`~repro.timing.ops.TimingOpTable`
 and runs the event-driven SM model with the architecture's extra
-pipeline latency; :func:`simulate_architecture` is its per-event
-lowering oracle.  The cycle-level
-:class:`~repro.timing.sm.SmSimulator` is not reachable from here:
-tests build it over ``table.to_ops()``.
+pipeline latency.
 """
 
 from __future__ import annotations
 
 from repro.config import ArchitectureConfig, GpuConfig
-from repro.scalar.architectures import ProcessedEvent
-from repro.timing.ops import (
-    TimingOp,
-    TimingOpTable,
-    build_timing_ops,
-    build_timing_ops_columns,
-)
+from repro.timing.ops import TimingOpTable, build_timing_ops_columns
 from repro.timing.sm import TimingResult
 from repro.timing.sm_event import EventSmSimulator
-
-
-def lower_to_timing_ops(
-    processed: list[list[ProcessedEvent]],
-    arch: ArchitectureConfig,
-    config: GpuConfig,
-    warp_size: int,
-) -> list[list[TimingOp]]:
-    """Lower every warp's processed events to timing ops."""
-    return [
-        build_timing_ops(warp_events, arch, config, warp_size)
-        for warp_events in processed
-    ]
-
-
-def simulate_architecture(
-    processed: list[list[ProcessedEvent]],
-    arch: ArchitectureConfig,
-    config: GpuConfig | None = None,
-    warp_size: int = 32,
-    warps_per_cta: int | None = None,
-    recorder=None,
-) -> TimingResult:
-    """Run the SM timing model for one architecture's processed trace.
-
-    ``warps_per_cta`` enables CTA-barrier coordination for kernels that
-    use ``bar.sync``; without it each warp is treated as its own CTA.
-    ``recorder`` (a :class:`repro.obs.timeline.FlightRecorder`) opts
-    into per-warp lifecycle recording.
-    """
-    config = config or GpuConfig()
-    warp_ops = lower_to_timing_ops(processed, arch, config, warp_size)
-    return simulate_warp_ops(
-        TimingOpTable.from_ops(warp_ops),
-        arch,
-        config,
-        warps_per_cta=warps_per_cta,
-        recorder=recorder,
-    )
 
 
 def simulate_architecture_columns(
@@ -72,11 +24,12 @@ def simulate_architecture_columns(
     warps_per_cta: int | None = None,
     recorder=None,
 ) -> TimingResult:
-    """Columnar counterpart of :func:`simulate_architecture`.
+    """Lower a columnar processed trace and run the SM timing model.
 
-    The SM model itself is representation-independent; only the
-    lowering differs.  Produces the same :class:`TimingResult` as the
-    event path for the same stream.
+    ``warps_per_cta`` enables CTA-barrier coordination for kernels that
+    use ``bar.sync``; without it each warp is treated as its own CTA.
+    ``recorder`` (a :class:`repro.obs.timeline.FlightRecorder`) opts
+    into per-warp lifecycle recording.
     """
     config = config or GpuConfig()
     return simulate_warp_ops(

@@ -1,77 +1,19 @@
-"""Warp schedulers: greedy-then-oldest (GTO) and loose round-robin (LRR).
+"""Warp-slot partition of the SM's schedulers.
 
-Each SM has two schedulers (Table 1); warps are statically partitioned
-by parity, as in Fermi.  A scheduler picks at most one ready warp per
-cycle.  GTO keeps issuing from the warp it last served until that warp
-stalls, then falls back to the oldest ready warp — GPGPU-Sim's default
-and the configuration the paper evaluates.
+Each SM has two schedulers (Table 1); warp slots are statically
+partitioned by parity, as in Fermi.  A scheduler picks at most one
+ready warp per cycle, greedy-then-oldest (GTO, GPGPU-Sim's default and
+the configuration the paper evaluates) or loose round-robin (LRR).
 """
 
 from __future__ import annotations
-
-from repro.config import SchedulerPolicy
-from repro.errors import TimingError
-
-
-class WarpScheduler:
-    """One of the SM's schedulers, owning a fixed set of warp slots."""
-
-    def __init__(self, warp_ids: list[int], policy: SchedulerPolicy):
-        self.warp_ids = list(warp_ids)
-        self.policy = policy
-        self._last_issued: int | None = None
-        self._rr_position = 0
-
-    def pick(self, ready: set[int]) -> int | None:
-        """Choose a warp to issue from among this scheduler's ready warps."""
-        candidates = [w for w in self.warp_ids if w in ready]
-        if not candidates:
-            return None
-        if self.policy is SchedulerPolicy.GTO:
-            if self._last_issued in ready and self._last_issued in self.warp_ids:
-                chosen = self._last_issued
-            else:
-                chosen = min(candidates)  # oldest = lowest warp id
-        elif self.policy is SchedulerPolicy.LRR:
-            ordered = self.warp_ids[self._rr_position :] + self.warp_ids[: self._rr_position]
-            chosen = next(w for w in ordered if w in ready)
-            self._rr_position = (self.warp_ids.index(chosen) + 1) % len(self.warp_ids)
-        else:
-            raise TimingError(f"unknown scheduler policy {self.policy}")
-        self._last_issued = chosen
-        return chosen
-
-    def forget(self, slot: int) -> None:
-        """Drop greedy preference for a slot whose warp retired.
-
-        ``_last_issued`` names a *slot*, not a warp: when the warp in
-        that slot retires and a new warp is activated into it, greedy
-        preference must not silently transfer to the unrelated
-        newcomer — GTO's greediness is a property of the warp that was
-        issuing, and that warp is gone.
-        """
-        if self._last_issued == slot:
-            self._last_issued = None
-
-
-def partition_warps(
-    num_warps: int, num_schedulers: int, policy: SchedulerPolicy
-) -> list[WarpScheduler]:
-    """Statically partition warps across schedulers by parity."""
-    if num_schedulers < 1:
-        raise TimingError(f"need >= 1 scheduler, got {num_schedulers}")
-    partitions: list[list[int]] = [[] for _ in range(num_schedulers)]
-    for warp in range(num_warps):
-        partitions[warp % num_schedulers].append(warp)
-    return [WarpScheduler(p, policy) for p in partitions]
 
 
 def scheduler_of_slot(slot: int, num_schedulers: int) -> int:
     """The scheduler owning a warp slot under the parity partition.
 
-    Single source of truth shared by both SM engines and the timeline
-    labels: slot ``s`` always belongs to scheduler ``s % n`` — the same
-    assignment :func:`partition_warps` builds explicitly.
+    Single source of truth shared by the SM engine and the timeline
+    labels: slot ``s`` always belongs to scheduler ``s % n``.
     """
     return slot % num_schedulers
 

@@ -1,10 +1,10 @@
-"""Event-driven SM timing engine — the fast twin of :mod:`repro.timing.sm`.
+"""Event-driven SM timing engine.
 
 :class:`EventSmSimulator` runs a :class:`~repro.timing.ops.TimingOpTable`
 (the output of :func:`~repro.timing.ops.build_timing_ops_columns`),
 compiling its columns straight into flat per-op rows.  Over the same
-ops — ``table.to_ops()`` — the cycle-level
-:class:`~repro.timing.sm.SmSimulator` produces a **bit-identical**
+ops, the cycle-level ``SmSimulator`` reference in ``tests/reference``
+produces a **bit-identical**
 :class:`~repro.timing.sm.TimingResult` — cycles,
 instruction counts, memory counters, per-scheduler issue counts, bank
 conflict counters and per-scheduler stall-cause attributions all match
@@ -27,7 +27,7 @@ architectures).  What differs is how time advances:
 Per-cycle work is therefore proportional to the events of that cycle
 rather than to machine size, which is where the pipeline speedup comes
 from.  This engine is the only one the runner uses.  The cycle model is
-its differential oracle: tests build it over ``table.to_ops()``
+its differential oracle: tests run it over the same table's ops
 (``tests/timing/test_engine_gate.py`` is the CI gate).
 
 Semantics replicated from the reference (same event order per cycle):
@@ -107,9 +107,10 @@ def _ragged_tuples(values, offsets, lo: int, hi: int) -> list[tuple]:
 class EventSmSimulator:
     """Event-driven simulation of one SM running fixed warps to completion.
 
-    Constructor and run() mirror :class:`~repro.timing.sm.SmSimulator`,
-    with a :class:`~repro.timing.ops.TimingOpTable` in place of per-warp
-    op lists; see the module docstring for how the two engines relate.
+    Constructor and run() mirror the cycle-level reference
+    ``SmSimulator``, with a :class:`~repro.timing.ops.TimingOpTable` in
+    place of per-warp op lists; see the module docstring for how the
+    two engines relate.
     """
 
     def __init__(

@@ -4,13 +4,13 @@ import pytest
 
 from repro.analysis.divergence import divergence_stats
 from repro.scalar.batch import classify_columnar_batch
-from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage, run_kernel
-from repro.simt.trace import ColumnarTrace, KernelTrace
 from repro.workloads.registry import all_workloads, build_workload
 
 from tests.conftest import run_one_warp
 from tests.oracles import divergence_stats_events
+from tests.reference.classify import classify_trace
+from tests.reference.trace import KernelTrace, from_trace, to_trace
 
 
 def columns_for(columnar, num_registers):
@@ -47,7 +47,7 @@ class TestDivergenceStats:
             assert stats.scalar_share_of_divergent == pytest.approx(expected)
 
     def test_empty_trace(self):
-        empty = ColumnarTrace.from_trace(KernelTrace("empty", 32))
+        empty = from_trace(KernelTrace("empty", 32))
         stats = divergence_stats(columns_for(empty, 0))
         assert stats.divergent_fraction == 0.0
         assert stats.scalar_share_of_divergent == 0.0
@@ -58,6 +58,6 @@ def test_columns_match_event_walk(abbr):
     built = build_workload(abbr, "tiny")
     trace = run_kernel(built.kernel, built.launch, built.memory)
     expected = divergence_stats_events(
-        classify_trace(trace.to_trace(), built.kernel.num_registers)
+        classify_trace(to_trace(trace), built.kernel.num_registers)
     )
     assert divergence_stats(columns_for(trace, built.kernel.num_registers)) == expected

@@ -12,6 +12,7 @@ from repro.workloads.registry import all_workloads
 
 from tests.conftest import run_one_warp
 from tests.oracles import chunk_scalar_stats_events
+from tests.reference.trace import to_trace
 
 
 def half_scalar_kernel():
@@ -93,5 +94,5 @@ def small_runner():
 def test_columnar_matches_event_walk(small_runner, abbr, warp_size):
     columnar = small_runner.trace_with_warp_size(abbr, warp_size)
     assert chunk_scalar_stats(columnar, 16) == chunk_scalar_stats_events(
-        columnar.to_trace(), 16
+        to_trace(columnar), 16
     )

@@ -5,12 +5,13 @@ import pytest
 from repro.analysis.similarity import CATEGORIES, access_distribution
 from repro.isa import KernelBuilder
 from repro.scalar.batch import classify_columnar_batch
-from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage, run_kernel
 from repro.workloads.registry import all_workloads, build_workload
 
 from tests.conftest import run_one_warp
 from tests.oracles import access_distribution_events
+from tests.reference.classify import classify_trace
+from tests.reference.trace import to_trace
 
 
 def distribution_for(kernel):
@@ -59,7 +60,7 @@ def test_columns_match_event_walk(abbr):
     built = build_workload(abbr, "tiny")
     trace = run_kernel(built.kernel, built.launch, built.memory)
     expected = access_distribution_events(
-        classify_trace(trace.to_trace(), built.kernel.num_registers)
+        classify_trace(to_trace(trace), built.kernel.num_registers)
     )
     columns = classify_columnar_batch(trace, built.kernel.num_registers)
     assert access_distribution(columns).counts == expected.counts

@@ -331,8 +331,11 @@ class TestRegisterPressure:
         b = KernelBuilder("fat")
         regs = [b.mov(i) for i in range(70)]
         b.st_global(b.mov(0x100), regs[0])
-        report = PassManager([RegisterPressurePass(max_registers=64)]).run(b.finish())
+        kernel = b.finish()
+        report = PassManager([RegisterPressurePass(max_registers=64)]).run(kernel)
         assert [d.rule for d in report.errors] == ["GS-E003"]
+        roomy = PassManager([RegisterPressurePass(max_registers=128)]).run(kernel)
+        assert roomy.errors == []
 
     def test_pressure_below_register_count(self):
         # Sequentially dead temporaries never overlap: pressure stays

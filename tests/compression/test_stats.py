@@ -12,6 +12,7 @@ from repro.workloads.registry import all_workloads
 
 from tests.conftest import run_one_warp
 from tests.oracles import compare_trace_events
+from tests.reference.trace import to_trace
 
 
 class TestCompressionComparison:
@@ -55,7 +56,7 @@ class TestCompareTrace:
         trace = run_one_warp(b.finish(), MemoryImage())
         comparison = compare_trace(trace)
         total_writes = sum(
-            1 for e in trace.to_trace().all_events() if e.dst_values is not None
+            1 for e in to_trace(trace).all_events() if e.dst_values is not None
         )
         assert comparison.registers_seen < total_writes
         assert comparison.registers_seen > 0
@@ -76,4 +77,4 @@ def small_runner():
 @pytest.mark.parametrize("abbr", [spec.abbr for spec in all_workloads()])
 def test_columnar_matches_event_walk(small_runner, abbr):
     columnar = small_runner.run(abbr).columnar
-    assert compare_trace(columnar) == compare_trace_events(columnar.to_trace())
+    assert compare_trace(columnar) == compare_trace_events(to_trace(columnar))

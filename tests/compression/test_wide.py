@@ -14,6 +14,7 @@ from repro.errors import CompressionError
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 
 from tests.oracles import address_width_study_events
+from tests.reference.trace import KernelTrace, from_trace, to_trace
 
 
 class TestWidePrefix:
@@ -86,10 +87,8 @@ class TestAddressWidthStudy:
         assert study.savings_64bit > study.savings_32bit
 
     def test_empty_trace(self):
-        from repro.simt.trace import ColumnarTrace, KernelTrace
-
         study = address_width_study(
-            ColumnarTrace.from_trace(KernelTrace(kernel_name="e", warp_size=32))
+            from_trace(KernelTrace(kernel_name="e", warp_size=32))
         )
         assert study.accesses == 0
         assert study.stored_fraction_32bit == 1.0
@@ -101,6 +100,6 @@ class TestAddressWidthStudy:
         built = build_workload("LBM", scale="tiny")
         trace = rk(built.kernel, built.launch, built.memory)
         study = address_width_study(trace)
-        assert study == address_width_study_events(trace.to_trace())
+        assert study == address_width_study_events(to_trace(trace))
         assert study.accesses > 0
         assert study.savings_64bit >= study.savings_32bit

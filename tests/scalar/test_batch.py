@@ -2,7 +2,7 @@
 
 :func:`repro.scalar.batch.classify_columnar_batch` must write exactly
 the :class:`~repro.scalar.columns.ClassifiedColumns` the per-event
-state machine (:func:`repro.scalar.tracker.classify_trace`) implies —
+state machine (:func:`tests.reference.classify.classify_trace`) implies —
 array for array, dtypes included — on every workload, whole or
 chunked.  These tests compare the two through the oracle bridge
 (:func:`tests.oracles.columns_from_classified`), and fuzz the
@@ -26,25 +26,23 @@ from repro.errors import CompressionError, TraceError
 from repro.isa import KernelBuilder
 from repro.obs.telemetry import telemetry_session
 from repro.scalar.arch_batch import process_columns
-from repro.scalar.architectures import process_classified
 from repro.scalar.batch import (
     ClassifierCarry,
     classify_columnar_batch,
     classify_columnar_chunk,
 )
-from repro.scalar.columns import (
-    CLASSIFIED_ARRAY_FIELDS,
-    ProcessedColumns,
-    concat_classified_columns,
-    processed_columns_diff,
-)
-from repro.scalar.tracker import classify_trace, trace_statistics
+from repro.scalar.columns import CLASSIFIED_ARRAY_FIELDS
+from repro.scalar.tracker import trace_statistics
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 from repro.simt.trace import iter_chunks
+from repro.workloads.registry import all_workloads, build_workload
 
 from tests.conftest import run_one_warp
 from tests.oracles import columns_from_classified
-from repro.workloads.registry import all_workloads, build_workload
+from tests.reference.classify import classify_trace
+from tests.reference.columns import concat_classified_columns, processed_columns_diff
+from tests.reference.interpret import process_classified, processed_columns_from_events
+from tests.reference.trace import to_trace
 
 
 def assert_columns_equal(expected, actual):
@@ -70,7 +68,7 @@ def classify_chunked(columnar, num_registers, chunk_events):
 
 def assert_engines_agree(columnar, num_registers):
     """The vectorized classifier writes the tracker's columns."""
-    trace = columnar.to_trace()
+    trace = to_trace(columnar)
     reference = columns_from_classified(
         classify_trace(trace, num_registers), trace.warp_size, columnar=columnar
     )
@@ -133,13 +131,13 @@ class TestDifferentialEquivalence:
         trace = run_one_warp(divergent_kernel, MemoryImage(), cta=64)
         n = divergent_kernel.num_registers
         columns = classify_columnar_batch(trace, n)
-        classified = classify_trace(trace.to_trace(), n)
+        classified = classify_trace(to_trace(trace), n)
         for arch in (
             ArchitectureConfig.baseline(),
             ArchitectureConfig.alu_scalar(),
             ArchitectureConfig.gscalar(),
         ):
-            via_events = ProcessedColumns.from_events(
+            via_events = processed_columns_from_events(
                 process_classified(classified, arch, trace.warp_size),
                 trace.warp_size,
             )

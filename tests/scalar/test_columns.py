@@ -4,30 +4,29 @@ import numpy as np
 import pytest
 
 from repro.config import ArchitectureConfig
-from repro.scalar.architectures import process_classified
 from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import (
     CATEGORY_CODE_BY_OPCODE,
     CATEGORY_TO_CODE,
     CODE_TO_CATEGORY,
-    ProcessedColumns,
-    processed_columns_diff,
-    processed_columns_equal,
 )
 from repro.scalar.eligibility import ID_TO_SCALAR_CLASS, SCALAR_CLASS_TO_ID
-from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage, run_kernel
 from repro.workloads.registry import build_workload
 
 from tests.conftest import run_one_warp
 from tests.oracles import columns_from_classified
+from tests.reference.classify import classify_trace
+from tests.reference.columns import processed_columns_diff, processed_columns_equal
+from tests.reference.interpret import process_classified, processed_columns_from_events
+from tests.reference.trace import to_trace
 
 
 @pytest.fixture(scope="module")
 def bp_small():
     built = build_workload("BP", "small")
     columnar = run_kernel(built.kernel, built.launch, built.memory)
-    trace = columnar.to_trace()
+    trace = to_trace(columnar)
     classified = classify_trace(trace, built.kernel.num_registers)
     return trace, columnar, classified
 
@@ -93,10 +92,10 @@ class TestClassifiedColumns:
 
 class TestProcessedColumns:
     def _processed(self, kernel, arch):
-        trace = run_one_warp(kernel, MemoryImage()).to_trace()
+        trace = to_trace(run_one_warp(kernel, MemoryImage()))
         classified = classify_trace(trace, kernel.num_registers)
         processed = process_classified(classified, arch, trace.warp_size)
-        return ProcessedColumns.from_events(processed, trace.warp_size)
+        return processed_columns_from_events(processed, trace.warp_size)
 
     def test_from_events_shapes(self, divergent_kernel):
         cols = self._processed(divergent_kernel, ArchitectureConfig.gscalar())

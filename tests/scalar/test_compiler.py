@@ -6,7 +6,6 @@ import pytest
 
 from repro.config import ArchitectureConfig
 from repro.isa import KernelBuilder
-from repro.scalar import classify_trace, process_classified, processed_statistics
 from repro.scalar.compiler import (
     MoveElisionAnalysis,
     StaticScalarization,
@@ -15,12 +14,15 @@ from repro.scalar.compiler import (
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 
 from tests.oracles import dynamic_static_scalar_fraction_events
+from tests.reference.classify import classify_trace
+from tests.reference.interpret import process_classified, processed_statistics
+from tests.reference.trace import to_trace
 
 GSCALAR = ArchitectureConfig.gscalar()
 
 
 def run(kernel, cta=32):
-    trace = run_kernel(kernel, LaunchConfig(1, cta), MemoryImage()).to_trace()
+    trace = to_trace(run_kernel(kernel, LaunchConfig(1, cta), MemoryImage()))
     return trace, classify_trace(trace, kernel.num_registers)
 
 
@@ -106,7 +108,7 @@ class TestMoveElision:
         for abbr in ("LBM", "HS", "SAD"):
             built = build_workload(abbr, scale="tiny")
             trace = run_kernel(built.kernel, built.launch, built.memory)
-            classified = classify_trace(trace.to_trace(), built.kernel.num_registers)
+            classified = classify_trace(to_trace(trace), built.kernel.num_registers)
             without = processed_statistics(
                 process_classified(classified, GSCALAR, 32)
             )
@@ -197,7 +199,7 @@ class TestStaticScalarization:
             scalarization = StaticScalarization(built.kernel)
             fraction = scalarization.dynamic_static_scalar_fraction(trace)
             assert fraction == dynamic_static_scalar_fraction_events(
-                scalarization, trace.to_trace()
+                scalarization, to_trace(trace)
             )
             static_total += fraction
         assert static_total < dynamic_total

@@ -4,8 +4,9 @@ import pytest
 
 from repro.compression.encoding import RegisterEncoding
 from repro.isa.opcodes import OpCategory
-from repro.scalar.eligibility import (
-    ScalarClass,
+from repro.scalar.eligibility import ScalarClass
+
+from tests.reference.classify import (
     SourceRead,
     classify_instruction,
     classify_source_read,

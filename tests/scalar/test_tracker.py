@@ -4,18 +4,14 @@ import numpy as np
 
 from repro.isa import KernelBuilder
 from repro.scalar.eligibility import ScalarClass
-from repro.scalar.tracker import (
-    RegisterStateTracker,
-    classify_trace,
-    classify_warp,
-    trace_statistics,
-)
+from repro.scalar.tracker import trace_statistics
 from repro.simt import MemoryImage
-from repro.simt.trace import TraceEvent
 from repro.isa.opcodes import Opcode
 
 from tests.conftest import run_one_warp
 from tests.oracles import columns_from_classified
+from tests.reference.classify import RegisterStateTracker, classify_trace, classify_warp
+from tests.reference.trace import TraceEvent, to_trace
 
 FULL = 0xFFFFFFFF
 EVENS = 0x55555555
@@ -136,13 +132,13 @@ class TestMaskMatching:
 
 class TestTraceLevel:
     def test_classify_trace_per_warp_isolation(self, divergent_kernel):
-        trace = run_one_warp(divergent_kernel, MemoryImage(), cta=64).to_trace()
+        trace = to_trace(run_one_warp(divergent_kernel, MemoryImage(), cta=64))
         classified = classify_trace(trace, divergent_kernel.num_registers)
         assert len(classified) == 2
         assert len(classified[0]) == len(trace.warps[0].events)
 
     def test_statistics_roll_up(self, divergent_kernel):
-        trace = run_one_warp(divergent_kernel, MemoryImage()).to_trace()
+        trace = to_trace(run_one_warp(divergent_kernel, MemoryImage()))
         classified = classify_trace(trace, divergent_kernel.num_registers)
         stats = trace_statistics(columns_from_classified(classified, 32))
         assert stats.total_instructions == trace.total_instructions
@@ -150,7 +146,7 @@ class TestTraceLevel:
         assert sum(stats.class_counts.values()) == stats.total_instructions
 
     def test_scalar_chain_fully_eligible(self, scalar_heavy_kernel):
-        trace = run_one_warp(scalar_heavy_kernel, MemoryImage()).to_trace()
+        trace = to_trace(run_one_warp(scalar_heavy_kernel, MemoryImage()))
         classified = classify_warp(trace.warps[0], scalar_heavy_kernel.num_registers)
         buckets = [item.scalar_class for item in classified]
         assert ScalarClass.SFU_SCALAR in buckets
@@ -166,7 +162,7 @@ class TestTraceLevel:
             y = b.iadd(x, 2)  # x is D=1, enc=1111, same mask
             b.iadd(y, 3)
         kernel = b.finish()
-        trace = run_one_warp(kernel, MemoryImage()).to_trace()
+        trace = to_trace(run_one_warp(kernel, MemoryImage()))
         classified = classify_warp(trace.warps[0], kernel.num_registers)
         divergent_scalars = [
             i for i in classified if i.scalar_class is ScalarClass.DIVERGENT_SCALAR

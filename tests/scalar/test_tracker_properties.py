@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from repro.compression.gscalar import common_prefix_bytes
 from repro.isa.opcodes import Opcode
 from repro.scalar.eligibility import ScalarClass
-from repro.scalar.tracker import RegisterStateTracker
 from repro.simt.grid import int_to_mask
-from repro.simt.trace import TraceEvent
+
+from tests.reference.classify import RegisterStateTracker
+from tests.reference.trace import TraceEvent
 
 WARP = 32
 FULL = (1 << WARP) - 1

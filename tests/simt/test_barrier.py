@@ -9,6 +9,8 @@ from repro.isa.instructions import Instruction, Reg
 from repro.isa.opcodes import OpCategory, Opcode, category_of
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 
+from tests.reference.trace import to_trace
+
 
 def cta_reduction_kernel(cta_size):
     """Cross-warp sum: all warps publish, then warp 0 reduces."""
@@ -103,7 +105,7 @@ class TestBarrierSemantics:
         b.st_global(b.imad(b.tid(), 4, 0x2000), b.mov(1))
         kernel = b.finish()
         memory = MemoryImage()
-        trace = run_kernel(kernel, LaunchConfig(1, 32), memory).to_trace()
+        trace = to_trace(run_kernel(kernel, LaunchConfig(1, 32), memory))
         assert memory.read_array(0x2000, 1)[0] == 1
         barriers = [e for e in trace.all_events() if e.opcode is Opcode.BAR]
         assert len(barriers) == 1
@@ -125,7 +127,7 @@ class TestBarrierMetadata:
         kernel = cta_reduction_kernel(64)
         memory = MemoryImage()
         memory.bind_array(0x1000, np.zeros(64, dtype=np.uint32))
-        trace = run_kernel(kernel, LaunchConfig(1, 64), memory).to_trace()
+        trace = to_trace(run_kernel(kernel, LaunchConfig(1, 64), memory))
         for warp in trace.warps:
             barrier_events = [e for e in warp if e.opcode is Opcode.BAR]
             assert len(barrier_events) == 1

@@ -1,7 +1,7 @@
 """Tests for the columnar trace form and its v5 on-disk entry.
 
 Covers the executor's columnar output against the event-form round
-trip (``ColumnarTrace.from_trace(columnar.to_trace())`` equals what
+trip (``from_trace(to_trace(columnar))`` equals what
 ``run_kernel`` wrote, array for array, dtypes included), the v5 trace
 entry (version gate, fingerprint gate, inconsistent warp lengths), and
 the experiment runner's transparent recovery: a cache entry written by
@@ -22,10 +22,11 @@ from repro.simt.serialize import (
     load_columnar_v5,
     save_columnar_v5,
 )
-from repro.simt.trace import ColumnarTrace, KernelTrace
+from repro.simt.trace import ColumnarTrace
 from repro.workloads.registry import all_workloads, build_workload
 
 from tests.conftest import run_one_warp
+from tests.reference.trace import KernelTrace, from_trace, to_trace
 from tests.simt.test_barrier import cta_reduction_kernel
 from tests.simt.test_serialize import assert_traces_equal
 
@@ -48,7 +49,7 @@ def assert_columnar_identical(expected: ColumnarTrace, actual: ColumnarTrace):
 
 def assert_round_trips(columnar: ColumnarTrace):
     """The event form of an executor trace packs back to the same arrays."""
-    assert_columnar_identical(columnar, ColumnarTrace.from_trace(columnar.to_trace()))
+    assert_columnar_identical(columnar, from_trace(to_trace(columnar)))
 
 
 class TestColumnarRoundTrip:
@@ -74,10 +75,10 @@ class TestColumnarRoundTrip:
 
     def test_empty_trace(self):
         trace = KernelTrace(kernel_name="empty", warp_size=32)
-        columnar = ColumnarTrace.from_trace(trace)
+        columnar = from_trace(trace)
         assert columnar.num_events == 0
         assert columnar.values.shape == (0, 32)
-        assert columnar.to_trace().total_instructions == 0
+        assert to_trace(columnar).total_instructions == 0
 
     def test_executor_empty_trace(self):
         columnar = run_one_warp(KernelBuilder("empty").finish())
@@ -89,7 +90,7 @@ class TestColumnarRoundTrip:
 
     def test_counts_and_slices(self, loop_kernel):
         columnar = _multi_warp_trace(loop_kernel)
-        trace = columnar.to_trace()
+        trace = to_trace(columnar)
         assert columnar.total_instructions == trace.total_instructions
         assert columnar.num_warps == len(trace.warps)
         slices = columnar.warp_slices()
@@ -102,7 +103,7 @@ class TestColumnarRoundTrip:
         columnar = run_one_warp(loop_kernel)
         columnar.warp_lengths = columnar.warp_lengths + 1
         with pytest.raises(TraceError, match="warp lengths"):
-            columnar.to_trace()
+            to_trace(columnar)
 
 
 @pytest.mark.parametrize("warp_size", [32, 64])
@@ -130,14 +131,14 @@ class TestColumnarSerialization:
             assert np.array_equal(
                 getattr(loaded, name), getattr(columnar, name)
             ), name
-        assert_traces_equal(columnar.to_trace(), loaded.to_trace())
+        assert_traces_equal(to_trace(columnar), to_trace(loaded))
 
     def test_save_trace_load_trace_symmetry(self, saxpy_kernel, simple_memory, tmp_path):
         columnar = run_one_warp(saxpy_kernel, simple_memory)
         save_columnar_v5(columnar, tmp_path, "trace", "fp-1")
         loaded, status, _ = load_columnar_v5(tmp_path, "trace", "fp-1")
         assert status == "hit"
-        assert_traces_equal(columnar.to_trace(), loaded.to_trace())
+        assert_traces_equal(to_trace(columnar), to_trace(loaded))
 
     def test_stale_fingerprint_rejected(self, loop_kernel, tmp_path):
         columnar = run_one_warp(loop_kernel)

@@ -8,6 +8,7 @@ from repro.isa import KernelBuilder
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 
 from tests.conftest import run_one_warp
+from tests.reference.trace import to_trace
 
 
 def output(memory, count=32, base=0x3000):
@@ -120,7 +121,7 @@ class TestControlFlow:
                 value = b.iadd(value, 9, dst=value)
         b.st_global(b.imad(b.tid(), 4, 0x3000), value)
         memory = MemoryImage()
-        trace = run_one_warp(b.finish(), memory).to_trace()
+        trace = to_trace(run_one_warp(b.finish(), memory))
         assert output(memory)[0] == 5
         # A uniform branch must not create divergent events.
         assert trace.divergent_fraction() == 0.0
@@ -195,9 +196,14 @@ class TestLaunchShapes:
         assert not out[40:].any()  # inactive lanes never stored
 
     def test_warp_size_64(self, saxpy_kernel, simple_memory):
-        trace = run_kernel(
-            saxpy_kernel, LaunchConfig(grid_dim=1, cta_dim=64), simple_memory, warp_size=64
-        ).to_trace()
+        trace = to_trace(
+            run_kernel(
+                saxpy_kernel,
+                LaunchConfig(grid_dim=1, cta_dim=64),
+                simple_memory,
+                warp_size=64,
+            )
+        )
         assert len(trace.warps) == 1
         assert trace.warp_size == 64
 
@@ -228,12 +234,12 @@ class TestSharedMemory:
 class TestTraceContents:
     def test_dst_values_snapshot_full_register(self, divergent_kernel):
         memory = MemoryImage()
-        trace = run_one_warp(divergent_kernel, memory).to_trace()
+        trace = to_trace(run_one_warp(divergent_kernel, memory))
         writes = [e for e in trace.warps[0] if e.dst_values is not None]
         assert all(e.dst_values.shape == (32,) for e in writes)
 
     def test_branch_events_recorded(self, divergent_kernel):
-        trace = run_one_warp(divergent_kernel, MemoryImage()).to_trace()
+        trace = to_trace(run_one_warp(divergent_kernel, MemoryImage()))
         from repro.isa.opcodes import Opcode
 
         branches = [e for e in trace.warps[0] if e.opcode is Opcode.BRA]
@@ -244,13 +250,13 @@ class TestTraceContents:
         b = KernelBuilder("varying")
         b.tid()
         b.ctaid()
-        trace = run_one_warp(b.finish(), MemoryImage()).to_trace()
+        trace = to_trace(run_one_warp(b.finish(), MemoryImage()))
         events = list(trace.warps[0])
         assert events[0].varying_special_src  # mov from %tid
         assert not events[1].varying_special_src  # mov from %ctaid
 
     def test_addresses_recorded_for_memory_ops(self, saxpy_kernel, simple_memory):
-        trace = run_one_warp(saxpy_kernel, simple_memory).to_trace()
+        trace = to_trace(run_one_warp(saxpy_kernel, simple_memory))
         from repro.isa.opcodes import OpCategory
 
         mem_events = [e for e in trace.warps[0] if e.category is OpCategory.MEM]

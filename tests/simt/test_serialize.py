@@ -4,9 +4,10 @@ import numpy as np
 
 from repro.simt import MemoryImage
 from repro.simt.serialize import load_columnar_v5, save_columnar_v5
-from repro.simt.trace import ColumnarTrace, KernelTrace
+from repro.simt.trace import ColumnarTrace
 
 from tests.conftest import run_one_warp
+from tests.reference.trace import KernelTrace, from_trace, to_trace
 
 FINGERPRINT = "deadbeef00000000"
 
@@ -41,21 +42,21 @@ def round_trip(columnar, cache_dir):
     save_columnar_v5(columnar, cache_dir, "trace", FINGERPRINT)
     columnar, status, _ = load_columnar_v5(cache_dir, "trace", FINGERPRINT)
     assert status == "hit"
-    return columnar.to_trace()
+    return to_trace(columnar)
 
 
 class TestRoundTrip:
     def test_divergent_trace(self, divergent_kernel, tmp_path):
         trace = run_one_warp(divergent_kernel, MemoryImage(), cta=64)
-        assert_traces_equal(trace.to_trace(), round_trip(trace, tmp_path))
+        assert_traces_equal(to_trace(trace), round_trip(trace, tmp_path))
 
     def test_memory_trace(self, saxpy_kernel, simple_memory, tmp_path):
         trace = run_one_warp(saxpy_kernel, simple_memory)
-        assert_traces_equal(trace.to_trace(), round_trip(trace, tmp_path))
+        assert_traces_equal(to_trace(trace), round_trip(trace, tmp_path))
 
     def test_empty_trace(self, tmp_path):
         trace = KernelTrace(kernel_name="empty", warp_size=32)
-        columnar = ColumnarTrace.from_trace(trace)
+        columnar = from_trace(trace)
         assert round_trip(columnar, tmp_path).total_instructions == 0
 
     def test_downstream_results_identical(self, divergent_kernel, tmp_path):
@@ -69,7 +70,7 @@ class TestRoundTrip:
         )
         recovered = trace_statistics(
             classify_columnar_batch(
-                ColumnarTrace.from_trace(reloaded),
+                from_trace(reloaded),
                 divergent_kernel.num_registers,
             )
         )
@@ -81,7 +82,7 @@ class TestRoundTrip:
 
         built = build_workload("HS", scale="tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        assert_traces_equal(trace.to_trace(), round_trip(trace, tmp_path))
+        assert_traces_equal(to_trace(trace), round_trip(trace, tmp_path))
         assert any(path.stat().st_size > 0 for path in tmp_path.rglob("*.npy"))
 
 
@@ -93,14 +94,14 @@ class TestFingerprint:
         assert status == "hit"
         assert isinstance(loaded, ColumnarTrace)
         assert entry.bytes_mapped > 0
-        assert_traces_equal(trace.to_trace(), loaded.to_trace())
+        assert_traces_equal(to_trace(trace), to_trace(loaded))
 
     def test_no_expected_fingerprint_skips_check(self, saxpy_kernel, tmp_path):
         trace = run_one_warp(saxpy_kernel, MemoryImage())
         save_columnar_v5(trace, tmp_path, "trace", FINGERPRINT)
         loaded, status, _ = load_columnar_v5(tmp_path, "trace")
         assert status == "hit"
-        assert_traces_equal(trace.to_trace(), loaded.to_trace())
+        assert_traces_equal(to_trace(trace), to_trace(loaded))
 
     def test_mismatched_fingerprint_raises(self, saxpy_kernel, tmp_path):
         """A stale entry is reported, never handed back as a hit."""

@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import TraceError
 from repro.isa.opcodes import OpCategory, Opcode
-from repro.simt.trace import KernelTrace, TraceEvent, WarpTrace
+
+from tests.reference.trace import KernelTrace, TraceEvent, WarpTrace
 
 
 def make_event(mask=0xFFFFFFFF, opcode=Opcode.IADD, dst=0):

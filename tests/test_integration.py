@@ -9,13 +9,16 @@ import pytest
 
 from repro.config import EVALUATED_ARCHITECTURES, ArchitectureConfig
 from repro.power.accounting import PowerAccountant
-from repro.scalar.architectures import process_classified, processed_statistics
 from repro.scalar.tracker import trace_statistics
 from repro.simt.executor import run_kernel
-from repro.timing.gpu import simulate_architecture
 from repro.workloads.registry import SCALES, build_workload
 
 from tests.oracles import columns_from_classified
+from tests.reference.classify import classify_trace
+from tests.reference.interpret import process_classified, processed_statistics
+from tests.reference.power import account
+from tests.reference.timing import simulate_architecture
+from tests.reference.trace import to_trace
 
 ARCHES = {arch.name: arch for arch in EVALUATED_ARCHITECTURES}
 
@@ -26,15 +29,13 @@ def pipeline():
     results = {}
     for abbr in ("HS", "BP"):
         built = build_workload(abbr, scale="tiny")
-        trace = run_kernel(built.kernel, built.launch, built.memory).to_trace()
-        from repro.scalar.tracker import classify_trace
-
+        trace = to_trace(run_kernel(built.kernel, built.launch, built.memory))
         classified = classify_trace(trace, built.kernel.num_registers)
         per_arch = {}
         for arch in EVALUATED_ARCHITECTURES:
             processed = process_classified(classified, arch, trace.warp_size)
             timing = simulate_architecture(processed, arch)
-            power = PowerAccountant(arch).account(processed, timing)
+            power = account(PowerAccountant(arch), processed, timing)
             per_arch[arch.name] = (processed, timing, power)
         results[abbr] = (trace, classified, per_arch)
     return results
@@ -124,14 +125,12 @@ class TestDeterminism:
     def test_full_pipeline_is_reproducible(self):
         def run_once():
             built = build_workload("SR1", scale="tiny")
-            trace = run_kernel(built.kernel, built.launch, built.memory).to_trace()
-            from repro.scalar.tracker import classify_trace
-
+            trace = to_trace(run_kernel(built.kernel, built.launch, built.memory))
             classified = classify_trace(trace, built.kernel.num_registers)
             arch = ArchitectureConfig.gscalar()
             processed = process_classified(classified, arch, trace.warp_size)
             timing = simulate_architecture(processed, arch)
-            report = PowerAccountant(arch).account(processed, timing)
+            report = account(PowerAccountant(arch), processed, timing)
             return timing.cycles, report.total_power_w
 
         assert run_once() == run_once()

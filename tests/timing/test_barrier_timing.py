@@ -6,11 +6,11 @@ from repro.config import ArchitectureConfig, GpuConfig
 from repro.isa import KernelBuilder
 from repro.isa.opcodes import OpCategory
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
-from repro.timing.gpu import lower_to_timing_ops, simulate_architecture
-from repro.timing.ops import TimingOp
-from repro.timing.sm import SmSimulator
 
 from tests.oracles import process_trace_events
+from tests.reference.sm import SmSimulator
+from tests.reference.timing import TimingOp, lower_to_timing_ops, simulate_architecture
+from tests.reference.trace import to_trace
 
 CONFIG = GpuConfig()
 
@@ -85,7 +85,7 @@ class TestEndToEndBarrierKernel:
         b.st_global(b.imad(b.tid(), 4, 0x2000), partner)
         kernel = b.finish()
         memory = MemoryImage()
-        trace = run_kernel(kernel, LaunchConfig(1, 64), memory).to_trace()
+        trace = to_trace(run_kernel(kernel, LaunchConfig(1, 64), memory))
         arch = ArchitectureConfig.gscalar()
         processed = process_trace_events(trace, arch, kernel.num_registers)
         result = simulate_architecture(processed, arch, warps_per_cta=2)
@@ -99,7 +99,7 @@ class TestEndToEndBarrierKernel:
         b.barrier()
         b.mov(1)
         kernel = b.finish()
-        trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage()).to_trace()
+        trace = to_trace(run_kernel(kernel, LaunchConfig(1, 32), MemoryImage()))
         arch = ArchitectureConfig.baseline()
         processed = process_trace_events(trace, arch, kernel.num_registers)
         ops = lower_to_timing_ops(processed, arch, CONFIG, 32)

@@ -20,10 +20,10 @@ from repro.config import GpuConfig, SchedulerPolicy
 from repro.errors import TimingError
 from repro.isa.opcodes import OpCategory
 from repro.timing.memory import MemoryModel
-from repro.timing.ops import TimingOp, TimingOpTable
-from repro.timing.scheduler import WarpScheduler
-from repro.timing.sm import SmSimulator
 from repro.timing.sm_event import EventSmSimulator
+
+from tests.reference.sm import SmSimulator, WarpScheduler
+from tests.reference.timing import TimingOp, from_ops
 from tests.timing.test_sm_properties import random_ops
 
 
@@ -129,7 +129,7 @@ class TestGtoForget:
         chain = [_alu(dst=0)] + [_alu(dst=0, srcs=(0,)) for _ in range(6)]
         warps = [[_alu(dst=1)], list(chain), list(chain)]
         ref = SmSimulator(warps, config).run()
-        got = EventSmSimulator(TimingOpTable.from_ops(warps), config).run()
+        got = EventSmSimulator(from_ops(warps), config).run()
         assert ref == got
         assert ref.instructions == sum(len(w) for w in warps)
 
@@ -141,7 +141,7 @@ class TestWholeCtaActivation:
         with pytest.raises(TimingError, match="residency"):
             SmSimulator(warps, config, warps_per_cta=3)
         with pytest.raises(TimingError, match="residency"):
-            EventSmSimulator(TimingOpTable.from_ops(warps), config, warps_per_cta=3)
+            EventSmSimulator(from_ops(warps), config, warps_per_cta=3)
 
     def test_cta_spanning_generations_completes(self):
         """Two CTAs, one SM generation each: barriers inside the second
@@ -151,7 +151,7 @@ class TestWholeCtaActivation:
         warps = [list(warp) for _ in range(4)]  # 2 CTAs of 2 warps
         for simulator in (
             SmSimulator(warps, config, warps_per_cta=2),
-            EventSmSimulator(TimingOpTable.from_ops(warps), config, warps_per_cta=2),
+            EventSmSimulator(from_ops(warps), config, warps_per_cta=2),
         ):
             result = simulator.run(max_cycles=100_000)
             assert result.instructions == 12
@@ -162,7 +162,7 @@ class TestWholeCtaActivation:
         warps = [list(warp) for _ in range(5)]  # CTAs {0,1}, {2,3}, {4}
         ref = SmSimulator(warps, config, warps_per_cta=2).run()
         got = EventSmSimulator(
-            TimingOpTable.from_ops(warps), config, warps_per_cta=2
+            from_ops(warps), config, warps_per_cta=2
         ).run()
         assert ref == got
         assert ref.instructions == 10
@@ -197,7 +197,7 @@ class TestWholeCtaActivation:
             max_cycles=2_000_000
         )
         got = EventSmSimulator(
-            TimingOpTable.from_ops(placed), config, warps_per_cta=warps_per_cta
+            from_ops(placed), config, warps_per_cta=warps_per_cta
         ).run(max_cycles=2_000_000)
         assert ref == got
         assert ref.instructions == sum(len(w) for w in placed)

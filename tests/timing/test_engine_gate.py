@@ -1,7 +1,7 @@
 """Cycle-vs-event SM engine gate on two production inputs.
 
 Every command, ``repro timeline`` included, runs the event-driven SM
-engine; the cycle-level :class:`~repro.timing.sm.SmSimulator` is its
+engine; the cycle-level :class:`~tests.reference.sm.SmSimulator` is its
 oracle.  This gate runs the event engine through
 :meth:`ExperimentRunner.timeline` and the cycle engine over
 ``to_ops()`` of the same lowered op table, for BP on the baseline and
@@ -18,7 +18,9 @@ import pytest
 from repro.config import architecture_by_name
 from repro.experiments.runner import ExperimentRunner
 from repro.timing.ops import build_timing_ops_columns
-from repro.timing.sm import SmSimulator
+
+from tests.reference.sm import SmSimulator
+from tests.reference.timing import to_ops
 
 
 @pytest.mark.parametrize(
@@ -35,7 +37,7 @@ def test_cycle_and_event_engines_agree(bench, arch_name):
         runner.config,
     )
     cycle = SmSimulator(
-        table.to_ops(),
+        to_ops(table),
         runner.config,
         extra_latency=arch.extra_pipeline_cycles,
         warps_per_cta=runner.warps_per_cta(bench),

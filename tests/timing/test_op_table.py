@@ -3,11 +3,11 @@
 :func:`~repro.timing.ops.build_timing_ops_columns` lowers a whole trace
 to one :class:`~repro.timing.ops.TimingOpTable` with array operations.
 These tests pin its pieces against the per-event oracles: the batched
-coalescing against :func:`~repro.timing.ops.coalesce_addresses`, the
+coalescing against :func:`~tests.reference.timing.coalesce_addresses`, the
 ``to_ops``/``from_ops`` conversions against each other, chunk
 concatenation against the whole-trace table, and the scalar-load
 segment against the lowest active lane.  They also check that the
-production paths never build a :class:`~repro.timing.ops.TimingOp`.
+production paths never build a :class:`~tests.reference.timing.TimingOp`.
 """
 
 from __future__ import annotations
@@ -29,24 +29,30 @@ from repro.isa import KernelBuilder
 from repro.isa.opcodes import OpCategory, Opcode
 from repro.obs.timeline import FlightRecorder
 from repro.scalar.arch_batch import process_columns
-from repro.scalar.architectures import process_classified
 from repro.scalar.batch import classify_columnar_batch
-from repro.scalar.tracker import classify_trace
 from repro.simt import MemoryImage, run_kernel
 from repro.simt.trace import iter_chunks
 from repro.timing import sm_event
 from repro.timing.ops import (
     SCALAR_RF_BANK,
-    TimingOp,
     TimingOpTable,
-    build_timing_ops,
     build_timing_ops_columns,
     coalesce_address_rows,
-    coalesce_addresses,
 )
 from repro.timing.sm_event import EventSmSimulator
 from repro.workloads.registry import build_workload
+
 from tests.conftest import run_one_warp
+from tests.reference.classify import classify_trace
+from tests.reference.interpret import process_classified
+from tests.reference.timing import (
+    TimingOp,
+    build_timing_ops,
+    coalesce_addresses,
+    from_ops,
+    to_ops,
+)
+from tests.reference.trace import to_trace
 
 
 def assert_tables_identical(expected: TimingOpTable, actual: TimingOpTable) -> None:
@@ -141,7 +147,7 @@ def shared_barrier():
     b.st_global(b.imad(tid, 4, 0x3000), value)
     kernel = b.finish()
     trace = run_one_warp(kernel, cta=64)
-    classified = classify_trace(trace.to_trace(), kernel.num_registers)
+    classified = classify_trace(to_trace(trace), kernel.num_registers)
     ccols = classify_columnar_batch(trace, kernel.num_registers)
     widths = analyze_widths(kernel, warp_size=trace.warp_size).register_enc
     return kernel, trace, classified, ccols, widths
@@ -162,7 +168,7 @@ class TestHandBuiltLowering:
             )
             assert table.is_barrier.sum() == 4
             assert table.is_shared_mem.sum() == 4
-            assert table.to_ops() == [
+            assert to_ops(table) == [
                 build_timing_ops(warp, arch, config, trace.warp_size)
                 for warp in processed
             ], arch.name
@@ -247,7 +253,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
     def test_from_ops_to_ops_is_identity(self, name):
         ops = HAND_WRITTEN[name]
-        assert TimingOpTable.from_ops(ops).to_ops() == ops
+        assert to_ops(from_ops(ops)) == ops
 
     def test_lowered_tables_survive_to_ops(self, lc_tiny, shared_barrier):
         # LC inserts decompress moves under G-Scalar; the hand-built
@@ -257,17 +263,17 @@ class TestRoundTrip:
             table = build_timing_ops_columns(
                 ccols, process_columns(ccols, arch), arch, GpuConfig()
             )
-            assert_tables_identical(table, TimingOpTable.from_ops(table.to_ops()))
+            assert_tables_identical(table, from_ops(to_ops(table)))
 
     def test_empty(self):
-        table = TimingOpTable.from_ops([])
+        table = from_ops([])
         assert table.num_ops == 0
-        assert table.to_ops() == []
-        assert TimingOpTable.from_ops([[], []]).to_ops() == [[], []]
+        assert to_ops(table) == []
+        assert to_ops(from_ops([[], []])) == [[], []]
 
     def test_bank_per_source_required(self):
         with pytest.raises(TimingError):
-            TimingOpTable.from_ops([[_alu(dst=0, srcs=(1, 2), banks=(1,))]])
+            from_ops([[_alu(dst=0, srcs=(1, 2), banks=(1,))]])
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +302,7 @@ class TestConcat:
             )
 
     def test_no_fragments_is_an_empty_table(self):
-        assert TimingOpTable.concat([], []).to_ops() == []
+        assert to_ops(TimingOpTable.concat([], [])) == []
 
 
 class TestEventCompile:
@@ -330,7 +336,7 @@ class TestScalarSegmentLane:
         memory = MemoryImage()
         memory.bind_array(0x1000, np.arange(32, dtype=np.uint32))
         trace = run_one_warp(kernel, memory)
-        classified = classify_trace(trace.to_trace(), kernel.num_registers)
+        classified = classify_trace(to_trace(trace), kernel.num_registers)
         arch = ArchitectureConfig.gscalar()
         config = GpuConfig()
 
@@ -348,7 +354,7 @@ class TestScalarSegmentLane:
         table = build_timing_ops_columns(
             ccols, process_columns(ccols, arch), arch, config
         )
-        assert table.to_ops() == [oracle]
+        assert to_ops(table) == [oracle]
         loads = [
             op for op in oracle if op.category is OpCategory.MEM and not op.is_store
         ]

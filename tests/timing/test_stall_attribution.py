@@ -14,9 +14,11 @@ import pytest
 
 from repro.config import GpuConfig
 from repro.isa.opcodes import OpCategory
-from repro.timing.ops import TimingOp, TimingOpTable
-from repro.timing.sm import STALL_CAUSES, SmSimulator, StallBreakdown
+from repro.timing.sm import STALL_CAUSES, StallBreakdown
 from repro.timing.sm_event import EventSmSimulator
+
+from tests.reference.sm import SmSimulator
+from tests.reference.timing import TimingOp, from_ops
 
 CONFIG = GpuConfig()
 
@@ -49,7 +51,7 @@ def barrier_op():
 def run_both(warps, config=CONFIG, warps_per_cta=None):
     ref = SmSimulator(warps, config, warps_per_cta=warps_per_cta).run()
     got = EventSmSimulator(
-        TimingOpTable.from_ops(warps), config, warps_per_cta=warps_per_cta
+        from_ops(warps), config, warps_per_cta=warps_per_cta
     ).run()
     assert ref == got
     return ref

@@ -4,11 +4,13 @@ import numpy as np
 
 from repro.compression.gscalar import common_prefix_bytes
 from repro.isa import KernelBuilder
-from repro.scalar import ScalarClass, classify_warp
+from repro.scalar import ScalarClass
 from repro.simt import MemoryImage
 from repro.workloads import patterns
 
 from tests.conftest import run_one_warp
+from tests.reference.classify import classify_warp
+from tests.reference.trace import to_trace
 
 
 class TestLoadBroadcast:
@@ -19,7 +21,7 @@ class TestLoadBroadcast:
         kernel = b.finish()
         memory = MemoryImage()
         memory.bind_array(patterns.PARAMS_BASE, np.array([42], dtype=np.uint32))
-        trace = run_one_warp(kernel, memory).to_trace()
+        trace = to_trace(run_one_warp(kernel, memory))
         classified = classify_warp(trace.warps[0], kernel.num_registers)
         classes = [item.scalar_class for item in classified]
         assert ScalarClass.MEM_SCALAR in classes
@@ -48,7 +50,7 @@ class TestThreadElementAddr:
         b.st_global(addr, tid)
         kernel = b.finish()
         memory = MemoryImage()
-        trace = run_one_warp(kernel, memory).to_trace()
+        trace = to_trace(run_one_warp(kernel, memory))
         store = [e for e in trace.warps[0] if e.addresses is not None][-1]
         assert store.addresses[1] - store.addresses[0] == 8
 
@@ -80,7 +82,7 @@ class TestHalfParameter:
         memory.bind_array(
             patterns.PARAMS_BASE, np.array([10, 20], dtype=np.uint32)
         )
-        trace = run_one_warp(kernel, memory).to_trace()
+        trace = to_trace(run_one_warp(kernel, memory))
         classified = classify_warp(trace.warps[0], kernel.num_registers)
         assert classified[-1].scalar_class is ScalarClass.HALF_SCALAR
 

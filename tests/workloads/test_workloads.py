@@ -3,13 +3,15 @@ qualitative behaviour the paper reports for its original."""
 
 import pytest
 
+from repro.analysis.static_ import lint_kernel
 from repro.isa.opcodes import OpCategory
-from repro.isa.validation import validate_kernel
 from repro.scalar.eligibility import ScalarClass
 from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.tracker import trace_statistics
 from repro.simt.executor import run_kernel
 from repro.workloads.registry import SCALES, all_workloads, build_workload
+
+from tests.reference.trace import to_trace
 
 SCALE = SCALES["tiny"]
 
@@ -22,15 +24,15 @@ def all_stats():
         built = spec.builder(SCALE)
         columnar = run_kernel(built.kernel, built.launch, built.memory)
         ccols = classify_columnar_batch(columnar, built.kernel.num_registers)
-        results[spec.abbr] = (built, columnar.to_trace(), trace_statistics(ccols))
+        results[spec.abbr] = (built, to_trace(columnar), trace_statistics(ccols))
     return results
 
 
 @pytest.mark.parametrize("abbr", [s.abbr for s in all_workloads()])
 def test_kernel_is_structurally_valid(abbr):
     built = build_workload(abbr, scale="tiny")
-    report = validate_kernel(built.kernel)
-    assert report.num_instructions > 5
+    assert lint_kernel(built.kernel).errors == []
+    assert built.kernel.static_instruction_count() > 5
 
 
 @pytest.mark.parametrize("abbr", [s.abbr for s in all_workloads()])
@@ -105,8 +107,8 @@ def test_memory_intensive_benchmarks_issue_more_memory_ops(all_stats):
 def test_workloads_are_deterministic():
     built_a = build_workload("SAD", scale="tiny")
     built_b = build_workload("SAD", scale="tiny")
-    trace_a = run_kernel(built_a.kernel, built_a.launch, built_a.memory).to_trace()
-    trace_b = run_kernel(built_b.kernel, built_b.launch, built_b.memory).to_trace()
+    trace_a = to_trace(run_kernel(built_a.kernel, built_a.launch, built_a.memory))
+    trace_b = to_trace(run_kernel(built_b.kernel, built_b.launch, built_b.memory))
     assert trace_a.total_instructions == trace_b.total_instructions
     masks_a = [e.active_mask for e in trace_a.all_events()]
     masks_b = [e.active_mask for e in trace_b.all_events()]
