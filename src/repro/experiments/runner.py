@@ -8,7 +8,10 @@ configuration and lazily computes, per benchmark:
 * per-architecture processed columns, timing results and power reports.
 
 Every figure regenerator takes a runner, so a full ``python -m repro all``
-executes each benchmark exactly once.
+executes each benchmark exactly once.  SM simulations are memoized by
+their input (:meth:`ExperimentRunner.simulate_sm`): architectures or
+sweep points that lower to the same op table under the same machine
+share one simulation.
 
 With ``cache_dir`` set, every expensive stage also persists on disk so
 it can be shared *across* processes, all in the v5 manifest/bank layout
@@ -66,7 +69,8 @@ from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.simt.executor import run_kernel
 from repro.simt.serialize import load_columnar_v5, save_columnar_v5
 from repro.simt.trace import ColumnarTrace, iter_chunks, opcode_labels
-from repro.timing.gpu import simulate_architecture_columns
+from repro.timing.gpu import simulate_architecture_columns, simulate_warp_ops
+from repro.timing.ops import build_timing_ops_columns
 from repro.timing.sm import TimingResult
 from repro.workloads.registry import SCALES, BuiltWorkload, all_workloads, workload_by_name
 from repro.workloads.synth import (
@@ -119,7 +123,8 @@ class RunnerStats:
 
     ``counters`` tracks cache outcomes (``trace_cache_hits``,
     ``trace_cache_misses``, ``trace_cache_invalid``,
-    ``trace_executions``, ``ccols_cache_hits``, ...);
+    ``trace_executions``, ``ccols_cache_hits``, ...) and SM engine
+    work (``sm_runs`` simulations, ``sm_reuses`` memo hits);
     ``stage_seconds`` accumulates wall time per pipeline stage.  Stats
     merge across processes, so a parallel prefetch reports the totals
     over all workers.
@@ -336,6 +341,7 @@ class ExperimentRunner:
         self._processed_columns: dict[tuple[str, str], ProcessedColumns] = {}
         self._timing: dict[tuple[str, str], TimingResult] = {}
         self._power: dict[tuple[str, str], PowerReport] = {}
+        self._sm_results: dict[tuple, TimingResult] = {}
 
     def _log(self, message: str) -> None:
         if self.verbose:
@@ -629,17 +635,49 @@ class ExperimentRunner:
         self._timing[(key, arch.name)] = timing
         self._power[(key, arch.name)] = power
 
-    def _compute_whole(
-        self, key: str, arch: ArchitectureConfig
-    ) -> tuple[TimingResult, PowerReport]:
-        self._log(f"timing {key} on {arch.name}")
+    def simulate_sm(
+        self, abbr: str, arch: ArchitectureConfig, config: GpuConfig | None = None
+    ) -> TimingResult:
+        """SM timing of one pair on ``config`` (default: the runner's).
+
+        Lowers the pair to its :class:`~repro.timing.ops.TimingOpTable`
+        and simulates it once per distinct engine input: the memo key
+        is everything the engine reads — the table's digest, the GPU
+        configuration, the architecture's extra pipeline cycles and
+        the benchmark's warps per CTA.  So an architecture that lowers
+        to another's table (``gscalar_no_divergent`` and ``gscalar``),
+        or a sweep point equal to the runner's configuration, reuses
+        that simulation.  Counts ``sm_runs`` and ``sm_reuses``.
+        """
+        key = self._normalize(abbr)
+        config = config or self.config
         ccols = self.classified_columns(key)
         pcols = self.processed_columns(key, arch)
         warps_per_cta = self.warps_per_cta(key)
         with self.stats.timer("timing", benchmark=key, arch=arch.name):
-            timing = simulate_architecture_columns(
-                ccols, pcols, arch, self.config, warps_per_cta=warps_per_cta
+            table = build_timing_ops_columns(ccols, pcols, arch, config)
+            memo_key = (
+                table.digest(),
+                config,
+                arch.extra_pipeline_cycles,
+                warps_per_cta,
             )
+            timing = self._sm_results.get(memo_key)
+            if timing is None:
+                self.stats.bump("sm_runs")
+                timing = self._sm_results[memo_key] = simulate_warp_ops(
+                    table, arch, config, warps_per_cta=warps_per_cta
+                )
+            else:
+                self.stats.bump("sm_reuses")
+        return timing
+
+    def _compute_whole(
+        self, key: str, arch: ArchitectureConfig
+    ) -> tuple[TimingResult, PowerReport]:
+        self._log(f"timing {key} on {arch.name}")
+        pcols = self.processed_columns(key, arch)
+        timing = self.simulate_sm(key, arch)
         accountant = PowerAccountant(arch, self.params, self.config)
         with self.stats.timer("power", benchmark=key, arch=arch.name):
             power = accountant.account_columns(pcols, timing)
@@ -675,6 +713,7 @@ class ExperimentRunner:
         warps_per_cta = self.warps_per_cta(key)
         with self.stats.timer("timing", benchmark=key, arch=arch.name):
             outcome = pipeline.finish(warps_per_cta=warps_per_cta)
+        self.stats.bump("sm_runs")
         self.stats.bump("stream_chunks", outcome.num_chunks)
         # Gauges land in the stats registry: the shared one when
         # telemetry is on, else the runner's private registry — so
@@ -698,13 +737,15 @@ class ExperimentRunner:
     ) -> TimingResult:
         """Re-run timing with a flight recorder threaded through.
 
-        Always simulates (never replays a result entry — recorded events
-        cannot come from a cache) and never stores the result, so the
-        recorded run cannot pollute the recorder-free result cache.
+        Always simulates (never replays a result entry or the SM memo —
+        recorded events cannot come from a cache) and never stores the
+        result, so the recorded run cannot pollute the recorder-free
+        caches.
         """
         key = self._normalize(abbr)
         warps_per_cta = self.warps_per_cta(key)
         self._log(f"timeline {key} on {arch.name}")
+        self.stats.bump("sm_runs")
         with self.stats.timer("timeline", benchmark=key, arch=arch.name):
             return simulate_architecture_columns(
                 self.classified_columns(key),

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from repro.config import ArchitectureConfig
 from repro.errors import ConfigError
 from repro.power.accounting import PowerAccountant
-from repro.timing.gpu import simulate_architecture_columns
 
 #: Parameters that make sense to sweep (scalable floats).
 SWEEPABLE = (
@@ -124,11 +123,14 @@ def sweep_latency_parameter(
     """Sweep one GpuConfig write-back latency; headline gain per point.
 
     Unlike the energy sweeps, a latency change alters cycle counts, so
-    each point re-simulates timing from the runner's cached classified
-    and processed columns (the expensive trace/classify work is still
-    reused).
+    each point lowers the runner's cached processed columns under its
+    configuration and simulates through the runner's SM memo
+    (:meth:`~repro.experiments.runner.ExperimentRunner.simulate_sm`):
+    only distinct points are simulated.  A point whose latency equals
+    the runner's (factor 1.0) reuses the runner's own results, and
+    factors that round to one latency share their simulations.
     Latencies are integers: each point uses ``max(1, round(base *
-    factor))`` cycles.
+    factor))`` cycles.  Every factor is validated before any work.
     """
     if parameter not in SWEEPABLE_LATENCIES:
         raise ConfigError(
@@ -140,11 +142,12 @@ def sweep_latency_parameter(
     alu_arch = ArchitectureConfig.alu_scalar()
     gscalar_arch = ArchitectureConfig.gscalar()
     base_value = getattr(runner.config, parameter)
-
-    points = []
     for factor in scale_factors:
         if factor <= 0:
             raise ConfigError(f"scale factors must be positive, got {factor}")
+
+    points = []
+    for factor in scale_factors:
         value = max(1, round(base_value * factor))
         config = dataclasses.replace(runner.config, **{parameter: value})
         gscalar_gain = 0.0
@@ -153,13 +156,7 @@ def sweep_latency_parameter(
             efficiencies = {}
             for arch in (baseline_arch, alu_arch, gscalar_arch):
                 processed = runner.processed_columns(abbr, arch)
-                timing = simulate_architecture_columns(
-                    runner.classified_columns(abbr),
-                    processed,
-                    arch,
-                    config,
-                    warps_per_cta=runner.warps_per_cta(abbr),
-                )
+                timing = runner.simulate_sm(abbr, arch, config)
                 accountant = PowerAccountant(arch, runner.params, config)
                 report = accountant.account_columns(processed, timing)
                 efficiencies[arch.name] = report.ipc_per_watt

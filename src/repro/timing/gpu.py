@@ -55,7 +55,9 @@ def simulate_warp_ops(
     fragment lowering is exact) and joins them with
     :meth:`TimingOpTable.concat`; this entry point runs the simulation
     once over the joined table — the SM engine schedules whole warps,
-    so this is the one whole-trace barrier the stream keeps.
+    so this is the one whole-trace barrier the stream keeps.  The
+    runner's SM memo calls it with a table it has already lowered and
+    digested (:meth:`TimingOpTable.digest`).
     """
     return EventSmSimulator(
         table,

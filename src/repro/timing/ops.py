@@ -17,7 +17,8 @@ coalescing included (:func:`coalesce_address_rows`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,6 +104,20 @@ class TimingOpTable:
     def warp_bounds(self) -> np.ndarray:
         """``(n_warps + 1,)`` row offsets of each warp's ops."""
         return _offsets(self.warp_lengths)
+
+    def digest(self) -> str:
+        """Content hash of every column (name, dtype, shape and bytes).
+
+        Two tables with one digest are the same SM input, so a memo
+        keyed on it (with the GPU configuration, extra latency and
+        warps per CTA) can reuse one simulation for both.
+        """
+        hasher = hashlib.blake2b(digest_size=20)
+        for column in fields(self):
+            values = np.ascontiguousarray(getattr(self, column.name))
+            hasher.update(f"{column.name}:{values.dtype.str}:{values.shape};".encode())
+            hasher.update(values)
+        return hasher.hexdigest()
 
     @classmethod
     def concat(

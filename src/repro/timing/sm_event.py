@@ -17,18 +17,38 @@ architectures).  What differs is how time advances:
 * this engine is *event-driven*: warp readiness is updated only when an
   event can change it (a write-back releasing a register, a branch
   resolving, a barrier releasing its CTA, an issue advancing the PC, a
-  warp activating), write-back completions and barrier wake-ups live in
-  time-ordered heaps, pipeline-port free-times are kept as per-port
-  busy-until timestamps, and operand-collector bank conflicts are
-  resolved per-epoch over only the collectors that still owe bank
-  reads.  Idle stretches are skipped wholesale to the next write-back
-  or port-release event, exactly where the reference model skips them.
+  warp activating).  Idle stretches are skipped wholesale to the next
+  write-back or port-release event, exactly where the reference model
+  skips them.
+
+The per-cycle state is kept in the cheapest form each check needs:
+
+* **scoreboards** are one int per warp with bit *r* set while register
+  *r* is in flight; each compiled row carries a *hazard mask* (its
+  destination OR its sources, built per compile block and shared
+  between equal rows), so an op is scoreboard-ready when the two ints
+  do not intersect;
+* **ready sets** are one bitmask per scheduler over its partition
+  positions (slot *s* is bit ``s // n`` of scheduler ``s % n``): GTO
+  tests the last-issued slot's bit, else takes the lowest bit; LRR
+  takes the lowest bit at or after the rotation, else the lowest;
+* each scheduler's **stall cause** is cached and recomputed only after
+  a slot in its partition changed (activation, issue, branch
+  write-back, barrier wake-up, retirement) — nothing else can change
+  it;
+* each pipeline-port group keeps its **earliest free time**, so
+  dispatch skips a saturated group without scanning its ports;
+* operand collection and dispatch are **one issue-ordered pass** over
+  the collectors: each serves its bank reads (one request per bank per
+  cycle) and, once bank-complete, dispatches to a free port;
+* **write-backs** sit in a timing wheel: one list per completion cycle,
+  appended in dispatch order, with a heap of the cycles that have one.
 
 Per-cycle work is therefore proportional to the events of that cycle
-rather than to machine size, which is where the pipeline speedup comes
-from.  This engine is the only one the runner uses.  The cycle model is
-its differential oracle: tests run it over the same table's ops
-(``tests/timing/test_engine_gate.py`` is the CI gate).
+rather than to machine size.  This engine is the only one the runner
+uses.  The cycle model is its differential oracle: tests run it over
+the same table's ops (``tests/timing/test_engine_gate.py`` is the CI
+gate).
 
 Semantics replicated from the reference (same event order per cycle):
 write-backs, then operand collection (one request per bank per cycle,
@@ -79,8 +99,8 @@ _PORT_CATEGORY_NAMES = ("ALU", "MEM", "SFU")
 
 # Compiled-op tuple layout (one tuple per table row; plain tuples index
 # faster than array or attribute access in the hot loop).
-_DST = 0
-_SRC_REGS = 1
+_DST_BIT = 0  # scoreboard bit of the destination register; 0 for none
+_HAZARD = 1  # scoreboard bits of the destination and every source
 _SRC_BANKS = 2
 _DISPATCH = 3
 _PORT = 4
@@ -95,13 +115,55 @@ _IS_STORE = 11
 #: Table rows compiled per step (bounds the compile's temporary lists).
 _COMPILE_BLOCK_ROWS = 16384
 
+#: Registers per NumPy word while hazard masks are built.
+_WORD_BITS = 64
+
 
 def _ragged_tuples(values, offsets, lo: int, hi: int) -> list[tuple]:
     """Rows ``lo:hi`` of a ragged table as one tuple each."""
     bounds = offsets[lo : hi + 1]
     flat = values[bounds[0] : bounds[-1]].tolist()
     bounds = (bounds - bounds[0]).tolist()
-    return [tuple(flat[start:end]) for start, end in zip(bounds, bounds[1:])]
+    return [
+        tuple(flat[start:end]) if start != end else ()
+        for start, end in zip(bounds, bounds[1:])
+    ]
+
+
+def _register_masks(
+    table: TimingOpTable, lo: int, hi: int, interned: dict[int, int]
+) -> tuple[list[int], list[int]]:
+    """Rows ``lo:hi``'s destination bits and hazard masks as ints.
+
+    Bit *r* stands for register *r*; a row's hazard mask is its
+    destination bit OR its source bits.  The masks are assembled from
+    one ``uint64`` column per 64 registers, and equal ints share one
+    object through ``interned``, so rows cost a pointer per mask.
+    """
+    dst = table.dst[lo:hi].astype(np.int64)
+    bounds = table.src_offsets[lo : hi + 1]
+    regs = table.src_regs[bounds[0] : bounds[-1]].astype(np.int64)
+    owner = np.repeat(np.arange(dst.shape[0]), np.diff(bounds))
+    top = max(int(dst.max(initial=-1)), int(regs.max(initial=-1)), 0)
+    one = np.uint64(1)
+    dst_bits: list[int] = []
+    hazards: list[int] = []
+    for base in range(0, top + 1, _WORD_BITS):
+        word_dst = np.zeros(dst.shape[0], dtype=np.uint64)
+        here = (dst >= base) & (dst < base + _WORD_BITS)
+        word_dst[here] = one << (dst[here] - base).astype(np.uint64)
+        word_hazard = word_dst.copy()
+        here = (regs >= base) & (regs < base + _WORD_BITS)
+        np.bitwise_or.at(
+            word_hazard, owner[here], one << (regs[here] - base).astype(np.uint64)
+        )
+        if base == 0:
+            dst_bits, hazards = word_dst.tolist(), word_hazard.tolist()
+        else:
+            dst_bits = [m | w << base for m, w in zip(dst_bits, word_dst.tolist())]
+            hazards = [m | w << base for m, w in zip(hazards, word_hazard.tolist())]
+    intern = interned.setdefault
+    return [intern(m, m) for m in dst_bits], [intern(m, m) for m in hazards]
 
 
 class EventSmSimulator:
@@ -175,14 +237,16 @@ class EventSmSimulator:
         )
         is_ctrl = codes == CTRL_CODE
         rows: list[tuple] = []
+        interned: dict[int, int] = {}
         # Block by block, so the per-column Python lists built on the
         # way stay small next to the rows they become.
         for lo in range(0, table.num_ops, _COMPILE_BLOCK_ROWS):
-            hi = lo + _COMPILE_BLOCK_ROWS
+            hi = min(lo + _COMPILE_BLOCK_ROWS, table.num_ops)
+            dst_bits, hazards = _register_masks(table, lo, hi, interned)
             rows.extend(
                 zip(
-                    [None if dst < 0 else dst for dst in table.dst[lo:hi].tolist()],
-                    _ragged_tuples(table.src_regs, table.src_offsets, lo, hi),
+                    dst_bits,
+                    hazards,
                     _ragged_tuples(table.src_banks, table.src_offsets, lo, hi),
                     table.dispatch_cycles[lo:hi].tolist(),
                     port[lo:hi].tolist(),
@@ -221,7 +285,9 @@ class EventSmSimulator:
         max_collectors = config.operand_collectors_per_sm
 
         pcs = [0] * num_warps
-        scoreboards: list[set[int]] = [set() for _ in range(num_warps)]
+        # Bit r set while register r has a write in flight.  The hazard
+        # mask holds the destination, so a register never has two.
+        scoreboards = [0] * num_warps
         blocked_until = [0] * num_warps
         in_flight = [0] * num_warps
         remaining = num_warps
@@ -230,28 +296,35 @@ class EventSmSimulator:
         warp_slot = [-1] * num_warps  # warp -> slot (-1 = not resident)
         free_slots = list(range(max_resident))  # min-heap
 
-        # Per-scheduler incremental ready sets over slots (slot s belongs
-        # to scheduler s % num_schedulers, the same static parity
-        # partition the reference builds via partition_warps).
-        ready_sets: list[set[int]] = [set() for _ in range(num_schedulers)]
+        # Slot s belongs to scheduler s % num_schedulers (the static
+        # parity partition the reference builds via partition_warps)
+        # and is bit s // num_schedulers of that scheduler's masks.
+        slot_scheduler = [slot % num_schedulers for slot in range(max_resident)]
+        slot_bit = [1 << (slot // num_schedulers) for slot in range(max_resident)]
+        ready_masks = [0] * num_schedulers
         partition_sizes = [
             len(range(i, max_resident, num_schedulers)) for i in range(num_schedulers)
         ]
-        last_issued: list[int | None] = [None] * num_schedulers
+        last_bits = [0] * num_schedulers  # GTO: last-issued slot's bit
         rr_pos = [0] * num_schedulers
+        # Cached classify_stall result per scheduler; -1 once a slot of
+        # its partition changed.
+        causes = [-1] * num_schedulers
 
         # Collector entries are [warp, pending_banks, compiled_row] in
-        # issue order; ``draining`` counts entries still owing bank reads.
+        # issue order.
         collectors: list[list] = []
-        draining = 0
         alu_ports = [0] * config.alu_pipelines
         mem_ports = [0] * config.mem_pipelines
         sfu_ports = [0] * config.sfu_pipelines
         port_groups = (alu_ports, mem_ports, sfu_ports)
+        group_free = [0] * len(port_groups)  # earliest free port per group
 
-        writebacks: list[tuple[int, int, int, int | None, bool]] = []
+        # Write-back timing wheel: completion cycle -> [(warp, row)] in
+        # dispatch order, plus a min-heap of the cycles present.
+        wheel: dict[int, list[tuple[int, tuple]]] = {}
+        wheel_cycles: list[int] = []
         wakeups: list[tuple[int, int]] = []  # (cycle, warp) barrier releases
-        sequence = 0
         barrier_arrived: dict[int, set[int]] = {}
         retirable: set[int] = set()
 
@@ -292,23 +365,6 @@ class EventSmSimulator:
                     return STALL_SCOREBOARD
             return cause
 
-        def sb_ready(warp: int) -> bool:
-            """Scoreboard/stream readiness of a warp's next op."""
-            pc = pcs[warp]
-            if pc >= oplen[warp]:
-                return False
-            pending = scoreboards[warp]
-            if not pending:
-                return True
-            row = compiled[warp][pc]
-            dst = row[_DST]
-            if dst is not None and dst in pending:
-                return False
-            for register in row[_SRC_REGS]:
-                if register in pending:
-                    return False
-            return True
-
         def activate_ctas() -> None:
             """GigaThread-style activation: whole CTAs, lowest slots first."""
             nonlocal next_warp_to_activate
@@ -323,10 +379,11 @@ class EventSmSimulator:
                     warp_slot[warp] = slot
                     if recorder is not None:
                         recorder.warp_activate(cycle, warp, slot)
+                    causes[slot_scheduler[slot]] = -1
                     if oplen[warp] == 0:
                         retirable.add(warp)
                     else:
-                        ready_sets[slot % num_schedulers].add(slot)
+                        ready_masks[slot_scheduler[slot]] |= slot_bit[slot]
                     next_warp_to_activate += 1
 
         def arrive_at_barrier(warp: int, cycle: int) -> None:
@@ -335,7 +392,8 @@ class EventSmSimulator:
             Same semantics as the reference: a CTA-mate that already
             retired all its ops counts as arrived.  Whole-CTA activation
             guarantees every unfinished mate is resident, so the wait
-            always terminates.
+            always terminates.  A release leaves every stall cause as it
+            was this cycle; the wake-up a cycle later changes them.
             """
             cta = warp // warps_per_cta
             arrived = barrier_arrived.setdefault(cta, set())
@@ -370,73 +428,90 @@ class EventSmSimulator:
 
             # 1. Write-backs scheduled for this cycle; each one is the
             # only event that can newly unblock its warp's next op.
-            while writebacks and writebacks[0][0] <= cycle:
-                _, _, warp, dst, is_ctrl = heappop(writebacks)
-                if dst is not None:
-                    scoreboards[warp].discard(dst)
-                in_flight[warp] -= 1
-                if is_ctrl and blocked_until[warp] == _BLOCKED_ON_BRANCH:
-                    blocked_until[warp] = cycle
-                if recorder is not None:
-                    recorder.writeback(cycle, warp, dst)
-                progressed = True
-                slot = warp_slot[warp]
-                if slot >= 0:
-                    if pcs[warp] >= oplen[warp]:
-                        if in_flight[warp] == 0:
-                            retirable.add(warp)
-                    elif blocked_until[warp] <= cycle and sb_ready(warp):
-                        ready_sets[slot % num_schedulers].add(slot)
+            while wheel_cycles and wheel_cycles[0] <= cycle:
+                for warp, row in wheel.pop(heappop(wheel_cycles)):
+                    dst_bit = row[_DST_BIT]
+                    if dst_bit:
+                        scoreboards[warp] ^= dst_bit
+                    in_flight[warp] -= 1
+                    slot = warp_slot[warp]
+                    if row[_IS_CTRL] and blocked_until[warp] == _BLOCKED_ON_BRANCH:
+                        blocked_until[warp] = cycle
+                        if slot >= 0:
+                            causes[slot_scheduler[slot]] = -1
+                    if recorder is not None:
+                        recorder.writeback(
+                            cycle, warp, dst_bit.bit_length() - 1 if dst_bit else None
+                        )
+                    progressed = True
+                    if slot >= 0:
+                        pc = pcs[warp]
+                        if pc >= oplen[warp]:
+                            if in_flight[warp] == 0:
+                                retirable.add(warp)
+                        elif (
+                            blocked_until[warp] <= cycle
+                            and not scoreboards[warp] & compiled[warp][pc][_HAZARD]
+                        ):
+                            ready_masks[slot_scheduler[slot]] |= slot_bit[slot]
 
             # 1b. Barrier wake-ups that have come due.
             while wakeups and wakeups[0][0] <= cycle:
                 _, warp = heappop(wakeups)
                 slot = warp_slot[warp]
-                if slot >= 0 and blocked_until[warp] <= cycle and sb_ready(warp):
-                    ready_sets[slot % num_schedulers].add(slot)
+                if slot < 0:
+                    continue
+                causes[slot_scheduler[slot]] = -1
+                pc = pcs[warp]
+                if (
+                    pc < oplen[warp]
+                    and blocked_until[warp] <= cycle
+                    and not scoreboards[warp] & compiled[warp][pc][_HAZARD]
+                ):
+                    ready_masks[slot_scheduler[slot]] |= slot_bit[slot]
 
-            # 2. Operand collection epoch: one request per bank per
-            # cycle, earlier collectors first, the scalar-RF bank
-            # serialized exactly as in the reference (§4.1).
+            # 2-3. One pass over the collectors in issue order: serve
+            # each one's bank reads (one request per bank per cycle,
+            # earlier collectors first, the scalar-RF bank serialized
+            # exactly as in the reference, §4.1), then dispatch it to a
+            # free pipeline port once it is bank-complete.  Dispatch
+            # never touches a bank, so this is the reference's
+            # collect-all-then-dispatch-all order.
             had_conflict = False
-            if draining:
+            waiting = 0  # bank-complete collectors no free port took
+            if collectors:
                 served_banks: set[int] = set()
-                still_draining = 0
+                kept = []
                 for collector in collectors:
                     pending_banks = collector[1]
-                    if not pending_banks:
-                        continue
-                    still_pending = []
-                    for bank in pending_banks:
-                        if bank not in served_banks:
-                            served_banks.add(bank)
-                            progressed = True
-                        else:
-                            still_pending.append(bank)
-                            had_conflict = True
-                            if bank == SCALAR_RF_BANK:
-                                scalar_conflicts += 1
-                    collector[1] = still_pending
-                    if still_pending:
-                        still_draining += 1
-                draining = still_draining
-                if had_conflict:
-                    bank_conflict_cycles += 1
-
-            # 3. Dispatch bank-complete collectors to free pipeline ports.
-            if len(collectors) > draining:
-                for collector in [c for c in collectors if not c[1]]:
+                    if pending_banks:
+                        still_pending = []
+                        for bank in pending_banks:
+                            if bank not in served_banks:
+                                served_banks.add(bank)
+                                progressed = True
+                            else:
+                                still_pending.append(bank)
+                                had_conflict = True
+                                if bank == SCALAR_RF_BANK:
+                                    scalar_conflicts += 1
+                        collector[1] = still_pending
+                        if still_pending:
+                            kept.append(collector)
+                            continue
                     row = collector[2]
-                    ports = port_groups[row[_PORT]]
-                    port_index = -1
-                    for index, busy in enumerate(ports):
-                        if busy <= cycle:
-                            port_index = index
-                            break
-                    if port_index < 0:
+                    group = row[_PORT]
+                    if group_free[group] > cycle:
+                        kept.append(collector)
+                        waiting += 1
                         continue
+                    ports = port_groups[group]
+                    port_index = 0
+                    while ports[port_index] > cycle:
+                        port_index += 1
                     dispatch = row[_DISPATCH]
                     ports[port_index] = cycle + dispatch
+                    group_free[group] = min(ports)
                     delta = row[_DELTA]
                     if delta < 0:
                         if row[_IS_SHARED]:
@@ -444,112 +519,113 @@ class EventSmSimulator:
                         else:
                             latency = access_global(row[_MEM_SEGMENTS], row[_IS_STORE])
                         delta = dispatch + latency + extra
-                    warp = collector[0]
-                    heappush(
-                        writebacks,
-                        (cycle + delta, sequence, warp, row[_DST], row[_IS_CTRL]),
-                    )
-                    sequence += 1
-                    collectors.remove(collector)
+                    due = cycle + delta
+                    bucket = wheel.get(due)
+                    if bucket is None:
+                        wheel[due] = [(collector[0], row)]
+                        heappush(wheel_cycles, due)
+                    else:
+                        bucket.append((collector[0], row))
                     instructions += 1
                     if not row[_INSERTED]:
                         useful_instructions += 1
                     progressed = True
+                collectors = kept
+                if had_conflict:
+                    bank_conflict_cycles += 1
 
             # 4. Issue: each scheduler picks at most one ready slot.
             # Collector back-pressure attribution mirrors the
             # reference: a full pool in a cycle whose bank arbitration
             # serialized goes to the bank-conflict bucket.
             full_cause = STALL_BANK_CONFLICT if had_conflict else STALL_COLLECTORS_FULL
-            if len(collectors) >= max_collectors and remaining > 0:
-                for scheduler_index in range(num_schedulers):
+            for scheduler_index in range(num_schedulers):
+                if len(collectors) >= max_collectors:
                     stall_counts[scheduler_index][full_cause] += 1
                     cycle_causes[scheduler_index] = full_cause
-            if len(collectors) < max_collectors:
-                for scheduler_index in range(num_schedulers):
-                    if len(collectors) >= max_collectors:
-                        stall_counts[scheduler_index][full_cause] += 1
-                        cycle_causes[scheduler_index] = full_cause
-                        continue
-                    ready = ready_sets[scheduler_index]
-                    if not ready:
-                        cause = classify_stall(scheduler_index)
-                        stall_counts[scheduler_index][cause] += 1
-                        cycle_causes[scheduler_index] = cause
-                        continue
-                    if policy_gto:
-                        last = last_issued[scheduler_index]
-                        slot = last if last in ready else min(ready)
-                        last_issued[scheduler_index] = slot
-                    else:  # LRR: first ready slot in rotation order
-                        rotation = rr_pos[scheduler_index]
-                        size = partition_sizes[scheduler_index]
-                        best_rel = size
-                        slot = -1
-                        for candidate in ready:
-                            position = (candidate - scheduler_index) // num_schedulers
-                            relative = (position - rotation) % size
-                            if relative < best_rel:
-                                best_rel = relative
-                                slot = candidate
-                        rr_pos[scheduler_index] = (
-                            (slot - scheduler_index) // num_schedulers + 1
-                        ) % size
-                    ready.discard(slot)
-                    warp = slot_warp[slot]
-                    row = compiled[warp][pcs[warp]]
-                    pcs[warp] += 1
-                    issued_counts[scheduler_index] += 1
-                    progressed = True
-                    if row[_IS_BARRIER]:
-                        instructions += 1
-                        useful_instructions += 1
-                        if recorder is not None:
-                            recorder.issue(
-                                cycle, warp, scheduler_index, "BAR", "barrier", ()
-                            )
-                        arrive_at_barrier(warp, cycle)
-                        if pcs[warp] >= oplen[warp] and in_flight[warp] == 0:
-                            retirable.add(warp)
-                        continue
-                    dst = row[_DST]
-                    if dst is not None:
-                        scoreboards[warp].add(dst)
-                    in_flight[warp] += 1
-                    if row[_IS_CTRL]:
-                        blocked_until[warp] = _BLOCKED_ON_BRANCH
-                        ready_next = False
+                    continue
+                ready = ready_masks[scheduler_index]
+                if not ready:
+                    cause = causes[scheduler_index]
+                    if cause < 0:
+                        cause = causes[scheduler_index] = classify_stall(scheduler_index)
+                    stall_counts[scheduler_index][cause] += 1
+                    cycle_causes[scheduler_index] = cause
+                    continue
+                if policy_gto:
+                    bit = last_bits[scheduler_index]
+                    if not ready & bit:
+                        bit = ready & -ready
+                    last_bits[scheduler_index] = bit
+                    position = bit.bit_length() - 1
+                else:  # LRR: first ready position at or after the rotation
+                    rotation = rr_pos[scheduler_index]
+                    later = ready >> rotation
+                    if later:
+                        position = rotation + (later & -later).bit_length() - 1
                     else:
-                        ready_next = sb_ready(warp)
-                    banks = row[_SRC_BANKS]
-                    collectors.append([warp, list(banks), row])
-                    if banks:
-                        draining += 1
-                    if ready_next:
-                        ready.add(slot)
+                        position = (ready & -ready).bit_length() - 1
+                    bit = 1 << position
+                    rr_pos[scheduler_index] = (
+                        position + 1 if position + 1 < partition_sizes[scheduler_index] else 0
+                    )
+                ready_masks[scheduler_index] = ready ^ bit
+                causes[scheduler_index] = -1
+                slot = position * num_schedulers + scheduler_index
+                warp = slot_warp[slot]
+                pc = pcs[warp]
+                row = compiled[warp][pc]
+                pc += 1
+                pcs[warp] = pc
+                issued_counts[scheduler_index] += 1
+                progressed = True
+                if row[_IS_BARRIER]:
+                    instructions += 1
+                    useful_instructions += 1
                     if recorder is not None:
-                        if row[_IS_CTRL]:
-                            hint, hint_regs = "branch", ()
-                            category = "CTRL"
-                        else:
-                            category = _PORT_CATEGORY_NAMES[row[_PORT]]
-                            if pcs[warp] >= oplen[warp]:
-                                hint, hint_regs = "drain", ()
-                            elif not ready_next:
-                                nxt = compiled[warp][pcs[warp]]
-                                pending = scoreboards[warp]
-                                blocking = {
-                                    r for r in nxt[_SRC_REGS] if r in pending
-                                }
-                                next_dst = nxt[_DST]
-                                if next_dst is not None and next_dst in pending:
-                                    blocking.add(next_dst)
-                                hint, hint_regs = "scoreboard", tuple(sorted(blocking))
-                            else:
-                                hint, hint_regs = "scheduler", ()
                         recorder.issue(
-                            cycle, warp, scheduler_index, category, hint, hint_regs
+                            cycle, warp, scheduler_index, "BAR", "barrier", ()
                         )
+                    arrive_at_barrier(warp, cycle)
+                    if pc >= oplen[warp] and in_flight[warp] == 0:
+                        retirable.add(warp)
+                    continue
+                dst_bit = row[_DST_BIT]
+                if dst_bit:
+                    scoreboards[warp] |= dst_bit
+                in_flight[warp] += 1
+                if row[_IS_CTRL]:
+                    blocked_until[warp] = _BLOCKED_ON_BRANCH
+                    ready_next = False
+                else:
+                    ready_next = (
+                        pc < oplen[warp]
+                        and not scoreboards[warp] & compiled[warp][pc][_HAZARD]
+                    )
+                collectors.append([warp, row[_SRC_BANKS], row])
+                if ready_next:
+                    ready_masks[scheduler_index] |= bit
+                if recorder is not None:
+                    if row[_IS_CTRL]:
+                        hint, hint_regs = "branch", ()
+                        category = "CTRL"
+                    else:
+                        category = _PORT_CATEGORY_NAMES[row[_PORT]]
+                        if pc >= oplen[warp]:
+                            hint, hint_regs = "drain", ()
+                        elif not ready_next:
+                            blocking = scoreboards[warp] & compiled[warp][pc][_HAZARD]
+                            hint = "scoreboard"
+                            hint_regs = tuple(
+                                register
+                                for register in range(blocking.bit_length())
+                                if blocking >> register & 1
+                            )
+                        else:
+                            hint, hint_regs = "scheduler", ()
+                    recorder.issue(
+                        cycle, warp, scheduler_index, category, hint, hint_regs
+                    )
 
             # 5. Retire finished warps; activate pending CTAs whole.
             if retirable:
@@ -560,8 +636,10 @@ class EventSmSimulator:
                     warp_slot[warp] = -1
                     slot_warp[slot] = -1
                     heappush(free_slots, slot)
-                    if policy_gto and last_issued[slot % num_schedulers] == slot:
-                        last_issued[slot % num_schedulers] = None
+                    scheduler_index = slot_scheduler[slot]
+                    causes[scheduler_index] = -1
+                    if last_bits[scheduler_index] == slot_bit[slot]:
+                        last_bits[scheduler_index] = 0
                     remaining -= 1
                     if recorder is not None:
                         recorder.warp_retire(cycle, warp)
@@ -579,9 +657,9 @@ class EventSmSimulator:
                 cycle += 1
             else:
                 next_events = []
-                if writebacks:
-                    next_events.append(writebacks[0][0])
-                if len(collectors) > draining:
+                if wheel_cycles:
+                    next_events.append(wheel_cycles[0])
+                if waiting:
                     busy_ports = [
                         t
                         for t in alu_ports + mem_ports + sfu_ports

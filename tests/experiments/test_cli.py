@@ -146,6 +146,21 @@ class TestStaticdynWidths:
             main(["tables", "--widths", "--scale", "tiny"])
 
 
+class TestSmStats:
+    def test_repro_all_counts_sm_runs_and_reuses(self, tmp_path, capsys):
+        import json
+
+        stats_path = tmp_path / "stats.json"
+        assert main(["all", "--scale", "tiny", "--stats-json", str(stats_path)]) == 0
+        capsys.readouterr()
+        counters = json.loads(stats_path.read_text())["counters"]
+        # 17 benchmarks x 5 architectures.  gscalar_no_divergent lowers
+        # to gscalar's op table on all 17 and static_compress to theirs
+        # on 5, so 22 pairs reuse another pair's simulation.
+        assert counters["sm_reuses"] == 22
+        assert counters["sm_runs"] == 17 * 5 - 22
+
+
 class TestCacheAndJobs:
     def test_cache_dir_populates_and_replays(self, tmp_path, capsys):
         cache = tmp_path / "cache"

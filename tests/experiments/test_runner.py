@@ -1,11 +1,18 @@
 """Tests for the caching experiment runner."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.config import ArchitectureConfig
 from repro.experiments.runner import ExperimentRunner, RunnerStats
+from repro.experiments.sensitivity import sweep_latency_parameter
+from repro.obs.timeline import FlightRecorder
+from repro.timing.gpu import simulate_architecture_columns
+from repro.timing.sm_event import EventSmSimulator
+
+from tests.oracles import sweep_latency_parameter_events
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +85,80 @@ class TestStaticCompressRunner:
         assert static.breakdown.rf_pj < base.breakdown.rf_pj
         # No runtime detection: the only codec energy is decompression.
         assert static.breakdown.compression_pj > 0
+
+
+class TestSmMemo:
+    """The runner simulates each distinct SM input once."""
+
+    BASELINE = ArchitectureConfig.baseline()
+    GSCALAR = ArchitectureConfig.gscalar()
+
+    @staticmethod
+    def _engine_runs(monkeypatch) -> list:
+        runs = []
+        original = EventSmSimulator.run
+
+        def counting(self, *args, **kwargs):
+            runs.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(EventSmSimulator, "run", counting)
+        return runs
+
+    def test_equal_tables_share_one_simulation(self, monkeypatch):
+        runner = ExperimentRunner(scale="tiny")
+        arches = (self.GSCALAR, ArchitectureConfig.gscalar_no_divergent())
+        runs = self._engine_runs(monkeypatch)
+        results = [runner.timing("BP", arch) for arch in arches]
+        assert len(runs) == 1
+        assert runner.stats.counters["sm_runs"] == 1
+        assert runner.stats.counters["sm_reuses"] == 1
+        for arch, timing in zip(arches, results):
+            assert timing == simulate_architecture_columns(
+                runner.classified_columns("BP"),
+                runner.processed_columns("BP", arch),
+                arch,
+                runner.config,
+                warps_per_cta=runner.warps_per_cta("BP"),
+            )
+
+    def test_a_changed_latency_simulates_again(self, monkeypatch):
+        runner = ExperimentRunner(scale="tiny")
+        runner.simulate_sm("BP", self.BASELINE)
+        runs = self._engine_runs(monkeypatch)
+        config = runner.config
+        runner.simulate_sm("BP", self.BASELINE, dataclasses.replace(config))
+        assert runs == []
+        slower = dataclasses.replace(config, sfu_latency=config.sfu_latency + 1)
+        runner.simulate_sm("BP", self.BASELINE, slower)
+        assert len(runs) == 1
+
+    def test_latency_sweep_at_unit_factor_reuses_prefetch(self, monkeypatch):
+        names = ("BP", "HS", "MM")
+        runner = ExperimentRunner(scale="tiny")
+        runner.prefetch(
+            names=names,
+            arches=(self.BASELINE, ArchitectureConfig.alu_scalar(), self.GSCALAR),
+        )
+        runs = self._engine_runs(monkeypatch)
+        points = sweep_latency_parameter(
+            runner, "alu_latency", (1.0,), benchmarks=names
+        )
+        assert runs == []
+        assert points == sweep_latency_parameter_events(
+            runner, "alu_latency", (1.0,), names
+        )
+
+    def test_timeline_always_simulates_and_leaves_the_memo(self, monkeypatch):
+        runner = ExperimentRunner(scale="tiny")
+        runs = self._engine_runs(monkeypatch)
+        for _ in range(2):
+            runner.timeline("BP", self.GSCALAR, FlightRecorder())
+        assert len(runs) == 2
+        # The recorded runs stored nothing: the next lookup simulates.
+        runner.timing("BP", self.GSCALAR)
+        assert len(runs) == 3
+        assert runner.stats.counters.get("sm_reuses", 0) == 0
 
 
 class TestRunnerStats:

@@ -120,6 +120,18 @@ class TestLatencySweep:
         with pytest.raises(ConfigError):
             sweep_latency_parameter(runner, "alu_latency", (0.0,))
 
+    def test_every_factor_is_checked_before_simulating(self, monkeypatch):
+        from repro.timing.sm_event import EventSmSimulator
+
+        def fail(self, *args, **kwargs):
+            raise AssertionError("simulated before validating the factors")
+
+        monkeypatch.setattr(EventSmSimulator, "run", fail)
+        with pytest.raises(ConfigError):
+            sweep_latency_parameter(
+                ExperimentRunner(scale="tiny"), "alu_latency", (1.0, 0.0)
+            )
+
 
 class TestColumnarEnginesMatchEventEngines:
     """The sweeps run on the columnar engines; the points stay exact."""

@@ -22,6 +22,7 @@ from repro.errors import TimingError
 from repro.experiments.runner import matrix_architectures, paper_architectures
 from repro.isa.opcodes import OpCategory
 from repro.simt.executor import run_kernel
+from repro.timing.ops import SCALAR_RF_BANK
 from repro.timing.sm_event import EventSmSimulator
 from repro.workloads.registry import all_workloads, build_workload
 
@@ -34,6 +35,16 @@ from tests.timing.test_sm_properties import random_ops
 
 WORKLOADS = [spec.abbr for spec in all_workloads()]
 EMPTY = from_ops([])
+BARRIER = TimingOp(
+    category=OpCategory.CTRL,
+    dst=None,
+    src_regs=(),
+    src_banks=(),
+    dispatch_cycles=1,
+    long_latency=False,
+    is_store=False,
+    is_barrier=True,
+)
 
 
 def _assert_identical(ref, got, context: str) -> None:
@@ -144,27 +155,71 @@ class TestRandomStreamDifferential:
         barriers=st.integers(min_value=1, max_value=2),
     )
     def test_barrier_streams_identical(self, warps, warps_per_cta, barriers):
-        barrier = TimingOp(
-            category=OpCategory.CTRL,
-            dst=None,
-            src_regs=(),
-            src_banks=(),
-            dispatch_cycles=1,
-            long_latency=False,
-            is_store=False,
-            is_barrier=True,
-        )
-        with_barriers = [list(w) + [barrier] * barriers for w in warps]
+        with_barriers = [list(w) + [BARRIER] * barriers for w in warps]
         ref, got = _run_both(with_barriers, GpuConfig(), warps_per_cta=warps_per_cta)
         _assert_identical(ref, got, f"barrier/cta{warps_per_cta}")
 
     @settings(max_examples=25, deadline=None)
-    @given(warps=st.lists(random_ops(), min_size=3, max_size=8))
-    def test_small_residency_identical(self, warps):
-        """Multiple residency generations: more warps than slots."""
-        config = GpuConfig(threads_per_sm=64)  # 2 resident warps
+    @given(
+        warps=st.lists(random_ops(), min_size=3, max_size=8),
+        policy=st.sampled_from(list(SchedulerPolicy)),
+    )
+    def test_small_residency_identical(self, warps, policy):
+        """Multiple residency generations: more warps than slots, so
+        slots are retired and refilled under either policy."""
+        # 2 resident warps.
+        config = GpuConfig(threads_per_sm=64, scheduler_policy=policy)
         ref, got = _run_both(warps, config)
-        _assert_identical(ref, got, "small-residency")
+        _assert_identical(ref, got, f"small-residency/{policy.name}")
+
+
+def _op(category, srcs=(), dispatch=2, long_latency=False):
+    """A timing op writing r0 whose sources read the scalar-RF bank."""
+    return TimingOp(
+        category=category,
+        dst=0,
+        src_regs=srcs,
+        src_banks=(SCALAR_RF_BANK,) * len(srcs),
+        dispatch_cycles=dispatch,
+        long_latency=long_latency,
+        is_store=False,
+    )
+
+
+class TestRarePaths:
+    """Streams the random generator found for paths its suites reach
+    only rarely, kept so every run covers them."""
+
+    def test_gto_forgets_a_retired_slot(self):
+        """A warp activated into the slot GTO issued from last inherits
+        no greedy preference: the oldest ready slot wins (4 resident
+        warps, 2 per scheduler)."""
+        alu = _op(OpCategory.ALU)
+        warps = [
+            [_op(OpCategory.SFU, (0, 0), dispatch=8)] + [alu] * 7,
+            [_op(OpCategory.ALU, (0,))] + [alu] * 4,
+            [],
+            [],
+            [],
+            [alu],
+            [alu],
+            [alu],
+        ]
+        config = GpuConfig(threads_per_sm=128, scheduler_policy=SchedulerPolicy.GTO)
+        ref, got = _run_both(warps, config)
+        _assert_identical(ref, got, "gto-retired-slot")
+
+    def test_barrier_wake_up_updates_the_stall_cause(self):
+        """A warp woken from a barrier with its next op still blocked
+        turns its scheduler's idle cycles from barrier into scoreboard
+        stalls."""
+        alu = _op(OpCategory.ALU)
+        warps = [
+            [_op(OpCategory.ALU, long_latency=True), BARRIER, alu],
+            [alu, alu, BARRIER],
+        ]
+        ref, got = _run_both(warps, GpuConfig(), warps_per_cta=2)
+        _assert_identical(ref, got, "barrier-wake-up")
 
 
 class TestEngineFactory:

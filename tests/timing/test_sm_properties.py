@@ -12,37 +12,57 @@ from hypothesis import strategies as st
 
 from repro.config import GpuConfig
 from repro.isa.opcodes import OpCategory
+from repro.timing.ops import SCALAR_RF_BANK
 
 from tests.reference.sm import SmSimulator
 from tests.reference.timing import TimingOp
 
 CONFIG = GpuConfig()
 
+#: Register ids reach past one 64-bit word of a scoreboard mask, and
+#: registers 16 apart share a bank.
+MAX_REGISTER = 200
+
+#: Few enough coalesced segments that accesses reuse them (L1 hits).
+SEGMENTS = st.lists(
+    st.integers(min_value=0, max_value=11), min_size=1, max_size=3, unique=True
+).map(lambda segments: tuple(sorted(segments)))
+
 
 @st.composite
 def random_ops(draw):
-    """One warp's op list with realistic dependencies."""
+    """One warp's op list with realistic dependencies.
+
+    Sources read live registers; a source's bank is ``r % 16`` or, now
+    and then, the single scalar-RF bank (:data:`SCALAR_RF_BANK`).
+    """
     length = draw(st.integers(min_value=0, max_value=15))
     ops = []
     live = [0]
+
+    def banks(srcs):
+        return tuple(
+            SCALAR_RF_BANK if draw(st.integers(0, 3)) == 0 else r % 16 for r in srcs
+        )
+
     for _ in range(length):
         kind = draw(st.sampled_from(["alu", "sfu", "mem", "ctrl", "store"]))
         srcs = tuple(
             draw(st.sampled_from(live))
             for _ in range(draw(st.integers(min_value=0, max_value=2)))
         )
-        dst = draw(st.integers(min_value=0, max_value=7))
+        dst = draw(st.integers(min_value=0, max_value=MAX_REGISTER))
         if kind == "store":
             ops.append(
                 TimingOp(
                     category=OpCategory.MEM,
                     dst=None,
                     src_regs=srcs,
-                    src_banks=tuple(r % 16 for r in srcs),
+                    src_banks=banks(srcs),
                     dispatch_cycles=2,
                     long_latency=False,
                     is_store=True,
-                    mem_segments=(draw(st.integers(0, 50)),),
+                    mem_segments=draw(SEGMENTS),
                 )
             )
             continue
@@ -52,7 +72,7 @@ def random_ops(draw):
                     category=OpCategory.CTRL,
                     dst=None,
                     src_regs=srcs[:1],
-                    src_banks=tuple(r % 16 for r in srcs[:1]),
+                    src_banks=banks(srcs[:1]),
                     dispatch_cycles=1,
                     long_latency=False,
                     is_store=False,
@@ -64,13 +84,13 @@ def random_ops(draw):
             "sfu": OpCategory.SFU,
             "mem": OpCategory.MEM,
         }[kind]
-        segments = (draw(st.integers(0, 50)),) if kind == "mem" else ()
+        segments = draw(SEGMENTS) if kind == "mem" else ()
         ops.append(
             TimingOp(
                 category=category,
                 dst=dst,
                 src_regs=srcs,
-                src_banks=tuple(r % 16 for r in srcs),
+                src_banks=banks(srcs),
                 dispatch_cycles=8 if kind == "sfu" else 2,
                 long_latency=draw(st.booleans()) if kind == "alu" else False,
                 is_store=False,
