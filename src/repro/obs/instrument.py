@@ -16,6 +16,8 @@ Metric vocabulary (all exported under the ``repro_`` prefix by
 ``instructions_total{category,opcode}``          dynamic opcode mix
 ``warp_instructions`` (histogram)                instructions retired per warp
 ``reconvergence_stack_depth`` (histogram)        max SIMT-stack depth per warp
+``lockstep_steps_total``                         executor group steps run
+``lockstep_replays_total``                       in-order executor replays
 ``scalar_class_total{class}``                    Figure 9 bucket counts
 ``scalar_class_transitions_total{from,to}``      consecutive-class transitions
 ``enc_prefix_total{enc}``                        enc-prefix distribution

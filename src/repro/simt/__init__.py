@@ -1,6 +1,6 @@
 """SIMT execution substrate: grids, warps, divergence, functional traces."""
 
-from repro.simt.executor import WarpExecutor, run_kernel
+from repro.simt.executor import run_kernel
 from repro.simt.grid import (
     LaunchConfig,
     WarpIdentity,
@@ -14,7 +14,6 @@ from repro.simt.memory_state import MemoryImage
 __all__ = [
     "LaunchConfig",
     "MemoryImage",
-    "WarpExecutor",
     "WarpIdentity",
     "enumerate_warps",
     "int_to_mask",

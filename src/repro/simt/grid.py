@@ -93,15 +93,17 @@ def enumerate_warps(launch: LaunchConfig, warp_size: int) -> list[WarpIdentity]:
 
 def mask_to_int(mask: np.ndarray) -> int:
     """Pack a boolean lane mask into an integer bitmask (lane 0 = bit 0)."""
-    bits = 0
-    for lane in np.flatnonzero(mask):
-        bits |= 1 << int(lane)
-    return bits
+    packed = np.packbits(np.asarray(mask, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def int_to_mask(bits: int, warp_size: int) -> np.ndarray:
     """Unpack an integer bitmask into a boolean lane mask."""
-    return np.array([(bits >> lane) & 1 == 1 for lane in range(warp_size)], dtype=bool)
+    lanes = (int(bits) & ((1 << warp_size) - 1)).to_bytes((warp_size + 7) // 8, "little")
+    unpacked = np.unpackbits(
+        np.frombuffer(lanes, dtype=np.uint8), count=warp_size, bitorder="little"
+    )
+    return unpacked.astype(bool)
 
 
 def popcount(bits: int) -> int:

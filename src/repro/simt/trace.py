@@ -11,8 +11,8 @@ The trace has one production form, :class:`ColumnarTrace`: a
 struct-of-arrays layout packing every per-event field into flat numpy
 arrays with offset tables for the ragged ones, plus one
 ``(n_rows, warp_size)`` uint32 matrix of destination snapshots.
-:func:`repro.simt.executor.run_kernel` appends each warp's rows to a
-:class:`WarpRows` buffer and packs the buffers once
+:func:`repro.simt.executor.run_kernel` records one row per group step
+in a :class:`StepRows` buffer and packs it once
 (:meth:`ColumnarTrace.pack`); the batch classifier
 (:mod:`repro.scalar.batch`) and the on-disk format
 (:mod:`repro.simt.serialize`) read the result.
@@ -50,44 +50,43 @@ def opcode_labels() -> dict[int, tuple[str, str]]:
     }
 
 
-class WarpRows:
-    """One warp's trace rows, appended in program order.
+class StepRows:
+    """The executor's step buffer: one record per group step.
 
-    Per-event fields go into Python lists; destination snapshots and
-    per-lane addresses into lists of rows.  :meth:`ColumnarTrace.pack`
-    concatenates the buffers of every warp into one trace.
+    A step is one dynamic instruction (or ``bra``/``bar.sync``) run by
+    a group of warps at the same program point.  The per-step fields
+    are shared by the group; ``warps`` (positions in ``warp_ids``),
+    ``masks`` and the ``(k, warp_size)`` destination snapshots and
+    addresses hold one row per warp.  :meth:`ColumnarTrace.pack`
+    scatters the steps to warp-major event order.
     """
 
     __slots__ = (
-        "warp_id",
+        "warp_ids",
         "opcode_ids",
         "dst",
-        "masks",
+        "src_regs",
         "blocks",
         "varying",
         "scalar_nonreg",
-        "src_counts",
-        "src_flat",
-        "has_values",
+        "warps",
+        "masks",
         "values",
-        "has_addresses",
         "addresses",
     )
 
-    def __init__(self, warp_id: int):
-        self.warp_id = warp_id
+    def __init__(self, warp_ids: Sequence[int]):
+        self.warp_ids = list(warp_ids)
         self.opcode_ids: list[int] = []
         self.dst: list[int] = []
-        self.masks: list[int] = []
+        self.src_regs: list[Sequence[int]] = []
         self.blocks: list[int] = []
         self.varying: list[bool] = []
         self.scalar_nonreg: list[int] = []
-        self.src_counts: list[int] = []
-        self.src_flat: list[int] = []
-        self.has_values: list[bool] = []
-        self.values: list[np.ndarray] = []
-        self.has_addresses: list[bool] = []
-        self.addresses: list[np.ndarray] = []
+        self.warps: list[np.ndarray] = []
+        self.masks: list[np.ndarray] = []
+        self.values: list[np.ndarray | None] = []
+        self.addresses: list[np.ndarray | None] = []
 
     def __len__(self) -> int:
         return len(self.opcode_ids)
@@ -97,28 +96,25 @@ class WarpRows:
         opcode_id: int,
         dst: int,
         src_regs: Sequence[int],
-        mask: int,
+        warps: np.ndarray,
+        masks: np.ndarray,
         block: int,
         values: np.ndarray | None = None,
         addresses: np.ndarray | None = None,
         varying: bool = False,
         scalar_nonreg: int = 0,
     ) -> None:
-        """Record one row; ``dst`` is ``-1`` when nothing is written."""
+        """Record one step; ``dst`` is ``-1`` when nothing is written."""
         self.opcode_ids.append(opcode_id)
         self.dst.append(dst)
-        self.masks.append(mask)
+        self.src_regs.append(src_regs)
         self.blocks.append(block)
         self.varying.append(varying)
         self.scalar_nonreg.append(scalar_nonreg)
-        self.src_counts.append(len(src_regs))
-        self.src_flat.extend(src_regs)
-        self.has_values.append(values is not None)
-        if values is not None:
-            self.values.append(values)
-        self.has_addresses.append(addresses is not None)
-        if addresses is not None:
-            self.addresses.append(addresses)
+        self.warps.append(warps)
+        self.masks.append(masks)
+        self.values.append(values)
+        self.addresses.append(addresses)
 
 
 @dataclass
@@ -232,52 +228,83 @@ class ColumnarTrace:
 
     @classmethod
     def pack(
-        cls, kernel_name: str, warp_size: int, warps: list[WarpRows]
+        cls, kernel_name: str, warp_size: int, steps: StepRows
     ) -> "ColumnarTrace":
-        """Concatenate per-warp row buffers, warp-major, into one trace."""
-        count = sum(len(rows) for rows in warps)
+        """Scatter a step buffer to one warp-major trace.
+
+        A stable argsort on each event's warp keeps every warp's events
+        in the order its steps were recorded.
+        """
+        n_steps = len(steps)
+        sizes = np.fromiter(map(len, steps.warps), dtype=np.int64, count=n_steps)
+        event_step = np.repeat(np.arange(n_steps, dtype=np.int64), sizes)
+        event_warp = (
+            np.concatenate(steps.warps).astype(np.int64, copy=False)
+            if n_steps
+            else np.zeros(0, dtype=np.int64)
+        )
+        order = np.argsort(event_warp, kind="stable")
+        step_of = event_step[order]
 
         def column(name: str, dtype) -> np.ndarray:
-            return np.fromiter(
-                chain.from_iterable(getattr(rows, name) for rows in warps),
-                dtype=dtype,
-                count=count,
-            )
+            return np.array(getattr(steps, name), dtype=dtype)[step_of]
 
-        def row_index(flags: str) -> np.ndarray:
-            # Rows are appended in event order, so an event's row is the
-            # number of rows recorded before it.
-            present = column(flags, bool)
-            return np.where(present, np.cumsum(present, dtype=np.int64) - 1, -1)
+        def rows(name: str) -> tuple[np.ndarray, np.ndarray]:
+            matrices = getattr(steps, name)
+            present = np.fromiter(
+                (matrix is not None for matrix in matrices), dtype=bool, count=n_steps
+            )[event_step]
+            if not present.any():
+                return (
+                    np.full(order.shape[0], -1, dtype=np.int64),
+                    np.empty((0, warp_size), dtype=np.uint32),
+                )
+            stacked = np.concatenate([m for m in matrices if m is not None])
+            # Rows were stacked in step order; gather them in event order.
+            row_of = np.cumsum(present, dtype=np.int64) - 1
+            present = present[order]
+            index = np.where(present, np.cumsum(present, dtype=np.int64) - 1, -1)
+            return index, stacked[row_of[order][present]]
 
-        def matrix(name: str) -> np.ndarray:
-            rows = [row for buffer in warps for row in getattr(buffer, name)]
-            if not rows:
-                return np.empty((0, warp_size), dtype=np.uint32)
-            return np.stack(rows)
-
-        src_offsets = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(column("src_counts", np.int64), out=src_offsets[1:])
+        step_src_counts = np.fromiter(
+            map(len, steps.src_regs), dtype=np.int64, count=n_steps
+        )
+        step_src_flat = np.fromiter(
+            chain.from_iterable(steps.src_regs), dtype=np.int32
+        )
+        step_src_starts = np.cumsum(step_src_counts) - step_src_counts
+        src_counts = step_src_counts[step_of]
+        src_offsets = np.zeros(src_counts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(src_counts, out=src_offsets[1:])
+        src_flat = step_src_flat[
+            np.repeat(step_src_starts[step_of] - src_offsets[:-1], src_counts)
+            + np.arange(src_offsets[-1], dtype=np.int64)
+        ]
+        values_index, values = rows("values")
+        addr_index, addresses = rows("addresses")
         return cls(
             kernel_name=kernel_name,
             warp_size=warp_size,
-            warp_ids=np.array([rows.warp_id for rows in warps], dtype=np.int32),
-            warp_lengths=np.array([len(rows) for rows in warps], dtype=np.int64),
+            warp_ids=np.array(steps.warp_ids, dtype=np.int32),
+            warp_lengths=np.bincount(
+                event_warp, minlength=len(steps.warp_ids)
+            ).astype(np.int64),
             opcode_ids=column("opcode_ids", np.uint16),
             dst=column("dst", np.int32),
-            masks=column("masks", np.uint64),
+            masks=(
+                np.concatenate(steps.masks).astype(np.uint64, copy=False)[order]
+                if n_steps
+                else np.zeros(0, dtype=np.uint64)
+            ),
             blocks=column("blocks", np.int32),
             varying=column("varying", bool),
             scalar_nonreg=column("scalar_nonreg", np.uint8),
             src_offsets=src_offsets,
-            src_flat=np.fromiter(
-                chain.from_iterable(rows.src_flat for rows in warps),
-                dtype=np.int32,
-            ),
-            values_index=row_index("has_values"),
-            values=matrix("values"),
-            addr_index=row_index("has_addresses"),
-            addresses=matrix("addresses"),
+            src_flat=src_flat,
+            values_index=values_index,
+            values=values,
+            addr_index=addr_index,
+            addresses=addresses,
         )
 
     def slice_events(self, start: int, stop: int) -> "ColumnarTrace":

@@ -3,12 +3,18 @@
 Hypothesis generates arbitrary nestings of straight-line code,
 conditionals and bounded loops; every generated kernel must lint clean,
 agree with networkx on post-dominators, and execute to completion with
-a consistent trace.
+a consistent trace.  Multi-warp programs add branches that split warps
+(on ``tid >> 5`` and ``%ctaid``), loops whose per-thread trip counts
+come from memory, top-level ``bar.sync`` exchanges through shared
+memory and global words that threads of every warp load and store;
+they run on several CTAs and must match the per-warp reference
+executor.
 """
 
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +22,10 @@ from repro.isa import KernelBuilder, immediate_postdominators
 from repro.isa.kernel import EXIT_NODE
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 
+from tests.reference import executor as reference
 from tests.reference.trace import to_trace
+from tests.simt.test_columnar import assert_columnar_identical
+from tests.simt.test_lockstep import assert_images_equal
 
 
 @st.composite
@@ -146,3 +155,107 @@ def test_execution_is_deterministic(description):
         return memory.read_array(0x1000, 32).tolist()
 
     assert run_once() == run_once()
+
+
+_TRIPS = 0x2_0000
+_OUT = 0x3_0000
+_SHARED_WORDS = 0x4_0000
+
+
+@st.composite
+def multi_warp_programs(draw):
+    """A program tree whose conditions and trip counts differ by warp."""
+
+    def statements(depth):
+        options = ["op", "warp_if", "cta_if", "lane_if", "data_loop"]
+        if depth == 0:
+            options += ["barrier", "exchange"]
+        if depth >= 3:
+            options = ["op"]
+        count = draw(st.integers(min_value=1, max_value=4))
+        body = []
+        for _ in range(count):
+            kind = draw(st.sampled_from(options))
+            if kind in ("op", "exchange", "barrier"):
+                body.append((kind,))
+            else:
+                body.append((kind, statements(depth + 1)))
+        return body
+
+    return statements(0)
+
+
+def build_multi_warp_program(description, cta_dim):
+    b = KernelBuilder("fuzz_warps")
+    tid = b.tid()
+    thread = b.iadd(b.imul(b.warp_in_cta(), 32), b.lane())
+    acc = b.mov(0)
+
+    def emit(statements):
+        nonlocal acc
+        for statement in statements:
+            kind = statement[0]
+            if kind == "op":
+                acc = b.iadd(acc, b.iadd(tid, 1), dst=acc)
+            elif kind == "exchange":
+                # Threads of different warps and CTAs share these words:
+                # a hazard the executor must replay in reference order.
+                slot = b.imad(b.and_(b.shr(tid, 3), 3), 4, _SHARED_WORDS)
+                acc = b.iadd(acc, b.ld_global(slot), dst=acc)
+                b.st_global(b.imad(b.and_(tid, 3), 4, _SHARED_WORDS), acc)
+            elif kind == "barrier":
+                b.st_shared(b.imul(thread, 4), acc)
+                b.barrier()
+                partner = b.irem(b.iadd(thread, 32), cta_dim)
+                acc = b.iadd(acc, b.ld_shared(b.imul(partner, 4)), dst=acc)
+                b.barrier()
+            elif kind == "data_loop":
+                trips = b.ld_global(b.imad(tid, 4, _TRIPS))
+                i = b.mov(0)
+                with b.while_(lambda: b.setlt(i, trips)):
+                    emit(statement[1])
+                    i = b.iadd(i, 1, dst=i)
+            else:
+                if kind == "warp_if":
+                    cond = b.and_(b.shr(tid, 5), 1)
+                elif kind == "cta_if":
+                    cond = b.seteq(b.ctaid(), 1)
+                else:
+                    cond = b.setlt(b.and_(tid, 7), 3)
+                with b.if_(cond) as branch:
+                    emit(statement[1])
+                    with branch.else_():
+                        acc = b.xor(acc, 0x55, dst=acc)
+
+    emit(description)
+    b.st_global(b.imad(tid, 4, _OUT), acc)
+    return b.finish()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    description=multi_warp_programs(),
+    grid_dim=st.integers(min_value=2, max_value=3),
+    cta_dim=st.sampled_from([40, 64, 96, 128]),
+    warp_size=st.sampled_from([32, 64]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_many_warps_match_reference(description, grid_dim, cta_dim, warp_size, seed):
+    kernel = build_multi_warp_program(description, cta_dim)
+    launch = LaunchConfig(grid_dim, cta_dim)
+    trips = np.random.default_rng(seed).integers(0, 4, launch.total_threads)
+
+    def memory():
+        image = MemoryImage()
+        image.bind_array(_TRIPS, trips.astype(np.uint32))
+        return image
+
+    actual, expected = memory(), memory()
+    trace = run_kernel(
+        kernel, launch, actual, warp_size=warp_size, max_warp_instructions=100_000
+    )
+    oracle = reference.run_kernel(
+        kernel, launch, expected, warp_size=warp_size, max_warp_instructions=100_000
+    )
+    assert_columnar_identical(oracle, trace)
+    assert_images_equal(expected, actual)

@@ -6,6 +6,8 @@ object per dynamic instruction, per classified event, per timing op —
 kept only so the differential tests can pin the production engines to
 them:
 
+* :mod:`~tests.reference.executor` — the per-warp SIMT executor
+  (reference warp order for the lockstep engine);
 * :mod:`~tests.reference.trace` — ``TraceEvent``/``WarpTrace``/
   ``KernelTrace`` and the ``to_trace``/``from_trace`` converters;
 * :mod:`~tests.reference.classify` — the sidecar-state tracker;

@@ -4,8 +4,8 @@ The per-event reference engines walk a :class:`KernelTrace` of
 :class:`WarpTrace` of :class:`TraceEvent`, and hand-written test traces
 are built in this form.  :func:`to_trace` materializes it from a
 :class:`~repro.simt.trace.ColumnarTrace`; :func:`from_trace` packs it
-back through the executor's :class:`~repro.simt.trace.WarpRows`
-buffers, losslessly.
+back through the executor's :class:`~repro.simt.trace.StepRows`
+buffer, losslessly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.isa.opcodes import OpCategory, Opcode, category_of
-from repro.simt.trace import ID_TO_OPCODE, OPCODE_TO_ID, ColumnarTrace, WarpRows
+from repro.simt.trace import ID_TO_OPCODE, OPCODE_TO_ID, ColumnarTrace, StepRows
 
 
 @dataclass(slots=True)
@@ -165,21 +165,21 @@ def to_trace(columnar: ColumnarTrace) -> KernelTrace:
 
 
 def from_trace(trace: KernelTrace) -> ColumnarTrace:
-    """Pack an event-form trace through :class:`WarpRows` buffers."""
-    warps = []
-    for warp in trace.warps:
-        rows = WarpRows(warp.warp_id)
+    """Pack an event-form trace, one one-warp step per event."""
+    rows = StepRows([warp.warp_id for warp in trace.warps])
+    for position, warp in enumerate(trace.warps):
+        warps = np.array([position])
         for event in warp.events:
             rows.append(
                 OPCODE_TO_ID[event.opcode],
                 -1 if event.dst is None else event.dst,
                 event.src_regs,
-                event.active_mask,
+                warps,
+                np.array([event.active_mask], dtype=np.uint64),
                 event.block_id,
-                event.dst_values,
-                event.addresses,
+                None if event.dst_values is None else event.dst_values[None, :],
+                None if event.addresses is None else event.addresses[None, :],
                 event.varying_special_src,
                 event.scalar_nonreg_srcs,
             )
-        warps.append(rows)
-    return ColumnarTrace.pack(trace.kernel_name, trace.warp_size, warps)
+    return ColumnarTrace.pack(trace.kernel_name, trace.warp_size, rows)

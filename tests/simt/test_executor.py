@@ -1,5 +1,7 @@
 """Functional tests for the SIMT executor: semantics and divergence."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from repro.isa import KernelBuilder
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 
 from tests.conftest import run_one_warp
+from tests.reference import executor as reference
 from tests.reference.trace import to_trace
+from tests.simt.test_lockstep import empty_body_loop
 
 
 def output(memory, count=32, base=0x3000):
@@ -176,6 +180,28 @@ class TestControlFlow:
                 MemoryImage(),
                 max_warp_instructions=1000,
             )
+
+
+    @pytest.mark.parametrize("engine", [run_kernel, reference.run_kernel])
+    def test_runaway_loop_without_body_detected(self, engine):
+        # The loop block records only ``bra`` rows: the budget must count
+        # them.  An alarm turns a hang into a failure.
+        def hang(signum, frame):
+            raise TimeoutError("runaway loop not detected")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            with pytest.raises(ExecutionError, match="exceeded 1000"):
+                engine(
+                    empty_body_loop(),
+                    LaunchConfig(1, 32),
+                    MemoryImage(),
+                    max_warp_instructions=1000,
+                )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestLaunchShapes:

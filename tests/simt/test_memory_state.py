@@ -25,6 +25,22 @@ class TestArrayBinding:
         with pytest.raises(MemoryError_):
             memory.bind_array(0x101, np.zeros(1, dtype=np.uint32))
 
+    def test_array_straddling_page_boundary(self):
+        memory = MemoryImage()
+        data = np.arange(1000, 1100, dtype=np.uint32)
+        base = 0x1_0000 - 40 * 4  # 40 words before the 64 KB boundary
+        memory.bind_array(base, data)
+        assert memory.mapped_bytes == 2 * 64 * 1024
+        assert np.array_equal(memory.read_array(base, 100), data)
+        assert np.array_equal(memory.read_array(base + 39 * 4, 2), data[39:41])
+
+    def test_strict_read_names_first_unmapped_address(self):
+        memory = MemoryImage(strict=True)
+        memory.bind_array(0x1_0000 - 8, np.ones(2, dtype=np.uint32))
+        assert memory.read_array(0x1_0000 - 8, 2).tolist() == [1, 1]
+        with pytest.raises(MemoryError_, match="unmapped word address 0x10000$"):
+            memory.read_array(0x1_0000 - 8, 4)
+
     def test_unsupported_dtype_rejected(self):
         memory = MemoryImage()
         with pytest.raises(MemoryError_):
