@@ -196,11 +196,10 @@ def bench_ablation_warp64(benchmark, shared_runner):
                     processed, timing
                 )
                 eff32[a.name] = report.ipc_per_watt
-            # Warp 64 (the future machine).
-            built = shared_runner.run(abbr).built
+            # Warp 64 (the future machine), executed for this study only.
             columns64 = classify_columnar_batch(
-                shared_runner.trace_with_warp_size(abbr, 64),
-                built.kernel.num_registers,
+                shared_runner.execute(abbr, 64),
+                shared_runner.run(abbr).built.kernel.num_registers,
             )
             eff64 = {}
             for a in (base, arch):

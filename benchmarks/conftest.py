@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.summary import BUILDERS as SUMMARY_BUILDERS
 
 #: Scale used by the figure benches.  "small" (16 warps/benchmark) keeps
 #: a full regeneration within seconds per figure while preserving every
@@ -57,17 +58,17 @@ def bench_scale(request) -> str:
 def shared_runner(request, bench_scale) -> ExperimentRunner:
     """One runner shared by all benches: traces execute exactly once.
 
-    With ``--bench-cache-dir`` they execute exactly once *ever*: the
-    runner persists fingerprinted traces and stage results on disk, and
-    ``--bench-jobs N`` warms that cache across N processes up front.
+    With ``--bench-cache-dir`` the figure summaries and timing/power
+    results persist on disk, fingerprinted, and ``--bench-jobs N``
+    warms that cache across N processes up front.
     """
     cache_dir = request.config.getoption("--bench-cache-dir")
     jobs = request.config.getoption("--bench-jobs")
     runner = ExperimentRunner(scale=bench_scale, cache_dir=cache_dir)
     if jobs > 1:
-        # Warp-64 traces feed bench_fig10/bench_ablations; the four
-        # paper architectures feed bench_fig11 and the ablations.
-        runner.prefetch(jobs=jobs, warp_sizes=(32, 64))
+        # The summaries feed the figure benches; the four paper
+        # architectures feed bench_fig11 and the ablations.
+        runner.prefetch(jobs=jobs, experiments=SUMMARY_BUILDERS)
     return runner
 
 

@@ -36,7 +36,12 @@ from repro.experiments import (
     table2,
     table3,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import (
+    ExperimentRunner,
+    matrix_architectures,
+    paper_architectures,
+)
+from repro.experiments.summary import BUILDERS as SUMMARY_BUILDERS
 from repro.workloads.registry import SCALES
 
 _TRACE_EXPERIMENTS = (
@@ -46,11 +51,11 @@ _TRACE_EXPERIMENTS = (
 _STATIC_EXPERIMENTS = ("table1", "table2", "table3")
 EXPERIMENTS = _TRACE_EXPERIMENTS + _STATIC_EXPERIMENTS
 
-#: Experiments that need warp-64 traces (Figure 10's warp-size sweep).
-_WARP64_EXPERIMENTS = frozenset({"fig10"})
 #: Experiments that need timing/power over the four paper architectures
 #: (fig12 reads the RF energy of three of them from the power reports).
 _MATRIX_EXPERIMENTS = frozenset({"fig11", "fig12", "scorecard", "stalls"})
+#: Summaries the scorecard reads through the figures it grades.
+_SCORECARD_SUMMARIES = frozenset({"fig1", "fig8", "fig9", "fig12", "extras"})
 
 
 def _run_one(name: str, runner: ExperimentRunner | None) -> str:
@@ -267,7 +272,6 @@ def _profile_main(argv: list[str]) -> int:
     https://ui.perfetto.dev), a Prometheus text exposition, optionally
     a JSONL event stream, and prints a human-readable summary.
     """
-    from repro.experiments.runner import ExperimentRunner, paper_architectures
     from repro.obs import (
         JsonlSink,
         Telemetry,
@@ -365,7 +369,6 @@ def _timeline_main(argv: list[str]) -> int:
     import dataclasses
 
     from repro.config import GpuConfig, architecture_by_name
-    from repro.experiments.runner import ExperimentRunner, matrix_architectures
     from repro.experiments.tables import render_table
     from repro.obs import (
         DEFAULT_CAPACITY,
@@ -513,11 +516,10 @@ def _cache_main(argv: list[str]) -> int:
     """``repro cache``: inventory and maintenance of a cache directory.
 
     ``stats`` prints a JSON inventory — per-stage entry counts and
-    on-disk bytes (v5 kinds like ``trace``/``ccols``/``result``)
-    and the orphaned temp files / superseded bank directories still
-    awaiting a sweep.  ``sweep`` reclaims those orphans now
-    (every runner also sweeps on cache open, but only debris older than
-    the age gate).
+    on-disk bytes (entry kinds ``summary``/``result``) and the
+    orphaned temp files still awaiting a sweep.  ``sweep`` reclaims
+    those orphans now (every runner also sweeps on cache open, but only
+    debris older than the age gate).
     """
     from repro.experiments import store
 
@@ -530,7 +532,7 @@ def _cache_main(argv: list[str]) -> int:
         "action",
         choices=("stats", "sweep"),
         help="stats: per-stage entry counts and bytes as JSON; "
-        "sweep: remove orphaned temp files and superseded v5 banks",
+        "sweep: remove orphaned temp files",
     )
     parser.add_argument(
         "--cache-dir",
@@ -555,12 +557,11 @@ def _cache_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
     if args.action == "sweep":
-        swept = store.sweep_orphans(args.cache_dir, age_seconds=args.max_age)
+        swept, freed = store.sweep_orphans(args.cache_dir, age_seconds=args.max_age)
         report = {
             "cache_dir": str(args.cache_dir),
-            "tmp_files": swept.tmp_files,
-            "orphan_bank_dirs": swept.orphan_bank_dirs,
-            "bytes_freed": swept.bytes_freed,
+            "tmp_files": swept,
+            "bytes_freed": freed,
         }
     else:
         report = store.scan_cache(args.cache_dir)
@@ -637,7 +638,8 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="persist traces and stage results in DIR across runs",
+        help="persist figure summaries and timing/power results in DIR "
+        "across runs",
     )
     parser.add_argument(
         "--stats-json",
@@ -686,7 +688,16 @@ def main(argv: list[str] | None = None) -> int:
             from repro.obs import Telemetry, telemetry_session
 
             telemetry = stack.enter_context(telemetry_session(Telemetry()))
-        exit_code = _experiment_main(args, wanted, needs_runner)
+        cache_dir = args.cache_dir
+        if needs_runner and args.jobs > 1 and cache_dir is None:
+            # Workers communicate through the on-disk cache; give them
+            # one, removed when the run ends (also when it raises).
+            cache_dir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-cache-")
+            )
+            print(f"[--jobs {args.jobs}: using temporary cache {cache_dir}]",
+                  file=sys.stderr)
+        exit_code = _experiment_main(args, wanted, needs_runner, cache_dir)
         if telemetry is not None:
             if args.trace_out is not None:
                 from repro.obs import write_chrome_trace
@@ -702,15 +713,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _experiment_main(
-    args: argparse.Namespace, wanted: list[str], needs_runner: bool
+    args: argparse.Namespace,
+    wanted: list[str],
+    needs_runner: bool,
+    cache_dir: str | None,
 ) -> int:
     """Run the selected experiments and write any requested outputs."""
-    cache_dir = args.cache_dir
-    if needs_runner and args.jobs > 1 and cache_dir is None:
-        # Workers communicate through the on-disk cache; give them one.
-        cache_dir = tempfile.mkdtemp(prefix="repro-cache-")
-        print(f"[--jobs {args.jobs}: using temporary cache {cache_dir}]",
-              file=sys.stderr)
     runner = (
         ExperimentRunner(
             scale=args.scale,
@@ -722,17 +730,21 @@ def _experiment_main(
         else None
     )
     if runner is not None and args.jobs > 1:
-        warp_sizes = (
-            (32, 64)
-            if any(name in _WARP64_EXPERIMENTS for name in wanted)
-            else (32,)
+        reads = set(wanted)
+        if "scorecard" in reads:
+            reads |= _SCORECARD_SUMMARIES
+        if "extras" in reads:
+            # extras also reads the ``static_compress`` results.
+            arches = matrix_architectures()
+        elif reads & _MATRIX_EXPERIMENTS:
+            arches = paper_architectures()
+        else:
+            arches = ()
+        runner.prefetch(
+            jobs=args.jobs,
+            experiments=[name for name in SUMMARY_BUILDERS if name in reads],
+            arches=arches,
         )
-        arches = (
-            None  # prefetch's default: the four paper architectures
-            if any(name in _MATRIX_EXPERIMENTS for name in wanted)
-            else ()
-        )
-        runner.prefetch(jobs=args.jobs, warp_sizes=warp_sizes, arches=arches)
     json_results = []
     experiment_seconds: dict[str, float] = {}
     exit_code = 0

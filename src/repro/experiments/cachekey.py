@@ -2,29 +2,24 @@
 
 A cached artifact is only as trustworthy as its key.  The original
 cache keyed traces by ``{benchmark}_{scale}`` alone, so editing a
-workload kernel (or changing the trace format) silently replayed stale
-traces.  This module derives a short hex *fingerprint* from everything
-a cached stage actually depends on:
+workload kernel silently replayed stale data.  This module derives a
+short hex *fingerprint* from everything a cached stage actually
+depends on:
 
 * **traces** — the kernel's full static content (blocks, instructions,
-  terminators), the scale parameters, the warp size and the on-disk
-  trace format version;
-* **classified columns** — the trace fingerprint plus the stage
-  version;
+  terminators), the scale parameters and the warp size.  Traces are
+  never cached; their fingerprint is the root every entry derives from;
+* **summaries** — the trace fingerprint, the experiment name, the
+  energy parameters and the stage and width-analysis versions;
 * **timing/power results** — the trace fingerprint, the architecture
   configuration, the GPU configuration, the energy parameters and the
   stage version.
 
-Fingerprints are embedded in each entry's manifest (not in its name),
+Fingerprints are embedded in each entry's header (not in its name),
 so a stale artifact is detected at load time and transparently
-re-executed and overwritten rather than replayed.
-
-Version-bump note: the columnar trace format
-(:data:`repro.simt.serialize._FORMAT_VERSION`) and the stage version
-(``STAGE_VERSION`` in :mod:`repro.experiments.runner`) each invalidate
-the corresponding cached artifacts — entries from older checkouts fail
-their fingerprint or version check on load and are transparently
-re-executed, never misread.
+recomputed and overwritten rather than replayed.  Bumping the stage
+version (``STAGE_VERSION`` in :mod:`repro.experiments.runner`)
+invalidates every entry at once.
 
 Everything is canonicalized to JSON before hashing: dataclasses become
 ``{type, fields}`` maps, enums become ``{type, name}`` maps, and dict
@@ -103,23 +98,24 @@ def kernel_fingerprint(kernel: Kernel) -> str:
 
 
 def trace_fingerprint(kernel: Kernel, scale: ScaleConfig, warp_size: int) -> str:
-    """Fingerprint identifying one functional trace.
+    """Fingerprint identifying one functional trace."""
+    return fingerprint("trace", kernel_fingerprint(kernel), scale, warp_size)
 
-    Includes the on-disk format version, so bumping
-    :data:`repro.simt.serialize._FORMAT_VERSION` invalidates every
-    cached trace at once.
-    """
-    from repro.simt.serialize import _FORMAT_VERSION
 
+def summary_fingerprint(
+    trace_fp: str,
+    name: str,
+    params: EnergyParams,
+    stage_version: int,
+    analysis_version: int,
+) -> str:
+    """Fingerprint identifying one benchmark's summary for experiment
+    ``name``.  The energy parameters key fig12's replayed ``wc_bdi``
+    energy; ``analysis_version`` keys the width-analysis numbers of
+    extras and staticdyn."""
     return fingerprint(
-        "trace", _FORMAT_VERSION, kernel_fingerprint(kernel), scale, warp_size
+        "summary", stage_version, trace_fp, name, params, analysis_version
     )
-
-
-def columns_fingerprint(trace_fp: str, stage_version: int) -> str:
-    """Fingerprint identifying one :class:`ClassifiedColumns` bank set
-    (a pure function of the trace and the stage version)."""
-    return fingerprint("ccols", stage_version, trace_fp)
 
 
 def stage_fingerprint(

@@ -23,23 +23,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.compression.stats import compare_trace
-from repro.compression.wide import address_width_study
+from repro.compression.stats import CompressionComparison
+from repro.compression.wide import AddressWidthStudy
 from repro.config import ArchitectureConfig
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
 from repro.power.circuit import compressor_estimate, decompressor_estimate
 from repro.power.rf_techniques import _BDI_CODEC_FACTOR
 from repro.regfile.layout import SIDECAR_ENERGY_FRACTION
-from repro.scalar.arch_batch import process_columns
-from repro.scalar.compiler import MoveElisionAnalysis, StaticScalarization
-from repro.scalar.tracker import trace_statistics
+from repro.scalar.tracker import TrackerStatistics
 
 #: Sidecar storage per vector register with half-register support:
 #: 2 x (32-bit BVR + 4-bit EBR) + D + FS bits over 1024 data bits.
 SIDECAR_AREA_FRACTION = (2 * (32 + 4) + 2) / 1024.0
+
+
+@dataclass
+class ExtrasCounts:
+    """One benchmark's trace-derived terms (its ``extras`` summary)."""
+
+    comparison: CompressionComparison
+    stats: TrackerStatistics
+    #: Extra instructions left on G-Scalar with compiler-assisted
+    #: decompress-move elision.
+    elided_move_instructions: int
+    static_scalar_fraction: float
+    width_study: AddressWidthStudy
+    #: Per-register guaranteed ``enc`` from the width analysis.
+    register_enc: tuple[int, ...]
 
 
 @dataclass
@@ -78,35 +89,24 @@ def compute(runner: ExperimentRunner) -> ExtrasData:
     addr64_sum = 0.0
     narrow_sum = 0.0
     static_rf_savings_sum = 0.0
-    gscalar = ArchitectureConfig.gscalar()
     baseline = ArchitectureConfig.baseline()
     static_arch = ArchitectureConfig.static_compress()
     names = runner.benchmark_names()
     for abbr in names:
-        run = runner.run(abbr)
-        comparison = compare_trace(run.columnar)
-        ratio_ours_sum += comparison.ours_ratio
-        ratio_bdi_sum += comparison.bdi_ratio
-        stats = trace_statistics(runner.classified_columns(abbr))
+        counts = runner.summary(abbr, "extras")
+        ratio_ours_sum += counts.comparison.ours_ratio
+        ratio_bdi_sum += counts.comparison.bdi_ratio
+        stats = counts.stats
         if stats.total_instructions:
             move_overhead_sum += stats.decompress_moves / stats.total_instructions
-            with_compiler = process_columns(
-                runner.classified_columns(abbr),
-                gscalar,
-                move_elision=MoveElisionAnalysis(run.built.kernel),
-            )
             move_overhead_compiler_sum += (
-                int(with_compiler.extra_instructions.sum(dtype=np.int64))
-                / stats.total_instructions
+                counts.elided_move_instructions / stats.total_instructions
             )
         dynamic_scalar_sum += stats.eligible_fraction
-        static_scalar_sum += StaticScalarization(
-            run.built.kernel
-        ).dynamic_static_scalar_fraction(run.columnar)
-        width_study = address_width_study(run.columnar)
-        addr32_sum += width_study.savings_32bit
-        addr64_sum += width_study.savings_64bit
-        register_enc = runner.static_widths(abbr)
+        static_scalar_sum += counts.static_scalar_fraction
+        addr32_sum += counts.width_study.savings_32bit
+        addr64_sum += counts.width_study.savings_64bit
+        register_enc = counts.register_enc
         if register_enc:
             narrow_sum += sum(1 for enc in register_enc if enc > 0) / len(register_enc)
         base_power = runner.power(abbr, baseline).breakdown

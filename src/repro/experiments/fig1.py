@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.divergence import DivergenceStats, divergence_stats
+from repro.analysis.divergence import DivergenceStats
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
 
@@ -46,11 +46,12 @@ class Fig1Data:
 
 def compute(runner: ExperimentRunner) -> Fig1Data:
     """Regenerate Figure 1's series over all 17 benchmarks."""
-    rows = []
-    for abbr in runner.benchmark_names():
-        stats = divergence_stats(runner.classified_columns(abbr))
-        rows.append(Fig1Row(abbr=abbr, stats=stats))
-    return Fig1Data(rows=rows)
+    return Fig1Data(
+        rows=[
+            Fig1Row(abbr=abbr, stats=runner.summary(abbr, "fig1"))
+            for abbr in runner.benchmark_names()
+        ]
+    )
 
 
 def render(data: Fig1Data) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.halfwarp import chunk_scalar_stats
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
 
@@ -47,12 +46,7 @@ def compute(runner: ExperimentRunner) -> Fig10Data:
     """Regenerate Figure 10's warp-size sweep."""
     rows = []
     for abbr in runner.benchmark_names():
-        stats32 = chunk_scalar_stats(
-            runner.trace_with_warp_size(abbr, 32), GRANULARITY
-        )
-        stats64 = chunk_scalar_stats(
-            runner.trace_with_warp_size(abbr, 64), GRANULARITY
-        )
+        stats32, stats64 = runner.summary(abbr, "fig10")
         rows.append(
             Fig10Row(
                 abbr=abbr,

@@ -9,7 +9,8 @@ The metric here is RF dynamic *energy* over the same trace, which equals
 the paper's power ratio up to the (small) cycle-count differences
 between architectures.  The baseline, scalar-only and our series are
 the ``rf_pj`` of the runner's power reports for their architectures;
-Warped-Compression is a storage model replayed over the columnar trace.
+Warped-Compression is a storage model replayed over the columnar trace,
+cached per benchmark as the ``fig12`` summary.
 A standalone ``repro fig12`` therefore pays for SM timing once per
 architecture, like ``fig11``; the result sidecars of a ``--cache-dir``
 cache it, and ``--jobs N`` prefetches it in parallel.
@@ -21,11 +22,7 @@ from dataclasses import dataclass
 
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
-from repro.power.rf_techniques import (
-    RF_TECHNIQUES,
-    rf_energy_for_technique,
-    technique_architecture,
-)
+from repro.power.rf_techniques import RF_TECHNIQUES, technique_architecture
 
 SERIES = ("scalar_rf", "wc_bdi", "ours")
 
@@ -57,9 +54,7 @@ def compute(runner: ExperimentRunner) -> Fig12Data:
             for technique in RF_TECHNIQUES
             if technique != "wc_bdi"
         }
-        rf_pj["wc_bdi"] = rf_energy_for_technique(
-            runner.run(abbr).columnar, "wc_bdi", runner.params
-        ).rf_pj
+        rf_pj["wc_bdi"] = runner.summary(abbr, "fig12").rf_pj
         baseline = rf_pj["baseline"]
         normalized = {
             technique: rf_pj[technique] / baseline if baseline else 0.0

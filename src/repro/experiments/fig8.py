@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.similarity import CATEGORIES, AccessDistribution, access_distribution
+from repro.analysis.similarity import CATEGORIES, AccessDistribution
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
 
@@ -35,11 +35,12 @@ class Fig8Data:
 
 def compute(runner: ExperimentRunner) -> Fig8Data:
     """Regenerate Figure 8's stacked distribution."""
-    rows = []
-    for abbr in runner.benchmark_names():
-        distribution = access_distribution(runner.classified_columns(abbr))
-        rows.append(Fig8Row(abbr=abbr, distribution=distribution))
-    return Fig8Data(rows=rows)
+    return Fig8Data(
+        rows=[
+            Fig8Row(abbr=abbr, distribution=runner.summary(abbr, "fig8"))
+            for abbr in runner.benchmark_names()
+        ]
+    )
 
 
 def render(data: Fig8Data) -> str:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
 from repro.scalar.eligibility import ScalarClass
-from repro.scalar.tracker import trace_statistics
 
 
 @dataclass
@@ -55,7 +54,7 @@ def compute(runner: ExperimentRunner) -> Fig9Data:
     """Regenerate Figure 9's stacked eligibility series."""
     rows = []
     for abbr in runner.benchmark_names():
-        stats = trace_statistics(runner.classified_columns(abbr))
+        stats = runner.summary(abbr, "fig9")
         rows.append(
             Fig9Row(
                 abbr=abbr,

@@ -1,20 +1,20 @@
-"""Process-pool fan-out over the benchmark × architecture matrix.
+"""Process-pool fan-out over the benchmark × (experiment, architecture)
+matrix.
 
-The 17-benchmark × 4-architecture matrix is embarrassingly parallel at
-benchmark granularity: each benchmark's trace, classified columns and
-per-architecture timing/power results are independent of every other
-benchmark's.  :func:`run_matrix` spawns one :class:`MatrixTask` per
-benchmark and executes them on a :class:`~concurrent.futures.\
-ProcessPoolExecutor`; workers communicate with the parent exclusively
-through the fingerprinted on-disk cache
+The matrix is embarrassingly parallel at benchmark granularity: each
+benchmark's trace, summaries and per-architecture timing/power results
+are independent of every other benchmark's.  :func:`run_matrix` spawns
+one :class:`MatrixTask` per benchmark and executes them on a
+:class:`~concurrent.futures.ProcessPoolExecutor`; workers communicate
+with the parent exclusively through the fingerprinted on-disk cache
 (:class:`~repro.experiments.runner.ExperimentRunner` with a shared
-``cache_dir``), so the parent — and any later process — replays the
-whole matrix from cache without re-executing anything.
+``cache_dir``), so the parent — and any later process — reads every
+summary and result from cache without executing anything.
 
 Determinism: the simulator is pure numpy/python with no randomness, and
-trace serialization round-trips losslessly, so figure data computed
-from a parallel-warmed cache is bit-identical to a serial in-process
-run (DESIGN §5's determinism requirement).
+summaries and results round-trip through pickle losslessly, so figure
+data computed from a parallel-warmed cache is bit-identical to a serial
+in-process run (DESIGN §5's determinism requirement).
 """
 
 from __future__ import annotations
@@ -40,12 +40,14 @@ class MatrixTask:
     registry and ship its snapshot back in the return payload.
     ``chunk_events`` propagates the parent's streaming chunk size, so
     workers stream their pairs the same way the parent would.
+    ``experiments`` names the summaries to build
+    (:data:`repro.experiments.summary.BUILDERS`).
     """
 
     abbr: str
     scale: str
     cache_dir: str
-    warp_sizes: tuple[int, ...]
+    experiments: tuple[str, ...]
     arches: tuple[ArchitectureConfig, ...]
     config: GpuConfig | None
     params: EnergyParams | None
@@ -61,16 +63,15 @@ def _run_task(task: MatrixTask) -> dict:
         cache_dir=task.cache_dir,
         chunk_events=task.chunk_events,
     )
-    runner.run(task.abbr)
-    for warp_size in task.warp_sizes:
-        runner.trace_with_warp_size(task.abbr, warp_size)
+    for name in task.experiments:
+        runner.summary(task.abbr, name)
     for arch in task.arches:
         runner.power(task.abbr, arch)
     return runner.stats.to_payload()
 
 
 def execute_task(task: MatrixTask) -> dict:
-    """Worker entry point: warm every stage for one benchmark.
+    """Worker entry point: warm one benchmark's summaries and results.
 
     Returns the worker runner's stats payload (counters, stage seconds
     and the telemetry registry snapshot); results themselves travel
@@ -93,7 +94,7 @@ def run_matrix(
     scale: str,
     cache_dir: str | Path,
     jobs: int = 2,
-    warp_sizes: Sequence[int] = (32,),
+    experiments: Sequence[str] = (),
     arches: Sequence[ArchitectureConfig] | None = None,
     config: GpuConfig | None = None,
     params: EnergyParams | None = None,
@@ -101,7 +102,8 @@ def run_matrix(
     telemetry: bool = False,
     chunk_events: int | None = None,
 ) -> RunnerStats:
-    """Execute the benchmark × architecture matrix across processes.
+    """Fill the summaries of ``experiments`` and the results of
+    ``arches`` for every benchmark, across processes.
 
     ``progress`` (optional) is called in the parent as ``progress(abbr,
     completed, total)`` each time a benchmark finishes, in completion
@@ -116,7 +118,7 @@ def run_matrix(
             abbr=abbr,
             scale=scale,
             cache_dir=str(cache_dir),
-            warp_sizes=tuple(warp_sizes),
+            experiments=tuple(experiments),
             arches=arch_list,
             config=config,
             params=params,

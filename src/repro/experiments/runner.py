@@ -5,45 +5,46 @@ configuration and lazily computes, per benchmark:
 
 * the functional trace (executed once, shared by every architecture),
 * the classified columns (architecture-independent),
+* per-experiment summaries (:mod:`repro.experiments.summary`): the
+  small count tables each trace-reading figure reads,
 * per-architecture processed columns, timing results and power reports.
 
 Every figure regenerator takes a runner, so a full ``python -m repro all``
-executes each benchmark exactly once.  SM simulations are memoized by
-their input (:meth:`ExperimentRunner.simulate_sm`): architectures or
-sweep points that lower to the same op table under the same machine
-share one simulation.
+executes each benchmark exactly once at warp size 32 (Figure 10 also
+executes, counts and drops a warp-64 trace).  SM simulations are
+memoized by their input (:meth:`ExperimentRunner.simulate_sm`):
+architectures or sweep points that lower to the same op table under the
+same machine share one simulation.
 
-With ``cache_dir`` set, every expensive stage also persists on disk so
-it can be shared *across* processes, all in the v5 manifest/bank layout
-(:mod:`repro.experiments.store`): traces and classified columns as
-page-aligned ``.npy`` banks a warm hit memory-maps read-only, and each
-(benchmark, architecture) timing and power result as a ``result``
-entry with two small object banks.  Processed columns are memoized in
-memory only.
+With ``cache_dir`` set, summaries and each (benchmark, architecture)
+timing and power result also persist on disk as one-file entries
+(:mod:`repro.experiments.store`), so they are shared *across*
+processes.  Traces, classified and processed columns are memoized in
+memory only: a warm run derives every entry's fingerprint from the
+built workload, hits every entry and executes nothing.
 
 Each stage has one engine: the vectorized classifier, the columnar
 architecture interpretation and power accounting, and the event-driven
 SM simulator.  The per-event engines they replaced live in
 ``tests/reference`` as oracles for the tests.  Each
-cached artifact embeds a content fingerprint
-(:mod:`repro.experiments.cachekey`) covering the kernel, scale, warp
-size, architecture, GPU configuration and energy parameters; a
-mismatch — or any corrupt file — falls back to re-execution and
-overwrites the stale entry, and staleness is decided from the v5
-manifest without materializing payloads.  Files from older cache
-layouts are never read: they are plain misses.
+cached entry embeds a content fingerprint
+(:mod:`repro.experiments.cachekey`) covering the kernel, scale,
+architecture or experiment, GPU configuration and energy parameters; a
+mismatch — or any corrupt file — falls back to recomputation and
+overwrites the stale entry, and staleness is decided from the entry's
+header without unpickling its payload.  Files from older cache layouts
+are never read: they are plain misses.
 
 With ``chunk_events`` set, each (benchmark, architecture) pair streams
 its trace chunk by chunk through one
 :class:`~repro.experiments.streaming.StreamingPipeline`; only the
 pair's ``result`` entry is cached.
 
-:meth:`ExperimentRunner.prefetch` fans the benchmark × architecture
-matrix out over a process pool
+:meth:`ExperimentRunner.prefetch` fans the benchmark × (experiment,
+architecture) matrix out over a process pool
 (:mod:`repro.experiments.parallel`) that communicates through this
 cache, and :attr:`ExperimentRunner.stats` counts cache hits, misses,
-re-executions, per-stage wall time and the transport byte counters
-(``bytes_mapped`` / ``bytes_deserialized``) for observability.
+re-executions and per-stage wall time for observability.
 """
 
 from __future__ import annotations
@@ -51,13 +52,16 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-from repro.analysis.static_.widths import WIDTH_ANALYSIS_VERSION, analyze_widths
+from repro.analysis.static_.widths import (
+    WIDTH_ANALYSIS_VERSION,
+    WidthResult,
+    analyze_widths,
+)
 from repro.config import ArchitectureConfig, GpuConfig
 from repro.experiments import cachekey, store
 from repro.experiments.streaming import StreamingPipeline
-from repro.obs.instrument import record_columnar_warps
 from repro.obs.memory import record_bytes_in_flight, record_peak_rss
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.power.accounting import PowerAccountant
@@ -67,8 +71,7 @@ from repro.scalar.arch_batch import process_columns
 from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.simt.executor import run_kernel
-from repro.simt.serialize import load_columnar_v5, save_columnar_v5
-from repro.simt.trace import ColumnarTrace, iter_chunks, opcode_labels
+from repro.simt.trace import ColumnarTrace, iter_chunks
 from repro.timing.gpu import simulate_architecture_columns, simulate_warp_ops
 from repro.timing.ops import build_timing_ops_columns
 from repro.timing.sm import TimingResult
@@ -98,7 +101,12 @@ from repro.workloads.synth import (
 #: ``stalls_per_scheduler``), changing the pickled timing-result shape.
 #: Version 7: the engine switches were removed, so the fingerprints no
 #: longer carry classifier, arch-engine or SM-engine names.
-STAGE_VERSION = 7
+#: Version 8: per-benchmark ``summary`` entries replaced the trace and
+#: classified-column entries.
+STAGE_VERSION = 8
+
+#: Warp size of the runner's traces (the paper's machine).
+WARP_SIZE = 32
 
 
 def paper_architectures() -> tuple[ArchitectureConfig, ...]:
@@ -121,10 +129,10 @@ def matrix_architectures() -> tuple[ArchitectureConfig, ...]:
 class RunnerStats:
     """Cache and stage observability counters for one runner.
 
-    ``counters`` tracks cache outcomes (``trace_cache_hits``,
-    ``trace_cache_misses``, ``trace_cache_invalid``,
-    ``trace_executions``, ``ccols_cache_hits``, ...) and SM engine
-    work (``sm_runs`` simulations, ``sm_reuses`` memo hits);
+    ``counters`` tracks cache outcomes (``summary_cache_hits``,
+    ``summary_cache_misses``, ``result_cache_hits``, ...,
+    ``cache_invalid``), ``trace_executions`` and SM engine work
+    (``sm_runs`` simulations, ``sm_reuses`` memo hits);
     ``stage_seconds`` accumulates wall time per pipeline stage.  Stats
     merge across processes, so a parallel prefetch reports the totals
     over all workers.
@@ -242,47 +250,30 @@ class RunnerStats:
 
 
 class BenchmarkRun:
-    """Cached functional-level artifacts of one benchmark.
+    """The functional-level artifacts of one benchmark.
 
-    ``columnar`` is the trace in its columnar form: a cache hit hands
-    in memory-mapped v5 banks, a miss the executor's trace, and the
-    synthetic large tier a deferred loader, so a streamed run (which
-    consumes the replica generator) never builds the whole trace.
+    ``columnar`` is the trace in its columnar form: the executor's
+    trace, or for the synthetic large tier a deferred loader, so a
+    streamed run (which consumes the replica generator) never builds
+    the whole trace.
     """
 
     def __init__(
         self,
         abbr: str,
         built: BuiltWorkload,
-        trace_fingerprint: str = "",
         columnar: ColumnarTrace | None = None,
         columnar_loader: "Callable[[BenchmarkRun], ColumnarTrace] | None" = None,
-        warp_size: int | None = None,
     ):
         if columnar is None and columnar_loader is None:
             raise ValueError("BenchmarkRun needs a columnar trace or a loader")
         self.abbr = abbr
         self.built = built
-        #: Content fingerprint of the (kernel, scale, warp-size)
-        #: combination that produced the trace; stage entries derive
-        #: their keys from it.
-        self.trace_fingerprint = trace_fingerprint
         self._columnar = columnar
         self._columnar_loader = columnar_loader
-        self._warp_size = warp_size
 
     def __repr__(self) -> str:
-        return (
-            f"BenchmarkRun(abbr={self.abbr!r}, "
-            f"trace_fingerprint={self.trace_fingerprint!r})"
-        )
-
-    @property
-    def warp_size(self) -> int:
-        """Warp size without forcing any materialization."""
-        if self._warp_size is not None:
-            return self._warp_size
-        return self.columnar.warp_size
+        return f"BenchmarkRun(abbr={self.abbr!r})"
 
     @property
     def columnar(self) -> ColumnarTrace:
@@ -295,7 +286,8 @@ class BenchmarkRun:
 
 
 class ExperimentRunner:
-    """Caches traces and per-architecture results across experiments."""
+    """Caches traces, summaries and per-architecture results across
+    experiments."""
 
     def __init__(
         self,
@@ -324,21 +316,20 @@ class ExperimentRunner:
         telemetry = get_telemetry()
         self.stats = RunnerStats(telemetry=telemetry if telemetry.enabled else None)
         if self.cache_dir is not None:
-            # Reclaim crashed-writer debris and superseded v5 banks on
-            # open (age-gated, so live writers are never swept).
-            swept = store.sweep_orphans(self.cache_dir)
-            if swept.tmp_files:
-                self.stats.bump("cache_tmp_swept", swept.tmp_files)
-            if swept.orphan_bank_dirs:
-                self.stats.bump("cache_banks_swept", swept.orphan_bank_dirs)
-            if swept.bytes_freed:
-                self.stats.bump("cache_bytes_swept", swept.bytes_freed)
+            # Reclaim crashed-writer debris on open (age-gated, so live
+            # writers are never swept).
+            swept, freed = store.sweep_orphans(self.cache_dir)
+            if swept:
+                self.stats.bump("cache_tmp_swept", swept)
+                self.stats.bump("cache_bytes_swept", freed)
+        self._workloads: dict[str, BuiltWorkload] = {}
+        self._trace_fingerprints: dict[str, str] = {}
         self._runs: dict[str, BenchmarkRun] = {}
         self._seeds: dict[str, tuple[ColumnarTrace, int]] = {}
-        self._warp_traces: dict[tuple[str, int], ColumnarTrace] = {}
-        self._static_widths: dict[str, tuple[int, ...]] = {}
+        self._widths: dict[str, WidthResult] = {}
         self._classified_columns: dict[str, ClassifiedColumns] = {}
         self._processed_columns: dict[tuple[str, str], ProcessedColumns] = {}
+        self._summaries: dict[tuple[str, str], Any] = {}
         self._timing: dict[tuple[str, str], TimingResult] = {}
         self._power: dict[tuple[str, str], PowerReport] = {}
         self._sm_results: dict[tuple, TimingResult] = {}
@@ -355,84 +346,82 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # On-disk cache plumbing.
     # ------------------------------------------------------------------
-    def _trace_stem(self, key: str, warp_size: int) -> str:
-        suffix = "" if warp_size == 32 else f"_w{warp_size}"
-        return f"{key}_{self.scale.name}{suffix}"
-
     def _stage_stem(self, key: str, stage: str) -> str:
         return f"{key}_{self.scale.name}_{stage}"
 
+    def _load(self, stem: str, fingerprint: str, kind: str) -> Any:
+        """A clean hit's payload, or ``None``; counts the outcome."""
+        if self.cache_dir is None:
+            return None
+        payload, status = store.load_entry(self.cache_dir, stem, fingerprint, kind)
+        if status == "hit":
+            self.stats.bump(f"{kind}_cache_hits")
+            return payload
+        if status != "absent":
+            self._log(f"discarding {status} {kind} entry {stem}")
+            self.stats.bump("cache_invalid")
+        self.stats.bump(f"{kind}_cache_misses")
+        return None
+
+    def _store(self, stem: str, fingerprint: str, kind: str, payload: Any) -> None:
+        if self.cache_dir is not None:
+            store.store_entry(
+                self.cache_dir, stem, fingerprint=fingerprint, kind=kind, payload=payload
+            )
+
     # ------------------------------------------------------------------
     # Trace stage.
-    # ------------------------------------------------------------------
-    def _record_trace_hit(self, key: str, columnar: ColumnarTrace) -> None:
-        self.stats.bump("trace_cache_hits")
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            # Cache hits skip the executor, so record the instruction
-            # mix here, through the same recorder the executor uses.
-            record_columnar_warps(telemetry, columnar, opcode_labels())
-
-    def _obtain_trace(
-        self, key: str, built: BuiltWorkload, warp_size: int
-    ) -> tuple[ColumnarTrace, str]:
-        """Load a fingerprint-matching cached trace or execute and cache.
-
-        A cache hit returns the :class:`ColumnarTrace` exactly as it
-        lies on disk: its arrays are read-only memory maps of the v5
-        banks, so the hit copies nothing.  A cache miss executes (the
-        executor writes the columnar trace directly), saves that object
-        and returns it.
-        """
-        fingerprint = cachekey.trace_fingerprint(built.kernel, self.scale, warp_size)
-        stem = self._trace_stem(key, warp_size)
-        if self.cache_dir is not None:
-            with self.stats.timer("trace_load", benchmark=key, warp_size=warp_size):
-                columnar, status, entry = load_columnar_v5(
-                    self.cache_dir, stem, fingerprint
-                )
-            if status == "hit":
-                self.stats.bump("bytes_mapped", entry.bytes_mapped)
-                self._log(f"mapped v5 trace for {key} (warp {warp_size})")
-                self._record_trace_hit(key, columnar)
-                return columnar, fingerprint
-            if status in ("stale", "corrupt"):
-                self._log(f"discarding {status} v5 trace entry for {key}")
-                self.stats.bump("trace_cache_invalid")
-            self.stats.bump("trace_cache_misses")
-        self._log(f"executing {key} at scale {self.scale.name!r} warp {warp_size}")
-        self.stats.bump("trace_executions")
-        with self.stats.timer("trace_execute", benchmark=key, warp_size=warp_size):
-            columnar = run_kernel(
-                built.kernel, built.launch, built.memory, warp_size=warp_size
-            )
-        if self.cache_dir is not None:
-            with self.stats.timer("trace_save", benchmark=key, warp_size=warp_size):
-                save_columnar_v5(columnar, self.cache_dir, stem, fingerprint)
-        return columnar, fingerprint
-
     # ------------------------------------------------------------------
     def benchmark_names(self) -> list[str]:
         """All benchmark abbreviations in Table 2 order."""
         return [spec.abbr for spec in all_workloads()]
 
-    def run(self, abbr: str) -> BenchmarkRun:
-        """Execute (or fetch) one benchmark's functional trace.
+    def _workload(self, key: str) -> BuiltWorkload:
+        """The built workload of one benchmark (kernel, launch, memory)."""
+        if key not in self._workloads:
+            self._workloads[key] = workload_by_name(key).builder(self.scale)
+        return self._workloads[key]
 
-        With ``cache_dir`` set, traces persist across processes as v5
-        entries validated against a content fingerprint before reuse.
+    def _trace_fingerprint(self, key: str) -> str:
+        """Fingerprint of a benchmark's trace, from the built workload
+        alone: every cache entry derives its key from it, so a warm
+        run never executes."""
+        if key not in self._trace_fingerprints:
+            self._trace_fingerprints[key] = cachekey.trace_fingerprint(
+                self._workload(key).kernel, self.scale, WARP_SIZE
+            )
+        return self._trace_fingerprints[key]
+
+    def _execute(self, key: str, built: BuiltWorkload, warp_size: int) -> ColumnarTrace:
+        self._log(f"executing {key} at scale {self.scale.name!r} warp {warp_size}")
+        self.stats.bump("trace_executions")
+        with self.stats.timer("trace_execute", benchmark=key, warp_size=warp_size):
+            return run_kernel(
+                built.kernel, built.launch, built.memory, warp_size=warp_size
+            )
+
+    def execute(self, abbr: str, warp_size: int) -> ColumnarTrace:
+        """Execute a freshly built benchmark at ``warp_size``.
+
+        Nothing is kept: Figure 10 counts its warp-64 trace and drops
+        it.  (Execution mutates the workload's memory image, hence the
+        fresh build.)
         """
         key = self._normalize(abbr)
+        return self._execute(key, workload_by_name(key).builder(self.scale), warp_size)
+
+    def run(self, abbr: str) -> BenchmarkRun:
+        """Execute (or fetch) one benchmark's functional trace."""
+        key = self._normalize(abbr)
         if key not in self._runs:
-            spec = workload_by_name(key)
-            built = spec.builder(self.scale)
-            columnar, fingerprint = self._obtain_trace(key, built, 32)
+            built = self._workload(key)
+            columnar = self._execute(key, built, WARP_SIZE)
             if self.scale.synthetic_events > 0:
-                # Synthetic tier: what was executed (and cached) above is
-                # the *seed* trace.  The run carries a deferred
-                # materializer instead of the replicated whole trace, so
-                # a streamed pass (which consumes the replica generator)
-                # never pays for — or holds — the 10^6+-event form.
+                # Synthetic tier: what was executed above is the *seed*
+                # trace.  The run carries a deferred materializer
+                # instead of the replicated whole trace, so a streamed
+                # pass (which consumes the replica generator) never pays
+                # for — or holds — the 10^6+-event form.
                 replicas = synthetic_replicas(columnar, self.scale)
                 self._seeds[key] = (columnar, replicas)
                 self._log(
@@ -442,17 +431,10 @@ class ExperimentRunner:
                 self._runs[key] = BenchmarkRun(
                     abbr=key,
                     built=built,
-                    trace_fingerprint=fingerprint,
                     columnar_loader=self._materialize_synthetic,
-                    warp_size=columnar.warp_size,
                 )
             else:
-                self._runs[key] = BenchmarkRun(
-                    abbr=key,
-                    built=built,
-                    trace_fingerprint=fingerprint,
-                    columnar=columnar,
-                )
+                self._runs[key] = BenchmarkRun(abbr=key, built=built, columnar=columnar)
         return self._runs[key]
 
     def _materialize_synthetic(self, run: BenchmarkRun) -> ColumnarTrace:
@@ -466,112 +448,73 @@ class ExperimentRunner:
         with self.stats.timer("synthetic_materialize", benchmark=run.abbr):
             return materialize_synthetic(seed, replicas)
 
-    def trace_with_warp_size(self, abbr: str, warp_size: int) -> ColumnarTrace:
-        """Columnar trace of a benchmark at another warp size (Figure 10).
-
-        Shares the same fingerprint-checked on-disk cache as :meth:`run`,
-        with the warp size in the cache key, so warp-64 traces are
-        executed once per cache directory rather than once per process.
-        """
-        key = self._normalize(abbr)
-        if warp_size == 32:
-            return self.run(key).columnar
-        token = (key, warp_size)
-        if token not in self._warp_traces:
-            spec = workload_by_name(key)
-            built = spec.builder(self.scale)
-            self._warp_traces[token], _ = self._obtain_trace(key, built, warp_size)
-        return self._warp_traces[token]
-
     # ------------------------------------------------------------------
-    def static_widths(self, abbr: str) -> tuple[int, ...]:
-        """Per-register guaranteed ``enc`` table from the width analysis.
+    def width_analysis(self, abbr: str) -> WidthResult:
+        """The kernel's static width analysis, memoized per benchmark.
 
-        Architecture-independent (a pure function of the kernel), cached
-        per benchmark and fed to the ``static_compress`` interpretation.
-        Cheap relative to tracing, so it is recomputed per process
-        rather than persisted; the result entries it feeds are keyed
-        on :data:`~repro.analysis.static_.widths.WIDTH_ANALYSIS_VERSION`.
+        Architecture-independent (a pure function of the kernel) and
+        cheap relative to tracing, so it is recomputed per process
+        rather than persisted; the entries it feeds are keyed on
+        :data:`~repro.analysis.static_.widths.WIDTH_ANALYSIS_VERSION`.
         """
         key = self._normalize(abbr)
-        if key not in self._static_widths:
-            run = self.run(key)
+        if key not in self._widths:
             with self.stats.timer("width_analysis", benchmark=key):
-                self._static_widths[key] = analyze_widths(
-                    run.built.kernel, warp_size=run.warp_size
-                ).register_enc
-        return self._static_widths[key]
+                self._widths[key] = analyze_widths(
+                    self._workload(key).kernel, warp_size=WARP_SIZE
+                )
+        return self._widths[key]
+
+    def static_widths(self, abbr: str) -> tuple[int, ...]:
+        """Per-register guaranteed ``enc`` table from the width analysis,
+        fed to the ``static_compress`` interpretation."""
+        return self.width_analysis(abbr).register_enc
 
     def _widths_for(self, abbr: str, arch: ArchitectureConfig):
         return self.static_widths(abbr) if arch.static_compression else None
 
-    def _load_column_banks(self, stem: str, fingerprint: str, kind: str):
-        """Open one v5 entry of ``kind``; ``None`` unless a clean hit."""
-        if self.cache_dir is None:
-            return None
-        entry, status = store.load_entry(self.cache_dir, stem, fingerprint)
-        if status == "hit" and entry.kind == kind:
-            self.stats.bump(f"{kind}_cache_hits")
-            self.stats.bump("bytes_mapped", entry.bytes_mapped)
-            if entry.bytes_deserialized:
-                self.stats.bump("bytes_deserialized", entry.bytes_deserialized)
-            return entry
-        if status == "hit" or status in ("stale", "corrupt"):
-            self._log(f"discarding {status} {kind} banks {stem}")
-            self.stats.bump("sidecar_invalid")
-        self.stats.bump(f"{kind}_cache_misses")
-        return None
-
-    def _store_column_banks(
-        self,
-        stem: str,
-        fingerprint: str,
-        kind: str,
-        warp_size: int,
-        arrays=None,
-        objects: dict | None = None,
-    ) -> None:
-        if self.cache_dir is None:
-            return
-        store.store_entry(
-            self.cache_dir,
-            stem,
-            fingerprint=fingerprint,
-            kind=kind,
-            meta={"warp_size": int(warp_size)},
-            arrays=arrays,
-            objects=objects,
-        )
-
     def classified_columns(self, abbr: str) -> ClassifiedColumns:
         """Classified columns of one benchmark (architecture-independent,
-        shared by every architecture's interpretation).
-
-        Persisted as v5 ``ccols`` banks: a warm hit maps the arrays
-        read-only instead of classifying again.
-        """
+        shared by every architecture's interpretation).  Memoized in
+        memory only."""
         key = self._normalize(abbr)
         if key not in self._classified_columns:
             run = self.run(key)
-            fingerprint = cachekey.columns_fingerprint(
-                run.trace_fingerprint, STAGE_VERSION
-            )
-            stem = self._stage_stem(key, "ccols")
-            entry = self._load_column_banks(stem, fingerprint, "ccols")
-            if entry is not None:
-                self._classified_columns[key] = ClassifiedColumns.from_arrays(
-                    int(entry.meta["warp_size"]), entry.arrays
-                )
-                return self._classified_columns[key]
             with self.stats.timer("classify", benchmark=key):
-                ccols = classify_columnar_batch(
+                self._classified_columns[key] = classify_columnar_batch(
                     run.columnar, run.built.kernel.num_registers
                 )
-            self._store_column_banks(
-                stem, fingerprint, "ccols", ccols.warp_size, ccols.as_arrays()
-            )
-            self._classified_columns[key] = ccols
         return self._classified_columns[key]
+
+    def summary(self, abbr: str, name: str) -> Any:
+        """One benchmark's summary for experiment ``name``.
+
+        Built on demand by :data:`repro.experiments.summary.BUILDERS`,
+        memoized and, with ``cache_dir`` set, stored as a ``summary``
+        entry, so a warm run reads it without executing the trace.
+        """
+        from repro.experiments.summary import BUILDERS
+
+        key = self._normalize(abbr)
+        builder = BUILDERS[name]
+        if (key, name) not in self._summaries:
+            stem, fingerprint = self._summary_entry(key, name)
+            payload = self._load(stem, fingerprint, "summary")
+            if payload is None:
+                payload = builder(self, key)
+                self._store(stem, fingerprint, "summary", payload)
+            self._summaries[(key, name)] = payload
+        return self._summaries[(key, name)]
+
+    def _summary_entry(self, key: str, name: str) -> tuple[str, str]:
+        """``(stem, fingerprint)`` of one summary entry."""
+        return self._stage_stem(key, name), cachekey.summary_fingerprint(
+            self._trace_fingerprint(key),
+            name,
+            self.params,
+            STAGE_VERSION,
+            WIDTH_ANALYSIS_VERSION,
+        )
 
     def processed_columns(self, abbr: str, arch: ArchitectureConfig) -> ProcessedColumns:
         """Per-architecture columnar processed trace for one benchmark.
@@ -590,9 +533,12 @@ class ExperimentRunner:
                 )
         return self._processed_columns[key]
 
-    def _results_fingerprint(self, run: BenchmarkRun, arch: ArchitectureConfig) -> str:
-        return cachekey.stage_fingerprint(
-            run.trace_fingerprint,
+    def _result_entry(self, key: str, arch: ArchitectureConfig) -> tuple[str, str]:
+        """``(stem, fingerprint)`` of one (benchmark, architecture)
+        result entry."""
+        stem = self._stage_stem(key, f"results_{arch.name}")
+        return stem, cachekey.stage_fingerprint(
+            self._trace_fingerprint(key),
             arch,
             self.config,
             self.params,
@@ -604,8 +550,7 @@ class ExperimentRunner:
 
     def warps_per_cta(self, abbr: str) -> int | None:
         """Warps per CTA of one benchmark's launch (barrier scope)."""
-        run = self.run(self._normalize(abbr))
-        return run.built.launch.warps_per_cta(run.warp_size)
+        return self._workload(self._normalize(abbr)).launch.warps_per_cta(WARP_SIZE)
 
     def _results(self, key: str, arch: ArchitectureConfig) -> None:
         """Fill timing and power for one pair.
@@ -614,26 +559,15 @@ class ExperimentRunner:
         power together — whole-trace, or streamed when ``chunk_events``
         is set — and stores them as one entry.
         """
-        run = self.run(key)
-        stem = self._stage_stem(key, f"results_{arch.name}")
-        fingerprint = self._results_fingerprint(run, arch)
-        entry = self._load_column_banks(stem, fingerprint, "result")
-        if entry is not None:
-            timing, power = entry.objects["timing"], entry.objects["power"]
-        else:
+        stem, fingerprint = self._result_entry(key, arch)
+        pair = self._load(stem, fingerprint, "result")
+        if pair is None:
             if self.chunk_events is not None:
-                timing, power = self._compute_streamed(key, arch)
+                pair = self._compute_streamed(key, arch)
             else:
-                timing, power = self._compute_whole(key, arch)
-            self._store_column_banks(
-                stem,
-                fingerprint,
-                "result",
-                run.warp_size,
-                objects={"timing": timing, "power": power},
-            )
-        self._timing[(key, arch.name)] = timing
-        self._power[(key, arch.name)] = power
+                pair = self._compute_whole(key, arch)
+            self._store(stem, fingerprint, "result", pair)
+        self._timing[(key, arch.name)], self._power[(key, arch.name)] = pair
 
     def simulate_sm(
         self, abbr: str, arch: ArchitectureConfig, config: GpuConfig | None = None
@@ -770,20 +704,25 @@ class ExperimentRunner:
         self,
         names: Sequence[str] | None = None,
         jobs: int = 1,
-        warp_sizes: Sequence[int] = (32,),
+        experiments: Sequence[str] = (),
         arches: Sequence[ArchitectureConfig] | None = None,
         progress: Callable[[str, int, int], None] | None = None,
     ) -> RunnerStats:
-        """Warm every cacheable stage of the benchmark × arch matrix.
+        """Warm the summaries of ``experiments`` and the results of
+        ``arches`` (default: the four paper architectures) for each
+        benchmark.
 
-        With ``jobs > 1`` the matrix fans out over a process pool
+        With ``jobs > 1`` the benchmarks fan out over a process pool
         (:func:`repro.experiments.parallel.run_matrix`); workers share
         results exclusively through the on-disk cache, so ``cache_dir``
-        is required.  Worker statistics merge into :attr:`stats` and the
-        merged stats are returned.  Serial (``jobs == 1``) prefetch
-        works with or without a cache directory.
+        is required.  Benchmarks whose entries are all current on disk
+        are not dispatched at all.  Worker statistics merge into
+        :attr:`stats` and the merged stats are returned.  Serial
+        (``jobs == 1``) prefetch works with or without a cache
+        directory.
         """
         wanted = [self._normalize(name) for name in (names or self.benchmark_names())]
+        experiments = tuple(experiments)
         arch_list = tuple(arches) if arches is not None else paper_architectures()
         jobs = max(1, int(jobs))
         if progress is None and self.verbose:
@@ -793,9 +732,8 @@ class ExperimentRunner:
         with self.stats.timer("prefetch"):
             if jobs == 1 or len(wanted) <= 1:
                 for index, abbr in enumerate(wanted):
-                    self.run(abbr)
-                    for warp_size in warp_sizes:
-                        self.trace_with_warp_size(abbr, warp_size)
+                    for name in experiments:
+                        self.summary(abbr, name)
                     for arch in arch_list:
                         self.power(abbr, arch)
                     if progress is not None:
@@ -808,18 +746,40 @@ class ExperimentRunner:
                     )
                 from repro.experiments.parallel import run_matrix
 
-                worker_stats = run_matrix(
-                    names=wanted,
-                    scale=self.scale.name,
-                    cache_dir=self.cache_dir,
-                    jobs=jobs,
-                    warp_sizes=tuple(warp_sizes),
-                    arches=arch_list,
-                    config=self.config,
-                    params=self.params,
-                    progress=progress,
-                    telemetry=get_telemetry().enabled,
-                    chunk_events=self.chunk_events,
-                )
-                self.stats.merge(worker_stats)
+                pending = [
+                    abbr
+                    for abbr in wanted
+                    if not self._cached(abbr, experiments, arch_list)
+                ]
+                if pending:
+                    self.stats.merge(
+                        run_matrix(
+                            names=pending,
+                            scale=self.scale.name,
+                            cache_dir=self.cache_dir,
+                            jobs=jobs,
+                            experiments=experiments,
+                            arches=arch_list,
+                            config=self.config,
+                            params=self.params,
+                            progress=progress,
+                            telemetry=get_telemetry().enabled,
+                            chunk_events=self.chunk_events,
+                        )
+                    )
         return self.stats
+
+    def _cached(
+        self,
+        key: str,
+        experiments: Sequence[str],
+        arches: Sequence[ArchitectureConfig],
+    ) -> bool:
+        """Whether every entry a prefetch of ``key`` warms is current on
+        disk (headers only: no payload is read)."""
+        entries = [
+            (*self._summary_entry(key, name), "summary") for name in experiments
+        ] + [(*self._result_entry(key, arch), "result") for arch in arches]
+        return all(
+            store.entry_is_current(self.cache_dir, *entry) for entry in entries
+        )

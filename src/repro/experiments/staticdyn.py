@@ -38,7 +38,7 @@ from repro.analysis.static_.uniformity import (
     StaticScalarClass,
     analyze_uniformity,
 )
-from repro.analysis.static_.widths import analyze_widths
+from repro.analysis.static_.widths import WidthResult
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
 from repro.isa.kernel import Kernel
@@ -243,13 +243,12 @@ def score_benchmark(
 
 def compute(runner: ExperimentRunner) -> StaticDynData:
     """Score the static predictor against every benchmark's trace."""
-    rows = []
-    for abbr in runner.benchmark_names():
-        kernel = runner.run(abbr).built.kernel
-        rows.append(
-            score_benchmark(abbr, kernel, runner.classified_columns(abbr))
-        )
-    return StaticDynData(rows=rows)
+    return StaticDynData(
+        rows=[
+            runner.summary(abbr, "staticdyn")[0]
+            for abbr in runner.benchmark_names()
+        ]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -330,10 +329,10 @@ class WidthDynData:
 
 
 def score_widths_benchmark(
-    abbr: str, kernel: Kernel, columns: ClassifiedColumns
+    abbr: str, kernel: Kernel, columns: ClassifiedColumns, result: WidthResult
 ) -> WidthDynRow:
-    """Join one benchmark's width claims against its dynamic trace."""
-    result = analyze_widths(kernel, warp_size=columns.warp_size)
+    """Join one benchmark's width claims (``result``, the kernel's width
+    analysis at the trace's warp size) against its dynamic trace."""
     counts = result.counts()
     offsets, claims = _site_table(
         kernel, lambda block, index, inst: result.claim_at(block, index) or 0, 0
@@ -357,13 +356,12 @@ def score_widths_benchmark(
 
 def compute_widths(runner: ExperimentRunner) -> WidthDynData:
     """Validate the width analysis against every benchmark's trace."""
-    rows = []
-    for abbr in runner.benchmark_names():
-        kernel = runner.run(abbr).built.kernel
-        rows.append(
-            score_widths_benchmark(abbr, kernel, runner.classified_columns(abbr))
-        )
-    return WidthDynData(rows=rows)
+    return WidthDynData(
+        rows=[
+            runner.summary(abbr, "staticdyn")[1]
+            for abbr in runner.benchmark_names()
+        ]
+    )
 
 
 def render_widths(data: WidthDynData) -> str:

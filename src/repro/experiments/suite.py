@@ -10,13 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
-from repro.scalar.columns import MEM_CODE, SFU_CODE
-from repro.scalar.eligibility import ScalarClass
-from repro.scalar.tracker import trace_statistics
 
 
 @dataclass
@@ -61,27 +56,9 @@ class SuiteData:
 
 def compute(runner: ExperimentRunner) -> SuiteData:
     """Collect the statistics table over all 17 benchmarks."""
-    rows = []
-    for abbr in runner.benchmark_names():
-        columns = runner.classified_columns(abbr)
-        stats = trace_statistics(columns)
-        total = max(1, stats.total_instructions)
-        rows.append(
-            SuiteRow(
-                abbr=abbr,
-                instructions=stats.total_instructions,
-                divergent=stats.divergent_instructions / total,
-                alu_scalar=stats.fraction(ScalarClass.ALU_SCALAR),
-                sfu_scalar=stats.fraction(ScalarClass.SFU_SCALAR),
-                mem_scalar=stats.fraction(ScalarClass.MEM_SCALAR),
-                half_scalar=stats.fraction(ScalarClass.HALF_SCALAR),
-                divergent_scalar=stats.fraction(ScalarClass.DIVERGENT_SCALAR),
-                eligible=stats.eligible_fraction,
-                sfu_mix=np.count_nonzero(columns.category_codes == SFU_CODE) / total,
-                mem_mix=np.count_nonzero(columns.category_codes == MEM_CODE) / total,
-            )
-        )
-    return SuiteData(rows=rows)
+    return SuiteData(
+        rows=[runner.summary(abbr, "suite") for abbr in runner.benchmark_names()]
+    )
 
 
 def render(data: SuiteData) -> str:

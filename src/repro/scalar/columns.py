@@ -124,20 +124,6 @@ class ClassifiedColumns:
     def num_events(self) -> int:
         return int(self.opcode_ids.shape[0])
 
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """All array fields by name (the v5 bank payload)."""
-        return {name: getattr(self, name) for name in CLASSIFIED_ARRAY_FIELDS}
-
-    @classmethod
-    def from_arrays(
-        cls, warp_size: int, arrays: dict[str, np.ndarray]
-    ) -> "ClassifiedColumns":
-        """Rebuild from :meth:`as_arrays` output (mmap views welcome)."""
-        return cls(
-            warp_size=warp_size,
-            **{name: arrays[name] for name in CLASSIFIED_ARRAY_FIELDS},
-        )
-
     def warp_bounds(self) -> np.ndarray:
         """``(n_warps + 1,)`` event offsets of each warp's segment."""
         bounds = np.zeros(len(self.warp_lengths) + 1, dtype=np.int64)
@@ -145,9 +131,8 @@ class ClassifiedColumns:
         return bounds
 
 
-#: Array fields of :class:`ClassifiedColumns` in declaration order —
-#: the schema of its v5 cache banks (``warp_size`` is the only scalar
-#: field and travels in the manifest metadata instead).
+#: Array fields of :class:`ClassifiedColumns` in declaration order
+#: (``warp_size`` is the only scalar field).
 CLASSIFIED_ARRAY_FIELDS = tuple(
     f.name for f in fields(ClassifiedColumns) if f.name != "warp_size"
 )

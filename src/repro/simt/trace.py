@@ -14,8 +14,9 @@ arrays with offset tables for the ragged ones, plus one
 :func:`repro.simt.executor.run_kernel` records one row per group step
 in a :class:`StepRows` buffer and packs it once
 (:meth:`ColumnarTrace.pack`); the batch classifier
-(:mod:`repro.scalar.batch`) and the on-disk format
-(:mod:`repro.simt.serialize`) read the result.
+(:mod:`repro.scalar.batch`) and the figure analyses read the result.
+Traces are never written to disk: a cache keeps per-benchmark summaries
+and results instead.
 """
 
 from __future__ import annotations

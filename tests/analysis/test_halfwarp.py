@@ -92,7 +92,7 @@ def small_runner():
 @pytest.mark.parametrize("warp_size", [32, 64])
 @pytest.mark.parametrize("abbr", [spec.abbr for spec in all_workloads()])
 def test_columnar_matches_event_walk(small_runner, abbr, warp_size):
-    columnar = small_runner.trace_with_warp_size(abbr, warp_size)
+    columnar = small_runner.execute(abbr, warp_size)
     assert chunk_scalar_stats(columnar, 16) == chunk_scalar_stats_events(
         to_trace(columnar), 16
     )

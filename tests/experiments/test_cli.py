@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.experiments import store
+from repro.workloads.registry import all_workloads
 
 
 class TestCli:
@@ -166,7 +168,7 @@ class TestCacheAndJobs:
         cache = tmp_path / "cache"
         assert main(["fig1", "--scale", "tiny", "--cache-dir", str(cache)]) == 0
         first = capsys.readouterr().out
-        assert any(cache.glob("*.v5.json"))
+        assert len(list(cache.glob(f"*_fig1{store.ENTRY_SUFFIX}"))) == 17
         assert main(["fig1", "--scale", "tiny", "--cache-dir", str(cache)]) == 0
         assert capsys.readouterr().out == first
 
@@ -185,11 +187,13 @@ class TestCacheAndJobs:
         assert cold["jobs"] == 2
         assert cold["counters"]["trace_executions"] == 17
         assert "fig1" in cold["experiment_seconds"]
+        # The workers built the summaries; the parent read them.
+        assert cold["counters"]["summary_cache_misses"] == 17
+        assert cold["counters"]["summary_cache_hits"] == 17
         assert main(argv) == 0
         capsys.readouterr()
         warm = json.loads(stats_path.read_text())
-        assert warm["counters"].get("trace_executions", 0) == 0
-        assert warm["counters"]["trace_cache_hits"] >= 17
+        assert warm["counters"] == {"summary_cache_hits": 17}
 
     def test_parallel_output_matches_serial(self, tmp_path, capsys):
         assert main(["fig10", "--scale", "tiny"]) == 0
@@ -200,7 +204,31 @@ class TestCacheAndJobs:
         ]
         assert main(argv) == 0
         assert capsys.readouterr().out == serial
-        assert any(cache.glob("*_w64.v5.json"))
+        # Warp-64 traces live only inside the fig10 summaries.
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            f"{spec.abbr}_tiny_fig10{store.ENTRY_SUFFIX}" for spec in all_workloads()
+        )
+
+    def test_jobs_without_cache_dir_removes_its_temporary_cache(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import tempfile
+
+        from repro.experiments import fig1
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        assert main(["fig1", "--scale", "tiny", "--jobs", "2"]) == 0
+        assert "temporary cache" in capsys.readouterr().err
+        assert list(tmp_path.glob("repro-cache-*")) == []
+
+        def failing(runner):
+            raise RuntimeError("experiment failed")
+
+        monkeypatch.setattr(fig1, "compute", failing)
+        with pytest.raises(RuntimeError, match="experiment failed"):
+            main(["fig1", "--scale", "tiny", "--jobs", "2"])
+        assert list(tmp_path.glob("repro-cache-*")) == []
 
     def test_fig12_jobs_prefetch_power_reports(self, tmp_path, capsys):
         import json
@@ -229,8 +257,9 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", str(cache)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["stages"]["trace"]["entries"] == 17
-        assert report["stages"]["trace"]["bytes"] > 0
+        assert set(report["stages"]) == {"summary"}
+        assert report["stages"]["summary"]["entries"] == 17
+        assert report["stages"]["summary"]["bytes"] > 0
         assert report["total_bytes"] > 0
         assert report["orphans"]["tmp_files"] == 0
 

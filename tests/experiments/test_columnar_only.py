@@ -1,13 +1,20 @@
-"""``repro all`` runs on columns alone: no pickles outside v5 object
-banks, no processed-column entries on disk, and every result replays
-from the cache.  ``tests/test_src_imports.py`` keeps the per-event
-reference engines out of reach of ``src/``."""
+"""``repro all`` runs on columns alone, and a warm ``repro all`` renders
+from cached summaries and results alone: it executes, classifies,
+analyzes and simulates nothing.  ``tests/test_src_imports.py`` keeps
+the per-event reference engines out of reach of ``src/``."""
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.experiments import runner as runner_module
+from repro.experiments import store, summary
 
 ARGV = ["all", "--scale", "tiny", "--widths"]
+COMPUTE_STAGES = (
+    "trace_execute", "classify", "process", "width_analysis", "timing", "power",
+)
 
 
 def _run(capsys, *extra) -> str:
@@ -15,25 +22,55 @@ def _run(capsys, *extra) -> str:
     return capsys.readouterr().out
 
 
-def test_repro_all_builds_no_classified_events(tmp_path, capsys):
+def _forbid(monkeypatch, module, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"a warm run called {name}")
+
+    monkeypatch.setattr(module, name, forbidden)
+
+
+def test_repro_all_builds_no_classified_events(tmp_path, capsys, monkeypatch):
     reference = _run(capsys)
     cache = tmp_path / "cache"
     stats = tmp_path / "stats.json"
     cold = _run(capsys, "--cache-dir", str(cache))
-    # Processed columns live in memory only: the cold run wrote no
-    # ``pcols`` entry, and the warm run still replays every result.
-    assert not list(cache.glob("*_pcols_*"))
-    warm = _run(capsys, "--cache-dir", str(cache), "--stats-json", str(stats))
     assert cold == reference
+    # Only summary and result entries, one file each: no trace, no
+    # classified or processed columns.
+    report = store.scan_cache(cache)
+    assert set(report["stages"]) == {"result", "summary"}
+    assert report["stages"]["result"]["entries"] == 85
+    assert report["stages"]["summary"]["entries"] == 17 * len(summary.BUILDERS)
+    assert all(path.is_file() for path in cache.iterdir())
+
+    # The warm run renders from the entries alone.
+    for name in ("run_kernel", "classify_columnar_batch", "analyze_widths",
+                 "simulate_warp_ops"):
+        _forbid(monkeypatch, runner_module, name)
+    warm = _run(capsys, "--cache-dir", str(cache), "--stats-json", str(stats))
     assert warm == reference
-    counters = json.loads(stats.read_text())["counters"]
-    assert counters["result_cache_hits"] == 85
-    assert counters.get("trace_executions", 0) == 0
-    assert not any("pcols" in name for name in counters)
-    stray = [
-        path
-        for path in cache.rglob("*.pkl")
-        if not path.parent.name.endswith(".v5")
-    ]
-    assert stray == []
-    assert any(cache.rglob("*.v5/timing.pkl"))
+    recorded = json.loads(stats.read_text())
+    counters = recorded["counters"]
+    assert counters == {
+        "result_cache_hits": 85,
+        "summary_cache_hits": 17 * len(summary.BUILDERS),
+    }
+    assert not set(COMPUTE_STAGES) & set(recorded["stage_seconds"])
+
+
+@pytest.mark.parametrize(
+    "name", ["run_kernel", "classify_columnar_batch", "analyze_widths",
+             "simulate_warp_ops"],
+)
+def test_forbidden_entry_points_are_the_ones_a_cold_run_calls(monkeypatch, name):
+    """The warm-run guard patches the names the runner really calls:
+    with one of them forbidden, a cold run fails."""
+    from repro.experiments.runner import ExperimentRunner
+    from repro.experiments.runner import matrix_architectures
+
+    _forbid(monkeypatch, runner_module, name)
+    runner = ExperimentRunner(scale="tiny")
+    with pytest.raises(AssertionError, match=name):
+        runner.summary("HS", "extras")
+        for arch in matrix_architectures():
+            runner.power("HS", arch)

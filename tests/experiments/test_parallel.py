@@ -8,11 +8,17 @@ cheap inside the unit suite.
 
 import pytest
 
-from repro.analysis.halfwarp import chunk_scalar_stats
+from repro.experiments import store
 from repro.experiments.parallel import MatrixTask, execute_task, run_matrix
-from repro.experiments.runner import ExperimentRunner, paper_architectures
+from repro.experiments.runner import (
+    ExperimentRunner,
+    matrix_architectures,
+    paper_architectures,
+)
+from repro.experiments.summary import BUILDERS
 
 SUBSET = ["HS", "PF"]
+SUMMARIES = tuple(BUILDERS)
 
 
 class TestExecuteTask:
@@ -21,17 +27,17 @@ class TestExecuteTask:
             abbr="HS",
             scale="tiny",
             cache_dir=str(tmp_path),
-            warp_sizes=(32, 64),
+            experiments=("fig1", "fig10"),
             arches=(paper_architectures()[0],),
             config=None,
             params=None,
         )
         stats = execute_task(task)
         assert stats["counters"]["trace_executions"] == 2  # warp 32 + 64
-        assert (tmp_path / "HS_tiny.v5.json").exists()
-        assert (tmp_path / "HS_tiny_w64.v5.json").exists()
-        assert (tmp_path / "HS_tiny_ccols.v5.json").exists()
-        assert (tmp_path / "HS_tiny_results_baseline.v5.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{stem}{store.ENTRY_SUFFIX}"
+            for stem in ("HS_tiny_fig1", "HS_tiny_fig10", "HS_tiny_results_baseline")
+        )
 
 
 class TestRunMatrix:
@@ -42,30 +48,27 @@ class TestRunMatrix:
             scale="tiny",
             cache_dir=tmp_path,
             jobs=2,
-            warp_sizes=(32, 64),
+            experiments=SUMMARIES,
+            arches=matrix_architectures(),
         )
-        assert stats.trace_executions == 2 * len(SUBSET)
+        assert stats.trace_executions == 2 * len(SUBSET)  # warp 32 + 64
         parallel = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         for abbr in SUBSET:
-            run_s = serial.run(abbr)
-            run_p = parallel.run(abbr)
-            assert run_s.columnar.masks.tolist() == run_p.columnar.masks.tolist()
-            # Figure-10 data: chunk-scalar fractions from both warp sizes.
-            for warp_size in (32, 64):
-                trace_s = serial.trace_with_warp_size(abbr, warp_size)
-                trace_p = parallel.trace_with_warp_size(abbr, warp_size)
-                assert (
-                    chunk_scalar_stats(trace_s, 16).chunk_scalar_fraction
-                    == chunk_scalar_stats(trace_p, 16).chunk_scalar_fraction
-                )
+            # Every figure's summary, Figure 10's warp-64 counts included.
+            for name in SUMMARIES:
+                assert parallel.summary(abbr, name) == serial.summary(abbr, name)
             # Figure-11 data: power efficiency on every architecture.
-            for arch in paper_architectures():
+            for arch in matrix_architectures():
                 report_s = serial.power(abbr, arch)
                 report_p = parallel.power(abbr, arch)
-                assert report_s.ipc_per_watt == report_p.ipc_per_watt
-                assert report_s.cycles == report_p.cycles
+                assert report_s == report_p
+                assert parallel.timing(abbr, arch) == serial.timing(abbr, arch)
         # The parent replayed everything from cache: no re-execution.
         assert parallel.stats.trace_executions == 0
+        assert parallel.stats.counters["summary_cache_hits"] == (
+            len(SUBSET) * len(SUMMARIES)
+        )
+        assert "summary_cache_misses" not in parallel.stats.counters
 
     def test_progress_callback_sees_every_benchmark(self, tmp_path):
         seen = []
@@ -74,7 +77,7 @@ class TestRunMatrix:
             scale="tiny",
             cache_dir=tmp_path,
             jobs=2,
-            warp_sizes=(32,),
+            experiments=("fig1",),
             arches=(),
             progress=lambda abbr, done, total: seen.append((abbr, done, total)),
         )
@@ -91,22 +94,46 @@ class TestPrefetch:
 
     def test_serial_prefetch_without_cache_dir(self):
         runner = ExperimentRunner(scale="tiny")
-        stats = runner.prefetch(names=["HS"], jobs=1, arches=())
+        stats = runner.prefetch(names=["HS"], jobs=1, experiments=("fig1",), arches=())
         assert stats.trace_executions == 1
-        assert "HS" in runner._runs
+        assert ("HS", "fig1") in runner._summaries
+        # Nothing to warm, nothing executed.
+        idle = ExperimentRunner(scale="tiny")
+        assert idle.prefetch(names=["HS"], jobs=1, arches=()).trace_executions == 0
 
     def test_warm_prefetch_reports_zero_reexecutions(self, tmp_path):
         cold = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        cold.prefetch(names=SUBSET, jobs=2, warp_sizes=(32, 64))
+        cold.prefetch(names=SUBSET, jobs=2, experiments=("fig10",))
         assert cold.stats.trace_executions == 2 * len(SUBSET)
         warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        warm.prefetch(names=SUBSET, jobs=2, warp_sizes=(32, 64))
+        warm.prefetch(names=SUBSET, jobs=2, experiments=("fig10",))
+        # Every entry was current: no worker was dispatched at all.
         assert warm.stats.trace_executions == 0
-        assert warm.stats.counters["trace_cache_hits"] >= 2 * len(SUBSET)
+        assert warm.stats.counters == {}
+        for abbr in SUBSET:
+            warm.summary(abbr, "fig10")
+        assert warm.stats.counters == {"summary_cache_hits": len(SUBSET)}
 
     def test_prefetch_normalizes_names(self, tmp_path):
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        runner.prefetch(names=["hs"], jobs=1, arches=())
-        assert (tmp_path / "HS_tiny.v5.json").exists()
+        runner.prefetch(names=["hs"], jobs=1, experiments=("fig1",), arches=())
+        assert store.entry_path(tmp_path, "HS_tiny_fig1").exists()
         assert runner.run("HS").abbr == "HS"
         assert runner.stats.trace_executions == 1
+
+    def test_parent_executes_nothing_after_prefetching_what_all_reads(self, tmp_path):
+        """After a parallel prefetch of every summary and every
+        architecture ``repro all`` reads, the parent's own reads are all
+        hits: its trace executions are the workers' alone."""
+        runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        runner.prefetch(
+            names=SUBSET, jobs=2, experiments=SUMMARIES, arches=matrix_architectures()
+        )
+        workers = runner.stats.trace_executions
+        assert workers == 2 * len(SUBSET)
+        for abbr in SUBSET:
+            for name in SUMMARIES:
+                runner.summary(abbr, name)
+            for arch in matrix_architectures():
+                runner.power(abbr, arch)
+        assert runner.stats.trace_executions - workers == 0

@@ -1,11 +1,12 @@
 """Tests for the caching experiment runner."""
 
 import dataclasses
-import json
+import pickle
 
 import pytest
 
 from repro.config import ArchitectureConfig
+from repro.experiments import store
 from repro.experiments.runner import ExperimentRunner, RunnerStats
 from repro.experiments.sensitivity import sweep_latency_parameter
 from repro.obs.timeline import FlightRecorder
@@ -53,15 +54,23 @@ class TestRunner:
         assert power.ipc_per_watt > 0
 
     def test_warp64_traces(self, runner):
-        trace32 = runner.trace_with_warp_size("HS", 32)
-        trace64 = runner.trace_with_warp_size("HS", 64)
-        assert trace32.warp_size == 32
+        assert runner.run("HS").columnar.warp_size == 32
+        executions = runner.stats.trace_executions
+        trace64 = runner.execute("hs", 64)
         assert trace64.warp_size == 64
+        assert runner.stats.trace_executions == executions + 1
+        # Nothing is kept: the next call executes again.
+        assert runner.execute("HS", 64) is not trace64
 
     def test_warp64_case_insensitive(self, runner):
-        first = runner.trace_with_warp_size("HS", 64)
-        second = runner.trace_with_warp_size("hs", 64)
+        first = runner.summary("HS", "fig10")
+        second = runner.summary("hs", "fig10")
         assert first is second
+        assert [stats.warp_size for stats in first] == [32, 64]
+
+    def test_unknown_summary_rejected(self, runner):
+        with pytest.raises(KeyError):
+            runner.summary("HS", "fig11")
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -168,12 +177,12 @@ class TestRunnerStats:
         stats.add_time("classify", 0.5)
         other = RunnerStats()
         other.bump("trace_executions")
-        other.bump("trace_cache_hits", 3)
+        other.bump("result_cache_hits", 3)
         other.add_time("classify", 0.25)
         stats.merge(other)
         stats.merge(other.to_payload())
         assert stats.trace_executions == 4
-        assert stats.counters["trace_cache_hits"] == 6
+        assert stats.counters["result_cache_hits"] == 6
         assert stats.stage_seconds["classify"] == pytest.approx(1.0)
 
     def test_to_dict_round_trips_through_merge(self):
@@ -187,22 +196,29 @@ class TestRunnerStats:
 
 
 class TestTraceCache:
+    """The on-disk cache: one ``summary`` entry per (benchmark,
+    experiment) and one ``result`` entry per (benchmark, architecture),
+    keyed on the trace's fingerprint; traces themselves are never
+    stored."""
+
     def test_disk_cache_round_trip(self, tmp_path):
         first = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        run_a = first.run("HS")
-        assert (tmp_path / "HS_tiny.v5.json").exists()
+        stats_a = first.summary("HS", "fig1")
+        assert store.entry_path(tmp_path, "HS_tiny_fig1").exists()
         assert first.stats.trace_executions == 1
         second = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        run_b = second.run("HS")
+        stats_b = second.summary("HS", "fig1")
         assert second.stats.trace_executions == 0
-        assert second.stats.counters["trace_cache_hits"] == 1
-        assert run_a.columnar.num_events == run_b.columnar.num_events
-        assert run_a.columnar.masks.tolist() == run_b.columnar.masks.tolist()
+        assert second.stats.counters["summary_cache_hits"] == 1
+        assert stats_a == stats_b
+        # The cache holds no trace and no classified columns.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"HS_tiny_fig1{store.ENTRY_SUFFIX}"
+        ]
 
     def test_cold_miss_packs_each_trace_once(self, tmp_path, monkeypatch):
-        """A cold cached run packs each executed trace exactly once: the
-        packed object is both what the cache stores and what the run
-        returns."""
+        """A cold cached run packs each executed trace exactly once;
+        Figure 10's warp-64 trace is executed for its summary only."""
         from repro.simt.trace import ColumnarTrace
 
         packed = []
@@ -215,94 +231,77 @@ class TestTraceCache:
         monkeypatch.setattr(ColumnarTrace, "pack", classmethod(counting))
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         assert runner.run("HS").columnar.warp_size == 32
-        assert runner.trace_with_warp_size("HS", 64).warp_size == 64
+        runner.summary("HS", "fig10")
+        runner.summary("HS", "fig1")
         assert packed == [32, 64]
 
-    def test_warp64_trace_cached_on_disk(self, tmp_path):
+    def test_fig10_summary_cached_on_disk(self, tmp_path):
         first = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        trace_a = first.trace_with_warp_size("hs", 64)
-        assert (tmp_path / "HS_tiny_w64.v5.json").exists()
+        stats_a = first.summary("hs", "fig10")
+        assert first.stats.trace_executions == 2  # warp 32 + warp 64
         second = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        trace_b = second.trace_with_warp_size("HS", 64)
+        assert second.summary("HS", "fig10") == stats_a
         assert second.stats.trace_executions == 0
-        assert trace_b.warp_size == 64
-        assert trace_a.masks.tolist() == trace_b.masks.tolist()
-
-    def test_warp_sizes_do_not_collide_in_cache(self, tmp_path):
-        runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        runner.run("HS")
-        runner.trace_with_warp_size("HS", 64)
-        assert (tmp_path / "HS_tiny.v5.json").exists()
-        assert (tmp_path / "HS_tiny_w64.v5.json").exists()
-        fresh = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        assert fresh.trace_with_warp_size("HS", 64).warp_size == 64
-        assert fresh.run("HS").warp_size == 32
 
     def test_fingerprint_mismatch_triggers_reexecution(self, tmp_path):
-        import json
-
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        good = seeded.run("HS").columnar
-        manifest = tmp_path / "HS_tiny.v5.json"
-        # Rewrite the manifest under a wrong fingerprint, simulating a
-        # kernel/scale edit since the trace was recorded.  The peek is
-        # cheap — staleness is decided before any bank is mapped.
-        doc = json.loads(manifest.read_text())
-        doc["fingerprint"] = "0" * 16
-        manifest.write_text(json.dumps(doc))
+        good = seeded.summary("HS", "fig1")
+        path = store.entry_path(tmp_path, "HS_tiny_fig1")
+        # Rewrite the header under a wrong fingerprint, simulating a
+        # kernel/scale edit since the summary was built.
+        with open(path, "rb") as handle:
+            layout, kind, _ = pickle.load(handle)
+            payload = handle.read()
+        path.write_bytes(pickle.dumps((layout, kind, "0" * 16)) + payload)
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        run = runner.run("HS")
+        assert runner.summary("HS", "fig1") == good
         assert runner.stats.trace_executions == 1
-        assert runner.stats.counters["trace_cache_invalid"] == 1
+        assert runner.stats.counters["cache_invalid"] == 1
         # The stale entry was overwritten with a valid one.
         verifier = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        verifier.run("HS")
+        verifier.summary("HS", "fig1")
         assert verifier.stats.trace_executions == 0
-        assert run.columnar.num_events == good.num_events
 
     def test_corrupt_cache_file_recovered(self, tmp_path):
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        expected = seeded.run("HS").columnar.num_events
-        path = tmp_path / "HS_tiny.v5.json"
-        path.write_bytes(b"not a manifest")
+        expected = seeded.summary("HS", "fig1")
+        store.entry_path(tmp_path, "HS_tiny_fig1").write_bytes(b"not an entry")
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        run = runner.run("HS")
-        assert run.columnar.num_events == expected
+        assert runner.summary("HS", "fig1") == expected
         assert runner.stats.trace_executions == 1
-        assert runner.stats.counters["trace_cache_invalid"] == 1
+        assert runner.stats.counters["cache_invalid"] == 1
         # And the overwrite repaired the cache for the next process.
         repaired = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        repaired.run("HS")
+        repaired.summary("HS", "fig1")
         assert repaired.stats.trace_executions == 0
 
     def test_corrupt_sidecar_recovered(self, tmp_path):
-        """A damaged derived entry — a garbage classified-columns
-        manifest, a garbage result object bank — is recomputed."""
+        """A damaged result entry is recomputed."""
         arch = ArchitectureConfig.gscalar()
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         expected = seeded.power("HS", arch).ipc_per_watt
-        (tmp_path / "HS_tiny_ccols.v5.json").write_bytes(b"junk")
-        (timing_bank,) = tmp_path.glob(f"HS_tiny_results_{arch.name}.*.v5/timing.pkl")
-        timing_bank.write_bytes(b"junk")
+        store.entry_path(tmp_path, f"HS_tiny_results_{arch.name}").write_bytes(b"junk")
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         assert runner.power("HS", arch).ipc_per_watt == expected
-        assert runner.stats.counters["sidecar_invalid"] >= 2
-        assert runner.stats.counters["result_cache_misses"] >= 1
+        assert runner.stats.counters["cache_invalid"] == 1
+        assert runner.stats.counters["result_cache_misses"] == 1
 
     def test_result_sidecars_replay_timing_and_power(self, tmp_path):
-        """Timing and power persist as one v5 ``result`` entry whose
+        """Timing and power persist as one ``result`` entry whose
         replay equals the computed objects."""
         arch = ArchitectureConfig.gscalar()
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         timing = seeded.timing("HS", arch)
         power = seeded.power("HS", arch)
-        manifest = tmp_path / f"HS_tiny_results_{arch.name}.v5.json"
-        assert json.loads(manifest.read_text())["kind"] == "result"
+        stem = f"HS_tiny_results_{arch.name}"
+        assert store.entry_is_current(
+            tmp_path, stem, seeded._result_entry("HS", arch)[1], "result"
+        )
         warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         assert warm.power("HS", arch) == power
         assert warm.timing("HS", arch) == timing
         assert warm.stats.counters["result_cache_hits"] == 1
-        assert warm.stats.counters["bytes_deserialized"] > 0
+        assert warm.stats.trace_executions == 0
         assert "timing" not in warm.stats.stage_seconds
 
     def test_cold_pair_probes_its_result_entry_once(self, tmp_path):
@@ -345,30 +344,35 @@ class TestTraceCache:
         assert tweaked.stats.counters.get("result_cache_hits", 0) == 0
         assert tweaked.stats.counters["result_cache_misses"] >= 1
 
-    def test_stale_sidecar_skipped_without_unpickling(self, tmp_path):
+    def test_stale_sidecar_skipped_without_unpickling(self, tmp_path, monkeypatch):
         """A result entry left by different energy params is rejected
-        from its manifest's fingerprint alone: no object bank is
+        from its header's fingerprint alone: its payload is never
         unpickled to find out."""
         from repro.power.energy import EnergyParams
 
         arch = ArchitectureConfig.gscalar()
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         seeded.power("HS", arch)
+        loads = []
+        original = pickle.load
+        monkeypatch.setattr(
+            store.pickle, "load", lambda handle: loads.append(1) or original(handle)
+        )
         tweaked = ExperimentRunner(
             scale="tiny", cache_dir=tmp_path, params=EnergyParams(alu_lane_pj=99.0)
         )
         tweaked.power("HS", arch)
         counters = tweaked.stats.counters
-        assert counters["sidecar_invalid"] >= 1
-        assert counters["result_cache_misses"] >= 1
-        assert counters.get("bytes_deserialized", 0) == 0
+        assert counters["cache_invalid"] == 1
+        assert counters["result_cache_misses"] == 1
+        assert loads == [1]  # the header only
 
 
 def _write_pre_v5_cache(cache_dir):
-    """A cache left by an older checkout: an HS ``.npz`` trace archive
-    and pickle sidecars under a fingerprint no current input produces."""
+    """A cache left by older checkouts: an HS ``.npz`` trace archive,
+    pickle sidecars and v5 manifests under a fingerprint no current
+    input produces."""
     import json
-    import pickle
 
     import numpy as np
 
@@ -387,30 +391,41 @@ def _write_pre_v5_cache(cache_dir):
         values=columnar.values,
     )
     stale = {"fingerprint": "0" * 16, "classified": [], "timing": None, "power": None}
-    sidecars = ["HS_tiny_classified.pkl"] + [
-        f"HS_tiny_results_{arch.name}.pkl" for arch in matrix_architectures()
+    stems = ["HS_tiny", "HS_tiny_ccols"] + [
+        f"HS_tiny_results_{arch.name}" for arch in matrix_architectures()
     ]
-    for name in sidecars:
-        (cache_dir / name).write_bytes(pickle.dumps(stale))
+    for stem in stems:
+        (cache_dir / f"{stem}.pkl").write_bytes(pickle.dumps(stale))
+        manifest = {"layout": 5, "kind": "result", "fingerprint": "0" * 16,
+                    "bank_dir": f"{stem}.{'0' * 16}.v5", "arrays": [], "objects": []}
+        (cache_dir / f"{stem}.v5.json").write_text(json.dumps(manifest))
+    return sorted(path.name for path in cache_dir.iterdir())
 
 
 class TestTransport:
     def test_pre_v5_entries_are_a_miss(self, tmp_path):
         """Old cache files are never read or migrated: the runner
-        executes once, replays none of the old sidecars and writes v5."""
+        executes once, replays none of them and writes current entries
+        beside them."""
         from repro.experiments.runner import matrix_architectures
 
-        _write_pre_v5_cache(tmp_path)
+        old = _write_pre_v5_cache(tmp_path)
         cold = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         for arch in matrix_architectures():
             assert cold.power("HS", arch).ipc_per_watt > 0
         assert cold.stats.trace_executions == 1
         assert cold.stats.counters.get("result_cache_hits", 0) == 0
-        assert (tmp_path / "HS_tiny.v5.json").exists()
+        assert "cache_invalid" not in cold.stats.counters
+        new = sorted(set(p.name for p in tmp_path.iterdir()) - set(old))
+        assert new == sorted(
+            f"HS_tiny_results_{arch.name}{store.ENTRY_SUFFIX}"
+            for arch in matrix_architectures()
+        )
 
     def test_warm_hit_matches_uncached_runner(self, tmp_path, runner):
-        """After the miss, a warm run maps the v5 entry and reports the
-        same power as a runner without any cache, on every architecture."""
+        """After the miss, a warm run reads the current entries and
+        reports the same power as a runner without any cache, on every
+        architecture, without executing."""
         from repro.experiments.runner import matrix_architectures
 
         _write_pre_v5_cache(tmp_path)
@@ -421,4 +436,4 @@ class TestTransport:
         for arch in matrix_architectures():
             assert warm.power("HS", arch) == runner.power("HS", arch)
         assert warm.stats.trace_executions == 0
-        assert warm.stats.counters["bytes_mapped"] > 0
+        assert warm.stats.counters["result_cache_hits"] == len(matrix_architectures())

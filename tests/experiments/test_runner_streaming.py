@@ -47,7 +47,7 @@ def warm_cache(tmp_path_factory, whole_reference):
 
 def _drop_result_sidecars(cache):
     removed = 0
-    for path in cache.glob("*_results_*.v5.json"):
+    for path in cache.glob(f"*_results_*{store.ENTRY_SUFFIX}"):
         path.unlink()
         removed += 1
     assert removed > 0
@@ -158,7 +158,7 @@ class TestParallelPassthrough:
     def test_task_fields_default(self):
         task = MatrixTask(
             abbr="HS", scale="tiny", cache_dir="/nonexistent",
-            warp_sizes=(32,), arches=ARCHES[:1], config=None, params=None,
+            experiments=(), arches=ARCHES[:1], config=None, params=None,
         )
         assert task.chunk_events is None
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.static_ import StaticScalarClass, analyze_uniformity
+from repro.analysis.static_.widths import analyze_widths
 from repro.experiments import staticdyn
 from repro.experiments.runner import ExperimentRunner
 from repro.isa import KernelBuilder
@@ -212,7 +213,7 @@ class TestWidthSoundness:
         kernel = b.finish()
         trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage())
         row = staticdyn.score_widths_benchmark(
-            "N", kernel, columns_of(kernel, trace)
+            "N", kernel, columns_of(kernel, trace), analyze_widths(kernel, warp_size=32)
         )
         assert row.over_claims == 0
         assert row.claimed_bytes > 0

@@ -20,7 +20,7 @@ from repro.experiments.runner import matrix_architectures
 from repro.experiments.streaming import StreamingPipeline, stream_pipeline
 from repro.power.accounting import PowerAccountant
 from repro.scalar.arch_batch import process_columns
-from repro.scalar.columns import ClassifiedColumns
+from repro.scalar.columns import CLASSIFIED_ARRAY_FIELDS, ClassifiedColumns
 from repro.simt import run_kernel
 from repro.simt.trace import iter_chunks
 from repro.timing.gpu import simulate_architecture_columns
@@ -92,10 +92,10 @@ def workload_case(abbr: str) -> dict:
 
 def assert_classified_identical(expected: ClassifiedColumns, actual: ClassifiedColumns):
     assert actual.warp_size == expected.warp_size
-    want, got = expected.as_arrays(), actual.as_arrays()
-    assert sorted(want) == sorted(got)
-    for name, array in want.items():
-        assert np.array_equal(array, got[name]), f"classified column {name} differs"
+    for name in CLASSIFIED_ARRAY_FIELDS:
+        assert np.array_equal(
+            getattr(expected, name), getattr(actual, name)
+        ), f"classified column {name} differs"
 
 
 def stream_case(case: dict, chunk_events: int):

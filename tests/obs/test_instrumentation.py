@@ -48,32 +48,6 @@ class TestExecutorMetrics:
         assert "warp" in cats
 
 
-class TestTraceCacheMetrics:
-    def test_cache_hit_records_what_execution_recorded(self, tmp_path):
-        from repro.experiments.runner import ExperimentRunner
-
-        registries, runners = [], []
-        for _ in range(2):
-            with telemetry_session() as telemetry:
-                runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-                runner.run("BP")
-                runner.trace_with_warp_size("BP", 64)
-            registries.append(telemetry)
-            runners.append(runner)
-        executed, hit = registries
-        assert runners[0].stats.trace_executions == 2
-        assert runners[1].stats.trace_executions == 0
-        assert runners[1].stats.counters["trace_cache_hits"] == 2
-        assert executed.counters_named("instructions")
-        assert hit.counters_named("instructions") == executed.counters_named(
-            "instructions"
-        )
-        assert executed.histogram("warp_instructions")
-        assert hit.histogram("warp_instructions") == executed.histogram(
-            "warp_instructions"
-        )
-
-
 class TestTrackerMetrics:
     def test_scalar_class_totals_match_classification(self):
         telemetry, trace, _ = _run_instrumented("BP")

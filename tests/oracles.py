@@ -504,7 +504,7 @@ def processed_events(runner, abbr, arch, classified=None):
     return process_classified(
         classified,
         arch,
-        run.warp_size,
+        run.columnar.warp_size,
         static_widths=widths,
     )
 
@@ -519,7 +519,7 @@ def reference_timing_and_power(runner, abbr, arch):
     run = runner.run(abbr)
     processed = processed_events(runner, abbr, arch)
     timing = SmSimulator(
-        lower_to_timing_ops(processed, arch, runner.config, run.warp_size),
+        lower_to_timing_ops(processed, arch, runner.config, run.columnar.warp_size),
         runner.config,
         extra_latency=arch.extra_pipeline_cycles,
         warps_per_cta=runner.warps_per_cta(abbr),

@@ -109,7 +109,7 @@ def test_wc_bdi_matches_event_walk(small_runner, abbr):
     run = small_runner.run(abbr)
     columnar = rf_energy_for_technique(run.columnar, "wc_bdi")
     oracle = wc_bdi_energy_events(
-        classified_events(small_runner, abbr), run.warp_size
+        classified_events(small_runner, abbr), run.columnar.warp_size
     )
     assert columnar.accesses == oracle.accesses
     assert columnar.rf_pj == pytest.approx(oracle.rf_pj, rel=1e-12, abs=0)
@@ -126,6 +126,6 @@ def test_power_report_rf_energy_is_the_technique_energy(small_runner, abbr):
             small_runner.processed_columns(abbr, arch), technique
         )
         assert result.rf_pj == small_runner.power(abbr, arch).breakdown.rf_pj
-        oracle = rf_energy_events(classified, technique, run.warp_size)
+        oracle = rf_energy_events(classified, technique, run.columnar.warp_size)
         assert result.accesses == oracle.accesses
         assert result.rf_pj == pytest.approx(oracle.rf_pj, rel=1e-12, abs=0)
