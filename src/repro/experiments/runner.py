@@ -21,7 +21,8 @@ timing and power result also persist on disk as one-file entries
 (:mod:`repro.experiments.store`), so they are shared *across*
 processes.  Traces, classified and processed columns are memoized in
 memory only: a warm run derives every entry's fingerprint from the
-built workload, hits every entry and executes nothing.
+built workload, hits every entry and executes nothing.  A cache-less
+runner derives no fingerprint at all.
 
 Each stage has one engine: the vectorized classifier, the columnar
 architecture interpretation and power accounting, and the event-driven
@@ -349,10 +350,22 @@ class ExperimentRunner:
     def _stage_stem(self, key: str, stage: str) -> str:
         return f"{key}_{self.scale.name}_{stage}"
 
-    def _load(self, stem: str, fingerprint: str, kind: str) -> Any:
-        """A clean hit's payload, or ``None``; counts the outcome."""
+    def _through_cache(
+        self,
+        kind: str,
+        entry: Callable[[], tuple[str, str]],
+        compute: Callable[[], Any],
+    ) -> Any:
+        """``compute()``'s payload, through one ``kind`` cache entry.
+
+        With ``cache_dir`` set, a clean hit is returned and a miss is
+        computed and stored, each outcome counted; ``entry`` gives the
+        entry's ``(stem, fingerprint)``.  A cache-less runner computes
+        directly and never derives a key.
+        """
         if self.cache_dir is None:
-            return None
+            return compute()
+        stem, fingerprint = entry()
         payload, status = store.load_entry(self.cache_dir, stem, fingerprint, kind)
         if status == "hit":
             self.stats.bump(f"{kind}_cache_hits")
@@ -361,13 +374,11 @@ class ExperimentRunner:
             self._log(f"discarding {status} {kind} entry {stem}")
             self.stats.bump("cache_invalid")
         self.stats.bump(f"{kind}_cache_misses")
-        return None
-
-    def _store(self, stem: str, fingerprint: str, kind: str, payload: Any) -> None:
-        if self.cache_dir is not None:
-            store.store_entry(
-                self.cache_dir, stem, fingerprint=fingerprint, kind=kind, payload=payload
-            )
+        payload = compute()
+        store.store_entry(
+            self.cache_dir, stem, fingerprint=fingerprint, kind=kind, payload=payload
+        )
+        return payload
 
     # ------------------------------------------------------------------
     # Trace stage.
@@ -498,12 +509,11 @@ class ExperimentRunner:
         key = self._normalize(abbr)
         builder = BUILDERS[name]
         if (key, name) not in self._summaries:
-            stem, fingerprint = self._summary_entry(key, name)
-            payload = self._load(stem, fingerprint, "summary")
-            if payload is None:
-                payload = builder(self, key)
-                self._store(stem, fingerprint, "summary", payload)
-            self._summaries[(key, name)] = payload
+            self._summaries[(key, name)] = self._through_cache(
+                "summary",
+                lambda: self._summary_entry(key, name),
+                lambda: builder(self, key),
+            )
         return self._summaries[(key, name)]
 
     def _summary_entry(self, key: str, name: str) -> tuple[str, str]:
@@ -555,18 +565,17 @@ class ExperimentRunner:
     def _results(self, key: str, arch: ArchitectureConfig) -> None:
         """Fill timing and power for one pair.
 
-        Probes the ``result`` entry once; on a miss, computes timing and
-        power together — whole-trace, or streamed when ``chunk_events``
-        is set — and stores them as one entry.
+        Probes the ``result`` entry once (with a cache directory); on a
+        miss, computes timing and power together — whole-trace, or
+        streamed when ``chunk_events`` is set — and stores them as one
+        entry.
         """
-        stem, fingerprint = self._result_entry(key, arch)
-        pair = self._load(stem, fingerprint, "result")
-        if pair is None:
-            if self.chunk_events is not None:
-                pair = self._compute_streamed(key, arch)
-            else:
-                pair = self._compute_whole(key, arch)
-            self._store(stem, fingerprint, "result", pair)
+        compute = (
+            self._compute_whole if self.chunk_events is None else self._compute_streamed
+        )
+        pair = self._through_cache(
+            "result", lambda: self._result_entry(key, arch), lambda: compute(key, arch)
+        )
         self._timing[(key, arch.name)], self._power[(key, arch.name)] = pair
 
     def simulate_sm(

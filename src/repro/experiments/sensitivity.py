@@ -44,6 +44,22 @@ class SweepPoint:
     mean_alu_scalar_gain: float
 
 
+def _power_aggregates(runner, names, arches) -> dict:
+    """Each (benchmark, architecture name) pair's power aggregates.
+
+    Activity counts depend on neither the energy parameters nor the
+    latencies, so a sweep reduces each processed trace once and
+    re-evaluates the aggregates per point.
+    """
+    return {
+        (abbr, arch.name): PowerAccountant(
+            arch, runner.params, runner.config
+        ).aggregates_from_columns(runner.processed_columns(abbr, arch))
+        for abbr in names
+        for arch in arches
+    }
+
+
 def sweep_energy_parameter(
     runner,
     parameter: str,
@@ -68,15 +84,9 @@ def sweep_energy_parameter(
     for factor in scale_factors:
         if factor <= 0:
             raise ConfigError(f"scale factors must be positive, got {factor}")
-    # Activity counts do not depend on the energy parameters: reduce each
-    # processed trace once, then re-evaluate the aggregates per point.
-    aggregates = {
-        (abbr, arch.name): PowerAccountant(
-            arch, runner.params, runner.config
-        ).aggregates_from_columns(runner.processed_columns(abbr, arch))
-        for abbr in names
-        for arch in (baseline_arch, alu_arch, gscalar_arch)
-    }
+    aggregates = _power_aggregates(
+        runner, names, (baseline_arch, alu_arch, gscalar_arch)
+    )
 
     points = []
     for factor in scale_factors:
@@ -131,6 +141,7 @@ def sweep_latency_parameter(
     factors that round to one latency share their simulations.
     Latencies are integers: each point uses ``max(1, round(base *
     factor))`` cycles.  Every factor is validated before any work.
+    Each pair's power aggregates are reduced once, before the points.
     """
     if parameter not in SWEEPABLE_LATENCIES:
         raise ConfigError(
@@ -145,6 +156,9 @@ def sweep_latency_parameter(
     for factor in scale_factors:
         if factor <= 0:
             raise ConfigError(f"scale factors must be positive, got {factor}")
+    aggregates = _power_aggregates(
+        runner, names, (baseline_arch, alu_arch, gscalar_arch)
+    )
 
     points = []
     for factor in scale_factors:
@@ -155,10 +169,11 @@ def sweep_latency_parameter(
         for abbr in names:
             efficiencies = {}
             for arch in (baseline_arch, alu_arch, gscalar_arch):
-                processed = runner.processed_columns(abbr, arch)
                 timing = runner.simulate_sm(abbr, arch, config)
                 accountant = PowerAccountant(arch, runner.params, config)
-                report = accountant.account_columns(processed, timing)
+                report = accountant.account_aggregates(
+                    aggregates[(abbr, arch.name)], timing
+                )
                 efficiencies[arch.name] = report.ipc_per_watt
             gscalar_gain += efficiencies["gscalar"] / efficiencies["baseline"]
             alu_gain += efficiencies["alu_scalar"] / efficiencies["baseline"]

@@ -18,7 +18,10 @@ chunks at every layer:
   :meth:`~repro.timing.ops.TimingOpTable.concat` joins them, merging a
   warp a chunk boundary cut.  Both SM engines schedule whole warps, so
   the single simulation pass at :meth:`StreamingPipeline.finish` is the
-  one whole-trace barrier the stream keeps;
+  one whole-trace barrier the stream keeps; the event engine compiles
+  the joined table's rows per block of CTAs as they activate and frees
+  them at retirement, so it holds the table plus the rows of the
+  resident CTAs and one compile block;
 * power — each chunk reduces to an integer
   :class:`repro.power.accounting._PowerAggregates`, merged additively
   and evaluated once, which is exact.

@@ -56,8 +56,11 @@ def simulate_warp_ops(
     :meth:`TimingOpTable.concat`; this entry point runs the simulation
     once over the joined table — the SM engine schedules whole warps,
     so this is the one whole-trace barrier the stream keeps.  The
-    runner's SM memo calls it with a table it has already lowered and
-    digested (:meth:`TimingOpTable.digest`).
+    engine compiles the table's rows a block of CTAs at a time as they
+    activate and frees them at retirement, so past the table itself
+    the barrier holds only the resident CTAs' rows and one compile
+    block.  The runner's SM memo calls it with a table it has already
+    lowered and digested (:meth:`TimingOpTable.digest`).
     """
     return EventSmSimulator(
         table,

@@ -2,14 +2,14 @@
 
 :class:`EventSmSimulator` runs a :class:`~repro.timing.ops.TimingOpTable`
 (the output of :func:`~repro.timing.ops.build_timing_ops_columns`),
-compiling its columns straight into flat per-op rows.  Over the same
-ops, the cycle-level ``SmSimulator`` reference in ``tests/reference``
-produces a **bit-identical**
-:class:`~repro.timing.sm.TimingResult` — cycles,
-instruction counts, memory counters, per-scheduler issue counts, bank
-conflict counters and per-scheduler stall-cause attributions all match
-exactly (the differential suite pins this on all 17 workloads × 5
-architectures).  What differs is how time advances:
+compiling its columns straight into flat per-op rows as CTAs activate.
+Over the same ops, the cycle-level ``SmSimulator`` reference in
+``tests/reference`` produces a **bit-identical**
+:class:`~repro.timing.sm.TimingResult` — cycles, instruction counts,
+memory counters, per-scheduler issue counts, bank conflict counters and
+per-scheduler stall-cause attributions all match exactly (the
+differential suite pins this on all 17 workloads × 5 architectures).
+What differs is how time advances:
 
 * the cycle model *rescans* every warp slot, collector and pipeline
   port once per cycle — O(resident warps) of scoreboard checks per
@@ -23,10 +23,16 @@ architectures).  What differs is how time advances:
 
 The per-cycle state is kept in the cheapest form each check needs:
 
+* **compiled rows** exist only for warps near residency: activation
+  compiles whole CTAs a block at a time (at least
+  ``_COMPILE_BLOCK_ROWS`` table rows, so a small table compiles in one
+  call) and retirement drops a warp's rows, so the engine's Python
+  objects are bounded by the resident CTAs plus one block rather than
+  by the table — there is no whole-table compile before cycle 0;
 * **scoreboards** are one int per warp with bit *r* set while register
   *r* is in flight; each compiled row carries a *hazard mask* (its
-  destination OR its sources, built per compile block and shared
-  between equal rows), so an op is scoreboard-ready when the two ints
+  destination OR its sources, interned across compile blocks so equal
+  rows share one int), so an op is scoreboard-ready when the two ints
   do not intersect;
 * **ready sets** are one bitmask per scheduler over its partition
   positions (slot *s* is bit ``s // n`` of scheduler ``s % n``): GTO
@@ -112,7 +118,8 @@ _MEM_SEGMENTS = 9
 _IS_SHARED = 10
 _IS_STORE = 11
 
-#: Table rows compiled per step (bounds the compile's temporary lists).
+#: Fewest table rows one compile block holds (unless the table runs
+#: out): activation compiles whole CTAs up to this floor at a time.
 _COMPILE_BLOCK_ROWS = 16384
 
 #: Registers per NumPy word while hazard masks are built.
@@ -207,9 +214,13 @@ class EventSmSimulator:
             )
 
     # ------------------------------------------------------------------
-    def _compile(self) -> list[list[tuple]]:
-        """Pre-resolve every op's static timing facts into flat tuples,
-        one list per warp, straight from the table's columns."""
+    def _compile_rows(self, lo: int, hi: int, interned: dict[int, int]) -> list[tuple]:
+        """Pre-resolve table rows ``lo:hi``'s static timing facts into
+        flat tuples, straight from the table's columns.
+
+        ``interned`` shares equal hazard masks between calls, so a run
+        that compiles block by block holds one int per distinct mask.
+        """
         table = self.table
         config = self.config
         # Pipeline port and write-back latency per category code; a MEM
@@ -223,44 +234,35 @@ class EventSmSimulator:
                 OpCategory.MEM: (_PORT_MEM, 0),
                 OpCategory.SFU: (_PORT_SFU, config.sfu_latency),
             }[category]
-        codes = table.category_codes
+        codes = table.category_codes[lo:hi]
         port = port_of[codes]
         latency = np.where(
-            table.long_latency & (codes == _ALU_CODE),
+            table.long_latency[lo:hi] & (codes == _ALU_CODE),
             config.long_alu_latency,
             latency_of[codes],
         )
         delta = np.where(
             port == _PORT_MEM,
             -1,
-            table.dispatch_cycles + latency + self.extra_latency,
+            table.dispatch_cycles[lo:hi] + latency + self.extra_latency,
         )
-        is_ctrl = codes == CTRL_CODE
-        rows: list[tuple] = []
-        interned: dict[int, int] = {}
-        # Block by block, so the per-column Python lists built on the
-        # way stay small next to the rows they become.
-        for lo in range(0, table.num_ops, _COMPILE_BLOCK_ROWS):
-            hi = min(lo + _COMPILE_BLOCK_ROWS, table.num_ops)
-            dst_bits, hazards = _register_masks(table, lo, hi, interned)
-            rows.extend(
-                zip(
-                    dst_bits,
-                    hazards,
-                    _ragged_tuples(table.src_banks, table.src_offsets, lo, hi),
-                    table.dispatch_cycles[lo:hi].tolist(),
-                    port[lo:hi].tolist(),
-                    delta[lo:hi].tolist(),
-                    is_ctrl[lo:hi].tolist(),
-                    table.is_barrier[lo:hi].tolist(),
-                    table.inserted[lo:hi].tolist(),
-                    _ragged_tuples(table.segments, table.seg_offsets, lo, hi),
-                    table.is_shared_mem[lo:hi].tolist(),
-                    table.is_store[lo:hi].tolist(),
-                )
+        dst_bits, hazards = _register_masks(table, lo, hi, interned)
+        return list(
+            zip(
+                dst_bits,
+                hazards,
+                _ragged_tuples(table.src_banks, table.src_offsets, lo, hi),
+                table.dispatch_cycles[lo:hi].tolist(),
+                port.tolist(),
+                delta.tolist(),
+                (codes == CTRL_CODE).tolist(),
+                table.is_barrier[lo:hi].tolist(),
+                table.inserted[lo:hi].tolist(),
+                _ragged_tuples(table.segments, table.seg_offsets, lo, hi),
+                table.is_shared_mem[lo:hi].tolist(),
+                table.is_store[lo:hi].tolist(),
             )
-        bounds = table.warp_bounds().tolist()
-        return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        )
 
     # ------------------------------------------------------------------
     def run(self, max_cycles: int = 50_000_000) -> TimingResult:
@@ -269,8 +271,13 @@ class EventSmSimulator:
         if num_warps == 0:
             return TimingResult(cycles=0, instructions=0, memory_counts=self.memory.counts)
 
-        compiled = self._compile()
-        oplen = [len(rows) for rows in compiled]
+        table = self.table
+        oplen = table.warp_lengths.tolist()
+        bounds = table.warp_bounds().tolist()
+        # A warp's compiled rows, from just before its CTA activates
+        # until it retires (None outside that span).
+        compiled: list[list[tuple] | None] = [None] * num_warps
+        interned: dict[int, int] = {}
         warps_per_cta = self.warps_per_cta
         extra = self.extra_latency
         memory = self.memory
@@ -365,6 +372,17 @@ class EventSmSimulator:
                     return STALL_SCOREBOARD
             return cause
 
+        def compile_ctas(first: int) -> None:
+            """Compile whole CTAs from warp ``first`` on, until the block
+            holds at least ``_COMPILE_BLOCK_ROWS`` rows or none are left."""
+            lo = bounds[first]
+            last = first
+            while last < num_warps and bounds[last] - lo < _COMPILE_BLOCK_ROWS:
+                last = min(last + warps_per_cta, num_warps)
+            rows = self._compile_rows(lo, bounds[last], interned)
+            for warp in range(first, last):
+                compiled[warp] = rows[bounds[warp] - lo : bounds[warp + 1] - lo]
+
         def activate_ctas() -> None:
             """GigaThread-style activation: whole CTAs, lowest slots first."""
             nonlocal next_warp_to_activate
@@ -372,6 +390,8 @@ class EventSmSimulator:
                 cta_size = min(warps_per_cta, num_warps - next_warp_to_activate)
                 if cta_size > len(free_slots):
                     break
+                if compiled[next_warp_to_activate] is None:
+                    compile_ctas(next_warp_to_activate)
                 for _ in range(cta_size):
                     slot = heappop(free_slots)
                     warp = next_warp_to_activate
@@ -635,6 +655,7 @@ class EventSmSimulator:
                     slot = warp_slot[warp]
                     warp_slot[warp] = -1
                     slot_warp[slot] = -1
+                    compiled[warp] = None
                     heappush(free_slots, slot)
                     scheduler_index = slot_scheduler[slot]
                     causes[scheduler_index] = -1

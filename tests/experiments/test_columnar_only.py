@@ -1,15 +1,16 @@
 """``repro all`` runs on columns alone, and a warm ``repro all`` renders
 from cached summaries and results alone: it executes, classifies,
-analyzes and simulates nothing.  ``tests/test_src_imports.py`` keeps
-the per-event reference engines out of reach of ``src/``."""
+analyzes and simulates nothing.  A cache-less ``repro all`` derives no
+cache key.  ``tests/test_src_imports.py`` keeps the per-event reference
+engines out of reach of ``src/``."""
 
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.experiments import cachekey, store, summary
 from repro.experiments import runner as runner_module
-from repro.experiments import store, summary
 
 ARGV = ["all", "--scale", "tiny", "--widths"]
 COMPUTE_STAGES = (
@@ -74,3 +75,15 @@ def test_forbidden_entry_points_are_the_ones_a_cold_run_calls(monkeypatch, name)
         runner.summary("HS", "extras")
         for arch in matrix_architectures():
             runner.power("HS", arch)
+
+
+def test_cacheless_run_derives_no_cache_key(capsys, monkeypatch):
+    """Without a cache directory no entry is probed or stored, so no
+    fingerprint is hashed."""
+
+    def refuse(*parts):
+        raise AssertionError("a cache-less run computed a fingerprint")
+
+    monkeypatch.setattr(cachekey, "fingerprint", refuse)
+    assert main(["all", "--scale", "tiny"]) == 0
+    assert capsys.readouterr().out

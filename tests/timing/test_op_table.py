@@ -13,6 +13,7 @@ production paths never build a :class:`~tests.reference.timing.TimingOp`.
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from tests.reference.timing import (
     to_ops,
 )
 from tests.reference.trace import to_trace
+from tests.timing.test_sm_event import many_cta_warps
 
 
 def assert_tables_identical(expected: TimingOpTable, actual: TimingOpTable) -> None:
@@ -306,17 +308,53 @@ class TestConcat:
 
 
 class TestEventCompile:
-    def test_compile_blocks_do_not_change_rows(self, lc_tiny, monkeypatch):
-        _, _, ccols, _ = lc_tiny
-        arch = ArchitectureConfig.gscalar()
+    def test_block_compiles_equal_one_range_compile(self):
+        """Whatever the block floor, a run compiles every row exactly
+        once, whole CTAs per block in row order, into the tuple one
+        whole-range compile gives it."""
         config = GpuConfig()
-        table = build_timing_ops_columns(
-            ccols, process_columns(ccols, arch), arch, config
+        arch = ArchitectureConfig.gscalar()
+        runner = ExperimentRunner(scale="small")
+        lbm = build_timing_ops_columns(
+            runner.classified_columns("LBM"),
+            runner.processed_columns("LBM", arch),
+            arch,
+            config,
         )
-        whole = EventSmSimulator(table, config, extra_latency=3)._compile()
-        monkeypatch.setattr(sm_event, "_COMPILE_BLOCK_ROWS", 7)
-        assert EventSmSimulator(table, config, extra_latency=3)._compile() == whole
-        assert [len(rows) for rows in whole] == table.warp_lengths.tolist()
+        # LBM: four 4-warp CTAs; then 3-warp CTAs with barriers; then
+        # 5-row CTAs, two to a 7-row block.
+        cases = [
+            (lbm, runner.warps_per_cta("LBM")),
+            (from_ops(many_cta_warps(24, 40, seed=1)), 3),
+            (from_ops(many_cta_warps(24, 5, seed=2)), 1),
+        ]
+        compile_rows = EventSmSimulator._compile_rows
+        for table, warps_per_cta in cases:
+            whole = EventSmSimulator(table, config, extra_latency=3)._compile_rows(
+                0, table.num_ops, {}
+            )
+            cta_starts = set(table.warp_bounds()[::warps_per_cta].tolist())
+            for block_rows in (1, 7, 16384):
+                blocks = []
+
+                def spy(self, lo, hi, interned):
+                    rows = compile_rows(self, lo, hi, interned)
+                    blocks.append((lo, hi, rows))
+                    return rows
+
+                simulator = EventSmSimulator(
+                    table, config, extra_latency=3, warps_per_cta=warps_per_cta
+                )
+                with mock.patch.object(
+                    sm_event, "_COMPILE_BLOCK_ROWS", block_rows
+                ), mock.patch.object(EventSmSimulator, "_compile_rows", spy):
+                    simulator.run()
+                starts = [lo for lo, _, _ in blocks]
+                assert starts == [0] + [hi for _, hi, _ in blocks[:-1]]
+                assert blocks[-1][1] == table.num_ops
+                assert set(starts) <= cta_starts
+                assert [row for *_, rows in blocks for row in rows] == whole
+            assert len(blocks) == 1  # the default floor: one block
 
 
 # ----------------------------------------------------------------------
