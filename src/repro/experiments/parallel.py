@@ -110,7 +110,9 @@ def run_matrix(
     order.  With ``telemetry`` set, every worker records into an
     enabled registry whose snapshot merges into the returned stats.
     ``chunk_events`` makes workers stream their compute in chunks.
-    Returns the stats aggregated over every worker.
+    Returns the stats aggregated over every worker.  The first worker
+    exception cancels the tasks not yet started and is re-raised once
+    the running ones finish.
     """
     arch_list = tuple(arches) if arches is not None else paper_architectures()
     tasks = [
@@ -138,12 +140,18 @@ def run_matrix(
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         pending = {pool.submit(execute_task, task): task for task in tasks}
         completed = 0
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                task = pending.pop(future)
-                stats.merge(future.result())
-                completed += 1
-                if progress is not None:
-                    progress(task.abbr, completed, len(tasks))
+        try:
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    task = pending.pop(future)
+                    stats.merge(future.result())
+                    completed += 1
+                    if progress is not None:
+                        progress(task.abbr, completed, len(tasks))
+        except BaseException:
+            # Fail fast: drop the queued tasks instead of letting the
+            # pool's exit run the rest of the matrix first.
+            pool.shutdown(cancel_futures=True)
+            raise
     return stats

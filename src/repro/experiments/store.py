@@ -52,17 +52,26 @@ def entry_path(cache_dir: str | Path, stem: str) -> Path:
 def store_entry(
     cache_dir: str | Path, stem: str, *, fingerprint: str, kind: str, payload: Any
 ) -> Path:
-    """Persist one cache entry atomically; returns its path."""
+    """Persist one cache entry atomically; returns its path.
+
+    A failed write (an unpicklable payload, a full disk, an interrupt)
+    removes its temp file and re-raises; the entry already on disk, if
+    any, is left as it was.
+    """
     final = entry_path(cache_dir, stem)
     tmp = final.with_name(f"{final.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as handle:
-        pickle.dump(
-            (CACHE_LAYOUT_VERSION, kind, fingerprint),
-            handle,
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, final)
+    try:
+        with open(tmp, "wb") as handle:
+            pickle.dump(
+                (CACHE_LAYOUT_VERSION, kind, fingerprint),
+                handle,
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, final)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return final
 
 

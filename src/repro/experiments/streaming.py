@@ -91,10 +91,6 @@ class StreamingPipeline:
     ``static_widths`` maps architecture name to the per-register
     ``enc`` table for ``static_compress`` interpretations (same value
     the whole-trace path feeds :func:`repro.scalar.arch_batch.process_columns`).
-    ``collect_timing_ops=False`` skips the timing lowering entirely —
-    the benchmark harness uses this to measure the bounded-memory
-    classify/process/account spine on its own (the op tables are the
-    one stage whose footprint grows with the trace).
 
     ``on_classified(chunk, ccols)`` / ``on_processed(chunk, arch, pcols)``
     observe each fragment as it is produced (tests reassemble them for
@@ -112,7 +108,6 @@ class StreamingPipeline:
         config: GpuConfig | None = None,
         params: EnergyParams | None = None,
         static_widths: dict[str, tuple[int, ...] | None] | None = None,
-        collect_timing_ops: bool = True,
         on_classified: Callable[[TraceChunk, ClassifiedColumns], None] | None = None,
         on_processed: (
             Callable[[TraceChunk, ArchitectureConfig, ProcessedColumns], None] | None
@@ -123,7 +118,6 @@ class StreamingPipeline:
         self.config = config or GpuConfig()
         self.params = params
         self.static_widths = static_widths or {}
-        self.collect_timing_ops = collect_timing_ops
         self.on_classified = on_classified
         self.on_processed = on_processed
 
@@ -178,10 +172,9 @@ class StreamingPipeline:
                 )
             )
 
-            if self.collect_timing_ops:
-                self.op_tables[arch.name].append(
-                    build_timing_ops_columns(ccols, pcols, arch, self.config)
-                )
+            self.op_tables[arch.name].append(
+                build_timing_ops_columns(ccols, pcols, arch, self.config)
+            )
 
         self.continued.append(chunk.first_warp_continued)
         self.num_events += chunk.num_events
@@ -198,11 +191,6 @@ class StreamingPipeline:
         """Run the SM simulation per architecture and evaluate power."""
         if self._finished:
             raise RuntimeError("StreamingPipeline.finish after finish")
-        if not self.collect_timing_ops:
-            raise RuntimeError(
-                "finish() needs timing ops; this pipeline was built with "
-                "collect_timing_ops=False (aggregates-only mode)"
-            )
         self._finished = True
         timing: dict[str, TimingResult] = {}
         power: dict[str, PowerReport] = {}

@@ -15,7 +15,7 @@ install an enabled one.
 
 from repro.obs.chrome_trace import chrome_trace, write_chrome_trace
 from repro.obs.prometheus import prometheus_text, write_prometheus
-from repro.obs.sinks import JsonlSink, NullSink, Sink
+from repro.obs.sinks import JsonlSink
 from repro.obs.summary import summary_table
 from repro.obs.timeline import (
     DEFAULT_CAPACITY,
@@ -41,8 +41,6 @@ __all__ = [
     "get_telemetry",
     "set_telemetry",
     "telemetry_session",
-    "Sink",
-    "NullSink",
     "JsonlSink",
     "chrome_trace",
     "write_chrome_trace",

@@ -1,39 +1,18 @@
-"""Pluggable event sinks for the telemetry registry.
+"""Event sink for the telemetry registry.
 
 A sink receives one dict per finished span (and per explicit
 :meth:`~repro.obs.telemetry.Telemetry.event`) as it happens — a live
-stream, unlike the pull-style counter/histogram exporters.  Two
-implementations:
-
-* :class:`NullSink` — swallows everything (the default when a caller
-  wants an enabled registry without an event stream), and
-* :class:`JsonlSink` — one JSON object per line, append-friendly and
-  trivially greppable; the ``repro profile --events-out`` backend.
+stream, unlike the pull-style counter/histogram exporters.  The
+registry needs only ``emit(event)`` and ``close()``;
+:class:`JsonlSink` writes one JSON object per line, append-friendly
+and trivially greppable — the ``repro profile --events-out`` backend.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Protocol
-
-
-class Sink(Protocol):
-    """What the registry expects of a sink."""
-
-    def emit(self, event: dict) -> None: ...
-
-    def close(self) -> None: ...
-
-
-class NullSink:
-    """Accepts and discards every event."""
-
-    def emit(self, event: dict) -> None:
-        return None
-
-    def close(self) -> None:
-        return None
+from typing import IO
 
 
 class JsonlSink:

@@ -35,8 +35,9 @@ Exports:
 
 Disabled-path discipline: the engines guard every recorder call with a
 single local ``is not None`` test, so a ``None`` recorder (the default
-everywhere) adds no per-event work — the ``repro.obs.bench`` guard
-bounds exactly this configuration.
+everywhere) adds no per-event work — the telemetry-off overhead guard
+(``measure`` in ``tests/obs/test_overhead.py``) times exactly this
+configuration.
 """
 
 from __future__ import annotations

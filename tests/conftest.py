@@ -5,8 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.runner import ExperimentRunner
 from repro.isa import KernelBuilder
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
+
+
+@pytest.fixture(scope="session")
+def shared_runner():
+    """One small-scale runner for the paper-shape tests of the figures,
+    Table 3 extras, sensitivity sweeps, ablations and the scorecard:
+    each trace executes once per session.
+
+    Small is the smallest scale that keeps every paper-shape bound; at
+    tiny scale Figure 1, Figure 11, the sensitivity sweep and two of
+    the ablations miss theirs.
+    """
+    return ExperimentRunner(scale="small")
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ cheap inside the unit suite.
 
 import pytest
 
+from repro.errors import WorkloadError
 from repro.experiments import store
 from repro.experiments.parallel import MatrixTask, execute_task, run_matrix
 from repro.experiments.runner import (
@@ -16,6 +17,7 @@ from repro.experiments.runner import (
     paper_architectures,
 )
 from repro.experiments.summary import BUILDERS
+from repro.workloads.registry import all_workloads
 
 SUBSET = ["HS", "PF"]
 SUMMARIES = tuple(BUILDERS)
@@ -84,6 +86,20 @@ class TestRunMatrix:
         assert sorted(abbr for abbr, _, _ in seen) == sorted(SUBSET)
         assert [done for _, done, _ in seen] == [1, 2]
         assert all(total == len(SUBSET) for _, _, total in seen)
+
+    def test_failed_worker_cancels_the_queued_tasks(self, tmp_path):
+        names = ["NOPE"] + [spec.abbr for spec in all_workloads()]
+        with pytest.raises(WorkloadError):
+            run_matrix(
+                names=names,
+                scale="tiny",
+                cache_dir=tmp_path,
+                jobs=2,
+                experiments=("fig1",),
+                arches=(),
+            )
+        written = {path.name.split("_")[0] for path in tmp_path.glob("*.pkl")}
+        assert len(written) < len(names) - 1
 
 
 class TestPrefetch:

@@ -27,10 +27,10 @@ class TestClaimGrading:
 
 class TestScorecardEndToEnd:
     @pytest.fixture(scope="class")
-    def card(self):
+    def card(self, shared_runner):
         # Small scale: enough warps for the power results to be
         # representative while staying test-suite fast.
-        return scorecard.compute(ExperimentRunner(scale="small"))
+        return scorecard.compute(shared_runner)
 
     def test_fifteen_claims(self, card):
         assert len(card.claims) == 15
@@ -50,3 +50,9 @@ class TestScorecardEndToEnd:
         assert "Reproduction scorecard" in text
         assert "MATCH" in text
         assert "headline claims" in text
+
+    def test_identical_under_chunked_streaming(self, card):
+        # A prime chunk size splits warps mid-chunk; every claim must
+        # grade and render exactly as in the whole-trace run.
+        chunked = scorecard.compute(ExperimentRunner(scale="small", chunk_events=997))
+        assert scorecard.render(chunked) == scorecard.render(card)

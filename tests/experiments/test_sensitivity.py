@@ -18,8 +18,8 @@ from tests.oracles import (
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(scale="small")
+def runner(shared_runner):
+    return shared_runner
 
 
 BENCHES = ("BP", "HS", "MM")
@@ -72,6 +72,39 @@ class TestSweep:
 
         for name in SWEEPABLE:
             assert hasattr(DEFAULT_ENERGY, name)
+
+
+class TestHeadlineRobustness:
+    """The power model is calibrated to GPUWattch's published
+    proportions, so the headline (G-Scalar beats both the baseline and
+    the ALU-scalar architecture) must survive large mis-calibrations of
+    any single energy constant, on the whole suite.  Run with ``-s`` to
+    see the mean gains docs/calibration.md quotes."""
+
+    PARAMETERS = ("sm_static_w", "rf_full_access_pj", "alu_lane_pj", "dram_access_pj")
+
+    @pytest.fixture(scope="class")
+    def sweeps(self, runner):
+        return {
+            parameter: sweep_energy_parameter(runner, parameter, (0.5, 1.0, 2.0))
+            for parameter in self.PARAMETERS
+        }
+
+    def test_headline_survives_every_sweep(self, sweeps):
+        print()
+        for parameter, points in sweeps.items():
+            series = ", ".join(
+                f"{p.scale_factor}x -> {p.mean_gscalar_gain:.2f}" for p in points
+            )
+            print(f"  {parameter:22s}: {series}")
+            assert headline_is_robust(points), parameter
+
+    def test_directional_physics(self, sweeps):
+        # Static power dilutes the gain, RF energy amplifies it.
+        static = sweeps["sm_static_w"]
+        assert static[0].mean_gscalar_gain > static[-1].mean_gscalar_gain
+        rf = sweeps["rf_full_access_pj"]
+        assert rf[-1].mean_gscalar_gain > rf[0].mean_gscalar_gain
 
 
 class TestLatencySweep:

@@ -135,6 +135,25 @@ class TestReplacement:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+class _Unpicklable:
+    def __reduce__(self):
+        raise RuntimeError("cannot pickle this payload")
+
+
+class TestFailedWrite:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        path = _store_sample(tmp_path)
+        with pytest.raises(RuntimeError, match="cannot pickle"):
+            _store_sample(tmp_path, fingerprint="d" * 16, payload=_Unpicklable())
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        # The entry that was already there is untouched.
+        assert store.load_entry(tmp_path, "entry", FINGERPRINT, "sample") == (
+            PAYLOAD,
+            "hit",
+        )
+
+
 class TestSweep:
     def test_young_debris_is_left_alone(self, tmp_path):
         (tmp_path / "half-written.12345.tmp").write_bytes(b"x" * 64)

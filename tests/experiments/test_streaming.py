@@ -17,9 +17,14 @@ from hypothesis import strategies as st
 from repro.analysis.static_.widths import analyze_widths
 from repro.config import GpuConfig
 from repro.experiments.runner import matrix_architectures
-from repro.experiments.streaming import StreamingPipeline, stream_pipeline
+from repro.experiments.streaming import (
+    StreamingPipeline,
+    _array_bytes,
+    stream_pipeline,
+)
 from repro.power.accounting import PowerAccountant
 from repro.scalar.arch_batch import process_columns
+from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import CLASSIFIED_ARRAY_FIELDS, ClassifiedColumns
 from repro.simt import run_kernel
 from repro.simt.trace import iter_chunks
@@ -220,19 +225,24 @@ class TestChunkEdgeCases:
         with pytest.raises(RuntimeError, match="after finish"):
             pipeline.finish()
 
-    def test_aggregates_only_mode_refuses_finish(self):
+    def test_live_set_stays_below_the_whole_trace(self):
+        # Chunks far smaller than the trace: the pipeline's peak live
+        # set (one chunk through every stage) stays below the whole
+        # trace plus its classified columns.
         case = workload_case("HS")
         pipeline = StreamingPipeline(
-            ARCHES[:1],
+            ARCHES,
             case["built"].kernel.num_registers,
             config=case["config"],
-            collect_timing_ops=False,
+            static_widths=case["static_widths"],
         )
-        for chunk in iter_chunks(case["columnar"], 64):
+        for chunk in iter_chunks(case["columnar"], 4):
             pipeline.feed(chunk)
-        assert pipeline.peak_bytes_in_flight > 0
-        with pytest.raises(RuntimeError):
-            pipeline.finish()
+        ccols = classify_columnar_batch(
+            case["columnar"], case["built"].kernel.num_registers
+        )
+        whole = _array_bytes(case["columnar"]) + _array_bytes(ccols)
+        assert 0 < pipeline.peak_bytes_in_flight < whole
 
 
 class TestRandomChunkGrids:

@@ -3,6 +3,7 @@
 from repro.config import GpuConfig
 from repro.experiments import table1, table2, table3
 from repro.experiments.tables import percent, render_table
+from repro.power.circuit import PAPER_TABLE3
 
 
 class TestRenderer:
@@ -52,6 +53,17 @@ class TestTable3:
         assert abs(data.decompressor.power_mw - 15.86) / 15.86 < 0.10
         assert data.per_sm_power_w < 0.4
         assert data.per_sm_area_mm2 < 0.2
+
+    def test_every_estimate_within_paper_tolerance(self):
+        data = table3.compute()
+        for estimate in (data.decompressor, data.compressor):
+            paper = PAPER_TABLE3[estimate.name]
+            assert abs(estimate.area_um2 - paper["area_um2"]) / paper["area_um2"] < 0.15
+            assert abs(estimate.power_mw - paper["power_mw"]) / paper["power_mw"] < 0.10
+            assert abs(estimate.delay_ns - paper["delay_ns"]) < 0.05
+        # Per-SM overhead: the paper's 0.32 W and 0.16 mm^2.
+        assert abs(data.per_sm_power_w - 0.32) < 0.05
+        assert abs(data.per_sm_area_mm2 - 0.16) < 0.02
 
     def test_render_contains_both_blocks(self):
         text = table3.render()

@@ -6,7 +6,7 @@ import os
 
 from repro.obs.chrome_trace import chrome_trace, write_chrome_trace
 from repro.obs.prometheus import prometheus_text, write_prometheus
-from repro.obs.sinks import JsonlSink, NullSink
+from repro.obs.sinks import JsonlSink
 from repro.obs.summary import summary_table
 from repro.obs.telemetry import SpanEvent, Telemetry
 
@@ -130,11 +130,6 @@ class TestSummary:
 
 
 class TestSinks:
-    def test_null_sink_swallows(self):
-        sink = NullSink()
-        sink.emit({"a": 1})
-        sink.close()
-
     def test_jsonl_sink_streams_spans(self):
         buffer = io.StringIO()
         t = Telemetry(sink=JsonlSink(buffer))

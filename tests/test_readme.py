@@ -23,7 +23,7 @@ def test_readme_mentions_all_deliverables():
         "DESIGN.md",
         "EXPERIMENTS.md",
         "python -m repro",
-        "pytest benchmarks/ --benchmark-only",
+        "python3 benchmarks/e2e/run.py",
         "examples/quickstart.py",
     ):
         assert anchor in text, anchor

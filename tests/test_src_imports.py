@@ -1,9 +1,12 @@
-"""``src/repro`` never imports the test tree.
+"""``src/repro`` never imports the test tree, and has one entry point.
 
 An ``import tests...`` resolves when commands run from the repository
 root but breaks an installed package, and would put the per-event
 reference engines back on the production path.  Every module is parsed,
 so imports inside functions count too.
+
+The CLI is the only runnable module: a second ``if __name__ ==
+"__main__"`` block would be a side harness with flags of its own.
 """
 
 import ast
@@ -30,3 +33,24 @@ def test_src_never_imports_tests():
         if _imports_tests(node)
     ]
     assert offenders == []
+
+
+def _is_main_guard(node: ast.AST) -> bool:
+    if not isinstance(node, ast.If) or not isinstance(node.test, ast.Compare):
+        return False
+    sides = [node.test.left, *node.test.comparators]
+    names = {side.id for side in sides if isinstance(side, ast.Name)}
+    constants = {side.value for side in sides if isinstance(side, ast.Constant)}
+    return "__name__" in names and "__main__" in constants
+
+
+def test_cli_is_the_only_main_module():
+    runnable = [
+        str(path.relative_to(SRC.parent))
+        for path in sorted(SRC.rglob("*.py"))
+        if any(
+            _is_main_guard(node)
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+        )
+    ]
+    assert runnable == ["repro/cli.py"]
