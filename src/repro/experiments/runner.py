@@ -12,7 +12,7 @@ configuration and lazily computes, per benchmark:
 Every figure regenerator takes a runner, so a full ``python -m repro all``
 executes each benchmark exactly once at warp size 32 (Figure 10 also
 executes, counts and drops a warp-64 trace).  SM simulations are
-memoized by their input (:meth:`ExperimentRunner.simulate_sm`):
+memoized by their input (:meth:`ExperimentRunner._simulate`):
 architectures or sweep points that lower to the same op table under the
 same machine share one simulation.
 
@@ -37,9 +37,11 @@ header without unpickling its payload.  Files from older cache layouts
 are never read: they are plain misses.
 
 With ``chunk_events`` set, each (benchmark, architecture) pair streams
-its trace chunk by chunk through one
-:class:`~repro.experiments.streaming.StreamingPipeline`; only the
-pair's ``result`` entry is cached.
+its trace chunk by chunk through
+:func:`~repro.experiments.streaming.stream_pipeline`, which ends at the
+same (op table, power aggregates) pair the whole-trace path lowers, so
+both go through one SM memo and one power evaluation; only the pair's
+``result`` entry is cached.
 
 :meth:`ExperimentRunner.prefetch` fans the benchmark × (experiment,
 architecture) matrix out over a process pool
@@ -60,12 +62,17 @@ from repro.analysis.static_.widths import (
     WidthResult,
     analyze_widths,
 )
-from repro.config import ArchitectureConfig, GpuConfig
+from repro.config import (
+    ALL_ARCHITECTURES,
+    EVALUATED_ARCHITECTURES,
+    ArchitectureConfig,
+    GpuConfig,
+)
 from repro.experiments import cachekey, store
-from repro.experiments.streaming import StreamingPipeline
+from repro.experiments.streaming import stream_pipeline
 from repro.obs.memory import record_bytes_in_flight, record_peak_rss
 from repro.obs.telemetry import Telemetry, get_telemetry
-from repro.power.accounting import PowerAccountant
+from repro.power.accounting import PowerAccountant, _PowerAggregates
 from repro.power.energy import DEFAULT_ENERGY, EnergyParams
 from repro.power.report import PowerReport
 from repro.scalar.arch_batch import process_columns
@@ -74,7 +81,7 @@ from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.simt.executor import run_kernel
 from repro.simt.trace import ColumnarTrace, iter_chunks
 from repro.timing.gpu import simulate_architecture_columns, simulate_warp_ops
-from repro.timing.ops import build_timing_ops_columns
+from repro.timing.ops import TimingOpTable, build_timing_ops_columns
 from repro.timing.sm import TimingResult
 from repro.workloads.registry import SCALES, BuiltWorkload, all_workloads, workload_by_name
 from repro.workloads.synth import (
@@ -111,20 +118,15 @@ WARP_SIZE = 32
 
 
 def paper_architectures() -> tuple[ArchitectureConfig, ...]:
-    """The four evaluated architectures, in Figure 11 order."""
-    return (
-        ArchitectureConfig.baseline(),
-        ArchitectureConfig.alu_scalar(),
-        ArchitectureConfig.gscalar_no_divergent(),
-        ArchitectureConfig.gscalar(),
-    )
+    """The four evaluated architectures, in Figure 11 order
+    (:data:`repro.config.EVALUATED_ARCHITECTURES`)."""
+    return EVALUATED_ARCHITECTURES
 
 
 def matrix_architectures() -> tuple[ArchitectureConfig, ...]:
-    """Every modeled architecture: the paper's four plus the
-    statically-compressed RF design point (kept out of
-    :func:`paper_architectures` so the figure series stay faithful)."""
-    return paper_architectures() + (ArchitectureConfig.static_compress(),)
+    """Every modeled architecture (:data:`repro.config.ALL_ARCHITECTURES`):
+    the paper's four plus the statically-compressed RF design point."""
+    return ALL_ARCHITECTURES
 
 
 class RunnerStats:
@@ -330,6 +332,7 @@ class ExperimentRunner:
         self._widths: dict[str, WidthResult] = {}
         self._classified_columns: dict[str, ClassifiedColumns] = {}
         self._processed_columns: dict[tuple[str, str], ProcessedColumns] = {}
+        self._aggregates: dict[tuple[str, str], _PowerAggregates] = {}
         self._summaries: dict[tuple[str, str], Any] = {}
         self._timing: dict[tuple[str, str], TimingResult] = {}
         self._power: dict[tuple[str, str], PowerReport] = {}
@@ -566,39 +569,118 @@ class ExperimentRunner:
         """Fill timing and power for one pair.
 
         Probes the ``result`` entry once (with a cache directory); on a
-        miss, computes timing and power together — whole-trace, or
-        streamed when ``chunk_events`` is set — and stores them as one
+        miss, computes timing and power together and stores them as one
         entry.
         """
-        compute = (
-            self._compute_whole if self.chunk_events is None else self._compute_streamed
-        )
         pair = self._through_cache(
-            "result", lambda: self._result_entry(key, arch), lambda: compute(key, arch)
+            "result",
+            lambda: self._result_entry(key, arch),
+            lambda: self._compute(key, arch),
         )
         self._timing[(key, arch.name)], self._power[(key, arch.name)] = pair
+
+    def _compute(
+        self, key: str, arch: ArchitectureConfig
+    ) -> tuple[TimingResult, PowerReport]:
+        """Timing and power of one pair.
+
+        The pair's op table and power aggregates are lowered from the
+        memoized whole-trace columns, or streamed chunk by chunk when
+        ``chunk_events`` is set; either way the SM memo simulates the
+        table and one evaluation accounts the aggregates.
+        """
+        if self.chunk_events is None:
+            self._log(f"timing {key} on {arch.name}")
+            table = self._lower(key, arch, self.config)
+            aggregates = self.power_aggregates(key, arch)
+        else:
+            table, aggregates = self._stream(key, arch)
+        timing = self._simulate(key, arch, table, self.config)
+        accountant = PowerAccountant(arch, self.params, self.config)
+        with self.stats.timer("power", benchmark=key, arch=arch.name):
+            power = accountant.account_aggregates(aggregates, timing)
+        return timing, power
+
+    def _lower(
+        self, key: str, arch: ArchitectureConfig, config: GpuConfig
+    ) -> TimingOpTable:
+        """One pair's whole-trace op table under ``config``."""
+        ccols = self.classified_columns(key)
+        pcols = self.processed_columns(key, arch)
+        with self.stats.timer("timing", benchmark=key, arch=arch.name):
+            return build_timing_ops_columns(ccols, pcols, arch, config)
+
+    def _stream(
+        self, key: str, arch: ArchitectureConfig
+    ) -> tuple[TimingOpTable, _PowerAggregates]:
+        """One pair's op table and power aggregates, streamed through
+        :func:`~repro.experiments.streaming.stream_pipeline`."""
+        self._log(f"streaming {key} on {arch.name} (chunk_events={self.chunk_events})")
+        run = self.run(key)
+        seeded = self._seeds.get(key)
+        # Synthetic tiers stream from the replica generator, so nothing
+        # whole-trace is ever built.
+        if seeded is not None:
+            chunks = iter_synthetic_chunks(seeded[0], seeded[1], self.chunk_events)
+        else:
+            chunks = iter_chunks(run.columnar, self.chunk_events)
+        static_widths = {arch.name: self._widths_for(key, arch)}
+        with self.stats.timer("stream", benchmark=key, arch=arch.name):
+            outcome = stream_pipeline(
+                chunks,
+                (arch,),
+                run.built.kernel.num_registers,
+                config=self.config,
+                static_widths=static_widths,
+            )
+        self.stats.bump("stream_chunks", outcome.num_chunks)
+        # Gauges land in the stats registry: the shared one when
+        # telemetry is on, else the runner's private registry — so
+        # ``--stats-json`` reports them without a telemetry session.
+        record_bytes_in_flight(outcome.peak_bytes_in_flight, self.stats.telemetry)
+        record_peak_rss(self.stats.telemetry)
+        return outcome.tables[arch.name], outcome.aggregates[arch.name]
+
+    def power_aggregates(self, abbr: str, arch: ArchitectureConfig) -> _PowerAggregates:
+        """One pair's whole-trace power aggregates, memoized.
+
+        Activity counts depend on neither the energy parameters nor the
+        latencies, so the results and every sweep point evaluate this
+        one reduction.  Shared: callers must not mutate it.
+        """
+        key = (self._normalize(abbr), arch.name)
+        if key not in self._aggregates:
+            pcols = self.processed_columns(key[0], arch)
+            accountant = PowerAccountant(arch, self.params, self.config)
+            with self.stats.timer("power", benchmark=key[0], arch=arch.name):
+                self._aggregates[key] = accountant.aggregates_from_columns(pcols)
+        return self._aggregates[key]
 
     def simulate_sm(
         self, abbr: str, arch: ArchitectureConfig, config: GpuConfig | None = None
     ) -> TimingResult:
-        """SM timing of one pair on ``config`` (default: the runner's).
+        """SM timing of one pair on ``config`` (default: the runner's):
+        the whole-trace table lowered under ``config``, through the
+        SM memo (:meth:`_simulate`)."""
+        key = self._normalize(abbr)
+        config = config or self.config
+        return self._simulate(key, arch, self._lower(key, arch, config), config)
 
-        Lowers the pair to its :class:`~repro.timing.ops.TimingOpTable`
-        and simulates it once per distinct engine input: the memo key
-        is everything the engine reads — the table's digest, the GPU
-        configuration, the architecture's extra pipeline cycles and
-        the benchmark's warps per CTA.  So an architecture that lowers
-        to another's table (``gscalar_no_divergent`` and ``gscalar``),
+    def _simulate(
+        self, key: str, arch: ArchitectureConfig, table: TimingOpTable, config: GpuConfig
+    ) -> TimingResult:
+        """Simulate ``table`` once per distinct engine input.
+
+        The memo key is everything the engine reads: the table's
+        digest, the GPU configuration, the architecture's extra
+        pipeline cycles and the benchmark's warps per CTA.  So an
+        architecture that lowers to another's table
+        (``gscalar_no_divergent`` and ``gscalar``), whole or streamed,
         or a sweep point equal to the runner's configuration, reuses
         that simulation.  Counts ``sm_runs`` and ``sm_reuses``.
         """
-        key = self._normalize(abbr)
-        config = config or self.config
-        ccols = self.classified_columns(key)
-        pcols = self.processed_columns(key, arch)
         warps_per_cta = self.warps_per_cta(key)
         with self.stats.timer("timing", benchmark=key, arch=arch.name):
-            table = build_timing_ops_columns(ccols, pcols, arch, config)
             memo_key = (
                 table.digest(),
                 config,
@@ -614,56 +696,6 @@ class ExperimentRunner:
             else:
                 self.stats.bump("sm_reuses")
         return timing
-
-    def _compute_whole(
-        self, key: str, arch: ArchitectureConfig
-    ) -> tuple[TimingResult, PowerReport]:
-        self._log(f"timing {key} on {arch.name}")
-        pcols = self.processed_columns(key, arch)
-        timing = self.simulate_sm(key, arch)
-        accountant = PowerAccountant(arch, self.params, self.config)
-        with self.stats.timer("power", benchmark=key, arch=arch.name):
-            power = accountant.account_columns(pcols, timing)
-        return timing, power
-
-    def _chunk_stream(self, key: str) -> Iterator:
-        """The chunk source: replica generator for synthetic tiers
-        (nothing whole-trace is ever built), ``iter_chunks`` otherwise."""
-        assert self.chunk_events is not None
-        run = self.run(key)
-        seeded = self._seeds.get(key)
-        if seeded is not None:
-            return iter_synthetic_chunks(seeded[0], seeded[1], self.chunk_events)
-        return iter_chunks(run.columnar, self.chunk_events)
-
-    def _compute_streamed(
-        self, key: str, arch: ArchitectureConfig
-    ) -> tuple[TimingResult, PowerReport]:
-        """One pair through a one-architecture :class:`StreamingPipeline`:
-        chunked classify / process / lower / aggregate, then the SM
-        simulation barrier at ``finish``."""
-        self._log(f"streaming {key} on {arch.name} (chunk_events={self.chunk_events})")
-        pipeline = StreamingPipeline(
-            (arch,),
-            self.run(key).built.kernel.num_registers,
-            config=self.config,
-            params=self.params,
-            static_widths={arch.name: self._widths_for(key, arch)},
-        )
-        for chunk in self._chunk_stream(key):
-            with self.stats.timer("stream", benchmark=key, arch=arch.name):
-                pipeline.feed(chunk)
-        warps_per_cta = self.warps_per_cta(key)
-        with self.stats.timer("timing", benchmark=key, arch=arch.name):
-            outcome = pipeline.finish(warps_per_cta=warps_per_cta)
-        self.stats.bump("sm_runs")
-        self.stats.bump("stream_chunks", outcome.num_chunks)
-        # Gauges land in the stats registry: the shared one when
-        # telemetry is on, else the runner's private registry — so
-        # ``--stats-json`` reports them without a telemetry session.
-        record_bytes_in_flight(outcome.peak_bytes_in_flight, self.stats.telemetry)
-        record_peak_rss(self.stats.telemetry)
-        return outcome.timing[arch.name], outcome.power[arch.name]
 
     def timing(self, abbr: str, arch: ArchitectureConfig) -> TimingResult:
         """Cycle-level result for one (benchmark, architecture) pair."""

@@ -5,8 +5,8 @@ proportions (see ``repro.power.energy``), not measured from silicon, so
 a reproduction should demonstrate that its conclusions do not hinge on
 any one constant.  :func:`sweep_energy_parameter` re-evaluates the mean
 normalized G-Scalar efficiency (Figure 11's headline) while scaling one
-energy parameter across a range, reusing the runner's cached processed
-columns and timing results — only the power evaluation reruns.
+energy parameter across a range, reusing the runner's memoized power
+aggregates and timing results — only the power evaluation reruns.
 """
 
 from __future__ import annotations
@@ -44,22 +44,6 @@ class SweepPoint:
     mean_alu_scalar_gain: float
 
 
-def _power_aggregates(runner, names, arches) -> dict:
-    """Each (benchmark, architecture name) pair's power aggregates.
-
-    Activity counts depend on neither the energy parameters nor the
-    latencies, so a sweep reduces each processed trace once and
-    re-evaluates the aggregates per point.
-    """
-    return {
-        (abbr, arch.name): PowerAccountant(
-            arch, runner.params, runner.config
-        ).aggregates_from_columns(runner.processed_columns(abbr, arch))
-        for abbr in names
-        for arch in arches
-    }
-
-
 def sweep_energy_parameter(
     runner,
     parameter: str,
@@ -84,9 +68,6 @@ def sweep_energy_parameter(
     for factor in scale_factors:
         if factor <= 0:
             raise ConfigError(f"scale factors must be positive, got {factor}")
-    aggregates = _power_aggregates(
-        runner, names, (baseline_arch, alu_arch, gscalar_arch)
-    )
 
     points = []
     for factor in scale_factors:
@@ -98,7 +79,7 @@ def sweep_energy_parameter(
             for arch in (baseline_arch, alu_arch, gscalar_arch):
                 accountant = PowerAccountant(arch, params, runner.config)
                 report = accountant.account_aggregates(
-                    aggregates[(abbr, arch.name)], runner.timing(abbr, arch)
+                    runner.power_aggregates(abbr, arch), runner.timing(abbr, arch)
                 )
                 efficiencies[arch.name] = report.ipc_per_watt
             gscalar_gain += efficiencies["gscalar"] / efficiencies["baseline"]
@@ -141,7 +122,8 @@ def sweep_latency_parameter(
     factors that round to one latency share their simulations.
     Latencies are integers: each point uses ``max(1, round(base *
     factor))`` cycles.  Every factor is validated before any work.
-    Each pair's power aggregates are reduced once, before the points.
+    Each pair's power aggregates are the runner's one reduction
+    (:meth:`~repro.experiments.runner.ExperimentRunner.power_aggregates`).
     """
     if parameter not in SWEEPABLE_LATENCIES:
         raise ConfigError(
@@ -156,9 +138,6 @@ def sweep_latency_parameter(
     for factor in scale_factors:
         if factor <= 0:
             raise ConfigError(f"scale factors must be positive, got {factor}")
-    aggregates = _power_aggregates(
-        runner, names, (baseline_arch, alu_arch, gscalar_arch)
-    )
 
     points = []
     for factor in scale_factors:
@@ -172,7 +151,7 @@ def sweep_latency_parameter(
                 timing = runner.simulate_sm(abbr, arch, config)
                 accountant = PowerAccountant(arch, runner.params, config)
                 report = accountant.account_aggregates(
-                    aggregates[(abbr, arch.name)], timing
+                    runner.power_aggregates(abbr, arch), timing
                 )
                 efficiencies[arch.name] = report.ipc_per_watt
             gscalar_gain += efficiencies["gscalar"] / efficiencies["baseline"]

@@ -50,17 +50,16 @@ def simulate_warp_ops(
 ) -> TimingResult:
     """Run the event-driven SM timing model over a lowered op table.
 
-    The chunk-streaming pipeline lowers one table per chunk
-    (:func:`build_timing_ops_columns` is a pure per-event function, so
-    fragment lowering is exact) and joins them with
-    :meth:`TimingOpTable.concat`; this entry point runs the simulation
-    once over the joined table — the SM engine schedules whole warps,
-    so this is the one whole-trace barrier the stream keeps.  The
-    engine compiles the table's rows a block of CTAs at a time as they
+    The table is whole: lowered from whole-trace columns, or joined
+    from a chunk stream's per-chunk tables by
+    :meth:`TimingOpTable.concat` (lowering is per event, so both are
+    the same table).  The SM engine schedules whole warps, so this is
+    the one whole-trace barrier a streamed pass keeps.  The engine
+    compiles the table's rows a block of CTAs at a time as they
     activate and frees them at retirement, so past the table itself
-    the barrier holds only the resident CTAs' rows and one compile
-    block.  The runner's SM memo calls it with a table it has already
-    lowered and digested (:meth:`TimingOpTable.digest`).
+    it holds only the resident CTAs' rows and one compile block.  The
+    runner's SM memo calls it once per distinct table digest
+    (:meth:`TimingOpTable.digest`), whole or streamed.
     """
     return EventSmSimulator(
         table,

@@ -153,14 +153,17 @@ class TestSmStats:
         import json
 
         stats_path = tmp_path / "stats.json"
-        assert main(["all", "--scale", "tiny", "--stats-json", str(stats_path)]) == 0
-        capsys.readouterr()
-        counters = json.loads(stats_path.read_text())["counters"]
-        # 17 benchmarks x 5 architectures.  gscalar_no_divergent lowers
-        # to gscalar's op table on all 17 and static_compress to theirs
-        # on 5, so 22 pairs reuse another pair's simulation.
-        assert counters["sm_reuses"] == 22
-        assert counters["sm_runs"] == 17 * 5 - 22
+        # Whole-trace and chunk-streamed pairs reach the same SM memo.
+        for extra in ([], ["--chunk-events", "256"]):
+            argv = ["all", "--scale", "tiny", "--stats-json", str(stats_path)]
+            assert main(argv + extra) == 0
+            capsys.readouterr()
+            counters = json.loads(stats_path.read_text())["counters"]
+            # 17 benchmarks x 5 architectures.  gscalar_no_divergent
+            # lowers to gscalar's op table on all 17 and static_compress
+            # to theirs on 5, so 22 pairs reuse another pair's simulation.
+            assert counters["sm_reuses"] == 22, extra
+            assert counters["sm_runs"] == 17 * 5 - 22, extra
 
 
 class TestCacheAndJobs:

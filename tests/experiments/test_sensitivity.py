@@ -166,6 +166,37 @@ class TestLatencySweep:
             )
 
 
+class TestPowerAggregatesMemo:
+    def test_sweeps_reuse_the_prefetched_aggregates(self, monkeypatch):
+        """Both sweeps evaluate the power aggregates the runner reduced
+        while prefetching its results; none is reduced again."""
+        from repro.config import ArchitectureConfig
+        from repro.power.accounting import PowerAccountant
+
+        names = ("BP", "HS")
+        factors = (0.5, 1.0, 2.0)
+        arches = (
+            ArchitectureConfig.baseline(),
+            ArchitectureConfig.alu_scalar(),
+            ArchitectureConfig.gscalar(),
+        )
+        fresh = ExperimentRunner(scale="tiny")
+        energy = sweep_energy_parameter(fresh, "rf_full_access_pj", factors, names)
+        latency = sweep_latency_parameter(fresh, "alu_latency", factors, names)
+
+        runner = ExperimentRunner(scale="tiny")
+        runner.prefetch(names=names, arches=arches)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("power aggregates reduced after prefetch")
+
+        monkeypatch.setattr(PowerAccountant, "aggregates_from_columns", fail)
+        assert energy == sweep_energy_parameter(
+            runner, "rf_full_access_pj", factors, names
+        )
+        assert latency == sweep_latency_parameter(runner, "alu_latency", factors, names)
+
+
 class TestColumnarEnginesMatchEventEngines:
     """The sweeps run on the columnar engines; the points stay exact."""
 

@@ -1,12 +1,16 @@
 """Differential gate: chunk-streaming pipeline vs the whole-trace engines.
 
-The streaming orchestrator (:mod:`repro.experiments.streaming`) must be
-*bit-identical* to the whole-trace batch pipeline for any chunk size —
-same classified columns, same per-architecture processed columns, same
-timing result and the same power report.  These tests pin that contract
-across every workload and architecture, at the chunk-grid edge cases
-(size 1, one chunk, empty trace), and under hypothesis-drawn random
-chunk sizes.
+:func:`repro.experiments.streaming.stream_pipeline` must end, for any
+chunk size, at exactly the whole-trace SM input and power reduction:
+each architecture's joined op table equals the whole-trace lowering
+column for column and by digest, and its merged power aggregates equal
+the whole-trace reduction.  The chunk-level classifier and interpreter
+fragments reassemble to the whole-trace classified and processed
+columns.  These tests pin that contract across every workload and
+architecture (where each streamed table is also simulated once and its
+aggregates evaluated, against the whole-trace timing and power), at
+the chunk-grid edge cases (size 1, one chunk, the exact length, the
+empty trace), and under hypothesis-drawn random chunk sizes.
 """
 
 import numpy as np
@@ -17,23 +21,25 @@ from hypothesis import strategies as st
 from repro.analysis.static_.widths import analyze_widths
 from repro.config import GpuConfig
 from repro.experiments.runner import matrix_architectures
-from repro.experiments.streaming import (
-    StreamingPipeline,
-    _array_bytes,
-    stream_pipeline,
-)
+from repro.experiments.streaming import _array_bytes, stream_pipeline
 from repro.power.accounting import PowerAccountant
-from repro.scalar.arch_batch import process_columns
-from repro.scalar.batch import classify_columnar_batch
+from repro.scalar.arch_batch import ArchCarry, process_columns, process_columns_chunk
+from repro.scalar.batch import (
+    ClassifierCarry,
+    classify_columnar_batch,
+    classify_columnar_chunk,
+)
 from repro.scalar.columns import CLASSIFIED_ARRAY_FIELDS, ClassifiedColumns
 from repro.simt import run_kernel
 from repro.simt.trace import iter_chunks
-from repro.timing.gpu import simulate_architecture_columns
+from repro.timing.gpu import simulate_architecture_columns, simulate_warp_ops
+from repro.timing.ops import build_timing_ops_columns
 from repro.workloads.registry import all_workloads, build_workload
 
 from tests.oracles import columns_from_classified
 from tests.reference.classify import classify_trace
 from tests.reference.columns import (
+    assert_tables_identical,
     concat_classified_columns,
     concat_processed_columns,
     processed_columns_equal,
@@ -41,10 +47,25 @@ from tests.reference.columns import (
 from tests.reference.trace import to_trace
 
 ARCHES = matrix_architectures()
-ARCH_IDS = [arch.name for arch in ARCHES]
 WORKLOAD_ABBRS = [spec.abbr for spec in all_workloads()]
 
 _CASE_CACHE: dict[str, dict] = {}
+
+
+def whole_reference(ccols: ClassifiedColumns, static_widths: dict, config) -> dict:
+    """Per architecture: the whole-trace processed columns, op table and
+    power aggregates of one classified stream."""
+    reference = {}
+    for arch in ARCHES:
+        pcols = process_columns(ccols, arch, static_widths=static_widths[arch.name])
+        reference[arch.name] = {
+            "pcols": pcols,
+            "table": build_timing_ops_columns(ccols, pcols, arch, config),
+            "aggregates": PowerAccountant(arch, config=config).aggregates_from_columns(
+                pcols
+            ),
+        }
+    return reference
 
 
 def workload_case(abbr: str) -> dict:
@@ -54,7 +75,6 @@ def workload_case(abbr: str) -> dict:
         columnar = run_kernel(built.kernel, built.launch, built.memory)
         trace = to_trace(columnar)
         config = GpuConfig()
-        warps_per_cta = built.launch.warps_per_cta(trace.warp_size)
         widths = analyze_widths(built.kernel, warp_size=trace.warp_size).register_enc
         static_widths = {
             arch.name: (widths if arch.static_compression else None)
@@ -67,30 +87,14 @@ def workload_case(abbr: str) -> dict:
             trace.warp_size,
             columnar=columnar,
         )
-        reference = {}
-        for arch in ARCHES:
-            pcols = process_columns(
-                ccols, arch, static_widths=static_widths[arch.name]
-            )
-            timing = simulate_architecture_columns(
-                ccols,
-                pcols,
-                arch,
-                config,
-                warps_per_cta=warps_per_cta,
-            )
-            power = PowerAccountant(arch, config=config).account_columns(
-                pcols, timing
-            )
-            reference[arch.name] = (pcols, timing, power)
         _CASE_CACHE[abbr] = {
             "built": built,
             "columnar": columnar,
             "config": config,
-            "warps_per_cta": warps_per_cta,
+            "warps_per_cta": built.launch.warps_per_cta(trace.warp_size),
             "static_widths": static_widths,
             "ccols": ccols,
-            "reference": reference,
+            "reference": whole_reference(ccols, static_widths, config),
         }
     return _CASE_CACHE[abbr]
 
@@ -103,47 +107,70 @@ def assert_classified_identical(expected: ClassifiedColumns, actual: ClassifiedC
         ), f"classified column {name} differs"
 
 
-def stream_case(case: dict, chunk_events: int):
-    """Run the chunked pipeline collecting every per-chunk fragment."""
-    ccols_fragments: list[ClassifiedColumns] = []
-    continued: list[bool] = []
-    pcols_fragments: dict[str, list] = {arch.name: [] for arch in ARCHES}
-
-    def on_classified(chunk, ccols):
-        ccols_fragments.append(ccols)
-        continued.append(chunk.first_warp_continued)
-
-    def on_processed(chunk, arch, pcols):
-        pcols_fragments[arch.name].append(pcols)
-
-    outcome = stream_pipeline(
-        iter_chunks(case["columnar"], chunk_events),
+def stream(case: dict, columnar, chunk_events: int):
+    return stream_pipeline(
+        iter_chunks(columnar, chunk_events),
         ARCHES,
         case["built"].kernel.num_registers,
         config=case["config"],
         static_widths=case["static_widths"],
-        warps_per_cta=case["warps_per_cta"],
-        on_classified=on_classified,
-        on_processed=on_processed,
     )
-    return outcome, ccols_fragments, continued, pcols_fragments
+
+
+def chunk_fragments(case: dict, chunk_events: int):
+    """Every chunk's classified and per-architecture processed fragment,
+    from the chunk-level engines over the same grid."""
+    classifier_carry = ClassifierCarry()
+    arch_carries = {arch.name: ArchCarry() for arch in ARCHES}
+    ccols_fragments: list[ClassifiedColumns] = []
+    continued: list[bool] = []
+    pcols_fragments: dict[str, list] = {arch.name: [] for arch in ARCHES}
+    for chunk in iter_chunks(case["columnar"], chunk_events):
+        ccols = classify_columnar_chunk(
+            chunk, case["built"].kernel.num_registers, classifier_carry
+        )
+        ccols_fragments.append(ccols)
+        continued.append(chunk.first_warp_continued)
+        for arch in ARCHES:
+            pcols_fragments[arch.name].append(
+                process_columns_chunk(
+                    ccols,
+                    arch,
+                    arch_carries[arch.name],
+                    warp_start=chunk.warp_start,
+                    first_warp_continued=chunk.first_warp_continued,
+                    last_warp_continues=chunk.last_warp_continues,
+                    static_widths=case["static_widths"][arch.name],
+                )
+            )
+    return ccols_fragments, continued, pcols_fragments
+
+
+def assert_outcome_matches(outcome, reference: dict):
+    """Each streamed table and aggregate set equals the whole-trace one."""
+    for arch in ARCHES:
+        expected = reference[arch.name]
+        table = outcome.tables[arch.name]
+        assert_tables_identical(expected["table"], table)
+        assert table.digest() == expected["table"].digest(), arch.name
+        assert outcome.aggregates[arch.name] == expected["aggregates"], arch.name
 
 
 def assert_stream_matches_whole(case: dict, chunk_events: int):
-    outcome, ccols_fragments, continued, pcols_fragments = stream_case(
-        case, chunk_events
-    )
+    outcome = stream(case, case["columnar"], chunk_events)
     assert outcome.num_events == case["columnar"].num_events
+    assert_outcome_matches(outcome, case["reference"])
+
+    ccols_fragments, continued, pcols_fragments = chunk_fragments(case, chunk_events)
+    assert outcome.num_chunks == len(continued)
     assert_classified_identical(
         case["ccols"], concat_classified_columns(ccols_fragments, continued)
     )
     for arch in ARCHES:
-        pcols, timing, power = case["reference"][arch.name]
         assert processed_columns_equal(
-            pcols, concat_processed_columns(pcols_fragments[arch.name], continued)
+            case["reference"][arch.name]["pcols"],
+            concat_processed_columns(pcols_fragments[arch.name], continued),
         ), f"processed columns differ on {arch.name}"
-        assert outcome.timing[arch.name] == timing, f"timing differs on {arch.name}"
-        assert outcome.power[arch.name] == power, f"power differs on {arch.name}"
     return outcome
 
 
@@ -154,7 +181,21 @@ class TestWorkloadMatrix:
     def test_chunked_identical(self, abbr):
         case = workload_case(abbr)
         # A prime chunk size guarantees warps get split mid-stream.
-        assert_stream_matches_whole(case, 7)
+        outcome = assert_stream_matches_whole(case, 7)
+        # One simulation of each streamed table and one evaluation of
+        # its aggregates give the whole-trace timing and power.
+        config, warps_per_cta = case["config"], case["warps_per_cta"]
+        for arch in ARCHES:
+            pcols = case["reference"][arch.name]["pcols"]
+            timing = simulate_warp_ops(
+                outcome.tables[arch.name], arch, config, warps_per_cta=warps_per_cta
+            )
+            assert timing == simulate_architecture_columns(
+                case["ccols"], pcols, arch, config, warps_per_cta=warps_per_cta
+            ), arch.name
+            accountant = PowerAccountant(arch, config=config)
+            power = accountant.account_aggregates(outcome.aggregates[arch.name], timing)
+            assert power == accountant.account_columns(pcols, timing), arch.name
 
 
 class TestChunkEdgeCases:
@@ -185,68 +226,32 @@ class TestChunkEdgeCases:
         assert not chunks[0].first_warp_continued
         assert not chunks[0].last_warp_continues
 
-        pipeline = StreamingPipeline(
-            ARCHES,
-            case["built"].kernel.num_registers,
-            config=case["config"],
-            static_widths=case["static_widths"],
-        )
-        for chunk in chunks:
-            pipeline.feed(chunk)
-        outcome = pipeline.finish()
+        outcome = stream(case, empty, 8)
         assert outcome.num_events == 0
+        assert outcome.num_chunks == 1
+        ccols = classify_columnar_batch(empty, case["built"].kernel.num_registers)
+        assert_outcome_matches(
+            outcome, whole_reference(ccols, case["static_widths"], case["config"])
+        )
         for arch in ARCHES:
-            assert outcome.timing[arch.name].cycles == 0
-            assert outcome.power[arch.name].instructions == 0
-
-    def test_feed_after_finish_rejected(self):
-        case = workload_case("HS")
-        pipeline = StreamingPipeline(
-            ARCHES[:1],
-            case["built"].kernel.num_registers,
-            config=case["config"],
-        )
-        chunks = list(iter_chunks(case["columnar"], 64))
-        pipeline.feed(chunks[0])
-        pipeline.finish()
-        with pytest.raises(RuntimeError):
-            pipeline.feed(chunks[0])
-
-    def test_finish_twice_rejected(self):
-        case = workload_case("HS")
-        pipeline = StreamingPipeline(
-            ARCHES[:1],
-            case["built"].kernel.num_registers,
-            config=case["config"],
-        )
-        for chunk in iter_chunks(case["columnar"], 64):
-            pipeline.feed(chunk)
-        pipeline.finish()
-        with pytest.raises(RuntimeError, match="after finish"):
-            pipeline.finish()
+            assert outcome.tables[arch.name].num_ops == 0
+            assert outcome.aggregates[arch.name].instructions == 0
 
     def test_live_set_stays_below_the_whole_trace(self):
         # Chunks far smaller than the trace: the pipeline's peak live
         # set (one chunk through every stage) stays below the whole
         # trace plus its classified columns.
         case = workload_case("HS")
-        pipeline = StreamingPipeline(
-            ARCHES,
-            case["built"].kernel.num_registers,
-            config=case["config"],
-            static_widths=case["static_widths"],
-        )
-        for chunk in iter_chunks(case["columnar"], 4):
-            pipeline.feed(chunk)
+        outcome = stream(case, case["columnar"], 4)
         ccols = classify_columnar_batch(
             case["columnar"], case["built"].kernel.num_registers
         )
         whole = _array_bytes(case["columnar"]) + _array_bytes(ccols)
-        assert 0 < pipeline.peak_bytes_in_flight < whole
+        assert 0 < outcome.peak_bytes_in_flight < whole
 
 
 class TestRandomChunkGrids:
-    """Any chunk size reproduces all four output types exactly."""
+    """Any chunk size reproduces the tables, aggregates and fragments."""
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())

@@ -3,11 +3,15 @@
 The differential suites compare a chunked run against the whole-trace
 engines array for array: :func:`concat_classified_columns` and
 :func:`concat_processed_columns` join per-chunk fragments back into
-one column set, and :func:`processed_columns_diff` names the fields on
-which two processed-column sets differ.
+one column set, :func:`processed_columns_diff` names the fields on
+which two processed-column sets differ, and
+:func:`assert_tables_identical` compares two timing-op tables column
+for column.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from repro.scalar.columns import (
     _concat_offsets,
     _merge_warp_lengths,
 )
+from repro.timing.ops import TimingOpTable
 
 
 def _concat_row_indexes(
@@ -153,3 +158,11 @@ def processed_columns_diff(a: ProcessedColumns, b: ProcessedColumns) -> list[str
         if left.shape != right.shape or not np.array_equal(left, right):
             differing.append(name)
     return differing
+
+
+def assert_tables_identical(expected: TimingOpTable, actual: TimingOpTable) -> None:
+    """Column-for-column equality (dtype and values) of two op tables."""
+    for spec in dataclasses.fields(TimingOpTable):
+        want, got = getattr(expected, spec.name), getattr(actual, spec.name)
+        assert want.dtype == got.dtype, spec.name
+        assert np.array_equal(want, got), spec.name

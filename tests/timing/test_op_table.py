@@ -12,7 +12,6 @@ production paths never build a :class:`~tests.reference.timing.TimingOp`.
 
 from __future__ import annotations
 
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.config import ArchitectureConfig, GpuConfig
 from repro.errors import TimingError
 from repro.experiments.runner import ExperimentRunner, matrix_architectures
 from repro.experiments.sensitivity import sweep_latency_parameter
-from repro.experiments.streaming import StreamingPipeline
+from repro.experiments.streaming import stream_pipeline
 from repro.isa import KernelBuilder
 from repro.isa.opcodes import OpCategory, Opcode
 from repro.obs.timeline import FlightRecorder
@@ -45,6 +44,7 @@ from repro.workloads.registry import build_workload
 
 from tests.conftest import run_one_warp
 from tests.reference.classify import classify_trace
+from tests.reference.columns import assert_tables_identical
 from tests.reference.interpret import process_classified
 from tests.reference.timing import (
     TimingOp,
@@ -55,13 +55,6 @@ from tests.reference.timing import (
 )
 from tests.reference.trace import to_trace
 from tests.timing.test_sm_event import many_cta_warps
-
-
-def assert_tables_identical(expected: TimingOpTable, actual: TimingOpTable) -> None:
-    for spec in dataclasses.fields(TimingOpTable):
-        want, got = getattr(expected, spec.name), getattr(actual, spec.name)
-        assert want.dtype == got.dtype, spec.name
-        assert np.array_equal(want, got), spec.name
 
 
 # ----------------------------------------------------------------------
@@ -286,13 +279,16 @@ class TestConcat:
     def test_chunk_tables_join_to_whole_trace_table(self, lc_tiny, chunk_events):
         built, columnar, ccols, static_widths = lc_tiny
         arches = matrix_architectures()
-        pipeline = StreamingPipeline(
-            arches, built.kernel.num_registers, static_widths=static_widths
+        grid = chunk_events or columnar.num_events
+        outcome = stream_pipeline(
+            iter_chunks(columnar, grid),
+            arches,
+            built.kernel.num_registers,
+            static_widths=static_widths,
         )
-        for chunk in iter_chunks(columnar, chunk_events or columnar.num_events):
-            pipeline.feed(chunk)
         if chunk_events == 7:
-            assert any(pipeline.continued)  # a warp split mid-chunk
+            # A warp split mid-chunk.
+            assert any(c.first_warp_continued for c in iter_chunks(columnar, grid))
         config = GpuConfig()
         for arch in arches:
             pcols = process_columns(
@@ -300,7 +296,7 @@ class TestConcat:
             )
             assert_tables_identical(
                 build_timing_ops_columns(ccols, pcols, arch, config),
-                TimingOpTable.concat(pipeline.op_tables[arch.name], pipeline.continued),
+                outcome.tables[arch.name],
             )
 
     def test_no_fragments_is_an_empty_table(self):

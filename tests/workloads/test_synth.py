@@ -159,7 +159,6 @@ class TestSyntheticChunkStream:
         built, seed = seed_case()
         arches = (ArchitectureConfig.baseline(), ArchitectureConfig.gscalar())
         config = GpuConfig()
-        warps_per_cta = built.launch.warps_per_cta(seed.warp_size)
         chunk_events = max(1, seed.num_events // 3)
 
         # Per-replica chunk grid (the streaming path) vs a global chunk
@@ -170,7 +169,6 @@ class TestSyntheticChunkStream:
             arches,
             built.kernel.num_registers,
             config=config,
-            warps_per_cta=warps_per_cta,
         )
         whole = materialize_synthetic(seed, self.REPLICAS)
         materialized = stream_pipeline(
@@ -178,9 +176,11 @@ class TestSyntheticChunkStream:
             arches,
             built.kernel.num_registers,
             config=config,
-            warps_per_cta=warps_per_cta,
         )
         assert streamed.num_events == materialized.num_events == whole.num_events
         for arch in arches:
-            assert streamed.timing[arch.name] == materialized.timing[arch.name]
-            assert streamed.power[arch.name] == materialized.power[arch.name]
+            assert (
+                streamed.tables[arch.name].digest()
+                == materialized.tables[arch.name].digest()
+            )
+            assert streamed.aggregates[arch.name] == materialized.aggregates[arch.name]
