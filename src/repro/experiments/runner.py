@@ -7,22 +7,27 @@ configuration and lazily computes, per benchmark:
 * the classified columns (architecture-independent),
 * per-experiment summaries (:mod:`repro.experiments.summary`): the
   small count tables each trace-reading figure reads,
-* per-architecture processed columns, timing results and power reports.
+* per architecture, one op-table memo entry (the
+  :class:`~repro.timing.ops.TimingOpTable` and its digest, per
+  lowering key) and the power aggregates, reduced together from one
+  temporary set of processed columns (:meth:`ExperimentRunner._build`),
+  then timing results and power reports.
 
 Every figure regenerator takes a runner, so a full ``python -m repro all``
 executes each benchmark exactly once at warp size 32 (Figure 10 also
 executes, counts and drops a warp-64 trace).  SM simulations are
 memoized by their input (:meth:`ExperimentRunner._simulate`):
 architectures or sweep points that lower to the same op table under the
-same machine share one simulation.
+same machine share one simulation, and a latency sweep, which leaves
+the lowering key alone, lowers nothing.
 
 With ``cache_dir`` set, summaries and each (benchmark, architecture)
 timing and power result also persist on disk as one-file entries
 (:mod:`repro.experiments.store`), so they are shared *across*
-processes.  Traces, classified and processed columns are memoized in
-memory only: a warm run derives every entry's fingerprint from the
-built workload, hits every entry and executes nothing.  A cache-less
-runner derives no fingerprint at all.
+processes.  Traces, classified columns, op tables and aggregates are
+memoized in memory only: a warm run derives every entry's fingerprint
+from the built workload, hits every entry and executes nothing.  A
+cache-less runner derives no fingerprint at all.
 
 Each stage has one engine: the vectorized classifier, the columnar
 architecture interpretation and power accounting, and the event-driven
@@ -41,7 +46,10 @@ its trace chunk by chunk through
 :func:`~repro.experiments.streaming.stream_pipeline`, which ends at the
 same (op table, power aggregates) pair the whole-trace path lowers, so
 both go through one SM memo and one power evaluation; only the pair's
-``result`` entry is cached.
+``result`` entry is cached.  The op-table memo then keeps the digest
+and the aggregates but not the table, and the sweeps and
+:meth:`ExperimentRunner.timeline` never build whole-trace columns: a
+pair they must simulate again streams again.
 
 :meth:`ExperimentRunner.prefetch` fans the benchmark × (experiment,
 architecture) matrix out over a process pool
@@ -55,7 +63,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro.analysis.static_.widths import (
     WIDTH_ANALYSIS_VERSION,
@@ -80,8 +88,8 @@ from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.simt.executor import run_kernel
 from repro.simt.trace import ColumnarTrace, iter_chunks
-from repro.timing.gpu import simulate_architecture_columns, simulate_warp_ops
-from repro.timing.ops import TimingOpTable, build_timing_ops_columns
+from repro.timing.gpu import simulate_warp_ops
+from repro.timing.ops import TimingOpTable, build_timing_ops_columns, lowering_key
 from repro.timing.sm import TimingResult
 from repro.workloads.registry import SCALES, BuiltWorkload, all_workloads, workload_by_name
 from repro.workloads.synth import (
@@ -134,8 +142,9 @@ class RunnerStats:
 
     ``counters`` tracks cache outcomes (``summary_cache_hits``,
     ``summary_cache_misses``, ``result_cache_hits``, ...,
-    ``cache_invalid``), ``trace_executions`` and SM engine work
-    (``sm_runs`` simulations, ``sm_reuses`` memo hits);
+    ``cache_invalid``), ``trace_executions``, ``op_tables`` (whole-trace
+    lowerings and streamed joins) and SM engine work (``sm_runs``
+    simulations, ``sm_reuses`` memo hits);
     ``stage_seconds`` accumulates wall time per pipeline stage.  Stats
     merge across processes, so a parallel prefetch reports the totals
     over all workers.
@@ -288,6 +297,14 @@ class BenchmarkRun:
         return self._columnar
 
 
+class _OpTable(NamedTuple):
+    """One pair's op-table memo entry under one lowering key."""
+
+    digest: str
+    #: ``None`` on a chunked runner, which keeps only the digest.
+    table: TimingOpTable | None
+
+
 class ExperimentRunner:
     """Caches traces, summaries and per-architecture results across
     experiments."""
@@ -331,7 +348,7 @@ class ExperimentRunner:
         self._seeds: dict[str, tuple[ColumnarTrace, int]] = {}
         self._widths: dict[str, WidthResult] = {}
         self._classified_columns: dict[str, ClassifiedColumns] = {}
-        self._processed_columns: dict[tuple[str, str], ProcessedColumns] = {}
+        self._op_tables: dict[tuple[str, str, tuple[int, int, int]], _OpTable] = {}
         self._aggregates: dict[tuple[str, str], _PowerAggregates] = {}
         self._summaries: dict[tuple[str, str], Any] = {}
         self._timing: dict[tuple[str, str], TimingResult] = {}
@@ -532,19 +549,14 @@ class ExperimentRunner:
     def processed_columns(self, abbr: str, arch: ArchitectureConfig) -> ProcessedColumns:
         """Per-architecture columnar processed trace for one benchmark.
 
-        Memoized in memory only: the result entries it feeds are what
-        the disk cache keeps, and the energy sweeps re-cost from this
-        memo instead of re-interpreting.
+        Not memoized: the runner keeps only what they reduce to, each
+        pair's op table and power aggregates (:meth:`_build`).
         """
-        key = (self._normalize(abbr), arch.name)
-        if key not in self._processed_columns:
-            ccols = self.classified_columns(key[0])
-            widths = self._widths_for(key[0], arch)
-            with self.stats.timer("process", benchmark=key[0], arch=arch.name):
-                self._processed_columns[key] = process_columns(
-                    ccols, arch, static_widths=widths
-                )
-        return self._processed_columns[key]
+        key = self._normalize(abbr)
+        ccols = self.classified_columns(key)
+        widths = self._widths_for(key, arch)
+        with self.stats.timer("process", benchmark=key, arch=arch.name):
+            return process_columns(ccols, arch, static_widths=widths)
 
     def _result_entry(self, key: str, arch: ArchitectureConfig) -> tuple[str, str]:
         """``(stem, fingerprint)`` of one (benchmark, architecture)
@@ -582,36 +594,65 @@ class ExperimentRunner:
     def _compute(
         self, key: str, arch: ArchitectureConfig
     ) -> tuple[TimingResult, PowerReport]:
-        """Timing and power of one pair.
-
-        The pair's op table and power aggregates are lowered from the
-        memoized whole-trace columns, or streamed chunk by chunk when
-        ``chunk_events`` is set; either way the SM memo simulates the
-        table and one evaluation accounts the aggregates.
-        """
-        if self.chunk_events is None:
-            self._log(f"timing {key} on {arch.name}")
-            table = self._lower(key, arch, self.config)
-            aggregates = self.power_aggregates(key, arch)
-        else:
-            table, aggregates = self._stream(key, arch)
-        timing = self._simulate(key, arch, table, self.config)
+        """Timing and power of one pair: the SM memo simulates the
+        pair's op table and one evaluation accounts its power
+        aggregates, both from the op-table memo (:meth:`_build`)."""
+        timing = self.simulate_sm(key, arch)
         accountant = PowerAccountant(arch, self.params, self.config)
         with self.stats.timer("power", benchmark=key, arch=arch.name):
-            power = accountant.account_aggregates(aggregates, timing)
+            power = accountant.account_aggregates(
+                self.power_aggregates(key, arch), timing
+            )
         return timing, power
 
-    def _lower(
+    def _build(
         self, key: str, arch: ArchitectureConfig, config: GpuConfig
     ) -> TimingOpTable:
-        """One pair's whole-trace op table under ``config``."""
-        ccols = self.classified_columns(key)
-        pcols = self.processed_columns(key, arch)
+        """Build one pair's op table under ``config`` and memoize it.
+
+        A whole-trace runner lowers and reduces one temporary set of
+        processed columns; a chunked runner streams the pair.  The memo
+        entry, keyed on ``config``'s
+        :func:`~repro.timing.ops.lowering_key`, keeps the digest, and
+        the table too unless the runner is chunked (so no streamed tier
+        is held); the pair's power aggregates are kept on first build.
+        Counts ``op_tables``.
+        """
+        pair = (key, arch.name)
+        if self.chunk_events is None:
+            self._log(f"lowering {key} on {arch.name}")
+            pcols = self.processed_columns(key, arch)
+            with self.stats.timer("timing", benchmark=key, arch=arch.name):
+                table = build_timing_ops_columns(
+                    self.classified_columns(key), pcols, arch, config
+                )
+            if pair not in self._aggregates:
+                accountant = PowerAccountant(arch, self.params, self.config)
+                with self.stats.timer("power", benchmark=key, arch=arch.name):
+                    self._aggregates[pair] = accountant.aggregates_from_columns(pcols)
+        else:
+            table, aggregates = self._stream(key, arch, config)
+            self._aggregates.setdefault(pair, aggregates)
+        self.stats.bump("op_tables")
         with self.stats.timer("timing", benchmark=key, arch=arch.name):
-            return build_timing_ops_columns(ccols, pcols, arch, config)
+            digest = table.digest()
+        self._op_tables[(*pair, lowering_key(config))] = _OpTable(
+            digest, table if self.chunk_events is None else None
+        )
+        return table
+
+    def _table(
+        self, key: str, arch: ArchitectureConfig, config: GpuConfig
+    ) -> TimingOpTable:
+        """One pair's op table under ``config``: the memo's, or built
+        now (a chunked runner streams the pair again)."""
+        entry = self._op_tables.get((key, arch.name, lowering_key(config)))
+        if entry is not None and entry.table is not None:
+            return entry.table
+        return self._build(key, arch, config)
 
     def _stream(
-        self, key: str, arch: ArchitectureConfig
+        self, key: str, arch: ArchitectureConfig, config: GpuConfig
     ) -> tuple[TimingOpTable, _PowerAggregates]:
         """One pair's op table and power aggregates, streamed through
         :func:`~repro.experiments.streaming.stream_pipeline`."""
@@ -630,7 +671,7 @@ class ExperimentRunner:
                 chunks,
                 (arch,),
                 run.built.kernel.num_registers,
-                config=self.config,
+                config=config,
                 static_widths=static_widths,
             )
         self.stats.bump("stream_chunks", outcome.num_chunks)
@@ -642,59 +683,87 @@ class ExperimentRunner:
         return outcome.tables[arch.name], outcome.aggregates[arch.name]
 
     def power_aggregates(self, abbr: str, arch: ArchitectureConfig) -> _PowerAggregates:
-        """One pair's whole-trace power aggregates, memoized.
+        """One pair's power aggregates, memoized with its op table.
 
         Activity counts depend on neither the energy parameters nor the
         latencies, so the results and every sweep point evaluate this
         one reduction.  Shared: callers must not mutate it.
         """
-        key = (self._normalize(abbr), arch.name)
-        if key not in self._aggregates:
-            pcols = self.processed_columns(key[0], arch)
-            accountant = PowerAccountant(arch, self.params, self.config)
-            with self.stats.timer("power", benchmark=key[0], arch=arch.name):
-                self._aggregates[key] = accountant.aggregates_from_columns(pcols)
-        return self._aggregates[key]
+        pair = (self._normalize(abbr), arch.name)
+        if pair not in self._aggregates:
+            self._build(pair[0], arch, self.config)
+        return self._aggregates[pair]
 
     def simulate_sm(
         self, abbr: str, arch: ArchitectureConfig, config: GpuConfig | None = None
     ) -> TimingResult:
-        """SM timing of one pair on ``config`` (default: the runner's):
-        the whole-trace table lowered under ``config``, through the
-        SM memo (:meth:`_simulate`)."""
+        """SM timing of one pair on ``config`` (default: the runner's)."""
+        (timing,) = self.simulate_sm_configs(abbr, arch, (config or self.config,))
+        return timing
+
+    def simulate_sm_configs(
+        self, abbr: str, arch: ArchitectureConfig, configs: Sequence[GpuConfig]
+    ) -> list[TimingResult]:
+        """SM timing of one pair on each of ``configs``, through the SM
+        memo (:meth:`_simulate`).
+
+        Each configuration's digest and table come from the op-table
+        memo, so configurations that share a lowering key (a latency
+        sweep's points) lower nothing once the pair is built.  A chunked
+        runner keeps only digests: the first SM-memo miss streams the
+        pair again, and that table serves every other configuration of
+        the call.
+        """
         key = self._normalize(abbr)
-        config = config or self.config
-        return self._simulate(key, arch, self._lower(key, arch, config), config)
+        held: dict[tuple[int, int, int], TimingOpTable] = {}
+
+        def table(config: GpuConfig) -> TimingOpTable:
+            lkey = lowering_key(config)
+            if lkey not in held:
+                held[lkey] = self._table(key, arch, config)
+            return held[lkey]
+
+        return [self._simulate(key, arch, config, table) for config in configs]
 
     def _simulate(
-        self, key: str, arch: ArchitectureConfig, table: TimingOpTable, config: GpuConfig
+        self,
+        key: str,
+        arch: ArchitectureConfig,
+        config: GpuConfig,
+        table: Callable[[GpuConfig], TimingOpTable],
     ) -> TimingResult:
-        """Simulate ``table`` once per distinct engine input.
+        """Simulate one pair once per distinct engine input.
 
-        The memo key is everything the engine reads: the table's
-        digest, the GPU configuration, the architecture's extra
-        pipeline cycles and the benchmark's warps per CTA.  So an
-        architecture that lowers to another's table
+        The memo key is everything the engine reads: the digest stored
+        in the pair's op-table entry, the GPU configuration, the
+        architecture's extra pipeline cycles and the benchmark's warps
+        per CTA.  So an architecture that lowers to another's table
         (``gscalar_no_divergent`` and ``gscalar``), whole or streamed,
         or a sweep point equal to the runner's configuration, reuses
-        that simulation.  Counts ``sm_runs`` and ``sm_reuses``.
+        that simulation.  ``table(config)`` is asked for only when the
+        pair has no entry yet or the SM memo misses.  Counts
+        ``sm_runs`` and ``sm_reuses``.
         """
+        entry_key = (key, arch.name, lowering_key(config))
+        if entry_key not in self._op_tables:
+            table(config)
         warps_per_cta = self.warps_per_cta(key)
+        memo_key = (
+            self._op_tables[entry_key].digest,
+            config,
+            arch.extra_pipeline_cycles,
+            warps_per_cta,
+        )
+        timing = self._sm_results.get(memo_key)
+        if timing is not None:
+            self.stats.bump("sm_reuses")
+            return timing
+        self.stats.bump("sm_runs")
+        ops = table(config)
         with self.stats.timer("timing", benchmark=key, arch=arch.name):
-            memo_key = (
-                table.digest(),
-                config,
-                arch.extra_pipeline_cycles,
-                warps_per_cta,
+            timing = self._sm_results[memo_key] = simulate_warp_ops(
+                ops, arch, config, warps_per_cta=warps_per_cta
             )
-            timing = self._sm_results.get(memo_key)
-            if timing is None:
-                self.stats.bump("sm_runs")
-                timing = self._sm_results[memo_key] = simulate_warp_ops(
-                    table, arch, config, warps_per_cta=warps_per_cta
-                )
-            else:
-                self.stats.bump("sm_reuses")
         return timing
 
     def timing(self, abbr: str, arch: ArchitectureConfig) -> TimingResult:
@@ -712,22 +781,22 @@ class ExperimentRunner:
     ) -> TimingResult:
         """Re-run timing with a flight recorder threaded through.
 
-        Always simulates (never replays a result entry or the SM memo —
-        recorded events cannot come from a cache) and never stores the
-        result, so the recorded run cannot pollute the recorder-free
-        caches.
+        Simulates the pair's op table from the op-table memo (a chunked
+        runner streams it again), but always simulates: it never
+        replays a result entry or the SM memo — recorded events cannot
+        come from a cache — and never stores the result, so the
+        recorded run cannot pollute the recorder-free caches.
         """
         key = self._normalize(abbr)
-        warps_per_cta = self.warps_per_cta(key)
+        table = self._table(key, arch, self.config)
         self._log(f"timeline {key} on {arch.name}")
         self.stats.bump("sm_runs")
         with self.stats.timer("timeline", benchmark=key, arch=arch.name):
-            return simulate_architecture_columns(
-                self.classified_columns(key),
-                self.processed_columns(key, arch),
+            return simulate_warp_ops(
+                table,
                 arch,
                 self.config,
-                warps_per_cta=warps_per_cta,
+                warps_per_cta=self.warps_per_cta(key),
                 recorder=recorder,
             )
 

@@ -201,6 +201,20 @@ _IS_WRITE_KIND[list(WRITE_KIND_IDS)] = True
 _ALU_CODE = CATEGORY_TO_CODE[OpCategory.ALU]
 
 
+def lowering_key(config) -> tuple[int, int, int]:
+    """The :class:`~repro.config.GpuConfig` values
+    :func:`build_timing_ops_columns` reads.
+
+    Two configurations with one key lower a pair to one table, so a
+    write-back latency sweep (which leaves the key alone) reuses it.
+    """
+    return (
+        config.alu_dispatch_cycles,
+        config.sfu_dispatch_cycles,
+        config.register_file_banks,
+    )
+
+
 def build_timing_ops_columns(ccols, pcols, arch, config) -> TimingOpTable:
     """Lower a columnar processed trace to a :class:`TimingOpTable`.
 

@@ -164,6 +164,8 @@ class TestSmStats:
             # to theirs on 5, so 22 pairs reuse another pair's simulation.
             assert counters["sm_reuses"] == 22, extra
             assert counters["sm_runs"] == 17 * 5 - 22, extra
+            # One op table per pair: lowered whole, or joined from chunks.
+            assert counters["op_tables"] == 17 * 5, extra
 
 
 class TestCacheAndJobs:

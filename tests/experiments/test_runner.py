@@ -33,17 +33,26 @@ class TestRunner:
         second = runner.run("bp")  # case-insensitive
         assert first is second
 
-    def test_processed_cached_per_architecture(self, runner):
-        arch = ArchitectureConfig.gscalar()
-        first = runner.processed_columns("BP", arch)
-        second = runner.processed_columns("BP", arch)
-        assert first is second
-
-    def test_columns_cached_per_architecture(self, runner):
-        base = runner.processed_columns("BP", ArchitectureConfig.baseline())
-        gscalar = runner.processed_columns("BP", ArchitectureConfig.gscalar())
+    def test_op_table_memo_per_architecture(self):
+        """One op-table entry and one aggregate set per pair: asking
+        again builds nothing, another architecture builds its own."""
+        runner = ExperimentRunner(scale="tiny")
+        base = runner.power_aggregates("BP", ArchitectureConfig.baseline())
+        gscalar = runner.power_aggregates("BP", ArchitectureConfig.gscalar())
         assert base is not gscalar
-        assert runner.processed_columns("BP", ArchitectureConfig.baseline()) is base
+        assert runner.power_aggregates("bp", ArchitectureConfig.baseline()) is base
+        runner.timing("BP", ArchitectureConfig.baseline())
+        assert runner.stats.counters["op_tables"] == 2
+
+    def test_processed_columns_are_not_kept(self):
+        """Processed columns are a temporary of the op-table build: the
+        runner holds no copy, so each call interprets afresh."""
+        runner = ExperimentRunner(scale="tiny")
+        arch = ArchitectureConfig.gscalar()
+        runner.timing("BP", arch)
+        assert runner.processed_columns("BP", arch) is not runner.processed_columns(
+            "BP", arch
+        )
 
     def test_timing_and_power(self, runner):
         arch = ArchitectureConfig.baseline()
@@ -157,6 +166,47 @@ class TestSmMemo:
         assert points == sweep_latency_parameter_events(
             runner, "alu_latency", (1.0,), names
         )
+
+    def test_prefetched_latency_sweep_builds_no_table(self, monkeypatch):
+        """After prefetch, a latency sweep reads each pair's memoized op
+        table and digest: nothing is interpreted, lowered or hashed."""
+        from repro.experiments import runner as runner_module
+        from repro.timing.ops import TimingOpTable
+
+        names = ("BP", "HS")
+        factors = (0.5, 1.0, 2.0)
+        runner = ExperimentRunner(scale="tiny")
+        runner.prefetch(
+            names=names,
+            arches=(self.BASELINE, ArchitectureConfig.alu_scalar(), self.GSCALAR),
+        )
+        expected = sweep_latency_parameter_events(runner, "alu_latency", factors, names)
+        tables = runner.stats.counters["op_tables"]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("built an op table after prefetch")
+
+        monkeypatch.setattr(runner_module, "build_timing_ops_columns", fail)
+        monkeypatch.setattr(runner_module, "process_columns", fail)
+        monkeypatch.setattr(TimingOpTable, "digest", fail)
+        points = sweep_latency_parameter(runner, "alu_latency", factors, names)
+        assert points == expected
+        assert runner.stats.counters["op_tables"] == tables
+
+    def test_timeline_after_timing_builds_no_table(self, monkeypatch):
+        from repro.experiments import runner as runner_module
+
+        runner = ExperimentRunner(scale="tiny")
+        expected = runner.timing("BP", self.GSCALAR)
+        tables = runner.stats.counters["op_tables"]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("timeline built an op table")
+
+        monkeypatch.setattr(runner_module, "build_timing_ops_columns", fail)
+        monkeypatch.setattr(runner_module, "process_columns", fail)
+        assert runner.timeline("BP", self.GSCALAR, FlightRecorder()) == expected
+        assert runner.stats.counters["op_tables"] == tables
 
     def test_timeline_always_simulates_and_leaves_the_memo(self, monkeypatch):
         runner = ExperimentRunner(scale="tiny")

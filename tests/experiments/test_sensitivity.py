@@ -213,3 +213,41 @@ class TestColumnarEnginesMatchEventEngines:
         assert sweep_latency_parameter(
             runner, "alu_latency", factors, benchmarks=BENCHES
         ) == sweep_latency_parameter_events(runner, "alu_latency", factors, BENCHES)
+
+
+class TestChunkedRunnerSweeps:
+    def test_sweeps_never_build_whole_trace_columns(self, monkeypatch):
+        """On a chunked runner both sweeps read the streamed passes'
+        digests and aggregates, streaming a pair again only where a
+        latency point must simulate: no whole-trace classification or
+        interpretation, and the whole-trace runner's points."""
+        from repro.config import ArchitectureConfig
+        from repro.experiments import runner as runner_module
+
+        names = ("BP", "HS")
+        factors = (0.5, 1.0, 2.0)
+        arches = (
+            ArchitectureConfig.baseline(),
+            ArchitectureConfig.alu_scalar(),
+            ArchitectureConfig.gscalar(),
+        )
+        whole = ExperimentRunner(scale="tiny")
+        energy = sweep_energy_parameter(whole, "rf_full_access_pj", factors, names)
+        latency = sweep_latency_parameter(whole, "alu_latency", factors, names)
+
+        runner = ExperimentRunner(scale="tiny", chunk_events=256)
+        runner.prefetch(names=names, arches=arches)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a chunked runner classified a whole trace")
+
+        monkeypatch.setattr(runner_module, "classify_columnar_batch", fail)
+        assert energy == sweep_energy_parameter(
+            runner, "rf_full_access_pj", factors, names
+        )
+        streams = runner.stats.counters["op_tables"]
+        assert latency == sweep_latency_parameter(runner, "alu_latency", factors, names)
+        # One re-stream per pair for all of its points.
+        assert runner.stats.counters["op_tables"] == streams + len(names) * len(arches)
+        stages = runner.stats.stage_seconds
+        assert "classify" not in stages and "process" not in stages, stages

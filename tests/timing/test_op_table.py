@@ -7,11 +7,15 @@ coalescing against :func:`~tests.reference.timing.coalesce_addresses`, the
 ``to_ops``/``from_ops`` conversions against each other, chunk
 concatenation against the whole-trace table, and the scalar-load
 segment against the lowest active lane.  They also check that the
-production paths never build a :class:`~tests.reference.timing.TimingOp`.
+production paths never build a :class:`~tests.reference.timing.TimingOp`,
+and that :func:`~repro.timing.ops.lowering_key` names every
+configuration value the lowering reads.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 from unittest import mock
 
 import numpy as np
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.static_.widths import analyze_widths
 from repro.config import ArchitectureConfig, GpuConfig
-from repro.errors import TimingError
+from repro.errors import ConfigError, TimingError
 from repro.experiments.runner import ExperimentRunner, matrix_architectures
 from repro.experiments.sensitivity import sweep_latency_parameter
 from repro.experiments.streaming import stream_pipeline
@@ -38,6 +42,7 @@ from repro.timing.ops import (
     TimingOpTable,
     build_timing_ops_columns,
     coalesce_address_rows,
+    lowering_key,
 )
 from repro.timing.sm_event import EventSmSimulator
 from repro.workloads.registry import build_workload
@@ -428,3 +433,71 @@ class TestNoTimingOpOnProductionPaths:
         runner = ExperimentRunner(scale="tiny")
         result = runner.timeline("BP", ArchitectureConfig.gscalar(), FlightRecorder())
         assert result.instructions > 0
+
+
+# ----------------------------------------------------------------------
+# The lowering key covers every GpuConfig value the lowering reads.
+# ----------------------------------------------------------------------
+def _config_variants(config: GpuConfig):
+    """``(field, changed config)`` for a few valid changes of every
+    :class:`GpuConfig` field, one field at a time."""
+    for spec in dataclasses.fields(GpuConfig):
+        value = getattr(config, spec.name)
+        if isinstance(value, enum.Enum):
+            candidates = [member for member in type(value) if member != value]
+        elif isinstance(value, float):
+            candidates = [value / 2, value * 2]
+        else:
+            candidates = [value - 1, value + 1, value // 2, value * 2]
+        for candidate in candidates:
+            try:
+                yield spec.name, dataclasses.replace(config, **{spec.name: candidate})
+            except ConfigError:
+                continue
+
+
+class TestLoweringKey:
+    #: The only fields whose changes reach the lowering: the dispatch
+    #: cycles (warp size over the ALU and SFU widths) and the bank count.
+    KEY_FIELDS = {"warp_size", "simt_width", "sfu_width", "register_file_banks"}
+
+    @pytest.mark.parametrize("abbr", ["BP", "HS", "LBM", "MM"])
+    def test_configs_with_one_key_lower_to_one_table(self, abbr):
+        runner = ExperimentRunner(scale="tiny")
+        ccols = runner.classified_columns(abbr)
+        variants = list(_config_variants(runner.config))
+        assert {name for name, _ in variants} == {
+            spec.name for spec in dataclasses.fields(GpuConfig)
+        }
+        moved = set()
+        for arch in (
+            ArchitectureConfig.baseline(),
+            ArchitectureConfig.alu_scalar(),
+            ArchitectureConfig.gscalar(),
+        ):
+            pcols = runner.processed_columns(abbr, arch)
+            digests = {
+                lowering_key(runner.config): build_timing_ops_columns(
+                    ccols, pcols, arch, runner.config
+                ).digest()
+            }
+            for name, config in variants:
+                digest = build_timing_ops_columns(ccols, pcols, arch, config).digest()
+                key = lowering_key(config)
+                assert digests.setdefault(key, digest) == digest, (arch.name, name)
+                if key != lowering_key(runner.config):
+                    moved.add(name)
+        assert moved == self.KEY_FIELDS
+
+    def test_a_key_change_lowers_a_second_table(self):
+        runner = ExperimentRunner(scale="tiny")
+        arch = ArchitectureConfig.gscalar()
+        runner.timing("BP", arch)
+        assert runner.stats.counters["op_tables"] == 1
+        slower = dataclasses.replace(runner.config, alu_latency=36)
+        runner.simulate_sm("BP", arch, slower)
+        assert runner.stats.counters["op_tables"] == 1
+        narrower = dataclasses.replace(runner.config, sfu_width=8)
+        assert lowering_key(narrower) != lowering_key(runner.config)
+        runner.simulate_sm("BP", arch, narrower)
+        assert runner.stats.counters["op_tables"] == 2
