@@ -29,6 +29,11 @@ The per-cycle state is kept in the cheapest form each check needs:
   call) and retirement drops a warp's rows, so the engine's Python
   objects are bounded by the resident CTAs plus one block rather than
   by the table — there is no whole-table compile before cycle 0;
+* within a block, warps whose columns other than the coalesced
+  segments are equal **share one compiled row list** (a kernel's warps
+  mostly run one of a few sequences), so each distinct sequence is
+  compiled once; segments stay per warp, in a list indexed by the op's
+  pc that lives from activation to retirement;
 * **scoreboards** are one int per warp with bit *r* set while register
   *r* is in flight; each compiled row carries a *hazard mask* (its
   destination OR its sources, interned across compile blocks so equal
@@ -42,11 +47,14 @@ The per-cycle state is kept in the cheapest form each check needs:
   a slot in its partition changed (activation, issue, branch
   write-back, barrier wake-up, retirement) — nothing else can change
   it;
-* each pipeline-port group keeps its **earliest free time**, so
-  dispatch skips a saturated group without scanning its ports;
-* operand collection and dispatch are **one issue-ordered pass** over
-  the collectors: each serves its bank reads (one request per bank per
-  cycle) and, once bank-complete, dispatches to a free port;
+* the **collector pool** is split in two: the collectors still reading
+  banks, which alone take part in the per-cycle bank arbitration, and
+  one issue-ordered list of bank-complete collectors waiting for a
+  port (a completion that overtakes an older collector goes in by
+  issue sequence).  The list keeps a count per port group and the
+  earliest free time of any group with a waiting collector, so the
+  dispatch pass runs only once that time has come and stops as soon
+  as no group can take another collector;
 * **write-backs** sit in a timing wheel: one list per completion cycle,
   appended in dispatch order, with a heap of the cycles that have one.
 
@@ -68,6 +76,7 @@ reference.
 
 from __future__ import annotations
 
+from bisect import insort
 from heapq import heappop, heappush
 
 import numpy as np
@@ -103,8 +112,10 @@ _ALU_CODE = CATEGORY_TO_CODE[OpCategory.ALU]
 #: distinguished by the compiled row's _IS_CTRL flag).
 _PORT_CATEGORY_NAMES = ("ALU", "MEM", "SFU")
 
-# Compiled-op tuple layout (one tuple per table row; plain tuples index
-# faster than array or attribute access in the hot loop).
+# Compiled-op tuple layout (one tuple per row of a distinct warp
+# sequence; plain tuples index faster than array or attribute access in
+# the hot loop).  A row holds no coalesced segments, so warps that
+# differ only in their segments share it.
 _DST_BIT = 0  # scoreboard bit of the destination register; 0 for none
 _HAZARD = 1  # scoreboard bits of the destination and every source
 _SRC_BANKS = 2
@@ -114,9 +125,19 @@ _DELTA = 5  # dispatch + write-back latency + extra latency; -1 for MEM
 _IS_CTRL = 6
 _IS_BARRIER = 7
 _INSERTED = 8
-_MEM_SEGMENTS = 9
-_IS_SHARED = 10
-_IS_STORE = 11
+_IS_SHARED = 9
+_IS_STORE = 10
+
+# Collector-entry layout: [sequence, warp, pending_banks, row, pc], the
+# sequence counting issues, so entries compare in issue order.
+_SEQUENCE = 0
+_WARP = 1
+_PENDING = 2
+_ROW = 3
+_PC = 4
+
+#: Later than any cycle: the free time of a port group nothing waits for.
+_NEVER = 1 << 62
 
 #: Fewest table rows one compile block holds (unless the table runs
 #: out): activation compiles whole CTAs up to this floor at a time.
@@ -127,14 +148,51 @@ _WORD_BITS = 64
 
 
 def _ragged_tuples(values, offsets, lo: int, hi: int) -> list[tuple]:
-    """Rows ``lo:hi`` of a ragged table as one tuple each."""
+    """Rows ``lo:hi`` of a ragged table as one tuple each (``()`` for
+    an empty row, so a sparse table costs a tuple per filled row)."""
     bounds = offsets[lo : hi + 1]
+    rows: list[tuple] = [()] * (hi - lo)
+    filled = np.flatnonzero(bounds[1:] != bounds[:-1])
     flat = values[bounds[0] : bounds[-1]].tolist()
-    bounds = (bounds - bounds[0]).tolist()
-    return [
-        tuple(flat[start:end]) if start != end else ()
-        for start, end in zip(bounds, bounds[1:])
-    ]
+    starts = (bounds[filled] - bounds[0]).tolist()
+    ends = (bounds[filled + 1] - bounds[0]).tolist()
+    for row, start, end in zip(filled.tolist(), starts, ends):
+        rows[row] = tuple(flat[start:end])
+    return rows
+
+
+def _sequence_keys(table: TimingOpTable, starts: list[int]) -> list[tuple]:
+    """One key per warp whose rows are ``starts[i]:starts[i + 1]``.
+
+    Two keys are equal exactly when the warps' columns other than the
+    coalesced segments are: the bytes of every per-row column, of the
+    source offsets rebased to the warp, and of the source registers
+    and banks.  Equal keys share one object, so a block holds one key
+    per distinct sequence and nothing the size of the block.
+    """
+    per_row = (
+        table.category_codes,
+        table.dst,
+        table.dispatch_cycles,
+        table.long_latency,
+        table.is_store,
+        table.is_shared_mem,
+        table.is_barrier,
+        table.inserted,
+    )
+    src_offsets = table.src_offsets
+    keys: dict[tuple, tuple] = {}
+    result = []
+    for first, end in zip(starts, starts[1:]):
+        src_lo, src_hi = int(src_offsets[first]), int(src_offsets[end])
+        key = (
+            *(column[first:end].tobytes() for column in per_row),
+            (src_offsets[first : end + 1] - src_lo).tobytes(),
+            table.src_regs[src_lo:src_hi].tobytes(),
+            table.src_banks[src_lo:src_hi].tobytes(),
+        )
+        result.append(keys.setdefault(key, key))
+    return result
 
 
 def _register_masks(
@@ -215,8 +273,9 @@ class EventSmSimulator:
 
     # ------------------------------------------------------------------
     def _compile_rows(self, lo: int, hi: int, interned: dict[int, int]) -> list[tuple]:
-        """Pre-resolve table rows ``lo:hi``'s static timing facts into
-        flat tuples, straight from the table's columns.
+        """Pre-resolve table rows ``lo:hi``'s static timing facts,
+        segments aside, into flat tuples, straight from the table's
+        columns.
 
         ``interned`` shares equal hazard masks between calls, so a run
         that compiles block by block holds one int per distinct mask.
@@ -258,10 +317,47 @@ class EventSmSimulator:
                 (codes == CTRL_CODE).tolist(),
                 table.is_barrier[lo:hi].tolist(),
                 table.inserted[lo:hi].tolist(),
-                _ragged_tuples(table.segments, table.seg_offsets, lo, hi),
                 table.is_shared_mem[lo:hi].tolist(),
                 table.is_store[lo:hi].tolist(),
             )
+        )
+
+    def _compile_block(
+        self, starts: list[int], interned: dict[int, int]
+    ) -> tuple[list[list[tuple]], list[list[tuple]]]:
+        """Compiled rows and coalesced segments of the warps whose rows
+        are ``starts[i]:starts[i + 1]``, one list each.
+
+        Warps with one :func:`_sequence_keys` key share one row list,
+        so each distinct sequence is compiled once (consecutive new
+        sequences in one :meth:`_compile_rows` call).  A warp's
+        segments are one tuple per row, ``()`` off the memory rows.
+        """
+        keys = _sequence_keys(self.table, starts)
+        first_of: dict[tuple, int] = {}
+        for index, key in enumerate(keys):
+            first_of.setdefault(key, index)
+        fresh = list(first_of.values())  # ascending: dicts keep insertion order
+        shared: dict[tuple, list[tuple]] = {}
+        run_start = 0
+        for position, index in enumerate(fresh):
+            if position + 1 < len(fresh) and fresh[position + 1] == index + 1:
+                continue
+            first, end = fresh[run_start], index + 1
+            base = starts[first]
+            rows = self._compile_rows(base, starts[end], interned)
+            for member in range(first, end):
+                shared[keys[member]] = rows[
+                    starts[member] - base : starts[member + 1] - base
+                ]
+            run_start = position + 1
+        lo = starts[0]
+        segments = _ragged_tuples(
+            self.table.segments, self.table.seg_offsets, lo, starts[-1]
+        )
+        return (
+            [shared[key] for key in keys],
+            [segments[first - lo : end - lo] for first, end in zip(starts, starts[1:])],
         )
 
     # ------------------------------------------------------------------
@@ -274,9 +370,12 @@ class EventSmSimulator:
         table = self.table
         oplen = table.warp_lengths.tolist()
         bounds = table.warp_bounds().tolist()
-        # A warp's compiled rows, from just before its CTA activates
-        # until it retires (None outside that span).
+        # A warp's compiled rows (shared with the warps of its block
+        # that run the same sequence) and its per-row segments, from
+        # just before its CTA activates until it retires (None outside
+        # that span).
         compiled: list[list[tuple] | None] = [None] * num_warps
+        segments: list[list[tuple] | None] = [None] * num_warps
         interned: dict[int, int] = {}
         warps_per_cta = self.warps_per_cta
         extra = self.extra_latency
@@ -318,14 +417,23 @@ class EventSmSimulator:
         # its partition changed.
         causes = [-1] * num_schedulers
 
-        # Collector entries are [warp, pending_banks, compiled_row] in
-        # issue order.
-        collectors: list[list] = []
         alu_ports = [0] * config.alu_pipelines
         mem_ports = [0] * config.mem_pipelines
         sfu_ports = [0] * config.sfu_pipelines
         port_groups = (alu_ports, mem_ports, sfu_ports)
         group_free = [0] * len(port_groups)  # earliest free port per group
+        # The collector pool, in two issue-ordered lists: ``reading``
+        # holds the collectors with bank reads left (only they take
+        # part in bank arbitration), ``waiting`` the bank-complete ones
+        # no port has taken yet.  For a group with a waiting collector,
+        # ``waiting_free`` holds its earliest free port (else _NEVER);
+        # ``open_at`` is their minimum, the first cycle one can dispatch.
+        reading: list[list] = []
+        waiting: list[list] = []
+        waiting_count = [0] * len(port_groups)
+        waiting_free = [_NEVER] * len(port_groups)
+        open_at = _NEVER
+        sequence = 0
 
         # Write-back timing wheel: completion cycle -> [(warp, row)] in
         # dispatch order, plus a min-heap of the cycles present.
@@ -379,9 +487,9 @@ class EventSmSimulator:
             last = first
             while last < num_warps and bounds[last] - lo < _COMPILE_BLOCK_ROWS:
                 last = min(last + warps_per_cta, num_warps)
-            rows = self._compile_rows(lo, bounds[last], interned)
-            for warp in range(first, last):
-                compiled[warp] = rows[bounds[warp] - lo : bounds[warp + 1] - lo]
+            compiled[first:last], segments[first:last] = self._compile_block(
+                bounds[first : last + 1], interned
+            )
 
         def activate_ctas() -> None:
             """GigaThread-style activation: whole CTAs, lowest slots first."""
@@ -490,77 +598,105 @@ class EventSmSimulator:
                 ):
                     ready_masks[slot_scheduler[slot]] |= slot_bit[slot]
 
-            # 2-3. One pass over the collectors in issue order: serve
-            # each one's bank reads (one request per bank per cycle,
-            # earlier collectors first, the scalar-RF bank serialized
-            # exactly as in the reference, §4.1), then dispatch it to a
-            # free pipeline port once it is bank-complete.  Dispatch
-            # never touches a bank, so this is the reference's
-            # collect-all-then-dispatch-all order.
+            # 2. Operand collection over the reading collectors in issue
+            # order: one request per bank per cycle, earlier collectors
+            # first, the scalar-RF bank serialized exactly as in the
+            # reference (§4.1).  A bank-complete collector joins the
+            # waiting list at its issue sequence: it can overtake an
+            # older collector whose banks conflicted.
             had_conflict = False
-            waiting = 0  # bank-complete collectors no free port took
-            if collectors:
+            if reading:
                 served_banks: set[int] = set()
-                kept = []
-                for collector in collectors:
-                    pending_banks = collector[1]
-                    if pending_banks:
-                        still_pending = []
-                        for bank in pending_banks:
-                            if bank not in served_banks:
-                                served_banks.add(bank)
-                                progressed = True
-                            else:
-                                still_pending.append(bank)
-                                had_conflict = True
-                                if bank == SCALAR_RF_BANK:
-                                    scalar_conflicts += 1
-                        collector[1] = still_pending
-                        if still_pending:
-                            kept.append(collector)
-                            continue
-                    row = collector[2]
+                still_reading = []
+                for collector in reading:
+                    still_pending = []
+                    for bank in collector[_PENDING]:
+                        if bank not in served_banks:
+                            served_banks.add(bank)
+                            progressed = True
+                        else:
+                            still_pending.append(bank)
+                            had_conflict = True
+                            if bank == SCALAR_RF_BANK:
+                                scalar_conflicts += 1
+                    if still_pending:
+                        collector[_PENDING] = still_pending
+                        still_reading.append(collector)
+                        continue
+                    if waiting and waiting[-1][_SEQUENCE] > collector[_SEQUENCE]:
+                        insort(waiting, collector)
+                    else:
+                        waiting.append(collector)
+                    group = collector[_ROW][_PORT]
+                    waiting_count[group] += 1
+                    free = waiting_free[group] = group_free[group]
+                    if free < open_at:
+                        open_at = free
+                reading = still_reading
+                if had_conflict:
+                    bank_conflict_cycles += 1
+
+            # 3. Dispatch waiting collectors to free pipeline ports in
+            # issue order, within and across port groups, as the
+            # reference does.  Nothing can dispatch before ``open_at``,
+            # and the pass ends once no group with a waiting collector
+            # has a free port.  A group's collectors before the pass's
+            # position were skipped while it was busy, and a group only
+            # gets busier within a cycle, so an open group's waiting
+            # collectors all lie ahead.
+            if open_at <= cycle:
+                index = 0
+                while True:
+                    collector = waiting[index]
+                    row = collector[_ROW]
                     group = row[_PORT]
                     if group_free[group] > cycle:
-                        kept.append(collector)
-                        waiting += 1
+                        index += 1
                         continue
+                    del waiting[index]
                     ports = port_groups[group]
                     port_index = 0
                     while ports[port_index] > cycle:
                         port_index += 1
                     dispatch = row[_DISPATCH]
                     ports[port_index] = cycle + dispatch
-                    group_free[group] = min(ports)
+                    free = group_free[group] = min(ports)
+                    warp = collector[_WARP]
                     delta = row[_DELTA]
                     if delta < 0:
                         if row[_IS_SHARED]:
                             latency = access_shared()
                         else:
-                            latency = access_global(row[_MEM_SEGMENTS], row[_IS_STORE])
+                            latency = access_global(
+                                segments[warp][collector[_PC]], row[_IS_STORE]
+                            )
                         delta = dispatch + latency + extra
                     due = cycle + delta
                     bucket = wheel.get(due)
                     if bucket is None:
-                        wheel[due] = [(collector[0], row)]
+                        wheel[due] = [(warp, row)]
                         heappush(wheel_cycles, due)
                     else:
-                        bucket.append((collector[0], row))
+                        bucket.append((warp, row))
                     instructions += 1
                     if not row[_INSERTED]:
                         useful_instructions += 1
-                    progressed = True
-                collectors = kept
-                if had_conflict:
-                    bank_conflict_cycles += 1
+                    count = waiting_count[group] = waiting_count[group] - 1
+                    waiting_free[group] = free if count else _NEVER
+                    if free > cycle or not count:
+                        open_at = min(waiting_free)
+                        if open_at > cycle:
+                            break
+                progressed = True
 
             # 4. Issue: each scheduler picks at most one ready slot.
             # Collector back-pressure attribution mirrors the
             # reference: a full pool in a cycle whose bank arbitration
             # serialized goes to the bank-conflict bucket.
             full_cause = STALL_BANK_CONFLICT if had_conflict else STALL_COLLECTORS_FULL
+            pool = len(reading) + len(waiting)
             for scheduler_index in range(num_schedulers):
-                if len(collectors) >= max_collectors:
+                if pool >= max_collectors:
                     stall_counts[scheduler_index][full_cause] += 1
                     cycle_causes[scheduler_index] = full_cause
                     continue
@@ -622,7 +758,9 @@ class EventSmSimulator:
                         pc < oplen[warp]
                         and not scoreboards[warp] & compiled[warp][pc][_HAZARD]
                     )
-                collectors.append([warp, row[_SRC_BANKS], row])
+                reading.append([sequence, warp, row[_SRC_BANKS], row, pc - 1])
+                sequence += 1
+                pool += 1
                 if ready_next:
                     ready_masks[scheduler_index] |= bit
                 if recorder is not None:
@@ -655,7 +793,7 @@ class EventSmSimulator:
                     slot = warp_slot[warp]
                     warp_slot[warp] = -1
                     slot_warp[slot] = -1
-                    compiled[warp] = None
+                    compiled[warp] = segments[warp] = None
                     heappush(free_slots, slot)
                     scheduler_index = slot_scheduler[slot]
                     causes[scheduler_index] = -1
@@ -673,7 +811,7 @@ class EventSmSimulator:
 
             # 6. Skip ahead over dead cycles — the same jump rule as the
             # reference: the next write-back completion, or the next
-            # port release when a bank-complete collector is waiting.
+            # port release (of any group) when a collector is waiting.
             if progressed:
                 cycle += 1
             else:

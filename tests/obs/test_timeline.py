@@ -19,6 +19,7 @@ from repro.timing.sm_event import EventSmSimulator
 
 from tests.reference.sm import SmSimulator
 from tests.reference.timing import TimingOp, from_ops
+from tests.timing.test_sm_event import SATURATED_CONFIGS, saturated_warps
 
 _STALL_KIND = EVENT_KIND_NAMES.index("stall")
 
@@ -128,20 +129,15 @@ class TestRecorderRing:
 
 
 class TestEngineIdenticalStreams:
-    def test_both_engines_record_identical_spans(self):
-        warps = [
-            chain(4) + [barrier_op(), alu_op(dst=2)],
-            [barrier_op(), alu_op(dst=3, srcs=(3,))],
-            chain(2),
-            [],
-        ]
+    @staticmethod
+    def assert_identical_spans(warps, config, **kwargs):
         streams = []
         for engine, ops in (
             (SmSimulator, warps),
             (EventSmSimulator, from_ops(warps)),
         ):
             recorder = FlightRecorder()
-            engine(ops, CONFIG, warps_per_cta=2, recorder=recorder).run()
+            engine(ops, config, recorder=recorder, **kwargs).run()
             streams.append(
                 sorted(
                     (s.name, s.cat, s.ts_us, s.dur_us, s.pid, s.tid,
@@ -150,6 +146,24 @@ class TestEngineIdenticalStreams:
                 )
             )
         assert streams[0] == streams[1]
+
+    def test_both_engines_record_identical_spans(self):
+        warps = [
+            chain(4) + [barrier_op(), alu_op(dst=2)],
+            [barrier_op(), alu_op(dst=3, srcs=(3,))],
+            chain(2),
+            [],
+        ]
+        self.assert_identical_spans(warps, CONFIG, warps_per_cta=2)
+
+    def test_saturated_pool_records_identical_spans(self):
+        """48 resident warps that keep the collector pool full, their
+        ALU, SFU and memory ops sharing write-back buckets."""
+        self.assert_identical_spans(
+            saturated_warps("deltas", seed=1),
+            GpuConfig(**SATURATED_CONFIGS["deltas"]),
+            extra_latency=3,
+        )
 
 
 class TestChromeTraceEdgeCases:

@@ -59,7 +59,7 @@ from tests.reference.timing import (
     to_ops,
 )
 from tests.reference.trace import to_trace
-from tests.timing.test_sm_event import many_cta_warps
+from tests.timing.test_sm_event import many_cta_warps, saturated_warps
 
 
 # ----------------------------------------------------------------------
@@ -309,10 +309,12 @@ class TestConcat:
 
 
 class TestEventCompile:
-    def test_block_compiles_equal_one_range_compile(self):
-        """Whatever the block floor, a run compiles every row exactly
-        once, whole CTAs per block in row order, into the tuple one
-        whole-range compile gives it."""
+    def test_blocks_compile_each_distinct_sequence_once(self):
+        """Whatever the block floor, blocks are whole CTAs in warp order
+        covering the table once; each block compiles each distinct warp
+        sequence (segments aside) once and shares its rows, which equal
+        one whole-range compile's, while every warp keeps the table's
+        segments."""
         config = GpuConfig()
         arch = ArchitectureConfig.gscalar()
         runner = ExperimentRunner(scale="small")
@@ -322,39 +324,96 @@ class TestEventCompile:
             arch,
             config,
         )
-        # LBM: four 4-warp CTAs; then 3-warp CTAs with barriers; then
-        # 5-row CTAs, two to a 7-row block.
+        # LBM: four 4-warp CTAs; then 3-warp CTAs of one program with
+        # barriers; then 5-row CTAs, two to a 7-row block; then three
+        # programs two warps at a time (programs 0, 0, 1, 1, 2, 2, ...),
+        # so a block's new sequences are not adjacent, each warp with
+        # its own segments.
+        mixed = saturated_warps("banks", seed=1, num_warps=72, length=6)
+        paired = [mixed[3 * warp + warp // 2 % 3] for warp in range(24)]
+        # Last, two warps whose sources differ only in how they split
+        # between rows.
+        def alu(*srcs):
+            return TimingOp(
+                category=OpCategory.ALU,
+                dst=3,
+                src_regs=srcs,
+                src_banks=srcs,
+                dispatch_cycles=2,
+                long_latency=False,
+                is_store=False,
+            )
+
         cases = [
             (lbm, runner.warps_per_cta("LBM")),
             (from_ops(many_cta_warps(24, 40, seed=1)), 3),
             (from_ops(many_cta_warps(24, 5, seed=2)), 1),
+            (from_ops(paired), 2),
+            (from_ops([[alu(1, 2), alu()], [alu(1), alu(2)]]), 1),
         ]
+        compile_block = EventSmSimulator._compile_block
         compile_rows = EventSmSimulator._compile_rows
         for table, warps_per_cta in cases:
             whole = EventSmSimulator(table, config, extra_latency=3)._compile_rows(
                 0, table.num_ops, {}
             )
-            cta_starts = set(table.warp_bounds()[::warps_per_cta].tolist())
+            bounds = table.warp_bounds().tolist()
+            ops = to_ops(table)
+            sequences = [
+                tuple(dataclasses.replace(op, mem_segments=()) for op in warp)
+                for warp in ops
+            ]
             for block_rows in (1, 7, 16384):
                 blocks = []
 
-                def spy(self, lo, hi, interned):
-                    rows = compile_rows(self, lo, hi, interned)
-                    blocks.append((lo, hi, rows))
-                    return rows
+                def spy_block(self, starts, interned):
+                    blocks.append({"starts": starts, "compiled": []})
+                    rows, segments = compile_block(self, starts, interned)
+                    blocks[-1].update(rows=rows, segments=segments)
+                    return rows, segments
+
+                def spy_rows(self, lo, hi, interned):
+                    blocks[-1]["compiled"].append((lo, hi))
+                    return compile_rows(self, lo, hi, interned)
 
                 simulator = EventSmSimulator(
                     table, config, extra_latency=3, warps_per_cta=warps_per_cta
                 )
                 with mock.patch.object(
                     sm_event, "_COMPILE_BLOCK_ROWS", block_rows
-                ), mock.patch.object(EventSmSimulator, "_compile_rows", spy):
+                ), mock.patch.object(
+                    EventSmSimulator, "_compile_block", spy_block
+                ), mock.patch.object(EventSmSimulator, "_compile_rows", spy_rows):
                     simulator.run()
-                starts = [lo for lo, _, _ in blocks]
-                assert starts == [0] + [hi for _, hi, _ in blocks[:-1]]
-                assert blocks[-1][1] == table.num_ops
-                assert set(starts) <= cta_starts
-                assert [row for *_, rows in blocks for row in rows] == whole
+                first = 0
+                for block in blocks:
+                    last = first + len(block["starts"]) - 1
+                    assert first % warps_per_cta == 0
+                    assert block["starts"] == bounds[first : last + 1]
+                    warps = range(first, last)
+                    compiled = [
+                        warp
+                        for lo, hi in block["compiled"]
+                        for warp in warps
+                        if lo <= bounds[warp] < hi
+                    ]
+                    distinct = {sequences[warp] for warp in warps} - {()}
+                    assert len(compiled) == len(distinct)
+                    assert {sequences[warp] for warp in compiled} == distinct
+                    assert sum(hi - lo for lo, hi in block["compiled"]) == sum(
+                        map(len, distinct)
+                    )
+                    for index, warp in enumerate(warps):
+                        rows = block["rows"][index]
+                        assert rows == whole[bounds[warp] : bounds[warp + 1]]
+                        assert block["segments"][index] == [
+                            op.mem_segments for op in ops[warp]
+                        ]
+                        for other in warps[:index]:
+                            if sequences[other] == sequences[warp]:
+                                assert block["rows"][other - first] is rows
+                    first = last
+                assert first == len(ops)
             assert len(blocks) == 1  # the default floor: one block
 
 

@@ -4,10 +4,12 @@ The event engine's contract is *bit-identical* ``TimingResult`` output —
 cycles, instruction counts, memory counters, per-scheduler issue counts,
 conflict and stall counters — for any op stream the cycle model accepts.
 These tests pin that on every paper workload × architecture, on both
-scheduler policies, on barrier-coordinated CTAs and on randomized op
+scheduler policies, on barrier-coordinated CTAs, on randomized op
 streams, with compile blocks that cut CTAs and residency generations at
-different points.  The engine compiles rows only as CTAs activate and
-drops them at retirement; a bounded-memory test pins that.
+different points, and on seeded streams that keep the operand-collector
+pool full.  The engine compiles rows only as CTAs activate, once per
+distinct warp sequence of a block, and drops them at retirement; a
+bounded-memory test pins that.
 """
 
 from __future__ import annotations
@@ -251,10 +253,15 @@ class TestRarePaths:
         _assert_identical(ref, got, "barrier-wake-up")
 
 
-def many_cta_warps(num_warps: int, length: int, seed: int) -> list[list[TimingOp]]:
+def many_cta_warps(
+    num_warps: int, length: int, seed: int, distinct: bool = False
+) -> list[list[TimingOp]]:
     """``num_warps`` warps running one random ``length``-op program, a
     barrier every 16th op.  Like a kernel's warps, they repeat the same
-    register patterns, and their memory ops touch few segments."""
+    register patterns, and their memory ops touch few segments.  With
+    ``distinct`` warp *w*'s first op writes register ``96 + w``
+    instead, so no two warps run the same sequence (and each adds only
+    two hazard masks)."""
     rng = random.Random(seed)
     program = []
     for index in range(length):
@@ -279,36 +286,184 @@ def many_cta_warps(num_warps: int, length: int, seed: int) -> list[list[TimingOp
                 ),
             )
         )
-    return [list(program) for _ in range(num_warps)]
+    if not distinct:
+        return [list(program) for _ in range(num_warps)]
+    return [
+        [dataclasses.replace(program[0], dst=96 + warp)] + program[1:]
+        for warp in range(num_warps)
+    ]
 
 
 class TestBoundedCompile:
     """Compiled rows live from CTA activation to warp retirement."""
 
+    @staticmethod
+    def compiled_run(table, block_rows, traced=False):
+        """``table``'s warps in 4-warp CTAs on a 4-warp SM: the result,
+        the traced peak (``None`` unless ``traced``) and the
+        ``_compile_rows`` calls' row ranges."""
+        simulator = EventSmSimulator(
+            table, GpuConfig(threads_per_sm=128), warps_per_cta=4
+        )
+        compile_rows = EventSmSimulator._compile_rows
+        compiled = []
+
+        def spy(self, lo, hi, interned):
+            compiled.append((lo, hi))
+            return compile_rows(self, lo, hi, interned)
+
+        with mock.patch.object(
+            sm_event, "_COMPILE_BLOCK_ROWS", block_rows
+        ), mock.patch.object(EventSmSimulator, "_compile_rows", spy):
+            if not traced:
+                return simulator.run(), None, compiled
+            tracemalloc.start()
+            try:
+                result = simulator.run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return result, peak, compiled
+
     def test_peak_is_a_fraction_of_an_eager_compile(self):
-        """128 warps in 4-warp CTAs on a 4-warp SM, so one CTA is
-        resident at a time: with a small block the run holds about a
-        CTA's rows, not the table's."""
-        table = from_ops(many_cta_warps(128, 32, seed=3))
-        config = GpuConfig(threads_per_sm=128)
-
-        def traced_run(block_rows):
-            simulator = EventSmSimulator(table, config, warps_per_cta=4)
-            with mock.patch.object(sm_event, "_COMPILE_BLOCK_ROWS", block_rows):
-                tracemalloc.start()
-                try:
-                    result = simulator.run()
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-            return result, peak
-
+        """128 warps that share no sequence, in 4-warp CTAs on a 4-warp
+        SM, so one CTA is resident at a time: with a small block the
+        run holds about a CTA's rows, not the table's."""
+        table = from_ops(many_cta_warps(128, 32, seed=3, distinct=True))
         # One block holding every row: the whole table compiled at
         # cycle 0, as an eager compile would.
-        eager, eager_peak = traced_run(table.num_ops)
-        bounded, bounded_peak = traced_run(64)
+        eager, eager_peak, eager_rows = self.compiled_run(
+            table, table.num_ops, traced=True
+        )
+        bounded, bounded_peak, _ = self.compiled_run(table, 64, traced=True)
         _assert_identical(eager, bounded, "bounded-compile")
+        assert eager_rows == [(0, table.num_ops)]  # nothing shared
         assert bounded_peak < eager_peak / 4, (bounded_peak, eager_peak)
+
+    def test_identical_warps_compile_one_sequence(self):
+        """128 warps running one program compile it once per block:
+        once for the whole table, or once for each CTA's block."""
+        warps = many_cta_warps(128, 32, seed=3)
+        table = from_ops(warps)
+        eager, _, eager_rows = self.compiled_run(table, table.num_ops)
+        bounded, _, bounded_rows = self.compiled_run(table, 64)
+        assert eager_rows == [(0, 32)]
+        assert bounded_rows == [(lo, lo + 32) for lo in range(0, table.num_ops, 128)]
+        _assert_identical(eager, bounded, "one-sequence")
+        ref = SmSimulator(warps, GpuConfig(threads_per_sm=128), warps_per_cta=4).run()
+        _assert_identical(ref, eager, "one-sequence/reference")
+
+
+#: Per stream kind of :func:`saturated_warps`, the ``GpuConfig`` fields
+#: its runs set.
+SATURATED_CONFIGS = {
+    "alu": {"alu_pipelines": 1},
+    "banks": {},
+    # ALU 2 + 26, SFU 4 + 24 and shared memory 4 + 24 (the memory
+    # model's shared latency) cycles of dispatch plus latency.
+    "deltas": {"alu_latency": 26, "sfu_latency": 24},
+}
+
+
+def saturated_warps(
+    kind: str, seed: int, num_warps: int = 48, length: int = 32
+) -> list[list[TimingOp]]:
+    """``num_warps`` warps (48 fill an SM) that keep the collector pool
+    full, taking three random ``length``-op programs in turn.
+
+    Each warp draws its own segments for its global memory ops, so
+    warps with equal sequences differ in their segments.  ``kind``
+    sets the mix, for a ``GpuConfig`` with ``SATURATED_CONFIGS[kind]``:
+
+    * ``"alu"`` — ALU ops and some global loads, for one ALU pipeline;
+    * ``"banks"`` — most ops pile two or three reads on bank 0 or
+      the scalar-RF bank, the rest read one odd register once, so a
+      younger collector often completes its reads before an older one;
+    * ``"deltas"`` — ALU, SFU and shared-memory ops whose dispatch plus
+      latency are equal, so several port groups write into one
+      write-back bucket in the same cycle.
+    """
+    rng = random.Random(seed)
+
+    def op() -> TimingOp:
+        if kind == "alu":
+            category = rng.choice([OpCategory.ALU] * 5 + [OpCategory.MEM])
+        else:
+            category = rng.choice((OpCategory.ALU, OpCategory.SFU, OpCategory.MEM))
+        if kind == "banks" and rng.random() < 0.7:
+            bank = rng.choice((0, SCALAR_RF_BANK))
+            srcs = tuple(16 * rng.randrange(4) for _ in range(rng.randrange(2, 4)))
+            banks = (bank,) * len(srcs)
+        elif kind == "banks":
+            srcs = (rng.randrange(64) | 1,)
+            banks = (srcs[0] % 16,)
+        else:
+            srcs = tuple(rng.randrange(64) for _ in range(rng.randrange(3)))
+            banks = tuple(r % 16 for r in srcs)
+        shared = category is OpCategory.MEM and kind == "deltas" and rng.random() < 0.7
+        return TimingOp(
+            category=category,
+            # Piled reads need no write: registers 64 up are read by none.
+            dst=rng.randrange(64, 128) if kind == "banks" else rng.randrange(64),
+            src_regs=srcs,
+            src_banks=banks,
+            dispatch_cycles=2 if category is OpCategory.ALU or kind != "deltas" else 4,
+            long_latency=False,
+            is_store=False,
+            # Placeholders: each warp draws its own segments below.
+            mem_segments=(
+                (0,) * rng.randint(1, 3)
+                if category is OpCategory.MEM and not shared
+                else ()
+            ),
+            is_shared_mem=shared,
+        )
+
+    bodies = [[op() for _ in range(length)] for _ in range(3)]
+    return [
+        [
+            dataclasses.replace(
+                op,
+                mem_segments=tuple(sorted(rng.sample(range(48), len(op.mem_segments)))),
+            )
+            if op.mem_segments
+            else op
+            for op in bodies[warp % 3]
+        ]
+        for warp in range(num_warps)
+    ]
+
+
+class TestSaturatedPoolDifferential:
+    """Seeded streams on 48 resident warps that keep the collector pool
+    full, so bank-complete collectors wait for ports most cycles: the
+    waiting list takes out-of-order completions, its dispatch pass
+    stops early, and port groups share write-back buckets."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("collectors", [4, 16])
+    @pytest.mark.parametrize("policy", list(SchedulerPolicy))
+    @pytest.mark.parametrize("kind", sorted(SATURATED_CONFIGS))
+    def test_saturated_streams_identical(self, kind, policy, collectors, seed):
+        config = GpuConfig(
+            scheduler_policy=policy,
+            operand_collectors_per_sm=collectors,
+            **SATURATED_CONFIGS[kind],
+        )
+        with mock.patch.object(sm_event, "insort", wraps=sm_event.insort) as insort:
+            ref, got = _run_both(saturated_warps(kind, seed), config, extra_latency=3)
+        _assert_identical(
+            ref, got, f"saturated/{kind}/{policy.name}/{collectors}/{seed}"
+        )
+        full = sum(
+            stalls.collectors_full + stalls.bank_conflict
+            for stalls in got.stalls_per_scheduler
+        )
+        # A fifth of all scheduler-cycles: most others issue, and the
+        # last loads drain with the pool empty.
+        assert full >= 0.2 * config.schedulers_per_sm * got.cycles, (full, got.cycles)
+        if kind == "banks":
+            assert insort.call_count, "no collector completed before an older one"
 
 
 class TestEngineFactory:
