@@ -5,9 +5,8 @@ Examples::
     python -m repro table2
     python -m repro fig9 --scale small
     python -m repro all --scale default --jobs 4 --cache-dir .repro-cache
-    python -m repro profile bp --scale small
+    python -m repro fig11 --scale small --trace-out fig11.trace.json
     python -m repro timeline bp --scale small --trace-out bp.trace.json
-    python -m repro suite --trace-out suite.trace.json --metrics-out suite.prom
     python -m repro cache stats --cache-dir .repro-cache
 """
 
@@ -184,13 +183,6 @@ def _lint_main(argv: list[str]) -> int:
         metavar="N",
         help="per-thread register budget for GS-E003 (default: 64)",
     )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write per-rule diagnostic counts (GS-E/GS-W/GS-I) as a "
-        "Prometheus text exposition to PATH",
-    )
     args = parser.parse_args(argv)
 
     specs = (
@@ -226,23 +218,6 @@ def _lint_main(argv: list[str]) -> int:
             f"[recorded {recorded} diagnostic(s) to {args.write_baseline}]",
             file=sys.stderr,
         )
-    if args.metrics_out is not None:
-        # Static-analysis results flow through the same metrics
-        # exposition as the dynamic pipeline: one counter per rule
-        # (GS-I informational reports included) plus severity totals.
-        from repro.obs import Telemetry, write_prometheus
-
-        registry = Telemetry()
-        registry.count("lint_kernels", len(reports))
-        for report in reports:
-            for diagnostic in report.diagnostics:
-                registry.count(
-                    "lint_diagnostics",
-                    rule=diagnostic.rule,
-                    severity=diagnostic.severity.value,
-                )
-        write_prometheus(registry, args.metrics_out)
-        print(f"[wrote lint metrics to {args.metrics_out}]", file=sys.stderr)
     if args.output_format == "json":
         # The stable machine interface: one flat array, one object per
         # diagnostic, in pass order within each kernel (shape pinned by
@@ -263,120 +238,28 @@ def _lint_main(argv: list[str]) -> int:
     return 1 if failing else 0
 
 
-def _profile_main(argv: list[str]) -> int:
-    """``repro profile``: run one benchmark fully instrumented.
-
-    Executes the pipeline (trace -> classify -> per-architecture
-    process/timing/power) for one benchmark with the telemetry registry
-    enabled, then writes a Chrome trace-event file (open it at
-    https://ui.perfetto.dev), a Prometheus text exposition, optionally
-    a JSONL event stream, and prints a human-readable summary.
-    """
-    from repro.obs import (
-        JsonlSink,
-        Telemetry,
-        summary_table,
-        telemetry_session,
-        write_chrome_trace,
-        write_prometheus,
-    )
-
-    arch_names = [arch.name for arch in paper_architectures()]
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description="Profile one benchmark with full pipeline telemetry.",
-    )
-    parser.add_argument("benchmark", metavar="BENCHMARK",
-                        help="workload abbreviation (e.g. bp)")
-    parser.add_argument(
-        "--scale",
-        choices=sorted(SCALES),
-        default="default",
-        help="workload problem size (default: default)",
-    )
-    parser.add_argument(
-        "--arch",
-        choices=arch_names + ["all"],
-        default="all",
-        help="architecture(s) to run timing/power for (default: all)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="Chrome trace-event JSON path "
-        "(default: profile_<benchmark>.trace.json)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="Prometheus text exposition path "
-        "(default: profile_<benchmark>.prom)",
-    )
-    parser.add_argument(
-        "--events-out",
-        metavar="PATH",
-        default=None,
-        help="also stream span events as JSON Lines to PATH",
-    )
-    parser.add_argument(
-        "--no-summary",
-        action="store_true",
-        help="skip the human-readable summary table",
-    )
-    args = parser.parse_args(argv)
-
-    bench = args.benchmark.strip().upper()
-    trace_out = args.trace_out or f"profile_{bench.lower()}.trace.json"
-    metrics_out = args.metrics_out or f"profile_{bench.lower()}.prom"
-    arches = (
-        paper_architectures()
-        if args.arch == "all"
-        else tuple(a for a in paper_architectures() if a.name == args.arch)
-    )
-    sink = JsonlSink(args.events_out) if args.events_out is not None else None
-    with telemetry_session(Telemetry(sink=sink)) as telemetry:
-        runner = ExperimentRunner(scale=args.scale)
-        with runner.stats.timer("profile", benchmark=bench):
-            runner.run(bench)
-            for arch in arches:
-                runner.power(bench, arch)
-        write_chrome_trace(telemetry, trace_out)
-        write_prometheus(telemetry, metrics_out)
-        if not args.no_summary:
-            print(summary_table(telemetry))
-    print(f"[wrote Chrome trace to {trace_out}]", file=sys.stderr)
-    print(f"[wrote metrics to {metrics_out}]", file=sys.stderr)
-    if args.events_out is not None:
-        print(f"[wrote event stream to {args.events_out}]", file=sys.stderr)
-    return 0
-
-
 def _timeline_main(argv: list[str]) -> int:
     """``repro timeline``: cycle-level introspection of one benchmark.
 
     Runs the SM timing model for one (benchmark, architecture) pair
     with the warp-timeline flight recorder attached, prints the
     per-scheduler stall-cause attribution table, and optionally writes
-    a Chrome trace-event file (per-SM/per-scheduler/per-warp Perfetto
-    timelines) and a Prometheus exposition (attribution counters plus
-    the occupancy and issued-IPC interval series).
+    a Chrome trace-event file: per-SM/per-scheduler/per-warp Perfetto
+    timelines, the occupancy and issued-IPC interval series as a
+    ``timeline`` counter track, and the attribution counters.
 
     The recorded run uses the event-driven SM engine, the one every
     other command uses.
     """
-    import dataclasses
-
-    from repro.config import GpuConfig, architecture_by_name
+    from repro.config import architecture_by_name
     from repro.experiments.tables import render_table
     from repro.obs import (
         DEFAULT_CAPACITY,
+        DEFAULT_INTERVAL_CYCLES,
         FlightRecorder,
         Telemetry,
         stalls_to_telemetry,
         write_chrome_trace,
-        write_prometheus,
     )
     from repro.timing.sm import STALL_CAUSES
 
@@ -404,15 +287,9 @@ def _timeline_main(argv: list[str]) -> int:
         "--trace-out",
         metavar="PATH",
         default=None,
-        help="write the warp/scheduler timelines as a Chrome trace-event "
+        help="write the warp/scheduler timelines, the interval time "
+        "series and the attribution counters as a Chrome trace-event "
         "JSON file to PATH",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write attribution counters and the interval time series as "
-        "a Prometheus text exposition to PATH",
     )
     parser.add_argument(
         "--capacity",
@@ -425,32 +302,23 @@ def _timeline_main(argv: list[str]) -> int:
     parser.add_argument(
         "--interval-cycles",
         type=int,
-        default=None,
+        default=DEFAULT_INTERVAL_CYCLES,
         metavar="N",
         help="bucket width of the occupancy/issued-IPC time series "
-        "(default: GpuConfig.timeline_interval_cycles)",
+        f"(default: {DEFAULT_INTERVAL_CYCLES})",
     )
     args = parser.parse_args(argv)
     if args.capacity < 1:
         parser.error("--capacity must be >= 1")
-    if args.interval_cycles is not None and args.interval_cycles < 1:
+    if args.interval_cycles < 1:
         parser.error("--interval-cycles must be >= 1")
 
-    config = GpuConfig()
-    if args.interval_cycles is not None:
-        config = dataclasses.replace(
-            config, timeline_interval_cycles=args.interval_cycles
-        )
     arch = architecture_by_name(args.arch)
     bench = args.benchmark.strip().upper()
-    runner = ExperimentRunner(scale=args.scale, config=config)
-    recording = args.trace_out is not None or args.metrics_out is not None
+    runner = ExperimentRunner(scale=args.scale)
     recorder = (
-        FlightRecorder(
-            capacity=args.capacity,
-            interval_cycles=config.timeline_interval_cycles,
-        )
-        if recording
+        FlightRecorder(capacity=args.capacity, interval_cycles=args.interval_cycles)
+        if args.trace_out is not None
         else None
     )
     result = runner.timeline(bench, arch, recorder)
@@ -490,25 +358,20 @@ def _timeline_main(argv: list[str]) -> int:
             f"({recorder.dropped} dropped by the {args.capacity}-event ring)]",
             file=sys.stderr,
         )
-    if args.trace_out is not None:
-        assert recorder is not None
         registry = Telemetry()
         registry.spans.extend(recorder.to_spans())
-        metadata = recorder.chrome_metadata(config.schedulers_per_sm)
+        recorder.to_telemetry(registry)
+        stalls_to_telemetry(registry, result, sm=recorder.sm)
+        metadata = recorder.chrome_metadata(runner.config.schedulers_per_sm)
         write_chrome_trace(
             registry,
             args.trace_out,
+            parent_pid=recorder.sm,
             process_names=metadata["process_names"],
             thread_names=metadata["thread_names"],
+            samples=recorder.counter_samples(),
         )
         print(f"[wrote Chrome trace to {args.trace_out}]", file=sys.stderr)
-    if args.metrics_out is not None:
-        assert recorder is not None
-        registry = Telemetry()
-        recorder.to_telemetry(registry)
-        stalls_to_telemetry(registry, result)
-        write_prometheus(registry, args.metrics_out)
-        print(f"[wrote metrics to {args.metrics_out}]", file=sys.stderr)
     return 0
 
 
@@ -582,8 +445,6 @@ def main(argv: list[str] | None = None) -> int:
         # The lint subcommand has its own flags; dispatch before the
         # experiment parser sees (and rejects) them.
         return _lint_main(arguments[1:])
-    if arguments[:1] == ["profile"]:
-        return _profile_main(arguments[1:])
     if arguments[:1] == ["timeline"]:
         return _timeline_main(arguments[1:])
     if arguments[:1] == ["cache"]:
@@ -651,13 +512,8 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-out",
         metavar="PATH",
         default=None,
-        help="enable telemetry and write a Chrome trace-event file to PATH",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="enable telemetry and write Prometheus text metrics to PATH",
+        help="enable telemetry and write a Chrome trace-event file (spans "
+        "plus every counter) to PATH",
     )
     parser.add_argument(
         "--chunk-events",
@@ -680,10 +536,10 @@ def main(argv: list[str] | None = None) -> int:
     needs_runner = any(name in _TRACE_EXPERIMENTS for name in wanted)
     telemetry = None
     with contextlib.ExitStack() as stack:
-        if args.trace_out is not None or args.metrics_out is not None:
-            # Either export flag turns the pipeline instrumentation on
-            # for the whole invocation; the session scope restores the
-            # previous (null) registry when main() returns, so repeated
+        if args.trace_out is not None:
+            # The trace turns the pipeline instrumentation on for the
+            # whole invocation; the session scope restores the previous
+            # (null) registry when main() returns, so repeated
             # in-process calls stay independent.
             from repro.obs import Telemetry, telemetry_session
 
@@ -699,16 +555,10 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
         exit_code = _experiment_main(args, wanted, needs_runner, cache_dir)
         if telemetry is not None:
-            if args.trace_out is not None:
-                from repro.obs import write_chrome_trace
+            from repro.obs import write_chrome_trace
 
-                write_chrome_trace(telemetry, args.trace_out)
-                print(f"[wrote Chrome trace to {args.trace_out}]", file=sys.stderr)
-            if args.metrics_out is not None:
-                from repro.obs import write_prometheus
-
-                write_prometheus(telemetry, args.metrics_out)
-                print(f"[wrote metrics to {args.metrics_out}]", file=sys.stderr)
+            write_chrome_trace(telemetry, args.trace_out)
+            print(f"[wrote Chrome trace to {args.trace_out}]", file=sys.stderr)
     return exit_code
 
 

@@ -57,11 +57,6 @@ class GpuConfig:
     long_alu_latency: int = 120
     sfu_latency: int = 22
     ctrl_latency: int = 10
-    #: Bucket width (cycles) of the flight recorder's occupancy and
-    #: issued-IPC time series (``repro timeline``; see
-    #: :mod:`repro.obs.timeline`).  Purely observational — it never
-    #: affects simulated timing.
-    timeline_interval_cycles: int = 1024
 
     def __post_init__(self) -> None:
         if self.warp_size % 2 != 0 or self.warp_size < 2:
@@ -78,11 +73,6 @@ class GpuConfig:
         for name in ("alu_latency", "long_alu_latency", "sfu_latency", "ctrl_latency"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.timeline_interval_cycles < 1:
-            raise ConfigError(
-                f"timeline_interval_cycles must be >= 1, "
-                f"got {self.timeline_interval_cycles}"
-            )
 
     @property
     def max_warps_per_sm(self) -> int:

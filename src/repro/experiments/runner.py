@@ -153,12 +153,11 @@ class RunnerStats:
     (``runner_events`` / ``runner_stage_seconds`` counter families plus
     one ``cat="stage"`` span per :meth:`timer` scope, carrying the
     recording process's pid).  When the process-global telemetry is
-    enabled — ``repro profile`` or ``--trace-out``/``--metrics-out`` —
-    the runner binds its stats to that shared registry, so stage spans
-    land on the same timeline as the pipeline's own spans and the
-    Chrome trace shows the true per-worker concurrency; otherwise each
-    stats object owns a private registry, exactly as independent as the
-    old plain-dict implementation.
+    enabled (``--trace-out``), the runner binds its stats to that
+    shared registry, so stage spans land on the same timeline as the
+    pipeline's own spans, the Chrome trace shows the true per-worker
+    concurrency and carries both counter families as counter events;
+    otherwise each stats object owns a private registry.
     """
 
     _EVENTS = "runner_events"

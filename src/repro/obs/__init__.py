@@ -1,24 +1,23 @@
-"""Observability: telemetry registry, sinks and exporters.
+"""Observability: the telemetry registry and its one file, a Chrome trace.
 
 The :class:`~repro.obs.telemetry.Telemetry` registry collects counters,
-histograms and nestable spans from the instrumented pipeline
-(:mod:`repro.simt.executor`, :mod:`repro.scalar.tracker`,
+gauges, histograms and nestable spans from the instrumented pipeline
+(:mod:`repro.simt.executor`, :mod:`repro.scalar.batch`,
 :mod:`repro.power.accounting`, :mod:`repro.experiments.runner`, ...);
-the exporters turn a finished registry into a Chrome trace-event file
-(:mod:`repro.obs.chrome_trace`, loadable in Perfetto), a Prometheus
-text exposition (:mod:`repro.obs.prometheus`) or a human-readable
-summary (:mod:`repro.obs.summary`).  The process-global registry
-defaults to a disabled null implementation with near-zero overhead;
-``repro profile`` and the ``--trace-out``/``--metrics-out`` CLI flags
-install an enabled one.
+:mod:`repro.obs.chrome_trace` writes a finished registry as one Chrome
+trace-event file (loadable in Perfetto): spans as complete events and
+every counter, gauge and histogram as a counter event.  The
+process-global registry defaults to a disabled null implementation
+with near-zero overhead; ``--trace-out`` on the experiment commands
+installs an enabled one, and ``repro timeline --trace-out`` writes the
+flight recorder's warp timelines, interval series and stall
+attribution (:mod:`repro.obs.timeline`) to the same format.
 """
 
 from repro.obs.chrome_trace import chrome_trace, write_chrome_trace
-from repro.obs.prometheus import prometheus_text, write_prometheus
-from repro.obs.sinks import JsonlSink
-from repro.obs.summary import summary_table
 from repro.obs.timeline import (
     DEFAULT_CAPACITY,
+    DEFAULT_INTERVAL_CYCLES,
     SCHEDULER_TID_BASE,
     FlightRecorder,
     stalls_to_telemetry,
@@ -41,13 +40,10 @@ __all__ = [
     "get_telemetry",
     "set_telemetry",
     "telemetry_session",
-    "JsonlSink",
     "chrome_trace",
     "write_chrome_trace",
-    "prometheus_text",
-    "write_prometheus",
-    "summary_table",
     "DEFAULT_CAPACITY",
+    "DEFAULT_INTERVAL_CYCLES",
     "SCHEDULER_TID_BASE",
     "FlightRecorder",
     "stalls_to_telemetry",

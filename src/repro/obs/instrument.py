@@ -9,26 +9,26 @@ calls in their hot loops.  Everything here is duck-typed against the trace /
 column / access objects, which keeps :mod:`repro.obs` free of imports
 from the simulation packages (no import cycles).
 
-Metric vocabulary (all exported under the ``repro_`` prefix by
-:mod:`repro.obs.prometheus`):
+Metric vocabulary (each name one counter event in the Chrome trace,
+:mod:`repro.obs.chrome_trace`; braces list a series' labels):
 
-===============================================  =============================
-``instructions_total{category,opcode}``          dynamic opcode mix
-``warp_instructions`` (histogram)                instructions retired per warp
-``reconvergence_stack_depth`` (histogram)        max SIMT-stack depth per warp
-``lockstep_steps_total``                         executor group steps run
-``lockstep_replays_total``                       in-order executor replays
-``scalar_class_total{class}``                    Figure 9 bucket counts
-``scalar_class_transitions_total{from,to}``      consecutive-class transitions
-``enc_prefix_total{enc}``                        enc-prefix distribution
-``compression_bytes_saved_total{enc}``           data-array bytes elided
-``divergent_mask_checks_total{result}``          §4.2 BVR mask match/miss
-``decompress_moves_total``                       §3.3 inserted moves
-``rf_accesses_total{kind}``                      register-file access shapes
-``sidecar_accesses_total``                       BVR/EBR sidecar touches
-``regfile_bank_activations_total{bank}``         per-bank activation counts
-``energy_pj_total{component,arch}``              component energy counters
-===============================================  =============================
+==========================================  ===============================
+``instructions{category,opcode}``           dynamic opcode mix
+``warp_instructions`` (histogram)           instructions retired per warp
+``reconvergence_stack_depth`` (histogram)   max SIMT-stack depth per warp
+``lockstep_steps``                          executor group steps run
+``lockstep_replays``                        in-order executor replays
+``scalar_class{class}``                     Figure 9 bucket counts
+``scalar_class_transitions{from,to}``       consecutive-class transitions
+``enc_prefix{enc}``                         enc-prefix distribution
+``compression_bytes_saved{enc}``            data-array bytes elided
+``divergent_mask_checks{result}``           §4.2 BVR mask match/miss
+``decompress_moves``                        §3.3 inserted moves
+``rf_accesses{kind}``                       register-file access shapes
+``sidecar_accesses``                        BVR/EBR sidecar touches
+``regfile_bank_activations{bank,op}``       per-bank activation counts
+``energy_pj{component,arch}``               component energy counters
+==========================================  ===============================
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def record_columnar_warps(
     opcode ids and the per-warp instruction histogram from the warp
     length table.  The executor records every trace it runs through
     here, and the runner records every trace it loads from cache, so a
-    cache hit reports the same ``instructions_total`` /
+    cache hit reports the same ``instructions`` /
     ``warp_instructions`` numbers as the run that executed it.
     ``opcode_labels`` maps stored opcode ids to ``(category, opcode)``
     label pairs (see :func:`repro.simt.trace.opcode_labels`), keeping
@@ -151,8 +151,8 @@ def record_rf_accesses_columns(
 
     One pass over the flat access table of a
     ``repro.scalar.columns.ProcessedColumns`` produces the
-    ``rf_accesses_total{kind}`` / ``sidecar_accesses_total`` /
-    ``regfile_bank_activations_total{bank,op}`` totals; the counters
+    ``rf_accesses{kind}`` / ``sidecar_accesses`` /
+    ``regfile_bank_activations{bank,op}`` totals; the counters
     are additive, so they equal recording every event's accesses one
     at a time.  Bank attribution uses the register file's interleaved
     mapping: architectural register *r* of warp *w* lands in bank

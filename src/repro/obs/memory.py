@@ -14,7 +14,8 @@ Two gauges back the streaming pipeline's memory story
   the working set without depending on malloc behaviour.
 
 Both are plain :meth:`repro.obs.telemetry.Telemetry.gauge_max` gauges
-and surface through ``--stats-json`` and the Prometheus exporter.
+and surface through ``--stats-json`` and, as counter events, the
+Chrome trace.
 """
 
 from __future__ import annotations

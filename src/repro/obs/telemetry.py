@@ -3,18 +3,20 @@
 One :class:`Telemetry` instance is a self-contained metrics registry:
 
 * **counters** — monotonically growing numbers keyed by metric name
-  plus a (sorted) label set, e.g. ``scalar_class_total{class="alu"}``;
+  plus a (sorted) label set, e.g. ``scalar_class{class="alu"}``;
 * **histograms** — discrete value -> count maps per (name, labels),
-  suited to the pipeline's small-domain distributions (enc prefix
-  0..4, reconvergence-stack depth) and exported with cumulative
-  ``le`` buckets in the Prometheus text format;
+  suited to the pipeline's small-domain distributions (instructions
+  per warp, reconvergence-stack depth);
 * **gauges** — point-in-time levels (peak RSS, bytes in flight) with
   high-water-mark merge semantics: :meth:`Telemetry.gauge_max` keeps
   the largest value seen and :meth:`Telemetry.merge` folds gauges by
   max, so a worker pool reports fleet-wide peaks;
 * **spans** — nestable wall-clock intervals carrying a process id and
-  a logical thread id, the raw material of the Chrome trace-event
-  export (:mod:`repro.obs.chrome_trace`).
+  a logical thread id.
+
+A registry is written out as one Chrome trace-event file
+(:mod:`repro.obs.chrome_trace`): spans become complete events, and
+each counter, gauge or histogram name one counter event.
 
 The module also owns the *process-global* instance used by the
 instrumented pipeline.  It defaults to :data:`NULL_TELEMETRY`, a
@@ -134,8 +136,6 @@ class _Span:
                 args=self._args,
             )
         )
-        if telemetry._sink is not None:
-            telemetry._sink.emit({"type": "span", **telemetry.spans[-1].to_dict()})
 
 
 class _NullSpan:
@@ -154,22 +154,16 @@ _NULL_SPAN = _NullSpan()
 
 
 class Telemetry:
-    """A process-local metrics registry with pluggable sinks.
-
-    ``sink`` (optional, see :mod:`repro.obs.sinks`) receives one dict
-    per finished span as it closes — a live event stream; counters and
-    histograms are pull-style and exported at the end via
-    :meth:`snapshot` or the exporters.
-    """
+    """A process-local metrics registry, read at the end of a run via
+    :meth:`snapshot` or :func:`~repro.obs.chrome_trace.chrome_trace`."""
 
     enabled = True
 
-    def __init__(self, sink=None):
+    def __init__(self):
         self.counters: dict[tuple[str, LabelKey], float] = {}
         self.histograms: dict[tuple[str, LabelKey], dict[float, int]] = {}
         self.gauges: dict[tuple[str, LabelKey], float] = {}
         self.spans: list[SpanEvent] = []
-        self._sink = sink
         # Anchor perf_counter to the wall clock once, so span
         # timestamps are epoch-based and comparable across processes.
         self._epoch = time.time() - time.perf_counter()
@@ -207,11 +201,6 @@ class Telemetry:
     def span(self, name: str, cat: str = "", tid: int | None = None, **args: Any):
         """Nestable wall-clock span (use as a context manager)."""
         return _Span(self, name, cat, tid, args)
-
-    def event(self, payload: dict) -> None:
-        """Stream one free-form event to the sink (if any)."""
-        if self._sink is not None:
-            self._sink.emit({"type": "event", **payload})
 
     # ------------------------------------------------------------------
     # Reading.
@@ -291,10 +280,6 @@ class Telemetry:
         for payload in other.get("spans", ()):
             self.spans.append(SpanEvent.from_dict(payload))
 
-    def close(self) -> None:
-        if self._sink is not None:
-            self._sink.close()
-
 
 class NullTelemetry(Telemetry):
     """Disabled registry: every operation is a no-op.
@@ -305,9 +290,6 @@ class NullTelemetry(Telemetry):
     """
 
     enabled = False
-
-    def __init__(self):
-        super().__init__(sink=None)
 
     def count(self, name: str, amount: float = 1, **labels: Any) -> None:
         return None
@@ -323,9 +305,6 @@ class NullTelemetry(Telemetry):
 
     def span(self, name: str, cat: str = "", tid: int | None = None, **args: Any):
         return _NULL_SPAN
-
-    def event(self, payload: dict) -> None:
-        return None
 
     def merge(self, other: "Telemetry | dict | None") -> None:
         return None
@@ -356,8 +335,8 @@ class telemetry_session:
     ...     ...  # instrumented code records into ``telemetry``
     """
 
-    def __init__(self, telemetry: Telemetry | None = None, sink=None):
-        self._telemetry = telemetry if telemetry is not None else Telemetry(sink=sink)
+    def __init__(self, telemetry: Telemetry | None = None):
+        self._telemetry = telemetry if telemetry is not None else Telemetry()
         self._previous: Telemetry | None = None
 
     def __enter__(self) -> Telemetry:
@@ -366,4 +345,3 @@ class telemetry_session:
 
     def __exit__(self, *exc_info) -> None:
         set_telemetry(self._previous)
-        self._telemetry.close()

@@ -19,17 +19,18 @@ live *outside* the ring (their size is cycles/interval, not events):
 issued instructions per interval (an issued-IPC time series) and
 integrated warp-residency per interval (an occupancy time series).
 
-Exports:
+Exports, all under the **1 cycle = 1 µs convention** and rendered by
+:func:`~repro.obs.chrome_trace.chrome_trace` into one Perfetto file:
 
 * :meth:`FlightRecorder.to_spans` — the ring as
-  :class:`~repro.obs.telemetry.SpanEvent` rows under the **1 cycle =
-  1 µs convention**: ``pid`` is the SM index, ``tid`` the warp id (or a
-  per-scheduler row), so :func:`~repro.obs.chrome_trace.chrome_trace`
-  renders per-SM/per-scheduler/per-warp timelines in Perfetto;
-* :meth:`FlightRecorder.to_telemetry` — the interval series as
-  labelled counters/histograms for the Prometheus and summary
-  exporters (interval labels are zero-padded so text sorts = time
-  order);
+  :class:`~repro.obs.telemetry.SpanEvent` rows: ``pid`` is the SM
+  index, ``tid`` the warp id (or a per-scheduler row), so the trace
+  shows per-SM/per-scheduler/per-warp timelines;
+* :meth:`FlightRecorder.counter_samples` — the interval series as one
+  ``timeline`` counter track on the SM's row (series ``issued`` and
+  ``occupancy_warp_cycles``), one sample at each interval's first
+  cycle;
+* :meth:`FlightRecorder.to_telemetry` — the ring-health counters;
 * :func:`stalls_to_telemetry` — a :class:`TimingResult`'s per-scheduler
   stall-cause attribution as counters.
 
@@ -43,6 +44,7 @@ configuration.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.telemetry import SpanEvent, Telemetry
@@ -59,6 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "DEFAULT_CAPACITY",
+    "DEFAULT_INTERVAL_CYCLES",
     "SCHEDULER_TID_BASE",
     "FlightRecorder",
     "stalls_to_telemetry",
@@ -67,6 +70,9 @@ __all__ = [
 #: Default ring capacity: enough for every event of a small-scale run,
 #: a bounded window over the tail of a large one.
 DEFAULT_CAPACITY = 65_536
+
+#: Default bucket width (cycles) of the issued-IPC and occupancy series.
+DEFAULT_INTERVAL_CYCLES = 1024
 
 #: Chrome-trace tid offset for the per-scheduler rows (far above any
 #: realistic warp id, so warp rows and scheduler rows never collide).
@@ -104,7 +110,7 @@ class FlightRecorder:
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
-        interval_cycles: int = 1024,
+        interval_cycles: int = DEFAULT_INTERVAL_CYCLES,
         sm: int = 0,
     ):
         if capacity < 1:
@@ -372,36 +378,33 @@ class FlightRecorder:
             "thread_names": thread_names,
         }
 
-    def to_telemetry(self, telemetry: Telemetry) -> None:
-        """Fold the interval time series and ring health into a registry.
-
-        Interval labels are zero-padded so every text exporter renders
-        the series in time order; per-interval issued counts and mean
-        occupancy also land in histograms for the summary digests.
-        """
-        sm = str(self.sm)
+    def counter_samples(self) -> list[tuple[str, int, int, dict[str, int]]]:
+        """The interval series as ``samples`` for
+        :func:`~repro.obs.chrome_trace.chrome_trace`: one ``timeline``
+        sample on the SM's row per interval, at its first cycle, with
+        that interval's issued instructions and integrated warp-cycles
+        of residency (0 where nothing happened)."""
         interval = self.interval_cycles
-        buckets = sorted(set(self.issued_by_interval) | set(self.occupancy_by_interval))
-        width = max(5, len(str(buckets[-1])) if buckets else 1)
-        for bucket in buckets:
-            label = f"{bucket:0{width}d}"
-            issued = self.issued_by_interval.get(bucket, 0)
-            occupancy = self.occupancy_by_interval.get(bucket, 0)
-            if issued:
-                telemetry.count("timeline_issued", issued, sm=sm, interval=label)
-            if occupancy:
-                telemetry.count(
-                    "timeline_occupancy_warp_cycles", occupancy, sm=sm, interval=label
-                )
-            cycles_in_bucket = min(interval, max(1, self.end_cycle - bucket * interval))
-            telemetry.observe(
-                "timeline_issued_per_interval", issued, sm=sm
+        issued = self.issued_by_interval
+        occupancy = self.occupancy_by_interval
+        last = max(chain(issued, occupancy), default=-1)
+        return [
+            (
+                "timeline",
+                self.sm,
+                bucket * interval,
+                {
+                    "issued": issued.get(bucket, 0),
+                    "occupancy_warp_cycles": occupancy.get(bucket, 0),
+                },
             )
-            telemetry.observe(
-                "timeline_mean_occupancy",
-                round(occupancy / cycles_in_bucket, 2),
-                sm=sm,
-            )
+            for bucket in range(last + 1)
+        ]
+
+    def to_telemetry(self, telemetry: Telemetry) -> None:
+        """Fold the ring health (events recorded and dropped) into a
+        registry."""
+        sm = str(self.sm)
         telemetry.count("timeline_events_recorded", self.recorded, sm=sm)
         if self.dropped:
             telemetry.count("timeline_events_dropped", self.dropped, sm=sm)

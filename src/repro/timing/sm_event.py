@@ -36,9 +36,9 @@ The per-cycle state is kept in the cheapest form each check needs:
   pc that lives from activation to retirement;
 * **scoreboards** are one int per warp with bit *r* set while register
   *r* is in flight; each compiled row carries a *hazard mask* (its
-  destination OR its sources, interned across compile blocks so equal
-  rows share one int), so an op is scoreboard-ready when the two ints
-  do not intersect;
+  destination OR its sources, interned within its compile block so
+  equal rows of a block share one int), so an op is scoreboard-ready
+  when the two ints do not intersect;
 * **ready sets** are one bitmask per scheduler over its partition
   positions (slot *s* is bit ``s // n`` of scheduler ``s % n``): GTO
   tests the last-issued slot's bit, else takes the lowest bit; LRR
@@ -277,8 +277,8 @@ class EventSmSimulator:
         segments aside, into flat tuples, straight from the table's
         columns.
 
-        ``interned`` shares equal hazard masks between calls, so a run
-        that compiles block by block holds one int per distinct mask.
+        ``interned`` shares equal hazard masks between the calls of one
+        compile block, so the block holds one int per distinct mask.
         """
         table = self.table
         config = self.config
@@ -323,7 +323,7 @@ class EventSmSimulator:
         )
 
     def _compile_block(
-        self, starts: list[int], interned: dict[int, int]
+        self, starts: list[int]
     ) -> tuple[list[list[tuple]], list[list[tuple]]]:
         """Compiled rows and coalesced segments of the warps whose rows
         are ``starts[i]:starts[i + 1]``, one list each.
@@ -332,7 +332,10 @@ class EventSmSimulator:
         so each distinct sequence is compiled once (consecutive new
         sequences in one :meth:`_compile_rows` call).  A warp's
         segments are one tuple per row, ``()`` off the memory rows.
+        Hazard masks are interned within the block only, so the masks
+        live and die with the block's rows.
         """
+        interned: dict[int, int] = {}
         keys = _sequence_keys(self.table, starts)
         first_of: dict[tuple, int] = {}
         for index, key in enumerate(keys):
@@ -376,7 +379,6 @@ class EventSmSimulator:
         # that span).
         compiled: list[list[tuple] | None] = [None] * num_warps
         segments: list[list[tuple] | None] = [None] * num_warps
-        interned: dict[int, int] = {}
         warps_per_cta = self.warps_per_cta
         extra = self.extra_latency
         memory = self.memory
@@ -488,7 +490,7 @@ class EventSmSimulator:
             while last < num_warps and bounds[last] - lo < _COMPILE_BLOCK_ROWS:
                 last = min(last + warps_per_cta, num_warps)
             compiled[first:last], segments[first:last] = self._compile_block(
-                bounds[first : last + 1], interned
+                bounds[first : last + 1]
             )
 
         def activate_ctas() -> None:

@@ -310,20 +310,56 @@ class TestTimelineCommand:
         import json
 
         trace = tmp_path / "bp.trace.json"
-        prom = tmp_path / "bp.prom"
-        argv = [
-            "timeline", "bp", "--scale", "tiny",
-            "--trace-out", str(trace), "--metrics-out", str(prom),
-        ]
+        argv = ["timeline", "bp", "--scale", "tiny", "--trace-out", str(trace)]
         assert main(argv) == 0
         capsys.readouterr()
         payload = json.loads(trace.read_text())
         events = payload["traceEvents"]
         assert any(e.get("cat") == "issue" for e in events)
         assert any(e["name"] == "thread_name" for e in events)
-        text = prom.read_text()
-        assert "repro_sm_stall_scheduler_cycles_total" in text
-        assert "repro_timeline_issued_total" in text
+
+    @pytest.mark.parametrize("interval", [None, 64])
+    def test_trace_carries_interval_track_and_attribution(
+        self, interval, tmp_path, capsys
+    ):
+        """The ``timeline`` counter track samples each interval at its
+        first cycle and sums to the run's issued instructions; the
+        attribution counters tile cycles x schedulers."""
+        import json
+
+        from repro.config import GpuConfig, architecture_by_name
+        from repro.experiments.runner import ExperimentRunner
+        from repro.obs import DEFAULT_INTERVAL_CYCLES
+
+        trace = tmp_path / "bp.trace.json"
+        argv = ["timeline", "bp", "--scale", "tiny", "--trace-out", str(trace)]
+        if interval is not None:
+            argv += ["--interval-cycles", str(interval)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        width = interval or DEFAULT_INTERVAL_CYCLES
+        counters = [e for e in json.loads(trace.read_text())["traceEvents"]
+                    if e["ph"] == "C"]
+        samples = [e for e in counters if e["name"] == "timeline"]
+        assert [e["ts"] for e in samples] == [
+            index * width for index in range(len(samples))
+        ]
+        assert all(
+            set(e["args"]) == {"issued", "occupancy_warp_cycles"} for e in samples
+        )
+        result = ExperimentRunner(scale="tiny").timeline(
+            "BP", architecture_by_name("baseline"), None
+        )
+        issued = sum(result.issued_per_scheduler)
+        assert sum(e["args"]["issued"] for e in samples) == issued
+        by_name = {e["name"]: e["args"] for e in counters if e["name"] != "timeline"}
+        assert by_name["sm_cycles"] == {"sm=0": result.cycles}
+        tiled = sum(by_name["sm_stall_scheduler_cycles"].values()) + sum(
+            by_name["sm_issued_instructions"].values()
+        )
+        assert tiled == result.cycles * GpuConfig().schedulers_per_sm
+        assert sum(by_name["sm_issued_instructions"].values()) == issued
+        assert by_name["timeline_events_recorded"]["sm=0"] > 0
 
     def test_arch_and_engine_selection(self, capsys):
         argv = ["timeline", "bp", "--scale", "tiny", "--arch", "gscalar"]

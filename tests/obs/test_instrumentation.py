@@ -198,7 +198,6 @@ class TestDeterminism:
             main(
                 [
                     "fig1", "--scale", "tiny", "--json", str(instrumented),
-                    "--metrics-out", str(tmp_path / "m.prom"),
                     "--trace-out", str(tmp_path / "t.json"),
                 ]
             )

@@ -4,7 +4,7 @@ Two layers of defence: structural tests proving the aggregation
 helpers are never invoked while telemetry is disabled (so the hot
 loops run exactly the seed instruction stream plus one ``enabled``
 attribute read per batch), and a lenient timing bound on
-:func:`measure` here.  The CI ``profile-smoke`` job calls ``measure``
+:func:`measure` here.  The CI ``telemetry-smoke`` job calls ``measure``
 at small scale with 9 repeats and enforces the strict 5% bound.
 """
 
@@ -129,7 +129,7 @@ class TestBench:
     def test_disabled_overhead_is_small(self, result):
         # off / min(off, enabled) is 1.0 up to timing noise unless the
         # disabled path grew real per-instruction work; CI's
-        # profile-smoke job enforces the strict 5% bound.
+        # telemetry-smoke job enforces the strict 5% bound.
         assert 1.0 <= result["disabled_overhead_ratio"] < 1.5
 
     def test_enabled_overhead_is_bounded(self, result):

@@ -129,7 +129,6 @@ class TestNullTelemetry:
         t.observe("depth", 1)
         with t.span("stage"):
             pass
-        t.event({"k": "v"})
         t.merge(Telemetry())
         assert t.counters == {}
         assert t.histograms == {}

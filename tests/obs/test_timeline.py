@@ -243,19 +243,37 @@ class TestChromeTraceEdgeCases:
 
 
 class TestTelemetryExport:
-    def test_interval_labels_sort_chronologically(self):
+    def test_counter_samples_one_per_interval(self):
         recorder = FlightRecorder(interval_cycles=4)
+        recorder.warp_activate(0, warp=0, slot=0)
         for cycle in (0, 5, 41):
             recorder.issue(cycle, warp=0, scheduler=0, category="ALU",
                            hint=None, hint_regs=())
+        recorder.warp_retire(42, warp=0)
         recorder.finalize(44)
+        samples = recorder.counter_samples()
+        assert [(name, pid, ts) for name, pid, ts, _ in samples] == [
+            ("timeline", 0, 4 * bucket) for bucket in range(11)
+        ]
+        assert [values["issued"] for *_, values in samples] == (
+            [1, 1] + [0] * 8 + [1]
+        )
+        assert [values["occupancy_warp_cycles"] for *_, values in samples] == (
+            [4] * 10 + [2]
+        )
+
+    def test_to_telemetry_records_only_ring_health(self):
+        recorder = FlightRecorder(interval_cycles=4)
+        recorder.warp_activate(0, warp=0, slot=0)
+        recorder.issue(1, warp=0, scheduler=0, category="ALU",
+                       hint=None, hint_regs=())
+        recorder.finalize(9)
         registry = Telemetry()
         recorder.to_telemetry(registry)
-        labels = sorted(
-            dict(key)["interval"]
-            for key in registry.counters_named("timeline_issued")
-        )
-        assert labels == ["00000", "00001", "00010"]
+        assert set(name for name, _ in registry.counters) == {
+            "timeline_events_recorded"
+        }
+        assert registry.histograms == {}
 
     def test_ring_health_counters(self):
         recorder = FlightRecorder(capacity=2)

@@ -366,9 +366,9 @@ class TestEventCompile:
             for block_rows in (1, 7, 16384):
                 blocks = []
 
-                def spy_block(self, starts, interned):
+                def spy_block(self, starts):
                     blocks.append({"starts": starts, "compiled": []})
-                    rows, segments = compile_block(self, starts, interned)
+                    rows, segments = compile_block(self, starts)
                     blocks[-1].update(rows=rows, segments=segments)
                     return rows, segments
 

@@ -340,6 +340,29 @@ class TestBoundedCompile:
         assert eager_rows == [(0, table.num_ops)]  # nothing shared
         assert bounded_peak < eager_peak / 4, (bounded_peak, eager_peak)
 
+    def test_peak_is_bounded_when_no_two_warps_share_a_mask(self):
+        """128 warps in 4-warp CTAs on a 4-warp SM, every register of
+        warp *w* shifted by *w*, so no hazard mask repeats across warps:
+        masks are interned per compile block, so the run holds about a
+        CTA's masks, not the table's."""
+        warps = [
+            [
+                dataclasses.replace(
+                    op,
+                    dst=None if op.dst is None else op.dst + warp,
+                    src_regs=tuple(r + warp for r in op.src_regs),
+                    src_banks=tuple((r + warp) % 16 for r in op.src_regs),
+                )
+                for op in program
+            ]
+            for warp, program in enumerate(many_cta_warps(128, 32, seed=3))
+        ]
+        table = from_ops(warps)
+        eager, eager_peak, _ = self.compiled_run(table, table.num_ops, traced=True)
+        bounded, bounded_peak, _ = self.compiled_run(table, 64, traced=True)
+        _assert_identical(eager, bounded, "shifted-registers")
+        assert bounded_peak < eager_peak / 8, (bounded_peak, eager_peak)
+
     def test_identical_warps_compile_one_sequence(self):
         """128 warps running one program compile it once per block:
         once for the whole table, or once for each CTA's block."""
