@@ -4,7 +4,7 @@ Examples::
 
     python -m repro table2
     python -m repro fig9 --scale small
-    python -m repro all --scale default --jobs 4 --cache-dir .repro-cache
+    python -m repro all --scale default --cache-dir .repro-cache
     python -m repro fig11 --scale small --trace-out fig11.trace.json
     python -m repro timeline bp --scale small --trace-out bp.trace.json
     python -m repro cache stats --cache-dir .repro-cache
@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
-import tempfile
 import time
 
 from repro.experiments import (
@@ -438,6 +438,14 @@ def _cache_main(argv: list[str]) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the default ``--jobs``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     arguments = list(sys.argv[1:] if argv is None else argv)
@@ -491,9 +499,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=_usable_cpus(),
         metavar="N",
-        help="worker processes for the benchmark matrix (default: 1, serial)",
+        help="worker processes for the benchmark matrix (default: the CPUs "
+        "this process may run on; 1 is serial)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -544,16 +553,7 @@ def main(argv: list[str] | None = None) -> int:
             from repro.obs import Telemetry, telemetry_session
 
             telemetry = stack.enter_context(telemetry_session(Telemetry()))
-        cache_dir = args.cache_dir
-        if needs_runner and args.jobs > 1 and cache_dir is None:
-            # Workers communicate through the on-disk cache; give them
-            # one, removed when the run ends (also when it raises).
-            cache_dir = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-cache-")
-            )
-            print(f"[--jobs {args.jobs}: using temporary cache {cache_dir}]",
-                  file=sys.stderr)
-        exit_code = _experiment_main(args, wanted, needs_runner, cache_dir)
+        exit_code = _experiment_main(args, wanted, needs_runner)
         if telemetry is not None:
             from repro.obs import write_chrome_trace
 
@@ -566,14 +566,13 @@ def _experiment_main(
     args: argparse.Namespace,
     wanted: list[str],
     needs_runner: bool,
-    cache_dir: str | None,
 ) -> int:
     """Run the selected experiments and write any requested outputs."""
     runner = (
         ExperimentRunner(
             scale=args.scale,
             verbose=args.verbose,
-            cache_dir=cache_dir,
+            cache_dir=args.cache_dir,
             chunk_events=args.chunk_events,
         )
         if needs_runner
@@ -634,7 +633,7 @@ def _experiment_main(
             "experiment": args.experiment,
             "scale": args.scale,
             "jobs": args.jobs,
-            "cache_dir": str(cache_dir) if cache_dir is not None else None,
+            "cache_dir": args.cache_dir,
             "experiment_seconds": experiment_seconds,
         }
         if runner is not None:

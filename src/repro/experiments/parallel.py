@@ -5,15 +5,18 @@ The matrix is embarrassingly parallel at benchmark granularity: each
 benchmark's trace, summaries and per-architecture timing/power results
 are independent of every other benchmark's.  :func:`run_matrix` spawns
 one :class:`MatrixTask` per benchmark and executes them on a
-:class:`~concurrent.futures.ProcessPoolExecutor`; workers communicate
-with the parent exclusively through the fingerprinted on-disk cache
-(:class:`~repro.experiments.runner.ExperimentRunner` with a shared
-``cache_dir``), so the parent — and any later process — reads every
-summary and result from cache without executing anything.
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker returns
+its benchmark's summaries and (timing, power) pairs in its payload, and
+:meth:`~repro.experiments.runner.ExperimentRunner.prefetch` puts them
+into the parent runner's memos, so no cache directory is needed and the
+parent reads nothing back from disk.  The payload stays small: summaries
+are count tables and results are per-pair totals, never an array the
+size of a trace.  With a ``cache_dir`` the workers also store their
+entries, for later processes.
 
 Determinism: the simulator is pure numpy/python with no randomness, and
 summaries and results round-trip through pickle losslessly, so figure
-data computed from a parallel-warmed cache is bit-identical to a serial
+data computed from worker payloads is bit-identical to a serial
 in-process run (DESIGN §5's determinism requirement).
 """
 
@@ -25,17 +28,19 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.config import ArchitectureConfig, GpuConfig
-from repro.experiments.runner import ExperimentRunner, RunnerStats, paper_architectures
+from repro.experiments.runner import ExperimentRunner, paper_architectures
+from repro.obs.memory import record_peak_rss
 from repro.obs.telemetry import telemetry_session
 from repro.power.energy import EnergyParams
 
 
 @dataclass(frozen=True)
 class MatrixTask:
-    """Everything one worker needs to fill the cache for one benchmark.
+    """Everything one worker needs to compute one benchmark.
 
     All fields are plain (frozen) dataclasses or builtins, so a task
     pickles cleanly under both the ``fork`` and ``spawn`` start methods.
+    ``cache_dir`` (optional) is where the worker stores its entries.
     ``telemetry`` asks the worker to run with an enabled telemetry
     registry and ship its snapshot back in the return payload.
     ``chunk_events`` propagates the parent's streaming chunk size, so
@@ -46,7 +51,7 @@ class MatrixTask:
 
     abbr: str
     scale: str
-    cache_dir: str
+    cache_dir: str | None
     experiments: tuple[str, ...]
     arches: tuple[ArchitectureConfig, ...]
     config: GpuConfig | None
@@ -63,25 +68,39 @@ def _run_task(task: MatrixTask) -> dict:
         cache_dir=task.cache_dir,
         chunk_events=task.chunk_events,
     )
-    for name in task.experiments:
-        runner.summary(task.abbr, name)
-    for arch in task.arches:
-        runner.power(task.abbr, arch)
-    return runner.stats.to_payload()
+    abbr = task.abbr
+    payload = {
+        "summaries": {
+            (abbr, name): runner.summary(abbr, name) for name in task.experiments
+        },
+        "timing": {
+            (abbr, arch.name): runner.timing(abbr, arch) for arch in task.arches
+        },
+        "power": {
+            (abbr, arch.name): runner.power(abbr, arch) for arch in task.arches
+        },
+    }
+    record_peak_rss(runner.stats.telemetry)
+    payload["telemetry"] = runner.stats.telemetry.snapshot()
+    return payload
 
 
 def execute_task(task: MatrixTask) -> dict:
-    """Worker entry point: warm one benchmark's summaries and results.
+    """Worker entry point: compute one benchmark's summaries and results.
 
-    Returns the worker runner's stats payload (counters, stage seconds
-    and the telemetry registry snapshot); results themselves travel
-    through the on-disk cache, not the process boundary, so the return
-    payload stays small regardless of scale.  With ``task.telemetry``
-    set, the whole task runs under an enabled process-global registry
-    — scoped with :class:`~repro.obs.telemetry.telemetry_session` so a
-    reused pool worker starts the next task with a clean slate — and
-    the runner binds its stats to it, so the payload also carries the
-    instrumented pipeline's counters, histograms and per-warp spans.
+    Returns the payload ``{"summaries", "timing", "power", "telemetry"}``:
+    the first three map ``(task.abbr, experiment or architecture name)``
+    to the values the parent runner memoizes under the same keys, and
+    ``telemetry`` is the worker registry's
+    :meth:`~repro.obs.telemetry.Telemetry.snapshot` (its cache and stage
+    counters, peak-RSS gauge and stage spans), which
+    :meth:`~repro.experiments.runner.RunnerStats.merge` reads.  With
+    ``task.telemetry`` set, the whole task runs under an enabled
+    process-global registry — scoped with
+    :class:`~repro.obs.telemetry.telemetry_session` so a reused pool
+    worker starts the next task with a clean slate — and the runner
+    binds its stats to it, so the snapshot also carries the instrumented
+    pipeline's counters, histograms and per-warp spans.
     """
     if task.telemetry:
         with telemetry_session():
@@ -92,7 +111,7 @@ def execute_task(task: MatrixTask) -> dict:
 def run_matrix(
     names: Sequence[str],
     scale: str,
-    cache_dir: str | Path,
+    cache_dir: str | Path | None = None,
     jobs: int = 2,
     experiments: Sequence[str] = (),
     arches: Sequence[ArchitectureConfig] | None = None,
@@ -101,25 +120,27 @@ def run_matrix(
     progress: Callable[[str, int, int], None] | None = None,
     telemetry: bool = False,
     chunk_events: int | None = None,
-) -> RunnerStats:
-    """Fill the summaries of ``experiments`` and the results of
-    ``arches`` for every benchmark, across processes.
+) -> list[dict]:
+    """Compute the summaries of ``experiments`` and the results of
+    ``arches`` for every benchmark on a pool of ``jobs`` processes.
 
-    ``progress`` (optional) is called in the parent as ``progress(abbr,
-    completed, total)`` each time a benchmark finishes, in completion
-    order.  With ``telemetry`` set, every worker records into an
-    enabled registry whose snapshot merges into the returned stats.
-    ``chunk_events`` makes workers stream their compute in chunks.
-    Returns the stats aggregated over every worker.  The first worker
-    exception cancels the tasks not yet started and is re-raised once
-    the running ones finish.
+    Returns one :func:`execute_task` payload per benchmark, in
+    completion order.  ``progress`` (optional) is called in the parent
+    as ``progress(abbr, completed, total)`` each time a benchmark
+    finishes, in completion order.  With ``cache_dir`` set, workers
+    also store their entries there.  With ``telemetry`` set, every
+    worker records into an enabled registry.  ``chunk_events`` makes
+    workers stream their compute in chunks.  The first worker exception
+    cancels the tasks not yet started and is re-raised once the running
+    ones finish; a worker that dies raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`.
     """
     arch_list = tuple(arches) if arches is not None else paper_architectures()
     tasks = [
         MatrixTask(
             abbr=abbr,
             scale=scale,
-            cache_dir=str(cache_dir),
+            cache_dir=str(cache_dir) if cache_dir is not None else None,
             experiments=tuple(experiments),
             arches=arch_list,
             config=config,
@@ -129,29 +150,20 @@ def run_matrix(
         )
         for abbr in names
     ]
-    stats = RunnerStats()
-    jobs = max(1, min(int(jobs), len(tasks)))
-    if jobs == 1:
-        for index, task in enumerate(tasks):
-            stats.merge(execute_task(task))
-            if progress is not None:
-                progress(task.abbr, index + 1, len(tasks))
-        return stats
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    payloads = []
+    with ProcessPoolExecutor(max_workers=max(1, min(int(jobs), len(tasks)))) as pool:
         pending = {pool.submit(execute_task, task): task for task in tasks}
-        completed = 0
         try:
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     task = pending.pop(future)
-                    stats.merge(future.result())
-                    completed += 1
+                    payloads.append(future.result())
                     if progress is not None:
-                        progress(task.abbr, completed, len(tasks))
+                        progress(task.abbr, len(payloads), len(tasks))
         except BaseException:
             # Fail fast: drop the queued tasks instead of letting the
             # pool's exit run the rest of the matrix first.
             pool.shutdown(cancel_futures=True)
             raise
-    return stats
+    return payloads

@@ -53,7 +53,8 @@ pair they must simulate again streams again.
 
 :meth:`ExperimentRunner.prefetch` fans the benchmark × (experiment,
 architecture) matrix out over a process pool
-(:mod:`repro.experiments.parallel`) that communicates through this
+(:mod:`repro.experiments.parallel`) whose workers return their
+summaries and results into the runner's memos, with or without a
 cache, and :attr:`ExperimentRunner.stats` counts cache hits, misses,
 re-executions and per-stage wall time for observability.
 """
@@ -205,10 +206,10 @@ class RunnerStats:
     def merge(self, other: "RunnerStats | dict") -> None:
         """Fold another stats object (or a worker payload) into this one.
 
-        Accepts another :class:`RunnerStats` or a :meth:`to_payload`
-        dict, merged registry-to-registry (spans included); the
-        payload's ``counters``/``stage_seconds`` are already inside its
-        ``telemetry`` snapshot.
+        Accepts another :class:`RunnerStats` or a dict carrying a
+        registry :meth:`~repro.obs.telemetry.Telemetry.snapshot` under
+        ``telemetry`` (a :func:`repro.experiments.parallel.execute_task`
+        payload), merged registry-to-registry, spans included.
         """
         self.telemetry.merge(
             other.telemetry if isinstance(other, RunnerStats) else other["telemetry"]
@@ -246,18 +247,6 @@ class RunnerStats:
             },
             "gauges": self.gauges,
         }
-
-    def to_payload(self) -> dict:
-        """Worker-return payload: :meth:`to_dict` plus the registry.
-
-        The ``telemetry`` snapshot carries every counter, histogram and
-        span the worker recorded (stage spans keep the worker's pid),
-        so a parent merging payloads reassembles the full multi-process
-        timeline; the legacy keys stay for direct consumers.
-        """
-        payload = self.to_dict()
-        payload["telemetry"] = self.telemetry.snapshot()
-        return payload
 
 
 class BenchmarkRun:
@@ -822,13 +811,14 @@ class ExperimentRunner:
         benchmark.
 
         With ``jobs > 1`` the benchmarks fan out over a process pool
-        (:func:`repro.experiments.parallel.run_matrix`); workers share
-        results exclusively through the on-disk cache, so ``cache_dir``
-        is required.  Benchmarks whose entries are all current on disk
-        are not dispatched at all.  Worker statistics merge into
-        :attr:`stats` and the merged stats are returned.  Serial
-        (``jobs == 1``) prefetch works with or without a cache
-        directory.
+        (:func:`repro.experiments.parallel.run_matrix`).  Each worker
+        returns its benchmark's summaries and (timing, power) pairs,
+        which go into this runner's memos, so the parent reads nothing
+        back from disk.  With ``cache_dir`` set, the workers also store
+        their entries, and benchmarks whose entries are all current on
+        disk are not dispatched at all (they are read on demand).
+        Worker statistics merge into :attr:`stats` and the merged stats
+        are returned.
         """
         wanted = [self._normalize(name) for name in (names or self.benchmark_names())]
         experiments = tuple(experiments)
@@ -848,34 +838,33 @@ class ExperimentRunner:
                     if progress is not None:
                         progress(abbr, index + 1, len(wanted))
             else:
-                if self.cache_dir is None:
-                    raise ValueError(
-                        "parallel prefetch requires cache_dir: worker "
-                        "processes communicate through the on-disk cache"
-                    )
                 from repro.experiments.parallel import run_matrix
 
                 pending = [
                     abbr
                     for abbr in wanted
-                    if not self._cached(abbr, experiments, arch_list)
+                    if self.cache_dir is None
+                    or not self._cached(abbr, experiments, arch_list)
                 ]
                 if pending:
-                    self.stats.merge(
-                        run_matrix(
-                            names=pending,
-                            scale=self.scale.name,
-                            cache_dir=self.cache_dir,
-                            jobs=jobs,
-                            experiments=experiments,
-                            arches=arch_list,
-                            config=self.config,
-                            params=self.params,
-                            progress=progress,
-                            telemetry=get_telemetry().enabled,
-                            chunk_events=self.chunk_events,
-                        )
+                    payloads = run_matrix(
+                        names=pending,
+                        scale=self.scale.name,
+                        cache_dir=self.cache_dir,
+                        jobs=jobs,
+                        experiments=experiments,
+                        arches=arch_list,
+                        config=self.config,
+                        params=self.params,
+                        progress=progress,
+                        telemetry=get_telemetry().enabled,
+                        chunk_events=self.chunk_events,
                     )
+                    for payload in payloads:
+                        self.stats.merge(payload)
+                        self._summaries.update(payload["summaries"])
+                        self._timing.update(payload["timing"])
+                        self._power.update(payload["power"])
         return self.stats
 
     def _cached(

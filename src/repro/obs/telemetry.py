@@ -38,7 +38,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "LabelKey",
@@ -181,10 +181,6 @@ class Telemetry:
         bucket = self.histograms.setdefault((name, _label_key(labels)), {})
         bucket[value] = bucket.get(value, 0) + count
 
-    def gauge_set(self, name: str, value: float, **labels: Any) -> None:
-        """Set a (labelled) gauge to ``value`` (last write wins)."""
-        self.gauges[(name, _label_key(labels))] = value
-
     def gauge_max(self, name: str, value: float, **labels: Any) -> None:
         """Raise a (labelled) gauge to ``value`` if it is higher.
 
@@ -221,21 +217,6 @@ class Telemetry:
 
     def gauge_value(self, name: str, **labels: Any) -> float | None:
         return self.gauges.get((name, _label_key(labels)))
-
-    def gauges_named(self, name: str) -> dict[LabelKey, float]:
-        """All label sets (and values) recorded under one gauge name."""
-        return {
-            labels: value
-            for (metric, labels), value in self.gauges.items()
-            if metric == name
-        }
-
-    def counter_names(self) -> Iterator[str]:
-        seen: set[str] = set()
-        for metric, _ in self.counters:
-            if metric not in seen:
-                seen.add(metric)
-                yield metric
 
     # ------------------------------------------------------------------
     # Cross-process plumbing.
@@ -295,9 +276,6 @@ class NullTelemetry(Telemetry):
         return None
 
     def observe(self, name: str, value: float, count: int = 1, **labels: Any) -> None:
-        return None
-
-    def gauge_set(self, name: str, value: float, **labels: Any) -> None:
         return None
 
     def gauge_max(self, name: str, value: float, **labels: Any) -> None:

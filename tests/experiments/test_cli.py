@@ -190,18 +190,17 @@ class TestCacheAndJobs:
         capsys.readouterr()
         cold = json.loads(stats_path.read_text())
         assert cold["jobs"] == 2
-        assert cold["counters"]["trace_executions"] == 17
         assert "fig1" in cold["experiment_seconds"]
-        # The workers built the summaries; the parent read them.
-        assert cold["counters"]["summary_cache_misses"] == 17
-        assert cold["counters"]["summary_cache_hits"] == 17
+        # The workers built and stored the summaries and returned them:
+        # the parent read none back.
+        assert cold["counters"] == {"summary_cache_misses": 17, "trace_executions": 17}
         assert main(argv) == 0
         capsys.readouterr()
         warm = json.loads(stats_path.read_text())
         assert warm["counters"] == {"summary_cache_hits": 17}
 
     def test_parallel_output_matches_serial(self, tmp_path, capsys):
-        assert main(["fig10", "--scale", "tiny"]) == 0
+        assert main(["fig10", "--scale", "tiny", "--jobs", "1"]) == 0
         serial = capsys.readouterr().out
         cache = tmp_path / "cache"
         argv = [
@@ -214,31 +213,59 @@ class TestCacheAndJobs:
             f"{spec.abbr}_tiny_fig10{store.ENTRY_SUFFIX}" for spec in all_workloads()
         )
 
-    def test_jobs_without_cache_dir_removes_its_temporary_cache(
+    def test_jobs_without_cache_dir_writes_no_files(
         self, tmp_path, capsys, monkeypatch
     ):
         import tempfile
 
-        from repro.experiments import fig1
-
+        assert main(["fig1", "--scale", "tiny", "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         monkeypatch.setattr(tempfile, "tempdir", None)
         assert main(["fig1", "--scale", "tiny", "--jobs", "2"]) == 0
-        assert "temporary cache" in capsys.readouterr().err
-        assert list(tmp_path.glob("repro-cache-*")) == []
+        captured = capsys.readouterr()
+        assert captured.out == serial
+        assert "temporary cache" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
-        def failing(runner):
-            raise RuntimeError("experiment failed")
+    @pytest.mark.parametrize("affinity", [1, 3, None])
+    def test_jobs_default_to_the_usable_cpus(
+        self, tmp_path, capsys, monkeypatch, affinity
+    ):
+        """``--jobs`` defaults to the CPUs in the process's affinity
+        mask, or to ``os.cpu_count()`` where the platform has none."""
+        import json
+        import os
 
-        monkeypatch.setattr(fig1, "compute", failing)
-        with pytest.raises(RuntimeError, match="experiment failed"):
-            main(["fig1", "--scale", "tiny", "--jobs", "2"])
-        assert list(tmp_path.glob("repro-cache-*")) == []
+        from repro.experiments.runner import ExperimentRunner
+
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        else:
+            cpu_set = set(range(affinity))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpu_set)
+        cpus = affinity or 3
+        prefetched = []
+        prefetch = ExperimentRunner.prefetch
+
+        def spy(runner, **kwargs):
+            prefetched.append(kwargs["jobs"])
+            return prefetch(runner, **kwargs)
+
+        monkeypatch.setattr(ExperimentRunner, "prefetch", spy)
+        stats_path = tmp_path / "stats.json"
+        argv = ["fig1", "--scale", "tiny", "--stats-json", str(stats_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert json.loads(stats_path.read_text())["jobs"] == cpus
+        # One CPU keeps the serial path: no pool is started.
+        assert prefetched == ([] if cpus == 1 else [cpus])
 
     def test_fig12_jobs_prefetch_power_reports(self, tmp_path, capsys):
         import json
 
-        assert main(["fig12", "--scale", "tiny"]) == 0
+        assert main(["fig12", "--scale", "tiny", "--jobs", "1"]) == 0
         serial = capsys.readouterr().out
         stats_path = tmp_path / "stats.json"
         argv = [
@@ -247,10 +274,13 @@ class TestCacheAndJobs:
         ]
         assert main(argv) == 0
         assert capsys.readouterr().out == serial
-        # The workers simulated; the parent replayed every power report
-        # fig12 reads (baseline, scalar-only and ours per benchmark).
+        # The workers simulated, stored and returned every pair fig12
+        # reads (the four paper architectures per benchmark) and its
+        # summaries; the parent read none back.
         counters = json.loads(stats_path.read_text())["counters"]
-        assert counters["result_cache_hits"] >= 3 * 17
+        assert counters["result_cache_misses"] == 4 * 17
+        assert counters["summary_cache_misses"] == 17
+        assert not [name for name in counters if "hits" in name]
 
 
 class TestCacheCommand:

@@ -6,6 +6,12 @@ checked on a benchmark subset at tiny scale so the pool spin-up stays
 cheap inside the unit suite.
 """
 
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -13,6 +19,7 @@ from repro.experiments import store
 from repro.experiments.parallel import MatrixTask, execute_task, run_matrix
 from repro.experiments.runner import (
     ExperimentRunner,
+    RunnerStats,
     matrix_architectures,
     paper_architectures,
 )
@@ -23,29 +30,49 @@ SUBSET = ["HS", "PF"]
 SUMMARIES = tuple(BUILDERS)
 
 
+@pytest.fixture(scope="module")
+def serial():
+    """One in-process runner: the reference every pool result must equal."""
+    return ExperimentRunner(scale="tiny")
+
+
+def merged_stats(payloads) -> RunnerStats:
+    stats = RunnerStats()
+    for payload in payloads:
+        stats.merge(payload)
+    return stats
+
+
 class TestExecuteTask:
-    def test_worker_fills_cache_and_reports_stats(self, tmp_path):
+    def test_worker_fills_cache_and_reports_stats(self, tmp_path, serial):
+        baseline = paper_architectures()[0]
         task = MatrixTask(
             abbr="HS",
             scale="tiny",
             cache_dir=str(tmp_path),
             experiments=("fig1", "fig10"),
-            arches=(paper_architectures()[0],),
+            arches=(baseline,),
             config=None,
             params=None,
         )
-        stats = execute_task(task)
-        assert stats["counters"]["trace_executions"] == 2  # warp 32 + 64
+        payload = execute_task(task)
+        assert merged_stats([payload]).trace_executions == 2  # warp 32 + 64
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             f"{stem}{store.ENTRY_SUFFIX}"
             for stem in ("HS_tiny_fig1", "HS_tiny_fig10", "HS_tiny_results_baseline")
         )
+        # The payload carries what the worker computed, keyed as the
+        # parent runner memoizes it.
+        assert payload["summaries"] == {
+            ("HS", name): serial.summary("HS", name) for name in ("fig1", "fig10")
+        }
+        assert payload["timing"] == {("HS", "baseline"): serial.timing("HS", baseline)}
+        assert payload["power"] == {("HS", "baseline"): serial.power("HS", baseline)}
 
 
 class TestRunMatrix:
-    def test_parallel_matrix_matches_serial(self, tmp_path):
-        serial = ExperimentRunner(scale="tiny")
-        stats = run_matrix(
+    def test_parallel_matrix_matches_serial(self, tmp_path, serial):
+        payloads = run_matrix(
             names=SUBSET,
             scale="tiny",
             cache_dir=tmp_path,
@@ -53,19 +80,26 @@ class TestRunMatrix:
             experiments=SUMMARIES,
             arches=matrix_architectures(),
         )
-        assert stats.trace_executions == 2 * len(SUBSET)  # warp 32 + 64
+        # Warp 32 + 64 per benchmark.
+        assert merged_stats(payloads).trace_executions == 2 * len(SUBSET)
+        returned = {"summaries": {}, "timing": {}, "power": {}}
+        for payload in payloads:
+            for memo, entries in returned.items():
+                entries.update(payload[memo])
         parallel = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         for abbr in SUBSET:
             # Every figure's summary, Figure 10's warp-64 counts included.
             for name in SUMMARIES:
+                assert returned["summaries"][(abbr, name)] == serial.summary(abbr, name)
                 assert parallel.summary(abbr, name) == serial.summary(abbr, name)
             # Figure-11 data: power efficiency on every architecture.
             for arch in matrix_architectures():
-                report_s = serial.power(abbr, arch)
-                report_p = parallel.power(abbr, arch)
-                assert report_s == report_p
+                pair = (abbr, arch.name)
+                assert returned["power"][pair] == serial.power(abbr, arch)
+                assert returned["timing"][pair] == serial.timing(abbr, arch)
+                assert parallel.power(abbr, arch) == serial.power(abbr, arch)
                 assert parallel.timing(abbr, arch) == serial.timing(abbr, arch)
-        # The parent replayed everything from cache: no re-execution.
+        # The workers' stored entries replay: no re-execution.
         assert parallel.stats.trace_executions == 0
         assert parallel.stats.counters["summary_cache_hits"] == (
             len(SUBSET) * len(SUMMARIES)
@@ -103,10 +137,23 @@ class TestRunMatrix:
 
 
 class TestPrefetch:
-    def test_parallel_prefetch_requires_cache_dir(self):
+    def test_parallel_prefetch_without_cache_dir(self, serial):
+        """Workers return their summaries and results into the parent's
+        memos: reading them executes nothing and touches no cache."""
         runner = ExperimentRunner(scale="tiny")
-        with pytest.raises(ValueError, match="cache_dir"):
-            runner.prefetch(names=SUBSET, jobs=2)
+        runner.prefetch(
+            names=SUBSET, jobs=2, experiments=SUMMARIES, arches=matrix_architectures()
+        )
+        workers = runner.stats.trace_executions
+        assert workers == 2 * len(SUBSET)
+        for abbr in SUBSET:
+            for name in SUMMARIES:
+                assert runner.summary(abbr, name) == serial.summary(abbr, name)
+            for arch in matrix_architectures():
+                assert runner.timing(abbr, arch) == serial.timing(abbr, arch)
+                assert runner.power(abbr, arch) == serial.power(abbr, arch)
+        assert runner.stats.trace_executions == workers
+        assert not [name for name in runner.stats.counters if "cache" in name]
 
     def test_serial_prefetch_without_cache_dir(self):
         runner = ExperimentRunner(scale="tiny")
@@ -139,8 +186,9 @@ class TestPrefetch:
 
     def test_parent_executes_nothing_after_prefetching_what_all_reads(self, tmp_path):
         """After a parallel prefetch of every summary and every
-        architecture ``repro all`` reads, the parent's own reads are all
-        hits: its trace executions are the workers' alone."""
+        architecture ``repro all`` reads, the parent's own reads come
+        from the workers' payloads: its trace executions are the
+        workers' alone, and it reads no cache entry back."""
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         runner.prefetch(
             names=SUBSET, jobs=2, experiments=SUMMARIES, arches=matrix_architectures()
@@ -153,3 +201,59 @@ class TestPrefetch:
             for arch in matrix_architectures():
                 runner.power(abbr, arch)
         assert runner.stats.trace_executions - workers == 0
+        assert not [name for name in runner.stats.counters if "cache_hits" in name]
+
+
+class TestKilledWorker:
+    """A pool worker killed with SIGKILL mid-run: the prefetch ends in a
+    named error within seconds, and no later run trusts a partial
+    entry."""
+
+    @staticmethod
+    def kill_one_worker(killed: list):
+        """A ``progress`` callback that SIGKILLs a live pool worker the
+        first time a benchmark finishes (from the parent, so it works
+        under any start method)."""
+
+        def progress(abbr, done, total):
+            if not killed:
+                os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+                killed.append(time.monotonic())
+
+        return progress
+
+    def test_without_cache_dir(self):
+        runner = ExperimentRunner(scale="tiny")
+        killed = []
+        with pytest.raises(BrokenProcessPool):
+            runner.prefetch(
+                jobs=2, experiments=("fig1",), arches=(),
+                progress=self.kill_one_worker(killed),
+            )
+        assert killed and time.monotonic() - killed[0] < 5
+
+    def test_with_cache_dir_leaves_only_whole_entries(self, tmp_path, serial):
+        runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        killed = []
+        with pytest.raises(BrokenProcessPool):
+            runner.prefetch(
+                jobs=2, experiments=("fig1",), arches=(),
+                progress=self.kill_one_worker(killed),
+            )
+        assert killed and time.monotonic() - killed[0] < 5
+        names = runner.benchmark_names()
+        statuses = {
+            abbr: store.load_entry(
+                tmp_path, *runner._summary_entry(abbr, "fig1"), "summary"
+            )[1]
+            for abbr in names
+        }
+        assert set(statuses.values()) <= {"hit", "absent"}, statuses
+        missing = sum(status == "absent" for status in statuses.values())
+        assert missing > 0
+        fresh = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        fresh.prefetch(jobs=1, experiments=("fig1",), arches=())
+        assert fresh.stats.trace_executions == missing
+        assert fresh.stats.counters.get("summary_cache_misses", 0) == missing
+        for abbr in names:
+            assert fresh.summary(abbr, "fig1") == serial.summary(abbr, "fig1")

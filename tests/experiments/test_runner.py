@@ -230,7 +230,7 @@ class TestRunnerStats:
         other.bump("result_cache_hits", 3)
         other.add_time("classify", 0.25)
         stats.merge(other)
-        stats.merge(other.to_payload())
+        stats.merge({"telemetry": other.telemetry.snapshot()})
         assert stats.trace_executions == 4
         assert stats.counters["result_cache_hits"] == 6
         assert stats.stage_seconds["classify"] == pytest.approx(1.0)
@@ -240,7 +240,7 @@ class TestRunnerStats:
         stats.bump("trace_executions", 5)
         stats.add_time("classify", 0.5)
         rebuilt = RunnerStats()
-        rebuilt.merge(stats.to_payload())
+        rebuilt.merge({"telemetry": stats.telemetry.snapshot()})
         assert rebuilt.trace_executions == 5
         assert rebuilt.stage_seconds == stats.stage_seconds
 

@@ -14,7 +14,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.experiments import store
 from repro.experiments.parallel import MatrixTask, run_matrix
-from repro.experiments.runner import ExperimentRunner, matrix_architectures
+from repro.experiments.runner import ExperimentRunner, RunnerStats, matrix_architectures
 from repro.workloads.registry import SCALES
 
 ARCHES = matrix_architectures()
@@ -163,12 +163,20 @@ class TestParallelPassthrough:
         assert task.chunk_events is None
 
     def test_run_matrix_chunked(self, tmp_path, whole_reference):
-        stats = run_matrix(
-            BENCHES, "tiny", tmp_path, jobs=1,
+        payloads = run_matrix(
+            BENCHES, "tiny", tmp_path, jobs=2,
             arches=ARCHES, chunk_events=CHUNK,
         )
+        stats = RunnerStats()
+        for payload in payloads:
+            stats.merge(payload)
         assert stats.counters.get("stream_chunks", 0) > 0
-        # The warmed cache replays bit-identical in the parent.
+        # The returned reports and the warmed cache are both
+        # bit-identical to the whole-trace run.
+        returned = {}
+        for payload in payloads:
+            returned.update(payload["power"])
+        assert returned == whole_reference
         replay = ExperimentRunner(
             scale="tiny", cache_dir=tmp_path, chunk_events=CHUNK
         )

@@ -14,12 +14,6 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 
 class TestGaugeSemantics:
-    def test_gauge_set_last_write_wins(self):
-        t = Telemetry()
-        t.gauge_set("level", 5)
-        t.gauge_set("level", 3)
-        assert t.gauge_value("level") == 3
-
     def test_gauge_max_keeps_high_water(self):
         t = Telemetry()
         t.gauge_max("peak", 10)
@@ -31,8 +25,7 @@ class TestGaugeSemantics:
         t = Telemetry()
         t.gauge_max("peak", 1, stage="classify")
         t.gauge_max("peak", 2, stage="process")
-        named = t.gauges_named("peak")
-        assert len(named) == 2
+        assert sum(name == "peak" for name, _ in t.gauges) == 2
         assert t.gauge_value("peak", stage="classify") == 1
         assert t.gauge_value("peak", stage="process") == 2
 
@@ -40,7 +33,6 @@ class TestGaugeSemantics:
         assert Telemetry().gauge_value("absent") is None
 
     def test_null_telemetry_ignores_gauges(self):
-        NULL_TELEMETRY.gauge_set("x", 1)
         NULL_TELEMETRY.gauge_max("x", 2)
         assert NULL_TELEMETRY.gauges == {}
 

@@ -39,13 +39,6 @@ class TestCounters:
         assert len(t.counters_named("rf")) == 2
         assert list(t.counters_named("other")) == [()]
 
-    def test_counter_names_unique(self):
-        t = Telemetry()
-        t.count("a", x=1)
-        t.count("a", x=2)
-        t.count("b")
-        assert sorted(t.counter_names()) == ["a", "b"]
-
 
 class TestHistograms:
     def test_observe_accumulates_counts_per_value(self):
