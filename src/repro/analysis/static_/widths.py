@@ -59,7 +59,7 @@ from repro.isa.opcodes import Opcode, is_load
 
 from repro.analysis.static_.diagnostics import Diagnostic
 from repro.analysis.static_.framework import AnalysisContext, LintPass
-from repro.analysis.static_.uniformity import analyze_uniformity
+from repro.analysis.static_.uniformity import UniformityResult, analyze_uniformity
 
 #: Bump when the transfer functions or claim derivation change meaning;
 #: the experiment runner keys static-compress result sidecars on it.
@@ -418,6 +418,8 @@ class WidthResult:
     statically-compressed register file allocates for register ``r``
     (the minimum zero-byte claim over its reachable write sites; 4 — a
     zero-width, known-zero register — when it is never written).
+    ``uniformity`` is the divergence analysis the widths were computed
+    under, kept so its other readers need not run it again.
     """
 
     kernel_name: str
@@ -425,6 +427,7 @@ class WidthResult:
     site_claims: dict[tuple[int, int], int]
     site_zero_bytes: dict[tuple[int, int], int]
     register_enc: tuple[int, ...]
+    uniformity: UniformityResult
 
     def claim_at(self, block_id: int, inst_index: int) -> int | None:
         return self.site_claims.get((block_id, inst_index))
@@ -450,7 +453,8 @@ class WidthResult:
 def analyze_widths(kernel: Kernel, warp_size: int = 32) -> WidthResult:
     """Run the width abstract interpretation over one kernel."""
     preds = kernel.predecessors()
-    divergent_blocks = analyze_uniformity(kernel).control_divergent_blocks
+    uniformity = analyze_uniformity(kernel)
+    divergent_blocks = uniformity.control_divergent_blocks
     num_registers = kernel.num_registers
     entry_block = kernel.blocks[0].block_id
     bottom = [BOTTOM] * num_registers
@@ -532,6 +536,7 @@ def analyze_widths(kernel: Kernel, warp_size: int = 32) -> WidthResult:
         site_claims=site_claims,
         site_zero_bytes=site_zero_bytes,
         register_enc=register_enc,
+        uniformity=uniformity,
     )
 
 

@@ -6,9 +6,14 @@ workload kernel silently replayed stale data.  This module derives a
 short hex *fingerprint* from everything a cached stage actually
 depends on:
 
-* **traces** — the kernel's full static content (blocks, instructions,
-  terminators), the scale parameters and the warp size.  Traces are
-  never cached; their fingerprint is the root every entry derives from;
+* **traces** — the kernel's name, register count and disassembly
+  (every block id, instruction, operand and terminator), the launch
+  configuration, the digest of the input arrays the workload bound
+  into memory (:attr:`~repro.simt.memory_state.MemoryImage.bind_digest`),
+  the scale parameters and the warp size.  Traces are never cached;
+  their fingerprint is the root every entry derives from, so editing a
+  workload's kernel, its inputs (a datagen seed or density) or its
+  launch invalidates every entry of that benchmark;
 * **summaries** — the trace fingerprint, the experiment name, the
   energy parameters and the stage and width-analysis versions;
 * **timing/power results** — the trace fingerprint, the architecture
@@ -25,6 +30,9 @@ Everything is canonicalized to JSON before hashing: dataclasses become
 ``{type, fields}`` maps, enums become ``{type, name}`` maps, and dict
 keys are sorted, so the fingerprint is stable across processes and
 insertion orders but changes whenever any field of any input changes.
+The frozen configuration parts are encoded once per distinct value and
+reused, so a warm run hashes its few hundred keys without walking the
+same configuration again for each one.
 """
 
 from __future__ import annotations
@@ -36,13 +44,26 @@ import json
 from typing import Any
 
 from repro.config import ArchitectureConfig, GpuConfig
+from repro.isa.disasm import disassemble
 from repro.isa.kernel import Kernel
 from repro.power.energy import EnergyParams
-from repro.workloads.registry import ScaleConfig
+from repro.simt.grid import LaunchConfig
+from repro.workloads.registry import BuiltWorkload, ScaleConfig
 
 #: Length of the hex digest kept in cache headers.  64 bits of SHA-256
 #: is far beyond collision risk for a cache with tens of entries.
 DIGEST_CHARS = 16
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, built once.
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Frozen configuration types whose JSON text is kept per distinct value.
+_CONFIG_TYPES = (ArchitectureConfig, EnergyParams, GpuConfig, LaunchConfig, ScaleConfig)
+
+#: JSON text of each configuration value seen, keyed on its type and
+#: repr.  The repr spells every field's value with its type, so equal
+#: values that encode differently (``1`` and ``1.0``) never share text.
+_CONFIG_TEXT: dict[tuple[type, str], str] = {}
 
 
 def _canonical(obj: Any) -> Any:
@@ -70,36 +91,53 @@ def _canonical(obj: Any) -> Any:
     return repr(obj)
 
 
+def _encode(part: Any) -> str:
+    """``part``'s canonical JSON text, kept per value for configurations."""
+    if not isinstance(part, _CONFIG_TYPES):
+        return _JSON.encode(_canonical(part))
+    key = (type(part), repr(part))
+    if key not in _CONFIG_TEXT:
+        _CONFIG_TEXT[key] = _JSON.encode(_canonical(part))
+    return _CONFIG_TEXT[key]
+
+
 def fingerprint(*parts: Any) -> str:
-    """Hash arbitrary canonicalizable parts into a short hex digest."""
-    payload = json.dumps(
-        [_canonical(part) for part in parts],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """Hash arbitrary canonicalizable parts into a short hex digest.
+
+    The hashed text is the JSON list of the parts, joined from each
+    part's own text: the same text as ``json.dumps`` of the whole list.
+    """
+    payload = "[" + ",".join(_encode(part) for part in parts) + "]"
     return hashlib.sha256(payload.encode()).hexdigest()[:DIGEST_CHARS]
 
 
 def kernel_fingerprint(kernel: Kernel) -> str:
     """Fingerprint of a kernel's full static content.
 
-    Covers every instruction, operand, terminator and the kernel name,
-    so editing a workload kernel invalidates its cached traces.
+    Covers the kernel name, its register count and its disassembly,
+    which renders every block id, instruction (opcode, destination and
+    sources) and terminator, so editing a workload kernel invalidates
+    its cached traces.
     """
-    blocks = [
-        (
-            block.block_id,
-            [_canonical(inst) for inst in block.instructions],
-            _canonical(block.terminator),
-        )
-        for block in kernel.blocks
-    ]
-    return fingerprint("kernel", kernel.name, kernel.num_registers, blocks)
+    return fingerprint("kernel", kernel.name, kernel.num_registers, disassemble(kernel))
 
 
-def trace_fingerprint(kernel: Kernel, scale: ScaleConfig, warp_size: int) -> str:
-    """Fingerprint identifying one functional trace."""
-    return fingerprint("trace", kernel_fingerprint(kernel), scale, warp_size)
+def trace_fingerprint(built: BuiltWorkload, scale: ScaleConfig, warp_size: int) -> str:
+    """Fingerprint identifying one functional trace.
+
+    Covers the kernel, the launch, the input arrays bound into the
+    workload's memory image (with its strict flag), the scale and the
+    warp size.  The memory digest describes the image as built, so it
+    is the same before and after the trace executes.
+    """
+    return fingerprint(
+        "trace",
+        kernel_fingerprint(built.kernel),
+        built.launch,
+        built.memory.bind_digest,
+        scale,
+        warp_size,
+    )
 
 
 def summary_fingerprint(

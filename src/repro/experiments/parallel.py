@@ -22,6 +22,7 @@ in-process run (DESIGN §5's determinism requirement).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,7 +82,15 @@ def _run_task(task: MatrixTask) -> dict:
         },
     }
     record_peak_rss(runner.stats.telemetry)
-    payload["telemetry"] = runner.stats.telemetry.snapshot()
+    snapshot = runner.stats.telemetry.snapshot()
+    # This worker's peak is its own series, so the parent's unlabelled
+    # gauge stays the parent's high-water mark.
+    pid = [["pid", str(os.getpid())]]
+    snapshot["gauges"] = [
+        [name, pid if name == "peak_rss_bytes" and not labels else labels, value]
+        for name, labels, value in snapshot["gauges"]
+    ]
+    payload["telemetry"] = snapshot
     return payload
 
 
@@ -93,7 +102,8 @@ def execute_task(task: MatrixTask) -> dict:
     to the values the parent runner memoizes under the same keys, and
     ``telemetry`` is the worker registry's
     :meth:`~repro.obs.telemetry.Telemetry.snapshot` (its cache and stage
-    counters, peak-RSS gauge and stage spans), which
+    counters, stage spans and its peak-RSS gauge, labelled with the
+    worker's ``pid``), which
     :meth:`~repro.experiments.runner.RunnerStats.merge` reads.  With
     ``task.telemetry`` set, the whole task runs under an enabled
     process-global registry — scoped with

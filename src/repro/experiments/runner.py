@@ -32,14 +32,14 @@ cache-less runner derives no fingerprint at all.
 Each stage has one engine: the vectorized classifier, the columnar
 architecture interpretation and power accounting, and the event-driven
 SM simulator.  The per-event engines they replaced live in
-``tests/reference`` as oracles for the tests.  Each
-cached entry embeds a content fingerprint
-(:mod:`repro.experiments.cachekey`) covering the kernel, scale,
-architecture or experiment, GPU configuration and energy parameters; a
-mismatch — or any corrupt file — falls back to recomputation and
-overwrites the stale entry, and staleness is decided from the entry's
-header without unpickling its payload.  Files from older cache layouts
-are never read: they are plain misses.
+``tests/reference`` as oracles for the tests.  Each cached entry
+embeds a content fingerprint (:mod:`repro.experiments.cachekey`)
+covering the kernel, launch, input arrays, scale, architecture or
+experiment, GPU configuration and energy parameters; a mismatch — or
+any corrupt file — falls back to recomputation and overwrites the
+stale entry, and staleness is decided from the entry's header without
+unpickling its payload.  Files from older cache layouts are never
+read: they are plain misses.
 
 With ``chunk_events`` set, each (benchmark, architecture) pair streams
 its trace chunk by chunk through
@@ -407,7 +407,7 @@ class ExperimentRunner:
         run never executes."""
         if key not in self._trace_fingerprints:
             self._trace_fingerprints[key] = cachekey.trace_fingerprint(
-                self._workload(key).kernel, self.scale, WARP_SIZE
+                self._workload(key), self.scale, WARP_SIZE
             )
         return self._trace_fingerprints[key]
 

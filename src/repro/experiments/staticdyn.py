@@ -34,10 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.static_.uniformity import (
-    StaticScalarClass,
-    analyze_uniformity,
-)
+from repro.analysis.static_.uniformity import StaticScalarClass, UniformityResult
 from repro.analysis.static_.widths import WidthResult
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
@@ -206,14 +203,18 @@ class StaticDynData:
 
 
 def score_benchmark(
-    abbr: str, kernel: Kernel, columns: ClassifiedColumns
+    abbr: str,
+    kernel: Kernel,
+    columns: ClassifiedColumns,
+    uniformity: UniformityResult,
 ) -> StaticDynRow:
-    """Join one benchmark's static predictions against its trace."""
-    result = analyze_uniformity(kernel)
-    counts = result.counts()
+    """Join one benchmark's static predictions (``kernel``'s
+    :func:`~repro.analysis.static_.uniformity.analyze_uniformity`
+    result) against its trace."""
+    counts = uniformity.counts()
     offsets, provable = _site_table(
         kernel,
-        lambda block, index, inst: result.class_of(block, index)
+        lambda block, index, inst: uniformity.class_of(block, index)
         is StaticScalarClass.PROVABLY_SCALAR,
         False,
     )

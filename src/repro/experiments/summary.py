@@ -116,9 +116,10 @@ def _staticdyn(runner: ExperimentRunner, abbr: str):
     """The static-vs-dynamic row and the width-claim row (``--widths``)."""
     kernel = runner.run(abbr).built.kernel
     columns = runner.classified_columns(abbr)
+    widths = runner.width_analysis(abbr)
     return (
-        score_benchmark(abbr, kernel, columns),
-        score_widths_benchmark(abbr, kernel, columns, runner.width_analysis(abbr)),
+        score_benchmark(abbr, kernel, columns, widths.uniformity),
+        score_widths_benchmark(abbr, kernel, columns, widths),
     )
 
 

@@ -4,9 +4,15 @@ Two gauges back the streaming pipeline's memory story
 (:mod:`repro.experiments.streaming`):
 
 * ``peak_rss_bytes`` — the OS-reported resident-set high-water mark of
-  this process (``resource.getrusage``).  Monotone per process; merged
-  by max across a worker pool, so an experiment's telemetry reports
-  the largest resident footprint any process reached.
+  a process (``resource.getrusage``), one series per process.  The
+  unlabelled series is the recording (parent) process's own; each pool
+  worker returns its peak as ``peak_rss_bytes{pid=<worker pid>}``
+  (:mod:`repro.experiments.parallel`), never in the unlabelled series.
+  Merging keeps the max per label set, so a worker that ran several
+  tasks reports its own high-water mark.  Parent and workers are
+  resident together, so a parallel run's footprint is bounded by the
+  sum of the series, not by their maximum (peaks need not coincide,
+  and forked workers share pages with the parent).
 * ``bytes_in_flight`` — the pipeline-reported total of live chunk
   arrays (trace slice + classified + per-architecture processed
   columns) at each chunk boundary.  Unlike RSS this is exact and

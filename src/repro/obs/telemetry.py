@@ -187,7 +187,7 @@ class Telemetry:
         High-water-mark semantics (peak RSS, peak bytes in flight):
         recording sites call this freely and the gauge keeps the
         maximum ever seen; :meth:`merge` folds gauges with the same
-        max rule, so a pool of workers reports the fleet-wide peak.
+        max rule, per label set.
         """
         key = (name, _label_key(labels))
         current = self.gauges.get(key)

@@ -14,6 +14,8 @@ bugs in workload kernels.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.errors import MemoryError_
@@ -38,10 +40,23 @@ class MemoryImage:
     def __init__(self, strict: bool = False):
         self._pages: dict[int, np.ndarray] = {}
         self._strict = strict
+        # A chained digest (bytes, so the image still pickles).
+        self._binds = hashlib.sha256(b"strict" if strict else b"lenient").digest()
 
     @property
     def strict(self) -> bool:
         return self._strict
+
+    @property
+    def bind_digest(self) -> str:
+        """Hex digest of the strict flag and every :meth:`bind_array`
+        call so far (base address, word count, words).
+
+        It describes the image as built: execution writes through
+        :meth:`scatter`, never :meth:`bind_array`, so running a kernel
+        leaves it unchanged.
+        """
+        return self._binds.hex()
 
     # ------------------------------------------------------------------
     # Array binding (workload setup / teardown).
@@ -49,7 +64,8 @@ class MemoryImage:
     def bind_array(self, base_addr: int, values: np.ndarray) -> None:
         """Copy a 1-D array of 32-bit values to ``base_addr`` (bytes).
 
-        Float arrays are stored as their IEEE-754 bit patterns.
+        Float arrays are stored as their IEEE-754 bit patterns.  The
+        call is folded into :attr:`bind_digest`.
         """
         if base_addr % 4 != 0:
             raise MemoryError_(f"base address {base_addr:#x} is not word-aligned")
@@ -60,6 +76,10 @@ class MemoryImage:
             words = flat.astype(np.uint32, copy=False).view(np.uint32)
         else:
             raise MemoryError_(f"cannot bind array of dtype {flat.dtype}")
+        chained = hashlib.sha256(self._binds)
+        chained.update(f"{base_addr}:{words.size};".encode())
+        chained.update(words.astype("<u4", copy=False))
+        self._binds = chained.digest()
         self._put(base_addr // 4 + np.arange(words.size, dtype=np.int64), words)
 
     def read_array(self, base_addr: int, count: int, dtype: type = np.uint32) -> np.ndarray:

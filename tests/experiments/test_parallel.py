@@ -24,6 +24,7 @@ from repro.experiments.runner import (
     paper_architectures,
 )
 from repro.experiments.summary import BUILDERS
+from repro.obs.memory import peak_rss_bytes
 from repro.workloads.registry import all_workloads
 
 SUBSET = ["HS", "PF"]
@@ -154,6 +155,31 @@ class TestPrefetch:
                 assert runner.power(abbr, arch) == serial.power(abbr, arch)
         assert runner.stats.trace_executions == workers
         assert not [name for name in runner.stats.counters if "cache" in name]
+
+    @pytest.mark.parametrize("chunk_events", [None, 256])
+    def test_peak_rss_is_one_series_per_process(self, chunk_events):
+        """The unlabelled ``peak_rss_bytes`` is the parent's own peak;
+        each worker's peak is a series of its own, labelled with the
+        worker's pid, one per distinct worker.  A chunked worker's
+        streamed passes record peaks too: they stay in its series."""
+        runner = ExperimentRunner(scale="tiny", chunk_events=chunk_events)
+        runner.prefetch(
+            names=SUBSET, jobs=2, experiments=("fig1",), arches=paper_architectures()[:1]
+        )
+        gauges = runner.stats.to_dict()["gauges"]
+        assert 0 < gauges["peak_rss_bytes"] <= peak_rss_bytes()
+        worker_pids = {
+            span.pid for span in runner.stats.telemetry.spans if span.pid != os.getpid()
+        }
+        assert worker_pids
+        labelled = {
+            dict(labels)["pid"]: value
+            for (name, labels), value in runner.stats.telemetry.gauges.items()
+            if name == "peak_rss_bytes" and labels
+        }
+        assert set(labelled) == {str(pid) for pid in worker_pids}
+        assert all(value > 0 for value in labelled.values())
+        assert str(os.getpid()) not in labelled
 
     def test_serial_prefetch_without_cache_dir(self):
         runner = ExperimentRunner(scale="tiny")

@@ -156,7 +156,9 @@ class TestMetrics:
         b.st_global(b.mov(0x100), value)
         kernel = b.finish()
         trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage())
-        row = staticdyn.score_benchmark("U", kernel, columns_of(kernel, trace))
+        row = staticdyn.score_benchmark(
+            "U", kernel, columns_of(kernel, trace), analyze_uniformity(kernel)
+        )
         assert row.static_provable == kernel.static_instruction_count()
         assert row.soundness_violations == 0
         assert row.precision == 1.0

@@ -46,7 +46,9 @@ class TestGaugeMerge:
         assert merged.gauge_value("peak_rss_bytes") == 100
 
     def test_merge_folds_by_max(self):
-        # A worker pool reports the fleet-wide peak, not a sum.
+        # One label set folds by max, not sum: the snapshots of tasks
+        # one pool worker ran report that process's high-water mark
+        # (each worker's peak has its own ``pid`` series).
         parent = Telemetry()
         parent.gauge_max("peak_rss_bytes", 100)
         worker_a = Telemetry()

@@ -1,5 +1,7 @@
 """Unit tests for the functional memory image."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,51 @@ class TestVectorAccess:
         assert memory.mapped_bytes == 0
         memory.bind_array(0, np.zeros(1, dtype=np.uint32))
         assert memory.mapped_bytes > 0
+
+
+def _bound(*binds, strict=False):
+    memory = MemoryImage(strict=strict)
+    for base, words in binds:
+        memory.bind_array(base, np.array(words, dtype=np.uint32))
+    return memory
+
+
+class TestBindDigest:
+    def test_equal_binds_agree(self):
+        assert _bound((0x100, [1, 2, 3])).bind_digest == _bound(
+            (0x100, [1, 2, 3])
+        ).bind_digest
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            _bound((0x100, [1, 2, 4])),
+            _bound((0x104, [1, 2, 3])),
+            _bound((0x100, [1, 2, 3, 0])),
+            _bound((0x100, [1, 2, 3]), strict=True),
+        ],
+        ids=["word", "base", "count", "strict"],
+    )
+    def test_each_part_of_a_bind_enters_the_digest(self, other):
+        assert other.bind_digest != _bound((0x100, [1, 2, 3])).bind_digest
+
+    def test_float_arrays_hash_their_bit_patterns(self):
+        floats = MemoryImage()
+        floats.bind_array(0, np.array([1.0], dtype=np.float32))
+        assert floats.bind_digest == _bound((0, [0x3F800000])).bind_digest
+
+    def test_execution_writes_leave_it_alone(self):
+        memory = _bound((0x100, [1, 2, 3]))
+        before = memory.bind_digest
+        memory.store(
+            np.array([0x100, 0x200], dtype=np.uint32),
+            np.array([9, 9], dtype=np.uint32),
+            np.ones(2, dtype=bool),
+        )
+        memory.scatter(np.array([0x100], dtype=np.int64), np.array([7], dtype=np.uint32))
+        assert memory.read_array(0x100, 1)[0] == 9
+        assert memory.bind_digest == before
+
+    def test_image_still_pickles(self):
+        memory = _bound((0x100, [1, 2, 3]))
+        assert pickle.loads(pickle.dumps(memory)).bind_digest == memory.bind_digest
