@@ -2,15 +2,16 @@
 
 A :class:`LintPass` inspects one kernel and returns diagnostics; the
 :class:`PassManager` runs an ordered list of passes, sharing one
-:class:`AnalysisContext` so expensive CFG analyses (post-dominators,
-liveness, branch regions) are computed at most once per kernel however
-many passes consume them.
+:class:`AnalysisContext` so expensive analyses (post-dominators,
+liveness, branch regions, uniformity) are computed at most once per
+kernel however many passes consume them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.isa.kernel import Kernel, immediate_postdominators
 from repro.isa.liveness import (
@@ -21,6 +22,9 @@ from repro.isa.liveness import (
 )
 
 from repro.analysis.static_.diagnostics import Diagnostic, LintReport
+
+if TYPE_CHECKING:
+    from repro.analysis.static_.uniformity import UniformityResult
 
 
 class AnalysisContext:
@@ -44,6 +48,12 @@ class AnalysisContext:
     @cached_property
     def predecessors(self) -> dict[int, list[int]]:
         return self.kernel.predecessors()
+
+    @cached_property
+    def uniformity(self) -> UniformityResult:
+        from repro.analysis.static_.uniformity import analyze_uniformity
+
+        return analyze_uniformity(self.kernel)
 
 
 class LintPass(ABC):

@@ -280,7 +280,7 @@ class StaticScalarizationPass(LintPass):
     name = "static-scalarization"
 
     def run(self, ctx: AnalysisContext) -> list[Diagnostic]:
-        result = analyze_uniformity(ctx.kernel)
+        result = ctx.uniformity
         counts = result.counts()
         total = sum(counts.values())
         provable = counts[StaticScalarClass.PROVABLY_SCALAR]

@@ -450,10 +450,17 @@ class WidthResult:
         }
 
 
-def analyze_widths(kernel: Kernel, warp_size: int = 32) -> WidthResult:
-    """Run the width abstract interpretation over one kernel."""
+def analyze_widths(
+    kernel: Kernel, warp_size: int = 32, uniformity: UniformityResult | None = None
+) -> WidthResult:
+    """Run the width abstract interpretation over one kernel.
+
+    ``uniformity`` is the kernel's :func:`analyze_uniformity` result
+    when the caller already holds it; otherwise it is computed here.
+    """
     preds = kernel.predecessors()
-    uniformity = analyze_uniformity(kernel)
+    if uniformity is None:
+        uniformity = analyze_uniformity(kernel)
     divergent_blocks = uniformity.control_divergent_blocks
     num_registers = kernel.num_registers
     entry_block = kernel.blocks[0].block_id
@@ -555,7 +562,9 @@ class WidthAnalysisPass(LintPass):
         self.warp_size = warp_size
 
     def run(self, ctx: AnalysisContext) -> list[Diagnostic]:
-        result = analyze_widths(ctx.kernel, warp_size=self.warp_size)
+        result = analyze_widths(
+            ctx.kernel, warp_size=self.warp_size, uniformity=ctx.uniformity
+        )
         counts = result.counts()
         found = [
             Diagnostic(

@@ -20,8 +20,12 @@ Three interpretation regimes exist, dispatched on the architecture:
 * **dedicated scalar RF** (prior-work ALU-scalar): the
   :class:`~repro.regfile.scalar_rf.ScalarRegisterFile` residency walk
   is inherently sequential (LRU eviction feeds back into later
-  decisions), so this path keeps a slim per-warp Python loop over the
-  columns driving a *real* ``ScalarRegisterFile``.
+  decisions), so this path keeps a slim Python loop over the columns
+  driving a *real* ``ScalarRegisterFile``.  The walk reads only
+  per-warp columns, and a kernel's warps mostly repeat a few of them,
+  so it walks each distinct warp key
+  (:func:`~repro.scalar.columns.warp_keys`) once and gathers every
+  warp's rows from its key's walk.
 * **plain** (baseline, no compression, no scalar RF): trivially
   vectorized.
 
@@ -50,6 +54,7 @@ from repro.scalar.columns import (
     SCALAR_WRITE_ID,
     ClassifiedColumns,
     ProcessedColumns,
+    warp_keys,
 )
 from repro.scalar.eligibility import ID_TO_SCALAR_CLASS, SCALAR_CLASS_TO_ID, ScalarClass
 
@@ -523,102 +528,102 @@ def _process_scalar_rf(
     first_warp_continued: bool = False,
     last_warp_continues: bool = False,
 ) -> ProcessedColumns:
-    """Per-warp sequential walk driving a real
-    :class:`~repro.regfile.scalar_rf.ScalarRegisterFile`.
+    """Sequential walk driving a real
+    :class:`~repro.regfile.scalar_rf.ScalarRegisterFile`, once per
+    distinct warp.
 
     LRU residency/eviction feeds back into later scalar-execution and
     access-kind decisions, so there is no closed-form vectorization;
     mirroring ``ArchitectureView._process_uncompressed`` op-for-op
     (including the resident-check-before-read ordering) keeps the walk
-    bit-identical to the event engine.
+    bit-identical to the event engine.  The walk reads only per-warp
+    columns (the scalar-execution flag, the destination columns and
+    the source registers), and warps that agree on them walk alike:
+    each distinct :func:`~repro.scalar.columns.warp_keys` key is walked
+    once on a fresh register file, and every warp gathers its rows from
+    its key's walk.  Masks reach only the partial writes, which take
+    each warp's own.
 
     ``carry`` (chunked mode) resumes a boundary-split warp's register
     file from the previous chunk and parks it again for the next one;
-    interior warps always start fresh, exactly as in whole-trace mode.
+    such a warp is walked on its own, never shared.
     """
-    accepts_lut = _accepts_lut(arch)
-    count = ccols.num_events
-    scalar_executed = np.zeros(count, dtype=bool)
-    extra = np.zeros(count, dtype=np.int32)
-    compressor = np.zeros(count, dtype=np.int32)
-    acc_offsets = np.zeros(count + 1, dtype=np.int64)
-
-    kind_ids: list[int] = []
-    registers: list[int] = []
-    acc_masks: list[int] = []
-
     class_ids = ccols.scalar_class_ids
     has_dst = ccols.has_dst_enc
     divergent = ccols.divergent
-    dst_is_scalar = ccols.dst_is_scalar
-    dst = ccols.dst
-    masks = ccols.masks
     src_offsets = ccols.src_offsets
-    src_registers = ccols.src_registers
+    # The per-row columns the walk reads; with the sources, its key.
+    walked = (
+        _accepts_lut(arch)[class_ids] & (class_ids == _ALU_SCALAR_ID),
+        has_dst,
+        divergent,
+        ccols.dst_is_scalar,
+        ccols.dst,
+    )
     bounds = ccols.warp_bounds()
+    starts = bounds.tolist()
+    num_warps = len(starts) - 1
+    keys = warp_keys(walked, src_offsets, (ccols.src_registers,), starts)
+    resumed = carry is not None and first_warp_continued and num_warps > 0
+    parked = carry is not None and last_warp_continues and num_warps > 0
+    if resumed:
+        keys[0] = ("split", 0)
+    if parked:
+        keys[-1] = ("split", num_warps - 1)
 
-    num_warps = len(ccols.warp_lengths)
-    for warp in range(num_warps):
+    # Each walk appends its rows to one template; walk k's rows start
+    # at template event event_bases[k].
+    walks: dict[tuple, int] = {}
+    event_bases: list[int] = []
+    executed: list[bool] = []
+    extra: list[int] = []
+    access_ends: list[int] = []
+    kinds: list[int] = []
+    registers: list[int] = []
+    template = (executed, extra, access_ends, kinds, registers)
+    for warp, key in enumerate(keys):
+        if key in walks:
+            continue
+        walks[key] = len(event_bases)
+        event_bases.append(len(executed))
         scalar_rf = None
-        if carry is not None and warp == 0 and first_warp_continued:
-            scalar_rf = carry.scalar_rfs.pop(warp_start + warp, None)
+        if resumed and warp == 0:
+            scalar_rf = carry.scalar_rfs.pop(warp_start, None)
         if scalar_rf is None:
             scalar_rf = ScalarRegisterFile()
-        for index in range(int(bounds[warp]), int(bounds[warp + 1])):
-            sources = [
-                int(src_registers[k])
-                for k in range(int(src_offsets[index]), int(src_offsets[index + 1]))
-            ]
-            executes = accepts_lut[class_ids[index]] and (
-                class_ids[index] == _ALU_SCALAR_ID
-            )
-            if executes:
-                executes = all(scalar_rf.is_resident(r) for r in sources)
-            scalar_executed[index] = executes
-
-            for register in sources:
-                if scalar_rf.read(register):
-                    kind_ids.append(SCALAR_RF_READ_ID)
-                else:
-                    kind_ids.append(FULL_READ_ID)
-                registers.append(register)
-                acc_masks.append(0)
-
-            if has_dst[index]:
-                destination = int(dst[index])
-                compressor[index] = 1
-                if not divergent[index] and dst_is_scalar[index]:
-                    scalar_rf.write_scalar(destination)
-                    kind_ids.append(SCALAR_RF_WRITE_ID)
-                    registers.append(destination)
-                    acc_masks.append(0)
-                else:
-                    if scalar_rf.is_resident(destination):
-                        # Leaving the scalar RF; a divergent partial
-                        # write first spills the scalar value back.
-                        scalar_rf.invalidate(destination)
-                        if divergent[index]:
-                            kind_ids.append(SCALAR_RF_READ_ID)
-                            registers.append(destination)
-                            acc_masks.append(0)
-                            kind_ids.append(FULL_WRITE_ID)
-                            registers.append(destination)
-                            acc_masks.append(0)
-                            extra[index] = 1
-                    if divergent[index]:
-                        kind_ids.append(PARTIAL_WRITE_ID)
-                        registers.append(destination)
-                        acc_masks.append(int(masks[index]))
-                    else:
-                        kind_ids.append(FULL_WRITE_ID)
-                        registers.append(destination)
-                        acc_masks.append(0)
-            acc_offsets[index + 1] = len(kind_ids)
-        if carry is not None and warp == num_warps - 1 and last_warp_continues:
+        first, end = starts[warp], starts[warp + 1]
+        lo, hi = int(src_offsets[first]), int(src_offsets[end])
+        _walk(
+            scalar_rf,
+            [column[first:end].tolist() for column in walked],
+            (src_offsets[first : end + 1] - lo).tolist(),
+            ccols.src_registers[lo:hi].tolist(),
+            template,
+        )
+        if parked and warp == num_warps - 1:
             carry.scalar_rfs[warp_start + warp] = scalar_rf
 
+    # Gather every warp's rows from its walk's template rows.
+    count = ccols.num_events
+    template_ends = np.zeros(len(access_ends) + 1, dtype=np.int64)
+    template_ends[1:] = access_ends
+    walk_of = np.array([walks[key] for key in keys], dtype=np.int64)
+    base = np.array(event_bases, dtype=np.int64)[walk_of]
+    event_rows = np.repeat(base - bounds[:-1], ccols.warp_lengths) + np.arange(count)
+    acc_offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.diff(template_ends)[event_rows], out=acc_offsets[1:])
+    total = int(acc_offsets[-1])
+    warp_accesses = acc_offsets[bounds]
+    access_rows = np.repeat(
+        template_ends[base] - warp_accesses[:-1], np.diff(warp_accesses)
+    ) + np.arange(total)
+    scalar_executed = np.array(executed, dtype=bool)[event_rows]
+
+    acc_masks = np.zeros(total, dtype=np.uint64)
+    partial = np.flatnonzero(has_dst & divergent)
+    acc_masks[acc_offsets[partial + 1] - 1] = ccols.masks[partial]
+
     no_half = np.zeros(count, dtype=bool)
-    total = len(kind_ids)
     return ProcessedColumns(
         warp_size=ccols.warp_size,
         warp_lengths=ccols.warp_lengths,
@@ -629,16 +634,67 @@ def _process_scalar_rf(
         lo_half_scalar=no_half,
         hi_half_scalar=no_half.copy(),
         exec_lanes=_exec_lanes(ccols, scalar_executed, no_half, no_half),
-        extra_instructions=extra,
-        compressor_ops=compressor,
+        extra_instructions=np.array(extra, dtype=np.int32)[event_rows],
+        compressor_ops=has_dst.astype(np.int32),
         decompressor_ops=np.zeros(count, dtype=np.int32),
         acc_offsets=acc_offsets,
-        acc_kind_ids=np.array(kind_ids, dtype=np.uint8),
-        acc_registers=np.array(registers, dtype=np.int32),
+        acc_kind_ids=np.array(kinds, dtype=np.uint8)[access_rows],
+        acc_registers=np.array(registers, dtype=np.int32)[access_rows],
         acc_enc=np.zeros(total, dtype=np.int8),
         acc_enc_lo=np.zeros(total, dtype=np.int8),
         acc_enc_hi=np.zeros(total, dtype=np.int8),
         acc_half=np.zeros(total, dtype=bool),
-        acc_masks=np.array(acc_masks, dtype=np.uint64),
+        acc_masks=acc_masks,
         acc_sidecar=np.zeros(total, dtype=bool),
     )
+
+
+def _walk(
+    scalar_rf: ScalarRegisterFile,
+    rows: list[list],
+    src_offsets: list[int],
+    sources: list[int],
+    template: tuple[list, ...],
+) -> None:
+    """Walk one warp's rows through ``scalar_rf``.
+
+    ``rows`` holds the warp's walked columns as lists (scalar-execution
+    flag, ``has_dst_enc``, ``divergent``, ``dst_is_scalar``, ``dst``);
+    ``src_offsets`` are rebased to the warp's ``sources``.  The walk
+    appends to the ``template`` lists: per row its scalar execution,
+    its extra instruction and its running access count, and per access
+    its kind id and register (a partial write's mask is filled in
+    afterwards).
+    """
+    executed, extra, access_ends, kinds, registers = template
+    for may_execute, writes, diverges, to_scalar, destination, lo, hi in zip(
+        *rows, src_offsets, src_offsets[1:]
+    ):
+        reads = sources[lo:hi]
+        executed.append(
+            may_execute and all(scalar_rf.is_resident(r) for r in reads)
+        )
+        for register in reads:
+            kinds.append(
+                SCALAR_RF_READ_ID if scalar_rf.read(register) else FULL_READ_ID
+            )
+            registers.append(register)
+        spilled = 0
+        if writes:
+            if not diverges and to_scalar:
+                scalar_rf.write_scalar(destination)
+                kinds.append(SCALAR_RF_WRITE_ID)
+                registers.append(destination)
+            else:
+                if scalar_rf.is_resident(destination):
+                    # Leaving the scalar RF; a divergent partial write
+                    # first spills the scalar value back.
+                    scalar_rf.invalidate(destination)
+                    if diverges:
+                        kinds += (SCALAR_RF_READ_ID, FULL_WRITE_ID)
+                        registers += (destination, destination)
+                        spilled = 1
+                kinds.append(PARTIAL_WRITE_ID if diverges else FULL_WRITE_ID)
+                registers.append(destination)
+        extra.append(spilled)
+        access_ends.append(len(kinds))

@@ -196,6 +196,33 @@ class ProcessedColumns:
         return int(self.acc_kind_ids.shape[0])
 
 
+def warp_keys(
+    per_row: tuple[np.ndarray, ...],
+    offsets: np.ndarray,
+    ragged: tuple[np.ndarray, ...],
+    starts: list[int],
+) -> list[tuple]:
+    """One key per warp whose rows are ``starts[i]:starts[i + 1]``.
+
+    Two keys are equal exactly when the two warps' rows are: the bytes
+    of every ``per_row`` column, of ``offsets`` rebased to the warp and
+    of every ``ragged`` column's entries under those offsets.  Equal
+    keys share one object, so a caller holds one key per distinct warp
+    and nothing the size of its rows.
+    """
+    interned: dict[tuple, tuple] = {}
+    keys = []
+    for first, end in zip(starts, starts[1:]):
+        lo, hi = int(offsets[first]), int(offsets[end])
+        key = (
+            *(column[first:end].tobytes() for column in per_row),
+            (offsets[first : end + 1] - lo).tobytes(),
+            *(column[lo:hi].tobytes() for column in ragged),
+        )
+        keys.append(interned.setdefault(key, key))
+    return keys
+
+
 def _merge_warp_lengths(
     fragments: list[np.ndarray], continued: list[bool]
 ) -> np.ndarray:

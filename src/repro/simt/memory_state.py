@@ -42,6 +42,8 @@ class MemoryImage:
         self._strict = strict
         # A chained digest (bytes, so the image still pickles).
         self._binds = hashlib.sha256(b"strict" if strict else b"lenient").digest()
+        # Byte ranges ``(start, end)`` of the non-empty binds so far.
+        self._bound: list[tuple[int, int]] = []
 
     @property
     def strict(self) -> bool:
@@ -65,7 +67,9 @@ class MemoryImage:
         """Copy a 1-D array of 32-bit values to ``base_addr`` (bytes).
 
         Float arrays are stored as their IEEE-754 bit patterns.  The
-        call is folded into :attr:`bind_digest`.
+        call is folded into :attr:`bind_digest`.  A bind that overlaps
+        an earlier one raises: a workload's input arrays never share a
+        word.
         """
         if base_addr % 4 != 0:
             raise MemoryError_(f"base address {base_addr:#x} is not word-aligned")
@@ -76,6 +80,15 @@ class MemoryImage:
             words = flat.astype(np.uint32, copy=False).view(np.uint32)
         else:
             raise MemoryError_(f"cannot bind array of dtype {flat.dtype}")
+        if words.size:
+            start, end = base_addr, base_addr + 4 * words.size
+            for other_start, other_end in self._bound:
+                if start < other_end and other_start < end:
+                    raise MemoryError_(
+                        f"bind of [{start:#x}, {end:#x}) overlaps the earlier "
+                        f"bind of [{other_start:#x}, {other_end:#x})"
+                    )
+            self._bound.append((start, end))
         chained = hashlib.sha256(self._binds)
         chained.update(f"{base_addr}:{words.size};".encode())
         chained.update(words.astype("<u4", copy=False))

@@ -84,7 +84,7 @@ import numpy as np
 from repro.config import GpuConfig, SchedulerPolicy
 from repro.errors import TimingError
 from repro.isa.opcodes import OpCategory
-from repro.scalar.columns import CATEGORY_TO_CODE, CTRL_CODE
+from repro.scalar.columns import CATEGORY_TO_CODE, CTRL_CODE, warp_keys
 from repro.timing.memory import MemoryModel
 from repro.timing.ops import SCALAR_RF_BANK, TimingOpTable
 from repro.timing.scheduler import partition_slots
@@ -165,34 +165,25 @@ def _sequence_keys(table: TimingOpTable, starts: list[int]) -> list[tuple]:
     """One key per warp whose rows are ``starts[i]:starts[i + 1]``.
 
     Two keys are equal exactly when the warps' columns other than the
-    coalesced segments are: the bytes of every per-row column, of the
-    source offsets rebased to the warp, and of the source registers
-    and banks.  Equal keys share one object, so a block holds one key
-    per distinct sequence and nothing the size of the block.
+    coalesced segments are (:func:`~repro.scalar.columns.warp_keys`
+    over every per-row column and the source registers and banks), so
+    a block holds one key per distinct sequence.
     """
-    per_row = (
-        table.category_codes,
-        table.dst,
-        table.dispatch_cycles,
-        table.long_latency,
-        table.is_store,
-        table.is_shared_mem,
-        table.is_barrier,
-        table.inserted,
+    return warp_keys(
+        (
+            table.category_codes,
+            table.dst,
+            table.dispatch_cycles,
+            table.long_latency,
+            table.is_store,
+            table.is_shared_mem,
+            table.is_barrier,
+            table.inserted,
+        ),
+        table.src_offsets,
+        (table.src_regs, table.src_banks),
+        starts,
     )
-    src_offsets = table.src_offsets
-    keys: dict[tuple, tuple] = {}
-    result = []
-    for first, end in zip(starts, starts[1:]):
-        src_lo, src_hi = int(src_offsets[first]), int(src_offsets[end])
-        key = (
-            *(column[first:end].tobytes() for column in per_row),
-            (src_offsets[first : end + 1] - src_lo).tobytes(),
-            table.src_regs[src_lo:src_hi].tobytes(),
-            table.src_banks[src_lo:src_hi].tobytes(),
-        )
-        result.append(keys.setdefault(key, key))
-    return result
 
 
 def _register_masks(

@@ -136,6 +136,59 @@ class TestLintCommand:
                   "--baseline", "/nonexistent/baseline.json"])
 
 
+def count_uniformity_analyses(monkeypatch) -> list:
+    """Wrap ``analyze_uniformity`` where it is called; the returned
+    list gains one entry (the kernel's name) per analysis."""
+    from repro.analysis.static_ import uniformity, widths
+
+    calls = []
+    analyze = uniformity.analyze_uniformity
+
+    def counted(kernel):
+        calls.append(kernel.name)
+        return analyze(kernel)
+
+    monkeypatch.setattr(uniformity, "analyze_uniformity", counted)
+    monkeypatch.setattr(widths, "analyze_uniformity", counted)
+    return calls
+
+
+class TestOneUniformityAnalysisPerKernel:
+    """The lint passes and the width analysis share one uniformity
+    result per kernel through ``AnalysisContext.uniformity``."""
+
+    def test_lint_analyzes_each_kernel_once(self, monkeypatch, capsys):
+        calls = count_uniformity_analyses(monkeypatch)
+        assert main(["lint"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 17
+        assert len(set(calls)) == 17
+
+    def test_lint_json_matches_one_analysis_per_pass(self, monkeypatch, capsys):
+        from repro.analysis.static_ import uniformity
+        from repro.analysis.static_.framework import AnalysisContext
+
+        assert main(["lint", "--format=json"]) == 0
+        shared = capsys.readouterr().out
+        # Each read of the context recomputes the analysis, as when
+        # every pass ran its own.
+        monkeypatch.setattr(
+            AnalysisContext,
+            "uniformity",
+            property(lambda ctx: uniformity.analyze_uniformity(ctx.kernel)),
+        )
+        calls = count_uniformity_analyses(monkeypatch)
+        assert main(["lint", "--format=json"]) == 0
+        assert len(calls) == 34
+        assert capsys.readouterr().out == shared
+
+    def test_widths_run_analyzes_each_kernel_once(self, monkeypatch, capsys):
+        calls = count_uniformity_analyses(monkeypatch)
+        assert main(["all", "--scale", "small", "--widths", "--jobs", "1"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 17
+
+
 class TestStaticdynWidths:
     def test_widths_gate_is_sound_at_tiny_scale(self, capsys):
         assert main(["staticdyn", "--widths", "--scale", "tiny"]) == 0

@@ -9,11 +9,15 @@ cheap inside the unit suite.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import WorkloadError
 from repro.experiments import store
 from repro.experiments.parallel import MatrixTask, execute_task, run_matrix
@@ -283,3 +287,65 @@ class TestKilledWorker:
         assert fresh.stats.counters.get("summary_cache_misses", 0) == missing
         for abbr in names:
             assert fresh.summary(abbr, "fig1") == serial.summary(abbr, "fig1")
+
+
+#: The address-space ceiling of the memory-ceiling runs.
+CEILING_BYTES = 512 * 1024 * 1024
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (CEILING_BYTES, CEILING_BYTES))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS")
+class TestMemoryCeiling:
+    """A run that outgrows a hard ``RLIMIT_AS`` ends in a named
+    ``MemoryError``, serial and pooled: no hang, no stray worker.
+
+    It relies on the whole-trace arm of the large tier: without
+    ``--chunk-events``, ``repro fig1 --scale large`` materializes and
+    classifies each benchmark's >= 10^6-event trace at once, which
+    needs more than 512 MiB (the arm CI's "Whole-trace large tier dies
+    under a hard 512 MiB ceiling" step gates).  Once that run fits the
+    ceiling, this test and that step need another arm together.
+    """
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_whole_trace_large_run_dies_with_a_named_error(self, jobs):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fig1", "--scale", "large",
+             "--jobs", str(jobs)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            preexec_fn=_limit_address_space,
+            start_new_session=True,
+        )
+        try:
+            _, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the run outlived 60 s under the memory ceiling")
+        assert child.returncode != 0
+        assert "MemoryError" in err, err[-2000:]
+        # The child led its own session: once it is gone, nothing of
+        # that process group (a pool worker) may still run.
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                os.killpg(child.pid, 0)
+            except ProcessLookupError:
+                break
+            if time.monotonic() > deadline:
+                os.killpg(child.pid, signal.SIGKILL)
+                pytest.fail("a pool worker outlived the failed run")
+            time.sleep(0.05)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.static_.widths import analyze_widths
-from repro.config import GpuConfig
+from repro.config import ArchitectureConfig, GpuConfig
 from repro.experiments.runner import matrix_architectures
 from repro.experiments.streaming import _array_bytes, stream_pipeline
 from repro.power.accounting import PowerAccountant
@@ -272,3 +272,46 @@ class TestRandomChunkGrids:
             st.integers(min_value=1, max_value=num_events + 3)
         )
         assert_stream_matches_whole(case, chunk_events)
+
+
+class TestKeyedScalarRfChunks:
+    """ALU-scalar's keyed walk under chunking: chunks that hold several
+    whole warps (which may share one walk) between split ends (which
+    resume and park their own register file) reassemble to the
+    whole-trace interpretation, on every small-scale workload."""
+
+    ARCH = ArchitectureConfig.alu_scalar()
+
+    @pytest.mark.parametrize("abbr", WORKLOAD_ABBRS)
+    def test_chunks_of_several_warps_match_whole(self, abbr):
+        built = build_workload(abbr, "small")
+        columnar = run_kernel(built.kernel, built.launch, built.memory)
+        num_registers = built.kernel.num_registers
+        whole = process_columns(
+            classify_columnar_batch(columnar, num_registers), self.ARCH
+        )
+        longest = int(columnar.warp_lengths.max())
+        for chunk_events in (2 * longest + 7, 3 * longest + 5):
+            classifier_carry, carry = ClassifierCarry(), ArchCarry()
+            fragments, continued, mixed = [], [], False
+            for chunk in iter_chunks(columnar, chunk_events):
+                ccols = classify_columnar_chunk(chunk, num_registers, classifier_carry)
+                fragments.append(
+                    process_columns_chunk(
+                        ccols,
+                        self.ARCH,
+                        carry,
+                        warp_start=chunk.warp_start,
+                        first_warp_continued=chunk.first_warp_continued,
+                        last_warp_continues=chunk.last_warp_continues,
+                    )
+                )
+                continued.append(chunk.first_warp_continued)
+                split = chunk.first_warp_continued + chunk.last_warp_continues
+                mixed |= split > 0 and len(ccols.warp_lengths) - split >= 2
+            assert not carry.scalar_rfs
+            # The grid really puts whole warps next to split ends.
+            assert mixed
+            assert processed_columns_equal(
+                whole, concat_processed_columns(fragments, continued)
+            ), chunk_events

@@ -48,6 +48,32 @@ class TestArrayBinding:
         with pytest.raises(MemoryError_):
             memory.bind_array(0x100, np.zeros(4, dtype=np.float64))
 
+    def test_overlapping_bind_names_both_ranges(self):
+        memory = MemoryImage()
+        memory.bind_array(0x100, np.zeros(4, dtype=np.uint32))
+        with pytest.raises(
+            MemoryError_,
+            match=r"bind of \[0x10c, 0x114\) overlaps the earlier bind of "
+            r"\[0x100, 0x110\)",
+        ):
+            memory.bind_array(0x10C, np.ones(2, dtype=np.uint32))
+        # The rejected bind wrote nothing.
+        assert memory.read_array(0x10C, 2).tolist() == [0, 0]
+
+    def test_bind_inside_an_earlier_bind_raises(self):
+        memory = MemoryImage()
+        memory.bind_array(0x100, np.zeros(16, dtype=np.uint32))
+        with pytest.raises(MemoryError_, match="overlaps"):
+            memory.bind_array(0x120, np.ones(1, dtype=np.uint32))
+
+    def test_adjacent_and_empty_binds_pass(self):
+        memory = MemoryImage()
+        memory.bind_array(0x100, np.arange(4, dtype=np.uint32))
+        memory.bind_array(0x110, np.arange(4, 8, dtype=np.uint32))
+        memory.bind_array(0xF0, np.arange(4, dtype=np.uint32))
+        memory.bind_array(0x104, np.zeros(0, dtype=np.uint32))
+        assert memory.read_array(0x100, 8).tolist() == list(range(8))
+
 
 class TestVectorAccess:
     def test_masked_load(self):

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import MemoryError_, WorkloadError
+from repro.workloads.parboil import mv
 from repro.workloads.registry import (
     SCALES,
+    ScaleConfig,
     all_workloads,
     build_workload,
     workload_by_name,
@@ -57,3 +59,24 @@ class TestBuilding:
 
     def test_scales_are_ordered(self):
         assert SCALES["tiny"].inner_iterations < SCALES["default"].inner_iterations
+
+    @pytest.mark.parametrize("scale", sorted(SCALES))
+    def test_no_workload_overlaps_its_arrays(self, scale):
+        # MemoryImage.bind_array raises on an overlapping bind.
+        for spec in all_workloads():
+            build_workload(spec.abbr, scale)
+
+
+class TestOverlappingInputs:
+    """MV's fixed regions hold 32 rows of 256 threads: one CTA more
+    binds ``_COLUMNS`` over ``_ROW_LENGTHS``, which then runs rows for
+    up to 4,095 trips unless the bind raises."""
+
+    def test_mv_past_its_regions_raises(self):
+        scale = ScaleConfig("mv33", grid_dim=33, cta_dim=256, inner_iterations=16)
+        with pytest.raises(MemoryError_, match=r"overlaps the earlier bind of \[0x300000"):
+            mv.build(scale)
+
+    def test_mv_inside_its_regions_builds(self):
+        scale = ScaleConfig("mv32", grid_dim=32, cta_dim=256, inner_iterations=16)
+        assert mv.build(scale).launch.grid_dim == 32
