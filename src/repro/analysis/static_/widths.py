@@ -558,13 +558,8 @@ class WidthAnalysisPass(LintPass):
 
     name = "width-analysis"
 
-    def __init__(self, warp_size: int = 32):
-        self.warp_size = warp_size
-
     def run(self, ctx: AnalysisContext) -> list[Diagnostic]:
-        result = analyze_widths(
-            ctx.kernel, warp_size=self.warp_size, uniformity=ctx.uniformity
-        )
+        result = analyze_widths(ctx.kernel, uniformity=ctx.uniformity)
         counts = result.counts()
         found = [
             Diagnostic(

@@ -8,7 +8,10 @@ Regenerates the loose quantitative claims of §3.3/§5.1/§5.3:
   and compiler-assisted liveness "may further reduce the overhead to
   less than 2%" (§3.3),
 * compile-time scalarization captures notably fewer scalar
-  instructions than G-Scalar's dynamic detection (§6: 24% fewer),
+  instructions than G-Scalar's dynamic detection (§6: 24% fewer).
+  The compile-time share is ``repro staticdyn``'s coverage: dynamic
+  events at the uniformity analysis's ``PROVABLY_SCALAR`` sites over
+  all events,
 * the BVR/EBR sidecar adds ~3% to the register file's area, and
 * a sidecar access costs 5.2% of a full vector-register access.
 
@@ -47,6 +50,7 @@ class ExtrasCounts:
     #: Extra instructions left on G-Scalar with compiler-assisted
     #: decompress-move elision.
     elided_move_instructions: int
+    #: Events at ``PROVABLY_SCALAR`` sites over all events.
     static_scalar_fraction: float
     width_study: AddressWidthStudy
     #: Per-register guaranteed ``enc`` from the width analysis.

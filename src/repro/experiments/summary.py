@@ -37,7 +37,7 @@ from repro.experiments.suite import SuiteRow
 from repro.power.rf_techniques import rf_energy_for_technique
 from repro.scalar.arch_batch import process_columns
 from repro.scalar.columns import MEM_CODE, SFU_CODE
-from repro.scalar.compiler import MoveElisionAnalysis, StaticScalarization
+from repro.scalar.compiler import MoveElisionAnalysis
 from repro.scalar.eligibility import ScalarClass
 from repro.scalar.tracker import trace_statistics
 
@@ -73,11 +73,13 @@ def _fig12(runner: ExperimentRunner, abbr: str):
 
 def _extras(runner: ExperimentRunner, abbr: str) -> ExtrasCounts:
     run = runner.run(abbr)
+    kernel = run.built.kernel
     columns = runner.classified_columns(abbr)
+    widths = runner.width_analysis(abbr)
     with_compiler = process_columns(
         columns,
         ArchitectureConfig.gscalar(),
-        move_elision=MoveElisionAnalysis(run.built.kernel),
+        move_elision=MoveElisionAnalysis(kernel),
     )
     return ExtrasCounts(
         comparison=compare_trace(run.columnar),
@@ -85,11 +87,11 @@ def _extras(runner: ExperimentRunner, abbr: str) -> ExtrasCounts:
         elided_move_instructions=int(
             with_compiler.extra_instructions.sum(dtype=np.int64)
         ),
-        static_scalar_fraction=StaticScalarization(
-            run.built.kernel
-        ).dynamic_static_scalar_fraction(run.columnar),
+        static_scalar_fraction=score_benchmark(
+            abbr, kernel, columns, widths.uniformity
+        ).coverage,
         width_study=address_width_study(run.columnar),
-        register_enc=runner.static_widths(abbr),
+        register_enc=widths.register_enc,
     )
 
 

@@ -4,9 +4,13 @@ Backs the compiler-assisted techniques the paper sketches:
 
 * §3.3: "a compiler-assisted technique can analyze the lifetime of
   registers at compile time and identify which registers will store
-  dead values", avoiding unnecessary decompress-move instructions; and
+  dead values", avoiding unnecessary decompress-move instructions
+  (:class:`repro.scalar.compiler.MoveElisionAnalysis`); and
 * §6: compile-time scalarization [Lee et al., CGO 2013], which G-Scalar
-  is compared against.
+  is compared against.  The uniformity analysis
+  (:mod:`repro.analysis.static_.uniformity`) masks every block of
+  :func:`branch_region_members` whose branch condition is not provably
+  warp-uniform.
 
 :func:`block_liveness` is the classic backward may-liveness dataflow.
 :func:`branch_regions` recovers, for every block, the innermost

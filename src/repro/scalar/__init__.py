@@ -7,11 +7,7 @@ from repro.scalar.batch import (
     classify_columnar_chunk,
 )
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
-from repro.scalar.compiler import (
-    MoveElisionAnalysis,
-    StaticScalarization,
-    ValueKind,
-)
+from repro.scalar.compiler import MoveElisionAnalysis
 from repro.scalar.eligibility import ScalarClass
 from repro.scalar.tracker import (
     HALF_GRANULARITY,
@@ -26,9 +22,7 @@ __all__ = [
     "MoveElisionAnalysis",
     "ProcessedColumns",
     "ScalarClass",
-    "StaticScalarization",
     "TrackerStatistics",
-    "ValueKind",
     "classify_columnar_batch",
     "classify_columnar_chunk",
     "process_columns",

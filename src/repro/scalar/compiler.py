@@ -1,39 +1,27 @@
-"""Compiler-assisted techniques the paper sketches but does not build.
+"""Compiler-assisted decompress-move elision, which the paper sketches
+but does not build.
 
-Two static analyses over the kernel CFG:
+:class:`MoveElisionAnalysis` — §3.3: "a compiler-assisted technique
+can analyze the lifetime of registers at compile time and identify
+which registers will store dead values", eliding the decompress-move a
+divergent write to a compressed register otherwise needs.  A move is
+elidable when the destination's stale content can never be observed:
+the register is not live into the write's branch-region reconvergence
+point *and* not live into the sibling arm.  (Reads inside the writer's
+own region run under sub-masks of the write, so they only see lanes
+the write produced.)
 
-* :class:`MoveElisionAnalysis` — §3.3: "a compiler-assisted technique
-  can analyze the lifetime of registers at compile time and identify
-  which registers will store dead values", eliding the decompress-move
-  a divergent write to a compressed register otherwise needs.  A move
-  is elidable when the destination's stale content can never be
-  observed: the register is not live into the write's branch-region
-  reconvergence point *and* not live into the sibling arm.  (Reads
-  inside the writer's own region run under sub-masks of the write, so
-  they only see lanes the write produced.)
-
-* :class:`StaticScalarization` — the §6 comparison point [Lee et al.,
-  CGO 2013]: forward uniform-value dataflow that marks instructions
-  provably scalar at compile time.  It cannot see value similarity that
-  "originates from executing load instructions" with varying addresses,
-  nor scalarize instructions inside potentially-divergent regions —
-  which is why the paper observes it capturing ~24% fewer scalar
-  instructions than G-Scalar's dynamic detection.
+The paper's other compile-time technique, §6's scalarizer [Lee et al.,
+CGO 2013], is the uniformity analysis
+(:func:`repro.analysis.static_.uniformity.analyze_uniformity`): its
+``PROVABLY_SCALAR`` sites feed both ``repro staticdyn`` and the extras
+row "compile-time scalarization vs G-Scalar".
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.isa.instructions import Imm, Reg, SpecialReg
-from repro.isa.kernel import EXIT_NODE, Branch, Kernel
+from repro.isa.kernel import EXIT_NODE, Kernel
 from repro.isa.liveness import block_liveness, branch_regions
-from repro.isa.opcodes import OpCategory, category_of
-from repro.scalar.columns import CATEGORY_CODE_BY_OPCODE, CTRL_CODE
-from repro.simt.trace import ColumnarTrace
 
 
 class MoveElisionAnalysis:
@@ -89,164 +77,3 @@ class MoveElisionAnalysis:
         if register in self._live_in(sibling):
             return False
         return True
-
-
-class ValueKind(enum.Enum):
-    """Uniformity lattice for the static scalarization dataflow."""
-
-    UNKNOWN = "unknown"  # bottom: not yet defined along this path
-    SCALAR = "scalar"  # provably one value across the warp
-    VARYING = "varying"  # top: may differ per lane
-
-    def meet(self, other: "ValueKind") -> "ValueKind":
-        if self is ValueKind.UNKNOWN:
-            return other
-        if other is ValueKind.UNKNOWN:
-            return self
-        if self is other:
-            return self
-        return ValueKind.VARYING
-
-
-#: Special registers that hold one value per warp.
-_UNIFORM_SPECIALS = frozenset(
-    {SpecialReg.CTAID, SpecialReg.WARP_IN_CTA, SpecialReg.NTID}
-)
-
-
-@dataclass
-class StaticScalarizationResult:
-    """Per-static-instruction verdicts plus summary counts."""
-
-    scalar_sites: dict[int, list[bool]]  # block -> per-instruction flag
-    divergent_region_blocks: set[int]
-
-    def static_scalar_count(self, block_id: int) -> int:
-        return sum(self.scalar_sites.get(block_id, []))
-
-
-class StaticScalarization:
-    """Forward uniform-value dataflow (the Lee et al. comparison)."""
-
-    def __init__(self, kernel: Kernel):
-        self.kernel = kernel
-        self.result = self._analyze()
-
-    # ------------------------------------------------------------------
-    def _analyze(self) -> StaticScalarizationResult:
-        kernel = self.kernel
-        num_registers = kernel.num_registers
-        preds = kernel.predecessors()
-
-        # Per-block out-state, iterated to fixpoint.
-        out_state: dict[int, list[ValueKind]] = {
-            b.block_id: [ValueKind.UNKNOWN] * num_registers for b in kernel.blocks
-        }
-        changed = True
-        while changed:
-            changed = False
-            for block in kernel.blocks:
-                state = self._entry_state(block.block_id, preds, out_state, num_registers)
-                for inst in block.instructions:
-                    kind = self._transfer(inst, state)
-                    if inst.dst is not None:
-                        state[inst.dst.index] = kind
-                if state != out_state[block.block_id]:
-                    out_state[block.block_id] = state
-                    changed = True
-
-        # A region is potentially divergent when its branch condition is
-        # not provably scalar; instructions inside cannot be statically
-        # scalarized (the compiler cannot reason about runtime masks).
-        divergent_blocks: set[int] = set()
-        regions = branch_regions(kernel)
-        for block_id, region in regions.items():
-            branch_block = kernel.blocks[region.branch_block]
-            terminator = branch_block.terminator
-            assert isinstance(terminator, Branch)
-            cond_kind = out_state[region.branch_block][terminator.cond.index]
-            if cond_kind is not ValueKind.SCALAR:
-                divergent_blocks.add(block_id)
-
-        scalar_sites: dict[int, list[bool]] = {}
-        for block in kernel.blocks:
-            state = self._entry_state(block.block_id, preds, out_state, num_registers)
-            flags: list[bool] = []
-            inside_divergent = block.block_id in divergent_blocks
-            for inst in block.instructions:
-                kind = self._transfer(inst, state)
-                eligible = (
-                    not inside_divergent
-                    and kind is ValueKind.SCALAR
-                    and category_of(inst.opcode) is not OpCategory.CTRL
-                )
-                # Stores have no destination; they are scalar when both
-                # operands are provably scalar.
-                if inst.dst is None:
-                    eligible = not inside_divergent and all(
-                        self._operand_kind(s, state) is ValueKind.SCALAR
-                        for s in inst.srcs
-                    )
-                flags.append(eligible)
-                if inst.dst is not None:
-                    state[inst.dst.index] = kind
-            scalar_sites[block.block_id] = flags
-        return StaticScalarizationResult(
-            scalar_sites=scalar_sites, divergent_region_blocks=divergent_blocks
-        )
-
-    def _entry_state(self, block_id, preds, out_state, num_registers):
-        merged = [ValueKind.UNKNOWN] * num_registers
-        for pred in preds[block_id]:
-            pred_state = out_state[pred]
-            merged = [a.meet(b) for a, b in zip(merged, pred_state)]
-        return merged
-
-    def _operand_kind(self, operand, state) -> ValueKind:
-        if isinstance(operand, Imm):
-            return ValueKind.SCALAR
-        if isinstance(operand, SpecialReg):
-            return (
-                ValueKind.SCALAR
-                if operand in _UNIFORM_SPECIALS
-                else ValueKind.VARYING
-            )
-        assert isinstance(operand, Reg)
-        kind = state[operand.index]
-        return ValueKind.VARYING if kind is ValueKind.UNKNOWN else kind
-
-    def _transfer(self, inst, state) -> ValueKind:
-        kinds = [self._operand_kind(s, state) for s in inst.srcs]
-        if any(k is ValueKind.VARYING for k in kinds):
-            return ValueKind.VARYING
-        # All-scalar sources: loads of a provably-uniform address load
-        # one location, hence a uniform value; everything else computes
-        # the same function of the same inputs in every lane.
-        return ValueKind.SCALAR
-
-    # ------------------------------------------------------------------
-    def dynamic_static_scalar_fraction(self, trace: ColumnarTrace) -> float:
-        """Fraction of *dynamic* instructions at statically-scalar sites.
-
-        Weights each block's static verdicts by how often the block
-        executed in the trace (its non-control events over its
-        instruction count), giving the number directly comparable to
-        G-Scalar's dynamic eligibility (Figure 9 / §6's 24% claim).
-        """
-        total = trace.total_instructions
-        if total == 0:
-            return 0.0
-        body = CATEGORY_CODE_BY_OPCODE[trace.opcode_ids] != CTRL_CODE
-        body_events = np.bincount(
-            trace.blocks[body], minlength=len(self.kernel.blocks)
-        ).tolist()
-        static_scalar = 0.0
-        for block in self.kernel.blocks:
-            instructions = len(block.instructions)
-            if instructions == 0:
-                continue
-            executions = body_events[block.block_id] / instructions
-            static_scalar += executions * self.result.static_scalar_count(
-                block.block_id
-            )
-        return static_scalar / total

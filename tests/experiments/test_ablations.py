@@ -22,10 +22,11 @@ prints the numbers EXPERIMENTS.md quotes):
 import dataclasses
 
 from repro.config import ArchitectureConfig, GpuConfig, SchedulerPolicy
+from repro.experiments.staticdyn import score_benchmark
 from repro.power.accounting import PowerAccountant
 from repro.scalar.arch_batch import process_columns
 from repro.scalar.batch import classify_columnar_batch
-from repro.scalar.compiler import MoveElisionAnalysis, StaticScalarization
+from repro.scalar.compiler import MoveElisionAnalysis
 from repro.scalar.tracker import trace_statistics
 from repro.timing.gpu import simulate_architecture_columns
 
@@ -101,7 +102,8 @@ def test_scheduler_policy(shared_runner):
 
 def test_compiler_assist(shared_runner):
     """§3.3 + §6 compiler techniques: move elision and the static-
-    scalarization comparison point."""
+    scalarization comparison point (the uniformity analysis's
+    ``PROVABLY_SCALAR`` sites)."""
     gscalar = ArchitectureConfig.gscalar()
     moves_hw = moves_compiler = total = 0
     static_fraction = dynamic_fraction = 0.0
@@ -116,9 +118,10 @@ def test_compiler_assist(shared_runner):
         processed = process_columns(columns, gscalar, move_elision=elision)
         moves_compiler += int(processed.extra_instructions.sum())
         dynamic_fraction += stats.eligible_fraction
-        static_fraction += StaticScalarization(
-            run.built.kernel
-        ).dynamic_static_scalar_fraction(run.columnar)
+        uniformity = shared_runner.width_analysis(abbr).uniformity
+        static_fraction += score_benchmark(
+            abbr, run.built.kernel, columns, uniformity
+        ).coverage
     hw_overhead = moves_hw / total
     compiler_overhead = moves_compiler / total
     shortfall = 1 - static_fraction / dynamic_fraction

@@ -11,9 +11,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.static_ import analyze_uniformity
 from repro.experiments.runner import WARP_SIZE, ExperimentRunner
 from repro.experiments.summary import BUILDERS
-from repro.scalar.compiler import StaticScalarization
 from repro.scalar.eligibility import ScalarClass
 from repro.workloads.registry import all_workloads
 
@@ -86,7 +86,7 @@ def test_summaries_match_event_walks(runner, abbr):
     assert extras.stats == stats
     assert extras.width_study == address_width_study_events(trace)
     assert extras.static_scalar_fraction == dynamic_static_scalar_fraction_events(
-        StaticScalarization(run.built.kernel), trace
+        run.built.kernel, analyze_uniformity(run.built.kernel), trace
     )
     assert extras.register_enc == runner.static_widths(abbr)
 

@@ -2,8 +2,9 @@
 
 Hypothesis generates arbitrary nestings of straight-line code,
 conditionals and bounded loops; every generated kernel must lint clean,
-agree with networkx on post-dominators, and execute to completion with
-a consistent trace.  Multi-warp programs add branches that split warps
+agree with networkx on post-dominators, execute to completion with a
+consistent trace, and keep every static uniformity and width claim on
+that trace.  Multi-warp programs add branches that split warps
 (on ``tid >> 5`` and ``%ctaid``), loops whose per-thread trip counts
 come from memory, top-level ``bar.sync`` exchanges through shared
 memory and global words that threads of every warp load and store;
@@ -18,8 +19,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.static_ import (
+    Severity,
+    StaticScalarClass,
+    analyze_uniformity,
+    analyze_widths,
+    lint_kernel,
+)
+from repro.experiments.staticdyn import score_benchmark, score_widths_benchmark
 from repro.isa import KernelBuilder, immediate_postdominators
 from repro.isa.kernel import EXIT_NODE
+from repro.scalar.batch import classify_columnar_batch
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 
 from tests.reference import executor as reference
@@ -99,13 +109,6 @@ def test_random_programs_lint_clean(description):
     # keep the CFG structured, so the full lint pipeline must find no
     # errors and no structural warnings — and the uniformity analysis
     # must classify every static instruction exactly once.
-    from repro.analysis.static_ import (
-        Severity,
-        StaticScalarClass,
-        analyze_uniformity,
-        lint_kernel,
-    )
-
     kernel = build_program(description)
     report = lint_kernel(kernel, max_registers=256)
     # GS-W104 (register provably narrow) is an *opportunity* finding,
@@ -118,6 +121,27 @@ def test_random_programs_lint_clean(description):
     result = analyze_uniformity(kernel)
     assert len(result.classes) == kernel.static_instruction_count()
     assert all(isinstance(v, StaticScalarClass) for v in result.classes.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(description=structured_programs())
+def test_static_verdicts_hold_on_the_trace(description):
+    # Every static promise must hold on the kernel's own trace: no
+    # PROVABLY_SCALAR site runs under a narrowed mask or is found
+    # non-scalar, and no write is narrower than its width claim.  The
+    # 48-thread launch adds a 16-lane tail warp.
+    kernel = build_program(description)
+    uniformity = analyze_uniformity(kernel)
+    widths = analyze_widths(kernel)
+    for launch in (LaunchConfig(1, 32), LaunchConfig(1, 48)):
+        trace = run_kernel(kernel, launch, MemoryImage())
+        columns = classify_columnar_batch(trace, kernel.num_registers)
+        row = score_benchmark("fuzz", kernel, columns, uniformity)
+        assert row.soundness_violations == 0
+        assert row.precision == 1.0
+        width_row = score_widths_benchmark("fuzz", kernel, columns, widths)
+        assert width_row.claimed_events > 0
+        assert width_row.over_claims == 0
 
 
 @settings(max_examples=60, deadline=None)

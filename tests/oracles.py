@@ -17,6 +17,7 @@ import numpy as np
 from repro.analysis.divergence import DivergenceStats
 from repro.analysis.halfwarp import ChunkScalarStats
 from repro.analysis.similarity import AccessDistribution
+from repro.analysis.static_.uniformity import StaticScalarClass, UniformityResult
 from repro.compression.bdi import BdiMode, bdi_compress
 from repro.compression.gscalar import common_prefix_bytes, compressed_bits
 from repro.compression.stats import CompressionComparison
@@ -434,25 +435,23 @@ def address_width_study_events(
     )
 
 
-def dynamic_static_scalar_fraction_events(scalarization, trace: KernelTrace) -> float:
-    """Block-execution-weighted static-scalar share from an event walk."""
-    body_events: dict[int, int] = {}
-    for event in trace.all_events():
-        if event.category is not OpCategory.CTRL:
-            body_events[event.block_id] = body_events.get(event.block_id, 0) + 1
+def dynamic_static_scalar_fraction_events(
+    kernel: Kernel, uniformity: UniformityResult, trace: KernelTrace
+) -> float:
+    """Share of events at ``PROVABLY_SCALAR`` sites, by an event walk:
+    the event-walk form of staticdyn's ``coverage``."""
     total = trace.total_instructions
     if total == 0:
         return 0.0
-    static_scalar = 0.0
-    for block in scalarization.kernel.blocks:
-        instructions = len(block.instructions)
-        if instructions == 0:
-            continue
-        executions = body_events.get(block.block_id, 0) / instructions
-        static_scalar += executions * scalarization.result.static_scalar_count(
-            block.block_id
-        )
-    return static_scalar / total
+    provable = 0
+    for warp in trace.warps:
+        for _, site in annotate_sites_events(kernel, warp):
+            if (
+                site is not None
+                and uniformity.class_of(*site) is StaticScalarClass.PROVABLY_SCALAR
+            ):
+                provable += 1
+    return provable / total
 
 
 def _sweep_points(parameter, scale_factors, names, value_of, report_of):
