@@ -35,24 +35,29 @@ from repro.experiments import (
     table2,
     table3,
 )
-from repro.experiments.runner import (
-    ExperimentRunner,
-    matrix_architectures,
-    paper_architectures,
-)
+from repro.experiments.runner import ExperimentRunner, matrix_architectures
 from repro.experiments.summary import BUILDERS as SUMMARY_BUILDERS
 from repro.workloads.registry import SCALES
 
-_TRACE_EXPERIMENTS = (
-    "fig1", "fig8", "fig9", "fig10", "fig11", "fig12", "extras", "scorecard",
-    "suite", "staticdyn", "stalls",
-)
+#: The module of each trace-reading experiment, in CLI order.  Those
+#: that read timing or power results name their architectures in
+#: ``ARCHITECTURES``.
+_MODULES = {
+    "fig1": fig1,
+    "fig8": fig8,
+    "fig9": fig9,
+    "fig10": fig10,
+    "fig11": fig11,
+    "fig12": fig12,
+    "extras": extras,
+    "scorecard": scorecard,
+    "suite": suite,
+    "staticdyn": staticdyn,
+    "stalls": stalls,
+}
+_TRACE_EXPERIMENTS = tuple(_MODULES)
 _STATIC_EXPERIMENTS = ("table1", "table2", "table3")
 EXPERIMENTS = _TRACE_EXPERIMENTS + _STATIC_EXPERIMENTS
-
-#: Experiments that need timing/power over the four paper architectures
-#: (fig12 reads the RF energy of three of them from the power reports).
-_MATRIX_EXPERIMENTS = frozenset({"fig11", "fig12", "scorecard", "stalls"})
 #: Summaries the scorecard reads through the figures it grades.
 _SCORECARD_SUMMARIES = frozenset({"fig1", "fig8", "fig9", "fig12", "extras"})
 
@@ -65,19 +70,7 @@ def _run_one(name: str, runner: ExperimentRunner | None) -> str:
     if name == "table3":
         return table3.render()
     assert runner is not None
-    module = {
-        "fig1": fig1,
-        "fig8": fig8,
-        "fig9": fig9,
-        "fig10": fig10,
-        "fig11": fig11,
-        "fig12": fig12,
-        "extras": extras,
-        "scorecard": scorecard,
-        "stalls": stalls,
-        "suite": suite,
-        "staticdyn": staticdyn,
-    }[name]
+    module = _MODULES[name]
     return module.render(module.compute(runner))
 
 
@@ -582,23 +575,21 @@ def _experiment_main(
         reads = set(wanted)
         if "scorecard" in reads:
             reads |= _SCORECARD_SUMMARIES
-        if "extras" in reads:
-            # extras also reads the ``static_compress`` results.
-            arches = matrix_architectures()
-        elif reads & _MATRIX_EXPERIMENTS:
-            arches = paper_architectures()
-        else:
-            arches = ()
+        results = {
+            arch
+            for name in wanted
+            for arch in getattr(_MODULES.get(name), "ARCHITECTURES", ())
+        }
         runner.prefetch(
             jobs=args.jobs,
             experiments=[name for name in SUMMARY_BUILDERS if name in reads],
-            arches=arches,
+            arches=[arch for arch in matrix_architectures() if arch in results],
         )
     json_results = []
     experiment_seconds: dict[str, float] = {}
     exit_code = 0
     for name in wanted:
-        started = time.time()
+        started = time.perf_counter()
         print(_run_one(name, runner))
         if name == "staticdyn" and args.widths:
             # Width-claim soundness gate: zero over-claims or exit 1.
@@ -619,7 +610,7 @@ def _experiment_main(
 
             if name in exportable_experiments():
                 json_results.append(export_experiment(name, runner, args.scale))
-        experiment_seconds[name] = round(time.time() - started, 6)
+        experiment_seconds[name] = round(time.perf_counter() - started, 6)
         if args.verbose:
             print(f"[{name}: {experiment_seconds[name]:.1f}s]", file=sys.stderr)
         print()

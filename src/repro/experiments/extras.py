@@ -40,6 +40,10 @@ from repro.scalar.tracker import TrackerStatistics
 #: 2 x (32-bit BVR + 4-bit EBR) + D + FS bits over 1024 data bits.
 SIDECAR_AREA_FRACTION = (2 * (32 + 4) + 2) / 1024.0
 
+#: The architectures whose power reports :func:`compute` reads: the
+#: baseline and the statically-compressed RF measured against it.
+ARCHITECTURES = (ArchitectureConfig.baseline(), ArchitectureConfig.static_compress())
+
 
 @dataclass
 class ExtrasCounts:
@@ -93,8 +97,6 @@ def compute(runner: ExperimentRunner) -> ExtrasData:
     addr64_sum = 0.0
     narrow_sum = 0.0
     static_rf_savings_sum = 0.0
-    baseline = ArchitectureConfig.baseline()
-    static_arch = ArchitectureConfig.static_compress()
     names = runner.benchmark_names()
     for abbr in names:
         counts = runner.summary(abbr, "extras")
@@ -113,8 +115,9 @@ def compute(runner: ExperimentRunner) -> ExtrasData:
         register_enc = counts.register_enc
         if register_enc:
             narrow_sum += sum(1 for enc in register_enc if enc > 0) / len(register_enc)
-        base_power = runner.power(abbr, baseline).breakdown
-        static_power = runner.power(abbr, static_arch).breakdown
+        base_power, static_power = (
+            runner.power(abbr, arch).breakdown for arch in ARCHITECTURES
+        )
         base_rf = base_power.rf_pj + base_power.crossbar_pj
         if base_rf:
             static_rf = static_power.rf_pj + static_power.crossbar_pj

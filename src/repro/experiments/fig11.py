@@ -57,7 +57,9 @@ class Fig11Data:
         """Mean normalized IPC of G-Scalar (paper: ~0.983)."""
         return self._average(lambda r: r.normalized_ipc("gscalar"))
 
-_ARCHES = paper_architectures()
+
+#: The architectures whose power reports :func:`compute` reads.
+ARCHITECTURES = paper_architectures()
 
 
 def compute(runner: ExperimentRunner) -> Fig11Data:
@@ -66,7 +68,7 @@ def compute(runner: ExperimentRunner) -> Fig11Data:
     for abbr in runner.benchmark_names():
         efficiency: dict[str, float] = {}
         ipc: dict[str, float] = {}
-        for arch in _ARCHES:
+        for arch in ARCHITECTURES:
             report = runner.power(abbr, arch)
             efficiency[arch.name] = report.ipc_per_watt
             ipc[arch.name] = report.ipc

@@ -12,8 +12,9 @@ the ``rf_pj`` of the runner's power reports for their architectures;
 Warped-Compression is a storage model replayed over the columnar trace,
 cached per benchmark as the ``fig12`` summary.
 A standalone ``repro fig12`` therefore pays for SM timing once per
-architecture, like ``fig11``; the result sidecars of a ``--cache-dir``
-cache it, and ``--jobs N`` prefetches it in parallel.
+architecture it reads (:data:`ARCHITECTURES`), like ``fig11``; the
+result sidecars of a ``--cache-dir`` cache it, and ``--jobs N``
+prefetches it in parallel.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from repro.experiments.tables import render_table
 from repro.power.rf_techniques import RF_TECHNIQUES, technique_architecture
 
 SERIES = ("scalar_rf", "wc_bdi", "ours")
+#: The techniques read from the runner's power reports (``wc_bdi`` is
+#: not an architecture) and the architectures :func:`compute` reads.
+_MODELED = tuple(technique for technique in RF_TECHNIQUES if technique != "wc_bdi")
+ARCHITECTURES = tuple(technique_architecture(technique) for technique in _MODELED)
 
 
 @dataclass
@@ -48,11 +53,8 @@ def compute(runner: ExperimentRunner) -> Fig12Data:
     rows = []
     for abbr in runner.benchmark_names():
         rf_pj = {
-            technique: runner.power(
-                abbr, technique_architecture(technique)
-            ).breakdown.rf_pj
-            for technique in RF_TECHNIQUES
-            if technique != "wc_bdi"
+            technique: runner.power(abbr, arch).breakdown.rf_pj
+            for technique, arch in zip(_MODELED, ARCHITECTURES)
         }
         rf_pj["wc_bdi"] = runner.summary(abbr, "fig12").rf_pj
         baseline = rf_pj["baseline"]

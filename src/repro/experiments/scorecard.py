@@ -53,6 +53,14 @@ class Scorecard:
     def count(self, grade: str) -> int:
         return sum(1 for claim in self.claims if claim.grade == grade)
 
+
+#: The architectures whose timing or power :func:`compute` reads, through
+#: the figures it grades.
+ARCHITECTURES = tuple(
+    dict.fromkeys(fig11.ARCHITECTURES + fig12.ARCHITECTURES + extras.ARCHITECTURES)
+)
+
+
 def compute(runner: ExperimentRunner) -> Scorecard:
     """Run every experiment the headline claims draw on."""
     data_fig1 = fig1.compute(runner)

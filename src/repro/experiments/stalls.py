@@ -55,14 +55,15 @@ class StallData:
         return sum(r.stall_fraction(cause) for r in rows) / len(rows)
 
 
-_ARCHES = (ArchitectureConfig.baseline(), ArchitectureConfig.gscalar())
+#: The architectures whose timing results :func:`compute` reads.
+ARCHITECTURES = (ArchitectureConfig.baseline(), ArchitectureConfig.gscalar())
 
 
 def compute(runner: ExperimentRunner) -> StallData:
     """Attribute every idle scheduler-cycle, baseline vs G-Scalar."""
     rows = []
     for abbr in runner.benchmark_names():
-        for arch in _ARCHES:
+        for arch in ARCHITECTURES:
             timing = runner.timing(abbr, arch)
             rows.append(
                 StallRow(
@@ -75,7 +76,7 @@ def compute(runner: ExperimentRunner) -> StallData:
                     stalls=timing.stalls.as_dict(),
                 )
             )
-    return StallData(rows=rows, arch_names=tuple(a.name for a in _ARCHES))
+    return StallData(rows=rows, arch_names=tuple(a.name for a in ARCHITECTURES))
 
 
 _HEADERS = (

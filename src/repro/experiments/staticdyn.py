@@ -206,11 +206,13 @@ def score_benchmark(
     abbr: str,
     kernel: Kernel,
     columns: ClassifiedColumns,
+    sites: tuple[np.ndarray, np.ndarray],
     uniformity: UniformityResult,
 ) -> StaticDynRow:
     """Join one benchmark's static predictions (``kernel``'s
     :func:`~repro.analysis.static_.uniformity.analyze_uniformity`
-    result) against its trace."""
+    result) against its trace, whose events sit at ``sites``
+    (:func:`annotate_sites`)."""
     counts = uniformity.counts()
     offsets, provable = _site_table(
         kernel,
@@ -218,7 +220,7 @@ def score_benchmark(
         is StaticScalarClass.PROVABLY_SCALAR,
         False,
     )
-    blocks, index = annotate_sites(kernel, columns)
+    blocks, index = sites
     # BRA terminators are not classified statically: "no site", False.
     predicted = provable[_site_rows(offsets, blocks, index)]
     at_entry = columns.masks == _entry_masks(columns)
@@ -330,15 +332,20 @@ class WidthDynData:
 
 
 def score_widths_benchmark(
-    abbr: str, kernel: Kernel, columns: ClassifiedColumns, result: WidthResult
+    abbr: str,
+    kernel: Kernel,
+    columns: ClassifiedColumns,
+    sites: tuple[np.ndarray, np.ndarray],
+    result: WidthResult,
 ) -> WidthDynRow:
     """Join one benchmark's width claims (``result``, the kernel's width
-    analysis at the trace's warp size) against its dynamic trace."""
+    analysis at the trace's warp size) against its dynamic trace, whose
+    events sit at ``sites`` (:func:`annotate_sites`)."""
     counts = result.counts()
     offsets, claims = _site_table(
         kernel, lambda block, index, inst: result.claim_at(block, index) or 0, 0
     )
-    blocks, index = annotate_sites(kernel, columns)
+    blocks, index = sites
     writes = (index >= 0) & columns.has_dst_enc
     claim = claims[_site_rows(offsets, blocks, index)[writes]].astype(np.int64)
     observed = columns.dst_enc[writes].astype(np.int64)

@@ -32,7 +32,11 @@ from repro.compression.wide import address_width_study
 from repro.config import ArchitectureConfig
 from repro.experiments.extras import ExtrasCounts
 from repro.experiments.fig10 import GRANULARITY
-from repro.experiments.staticdyn import score_benchmark, score_widths_benchmark
+from repro.experiments.staticdyn import (
+    annotate_sites,
+    score_benchmark,
+    score_widths_benchmark,
+)
 from repro.experiments.suite import SuiteRow
 from repro.power.rf_techniques import rf_energy_for_technique
 from repro.scalar.arch_batch import process_columns
@@ -73,13 +77,11 @@ def _fig12(runner: ExperimentRunner, abbr: str):
 
 def _extras(runner: ExperimentRunner, abbr: str) -> ExtrasCounts:
     run = runner.run(abbr)
-    kernel = run.built.kernel
     columns = runner.classified_columns(abbr)
-    widths = runner.width_analysis(abbr)
     with_compiler = process_columns(
         columns,
         ArchitectureConfig.gscalar(),
-        move_elision=MoveElisionAnalysis(kernel),
+        move_elision=MoveElisionAnalysis(run.built.kernel),
     )
     return ExtrasCounts(
         comparison=compare_trace(run.columnar),
@@ -87,11 +89,9 @@ def _extras(runner: ExperimentRunner, abbr: str) -> ExtrasCounts:
         elided_move_instructions=int(
             with_compiler.extra_instructions.sum(dtype=np.int64)
         ),
-        static_scalar_fraction=score_benchmark(
-            abbr, kernel, columns, widths.uniformity
-        ).coverage,
+        static_scalar_fraction=runner.summary(abbr, "staticdyn")[0].coverage,
         width_study=address_width_study(run.columnar),
-        register_enc=widths.register_enc,
+        register_enc=runner.width_analysis(abbr).register_enc,
     )
 
 
@@ -119,9 +119,10 @@ def _staticdyn(runner: ExperimentRunner, abbr: str):
     kernel = runner.run(abbr).built.kernel
     columns = runner.classified_columns(abbr)
     widths = runner.width_analysis(abbr)
+    sites = annotate_sites(kernel, columns)
     return (
-        score_benchmark(abbr, kernel, columns, widths.uniformity),
-        score_widths_benchmark(abbr, kernel, columns, widths),
+        score_benchmark(abbr, kernel, columns, sites, widths.uniformity),
+        score_widths_benchmark(abbr, kernel, columns, sites, widths),
     )
 
 

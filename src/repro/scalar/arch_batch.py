@@ -11,7 +11,8 @@ flags, so this module computes it as whole-trace array kernels over
 register-file accesses straight into the flat table of a
 :class:`~repro.scalar.columns.ProcessedColumns`.
 
-Three interpretation regimes exist, dispatched on the architecture:
+Three interpretation regimes exist, chosen in one place
+(:func:`process_columns_chunk`):
 
 * **compression-backed** (G-Scalar variants): fully vectorized; the
   per-event access block is laid out ``[sources…, decompress-move
@@ -26,8 +27,11 @@ Three interpretation regimes exist, dispatched on the architecture:
   so it walks each distinct warp key
   (:func:`~repro.scalar.columns.warp_keys`) once and gathers every
   warp's rows from its key's walk.
-* **plain** (baseline, no compression, no scalar RF): trivially
-  vectorized.
+* **uncompressed** (the baseline, the statically-compressed RF and any
+  uncompressed ablation): trivially vectorized, in the compressed
+  regime's block layout without moves.  Plain, or with proven widths:
+  a register the static width table proves narrow is accessed
+  compressed, and the baseline's table proves no register narrow.
 
 The differential suite pins :func:`process_columns` array for array to
 the per-event ``ArchitectureView`` reference in ``tests/reference``,
@@ -35,6 +39,8 @@ across every workload and every architecture.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,35 +96,18 @@ def process_columns(
     move_elision=None,
     static_widths=None,
 ) -> ProcessedColumns:
-    """Interpret a classified column set for one architecture.
-
-    ``move_elision`` optionally applies the §3.3 compiler-assisted
-    decompress-move elision (compression-backed architectures only,
-    same as the event engine); ``static_widths`` is the per-register
-    proven ``enc`` table feeding the static-compression architecture
-    (required when ``arch.static_compression``).
-    """
-    if ccols.warp_size < 1:
-        raise ConfigError(f"warp_size must be >= 1, got {ccols.warp_size}")
-    if arch.static_compression:
-        if static_widths is None:
-            raise ConfigError(
-                f"{arch.name}: static compression needs the kernel's "
-                "per-register guaranteed widths (analyze_widths(...)."
-                "register_enc)"
-            )
-        return _process_static(ccols, arch, static_widths)
-    if arch.register_compression:
-        return _process_compressed(ccols, arch, move_elision)
-    if arch.dedicated_scalar_rf:
-        return _process_scalar_rf(ccols, arch)
-    return _process_plain(ccols, arch)
+    """Interpret a classified column set for one architecture: the
+    one-chunk case of :func:`process_columns_chunk` (a fresh
+    :class:`ArchCarry`, no split warps)."""
+    return process_columns_chunk(
+        ccols, arch, ArchCarry(), move_elision=move_elision, static_widths=static_widths
+    )
 
 
 class ArchCarry:
     """Per-warp interpretation state threaded between trace chunks.
 
-    Of the four interpretation regimes only the dedicated-scalar-RF
+    Of the three interpretation regimes only the dedicated-scalar-RF
     walk is stateful (LRU residency feeds back into later decisions);
     the carry holds each split warp's live
     :class:`~repro.regfile.scalar_rf.ScalarRegisterFile`, keyed by
@@ -142,28 +131,32 @@ def process_columns_chunk(
 ) -> ProcessedColumns:
     """Interpret one chunk's classified columns for one architecture.
 
-    The chunk-streaming counterpart of :func:`process_columns`: the
-    stateless regimes (compressed, plain, static) are pure functions of
-    the chunk's rows and dispatch unchanged; the dedicated-scalar-RF
-    walk resumes split warps from ``carry`` so concatenated chunk
-    outputs match the whole-trace interpretation bit-for-bit.
+    This is where the regime is chosen.  The compressed and
+    uncompressed regimes are pure functions of the chunk's rows; the
+    dedicated-scalar-RF walk resumes split warps from ``carry`` so
+    concatenated chunk outputs match the whole-trace interpretation
+    bit-for-bit.  ``move_elision`` optionally applies the §3.3
+    compiler-assisted decompress-move elision (compression-backed
+    architectures only, same as the event engine); ``static_widths`` is
+    the per-register proven ``enc`` table, required by and read only
+    for the static-compression architecture.
     """
     if ccols.warp_size < 1:
         raise ConfigError(f"warp_size must be >= 1, got {ccols.warp_size}")
-    if arch.dedicated_scalar_rf and not (
-        arch.static_compression or arch.register_compression
-    ):
+    if arch.register_compression:
+        return _process_compressed(ccols, arch, move_elision)
+    if arch.dedicated_scalar_rf:
         return _process_scalar_rf(
-            ccols,
-            arch,
-            carry=carry,
-            warp_start=warp_start,
-            first_warp_continued=first_warp_continued,
-            last_warp_continues=last_warp_continues,
+            ccols, arch, carry, warp_start, first_warp_continued, last_warp_continues
         )
-    return process_columns(
-        ccols, arch, move_elision=move_elision, static_widths=static_widths
-    )
+    if not arch.static_compression:
+        static_widths = None
+    elif static_widths is None:
+        raise ConfigError(
+            f"{arch.name}: static compression needs the kernel's per-register "
+            "guaranteed widths (analyze_widths(...).register_enc)"
+        )
+    return _process_uncompressed(ccols, arch, static_widths)
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +212,98 @@ def _effective_moves(ccols: ClassifiedColumns, move_elision) -> np.ndarray:
     return move
 
 
+class _Layout(NamedTuple):
+    """Where each event's access block ``[sources…, move read/write,
+    final write]`` lands in the flat access table, and the register
+    each row accesses."""
+
+    offsets: np.ndarray  # (n + 1,): each block's first row, then the total
+    src_rows: np.ndarray  # the row of each source read
+    moves: np.ndarray  # events with a decompress move...
+    move_rows: np.ndarray  # ...and its read's row (the write follows)
+    writes: np.ndarray  # events with a destination write...
+    write_rows: np.ndarray  # ...and its row, the block's last
+    registers: np.ndarray  # per row: the register accessed
+
+
+def _access_layout(ccols: ClassifiedColumns, move: np.ndarray | None) -> _Layout:
+    """Lay the access blocks out; ``move`` flags the events with a
+    decompress move (``None``: no event has one)."""
+    if move is None:
+        move = np.zeros(ccols.num_events, dtype=bool)
+    src_offsets = ccols.src_offsets
+    src_counts = np.diff(src_offsets)
+    counts = src_counts + ccols.has_dst_enc + 2 * move
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # Event i's sources land at offsets[i] + k.
+    src_rows = np.repeat(offsets[:-1] - src_offsets[:-1], src_counts) + np.arange(
+        int(src_offsets[-1]), dtype=np.int64
+    )
+    moves = np.flatnonzero(move)
+    move_rows = offsets[moves] + src_counts[moves]
+    writes = np.flatnonzero(ccols.has_dst_enc)
+    write_rows = offsets[writes + 1] - 1
+    registers = np.empty(int(offsets[-1]), dtype=np.int32)
+    registers[src_rows] = ccols.src_registers
+    registers[move_rows] = registers[move_rows + 1] = ccols.dst[moves]
+    registers[write_rows] = ccols.dst[writes]
+    return _Layout(offsets, src_rows, moves, move_rows, writes, write_rows, registers)
+
+
+#: The columns a regime may leave out (all zero) and their dtypes; the
+#: ``acc_`` columns have one row per access, the others one per event.
+_ZERO_COLUMNS = {
+    "lo_half_scalar": bool,
+    "hi_half_scalar": bool,
+    "extra_instructions": np.int32,
+    "compressor_ops": np.int32,
+    "decompressor_ops": np.int32,
+    "acc_enc": np.int8,
+    "acc_enc_lo": np.int8,
+    "acc_enc_hi": np.int8,
+    "acc_half": bool,
+    "acc_sidecar": bool,
+}
+
+
+def _processed(
+    ccols: ClassifiedColumns,
+    scalar_executed: np.ndarray,
+    acc_offsets: np.ndarray,
+    acc_kind_ids: np.ndarray,
+    acc_registers: np.ndarray,
+    **columns: np.ndarray,
+) -> ProcessedColumns:
+    """Assemble one regime's :class:`ProcessedColumns`; every column
+    of :data:`_ZERO_COLUMNS` not in ``columns`` is zero.  In every
+    regime a partial write is its event's last access, and only it
+    carries a mask: the event's."""
+    for name, dtype in _ZERO_COLUMNS.items():
+        if name not in columns:
+            rows = len(acc_kind_ids) if name.startswith("acc_") else ccols.num_events
+            columns[name] = np.zeros(rows, dtype=dtype)
+    acc_masks = np.zeros(len(acc_kind_ids), dtype=np.uint64)
+    partial = np.flatnonzero(ccols.has_dst_enc & ccols.divergent)
+    acc_masks[acc_offsets[partial + 1] - 1] = ccols.masks[partial]
+    return ProcessedColumns(
+        warp_size=ccols.warp_size,
+        warp_lengths=ccols.warp_lengths,
+        opcode_ids=ccols.opcode_ids,
+        category_codes=ccols.category_codes,
+        active_lanes=ccols.active_lanes,
+        scalar_executed=scalar_executed,
+        exec_lanes=_exec_lanes(
+            ccols, scalar_executed, columns["lo_half_scalar"], columns["hi_half_scalar"]
+        ),
+        acc_offsets=acc_offsets,
+        acc_kind_ids=acc_kind_ids,
+        acc_registers=acc_registers,
+        acc_masks=acc_masks,
+        **columns,
+    )
+
+
 # ----------------------------------------------------------------------
 # Compression-backed register file (G-Scalar variants).
 # ----------------------------------------------------------------------
@@ -237,283 +322,142 @@ def _process_compressed(
     src_divergent = ccols.src_divergent
     src_scalar = ccols.src_scalar_for_read
     compressed_src = ~src_divergent & ~src_scalar
-    kind_src = np.where(
-        src_divergent,
-        FULL_READ_ID,
-        np.where(src_scalar, SCALAR_READ_ID, COMPRESSED_READ_ID),
-    ).astype(np.uint8)
-    enc_src = np.where(src_divergent, 0, ccols.src_enc).astype(np.int8)
-    enc_lo_src = np.where(compressed_src, ccols.src_enc_lo, 0).astype(np.int8)
-    enc_hi_src = np.where(compressed_src, ccols.src_enc_hi, 0).astype(np.int8)
-    half_src = compressed_src & half_compression
     decomp_src = compressed_src & (
         (ccols.src_enc > 0)
         | (half_compression & ((ccols.src_enc_lo > 0) | (ccols.src_enc_hi > 0)))
     )
-
-    src_offsets = ccols.src_offsets
-    src_counts = np.diff(src_offsets)
-    decompressor = _segment_sums(decomp_src, src_offsets).astype(np.int32)
+    decompressor = _segment_sums(decomp_src, ccols.src_offsets).astype(np.int32)
 
     # Event-level structure -------------------------------------------------
     move = _effective_moves(ccols, move_elision)
-    has_dst = ccols.has_dst_enc
     extra = move.astype(np.int32)
     decompressor += extra
-    compressor = np.where(
-        has_dst,
-        np.where(
-            ccols.divergent,
-            1,
-            np.where(ccols.dst_is_scalar, 1 - scalar_executed.astype(np.int32), 1),
-        ),
-        0,
+    # Every write passes the compressor but a scalar-executed one of a
+    # scalar value, which the scalar pipe already knows is scalar.
+    compressor = (
+        ccols.has_dst_enc & ~(~ccols.divergent & ccols.dst_is_scalar & scalar_executed)
     ).astype(np.int32)
 
-    acc_counts = src_counts + 2 * move.astype(np.int64) + has_dst.astype(np.int64)
-    acc_offsets = np.zeros(len(acc_counts) + 1, dtype=np.int64)
-    np.cumsum(acc_counts, out=acc_offsets[1:])
-    total = int(acc_offsets[-1])
-
+    layout = _access_layout(ccols, move)
+    total = int(layout.offsets[-1])
     kind_ids = np.empty(total, dtype=np.uint8)
-    registers = np.empty(total, dtype=np.int32)
     enc = np.zeros(total, dtype=np.int8)
     enc_lo = np.zeros(total, dtype=np.int8)
     enc_hi = np.zeros(total, dtype=np.int8)
     half = np.zeros(total, dtype=bool)
-    acc_masks = np.zeros(total, dtype=np.uint64)
-    # Every compressed-path access touches the BVR/EBR sidecar.
-    sidecar = np.ones(total, dtype=bool)
 
-    # Scatter sources: event i's sources land at acc_offsets[i] + k.
-    m_src = int(src_offsets[-1])
-    if m_src:
-        pos_src = np.repeat(acc_offsets[:-1], src_counts) + (
-            np.arange(m_src, dtype=np.int64) - np.repeat(src_offsets[:-1], src_counts)
-        )
-        kind_ids[pos_src] = kind_src
-        registers[pos_src] = ccols.src_registers
-        enc[pos_src] = enc_src
-        enc_lo[pos_src] = enc_lo_src
-        enc_hi[pos_src] = enc_hi_src
-        half[pos_src] = half_src
+    # Scatter sources.
+    rows = layout.src_rows
+    kind_ids[rows] = np.where(
+        src_divergent,
+        FULL_READ_ID,
+        np.where(src_scalar, SCALAR_READ_ID, COMPRESSED_READ_ID),
+    )
+    enc[rows] = np.where(src_divergent, 0, ccols.src_enc)
+    enc_lo[rows] = np.where(compressed_src, ccols.src_enc_lo, 0)
+    enc_hi[rows] = np.where(compressed_src, ccols.src_enc_hi, 0)
+    half[rows] = compressed_src & half_compression
 
     # Scatter decompress-move pairs (compressed read-back + full write).
-    move_idx = np.flatnonzero(move)
-    if len(move_idx):
-        pos_read = acc_offsets[move_idx] + src_counts[move_idx]
-        pos_write = pos_read + 1
-        kind_ids[pos_read] = COMPRESSED_READ_ID
-        registers[pos_read] = ccols.dst[move_idx]
-        enc[pos_read] = ccols.before_enc[move_idx]
-        enc_lo[pos_read] = ccols.before_enc_lo[move_idx]
-        enc_hi[pos_read] = ccols.before_enc_hi[move_idx]
-        half[pos_read] = half_compression
-        kind_ids[pos_write] = FULL_WRITE_ID
-        registers[pos_write] = ccols.dst[move_idx]
+    moves, rows = layout.moves, layout.move_rows
+    kind_ids[rows] = COMPRESSED_READ_ID
+    kind_ids[rows + 1] = FULL_WRITE_ID
+    enc[rows] = ccols.before_enc[moves]
+    enc_lo[rows] = ccols.before_enc_lo[moves]
+    enc_hi[rows] = ccols.before_enc_hi[moves]
+    half[rows] = half_compression
 
-    # Scatter the final destination write (last row of each block).
-    write_idx = np.flatnonzero(has_dst)
-    if len(write_idx):
-        pos_dst = acc_offsets[write_idx + 1] - 1
-        div_w = ccols.divergent[write_idx]
-        scalar_w = ~div_w & ccols.dst_is_scalar[write_idx]
-        other_w = ~div_w & ~scalar_w
-        kind_ids[pos_dst] = np.where(
-            div_w,
-            PARTIAL_WRITE_ID,
-            np.where(scalar_w, SCALAR_WRITE_ID, COMPRESSED_WRITE_ID),
-        ).astype(np.uint8)
-        registers[pos_dst] = ccols.dst[write_idx]
-        enc[pos_dst] = np.where(
-            div_w, 0, np.where(scalar_w, 4, ccols.dst_enc[write_idx])
-        ).astype(np.int8)
-        enc_lo[pos_dst] = np.where(other_w, ccols.dst_enc_lo[write_idx], 0).astype(
-            np.int8
-        )
-        enc_hi[pos_dst] = np.where(other_w, ccols.dst_enc_hi[write_idx], 0).astype(
-            np.int8
-        )
-        half[pos_dst] = other_w & half_compression
-        acc_masks[pos_dst] = np.where(div_w, ccols.masks[write_idx], 0)
+    # Scatter the final destination write.
+    writes, rows = layout.writes, layout.write_rows
+    div_w = ccols.divergent[writes]
+    scalar_w = ~div_w & ccols.dst_is_scalar[writes]
+    other_w = ~div_w & ~scalar_w
+    kind_ids[rows] = np.where(
+        div_w,
+        PARTIAL_WRITE_ID,
+        np.where(scalar_w, SCALAR_WRITE_ID, COMPRESSED_WRITE_ID),
+    )
+    enc[rows] = np.where(div_w, 0, np.where(scalar_w, 4, ccols.dst_enc[writes]))
+    enc_lo[rows] = np.where(other_w, ccols.dst_enc_lo[writes], 0)
+    enc_hi[rows] = np.where(other_w, ccols.dst_enc_hi[writes], 0)
+    half[rows] = other_w & half_compression
 
-    return ProcessedColumns(
-        warp_size=ccols.warp_size,
-        warp_lengths=ccols.warp_lengths,
-        opcode_ids=ccols.opcode_ids,
-        category_codes=ccols.category_codes,
-        active_lanes=ccols.active_lanes,
-        scalar_executed=scalar_executed,
+    return _processed(
+        ccols,
+        scalar_executed,
+        layout.offsets,
+        kind_ids,
+        layout.registers,
         lo_half_scalar=lo_half,
         hi_half_scalar=hi_half,
-        exec_lanes=_exec_lanes(ccols, scalar_executed, lo_half, hi_half),
         extra_instructions=extra,
         compressor_ops=compressor,
         decompressor_ops=decompressor,
-        acc_offsets=acc_offsets,
-        acc_kind_ids=kind_ids,
-        acc_registers=registers,
         acc_enc=enc,
         acc_enc_lo=enc_lo,
         acc_enc_hi=enc_hi,
         acc_half=half,
-        acc_masks=acc_masks,
-        acc_sidecar=sidecar,
+        # Every compressed-path access touches the BVR/EBR sidecar.
+        acc_sidecar=np.ones(total, dtype=bool),
     )
 
 
 # ----------------------------------------------------------------------
-# Plain register file (baseline: no compression, no scalar RF).
+# Uncompressed register file (baseline, static compression, ablations).
 # ----------------------------------------------------------------------
-def _process_plain(
-    ccols: ClassifiedColumns, arch: ArchitectureConfig
-) -> ProcessedColumns:
-    accepts = _accepts_lut(arch)[ccols.scalar_class_ids]
-    scalar_executed = accepts & (ccols.scalar_class_ids == _ALU_SCALAR_ID)
-    no_half = np.zeros(ccols.num_events, dtype=bool)
-
-    src_offsets = ccols.src_offsets
-    src_counts = np.diff(src_offsets)
-    has_dst = ccols.has_dst_enc
-    acc_counts = src_counts + has_dst.astype(np.int64)
-    acc_offsets = np.zeros(len(acc_counts) + 1, dtype=np.int64)
-    np.cumsum(acc_counts, out=acc_offsets[1:])
-    total = int(acc_offsets[-1])
-
-    kind_ids = np.empty(total, dtype=np.uint8)
-    registers = np.empty(total, dtype=np.int32)
-    acc_masks = np.zeros(total, dtype=np.uint64)
-
-    m_src = int(src_offsets[-1])
-    if m_src:
-        pos_src = np.repeat(acc_offsets[:-1], src_counts) + (
-            np.arange(m_src, dtype=np.int64) - np.repeat(src_offsets[:-1], src_counts)
-        )
-        kind_ids[pos_src] = FULL_READ_ID
-        registers[pos_src] = ccols.src_registers
-
-    write_idx = np.flatnonzero(has_dst)
-    if len(write_idx):
-        pos_dst = acc_offsets[write_idx + 1] - 1
-        div_w = ccols.divergent[write_idx]
-        kind_ids[pos_dst] = np.where(div_w, PARTIAL_WRITE_ID, FULL_WRITE_ID).astype(
-            np.uint8
-        )
-        registers[pos_dst] = ccols.dst[write_idx]
-        acc_masks[pos_dst] = np.where(div_w, ccols.masks[write_idx], 0)
-
-    zeros32 = np.zeros(ccols.num_events, dtype=np.int32)
-    return ProcessedColumns(
-        warp_size=ccols.warp_size,
-        warp_lengths=ccols.warp_lengths,
-        opcode_ids=ccols.opcode_ids,
-        category_codes=ccols.category_codes,
-        active_lanes=ccols.active_lanes,
-        scalar_executed=scalar_executed,
-        lo_half_scalar=no_half,
-        hi_half_scalar=no_half.copy(),
-        exec_lanes=_exec_lanes(ccols, scalar_executed, no_half, no_half),
-        extra_instructions=zeros32,
-        compressor_ops=zeros32.copy(),
-        decompressor_ops=zeros32.copy(),
-        acc_offsets=acc_offsets,
-        acc_kind_ids=kind_ids,
-        acc_registers=registers,
-        acc_enc=np.zeros(total, dtype=np.int8),
-        acc_enc_lo=np.zeros(total, dtype=np.int8),
-        acc_enc_hi=np.zeros(total, dtype=np.int8),
-        acc_half=np.zeros(total, dtype=bool),
-        acc_masks=acc_masks,
-        acc_sidecar=np.zeros(total, dtype=bool),
-    )
-
-
-# ----------------------------------------------------------------------
-# Statically-compressed register file (compile-time proven widths).
-# ----------------------------------------------------------------------
-def _process_static(
+def _process_uncompressed(
     ccols: ClassifiedColumns,
     arch: ArchitectureConfig,
     static_widths,
 ) -> ProcessedColumns:
-    """Vector form of ``ArchitectureView._process_static_compressed``.
+    """Vector form of ``ArchitectureView._process_uncompressed`` without
+    a scalar RF, and of ``_process_static_compressed``.
 
-    Every access shape is a pure table lookup — register id into the
-    proven-width table — so this is the simplest vectorized regime:
-    like :func:`_process_plain` but with reads/writes of proven-narrow
-    registers emitted as sidecar-less compressed accesses, plus a
-    decompressor tick per compressed read.  No scalar execution, no
-    compressor energy, no extra instructions.
+    ``static_widths`` is the per-register proven ``enc`` table (``None``
+    proves no register narrow).  Accesses of a proven-narrow register
+    are sidecar-less compressed accesses, plus a decompressor tick per
+    compressed read.  Accepted ``ALU_SCALAR`` instructions execute
+    scalar; the baseline and static compression accept no class.
     """
-    widths_arr = np.asarray(static_widths, dtype=np.int8)
-    no_scalar = np.zeros(ccols.num_events, dtype=bool)
-    no_half = np.zeros(ccols.num_events, dtype=bool)
-
-    src_offsets = ccols.src_offsets
-    src_counts = np.diff(src_offsets)
-    src_enc = widths_arr[ccols.src_registers]
+    class_ids = ccols.scalar_class_ids
+    scalar_executed = _accepts_lut(arch)[class_ids] & (class_ids == _ALU_SCALAR_ID)
+    layout = _access_layout(ccols, None)
+    writes = layout.writes
+    if static_widths is None:
+        src_enc = np.zeros(len(ccols.src_registers), dtype=np.int8)
+        dst_enc = np.zeros(len(writes), dtype=np.int8)
+    else:
+        widths = np.asarray(static_widths, dtype=np.int8)
+        src_enc = widths[ccols.src_registers]
+        dst_enc = widths[ccols.dst[writes]]
     compressed_src = src_enc > 0
-    decompressor = _segment_sums(compressed_src, src_offsets).astype(np.int32)
+    decompressor = _segment_sums(compressed_src, ccols.src_offsets).astype(np.int32)
 
-    has_dst = ccols.has_dst_enc
-    acc_counts = src_counts + has_dst.astype(np.int64)
-    acc_offsets = np.zeros(len(acc_counts) + 1, dtype=np.int64)
-    np.cumsum(acc_counts, out=acc_offsets[1:])
-    total = int(acc_offsets[-1])
-
+    total = int(layout.offsets[-1])
     kind_ids = np.empty(total, dtype=np.uint8)
-    registers = np.empty(total, dtype=np.int32)
     enc = np.zeros(total, dtype=np.int8)
-    acc_masks = np.zeros(total, dtype=np.uint64)
 
-    m_src = int(src_offsets[-1])
-    if m_src:
-        pos_src = np.repeat(acc_offsets[:-1], src_counts) + (
-            np.arange(m_src, dtype=np.int64) - np.repeat(src_offsets[:-1], src_counts)
-        )
-        kind_ids[pos_src] = np.where(
-            compressed_src, COMPRESSED_READ_ID, FULL_READ_ID
-        ).astype(np.uint8)
-        registers[pos_src] = ccols.src_registers
-        enc[pos_src] = src_enc  # zero wherever the read is full
+    rows = layout.src_rows
+    kind_ids[rows] = np.where(compressed_src, COMPRESSED_READ_ID, FULL_READ_ID)
+    enc[rows] = src_enc  # zero wherever the read is full
 
-    write_idx = np.flatnonzero(has_dst)
-    if len(write_idx):
-        pos_dst = acc_offsets[write_idx + 1] - 1
-        div_w = ccols.divergent[write_idx]
-        dst_enc = widths_arr[ccols.dst[write_idx]]
-        kind_ids[pos_dst] = np.where(
-            div_w,
-            PARTIAL_WRITE_ID,
-            np.where(dst_enc > 0, COMPRESSED_WRITE_ID, FULL_WRITE_ID),
-        ).astype(np.uint8)
-        registers[pos_dst] = ccols.dst[write_idx]
-        enc[pos_dst] = np.where(div_w, 0, dst_enc).astype(np.int8)
-        acc_masks[pos_dst] = np.where(div_w, ccols.masks[write_idx], 0)
+    rows = layout.write_rows
+    div_w = ccols.divergent[writes]
+    kind_ids[rows] = np.where(
+        div_w,
+        PARTIAL_WRITE_ID,
+        np.where(dst_enc > 0, COMPRESSED_WRITE_ID, FULL_WRITE_ID),
+    )
+    enc[rows] = np.where(div_w, 0, dst_enc)
 
-    zeros32 = np.zeros(ccols.num_events, dtype=np.int32)
-    return ProcessedColumns(
-        warp_size=ccols.warp_size,
-        warp_lengths=ccols.warp_lengths,
-        opcode_ids=ccols.opcode_ids,
-        category_codes=ccols.category_codes,
-        active_lanes=ccols.active_lanes,
-        scalar_executed=no_scalar,
-        lo_half_scalar=no_half,
-        hi_half_scalar=no_half.copy(),
-        exec_lanes=_exec_lanes(ccols, no_scalar, no_half, no_half),
-        extra_instructions=zeros32,
-        compressor_ops=zeros32.copy(),
+    return _processed(
+        ccols,
+        scalar_executed,
+        layout.offsets,
+        kind_ids,
+        layout.registers,
         decompressor_ops=decompressor,
-        acc_offsets=acc_offsets,
-        acc_kind_ids=kind_ids,
-        acc_registers=registers,
         acc_enc=enc,
-        acc_enc_lo=np.zeros(total, dtype=np.int8),
-        acc_enc_hi=np.zeros(total, dtype=np.int8),
-        acc_half=np.zeros(total, dtype=bool),
-        acc_masks=acc_masks,
-        acc_sidecar=np.zeros(total, dtype=bool),
     )
 
 
@@ -523,10 +467,10 @@ def _process_static(
 def _process_scalar_rf(
     ccols: ClassifiedColumns,
     arch: ArchitectureConfig,
-    carry: "ArchCarry | None" = None,
-    warp_start: int = 0,
-    first_warp_continued: bool = False,
-    last_warp_continues: bool = False,
+    carry: ArchCarry,
+    warp_start: int,
+    first_warp_continued: bool,
+    last_warp_continues: bool,
 ) -> ProcessedColumns:
     """Sequential walk driving a real
     :class:`~repro.regfile.scalar_rf.ScalarRegisterFile`, once per
@@ -544,9 +488,9 @@ def _process_scalar_rf(
     its key's walk.  Masks reach only the partial writes, which take
     each warp's own.
 
-    ``carry`` (chunked mode) resumes a boundary-split warp's register
-    file from the previous chunk and parks it again for the next one;
-    such a warp is walked on its own, never shared.
+    ``carry`` resumes a boundary-split warp's register file from the
+    previous chunk and parks it again for the next one; such a warp is
+    walked on its own, never shared.
     """
     class_ids = ccols.scalar_class_ids
     has_dst = ccols.has_dst_enc
@@ -564,8 +508,8 @@ def _process_scalar_rf(
     starts = bounds.tolist()
     num_warps = len(starts) - 1
     keys = warp_keys(walked, src_offsets, (ccols.src_registers,), starts)
-    resumed = carry is not None and first_warp_continued and num_warps > 0
-    parked = carry is not None and last_warp_continues and num_warps > 0
+    resumed = first_warp_continued and num_warps > 0
+    parked = last_warp_continues and num_warps > 0
     if resumed:
         keys[0] = ("split", 0)
     if parked:
@@ -619,33 +563,14 @@ def _process_scalar_rf(
     ) + np.arange(total)
     scalar_executed = np.array(executed, dtype=bool)[event_rows]
 
-    acc_masks = np.zeros(total, dtype=np.uint64)
-    partial = np.flatnonzero(has_dst & divergent)
-    acc_masks[acc_offsets[partial + 1] - 1] = ccols.masks[partial]
-
-    no_half = np.zeros(count, dtype=bool)
-    return ProcessedColumns(
-        warp_size=ccols.warp_size,
-        warp_lengths=ccols.warp_lengths,
-        opcode_ids=ccols.opcode_ids,
-        category_codes=ccols.category_codes,
-        active_lanes=ccols.active_lanes,
-        scalar_executed=scalar_executed,
-        lo_half_scalar=no_half,
-        hi_half_scalar=no_half.copy(),
-        exec_lanes=_exec_lanes(ccols, scalar_executed, no_half, no_half),
+    return _processed(
+        ccols,
+        scalar_executed,
+        acc_offsets,
+        np.array(kinds, dtype=np.uint8)[access_rows],
+        np.array(registers, dtype=np.int32)[access_rows],
         extra_instructions=np.array(extra, dtype=np.int32)[event_rows],
         compressor_ops=has_dst.astype(np.int32),
-        decompressor_ops=np.zeros(count, dtype=np.int32),
-        acc_offsets=acc_offsets,
-        acc_kind_ids=np.array(kinds, dtype=np.uint8)[access_rows],
-        acc_registers=np.array(registers, dtype=np.int32)[access_rows],
-        acc_enc=np.zeros(total, dtype=np.int8),
-        acc_enc_lo=np.zeros(total, dtype=np.int8),
-        acc_enc_hi=np.zeros(total, dtype=np.int8),
-        acc_half=np.zeros(total, dtype=bool),
-        acc_masks=acc_masks,
-        acc_sidecar=np.zeros(total, dtype=bool),
     )
 
 

@@ -29,7 +29,7 @@ from repro.analysis.static_ import (
 )
 from repro.analysis.static_.diagnostics import _validate_rules
 from repro.analysis.static_.framework import AnalysisContext
-from repro.experiments.staticdyn import score_benchmark
+from repro.experiments.staticdyn import annotate_sites, score_benchmark
 from repro.isa import KernelBuilder
 from repro.isa.instructions import Imm, Instruction, Reg
 from repro.isa.kernel import BasicBlock, Branch, Exit, Kernel
@@ -442,7 +442,8 @@ class TestUniformity:
 
         trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage())
         columns = classify_columnar_batch(trace, kernel.num_registers)
-        row = score_benchmark("merge", kernel, columns, result)
+        sites = annotate_sites(kernel, columns)
+        row = score_benchmark("merge", kernel, columns, sites, result)
         assert row.predicted_events > 0  # the uniform base address
         assert row.precision == 1.0
         assert row.soundness_violations == 0

@@ -22,7 +22,7 @@ prints the numbers EXPERIMENTS.md quotes):
 import dataclasses
 
 from repro.config import ArchitectureConfig, GpuConfig, SchedulerPolicy
-from repro.experiments.staticdyn import score_benchmark
+from repro.experiments.staticdyn import annotate_sites, score_benchmark
 from repro.power.accounting import PowerAccountant
 from repro.scalar.arch_batch import process_columns
 from repro.scalar.batch import classify_columnar_batch
@@ -119,8 +119,9 @@ def test_compiler_assist(shared_runner):
         moves_compiler += int(processed.extra_instructions.sum())
         dynamic_fraction += stats.eligible_fraction
         uniformity = shared_runner.width_analysis(abbr).uniformity
+        sites = annotate_sites(run.built.kernel, columns)
         static_fraction += score_benchmark(
-            abbr, run.built.kernel, columns, uniformity
+            abbr, run.built.kernel, columns, sites, uniformity
         ).coverage
     hw_overhead = moves_hw / total
     compiler_overhead = moves_compiler / total

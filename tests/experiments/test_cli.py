@@ -189,6 +189,35 @@ class TestOneUniformityAnalysisPerKernel:
         assert len(calls) == 17
 
 
+def count_site_joins(monkeypatch) -> list:
+    """Wrap ``annotate_sites`` where it is called; the returned list
+    gains one entry (the kernel's name) per join."""
+    from repro.experiments import staticdyn, summary
+
+    calls = []
+    annotate = staticdyn.annotate_sites
+
+    def counted(kernel, columns):
+        calls.append(kernel.name)
+        return annotate(kernel, columns)
+
+    monkeypatch.setattr(staticdyn, "annotate_sites", counted)
+    monkeypatch.setattr(summary, "annotate_sites", counted)
+    return calls
+
+
+class TestOneSiteJoinPerBenchmark:
+    """staticdyn's two rows share one join of the trace to its static
+    sites, and extras reads staticdyn's coverage."""
+
+    def test_widths_run_joins_each_benchmark_once(self, monkeypatch, capsys):
+        calls = count_site_joins(monkeypatch)
+        assert main(["all", "--scale", "small", "--widths", "--jobs", "1"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 17
+        assert len(set(calls)) == 17
+
+
 class TestStaticdynWidths:
     def test_widths_gate_is_sound_at_tiny_scale(self, capsys):
         assert main(["staticdyn", "--widths", "--scale", "tiny"]) == 0
@@ -328,12 +357,61 @@ class TestCacheAndJobs:
         assert main(argv) == 0
         assert capsys.readouterr().out == serial
         # The workers simulated, stored and returned every pair fig12
-        # reads (the four paper architectures per benchmark) and its
+        # reads (baseline, ALU-scalar and G-Scalar per benchmark) and its
         # summaries; the parent read none back.
         counters = json.loads(stats_path.read_text())["counters"]
-        assert counters["result_cache_misses"] == 4 * 17
+        assert counters["result_cache_misses"] == 3 * 17
         assert counters["summary_cache_misses"] == 17
         assert not [name for name in counters if "hits" in name]
+
+
+class TestPrefetchReadsWhatComputeReads:
+    """``--jobs N`` prefetches the results of the architectures the
+    experiments asked for read, and no others."""
+
+    @pytest.fixture(scope="class")
+    def tiny_runner(self):
+        from repro.experiments.runner import ExperimentRunner
+
+        return ExperimentRunner(scale="tiny")
+
+    @pytest.mark.parametrize(
+        "name", ["fig11", "fig12", "extras", "stalls", "scorecard"]
+    )
+    def test_constant_names_the_architectures_compute_reads(
+        self, tiny_runner, monkeypatch, name
+    ):
+        import importlib
+
+        module = importlib.import_module(f"repro.experiments.{name}")
+        read = set()
+        for method in ("timing", "power"):
+            real = getattr(tiny_runner, method)
+
+            def spy(abbr, arch, real=real):
+                read.add(arch)
+                return real(abbr, arch)
+
+            monkeypatch.setattr(tiny_runner, method, spy)
+        monkeypatch.setattr(tiny_runner, "benchmark_names", lambda: ["HS"])
+        module.compute(tiny_runner)
+        assert read == set(module.ARCHITECTURES)
+
+    @pytest.mark.parametrize("name", ["extras", "stalls"])
+    def test_pooled_run_builds_only_the_pairs_it_reads(
+        self, tmp_path, capsys, name
+    ):
+        import json
+
+        stats_path = tmp_path / "stats.json"
+        argv = [name, "--scale", "tiny", "--jobs", "2", "--stats-json", str(stats_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        counters = json.loads(stats_path.read_text())["counters"]
+        # Two architectures per benchmark (baseline and static_compress
+        # for extras, baseline and gscalar for stalls), none shared.
+        assert counters["op_tables"] == 2 * 17
+        assert counters["sm_runs"] == 2 * 17
 
 
 class TestCacheCommand:

@@ -156,8 +156,13 @@ class TestMetrics:
         b.st_global(b.mov(0x100), value)
         kernel = b.finish()
         trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage())
+        columns = columns_of(kernel, trace)
         row = staticdyn.score_benchmark(
-            "U", kernel, columns_of(kernel, trace), analyze_uniformity(kernel)
+            "U",
+            kernel,
+            columns,
+            staticdyn.annotate_sites(kernel, columns),
+            analyze_uniformity(kernel),
         )
         assert row.static_provable == kernel.static_instruction_count()
         assert row.soundness_violations == 0
@@ -214,8 +219,13 @@ class TestWidthSoundness:
         b.st_global(b.imad(tid, 4, 0x100), small)
         kernel = b.finish()
         trace = run_kernel(kernel, LaunchConfig(1, 32), MemoryImage())
+        columns = columns_of(kernel, trace)
         row = staticdyn.score_widths_benchmark(
-            "N", kernel, columns_of(kernel, trace), analyze_widths(kernel, warp_size=32)
+            "N",
+            kernel,
+            columns,
+            staticdyn.annotate_sites(kernel, columns),
+            analyze_widths(kernel, warp_size=32),
         )
         assert row.over_claims == 0
         assert row.claimed_bytes > 0

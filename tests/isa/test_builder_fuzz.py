@@ -26,7 +26,11 @@ from repro.analysis.static_ import (
     analyze_widths,
     lint_kernel,
 )
-from repro.experiments.staticdyn import score_benchmark, score_widths_benchmark
+from repro.experiments.staticdyn import (
+    annotate_sites,
+    score_benchmark,
+    score_widths_benchmark,
+)
 from repro.isa import KernelBuilder, immediate_postdominators
 from repro.isa.kernel import EXIT_NODE
 from repro.scalar.batch import classify_columnar_batch
@@ -136,10 +140,11 @@ def test_static_verdicts_hold_on_the_trace(description):
     for launch in (LaunchConfig(1, 32), LaunchConfig(1, 48)):
         trace = run_kernel(kernel, launch, MemoryImage())
         columns = classify_columnar_batch(trace, kernel.num_registers)
-        row = score_benchmark("fuzz", kernel, columns, uniformity)
+        sites = annotate_sites(kernel, columns)
+        row = score_benchmark("fuzz", kernel, columns, sites, uniformity)
         assert row.soundness_violations == 0
         assert row.precision == 1.0
-        width_row = score_widths_benchmark("fuzz", kernel, columns, widths)
+        width_row = score_widths_benchmark("fuzz", kernel, columns, sites, widths)
         assert width_row.claimed_events > 0
         assert width_row.over_claims == 0
 

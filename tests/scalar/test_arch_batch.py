@@ -46,6 +46,12 @@ from tests.reference.timing import lower_to_timing_ops, simulate_architecture, t
 from tests.reference.trace import to_trace
 
 ARCH_IDS = [arch.name for arch in EVALUATED_ARCHITECTURES]
+#: ALU-scalar without its dedicated scalar RF: the uncompressed regime
+#: with scalar execution, which no evaluated architecture reaches.
+VECTOR_RF_ALU_SCALAR = ArchitectureConfig.alu_scalar().replace(
+    name="alu_scalar_vector_rf", dedicated_scalar_rf=False
+)
+MATRIX = (*EVALUATED_ARCHITECTURES, VECTOR_RF_ALU_SCALAR)
 WORKLOAD_ABBRS = [spec.abbr for spec in all_workloads()]
 
 _CASE_CACHE: dict[str, tuple] = {}
@@ -88,13 +94,26 @@ def assert_processed_identical(classified, ccols, arch, warp_size, **kwargs):
 
 
 class TestWorkloadMatrix:
-    """Exact array equality on all 17 workloads x all 4 architectures."""
+    """Exact array equality on all 17 workloads x all 4 architectures,
+    and ALU-scalar on the vector RF."""
 
     @pytest.mark.parametrize("abbr", WORKLOAD_ABBRS)
-    @pytest.mark.parametrize("arch", EVALUATED_ARCHITECTURES, ids=ARCH_IDS)
+    @pytest.mark.parametrize("arch", MATRIX, ids=[arch.name for arch in MATRIX])
     def test_processed_columns_identical(self, abbr, arch):
         trace, classified, ccols = workload_case(abbr)
         assert_processed_identical(classified, ccols, arch, trace.warp_size)
+
+    def test_vector_rf_alu_scalar_executes_every_alu_scalar_event(self):
+        # With no scalar RF to miss in, every ALU_SCALAR event executes
+        # scalar (8,712 over the small-scale workloads).
+        executed = 0
+        for abbr in WORKLOAD_ABBRS:
+            _, _, ccols = workload_case(abbr)
+            pcols = process_columns(ccols, VECTOR_RF_ALU_SCALAR)
+            alu = ccols.scalar_class_ids == SCALAR_CLASS_TO_ID[ScalarClass.ALU_SCALAR]
+            assert np.array_equal(pcols.scalar_executed, alu), abbr
+            executed += int(alu.sum())
+        assert executed > 0
 
 
 def assert_lowering_identical(classified, ccols, arch, warp_size, **kwargs):

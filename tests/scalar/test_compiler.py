@@ -3,7 +3,7 @@ scalarization by the uniformity analysis)."""
 
 from repro.analysis.static_ import StaticScalarClass, analyze_uniformity
 from repro.config import ArchitectureConfig
-from repro.experiments.staticdyn import score_benchmark
+from repro.experiments.staticdyn import annotate_sites, score_benchmark
 from repro.isa import KernelBuilder
 from repro.scalar.compiler import MoveElisionAnalysis
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
@@ -194,7 +194,10 @@ class TestStaticScalarization:
             ccols = classify_columnar_batch(trace, built.kernel.num_registers)
             dynamic_total += trace_statistics(ccols).eligible_fraction
             uniformity = analyze_uniformity(built.kernel)
-            fraction = score_benchmark(abbr, built.kernel, ccols, uniformity).coverage
+            sites = annotate_sites(built.kernel, ccols)
+            fraction = score_benchmark(
+                abbr, built.kernel, ccols, sites, uniformity
+            ).coverage
             assert fraction == dynamic_static_scalar_fraction_events(
                 built.kernel, uniformity, to_trace(trace)
             )
