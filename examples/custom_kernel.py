@@ -11,7 +11,7 @@ Run with:  python examples/custom_kernel.py
 
 import numpy as np
 
-from repro.analysis import access_distribution, divergence_stats
+from repro.analysis import access_distribution
 from repro.analysis.static_ import lint_kernel
 from repro.config import ArchitectureConfig
 from repro.isa import KernelBuilder
@@ -74,10 +74,9 @@ def main():
     print(f"block sums verified: {sums.tolist()}")
 
     columns = classify_columnar_batch(trace, kernel.num_registers)
-    div = divergence_stats(columns)
     stats = trace_statistics(columns)
     dist = access_distribution(columns)
-    print(f"\ndivergent instructions : {100 * div.divergent_fraction:.1f}%")
+    print(f"\ndivergent instructions : {100 * stats.divergent_fraction:.1f}%")
     print(f"scalar-eligible        : {100 * stats.eligible_fraction:.1f}%")
     print("RF reads by class      : "
           + ", ".join(f"{k}={100 * v:.0f}%"

@@ -16,10 +16,14 @@ Run with:  python examples/divergence_study.py
 import numpy as np
 
 from repro.config import ArchitectureConfig
-from repro.analysis import divergence_stats
 from repro.isa import KernelBuilder
 from repro.power import PowerAccountant
-from repro.scalar import classify_columnar_batch, process_columns
+from repro.scalar import (
+    ScalarClass,
+    classify_columnar_batch,
+    process_columns,
+    trace_statistics,
+)
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
 from repro.timing import simulate_architecture_columns
 from repro.workloads import datagen
@@ -57,7 +61,7 @@ def run_at_mixed_fraction(mixed_fraction, threads=512):
     trace = run_kernel(kernel, LaunchConfig(grid_dim=4, cta_dim=threads // 4), memory)
     columns = classify_columnar_batch(trace, kernel.num_registers)
 
-    stats = divergence_stats(columns)
+    stats = trace_statistics(columns)
     efficiencies = {}
     for arch in (
         ArchitectureConfig.gscalar_no_divergent(),
@@ -79,7 +83,7 @@ def main():
         print(
             f"{100 * mixed_fraction:11.0f}% "
             f"{100 * stats.divergent_fraction:10.1f}% "
-            f"{100 * stats.divergent_scalar_fraction:11.1f}% "
+            f"{100 * stats.fraction(ScalarClass.DIVERGENT_SCALAR):11.1f}% "
             f"{gain:21.3f}x"
         )
     print(

@@ -1,10 +1,11 @@
-"""Trace analyses (Figures 1, 8, 10) and the static kernel analyzer.
+"""Trace analyses (Figures 8 and 10) and the static kernel analyzer.
 
-Dynamic-trace analyses live at this level; the compile-time lint/
-diagnostic subsystem is the :mod:`repro.analysis.static_` subpackage.
+Dynamic-trace analyses live at this level; Figures 1 and 9 read the
+count table of :func:`repro.scalar.tracker.trace_statistics`.  The
+compile-time lint/diagnostic subsystem is the
+:mod:`repro.analysis.static_` subpackage.
 """
 
-from repro.analysis.divergence import DivergenceStats, divergence_stats
 from repro.analysis.halfwarp import ChunkScalarStats, chunk_scalar_stats
 from repro.analysis.similarity import (
     CATEGORIES,
@@ -25,13 +26,11 @@ __all__ = [
     "AccessDistribution",
     "ChunkScalarStats",
     "Diagnostic",
-    "DivergenceStats",
     "LintReport",
     "Severity",
     "StaticScalarClass",
     "access_distribution",
     "analyze_uniformity",
     "chunk_scalar_stats",
-    "divergence_stats",
     "lint_kernel",
 ]

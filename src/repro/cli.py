@@ -40,8 +40,8 @@ from repro.experiments.summary import BUILDERS as SUMMARY_BUILDERS
 from repro.workloads.registry import SCALES
 
 #: The module of each trace-reading experiment, in CLI order.  Those
-#: that read timing or power results name their architectures in
-#: ``ARCHITECTURES``.
+#: that read summaries name them in ``SUMMARIES``, and those that read
+#: timing or power results name their architectures in ``ARCHITECTURES``.
 _MODULES = {
     "fig1": fig1,
     "fig8": fig8,
@@ -58,8 +58,6 @@ _MODULES = {
 _TRACE_EXPERIMENTS = tuple(_MODULES)
 _STATIC_EXPERIMENTS = ("table1", "table2", "table3")
 EXPERIMENTS = _TRACE_EXPERIMENTS + _STATIC_EXPERIMENTS
-#: Summaries the scorecard reads through the figures it grades.
-_SCORECARD_SUMMARIES = frozenset({"fig1", "fig8", "fig9", "fig12", "extras"})
 
 
 def _run_one(name: str, runner: ExperimentRunner | None) -> str:
@@ -572,14 +570,9 @@ def _experiment_main(
         else None
     )
     if runner is not None and args.jobs > 1:
-        reads = set(wanted)
-        if "scorecard" in reads:
-            reads |= _SCORECARD_SUMMARIES
-        results = {
-            arch
-            for name in wanted
-            for arch in getattr(_MODULES.get(name), "ARCHITECTURES", ())
-        }
+        modules = [_MODULES[name] for name in wanted if name in _MODULES]
+        reads = {name for m in modules for name in getattr(m, "SUMMARIES", ())}
+        results = {arch for m in modules for arch in getattr(m, "ARCHITECTURES", ())}
         runner.prefetch(
             jobs=args.jobs,
             experiments=[name for name in SUMMARY_BUILDERS if name in reads],

@@ -14,7 +14,7 @@ depends on:
   their fingerprint is the root every entry derives from, so editing a
   workload's kernel, its inputs (a datagen seed or density) or its
   launch invalidates every entry of that benchmark;
-* **summaries** — the trace fingerprint, the experiment name, the
+* **summaries** — the trace fingerprint, the summary name, the
   energy parameters and the stage and width-analysis versions;
 * **timing/power results** — the trace fingerprint, the architecture
   configuration, the GPU configuration, the energy parameters and the
@@ -147,8 +147,8 @@ def summary_fingerprint(
     stage_version: int,
     analysis_version: int,
 ) -> str:
-    """Fingerprint identifying one benchmark's summary for experiment
-    ``name``.  The energy parameters key fig12's replayed ``wc_bdi``
+    """Fingerprint identifying one benchmark's summary ``name``.  The
+    energy parameters key fig12's replayed ``wc_bdi``
     energy; ``analysis_version`` keys the width-analysis numbers of
     extras and staticdyn."""
     return fingerprint(

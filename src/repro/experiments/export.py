@@ -15,6 +15,7 @@ from pathlib import Path
 from repro.analysis.similarity import CATEGORIES
 from repro.experiments import extras as extras_mod
 from repro.experiments import fig1, fig8, fig9, fig10, fig11, fig12, staticdyn
+from repro.scalar.eligibility import ScalarClass
 
 
 def fig1_to_dict(data: "fig1.Fig1Data") -> dict:
@@ -22,7 +23,9 @@ def fig1_to_dict(data: "fig1.Fig1Data") -> dict:
         "benchmarks": {
             row.abbr: {
                 "divergent_fraction": row.stats.divergent_fraction,
-                "divergent_scalar_fraction": row.stats.divergent_scalar_fraction,
+                "divergent_scalar_fraction": row.stats.fraction(
+                    ScalarClass.DIVERGENT_SCALAR
+                ),
             }
             for row in data.rows
         },

@@ -34,7 +34,6 @@ from repro.experiments.tables import render_table
 from repro.power.circuit import compressor_estimate, decompressor_estimate
 from repro.power.rf_techniques import _BDI_CODEC_FACTOR
 from repro.regfile.layout import SIDECAR_ENERGY_FRACTION
-from repro.scalar.tracker import TrackerStatistics
 
 #: Sidecar storage per vector register with half-register support:
 #: 2 x (32-bit BVR + 4-bit EBR) + D + FS bits over 1024 data bits.
@@ -44,18 +43,19 @@ SIDECAR_AREA_FRACTION = (2 * (32 + 4) + 2) / 1024.0
 #: baseline and the statically-compressed RF measured against it.
 ARCHITECTURES = (ArchitectureConfig.baseline(), ArchitectureConfig.static_compress())
 
+#: The summaries :func:`compute` reads: the count table, this table's
+#: own terms and, for the compile-time share, staticdyn's coverage.
+SUMMARIES = ("counts", "extras", "staticdyn")
+
 
 @dataclass
 class ExtrasCounts:
     """One benchmark's trace-derived terms (its ``extras`` summary)."""
 
     comparison: CompressionComparison
-    stats: TrackerStatistics
     #: Extra instructions left on G-Scalar with compiler-assisted
     #: decompress-move elision.
     elided_move_instructions: int
-    #: Events at ``PROVABLY_SCALAR`` sites over all events.
-    static_scalar_fraction: float
     width_study: AddressWidthStudy
     #: Per-register guaranteed ``enc`` from the width analysis.
     register_enc: tuple[int, ...]
@@ -102,14 +102,14 @@ def compute(runner: ExperimentRunner) -> ExtrasData:
         counts = runner.summary(abbr, "extras")
         ratio_ours_sum += counts.comparison.ours_ratio
         ratio_bdi_sum += counts.comparison.bdi_ratio
-        stats = counts.stats
+        stats = runner.summary(abbr, "counts")
         if stats.total_instructions:
             move_overhead_sum += stats.decompress_moves / stats.total_instructions
             move_overhead_compiler_sum += (
                 counts.elided_move_instructions / stats.total_instructions
             )
         dynamic_scalar_sum += stats.eligible_fraction
-        static_scalar_sum += counts.static_scalar_fraction
+        static_scalar_sum += runner.summary(abbr, "staticdyn")[0].coverage
         addr32_sum += counts.width_study.savings_32bit
         addr64_sum += counts.width_study.savings_64bit
         register_enc = counts.register_enc

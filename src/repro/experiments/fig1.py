@@ -8,15 +8,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.divergence import DivergenceStats
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
+from repro.scalar.eligibility import ScalarClass
+from repro.scalar.tracker import TrackerStatistics
+
+#: The summaries :func:`compute` reads.
+SUMMARIES = ("counts",)
 
 
 @dataclass
 class Fig1Row:
     abbr: str
-    stats: DivergenceStats
+    stats: TrackerStatistics
 
 
 @dataclass
@@ -33,7 +37,9 @@ class Fig1Data:
     def average_divergent_scalar(self) -> float:
         if not self.rows:
             return 0.0
-        return sum(r.stats.divergent_scalar_fraction for r in self.rows) / len(self.rows)
+        return sum(
+            r.stats.fraction(ScalarClass.DIVERGENT_SCALAR) for r in self.rows
+        ) / len(self.rows)
 
     @property
     def average_scalar_share_of_divergent(self) -> float:
@@ -48,7 +54,7 @@ def compute(runner: ExperimentRunner) -> Fig1Data:
     """Regenerate Figure 1's series over all 17 benchmarks."""
     return Fig1Data(
         rows=[
-            Fig1Row(abbr=abbr, stats=runner.summary(abbr, "fig1"))
+            Fig1Row(abbr=abbr, stats=runner.summary(abbr, "counts"))
             for abbr in runner.benchmark_names()
         ]
     )
@@ -60,7 +66,7 @@ def render(data: Fig1Data) -> str:
         (
             row.abbr,
             f"{100 * row.stats.divergent_fraction:.1f}",
-            f"{100 * row.stats.divergent_scalar_fraction:.1f}",
+            f"{100 * row.stats.fraction(ScalarClass.DIVERGENT_SCALAR):.1f}",
         )
         for row in data.rows
     ]

@@ -16,6 +16,8 @@ from repro.experiments.tables import render_table
 
 #: Fixed checking granularity (lanes), per the paper.
 GRANULARITY = 16
+#: The summaries :func:`compute` reads.
+SUMMARIES = ("fig10",)
 
 
 @dataclass

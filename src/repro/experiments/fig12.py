@@ -30,6 +30,8 @@ SERIES = ("scalar_rf", "wc_bdi", "ours")
 #: not an architecture) and the architectures :func:`compute` reads.
 _MODELED = tuple(technique for technique in RF_TECHNIQUES if technique != "wc_bdi")
 ARCHITECTURES = tuple(technique_architecture(technique) for technique in _MODELED)
+#: The summaries :func:`compute` reads.
+SUMMARIES = ("fig12",)
 
 
 @dataclass

@@ -12,6 +12,9 @@ from repro.analysis.similarity import CATEGORIES, AccessDistribution
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
 
+#: The summaries :func:`compute` reads.
+SUMMARIES = ("fig8",)
+
 
 @dataclass
 class Fig8Row:

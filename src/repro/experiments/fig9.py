@@ -13,6 +13,9 @@ from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
 from repro.scalar.eligibility import ScalarClass
 
+#: The summaries :func:`compute` reads.
+SUMMARIES = ("counts",)
+
 
 @dataclass
 class Fig9Row:
@@ -54,7 +57,7 @@ def compute(runner: ExperimentRunner) -> Fig9Data:
     """Regenerate Figure 9's stacked eligibility series."""
     rows = []
     for abbr in runner.benchmark_names():
-        stats = runner.summary(abbr, "fig9")
+        stats = runner.summary(abbr, "counts")
         rows.append(
             Fig9Row(
                 abbr=abbr,

@@ -1,4 +1,4 @@
-"""Process-pool fan-out over the benchmark × (experiment, architecture)
+"""Process-pool fan-out over the benchmark × (summary, architecture)
 matrix.
 
 The matrix is embarrassingly parallel at benchmark granularity: each
@@ -46,8 +46,8 @@ class MatrixTask:
     registry and ship its snapshot back in the return payload.
     ``chunk_events`` propagates the parent's streaming chunk size, so
     workers stream their pairs the same way the parent would.
-    ``experiments`` names the summaries to build
-    (:data:`repro.experiments.summary.BUILDERS`).
+    ``experiments`` holds the names of the summaries to build: keys of
+    :data:`repro.experiments.summary.BUILDERS`, not experiment names.
     """
 
     abbr: str
@@ -98,7 +98,7 @@ def execute_task(task: MatrixTask) -> dict:
     """Worker entry point: compute one benchmark's summaries and results.
 
     Returns the payload ``{"summaries", "timing", "power", "telemetry"}``:
-    the first three map ``(task.abbr, experiment or architecture name)``
+    the first three map ``(task.abbr, summary or architecture name)``
     to the values the parent runner memoizes under the same keys, and
     ``telemetry`` is the worker registry's
     :meth:`~repro.obs.telemetry.Telemetry.snapshot` (its cache and stage
@@ -131,7 +131,8 @@ def run_matrix(
     telemetry: bool = False,
     chunk_events: int | None = None,
 ) -> list[dict]:
-    """Compute the summaries of ``experiments`` and the results of
+    """Compute the summaries ``experiments`` names (keys of
+    :data:`repro.experiments.summary.BUILDERS`) and the results of
     ``arches`` for every benchmark on a pool of ``jobs`` processes.
 
     Returns one :func:`execute_task` payload per benchmark, in

@@ -5,8 +5,8 @@ configuration and lazily computes, per benchmark:
 
 * the functional trace (executed once, shared by every architecture),
 * the classified columns (architecture-independent),
-* per-experiment summaries (:mod:`repro.experiments.summary`): the
-  small count tables each trace-reading figure reads,
+* per-benchmark summaries (:mod:`repro.experiments.summary`): the
+  small count tables the trace-reading figures read,
 * per architecture, one op-table memo entry (the
   :class:`~repro.timing.ops.TimingOpTable` and its digest, per
   lowering key) and the power aggregates, reduced together from one
@@ -35,7 +35,7 @@ SM simulator.  The per-event engines they replaced live in
 ``tests/reference`` as oracles for the tests.  Each cached entry
 embeds a content fingerprint (:mod:`repro.experiments.cachekey`)
 covering the kernel, launch, input arrays, scale, architecture or
-experiment, GPU configuration and energy parameters; a mismatch — or
+summary, GPU configuration and energy parameters; a mismatch — or
 any corrupt file — falls back to recomputation and overwrites the
 stale entry, and staleness is decided from the entry's header without
 unpickling its payload.  Files from older cache layouts are never
@@ -51,7 +51,7 @@ and the aggregates but not the table, and the sweeps and
 :meth:`ExperimentRunner.timeline` never build whole-trace columns: a
 pair they must simulate again streams again.
 
-:meth:`ExperimentRunner.prefetch` fans the benchmark × (experiment,
+:meth:`ExperimentRunner.prefetch` fans the benchmark × (summary,
 architecture) matrix out over a process pool
 (:mod:`repro.experiments.parallel`) whose workers return their
 summaries and results into the runner's memos, with or without a
@@ -120,7 +120,9 @@ from repro.workloads.synth import (
 #: longer carry classifier, arch-engine or SM-engine names.
 #: Version 8: per-benchmark ``summary`` entries replaced the trace and
 #: classified-column entries.
-STAGE_VERSION = 8
+#: Version 9: one ``counts`` summary replaced fig1's, fig9's and suite's,
+#: and the ``extras`` payload lost its ``stats`` and coverage copy.
+STAGE_VERSION = 9
 
 #: Warp size of the runner's traces (the paper's machine).
 WARP_SIZE = 32
@@ -506,7 +508,8 @@ class ExperimentRunner:
         return self._classified_columns[key]
 
     def summary(self, abbr: str, name: str) -> Any:
-        """One benchmark's summary for experiment ``name``.
+        """One benchmark's summary ``name`` (a key of
+        :data:`repro.experiments.summary.BUILDERS`).
 
         Built on demand by :data:`repro.experiments.summary.BUILDERS`,
         memoized and, with ``cache_dir`` set, stored as a ``summary``
@@ -806,7 +809,8 @@ class ExperimentRunner:
         arches: Sequence[ArchitectureConfig] | None = None,
         progress: Callable[[str, int, int], None] | None = None,
     ) -> RunnerStats:
-        """Warm the summaries of ``experiments`` and the results of
+        """Warm the summaries ``experiments`` names (keys of
+        :data:`repro.experiments.summary.BUILDERS`) and the results of
         ``arches`` (default: the four paper architectures) for each
         benchmark.
 

@@ -59,6 +59,13 @@ class Scorecard:
 ARCHITECTURES = tuple(
     dict.fromkeys(fig11.ARCHITECTURES + fig12.ARCHITECTURES + extras.ARCHITECTURES)
 )
+#: The summaries :func:`compute` reads, through the figures it grades.
+SUMMARIES = tuple(
+    dict.fromkeys(
+        fig1.SUMMARIES + fig8.SUMMARIES + fig9.SUMMARIES + fig12.SUMMARIES
+        + extras.SUMMARIES
+    )
+)
 
 
 def compute(runner: ExperimentRunner) -> Scorecard:

@@ -49,6 +49,8 @@ _FULL_SCALAR_IDS = [
     SCALAR_CLASS_TO_ID[c] for c in ScalarClass if c.is_full_scalar
 ]
 _DIVERGENT_SCALAR_ID = SCALAR_CLASS_TO_ID[ScalarClass.DIVERGENT_SCALAR]
+#: The summaries :func:`compute` and :func:`compute_widths` read.
+SUMMARIES = ("staticdyn",)
 
 
 def _site_table(kernel: Kernel, values, fill) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
+from repro.scalar.eligibility import ScalarClass
+
+#: The summaries :func:`compute` reads.
+SUMMARIES = ("counts",)
 
 
 @dataclass
@@ -56,9 +60,26 @@ class SuiteData:
 
 def compute(runner: ExperimentRunner) -> SuiteData:
     """Collect the statistics table over all 17 benchmarks."""
-    return SuiteData(
-        rows=[runner.summary(abbr, "suite") for abbr in runner.benchmark_names()]
-    )
+    rows = []
+    for abbr in runner.benchmark_names():
+        stats = runner.summary(abbr, "counts")
+        total = max(1, stats.total_instructions)
+        rows.append(
+            SuiteRow(
+                abbr=abbr,
+                instructions=stats.total_instructions,
+                divergent=stats.divergent_fraction,
+                alu_scalar=stats.fraction(ScalarClass.ALU_SCALAR),
+                sfu_scalar=stats.fraction(ScalarClass.SFU_SCALAR),
+                mem_scalar=stats.fraction(ScalarClass.MEM_SCALAR),
+                half_scalar=stats.fraction(ScalarClass.HALF_SCALAR),
+                divergent_scalar=stats.fraction(ScalarClass.DIVERGENT_SCALAR),
+                eligible=stats.eligible_fraction,
+                sfu_mix=stats.sfu_instructions / total,
+                mem_mix=stats.mem_instructions / total,
+            )
+        )
+    return SuiteData(rows=rows)
 
 
 def render(data: SuiteData) -> str:

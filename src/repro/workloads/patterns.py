@@ -17,8 +17,9 @@ from __future__ import annotations
 from repro.isa.builder import KernelBuilder
 from repro.isa.instructions import Reg
 
-# Shared address map (bytes).  Regions are generously spaced so no
-# workload ever overlaps its arrays.
+# Shared address map (bytes), 1 MiB between inputs.  A workload whose
+# arrays can outgrow that spacing lays them out by size (MV), and
+# ``MemoryImage.bind_array`` raises on an overlapping bind.
 PARAMS_BASE = 0x1000
 FLAGS_BASE = 0x8000
 INPUT_A = 0x10_0000

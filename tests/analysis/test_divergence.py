@@ -1,9 +1,10 @@
-"""Tests for Figure 1 divergence statistics."""
+"""Tests for Figure 1's divergence counts in the count table."""
 
 import pytest
 
-from repro.analysis.divergence import divergence_stats
 from repro.scalar.batch import classify_columnar_batch
+from repro.scalar.eligibility import ScalarClass
+from repro.scalar.tracker import trace_statistics
 from repro.simt import MemoryImage, run_kernel
 from repro.workloads.registry import all_workloads, build_workload
 
@@ -19,15 +20,19 @@ def columns_for(columnar, num_registers):
 
 def stats_for(kernel):
     trace = run_one_warp(kernel, MemoryImage())
-    return divergence_stats(columns_for(trace, kernel.num_registers))
+    return trace_statistics(columns_for(trace, kernel.num_registers))
+
+
+def divergent_scalar(stats):
+    return stats.class_counts[ScalarClass.DIVERGENT_SCALAR]
 
 
 class TestDivergenceStats:
     def test_convergent_kernel(self, saxpy_kernel, simple_memory):
         trace = run_one_warp(saxpy_kernel, simple_memory)
-        stats = divergence_stats(columns_for(trace, saxpy_kernel.num_registers))
+        stats = trace_statistics(columns_for(trace, saxpy_kernel.num_registers))
         assert stats.divergent_fraction == 0.0
-        assert stats.divergent_scalar_fraction == 0.0
+        assert stats.fraction(ScalarClass.DIVERGENT_SCALAR) == 0.0
 
     def test_divergent_kernel_counts(self, divergent_kernel):
         stats = stats_for(divergent_kernel)
@@ -36,21 +41,13 @@ class TestDivergenceStats:
 
     def test_divergent_scalar_subset(self, divergent_kernel):
         stats = stats_for(divergent_kernel)
-        assert stats.divergent_scalar_instructions <= stats.divergent_instructions
-
-    def test_scalar_share_of_divergent(self, divergent_kernel):
-        stats = stats_for(divergent_kernel)
-        if stats.divergent_instructions:
-            expected = (
-                stats.divergent_scalar_instructions / stats.divergent_instructions
-            )
-            assert stats.scalar_share_of_divergent == pytest.approx(expected)
+        assert divergent_scalar(stats) <= stats.divergent_instructions
 
     def test_empty_trace(self):
         empty = from_trace(KernelTrace("empty", 32))
-        stats = divergence_stats(columns_for(empty, 0))
+        stats = trace_statistics(columns_for(empty, 0))
         assert stats.divergent_fraction == 0.0
-        assert stats.scalar_share_of_divergent == 0.0
+        assert stats.fraction(ScalarClass.DIVERGENT_SCALAR) == 0.0
 
 
 @pytest.mark.parametrize("abbr", [spec.abbr for spec in all_workloads()])
@@ -60,4 +57,9 @@ def test_columns_match_event_walk(abbr):
     expected = divergence_stats_events(
         classify_trace(to_trace(trace), built.kernel.num_registers)
     )
-    assert divergence_stats(columns_for(trace, built.kernel.num_registers)) == expected
+    stats = trace_statistics(columns_for(trace, built.kernel.num_registers))
+    assert (
+        stats.total_instructions,
+        stats.divergent_instructions,
+        divergent_scalar(stats),
+    ) == expected

@@ -279,7 +279,7 @@ class TestRunnerKeys:
         runner's."""
         cold = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         names = cold.benchmark_names()
-        original = {abbr: cold.summary(abbr, "fig1") for abbr in names}
+        original = {abbr: cold.summary(abbr, "counts") for abbr in names}
         registry.all_workloads()
         spec = registry._REGISTRY["lc"]
         monkeypatch.setitem(
@@ -289,14 +289,14 @@ class TestRunnerKeys:
         )
 
         warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        edited = {abbr: warm.summary(abbr, "fig1") for abbr in names}
+        edited = {abbr: warm.summary(abbr, "counts") for abbr in names}
         assert warm.stats.counters == {
             "cache_invalid": 1,
             "summary_cache_hits": len(names) - 1,
             "summary_cache_misses": 1,
             "trace_executions": 1,
         }
-        fresh = ExperimentRunner(scale="tiny").summary("LC", "fig1")
+        fresh = ExperimentRunner(scale="tiny").summary("LC", "counts")
         assert edited["LC"] == fresh
         assert edited["LC"] != original["LC"]
         assert {a: s for a, s in edited.items() if a != "LC"} == {

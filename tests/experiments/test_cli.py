@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import _MODULES, EXPERIMENTS, main
 from repro.experiments import store
 from repro.workloads.registry import all_workloads
 
@@ -255,7 +255,7 @@ class TestCacheAndJobs:
         cache = tmp_path / "cache"
         assert main(["fig1", "--scale", "tiny", "--cache-dir", str(cache)]) == 0
         first = capsys.readouterr().out
-        assert len(list(cache.glob(f"*_fig1{store.ENTRY_SUFFIX}"))) == 17
+        assert len(list(cache.glob(f"*_counts{store.ENTRY_SUFFIX}"))) == 17
         assert main(["fig1", "--scale", "tiny", "--cache-dir", str(cache)]) == 0
         assert capsys.readouterr().out == first
 
@@ -366,8 +366,8 @@ class TestCacheAndJobs:
 
 
 class TestPrefetchReadsWhatComputeReads:
-    """``--jobs N`` prefetches the results of the architectures the
-    experiments asked for read, and no others."""
+    """``--jobs N`` prefetches the summaries and the results of the
+    architectures the experiments asked for read, and no others."""
 
     @pytest.fixture(scope="class")
     def tiny_runner(self):
@@ -396,6 +396,56 @@ class TestPrefetchReadsWhatComputeReads:
         monkeypatch.setattr(tiny_runner, "benchmark_names", lambda: ["HS"])
         module.compute(tiny_runner)
         assert read == set(module.ARCHITECTURES)
+
+    @pytest.mark.parametrize("name", list(_MODULES))
+    def test_constant_names_the_summaries_compute_reads(
+        self, tiny_runner, monkeypatch, name
+    ):
+        """fig11 and stalls read no summary and have no constant."""
+        module = _MODULES[name]
+        read = set()
+        real = tiny_runner.summary
+
+        def spy(abbr, summary):
+            read.add(summary)
+            return real(abbr, summary)
+
+        monkeypatch.setattr(tiny_runner, "summary", spy)
+        monkeypatch.setattr(tiny_runner, "benchmark_names", lambda: ["HS"])
+        module.compute(tiny_runner)
+        if name == "staticdyn":
+            module.compute_widths(tiny_runner)
+        assert read == set(getattr(module, "SUMMARIES", ()))
+
+    def test_suite_reads_the_count_table_fig1_stored(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Figure 1 and the suite read one ``counts`` summary: each
+        pooled run prefetches it, and a suite run after fig1 on the same
+        cache hits all 17 and executes nothing."""
+        import json
+
+        from repro.experiments.runner import ExperimentRunner
+
+        prefetched = []
+        prefetch = ExperimentRunner.prefetch
+
+        def spy(runner, **kwargs):
+            prefetched.append(list(kwargs["experiments"]))
+            return prefetch(runner, **kwargs)
+
+        monkeypatch.setattr(ExperimentRunner, "prefetch", spy)
+        stats_path = tmp_path / "stats.json"
+        flags = [
+            "--scale", "tiny", "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
+            "--stats-json", str(stats_path),
+        ]
+        assert main(["fig1"] + flags) == 0
+        assert main(["suite"] + flags) == 0
+        capsys.readouterr()
+        assert prefetched == [["counts"], ["counts"]]
+        counters = json.loads(stats_path.read_text())["counters"]
+        assert counters == {"summary_cache_hits": 17}
 
     @pytest.mark.parametrize("name", ["extras", "stalls"])
     def test_pooled_run_builds_only_the_pairs_it_reads(

@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments import fig1, fig8, fig9, fig10, fig11, fig12, stalls
 from repro.experiments.runner import ExperimentRunner
+from repro.scalar.eligibility import ScalarClass
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,7 @@ class TestFig1:
             assert by_abbr[convergent].divergent_fraction < 0.05
         # §5.2: HS / LBM / SAD carry large divergent-scalar populations.
         for scalar_heavy in ("HS", "LBM", "SAD"):
-            assert by_abbr[scalar_heavy].divergent_scalar_fraction > 0.10
+            assert by_abbr[scalar_heavy].fraction(ScalarClass.DIVERGENT_SCALAR) > 0.10
 
 
 class TestFig8:

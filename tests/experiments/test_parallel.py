@@ -55,7 +55,7 @@ class TestExecuteTask:
             abbr="HS",
             scale="tiny",
             cache_dir=str(tmp_path),
-            experiments=("fig1", "fig10"),
+            experiments=("counts", "fig10"),
             arches=(baseline,),
             config=None,
             params=None,
@@ -64,12 +64,12 @@ class TestExecuteTask:
         assert merged_stats([payload]).trace_executions == 2  # warp 32 + 64
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             f"{stem}{store.ENTRY_SUFFIX}"
-            for stem in ("HS_tiny_fig1", "HS_tiny_fig10", "HS_tiny_results_baseline")
+            for stem in ("HS_tiny_counts", "HS_tiny_fig10", "HS_tiny_results_baseline")
         )
         # The payload carries what the worker computed, keyed as the
         # parent runner memoizes it.
         assert payload["summaries"] == {
-            ("HS", name): serial.summary("HS", name) for name in ("fig1", "fig10")
+            ("HS", name): serial.summary("HS", name) for name in ("counts", "fig10")
         }
         assert payload["timing"] == {("HS", "baseline"): serial.timing("HS", baseline)}
         assert payload["power"] == {("HS", "baseline"): serial.power("HS", baseline)}
@@ -118,7 +118,7 @@ class TestRunMatrix:
             scale="tiny",
             cache_dir=tmp_path,
             jobs=2,
-            experiments=("fig1",),
+            experiments=("counts",),
             arches=(),
             progress=lambda abbr, done, total: seen.append((abbr, done, total)),
         )
@@ -134,7 +134,7 @@ class TestRunMatrix:
                 scale="tiny",
                 cache_dir=tmp_path,
                 jobs=2,
-                experiments=("fig1",),
+                experiments=("counts",),
                 arches=(),
             )
         written = {path.name.split("_")[0] for path in tmp_path.glob("*.pkl")}
@@ -168,7 +168,7 @@ class TestPrefetch:
         streamed passes record peaks too: they stay in its series."""
         runner = ExperimentRunner(scale="tiny", chunk_events=chunk_events)
         runner.prefetch(
-            names=SUBSET, jobs=2, experiments=("fig1",), arches=paper_architectures()[:1]
+            names=SUBSET, jobs=2, experiments=("counts",), arches=paper_architectures()[:1]
         )
         gauges = runner.stats.to_dict()["gauges"]
         assert 0 < gauges["peak_rss_bytes"] <= peak_rss_bytes()
@@ -187,9 +187,9 @@ class TestPrefetch:
 
     def test_serial_prefetch_without_cache_dir(self):
         runner = ExperimentRunner(scale="tiny")
-        stats = runner.prefetch(names=["HS"], jobs=1, experiments=("fig1",), arches=())
+        stats = runner.prefetch(names=["HS"], jobs=1, experiments=("counts",), arches=())
         assert stats.trace_executions == 1
-        assert ("HS", "fig1") in runner._summaries
+        assert ("HS", "counts") in runner._summaries
         # Nothing to warm, nothing executed.
         idle = ExperimentRunner(scale="tiny")
         assert idle.prefetch(names=["HS"], jobs=1, arches=()).trace_executions == 0
@@ -209,8 +209,8 @@ class TestPrefetch:
 
     def test_prefetch_normalizes_names(self, tmp_path):
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        runner.prefetch(names=["hs"], jobs=1, experiments=("fig1",), arches=())
-        assert store.entry_path(tmp_path, "HS_tiny_fig1").exists()
+        runner.prefetch(names=["hs"], jobs=1, experiments=("counts",), arches=())
+        assert store.entry_path(tmp_path, "HS_tiny_counts").exists()
         assert runner.run("HS").abbr == "HS"
         assert runner.stats.trace_executions == 1
 
@@ -257,7 +257,7 @@ class TestKilledWorker:
         killed = []
         with pytest.raises(BrokenProcessPool):
             runner.prefetch(
-                jobs=2, experiments=("fig1",), arches=(),
+                jobs=2, experiments=("counts",), arches=(),
                 progress=self.kill_one_worker(killed),
             )
         assert killed and time.monotonic() - killed[0] < 5
@@ -267,14 +267,14 @@ class TestKilledWorker:
         killed = []
         with pytest.raises(BrokenProcessPool):
             runner.prefetch(
-                jobs=2, experiments=("fig1",), arches=(),
+                jobs=2, experiments=("counts",), arches=(),
                 progress=self.kill_one_worker(killed),
             )
         assert killed and time.monotonic() - killed[0] < 5
         names = runner.benchmark_names()
         statuses = {
             abbr: store.load_entry(
-                tmp_path, *runner._summary_entry(abbr, "fig1"), "summary"
+                tmp_path, *runner._summary_entry(abbr, "counts"), "summary"
             )[1]
             for abbr in names
         }
@@ -282,11 +282,11 @@ class TestKilledWorker:
         missing = sum(status == "absent" for status in statuses.values())
         assert missing > 0
         fresh = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        fresh.prefetch(jobs=1, experiments=("fig1",), arches=())
+        fresh.prefetch(jobs=1, experiments=("counts",), arches=())
         assert fresh.stats.trace_executions == missing
         assert fresh.stats.counters.get("summary_cache_misses", 0) == missing
         for abbr in names:
-            assert fresh.summary(abbr, "fig1") == serial.summary(abbr, "fig1")
+            assert fresh.summary(abbr, "counts") == serial.summary(abbr, "counts")
 
 
 #: The address-space ceiling of the memory-ceiling runs.

@@ -247,23 +247,23 @@ class TestRunnerStats:
 
 class TestTraceCache:
     """The on-disk cache: one ``summary`` entry per (benchmark,
-    experiment) and one ``result`` entry per (benchmark, architecture),
+    summary) and one ``result`` entry per (benchmark, architecture),
     keyed on the trace's fingerprint; traces themselves are never
     stored."""
 
     def test_disk_cache_round_trip(self, tmp_path):
         first = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        stats_a = first.summary("HS", "fig1")
-        assert store.entry_path(tmp_path, "HS_tiny_fig1").exists()
+        stats_a = first.summary("HS", "counts")
+        assert store.entry_path(tmp_path, "HS_tiny_counts").exists()
         assert first.stats.trace_executions == 1
         second = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        stats_b = second.summary("HS", "fig1")
+        stats_b = second.summary("HS", "counts")
         assert second.stats.trace_executions == 0
         assert second.stats.counters["summary_cache_hits"] == 1
         assert stats_a == stats_b
         # The cache holds no trace and no classified columns.
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            f"HS_tiny_fig1{store.ENTRY_SUFFIX}"
+            f"HS_tiny_counts{store.ENTRY_SUFFIX}"
         ]
 
     def test_cold_miss_packs_each_trace_once(self, tmp_path, monkeypatch):
@@ -282,7 +282,7 @@ class TestTraceCache:
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
         assert runner.run("HS").columnar.warp_size == 32
         runner.summary("HS", "fig10")
-        runner.summary("HS", "fig1")
+        runner.summary("HS", "counts")
         assert packed == [32, 64]
 
     def test_fig10_summary_cached_on_disk(self, tmp_path):
@@ -295,8 +295,8 @@ class TestTraceCache:
 
     def test_fingerprint_mismatch_triggers_reexecution(self, tmp_path):
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        good = seeded.summary("HS", "fig1")
-        path = store.entry_path(tmp_path, "HS_tiny_fig1")
+        good = seeded.summary("HS", "counts")
+        path = store.entry_path(tmp_path, "HS_tiny_counts")
         # Rewrite the header under a wrong fingerprint, simulating a
         # kernel/scale edit since the summary was built.
         with open(path, "rb") as handle:
@@ -304,25 +304,25 @@ class TestTraceCache:
             payload = handle.read()
         path.write_bytes(pickle.dumps((layout, kind, "0" * 16)) + payload)
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        assert runner.summary("HS", "fig1") == good
+        assert runner.summary("HS", "counts") == good
         assert runner.stats.trace_executions == 1
         assert runner.stats.counters["cache_invalid"] == 1
         # The stale entry was overwritten with a valid one.
         verifier = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        verifier.summary("HS", "fig1")
+        verifier.summary("HS", "counts")
         assert verifier.stats.trace_executions == 0
 
     def test_corrupt_cache_file_recovered(self, tmp_path):
         seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        expected = seeded.summary("HS", "fig1")
-        store.entry_path(tmp_path, "HS_tiny_fig1").write_bytes(b"not an entry")
+        expected = seeded.summary("HS", "counts")
+        store.entry_path(tmp_path, "HS_tiny_counts").write_bytes(b"not an entry")
         runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        assert runner.summary("HS", "fig1") == expected
+        assert runner.summary("HS", "counts") == expected
         assert runner.stats.trace_executions == 1
         assert runner.stats.counters["cache_invalid"] == 1
         # And the overwrite repaired the cache for the next process.
         repaired = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
-        repaired.summary("HS", "fig1")
+        repaired.summary("HS", "counts")
         assert repaired.stats.trace_executions == 0
 
     def test_corrupt_sidecar_recovered(self, tmp_path):

@@ -275,7 +275,7 @@ ARCH = ArchitectureConfig.gscalar()
 
 
 def _summary(runner):
-    return runner.summary("HS", "fig1")
+    return runner.summary("HS", "counts")
 
 
 def _result(runner):
@@ -283,7 +283,7 @@ def _result(runner):
 
 
 ENTRIES = {
-    "summary": ("HS_tiny_fig1", _summary),
+    "summary": ("HS_tiny_counts", _summary),
     "result": (f"HS_tiny_results_{ARCH.name}", _result),
 }
 

@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.static_ import analyze_uniformity
 from repro.experiments.runner import WARP_SIZE, ExperimentRunner
 from repro.experiments.summary import BUILDERS
+from repro.isa.opcodes import OpCategory
 from repro.scalar.eligibility import ScalarClass
 from repro.workloads.registry import all_workloads
 
@@ -57,10 +58,12 @@ def test_summaries_match_event_walks(runner, abbr):
     classified = classified_events(runner, abbr)
     events = [item for warp in classified for item in warp]
 
-    assert runner.summary(abbr, "fig1") == divergence_stats_events(classified)
-    assert runner.summary(abbr, "fig8") == access_distribution_events(classified)
-
-    stats = runner.summary(abbr, "fig9")
+    stats = runner.summary(abbr, "counts")
+    assert (
+        stats.total_instructions,
+        stats.divergent_instructions,
+        stats.class_counts[ScalarClass.DIVERGENT_SCALAR],
+    ) == divergence_stats_events(classified)
     assert stats.total_instructions == len(events)
     assert stats.divergent_instructions == sum(item.divergent for item in events)
     assert stats.decompress_moves == sum(
@@ -69,6 +72,14 @@ def test_summaries_match_event_walks(runner, abbr):
     assert stats.class_counts == {
         cls: sum(item.scalar_class is cls for item in events) for cls in ScalarClass
     }
+    assert stats.sfu_instructions == sum(
+        item.category is OpCategory.SFU for item in events
+    )
+    assert stats.mem_instructions == sum(
+        item.category is OpCategory.MEM for item in events
+    )
+
+    assert runner.summary(abbr, "fig8") == access_distribution_events(classified)
 
     stats32, stats64 = runner.summary(abbr, "fig10")
     assert stats32 == chunk_scalar_stats_events(trace, 16)
@@ -83,19 +94,28 @@ def test_summaries_match_event_walks(runner, abbr):
 
     extras = runner.summary(abbr, "extras")
     assert extras.comparison == compare_trace_events(trace)
-    assert extras.stats == stats
     assert extras.width_study == address_width_study_events(trace)
-    assert extras.static_scalar_fraction == dynamic_static_scalar_fraction_events(
-        run.built.kernel, analyze_uniformity(run.built.kernel), trace
-    )
     assert extras.register_enc == runner.static_widths(abbr)
-
-    row = runner.summary(abbr, "suite")
-    assert (row.abbr, row.instructions) == (abbr, len(events))
 
     static_row, width_row = runner.summary(abbr, "staticdyn")
     assert static_row.abbr == width_row.abbr == abbr
     assert static_row.total_events == len(events)
+    assert static_row.coverage == dynamic_static_scalar_fraction_events(
+        run.built.kernel, analyze_uniformity(run.built.kernel), trace
+    )
 
     for name in BUILDERS:
         assert list(_arrays(runner.summary(abbr, name))) == [], name
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_builders_read_no_summary(monkeypatch, name):
+    """No summary repeats another's numbers: a builder reads the trace,
+    its classified columns or the width analysis, never a summary."""
+    runner = ExperimentRunner(scale="tiny")
+
+    def refuse(abbr, summary):
+        raise AssertionError(f"the {name} builder read the {summary} summary")
+
+    monkeypatch.setattr(runner, "summary", refuse)
+    BUILDERS[name](runner, "HS")

@@ -14,7 +14,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.analysis.divergence import DivergenceStats
 from repro.analysis.halfwarp import ChunkScalarStats
 from repro.analysis.similarity import AccessDistribution
 from repro.analysis.static_.uniformity import StaticScalarClass, UniformityResult
@@ -242,8 +241,9 @@ def process_trace_events(trace: KernelTrace, arch, num_registers: int, static_wi
         static_widths=static_widths,
     )
 
-def divergence_stats_events(classified) -> DivergenceStats:
-    """Figure 1 counts by walking a classified stream."""
+def divergence_stats_events(classified) -> tuple[int, int, int]:
+    """Figure 1 counts ``(total, divergent, divergent_scalar)`` by
+    walking a classified stream."""
     total = divergent = divergent_scalar = 0
     for warp_events in classified:
         for item in warp_events:
@@ -252,11 +252,7 @@ def divergence_stats_events(classified) -> DivergenceStats:
                 divergent += 1
                 if item.scalar_class is ScalarClass.DIVERGENT_SCALAR:
                     divergent_scalar += 1
-    return DivergenceStats(
-        total_instructions=total,
-        divergent_instructions=divergent,
-        divergent_scalar_instructions=divergent_scalar,
-    )
+    return total, divergent, divergent_scalar
 
 
 def access_distribution_events(classified) -> AccessDistribution:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MemoryError_, WorkloadError
+from repro.errors import WorkloadError
 from repro.workloads.parboil import mv
 from repro.workloads.registry import (
     SCALES,
@@ -68,14 +68,31 @@ class TestBuilding:
 
 
 class TestOverlappingInputs:
-    """MV's fixed regions hold 32 rows of 256 threads: one CTA more
-    binds ``_COLUMNS`` over ``_ROW_LENGTHS``, which then runs rows for
-    up to 4,095 trips unless the bind raises."""
+    """MV's value and column arrays outgrow the 1 MiB between its fixed
+    regions past 32 CTAs of 256 threads at 16 inner iterations.  Its
+    layout then moves each later region up, so no bind overlaps another
+    (``bind_array`` raises on one) and no row runs past its length."""
 
-    def test_mv_past_its_regions_raises(self):
-        scale = ScaleConfig("mv33", grid_dim=33, cta_dim=256, inner_iterations=16)
-        with pytest.raises(MemoryError_, match=r"overlaps the earlier bind of \[0x300000"):
-            mv.build(scale)
+    @pytest.mark.parametrize("grid_dim", [33, 48])
+    def test_mv_past_its_fixed_regions_lays_out_by_size(self, grid_dim):
+        scale = ScaleConfig(
+            f"mv{grid_dim}", grid_dim=grid_dim, cta_dim=256, inner_iterations=16
+        )
+        built = mv.build(scale)
+        threads = grid_dim * 256
+        words = (threads * 32, threads * 32, threads, 4096, threads)
+        bases = mv.layout(scale)
+        regions = sorted(zip(bases, words))
+        for (start, count), (next_start, _) in zip(regions, regions[1:]):
+            assert start + 4 * count <= next_start
+        lengths = built.memory.read_array(bases[2], threads)
+        assert lengths.max() <= 2 * scale.inner_iterations
+
+    @pytest.mark.parametrize("scale", sorted(SCALES))
+    def test_mv_keeps_its_fixed_regions_at_every_scale(self, scale):
+        assert mv.layout(SCALES[scale]) == (
+            0x10_0000, 0x20_0000, 0x30_0000, 0x50_0000, 0x80_0000,
+        )
 
     def test_mv_inside_its_regions_builds(self):
         scale = ScaleConfig("mv32", grid_dim=32, cta_dim=256, inner_iterations=16)
