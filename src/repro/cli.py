@@ -55,30 +55,17 @@ _MODULES = {
     "staticdyn": staticdyn,
     "stalls": stalls,
 }
-_TRACE_EXPERIMENTS = tuple(_MODULES)
-_STATIC_EXPERIMENTS = ("table1", "table2", "table3")
-EXPERIMENTS = _TRACE_EXPERIMENTS + _STATIC_EXPERIMENTS
+#: The static tables, which read no trace and render without arguments.
+_STATIC_MODULES = {"table1": table1, "table2": table2, "table3": table3}
+EXPERIMENTS = tuple(_MODULES) + tuple(_STATIC_MODULES)
 
 
-def _run_one(name: str, runner: ExperimentRunner | None) -> str:
-    if name == "table1":
-        return table1.render()
-    if name == "table2":
-        return table2.render()
-    if name == "table3":
-        return table3.render()
-    assert runner is not None
-    module = _MODULES[name]
-    return module.render(module.compute(runner))
-
-
-def _bars_for(name: str, runner: ExperimentRunner) -> str:
-    """Bar-chart view of a normalized figure."""
+def _bars_for(name: str, data) -> str:
+    """Bar-chart view of Figure 11's or Figure 12's computed data."""
     from repro.experiments.tables import render_bar_chart
 
+    labels = [row.abbr for row in data.rows]
     if name == "fig11":
-        data = fig11.compute(runner)
-        labels = [row.abbr for row in data.rows]
         series = {
             "ALU scalar": [r.normalized_efficiency("alu_scalar") for r in data.rows],
             "G-Scalar": [r.normalized_efficiency("gscalar") for r in data.rows],
@@ -87,8 +74,6 @@ def _bars_for(name: str, runner: ExperimentRunner) -> str:
             labels, series, reference=1.0,
             title="Figure 11 (bars): normalized IPC/W, | marks baseline",
         )
-    data = fig12.compute(runner)
-    labels = [row.abbr for row in data.rows]
     series = {
         "scalar only": [r.normalized["scalar_rf"] for r in data.rows],
         "ours": [r.normalized["ours"] for r in data.rows],
@@ -520,9 +505,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="stream the pipeline in N-event chunks with carry state "
-        "between chunks (bounded memory, bit-identical output; "
-        "default: whole-trace)",
+        help="stream the pipeline in chunks of whole warps, at most N "
+        "events each unless one warp is longer (bounded memory, "
+        "bit-identical output; default: whole-trace)",
     )
     args = parser.parse_args(arguments)
     if args.jobs < 1:
@@ -533,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--widths only applies to the staticdyn experiment")
 
     wanted = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    needs_runner = any(name in _TRACE_EXPERIMENTS for name in wanted)
+    needs_runner = any(name in _MODULES for name in wanted)
     telemetry = None
     with contextlib.ExitStack() as stack:
         if args.trace_out is not None:
@@ -583,26 +568,31 @@ def _experiment_main(
     exit_code = 0
     for name in wanted:
         started = time.perf_counter()
-        print(_run_one(name, runner))
-        if name == "staticdyn" and args.widths:
-            # Width-claim soundness gate: zero over-claims or exit 1.
-            assert runner is not None
-            widths_data = staticdyn.compute_widths(runner)
-            print()
-            print(staticdyn.render_widths(widths_data))
-            if widths_data.total_over_claims:
-                exit_code = 1
-        if args.bars and name in ("fig11", "fig12") and runner is not None:
-            print()
-            print(_bars_for(name, runner))
-        if args.json is not None and runner is not None:
-            from repro.experiments.export import (
-                export_experiment,
-                exportable_experiments,
-            )
+        if name in _STATIC_MODULES:
+            print(_STATIC_MODULES[name].render())
+        else:
+            # Computed once: the text, the bars and the JSON all read it.
+            module = _MODULES[name]
+            data = module.compute(runner)
+            print(module.render(data))
+            if name == "staticdyn" and args.widths:
+                # Width-claim soundness gate: zero over-claims or exit 1.
+                widths_data = staticdyn.compute_widths(runner)
+                print()
+                print(staticdyn.render_widths(widths_data))
+                if widths_data.total_over_claims:
+                    exit_code = 1
+            if args.bars and name in ("fig11", "fig12"):
+                print()
+                print(_bars_for(name, data))
+            if args.json is not None:
+                from repro.experiments.export import (
+                    export_experiment,
+                    exportable_experiments,
+                )
 
-            if name in exportable_experiments():
-                json_results.append(export_experiment(name, runner, args.scale))
+                if name in exportable_experiments():
+                    json_results.append(export_experiment(name, data, args.scale))
         experiment_seconds[name] = round(time.perf_counter() - started, 6)
         if args.verbose:
             print(f"[{name}: {experiment_seconds[name]:.1f}s]", file=sys.stderr)

@@ -14,8 +14,9 @@ depends on:
   their fingerprint is the root every entry derives from, so editing a
   workload's kernel, its inputs (a datagen seed or density) or its
   launch invalidates every entry of that benchmark;
-* **summaries** — the trace fingerprint, the summary name, the
-  energy parameters and the stage and width-analysis versions;
+* **summaries** — the trace fingerprint, the summary name and the
+  stage and width-analysis versions (a summary holds counts, which no
+  energy parameter or GPU configuration changes);
 * **timing/power results** — the trace fingerprint, the architecture
   configuration, the GPU configuration, the energy parameters and the
   stage version.
@@ -141,19 +142,12 @@ def trace_fingerprint(built: BuiltWorkload, scale: ScaleConfig, warp_size: int) 
 
 
 def summary_fingerprint(
-    trace_fp: str,
-    name: str,
-    params: EnergyParams,
-    stage_version: int,
-    analysis_version: int,
+    trace_fp: str, name: str, stage_version: int, analysis_version: int
 ) -> str:
-    """Fingerprint identifying one benchmark's summary ``name``.  The
-    energy parameters key fig12's replayed ``wc_bdi``
-    energy; ``analysis_version`` keys the width-analysis numbers of
-    extras and staticdyn."""
-    return fingerprint(
-        "summary", stage_version, trace_fp, name, params, analysis_version
-    )
+    """Fingerprint identifying one benchmark's summary ``name``.
+    ``analysis_version`` keys the width-analysis numbers of extras and
+    staticdyn."""
+    return fingerprint("summary", stage_version, trace_fp, name, analysis_version)
 
 
 def stage_fingerprint(

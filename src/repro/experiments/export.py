@@ -157,14 +157,14 @@ def staticdyn_to_dict(data: "staticdyn.StaticDynData") -> dict:
 
 
 _EXPORTERS = {
-    "fig1": (fig1, fig1_to_dict),
-    "fig8": (fig8, fig8_to_dict),
-    "fig9": (fig9, fig9_to_dict),
-    "fig10": (fig10, fig10_to_dict),
-    "fig11": (fig11, fig11_to_dict),
-    "fig12": (fig12, fig12_to_dict),
-    "extras": (extras_mod, extras_to_dict),
-    "staticdyn": (staticdyn, staticdyn_to_dict),
+    "fig1": fig1_to_dict,
+    "fig8": fig8_to_dict,
+    "fig9": fig9_to_dict,
+    "fig10": fig10_to_dict,
+    "fig11": fig11_to_dict,
+    "fig12": fig12_to_dict,
+    "extras": extras_to_dict,
+    "staticdyn": staticdyn_to_dict,
 }
 
 
@@ -173,13 +173,12 @@ def exportable_experiments() -> tuple[str, ...]:
     return tuple(_EXPORTERS)
 
 
-def export_experiment(name: str, runner, scale: str) -> dict:
-    """Compute one experiment and wrap it in a metadata envelope."""
+def export_experiment(name: str, data, scale: str) -> dict:
+    """Wrap one experiment's computed data (its module's ``compute``
+    result) in a metadata envelope."""
     if name not in _EXPORTERS:
         raise KeyError(f"{name!r} has no JSON exporter")
-    module, exporter = _EXPORTERS[name]
-    payload = exporter(module.compute(runner))
-    return {"experiment": name, "scale": scale, "data": payload}
+    return {"experiment": name, "scale": scale, "data": _EXPORTERS[name](data)}
 
 
 def write_json(results: list[dict], path: str | Path) -> None:

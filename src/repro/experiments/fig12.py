@@ -10,7 +10,8 @@ the paper's power ratio up to the (small) cycle-count differences
 between architectures.  The baseline, scalar-only and our series are
 the ``rf_pj`` of the runner's power reports for their architectures;
 Warped-Compression is a storage model replayed over the columnar trace,
-cached per benchmark as the ``fig12`` summary.
+cached per benchmark as the ``fig12`` summary of its activity counts,
+which :func:`compute` prices under the runner's energy parameters.
 A standalone ``repro fig12`` therefore pays for SM timing once per
 architecture it reads (:data:`ARCHITECTURES`), like ``fig11``; the
 result sidecars of a ``--cache-dir`` cache it, and ``--jobs N``
@@ -58,7 +59,7 @@ def compute(runner: ExperimentRunner) -> Fig12Data:
             technique: runner.power(abbr, arch).breakdown.rf_pj
             for technique, arch in zip(_MODELED, ARCHITECTURES)
         }
-        rf_pj["wc_bdi"] = runner.summary(abbr, "fig12").rf_pj
+        rf_pj["wc_bdi"] = runner.summary(abbr, "fig12").energy(runner.params).rf_pj
         baseline = rf_pj["baseline"]
         normalized = {
             technique: rf_pj[technique] / baseline if baseline else 0.0

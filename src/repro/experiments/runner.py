@@ -122,7 +122,10 @@ from repro.workloads.synth import (
 #: classified-column entries.
 #: Version 9: one ``counts`` summary replaced fig1's, fig9's and suite's,
 #: and the ``extras`` payload lost its ``stats`` and coverage copy.
-STAGE_VERSION = 9
+#: Version 10: the ``fig12`` summary holds Warped-Compression's activity
+#: counts, not its energy, and summaries are not keyed on the energy
+#: parameters.
+STAGE_VERSION = 10
 
 #: Warp size of the runner's traces (the paper's machine).
 WARP_SIZE = 32
@@ -530,11 +533,7 @@ class ExperimentRunner:
     def _summary_entry(self, key: str, name: str) -> tuple[str, str]:
         """``(stem, fingerprint)`` of one summary entry."""
         return self._stage_stem(key, name), cachekey.summary_fingerprint(
-            self._trace_fingerprint(key),
-            name,
-            self.params,
-            STAGE_VERSION,
-            WIDTH_ANALYSIS_VERSION,
+            self._trace_fingerprint(key), name, STAGE_VERSION, WIDTH_ANALYSIS_VERSION
         )
 
     def processed_columns(self, abbr: str, arch: ArchitectureConfig) -> ProcessedColumns:

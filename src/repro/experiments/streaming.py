@@ -4,19 +4,20 @@ The whole-trace pipeline materializes every stage for the full event
 stream: trace -> classified columns -> per-architecture processed
 columns -> timing-op table and power aggregates.  For a 10^6+-event
 trace the intermediate columns dominate memory.
-:func:`stream_pipeline` threads the same stages chunk by chunk instead,
-with explicit carry state between chunks at every layer:
+:func:`stream_pipeline` runs the same stages chunk by chunk instead.
+A chunk is a run of whole warps (:func:`repro.simt.trace.iter_chunks`),
+and every state the pipeline keeps (the BVR/EBR sidecar, the prior
+work's scalar register file) belongs to one warp, so each chunk goes
+through the whole-trace functions as a trace of its own and nothing
+is carried between chunks:
 
-* :class:`repro.scalar.batch.ClassifierCarry` — the BVR/EBR sidecar
-  state (last write per register) and the last scalar class (telemetry
-  transitions) of the warp a chunk boundary splits;
-* :class:`repro.scalar.arch_batch.ArchCarry` — the prior-work
-  architecture's scalar-register-file LRU residency, per architecture;
-* timing — :func:`repro.timing.ops.build_timing_ops_columns` is a pure
-  per-event lowering, so each chunk lowers to its own
-  :class:`~repro.timing.ops.TimingOpTable` and
+* classification and interpretation —
+  :func:`repro.scalar.batch.classify_columnar_batch` and
+  :func:`repro.scalar.arch_batch.process_columns`, per architecture;
+* timing — :func:`repro.timing.ops.build_timing_ops_columns` lowers
+  each chunk to its own :class:`~repro.timing.ops.TimingOpTable`, and
   :meth:`~repro.timing.ops.TimingOpTable.concat` joins them at the end
-  of the stream, merging a warp a chunk boundary cut;
+  of the stream;
 * power — each chunk reduces to an integer
   :class:`repro.power.accounting._PowerAggregates`, merged additively,
   which is exact.
@@ -52,8 +53,8 @@ import numpy as np
 
 from repro.config import ArchitectureConfig, GpuConfig
 from repro.power.accounting import PowerAccountant, _PowerAggregates
-from repro.scalar.arch_batch import ArchCarry, process_columns_chunk
-from repro.scalar.batch import ClassifierCarry, classify_columnar_chunk
+from repro.scalar.arch_batch import process_columns
+from repro.scalar.batch import classify_columnar_batch
 from repro.simt.trace import TraceChunk
 from repro.timing.ops import TimingOpTable, build_timing_ops_columns
 
@@ -99,29 +100,19 @@ def stream_pipeline(
     arches = tuple(arches)
     config = config or GpuConfig()
     static_widths = static_widths or {}
-    classifier_carry = ClassifierCarry()
-    arch_carries = {arch.name: ArchCarry() for arch in arches}
     accountants = {arch.name: PowerAccountant(arch, config=config) for arch in arches}
     aggregates = {arch.name: _PowerAggregates() for arch in arches}
     fragments: dict[str, list[TimingOpTable]] = {arch.name: [] for arch in arches}
-    #: Per chunk: does its first warp continue the previous one?
-    continued: list[bool] = []
-    num_events = 0
+    #: Per chunk: its event count.
+    sizes: list[int] = []
 
     def feed(chunk: TraceChunk) -> int:
         """One chunk through every stage; returns its live array bytes."""
-        nonlocal num_events
-        ccols = classify_columnar_chunk(chunk, num_registers, classifier_carry)
+        ccols = classify_columnar_batch(chunk.columnar, num_registers)
         live_bytes = _array_bytes(chunk.columnar) + _array_bytes(ccols)
         for arch in arches:
-            pcols = process_columns_chunk(
-                ccols,
-                arch,
-                arch_carries[arch.name],
-                warp_start=chunk.warp_start,
-                first_warp_continued=chunk.first_warp_continued,
-                last_warp_continues=chunk.last_warp_continues,
-                static_widths=static_widths.get(arch.name),
+            pcols = process_columns(
+                ccols, arch, static_widths=static_widths.get(arch.name)
             )
             live_bytes += _array_bytes(pcols)
             aggregates[arch.name].merge(
@@ -132,19 +123,18 @@ def stream_pipeline(
             fragments[arch.name].append(
                 build_timing_ops_columns(ccols, pcols, arch, config)
             )
-        continued.append(chunk.first_warp_continued)
-        num_events += chunk.num_events
+        sizes.append(chunk.num_events)
         return live_bytes
 
     # Each chunk's columns die when ``feed`` returns, the last one's
     # included, so no chunk is live while the tables are joined.
     peak_bytes_in_flight = max(map(feed, chunks), default=0)
     return StreamOutcome(
-        num_events=num_events,
-        num_chunks=len(continued),
+        num_events=sum(sizes),
+        num_chunks=len(sizes),
         # pop: each architecture's fragments die once joined.
         tables={
-            arch.name: TimingOpTable.concat(fragments.pop(arch.name), continued)
+            arch.name: TimingOpTable.concat(fragments.pop(arch.name))
             for arch in arches
         },
         aggregates=aggregates,

@@ -6,7 +6,7 @@ and each summary holds one kind of them, once.  ``counts`` is the
 and 9, the suite table and the §5.3 extras read; ``fig8``, ``fig10``
 and ``fig12`` hold Figure 8's access buckets, Figure 10's chunk-scalar
 counts at warp sizes 32 and 64 and Figure 12's Warped-Compression RF
-energy; ``extras`` the §5.3 compression, move-elision and address-width
+activity; ``extras`` the §5.3 compression, move-elision and address-width
 terms; ``staticdyn`` the static vs. dynamic scores and width-claim rows.
 Each builder reads one benchmark's trace, classified columns or width
 analysis, never another summary, and returns small dataclasses, never
@@ -38,7 +38,7 @@ from repro.experiments.staticdyn import (
     score_benchmark,
     score_widths_benchmark,
 )
-from repro.power.rf_techniques import rf_energy_for_technique
+from repro.power.rf_techniques import wc_bdi_counts
 from repro.scalar.arch_batch import process_columns
 from repro.scalar.compiler import MoveElisionAnalysis
 from repro.scalar.tracker import trace_statistics
@@ -65,8 +65,8 @@ def _fig10(runner: ExperimentRunner, abbr: str):
 
 
 def _fig12(runner: ExperimentRunner, abbr: str):
-    """Warped-Compression's RF energy, replayed over the raw trace."""
-    return rf_energy_for_technique(runner.run(abbr).columnar, "wc_bdi", runner.params)
+    """Warped-Compression's RF activity, replayed over the raw trace."""
+    return wc_bdi_counts(runner.run(abbr).columnar)
 
 
 def _extras(runner: ExperimentRunner, abbr: str) -> ExtrasCounts:

@@ -69,7 +69,6 @@ def record_classified_columns(
     telemetry: Telemetry,
     columns: Any,
     class_labels: dict[int, str],
-    previous_class: int | None = None,
 ) -> None:
     """Roll one classified column set into the registry.
 
@@ -83,11 +82,6 @@ def record_classified_columns(
     ``repro.scalar.columns.ClassifiedColumns``; ``class_labels`` maps
     its class ids to label strings, keeping this module free of
     simulation-package imports.
-
-    ``previous_class`` is the class id of the event before the first
-    one, when a chunk boundary cut the first warp: the transition
-    across the cut is counted too, so chunked telemetry matches
-    whole-trace telemetry exactly.
     """
     import numpy as np
 
@@ -102,11 +96,8 @@ def record_classified_columns(
     previous = np.empty_like(class_ids)
     previous[1:] = class_ids[:-1]
     follows = np.ones(class_ids.size, dtype=bool)
-    warp_starts = np.cumsum(columns.warp_lengths)[:-1]
+    warp_starts = np.cumsum(columns.warp_lengths) - columns.warp_lengths
     follows[warp_starts[warp_starts < class_ids.size]] = False
-    if class_ids.size:
-        follows[0] = previous_class is not None
-        previous[0] = previous_class if previous_class is not None else 0
     pairs = np.bincount(
         previous[follows] * kinds + class_ids[follows], minlength=kinds * kinds
     )

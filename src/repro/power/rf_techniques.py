@@ -82,7 +82,7 @@ def rf_energy_for_technique(
     """
     params = params or DEFAULT_ENERGY
     if technique == "wc_bdi":
-        return _wc_bdi_energy(columns, params)
+        return wc_bdi_counts(columns).energy(params)
     if technique not in RF_TECHNIQUES:
         raise ConfigError(
             f"unknown technique {technique!r}; known: {', '.join(RF_TECHNIQUES)}"
@@ -95,19 +95,39 @@ def rf_energy_for_technique(
     )
 
 
-def _wc_bdi_energy(trace: ColumnarTrace, params: EnergyParams) -> RfEnergyResult:
-    """Warped-Compression energy with per-register BDI state.
+@dataclass(frozen=True)
+class WcBdiCounts:
+    """Warped-Compression's RF activity over one trace, as integer
+    counts that :meth:`energy` prices under any energy parameters."""
+
+    warp_size: int
+    mode_accesses: tuple[int, ...]  # data-array accesses per BDI_MODES entry
+    moves: int  # decompress-moves ahead of divergent writes
+    partial_write_arrays: int  # arrays the divergent writes activate
+    accesses: int
+
+    def energy(self, params: EnergyParams) -> RfEnergyResult:
+        """The RF dynamic energy of these counts under ``params``."""
+        array_bytes = BankGeometry(warp_size=self.warp_size).array_bits // 8
+        total = 0.0
+        for mode, count in zip(BDI_MODES, self.mode_accesses):
+            total += count * _bdi_access_pj(mode, self.warp_size, array_bytes, params)
+        total += self.moves * params.rf_full_access_pj
+        total += self.partial_write_arrays * params.rf_array_pj
+        return RfEnergyResult(technique="wc_bdi", rf_pj=total, accesses=self.accesses)
+
+
+def wc_bdi_counts(trace: ColumnarTrace) -> WcBdiCounts:
+    """Warped-Compression's RF activity with per-register BDI state.
 
     Every full-mask write leaves its register in the BDI mode of its
     value; a divergent write leaves it uncompressed (Warped-Compression
     also stores divergent writes uncompressed, avoiding the
     read-modify-write) after a decompress-move of a compressed previous
-    value.  Each source read pays for the mode its register's latest
+    value.  Each source read touches the mode its register's latest
     earlier write left it in (:meth:`ColumnarTrace.latest_writes`).
     """
     warp_size = trace.warp_size
-    geometry = BankGeometry(warp_size=warp_size)
-    array_bytes = geometry.array_bits // 8
     uncompressed = BDI_MODES.index(BdiMode.UNCOMPRESSED)
 
     writes = np.flatnonzero((trace.dst >= 0) & (trace.values_index >= 0))
@@ -131,19 +151,19 @@ def _wc_bdi_energy(trace: ColumnarTrace, params: EnergyParams) -> RfEnergyResult
         + np.bincount(stored[full_writes], minlength=len(BDI_MODES))
         + np.bincount(moved, minlength=len(BDI_MODES))
     )
-    total = 0.0
-    for mode, count in zip(BDI_MODES, mode_counts.tolist()):
-        total += count * _bdi_access_pj(mode, warp_size, array_bytes, params)
-    total += moved.size * params.rf_full_access_pj
-    baseline_layout = BaselineLayout(geometry)
+    baseline_layout = BaselineLayout(BankGeometry(warp_size=warp_size))
     masks, mask_counts = np.unique(trace.masks[divergent_writes], return_counts=True)
     arrays = sum(
         count * baseline_layout.arrays_for_partial_write(int(mask))
         for mask, count in zip(masks.tolist(), mask_counts.tolist())
     )
-    total += arrays * params.rf_array_pj
-    accesses = src_events.size + writes.size + 2 * moved.size
-    return RfEnergyResult(technique="wc_bdi", rf_pj=total, accesses=int(accesses))
+    return WcBdiCounts(
+        warp_size=warp_size,
+        mode_accesses=tuple(mode_counts.tolist()),
+        moves=int(moved.size),
+        partial_write_arrays=int(arrays),
+        accesses=int(src_events.size + writes.size + 2 * moved.size),
+    )
 
 
 def _bdi_access_pj(

@@ -1,11 +1,7 @@
 """Scalar-eligibility classification and per-architecture interpretation."""
 
 from repro.scalar.arch_batch import process_columns
-from repro.scalar.batch import (
-    ClassifierCarry,
-    classify_columnar_batch,
-    classify_columnar_chunk,
-)
+from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.scalar.compiler import MoveElisionAnalysis
 from repro.scalar.eligibility import ScalarClass
@@ -18,13 +14,11 @@ from repro.scalar.tracker import (
 __all__ = [
     "HALF_GRANULARITY",
     "ClassifiedColumns",
-    "ClassifierCarry",
     "MoveElisionAnalysis",
     "ProcessedColumns",
     "ScalarClass",
     "TrackerStatistics",
     "classify_columnar_batch",
-    "classify_columnar_chunk",
     "process_columns",
     "trace_statistics",
 ]

@@ -12,7 +12,7 @@ register-file accesses straight into the flat table of a
 :class:`~repro.scalar.columns.ProcessedColumns`.
 
 Three interpretation regimes exist, chosen in one place
-(:func:`process_columns_chunk`):
+(:func:`process_columns`):
 
 * **compression-backed** (G-Scalar variants): fully vectorized; the
   per-event access block is laid out ``[sources…, decompress-move
@@ -96,46 +96,11 @@ def process_columns(
     move_elision=None,
     static_widths=None,
 ) -> ProcessedColumns:
-    """Interpret a classified column set for one architecture: the
-    one-chunk case of :func:`process_columns_chunk` (a fresh
-    :class:`ArchCarry`, no split warps)."""
-    return process_columns_chunk(
-        ccols, arch, ArchCarry(), move_elision=move_elision, static_widths=static_widths
-    )
+    """Interpret a classified column set for one architecture.
 
-
-class ArchCarry:
-    """Per-warp interpretation state threaded between trace chunks.
-
-    Of the three interpretation regimes only the dedicated-scalar-RF
-    walk is stateful (LRU residency feeds back into later decisions);
-    the carry holds each split warp's live
-    :class:`~repro.regfile.scalar_rf.ScalarRegisterFile`, keyed by
-    global warp index.  Completed warps are dropped eagerly, so at most
-    one entry lives between chunks per stream.
-    """
-
-    def __init__(self) -> None:
-        self.scalar_rfs: dict[int, ScalarRegisterFile] = {}
-
-
-def process_columns_chunk(
-    ccols: ClassifiedColumns,
-    arch: ArchitectureConfig,
-    carry: ArchCarry,
-    warp_start: int = 0,
-    first_warp_continued: bool = False,
-    last_warp_continues: bool = False,
-    move_elision=None,
-    static_widths=None,
-) -> ProcessedColumns:
-    """Interpret one chunk's classified columns for one architecture.
-
-    This is where the regime is chosen.  The compressed and
-    uncompressed regimes are pure functions of the chunk's rows; the
-    dedicated-scalar-RF walk resumes split warps from ``carry`` so
-    concatenated chunk outputs match the whole-trace interpretation
-    bit-for-bit.  ``move_elision`` optionally applies the §3.3
+    This is where the regime is chosen.  Every regime is a function of
+    the rows of whole warps, so a chunk of whole warps interprets like
+    a trace of its own.  ``move_elision`` optionally applies the §3.3
     compiler-assisted decompress-move elision (compression-backed
     architectures only, same as the event engine); ``static_widths`` is
     the per-register proven ``enc`` table, required by and read only
@@ -146,9 +111,7 @@ def process_columns_chunk(
     if arch.register_compression:
         return _process_compressed(ccols, arch, move_elision)
     if arch.dedicated_scalar_rf:
-        return _process_scalar_rf(
-            ccols, arch, carry, warp_start, first_warp_continued, last_warp_continues
-        )
+        return _process_scalar_rf(ccols, arch)
     if not arch.static_compression:
         static_widths = None
     elif static_widths is None:
@@ -465,12 +428,7 @@ def _process_uncompressed(
 # Dedicated scalar RF (prior-work ALU-scalar): sequential sidecar walk.
 # ----------------------------------------------------------------------
 def _process_scalar_rf(
-    ccols: ClassifiedColumns,
-    arch: ArchitectureConfig,
-    carry: ArchCarry,
-    warp_start: int,
-    first_warp_continued: bool,
-    last_warp_continues: bool,
+    ccols: ClassifiedColumns, arch: ArchitectureConfig
 ) -> ProcessedColumns:
     """Sequential walk driving a real
     :class:`~repro.regfile.scalar_rf.ScalarRegisterFile`, once per
@@ -487,10 +445,6 @@ def _process_scalar_rf(
     once on a fresh register file, and every warp gathers its rows from
     its key's walk.  Masks reach only the partial writes, which take
     each warp's own.
-
-    ``carry`` resumes a boundary-split warp's register file from the
-    previous chunk and parks it again for the next one; such a warp is
-    walked on its own, never shared.
     """
     class_ids = ccols.scalar_class_ids
     has_dst = ccols.has_dst_enc
@@ -506,14 +460,7 @@ def _process_scalar_rf(
     )
     bounds = ccols.warp_bounds()
     starts = bounds.tolist()
-    num_warps = len(starts) - 1
     keys = warp_keys(walked, src_offsets, (ccols.src_registers,), starts)
-    resumed = first_warp_continued and num_warps > 0
-    parked = last_warp_continues and num_warps > 0
-    if resumed:
-        keys[0] = ("split", 0)
-    if parked:
-        keys[-1] = ("split", num_warps - 1)
 
     # Each walk appends its rows to one template; walk k's rows start
     # at template event event_bases[k].
@@ -530,22 +477,15 @@ def _process_scalar_rf(
             continue
         walks[key] = len(event_bases)
         event_bases.append(len(executed))
-        scalar_rf = None
-        if resumed and warp == 0:
-            scalar_rf = carry.scalar_rfs.pop(warp_start, None)
-        if scalar_rf is None:
-            scalar_rf = ScalarRegisterFile()
         first, end = starts[warp], starts[warp + 1]
         lo, hi = int(src_offsets[first]), int(src_offsets[end])
         _walk(
-            scalar_rf,
+            ScalarRegisterFile(),
             [column[first:end].tolist() for column in walked],
             (src_offsets[first : end + 1] - lo).tolist(),
             ccols.src_registers[lo:hi].tolist(),
             template,
         )
-        if parked and warp == num_warps - 1:
-            carry.scalar_rfs[warp_start + warp] = scalar_rf
 
     # Gather every warp's rows from its walk's template rows.
     count = ccols.num_events

@@ -18,10 +18,9 @@ therefore a gather over write rows, not a sequential state machine:
   sidecar state it sees;
 * the Figure 9 bucketing is a handful of boolean array operations.
 
-:func:`classify_columnar_chunk` runs the same pass over one
-:class:`~repro.simt.trace.TraceChunk`; a :class:`ClassifierCarry`
-holds the sidecar state of the one warp a chunk boundary cuts.  The
-per-event tracker in ``tests/reference`` is the test oracle:
+Sidecar state never outlives its warp, so a run of whole warps (a
+:class:`~repro.simt.trace.TraceChunk`) classifies as a trace of its
+own.  The per-event tracker in ``tests/reference`` is the test oracle:
 ``tests/scalar/test_batch.py`` pins the two array for array.
 """
 
@@ -52,7 +51,7 @@ from repro.scalar.eligibility import (
     ScalarClass,
 )
 from repro.scalar.tracker import HALF_GRANULARITY
-from repro.simt.trace import ColumnarTrace, TraceChunk
+from repro.simt.trace import ColumnarTrace
 
 _NOT_ELIGIBLE = SCALAR_CLASS_TO_ID[ScalarClass.NOT_ELIGIBLE]
 _ALU = SCALAR_CLASS_TO_ID[ScalarClass.ALU_SCALAR]
@@ -63,45 +62,6 @@ _DIVERGENT = SCALAR_CLASS_TO_ID[ScalarClass.DIVERGENT_SCALAR]
 
 #: Class id -> telemetry label (the enum value string).
 _CLASS_LABELS = {index: cls.value for index, cls in ID_TO_SCALAR_CLASS.items()}
-
-
-class ClassifierCarry:
-    """Sidecar state of the warp a chunk boundary cuts.
-
-    ``registers`` (ascending) and the parallel state arrays hold that
-    warp's last write per register so far — what its BVR/EBR contain:
-    the prefix ``enc``, the half pair ``enc_lo``/``enc_hi``, the D bit
-    (``divergent``) and the writer's active ``mask``.  ``last_class``
-    is the warp's last scalar class id, which resumes telemetry's
-    consecutive-class transition counter.  Between whole warps the
-    carry is empty.
-    """
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        """Forget the carried warp (the last warp ended in its chunk)."""
-        self._set(
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int8),
-            np.zeros(0, dtype=np.int8),
-            np.zeros(0, dtype=np.int8),
-            np.zeros(0, dtype=bool),
-            np.zeros(0, dtype=np.uint64),
-        )
-        self.last_class: int | None = None
-
-    def _set(self, registers, enc, enc_lo, enc_hi, divergent, mask) -> None:
-        self.registers = registers
-        self.enc = enc
-        self.enc_lo = enc_lo
-        self.enc_hi = enc_hi
-        self.divergent = divergent
-        self.mask = mask
-
-    def _states(self) -> tuple[np.ndarray, ...]:
-        return self.enc, self.enc_lo, self.enc_hi, self.divergent, self.mask
 
 
 def _write_states(
@@ -146,21 +106,8 @@ def _all_per_event(
     return misses == 0
 
 
-def _classify(
-    columnar: ColumnarTrace,
-    num_registers: int,
-    carry: ClassifierCarry | None = None,
-    continued: bool = False,
-    continues: bool = False,
-) -> ClassifiedColumns:
-    """Classify one columnar trace or chunk (see the module docstring).
-
-    ``continued``: the first warp resumes the warp ``carry`` holds, so
-    its reads and writes fall back to the carried state for registers
-    it has not written yet in this chunk.  ``continues``: the last warp
-    goes on in the next chunk, so ``carry`` is refilled from it;
-    otherwise ``carry`` is emptied.
-    """
+def _classify(columnar: ColumnarTrace, num_registers: int) -> ClassifiedColumns:
+    """Classify one columnar trace (see the module docstring)."""
     if num_registers < 0:
         raise TraceError(f"num_registers must be >= 0, got {num_registers}")
     warp_size = columnar.warp_size
@@ -185,22 +132,12 @@ def _classify(
         warp_size,
     )
 
-    # One state table: this trace's write rows, then the carried rows,
-    # then one uncompressed row for registers no write has reached.
-    if continued and carry is not None:
-        carried = carry._states()
-        carried_registers = carry.registers
-    else:
-        carried = ClassifierCarry()._states()
-        carried_registers = np.zeros(0, dtype=np.int64)
-    num_writes = writes.size
-    uncompressed = num_writes + carried_registers.size
+    # One state table: this trace's write rows, then one uncompressed
+    # row for registers no write has reached.
+    uncompressed = writes.size
     table_enc, table_lo, table_hi, table_divergent, table_mask = (
-        np.concatenate([mine, theirs, np.zeros(1, dtype=mine.dtype)])
-        for mine, theirs in zip(
-            (write_enc, write_lo, write_hi, write_divergent, write_masks),
-            carried,
-        )
+        np.concatenate([column, np.zeros(1, dtype=column.dtype)])
+        for column in (write_enc, write_lo, write_hi, write_divergent, write_masks)
     )
 
     # Whose state each source read and each destination write sees.
@@ -212,15 +149,8 @@ def _classify(
     )
     latest = columnar.latest_writes(query_events, query_registers)
     row_of_event = np.full(count, -1, dtype=np.int64)
-    row_of_event[writes] = np.arange(num_writes, dtype=np.int64)
+    row_of_event[writes] = np.arange(writes.size, dtype=np.int64)
     state = np.where(latest >= 0, row_of_event[latest], uncompressed)
-    if carried_registers.size:
-        first_warp_end = int(columnar.warp_lengths[0])
-        fallback = np.flatnonzero((latest < 0) & (query_events < first_warp_end))
-        position = np.searchsorted(carried_registers, query_registers[fallback])
-        position = np.minimum(position, carried_registers.size - 1)
-        hit = carried_registers[position] == query_registers[fallback]
-        state[fallback[hit]] = num_writes + position[hit]
     source_state = state[:num_sources]
     before_state = state[num_sources:]
 
@@ -314,62 +244,10 @@ def _classify(
         addresses=columnar.addresses,
     )
 
-    previous_class = carry.last_class if continued and carry is not None else None
     telemetry = get_telemetry()
     if telemetry.enabled:
-        record_classified_columns(
-            telemetry, columns, _CLASS_LABELS, previous_class=previous_class
-        )
-    if carry is not None:
-        if continues:
-            _refill_carry(
-                carry,
-                columnar,
-                writes,
-                (
-                    dst[writes].astype(np.int64),
-                    write_enc,
-                    write_lo,
-                    write_hi,
-                    write_divergent,
-                    write_masks,
-                ),
-                (carried_registers,) + carried if columnar.num_warps == 1 else None,
-            )
-            carry.last_class = int(class_ids[-1])
-        else:
-            carry.clear()
+        record_classified_columns(telemetry, columns, _CLASS_LABELS)
     return columns
-
-
-def _refill_carry(
-    carry: ClassifierCarry,
-    columnar: ColumnarTrace,
-    writes: np.ndarray,
-    write_columns: tuple[np.ndarray, ...],
-    resumed: tuple[np.ndarray, ...] | None,
-) -> None:
-    """Store the last warp's last write per register in ``carry``.
-
-    ``write_columns`` are (register, enc, enc_lo, enc_hi, divergent,
-    mask) per write row.  ``resumed`` holds the carried columns when
-    the last warp is also the continued first warp (a warp spanning
-    three or more chunks): this chunk's writes then land on top of
-    them.
-    """
-    last_start = columnar.num_events - int(columnar.warp_lengths[-1])
-    tail = int(np.searchsorted(writes, last_start))
-    merged = [column[tail:] for column in write_columns]
-    if resumed is not None:
-        merged = [np.concatenate(pair) for pair in zip(resumed, merged)]
-    # Each register's last write ends its run in a stable sort (fancy
-    # assignment with repeated indices has no guaranteed order).
-    order = np.argsort(merged[0], kind="stable")
-    ordered = merged[0][order]
-    run_end = np.ones(ordered.size, dtype=bool)
-    run_end[:-1] = ordered[1:] != ordered[:-1]
-    last = order[run_end]
-    carry._set(*(column[last] for column in merged))
 
 
 def classify_columnar_batch(
@@ -383,30 +261,3 @@ def classify_columnar_batch(
         kernel=columnar.kernel_name,
     ):
         return _classify(columnar, num_registers)
-
-
-def classify_columnar_chunk(
-    chunk: TraceChunk,
-    num_registers: int,
-    carry: ClassifierCarry,
-) -> ClassifiedColumns:
-    """Classify one :class:`~repro.simt.trace.TraceChunk`.
-
-    A warp cut by a chunk boundary resumes from ``carry``, so every
-    chunk's columns, concatenated, equal :func:`classify_columnar_batch`
-    on the whole trace, and the telemetry counters match too.
-    """
-    columnar = chunk.columnar
-    telemetry = get_telemetry()
-    with telemetry.span(
-        f"classify:{columnar.kernel_name}",
-        cat="kernel",
-        kernel=columnar.kernel_name,
-    ):
-        return _classify(
-            columnar,
-            num_registers,
-            carry,
-            continued=chunk.first_warp_continued,
-            continues=chunk.last_warp_continues,
-        )

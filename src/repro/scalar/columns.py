@@ -223,25 +223,6 @@ def warp_keys(
     return keys
 
 
-def _merge_warp_lengths(
-    fragments: list[np.ndarray], continued: list[bool]
-) -> np.ndarray:
-    """Fold per-chunk warp-length tables back into whole-trace warps.
-
-    ``continued[i]`` says fragment *i*'s first warp is the tail of
-    fragment *i - 1*'s last warp (a chunk boundary cut it), so their
-    lengths sum into one warp.
-    """
-    merged: list[int] = []
-    for lengths, cont in zip(fragments, continued):
-        items = lengths.tolist()
-        if cont and merged and items:
-            merged[-1] += items[0]
-            items = items[1:]
-        merged.extend(items)
-    return np.array(merged, dtype=np.int64)
-
-
 def _concat_offsets(tables: list[np.ndarray]) -> np.ndarray:
     """Concatenate per-chunk offset tables into one running table."""
     parts = [np.zeros(1, dtype=np.int64)]

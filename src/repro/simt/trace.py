@@ -21,7 +21,7 @@ and results instead.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -308,84 +308,42 @@ class ColumnarTrace:
             addresses=addresses,
         )
 
-    def slice_events(self, start: int, stop: int) -> "ColumnarTrace":
-        """View-based sub-trace over the event range ``[start, stop)``.
+    def slice_warps(self, first: int, stop: int) -> "ColumnarTrace":
+        """View-based sub-trace of the warps ``[first, stop)``.
 
         Fixed-width columns come back as views of this trace's arrays;
         the ragged tables (``src_offsets``/``values_index``/
-        ``addr_index``) are rebased to the range, which is cheap — the
-        snapshot and address *rows* stay views because
-        :meth:`pack` stores them in event order, so any event
-        range maps to a contiguous row range.  Warp tables cover the
-        warps whose segments intersect the range, with boundary warps'
-        lengths clipped to it (:class:`TraceChunk` records whether they
-        continue across the cut).
+        ``addr_index``) are rebased to the warps' events, which is
+        cheap — the snapshot and address *rows* stay views because
+        :meth:`pack` stores them in event order, so any event range
+        maps to a contiguous row range.
         """
-        warp_lo, warp_hi, warp_lengths = self._warps_in_range(start, stop)
-        src_offsets = (
-            self.src_offsets[start : stop + 1] - self.src_offsets[start]
-        )
-        src_flat = self.src_flat[
-            self.src_offsets[start] : self.src_offsets[stop]
-        ]
+        start = int(self.warp_lengths[:first].sum())
+        end = start + int(self.warp_lengths[first:stop].sum())
         values_index, values = _rebase_rows(
-            self.values_index[start:stop], self.values, self.warp_size
+            self.values_index[start:end], self.values, self.warp_size
         )
         addr_index, addresses = _rebase_rows(
-            self.addr_index[start:stop], self.addresses, self.warp_size
+            self.addr_index[start:end], self.addresses, self.warp_size
         )
         return ColumnarTrace(
             kernel_name=self.kernel_name,
             warp_size=self.warp_size,
-            warp_ids=self.warp_ids[warp_lo:warp_hi],
-            warp_lengths=warp_lengths,
-            opcode_ids=self.opcode_ids[start:stop],
-            dst=self.dst[start:stop],
-            masks=self.masks[start:stop],
-            blocks=self.blocks[start:stop],
-            varying=self.varying[start:stop],
-            scalar_nonreg=self.scalar_nonreg[start:stop],
-            src_offsets=src_offsets,
-            src_flat=src_flat,
+            warp_ids=self.warp_ids[first:stop],
+            warp_lengths=self.warp_lengths[first:stop],
+            opcode_ids=self.opcode_ids[start:end],
+            dst=self.dst[start:end],
+            masks=self.masks[start:end],
+            blocks=self.blocks[start:end],
+            varying=self.varying[start:end],
+            scalar_nonreg=self.scalar_nonreg[start:end],
+            src_offsets=self.src_offsets[start : end + 1] - self.src_offsets[start],
+            src_flat=self.src_flat[self.src_offsets[start] : self.src_offsets[end]],
             values_index=values_index,
             values=values,
             addr_index=addr_index,
             addresses=addresses,
         )
-
-    def _warp_bounds(self) -> np.ndarray:
-        """Cumulative event bounds: warp *w* owns ``[b[w], b[w + 1])``."""
-        bounds = np.zeros(self.num_warps + 1, dtype=np.int64)
-        np.cumsum(self.warp_lengths, out=bounds[1:])
-        return bounds
-
-    def _warps_in_range(
-        self, start: int, stop: int
-    ) -> tuple[int, int, np.ndarray]:
-        """Warps whose segments touch ``[start, stop)``.
-
-        Returns ``(first_warp, one_past_last_warp, clipped_lengths)``.
-        A zero-length warp sitting exactly on a chunk boundary goes to
-        the chunk *starting* there (or, at the end of the trace, to the
-        final chunk), so every warp lands in exactly one chunk.
-        """
-        bounds = self._warp_bounds()
-        starts, ends = bounds[:-1], bounds[1:]
-        total = int(bounds[-1])
-        include = (starts < stop) & (ends > start)
-        zero = starts == ends
-        include |= zero & (starts >= start) & (
-            (starts < stop) | ((stop == total) & (starts == stop))
-        )
-        selected = np.flatnonzero(include)
-        if selected.size == 0:
-            return 0, 0, np.zeros(0, dtype=np.int64)
-        warp_lo = int(selected[0])
-        warp_hi = int(selected[-1]) + 1
-        lengths = np.clip(ends[warp_lo:warp_hi], start, stop) - np.clip(
-            starts[warp_lo:warp_hi], start, stop
-        )
-        return warp_lo, warp_hi, lengths.astype(np.int64)
 
 
 def _rebase_rows(
@@ -413,66 +371,46 @@ def _rebase_rows(
 
 @dataclass
 class TraceChunk:
-    """One event-range window of a streamed trace.
+    """One run of whole warps of a streamed trace.
 
     ``columnar`` is a self-consistent :class:`ColumnarTrace` covering
-    this chunk's events only (views of the parent's arrays when produced
-    by :func:`iter_chunks`).  Warps split by a chunk boundary appear in
-    both neighbouring chunks with clipped lengths;
-    ``first_warp_continued`` / ``last_warp_continues`` tell a streaming
-    consumer which carry-state to thread across the cut, and
-    ``warp_start`` gives the *global* index of the chunk's first warp so
-    per-warp carries can be keyed consistently across chunks.
+    this chunk's warps only (views of the parent's arrays when produced
+    by :func:`iter_chunks`); ``start_event`` and ``warp_start`` give the
+    *global* index of its first event and first warp.
     """
 
     columnar: ColumnarTrace
     index: int
     start_event: int
     warp_start: int
-    first_warp_continued: bool
-    last_warp_continues: bool
 
     @property
     def num_events(self) -> int:
         return self.columnar.num_events
 
 
-def iter_chunks(columnar: ColumnarTrace, chunk_events: int):
-    """Stream a columnar trace as :class:`TraceChunk` windows.
+def iter_chunks(columnar: ColumnarTrace, chunk_events: int) -> Iterator[TraceChunk]:
+    """Stream a columnar trace as :class:`TraceChunk` runs of whole warps.
 
-    Chunk boundaries fall every ``chunk_events`` events regardless of
-    warp structure — warps are split mid-stream and the per-layer carry
-    objects (classifier BVR/EBR state, scalar-RF residency, timing-op
-    accumulators, power aggregates) resume them.  An empty trace yields
-    one empty chunk so streaming consumers build their (empty) outputs
-    through the same path as every other trace.
+    A chunk ends before the warp that would take it past
+    ``chunk_events`` events, and a warp longer than that is a chunk by
+    itself.  Every per-warp state (the BVR/EBR sidecar, a scalar
+    register file) thus lives and dies inside one chunk, so each chunk
+    runs through the pipeline as a trace of its own.  An empty trace
+    yields one empty chunk so streaming consumers build their (empty)
+    outputs through the same path as every other trace.
     """
     if chunk_events < 1:
         raise TraceError(f"chunk_events must be >= 1, got {chunk_events}")
-    total = columnar.num_events
-    bounds = columnar._warp_bounds()
-    index = 0
-    start = 0
-    while True:
-        stop = min(start + chunk_events, total)
-        piece = columnar.slice_events(start, stop)
-        warp_lo, warp_hi, _ = columnar._warps_in_range(start, stop)
-        yield TraceChunk(
-            columnar=piece,
-            index=index,
-            start_event=start,
-            warp_start=warp_lo,
-            first_warp_continued=(
-                warp_hi > warp_lo and int(bounds[warp_lo]) < start
-            ),
-            last_warp_continues=(
-                warp_hi > warp_lo and int(bounds[warp_hi]) > stop
-            ),
-        )
-        index += 1
-        start = stop
-        if start >= total:
-            return
+    index = first = start = events = 0
+    for warp, length in enumerate(columnar.warp_lengths.tolist()):
+        if warp > first and events + length > chunk_events:
+            yield TraceChunk(columnar.slice_warps(first, warp), index, start, first)
+            index, first, start, events = index + 1, warp, start + events, 0
+        events += length
+    yield TraceChunk(
+        columnar.slice_warps(first, columnar.num_warps), index, start, first
+    )
 
 
 def concat_columnar(traces: list[ColumnarTrace]) -> ColumnarTrace:

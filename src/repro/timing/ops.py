@@ -32,7 +32,6 @@ from repro.scalar.columns import (
     SCALAR_RF_READ_ID,
     SFU_CODE,
     _concat_offsets,
-    _merge_warp_lengths,
 )
 from repro.simt.trace import ID_TO_OPCODE
 
@@ -50,10 +49,10 @@ def _offsets(counts) -> np.ndarray:
     return offsets
 
 
-#: Per-op columns of :class:`TimingOpTable` and their dtypes:
-#: concatenated as-is across chunks (the offset tables and
-#: ``warp_lengths`` are rebased instead).
-_PER_ROW_FIELDS = {
+#: Columns of :class:`TimingOpTable` and their dtypes that concatenate
+#: as-is across chunks (the two offset tables are rebased instead).
+_CONCATENATED_FIELDS = {
+    "warp_lengths": np.int64,
     "category_codes": np.uint8,
     "dst": np.int32,
     "dispatch_cycles": np.int32,
@@ -120,28 +119,21 @@ class TimingOpTable:
         return hasher.hexdigest()
 
     @classmethod
-    def concat(
-        cls, fragments: list["TimingOpTable"], continued: list[bool]
-    ) -> "TimingOpTable":
+    def concat(cls, fragments: list["TimingOpTable"]) -> "TimingOpTable":
         """Reassemble a whole-trace table from per-chunk tables.
 
-        ``fragments`` come in stream order; ``continued[i]`` says
-        fragment *i*'s first warp continues fragment *i - 1*'s last
-        warp (a chunk boundary cut it), so their ops join into one
-        warp.  Lowering is per event, so the result equals the table
-        of the whole trace; no fragments make the empty table.
+        ``fragments`` come in stream order, each the table of a run of
+        whole warps.  Lowering is per event, so the result equals the
+        table of the whole trace; no fragments make the empty table.
         """
         return cls(
-            warp_lengths=_merge_warp_lengths(
-                [f.warp_lengths for f in fragments], continued
-            ),
             src_offsets=_concat_offsets([f.src_offsets for f in fragments]),
             seg_offsets=_concat_offsets([f.seg_offsets for f in fragments]),
             **{
                 name: np.concatenate(
                     [getattr(f, name) for f in fragments] or [np.zeros(0, dtype)]
                 )
-                for name, dtype in _PER_ROW_FIELDS.items()
+                for name, dtype in _CONCATENATED_FIELDS.items()
             },
         )
 

@@ -101,12 +101,13 @@ def iter_synthetic_chunks(
     """Stream the replicated trace as chunks with *global* indexing.
 
     Replica boundaries are warp boundaries, so each replica is chunked
-    independently (its trailing chunk may be shorter than
-    ``chunk_events``) and only the chunk's index / event / warp offsets
-    need rebasing to the global stream.  Consumers see the same
-    contract as :func:`repro.simt.trace.iter_chunks`; whether a chunk
-    grid is cut globally or per replica cannot change the pipeline's
-    output (streaming is partition-invariant), only its phase.
+    independently (its trailing chunk may hold fewer than
+    ``chunk_events`` events) and only the chunk's index / event / warp
+    offsets need rebasing to the global stream.  Consumers see the same
+    contract as :func:`repro.simt.trace.iter_chunks`: every chunk is a
+    run of whole warps.  Whether warps are grouped globally or per
+    replica cannot change the pipeline's output (streaming is
+    partition-invariant), only its phase.
     """
     chunk_index = 0
     event_base = 0
@@ -119,8 +120,6 @@ def iter_synthetic_chunks(
                 index=chunk_index,
                 start_event=event_base + chunk.start_event,
                 warp_start=warp_base + chunk.warp_start,
-                first_warp_continued=chunk.first_warp_continued,
-                last_warp_continues=chunk.last_warp_continues,
             )
             chunk_index += 1
         event_base += columnar.num_events

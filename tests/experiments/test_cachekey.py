@@ -225,18 +225,16 @@ class TestStageFingerprint:
             )
             == "8bd077253af788a0"
         )
-        assert (
-            cachekey.summary_fingerprint("abc", "fig1", DEFAULT_ENERGY, 8, 1)
-            == "d7b83daddd4b90f4"
-        )
+        assert cachekey.summary_fingerprint("abc", "fig1", 8, 1) == "703a2fa9e2f22627"
 
     def test_equal_values_that_encode_differently_keep_their_keys(self):
         as_int = EnergyParams(alu_lane_pj=26)
         as_float = EnergyParams(alu_lane_pj=26.0)
         assert as_int == as_float
-        assert cachekey.summary_fingerprint(
-            "abc", "fig1", as_float, 8, 1
-        ) != cachekey.summary_fingerprint("abc", "fig1", as_int, 8, 1)
+        arch, config = ArchitectureConfig.gscalar(), GpuConfig()
+        assert cachekey.stage_fingerprint(
+            "abc", arch, config, as_float, 1
+        ) != cachekey.stage_fingerprint("abc", arch, config, as_int, 1)
 
 
 def lc_with_flag_density(density):

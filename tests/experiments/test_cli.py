@@ -36,6 +36,29 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig1", "--jobs", "0"])
 
+    @pytest.mark.parametrize(
+        "name, flags", [("fig1", []), ("fig11", ["--bars"])], ids=["fig1", "fig11"]
+    )
+    def test_each_experiment_is_computed_once(
+        self, name, flags, tmp_path, capsys, monkeypatch
+    ):
+        # The text, the bars and the JSON all read one computed result.
+        module = _MODULES[name]
+        calls = []
+        compute = module.compute
+
+        def counted(runner):
+            calls.append(name)
+            return compute(runner)
+
+        monkeypatch.setattr(module, "compute", counted)
+        out = tmp_path / "out.json"
+        argv = [name, "--scale", "tiny", "--jobs", "1", "--json", str(out)]
+        assert main(argv + flags) == 0
+        capsys.readouterr()
+        assert calls == [name]
+        assert out.exists()
+
 
 class TestLintCommand:
     def test_all_workloads_lint_clean_at_error(self, capsys):
@@ -248,6 +271,9 @@ class TestSmStats:
             assert counters["sm_runs"] == 17 * 5 - 22, extra
             # One op table per pair: lowered whole, or joined from chunks.
             assert counters["op_tables"] == 17 * 5, extra
+            # Runs of whole warps of at most 256 events (one warp alone
+            # where it is longer), over the 85 streamed pairs.
+            assert counters.get("stream_chunks", 0) == (100 if extra else 0), extra
 
 
 class TestCacheAndJobs:

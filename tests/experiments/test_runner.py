@@ -394,6 +394,39 @@ class TestTraceCache:
         assert tweaked.stats.counters.get("result_cache_hits", 0) == 0
         assert tweaked.stats.counters["result_cache_misses"] >= 1
 
+    def test_energy_params_do_not_key_summaries(self, tmp_path):
+        """Summaries hold counts, so runners under other energy
+        parameters read every summary entry on a shared cache."""
+        from repro.power.energy import EnergyParams
+
+        names = ("counts", "fig8", "fig12")
+        seeded = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        stored = [seeded.summary("HS", name) for name in names]
+        for params in (EnergyParams(alu_lane_pj=99.0), None):
+            reader = ExperimentRunner(scale="tiny", cache_dir=tmp_path, params=params)
+            assert [reader.summary("HS", name) for name in names] == stored
+            counters = reader.stats.counters
+            assert counters.get("summary_cache_hits", 0) == 3, counters
+            assert counters.get("cache_invalid", 0) == 0, counters
+            assert reader.stats.trace_executions == 0
+
+    def test_fig12_prices_cached_counts_under_the_runner_params(self, tmp_path):
+        """Figure 12 read from a cache filled under the default energy
+        parameters, by a runner with doubled full-access energy, equals
+        a cache-less runner's Figure 12 at the doubled value."""
+        from repro.experiments import fig12
+        from repro.power.energy import DEFAULT_ENERGY
+
+        doubled = dataclasses.replace(
+            DEFAULT_ENERGY, rf_full_access_pj=2 * DEFAULT_ENERGY.rf_full_access_pj
+        )
+        fig12.compute(ExperimentRunner(scale="tiny", cache_dir=tmp_path))
+        warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path, params=doubled)
+        assert fig12.compute(warm) == fig12.compute(
+            ExperimentRunner(scale="tiny", params=doubled)
+        )
+        assert warm.stats.counters["summary_cache_hits"] == 17
+
     def test_stale_sidecar_skipped_without_unpickling(self, tmp_path, monkeypatch):
         """A result entry left by different energy params is rejected
         from its header's fingerprint alone: its payload is never

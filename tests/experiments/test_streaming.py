@@ -4,8 +4,8 @@
 chunk size, at exactly the whole-trace SM input and power reduction:
 each architecture's joined op table equals the whole-trace lowering
 column for column and by digest, and its merged power aggregates equal
-the whole-trace reduction.  The chunk-level classifier and interpreter
-fragments reassemble to the whole-trace classified and processed
+the whole-trace reduction.  The classified and processed fragments of
+the chunks reassemble to the whole-trace classified and processed
 columns.  These tests pin that contract across every workload and
 architecture (where each streamed table is also simulated once and its
 aggregates evaluated, against the whole-trace timing and power), at
@@ -23,12 +23,8 @@ from repro.config import ArchitectureConfig, GpuConfig
 from repro.experiments.runner import matrix_architectures
 from repro.experiments.streaming import _array_bytes, stream_pipeline
 from repro.power.accounting import PowerAccountant
-from repro.scalar.arch_batch import ArchCarry, process_columns, process_columns_chunk
-from repro.scalar.batch import (
-    ClassifierCarry,
-    classify_columnar_batch,
-    classify_columnar_chunk,
-)
+from repro.scalar.arch_batch import process_columns
+from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import CLASSIFIED_ARRAY_FIELDS, ClassifiedColumns
 from repro.simt import run_kernel
 from repro.simt.trace import iter_chunks
@@ -119,31 +115,21 @@ def stream(case: dict, columnar, chunk_events: int):
 
 def chunk_fragments(case: dict, chunk_events: int):
     """Every chunk's classified and per-architecture processed fragment,
-    from the chunk-level engines over the same grid."""
-    classifier_carry = ClassifierCarry()
-    arch_carries = {arch.name: ArchCarry() for arch in ARCHES}
+    from the whole-trace engines run on each chunk of the same grid."""
     ccols_fragments: list[ClassifiedColumns] = []
-    continued: list[bool] = []
     pcols_fragments: dict[str, list] = {arch.name: [] for arch in ARCHES}
     for chunk in iter_chunks(case["columnar"], chunk_events):
-        ccols = classify_columnar_chunk(
-            chunk, case["built"].kernel.num_registers, classifier_carry
+        ccols = classify_columnar_batch(
+            chunk.columnar, case["built"].kernel.num_registers
         )
         ccols_fragments.append(ccols)
-        continued.append(chunk.first_warp_continued)
         for arch in ARCHES:
             pcols_fragments[arch.name].append(
-                process_columns_chunk(
-                    ccols,
-                    arch,
-                    arch_carries[arch.name],
-                    warp_start=chunk.warp_start,
-                    first_warp_continued=chunk.first_warp_continued,
-                    last_warp_continues=chunk.last_warp_continues,
-                    static_widths=case["static_widths"][arch.name],
+                process_columns(
+                    ccols, arch, static_widths=case["static_widths"][arch.name]
                 )
             )
-    return ccols_fragments, continued, pcols_fragments
+    return ccols_fragments, pcols_fragments
 
 
 def assert_outcome_matches(outcome, reference: dict):
@@ -161,26 +147,26 @@ def assert_stream_matches_whole(case: dict, chunk_events: int):
     assert outcome.num_events == case["columnar"].num_events
     assert_outcome_matches(outcome, case["reference"])
 
-    ccols_fragments, continued, pcols_fragments = chunk_fragments(case, chunk_events)
-    assert outcome.num_chunks == len(continued)
+    ccols_fragments, pcols_fragments = chunk_fragments(case, chunk_events)
+    assert outcome.num_chunks == len(ccols_fragments)
     assert_classified_identical(
-        case["ccols"], concat_classified_columns(ccols_fragments, continued)
+        case["ccols"], concat_classified_columns(ccols_fragments)
     )
     for arch in ARCHES:
         assert processed_columns_equal(
             case["reference"][arch.name]["pcols"],
-            concat_processed_columns(pcols_fragments[arch.name], continued),
+            concat_processed_columns(pcols_fragments[arch.name]),
         ), f"processed columns differ on {arch.name}"
     return outcome
 
 
 class TestWorkloadMatrix:
-    """All 17 workloads x all 5 architectures, warp-splitting chunk size."""
+    """All 17 workloads x all 5 architectures, one-warp chunks."""
 
     @pytest.mark.parametrize("abbr", WORKLOAD_ABBRS)
     def test_chunked_identical(self, abbr):
         case = workload_case(abbr)
-        # A prime chunk size guarantees warps get split mid-stream.
+        # Every warp is longer than 7 events, so each is a chunk.
         outcome = assert_stream_matches_whole(case, 7)
         # One simulation of each streamed table and one evaluation of
         # its aggregates give the whole-trace timing and power.
@@ -202,7 +188,7 @@ class TestChunkEdgeCases:
     def test_chunk_size_one(self):
         case = workload_case("HS")
         outcome = assert_stream_matches_whole(case, 1)
-        assert outcome.num_chunks == case["columnar"].num_events
+        assert outcome.num_chunks == case["columnar"].num_warps
 
     def test_chunk_covers_whole_trace(self):
         case = workload_case("HS")
@@ -218,13 +204,11 @@ class TestChunkEdgeCases:
 
     def test_empty_trace(self):
         case = workload_case("HS")
-        empty = case["columnar"].slice_events(0, 0)
+        empty = case["columnar"].slice_warps(0, 0)
         assert empty.num_events == 0
         chunks = list(iter_chunks(empty, 8))
         assert len(chunks) == 1  # one empty chunk, not zero chunks
         assert chunks[0].num_events == 0
-        assert not chunks[0].first_warp_continued
-        assert not chunks[0].last_warp_continues
 
         outcome = stream(case, empty, 8)
         assert outcome.num_events == 0
@@ -238,15 +222,25 @@ class TestChunkEdgeCases:
             assert outcome.aggregates[arch.name].instructions == 0
 
     def test_live_set_stays_below_the_whole_trace(self):
-        # Chunks far smaller than the trace: the pipeline's peak live
-        # set (one chunk through every stage) stays below the whole
-        # trace plus its classified columns.
-        case = workload_case("HS")
-        outcome = stream(case, case["columnar"], 4)
-        ccols = classify_columnar_batch(
-            case["columnar"], case["built"].kernel.num_registers
+        # One-warp chunks of a trace of many warps (small-scale HS has
+        # 16): the pipeline's peak live set (one chunk through every
+        # stage) stays below the whole trace plus its classified
+        # columns.
+        built = build_workload("HS", "small")
+        columnar = run_kernel(built.kernel, built.launch, built.memory)
+        assert columnar.num_warps >= 16
+        widths = analyze_widths(built.kernel, warp_size=columnar.warp_size)
+        outcome = stream_pipeline(
+            iter_chunks(columnar, 4),
+            ARCHES,
+            built.kernel.num_registers,
+            static_widths={
+                arch.name: widths.register_enc if arch.static_compression else None
+                for arch in ARCHES
+            },
         )
-        whole = _array_bytes(case["columnar"]) + _array_bytes(ccols)
+        ccols = classify_columnar_batch(columnar, built.kernel.num_registers)
+        whole = _array_bytes(columnar) + _array_bytes(ccols)
         assert 0 < outcome.peak_bytes_in_flight < whole
 
 
@@ -276,8 +270,7 @@ class TestRandomChunkGrids:
 
 class TestKeyedScalarRfChunks:
     """ALU-scalar's keyed walk under chunking: chunks that hold several
-    whole warps (which may share one walk) between split ends (which
-    resume and park their own register file) reassemble to the
+    whole warps (which may share one walk) reassemble to the
     whole-trace interpretation, on every small-scale workload."""
 
     ARCH = ArchitectureConfig.alu_scalar()
@@ -292,26 +285,15 @@ class TestKeyedScalarRfChunks:
         )
         longest = int(columnar.warp_lengths.max())
         for chunk_events in (2 * longest + 7, 3 * longest + 5):
-            classifier_carry, carry = ClassifierCarry(), ArchCarry()
-            fragments, continued, mixed = [], [], False
-            for chunk in iter_chunks(columnar, chunk_events):
-                ccols = classify_columnar_chunk(chunk, num_registers, classifier_carry)
-                fragments.append(
-                    process_columns_chunk(
-                        ccols,
-                        self.ARCH,
-                        carry,
-                        warp_start=chunk.warp_start,
-                        first_warp_continued=chunk.first_warp_continued,
-                        last_warp_continues=chunk.last_warp_continues,
-                    )
+            chunks = list(iter_chunks(columnar, chunk_events))
+            # The grid really puts several warps in one chunk.
+            assert any(chunk.columnar.num_warps >= 2 for chunk in chunks)
+            fragments = [
+                process_columns(
+                    classify_columnar_batch(chunk.columnar, num_registers), self.ARCH
                 )
-                continued.append(chunk.first_warp_continued)
-                split = chunk.first_warp_continued + chunk.last_warp_continues
-                mixed |= split > 0 and len(ccols.warp_lengths) - split >= 2
-            assert not carry.scalar_rfs
-            # The grid really puts whole warps next to split ends.
-            assert mixed
+                for chunk in chunks
+            ]
             assert processed_columns_equal(
-                whole, concat_processed_columns(fragments, continued)
+                whole, concat_processed_columns(fragments)
             ), chunk_events

@@ -87,7 +87,7 @@ def test_summaries_match_event_walks(runner, abbr):
         to_trace(runner.execute(abbr, 64)), 16
     )
 
-    wc_bdi = runner.summary(abbr, "fig12")
+    wc_bdi = runner.summary(abbr, "fig12").energy(runner.params)
     oracle = wc_bdi_energy_events(classified, WARP_SIZE, runner.params)
     assert wc_bdi.accesses == oracle.accesses
     assert wc_bdi.rf_pj == pytest.approx(oracle.rf_pj, rel=1e-12, abs=0)

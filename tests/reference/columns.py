@@ -15,12 +15,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.scalar.columns import (
-    ClassifiedColumns,
-    ProcessedColumns,
-    _concat_offsets,
-    _merge_warp_lengths,
-)
+from repro.scalar.columns import ClassifiedColumns, ProcessedColumns, _concat_offsets
 from repro.timing.ops import TimingOpTable
 
 
@@ -39,17 +34,14 @@ def _concat_row_indexes(
     )
 
 
-def concat_classified_columns(
-    fragments: list[ClassifiedColumns], continued: list[bool]
-) -> ClassifiedColumns:
+def concat_classified_columns(fragments: list[ClassifiedColumns]) -> ClassifiedColumns:
     """Reassemble whole-trace classified columns from chunk fragments.
 
-    ``fragments`` are per-chunk outputs in stream order; ``continued``
-    flags each fragment whose first warp continues the previous
-    fragment's last warp.  Per-event and flat per-source arrays simply
-    concatenate; offset/row-index tables are rebased.  The differential
-    suite uses this to compare a chunked run against the whole-trace
-    engines array-for-array.
+    ``fragments`` are per-chunk outputs in stream order, each over a
+    run of whole warps.  Warp-length, per-event and flat per-source
+    arrays simply concatenate; offset/row-index tables are rebased.
+    The differential suite uses this to compare a chunked run against
+    the whole-trace engines array-for-array.
     """
     if not fragments:
         raise ValueError("concat_classified_columns needs >= 1 fragment")
@@ -66,7 +58,7 @@ def concat_classified_columns(
     )
     merged = {
         name: np.concatenate([getattr(f, name) for f in fragments])
-        for name in per_event + per_source
+        for name in ("warp_lengths",) + per_event + per_source
     }
     warp_size = fragments[0].warp_size
     address_rows = [
@@ -74,9 +66,6 @@ def concat_classified_columns(
     ]
     return ClassifiedColumns(
         warp_size=warp_size,
-        warp_lengths=_merge_warp_lengths(
-            [f.warp_lengths for f in fragments], continued
-        ),
         src_offsets=_concat_offsets([f.src_offsets for f in fragments]),
         addr_index=_concat_row_indexes(
             [f.addr_index for f in fragments],
@@ -91,9 +80,7 @@ def concat_classified_columns(
     )
 
 
-def concat_processed_columns(
-    fragments: list[ProcessedColumns], continued: list[bool]
-) -> ProcessedColumns:
+def concat_processed_columns(fragments: list[ProcessedColumns]) -> ProcessedColumns:
     """Reassemble whole-trace processed columns from chunk fragments
     (same contract as :func:`concat_classified_columns`)."""
     if not fragments:
@@ -109,13 +96,10 @@ def concat_processed_columns(
     )
     merged = {
         name: np.concatenate([getattr(f, name) for f in fragments])
-        for name in per_event + per_access
+        for name in ("warp_lengths",) + per_event + per_access
     }
     return ProcessedColumns(
         warp_size=fragments[0].warp_size,
-        warp_lengths=_merge_warp_lengths(
-            [f.warp_lengths for f in fragments], continued
-        ),
         acc_offsets=_concat_offsets([f.acc_offsets for f in fragments]),
         **merged,
     )

@@ -17,18 +17,9 @@ from repro.isa import KernelBuilder
 from repro.power.accounting import PowerAccountant
 from repro.regfile.scalar_rf import ScalarRegisterFile
 from repro.scalar import arch_batch
-from repro.scalar.arch_batch import ArchCarry, process_columns, process_columns_chunk
+from repro.scalar.arch_batch import process_columns
 from repro.scalar.batch import classify_columnar_batch
-from repro.scalar.columns import (
-    CLASSIFIED_ARRAY_FIELDS,
-    CTRL_CODE,
-    FULL_READ_ID,
-    FULL_WRITE_ID,
-    PARTIAL_WRITE_ID,
-    SCALAR_RF_READ_ID,
-    SCALAR_RF_WRITE_ID,
-    ClassifiedColumns,
-)
+from repro.scalar.columns import CTRL_CODE, PARTIAL_WRITE_ID
 from repro.scalar.compiler import MoveElisionAnalysis
 from repro.scalar.eligibility import SCALAR_CLASS_TO_ID, ScalarClass
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
@@ -325,89 +316,6 @@ class TestKeyedScalarRfWalk:
                 0xFFFF_FFFF ^ taken_lanes,
             ]
 
-
-def hand_written_columns(template, warps) -> ClassifiedColumns:
-    """Classified columns of hand-written warps, each a list of rows
-    ``(alu_scalar, dst, dst_is_scalar, mask, sources)``: a row with a
-    mask other than the full warp is a divergent write.  Columns the
-    scalar-RF walk does not read are zeros of ``template``'s dtypes."""
-    rows = [row for warp in warps for row in warp]
-    count = len(rows)
-    sources = [register for row in rows for register in row[4]]
-    arrays = {}
-    for name in CLASSIFIED_ARRAY_FIELDS:
-        dtype = getattr(template, name).dtype
-        length = len(sources) if name.startswith("src_") else count
-        arrays[name] = np.zeros(length, dtype=dtype)
-    full = (1 << template.warp_size) - 1
-    arrays.update(
-        warp_lengths=np.array([len(warp) for warp in warps], dtype=np.int64),
-        scalar_class_ids=np.array(
-            [
-                SCALAR_CLASS_TO_ID[
-                    ScalarClass.ALU_SCALAR if row[0] else ScalarClass.NOT_ELIGIBLE
-                ]
-                for row in rows
-            ],
-            dtype=np.uint8,
-        ),
-        dst=np.array([row[1] for row in rows], dtype=np.int32),
-        has_dst_enc=np.array([row[1] >= 0 for row in rows]),
-        dst_is_scalar=np.array([row[2] for row in rows]),
-        masks=np.array([row[3] for row in rows], dtype=np.uint64),
-        divergent=np.array([row[3] != full for row in rows]),
-        active_lanes=np.array([bin(row[3]).count("1") for row in rows], dtype=np.int32),
-        src_offsets=np.cumsum([0] + [len(row[4]) for row in rows]).astype(np.int64),
-        src_registers=np.array(sources, dtype=np.int32),
-        addr_index=np.full(count, -1, dtype=np.int64),
-        addresses=np.zeros((0, template.warp_size), dtype=np.uint32),
-    )
-    return ClassifiedColumns(warp_size=template.warp_size, **arrays)
-
-
-class TestSplitWarpsWalkAlone:
-    """A chunk's boundary-split warps resume and park their own
-    register file, even where their rows equal an interior warp's."""
-
-    def test_equal_split_warps_keep_their_own_walks(self, walks):
-        _, _, template = workload_case("HS")
-        # Three equal warps: an ALU-scalar read of r1 writing scalar
-        # r2, then a divergent write of r1 under the warp's own mask.
-        warps = [
-            [(True, 2, True, 0xFFFF_FFFF, (1,)), (False, 1, False, mask, ())]
-            for mask in (0x1, 0x3, 0x7)
-        ]
-        ccols = hand_written_columns(template, warps)
-        carry = ArchCarry()
-        resumed = ScalarRegisterFile()
-        resumed.write_scalar(1)  # r1 was written scalar before the cut
-        carry.scalar_rfs[40] = resumed
-        made = len(walks)
-        pcols = process_columns_chunk(
-            ccols,
-            ArchitectureConfig.alu_scalar(),
-            carry,
-            warp_start=40,
-            first_warp_continued=True,
-            last_warp_continues=True,
-        )
-        # The resumed warp reads r1 from the scalar RF, executes scalar
-        # and spills r1 before its partial write; the fresh warps do not.
-        assert pcols.scalar_executed.tolist() == [True, False, False, False, False, False]
-        assert pcols.extra_instructions.tolist() == [0, 1, 0, 0, 0, 0]
-        assert pcols.acc_kind_ids.tolist() == [
-            SCALAR_RF_READ_ID, SCALAR_RF_WRITE_ID,
-            SCALAR_RF_READ_ID, FULL_WRITE_ID, PARTIAL_WRITE_ID,
-            FULL_READ_ID, SCALAR_RF_WRITE_ID, PARTIAL_WRITE_ID,
-            FULL_READ_ID, SCALAR_RF_WRITE_ID, PARTIAL_WRITE_ID,
-        ]
-        partial = pcols.acc_kind_ids == PARTIAL_WRITE_ID
-        assert pcols.acc_masks[partial].tolist() == [0x1, 0x3, 0x7]
-        # Two fresh walks (the parked warp walks alone), and the parked
-        # warp's register file waits for the next chunk.
-        assert len(walks) - made == 2
-        assert list(carry.scalar_rfs) == [42]
-        assert carry.scalar_rfs[42].resident == {2}
 
 class TestValidation:
     def test_bad_warp_size_rejected(self):

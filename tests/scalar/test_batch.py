@@ -26,11 +26,7 @@ from repro.errors import CompressionError, TraceError
 from repro.isa import KernelBuilder
 from repro.obs.telemetry import telemetry_session
 from repro.scalar.arch_batch import process_columns
-from repro.scalar.batch import (
-    ClassifierCarry,
-    classify_columnar_batch,
-    classify_columnar_chunk,
-)
+from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import CLASSIFIED_ARRAY_FIELDS
 from repro.scalar.tracker import trace_statistics
 from repro.simt import LaunchConfig, MemoryImage, run_kernel
@@ -58,12 +54,12 @@ def assert_columns_equal(expected, actual):
 
 def classify_chunked(columnar, num_registers, chunk_events):
     """Classify chunk by chunk and join the fragments."""
-    carry = ClassifierCarry()
-    fragments, continued = [], []
-    for chunk in iter_chunks(columnar, chunk_events):
-        fragments.append(classify_columnar_chunk(chunk, num_registers, carry))
-        continued.append(chunk.first_warp_continued)
-    return concat_classified_columns(fragments, continued)
+    return concat_classified_columns(
+        [
+            classify_columnar_batch(chunk.columnar, num_registers)
+            for chunk in iter_chunks(columnar, chunk_events)
+        ]
+    )
 
 
 def assert_engines_agree(columnar, num_registers):
@@ -165,18 +161,9 @@ class TestChunked:
         columnar, n = hs
         whole = classify_columnar_batch(columnar, n)
         longest = int(columnar.warp_lengths.max())
-        # A third of the longest warp cuts it across >= 3 chunks.
+        # Sizes below the longest warp give one-warp chunks.
         for size in (1, 7, max(1, longest // 3), columnar.num_events):
             assert_columns_equal(whole, classify_chunked(columnar, n, size))
-
-    def test_warp_spans_three_or_more_chunks(self, hs):
-        columnar, _ = hs
-        size = max(1, int(columnar.warp_lengths.max()) // 3)
-        spans = [
-            sum(1 for _ in range(0, int(length), size))
-            for length in columnar.warp_lengths
-        ]
-        assert max(spans) >= 3
 
     @pytest.mark.parametrize("abbr", ["BP", "LBM", "MQ"])
     def test_divergent_workloads_chunked(self, abbr):
@@ -198,26 +185,12 @@ class TestChunked:
             assert _counters(chunked) == _counters(whole), size
         assert whole.counters_named("scalar_class_transitions")
 
-    def test_carry_empties_after_a_whole_warp(self, hs):
-        columnar, n = hs
-        carry = ClassifierCarry()
-        chunks = list(iter_chunks(columnar, 7))
-        classify_columnar_chunk(chunks[0], n, carry)
-        assert chunks[0].last_warp_continues
-        assert carry.registers.size and carry.last_class is not None
-        for chunk in chunks[1:]:
-            classify_columnar_chunk(chunk, n, carry)
-        assert carry.registers.size == 0 and carry.last_class is None
-
 
 class TestDispatch:
     def test_negative_registers_rejected(self, scalar_heavy_kernel):
         trace = run_one_warp(scalar_heavy_kernel, MemoryImage())
         with pytest.raises(TraceError):
             classify_columnar_batch(trace, -1)
-        with pytest.raises(TraceError):
-            chunk = next(iter_chunks(trace, 4))
-            classify_columnar_chunk(chunk, -1, ClassifierCarry())
 
     def test_oversized_mask_rejected(self, scalar_heavy_kernel):
         columnar = run_one_warp(scalar_heavy_kernel, MemoryImage())

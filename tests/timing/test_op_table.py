@@ -291,9 +291,6 @@ class TestConcat:
             built.kernel.num_registers,
             static_widths=static_widths,
         )
-        if chunk_events == 7:
-            # A warp split mid-chunk.
-            assert any(c.first_warp_continued for c in iter_chunks(columnar, grid))
         config = GpuConfig()
         for arch in arches:
             pcols = process_columns(
@@ -305,7 +302,7 @@ class TestConcat:
             )
 
     def test_no_fragments_is_an_empty_table(self):
-        assert to_ops(TimingOpTable.concat([], [])) == []
+        assert to_ops(TimingOpTable.concat([])) == []
 
 
 class TestEventCompile:
