@@ -2,8 +2,9 @@
 
 Each SM has two schedulers (Table 1); warp slots are statically
 partitioned by parity, as in Fermi.  A scheduler picks at most one
-ready warp per cycle, greedy-then-oldest (GTO, GPGPU-Sim's default and
-the configuration the paper evaluates) or loose round-robin (LRR).
+ready warp per cycle, by loose round-robin (LRR, the default
+``GpuConfig.scheduler_policy``) or, when configured,
+greedy-then-oldest (GTO).
 """
 
 from __future__ import annotations

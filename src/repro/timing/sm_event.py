@@ -38,7 +38,9 @@ The per-cycle state is kept in the cheapest form each check needs:
   *r* is in flight; each compiled row carries a *hazard mask* (its
   destination OR its sources, interned within its compile block so
   equal rows of a block share one int), so an op is scoreboard-ready
-  when the two ints do not intersect;
+  when the two ints do not intersect.  Each warp's *head* mask, its
+  next op's, is set at activation and at every issue, so write-backs
+  and barrier wake-ups test readiness without touching the rows;
 * **ready sets** are one bitmask per scheduler over its partition
   positions (slot *s* is bit ``s // n`` of scheduler ``s % n``): GTO
   tests the last-issued slot's bit, else takes the lowest bit; LRR
@@ -46,7 +48,9 @@ The per-cycle state is kept in the cheapest form each check needs:
 * each scheduler's **stall cause** is cached and recomputed only after
   a slot in its partition changed (activation, issue, branch
   write-back, barrier wake-up, retirement) — nothing else can change
-  it;
+  it.  An ALU, MEM or SFU issue that leaves its warp ops to issue
+  caches scoreboard instead: the warp stays unblocked, so the scan of
+  the partition would stop at it;
 * the **collector pool** is split in two: the collectors still reading
   banks, which alone take part in the per-cycle bank arbitration, and
   one issue-ordered list of bank-complete collectors waiting for a
@@ -54,9 +58,18 @@ The per-cycle state is kept in the cheapest form each check needs:
   issue sequence).  The list keeps a count per port group and the
   earliest free time of any group with a waiting collector, so the
   dispatch pass runs only once that time has come and stops as soon
-  as no group can take another collector;
+  as no group can take another collector.  A dispatch updates its
+  group's free time with one compare at most (one or two ports), and
+  the earliest time over the three groups inline;
 * **write-backs** sit in a timing wheel: one list per completion cycle,
-  appended in dispatch order, with a heap of the cycles that have one.
+  appended in dispatch order, with a heap of the cycles that have one;
+* **counts** that follow from the table are not kept per op: every row
+  issues, so the instruction counts are read off the table after the
+  run, and a warp issues all its ops from one slot, so its scheduler's
+  issue count grows by the warp's length when it retires;
+* the loop's helpers (activation, stall classification, barrier
+  arrival) live outside :meth:`EventSmSimulator.run` and get the run's
+  state bound once, so none of the loop's locals is a closure cell.
 
 Per-cycle work is therefore proportional to the events of that cycle
 rather than to machine size.  This engine is the only one the runner
@@ -77,6 +90,7 @@ reference.
 from __future__ import annotations
 
 from bisect import insort
+from functools import partial
 from heapq import heappop, heappush
 
 import numpy as np
@@ -124,9 +138,8 @@ _PORT = 4
 _DELTA = 5  # dispatch + write-back latency + extra latency; -1 for MEM
 _IS_CTRL = 6
 _IS_BARRIER = 7
-_INSERTED = 8
-_IS_SHARED = 9
-_IS_STORE = 10
+_IS_SHARED = 8
+_IS_STORE = 9
 
 # Collector-entry layout: [sequence, warp, pending_banks, row, pc], the
 # sequence counting issues, so entries compare in issue order.
@@ -222,6 +235,99 @@ def _register_masks(
     return [intern(m, m) for m in dst_bits], [intern(m, m) for m in hazards]
 
 
+def _slot_layout(
+    max_resident: int, num_schedulers: int
+) -> tuple[list[int], list[int], list[range]]:
+    """Each slot's scheduler and bit, and each scheduler's slots.
+
+    Slot *s* belongs to scheduler ``s % num_schedulers`` (the static
+    parity partition the reference builds via ``partition_warps``) and
+    is bit ``s // num_schedulers`` of that scheduler's masks.
+    """
+    slots = range(max_resident)
+    return (
+        [slot % num_schedulers for slot in slots],
+        [1 << (slot // num_schedulers) for slot in slots],
+        [
+            partition_slots(index, max_resident, num_schedulers)
+            for index in range(num_schedulers)
+        ],
+    )
+
+
+def _classify_stall(slot_warp, pcs, oplen, blocked_until, slots, cycle: int) -> int:
+    """Attribute one idle scheduler-cycle to its strongest cause.
+
+    Identical semantics (and precedence order) to the reference model's
+    classifier: scan the scheduler's ``slots`` and pick the lowest
+    STALL_* index present — scoreboard over branch shadow over barrier
+    over stream exhaustion.
+    """
+    cause = STALL_STREAM_EXHAUSTED
+    for slot in slots:
+        warp = slot_warp[slot]
+        if warp < 0 or pcs[warp] >= oplen[warp]:
+            continue
+        until = blocked_until[warp]
+        if until == _BLOCKED_ON_BRANCH:
+            if STALL_BRANCH_SHADOW < cause:
+                cause = STALL_BRANCH_SHADOW
+        elif until > cycle:
+            if STALL_BARRIER < cause:
+                cause = STALL_BARRIER
+        else:
+            return STALL_SCOREBOARD
+    return cause
+
+
+def _arrive_at_barrier(
+    warps_per_cta,
+    num_warps,
+    barrier_arrived,
+    pcs,
+    oplen,
+    blocked_until,
+    warp_slot,
+    wakeups,
+    recorder,
+    warp: int,
+    cycle: int,
+) -> None:
+    """Barrier arrival; release the whole CTA when complete.
+
+    Same semantics as the reference: a CTA-mate that already retired
+    all its ops counts as arrived.  Whole-CTA activation guarantees
+    every unfinished mate is resident, so the wait always terminates.
+    A release leaves every stall cause as it was this cycle; the
+    wake-up a cycle later changes them.
+    """
+    cta = warp // warps_per_cta
+    arrived = barrier_arrived.setdefault(cta, set())
+    arrived.add(warp)
+    blocked_until[warp] = _BLOCKED_ON_BARRIER
+    if recorder is not None:
+        recorder.barrier_arrive(cycle, warp)
+    lo = cta * warps_per_cta
+    for mate in range(lo, min(lo + warps_per_cta, num_warps)):
+        if pcs[mate] < oplen[mate] and mate not in arrived:
+            return
+    release = cycle + 1
+    for mate in arrived:
+        blocked_until[mate] = release
+        if warp_slot[mate] >= 0:
+            heappush(wakeups, (release, mate))
+        if recorder is not None:
+            recorder.barrier_release(release, mate)
+    arrived.clear()
+
+
+def _register_numbers(mask: int) -> tuple[int, ...]:
+    """The registers whose bits ``mask`` sets, ascending."""
+    return tuple(
+        register for register in range(mask.bit_length()) if mask >> register & 1
+    )
+
+
 class EventSmSimulator:
     """Event-driven simulation of one SM running fixed warps to completion.
 
@@ -307,7 +413,6 @@ class EventSmSimulator:
                 delta.tolist(),
                 (codes == CTRL_CODE).tolist(),
                 table.is_barrier[lo:hi].tolist(),
-                table.inserted[lo:hi].tolist(),
                 table.is_shared_mem[lo:hi].tolist(),
                 table.is_store[lo:hi].tolist(),
             )
@@ -354,6 +459,63 @@ class EventSmSimulator:
             [segments[first - lo : end - lo] for first, end in zip(starts, starts[1:])],
         )
 
+    def _activate_ctas(
+        self,
+        bounds,
+        oplen,
+        compiled,
+        segments,
+        free_slots,
+        slot_warp,
+        warp_slot,
+        slot_scheduler,
+        slot_bit,
+        causes,
+        ready_masks,
+        heads,
+        retirable,
+        first: int,
+        cycle: int,
+    ) -> int:
+        """GigaThread-style activation of whole CTAs from warp ``first``
+        on, lowest slots first, while one fits; returns the first warp
+        left inactive.  The arguments before ``first`` are
+        :meth:`run`'s state, bound once per run.
+
+        A CTA not compiled yet is compiled with the CTAs after it,
+        until the block holds at least ``_COMPILE_BLOCK_ROWS`` rows or
+        none are left.
+        """
+        num_warps = self.num_warps
+        warps_per_cta = self.warps_per_cta
+        recorder = self.recorder
+        while first < num_warps:
+            cta_size = min(warps_per_cta, num_warps - first)
+            if cta_size > len(free_slots):
+                break
+            if compiled[first] is None:
+                lo = bounds[first]
+                last = first
+                while last < num_warps and bounds[last] - lo < _COMPILE_BLOCK_ROWS:
+                    last = min(last + warps_per_cta, num_warps)
+                compiled[first:last], segments[first:last] = self._compile_block(
+                    bounds[first : last + 1]
+                )
+            for warp in range(first, first + cta_size):
+                slot = heappop(free_slots)
+                slot_warp[slot] = warp
+                warp_slot[warp] = slot
+                if recorder is not None:
+                    recorder.warp_activate(cycle, warp, slot)
+                causes[slot_scheduler[slot]] = -1
+                if oplen[warp] == 0:
+                    retirable.add(warp)
+                else:
+                    heads[warp] = compiled[warp][0][_HAZARD]
+                    ready_masks[slot_scheduler[slot]] |= slot_bit[slot]
+            first += cta_size
+        return first
+
     # ------------------------------------------------------------------
     def run(self, max_cycles: int = 50_000_000) -> TimingResult:
         config = self.config
@@ -387,6 +549,10 @@ class EventSmSimulator:
         # Bit r set while register r has a write in flight.  The hazard
         # mask holds the destination, so a register never has two.
         scoreboards = [0] * num_warps
+        # Each warp's next op's hazard mask, set at activation and at
+        # every issue (stale once the warp has no ops left; every
+        # reader checks ``pcs`` first).
+        heads = [0] * num_warps
         blocked_until = [0] * num_warps
         in_flight = [0] * num_warps
         remaining = num_warps
@@ -395,15 +561,9 @@ class EventSmSimulator:
         warp_slot = [-1] * num_warps  # warp -> slot (-1 = not resident)
         free_slots = list(range(max_resident))  # min-heap
 
-        # Slot s belongs to scheduler s % num_schedulers (the static
-        # parity partition the reference builds via partition_warps)
-        # and is bit s // num_schedulers of that scheduler's masks.
-        slot_scheduler = [slot % num_schedulers for slot in range(max_resident)]
-        slot_bit = [1 << (slot // num_schedulers) for slot in range(max_resident)]
+        slot_scheduler, slot_bit, partitions = _slot_layout(max_resident, num_schedulers)
         ready_masks = [0] * num_schedulers
-        partition_sizes = [
-            len(range(i, max_resident, num_schedulers)) for i in range(num_schedulers)
-        ]
+        partition_sizes = [len(slots) for slots in partitions]
         last_bits = [0] * num_schedulers  # GTO: last-issued slot's bit
         rr_pos = [0] * num_schedulers
         # Cached classify_stall result per scheduler; -1 once a slot of
@@ -415,6 +575,7 @@ class EventSmSimulator:
         sfu_ports = [0] * config.sfu_pipelines
         port_groups = (alu_ports, mem_ports, sfu_ports)
         group_free = [0] * len(port_groups)  # earliest free port per group
+        port_widths = tuple(len(ports) for ports in port_groups)
         # The collector pool, in two issue-ordered lists: ``reading``
         # holds the collectors with bank reads left (only they take
         # part in bank arbitration), ``waiting`` the bank-complete ones
@@ -436,11 +597,11 @@ class EventSmSimulator:
         barrier_arrived: dict[int, set[int]] = {}
         retirable: set[int] = set()
 
+        # Each warp issues all its ops from one slot, so a retiring warp
+        # adds its length to its scheduler's count.
         issued_counts = [0] * num_schedulers
         scalar_conflicts = 0
         bank_conflict_cycles = 0
-        instructions = 0
-        useful_instructions = 0
         recorder = self.recorder
         # Per-scheduler stall-cause accumulators (STALL_* indexed);
         # ``cycle_causes`` remembers the current cycle's attribution so
@@ -449,95 +610,41 @@ class EventSmSimulator:
         stall_counts = [[0] * len(STALL_CAUSES) for _ in range(num_schedulers)]
         cycle_causes = [STALL_STREAM_EXHAUSTED] * num_schedulers
 
-        def classify_stall(scheduler_index: int) -> int:
-            """Attribute one idle scheduler-cycle to its strongest cause.
+        # The helpers get the run's state bound once, so that none of
+        # the loop's locals is a closure cell (a cell costs more to read
+        # than a local).
+        classify_stall = partial(_classify_stall, slot_warp, pcs, oplen, blocked_until)
+        arrive_at_barrier = partial(
+            _arrive_at_barrier,
+            warps_per_cta,
+            num_warps,
+            barrier_arrived,
+            pcs,
+            oplen,
+            blocked_until,
+            warp_slot,
+            wakeups,
+            recorder,
+        )
+        activate_ctas = partial(
+            self._activate_ctas,
+            bounds,
+            oplen,
+            compiled,
+            segments,
+            free_slots,
+            slot_warp,
+            warp_slot,
+            slot_scheduler,
+            slot_bit,
+            causes,
+            ready_masks,
+            heads,
+            retirable,
+        )
 
-            Identical semantics (and precedence order) to the reference
-            model's classifier: scan the scheduler's slot partition and
-            pick the lowest STALL_* index present — scoreboard over
-            branch shadow over barrier over stream exhaustion.
-            """
-            cause = STALL_STREAM_EXHAUSTED
-            for slot in partition_slots(scheduler_index, max_resident, num_schedulers):
-                warp = slot_warp[slot]
-                if warp < 0 or pcs[warp] >= oplen[warp]:
-                    continue
-                until = blocked_until[warp]
-                if until == _BLOCKED_ON_BRANCH:
-                    if STALL_BRANCH_SHADOW < cause:
-                        cause = STALL_BRANCH_SHADOW
-                elif until > cycle:
-                    if STALL_BARRIER < cause:
-                        cause = STALL_BARRIER
-                else:
-                    return STALL_SCOREBOARD
-            return cause
-
-        def compile_ctas(first: int) -> None:
-            """Compile whole CTAs from warp ``first`` on, until the block
-            holds at least ``_COMPILE_BLOCK_ROWS`` rows or none are left."""
-            lo = bounds[first]
-            last = first
-            while last < num_warps and bounds[last] - lo < _COMPILE_BLOCK_ROWS:
-                last = min(last + warps_per_cta, num_warps)
-            compiled[first:last], segments[first:last] = self._compile_block(
-                bounds[first : last + 1]
-            )
-
-        def activate_ctas() -> None:
-            """GigaThread-style activation: whole CTAs, lowest slots first."""
-            nonlocal next_warp_to_activate
-            while next_warp_to_activate < num_warps:
-                cta_size = min(warps_per_cta, num_warps - next_warp_to_activate)
-                if cta_size > len(free_slots):
-                    break
-                if compiled[next_warp_to_activate] is None:
-                    compile_ctas(next_warp_to_activate)
-                for _ in range(cta_size):
-                    slot = heappop(free_slots)
-                    warp = next_warp_to_activate
-                    slot_warp[slot] = warp
-                    warp_slot[warp] = slot
-                    if recorder is not None:
-                        recorder.warp_activate(cycle, warp, slot)
-                    causes[slot_scheduler[slot]] = -1
-                    if oplen[warp] == 0:
-                        retirable.add(warp)
-                    else:
-                        ready_masks[slot_scheduler[slot]] |= slot_bit[slot]
-                    next_warp_to_activate += 1
-
-        def arrive_at_barrier(warp: int, cycle: int) -> None:
-            """Barrier arrival; release the whole CTA when complete.
-
-            Same semantics as the reference: a CTA-mate that already
-            retired all its ops counts as arrived.  Whole-CTA activation
-            guarantees every unfinished mate is resident, so the wait
-            always terminates.  A release leaves every stall cause as it
-            was this cycle; the wake-up a cycle later changes them.
-            """
-            cta = warp // warps_per_cta
-            arrived = barrier_arrived.setdefault(cta, set())
-            arrived.add(warp)
-            blocked_until[warp] = _BLOCKED_ON_BARRIER
-            if recorder is not None:
-                recorder.barrier_arrive(cycle, warp)
-            lo = cta * warps_per_cta
-            for mate in range(lo, min(lo + warps_per_cta, num_warps)):
-                if pcs[mate] < oplen[mate] and mate not in arrived:
-                    return
-            release = cycle + 1
-            for mate in arrived:
-                blocked_until[mate] = release
-                if warp_slot[mate] >= 0:
-                    heappush(wakeups, (release, mate))
-                if recorder is not None:
-                    recorder.barrier_release(release, mate)
-            arrived.clear()
-
-        next_warp_to_activate = 0
         cycle = 0
-        activate_ctas()
+        next_warp_to_activate = activate_ctas(0, cycle)
 
         while remaining > 0:
             if cycle > max_cycles:
@@ -566,13 +673,12 @@ class EventSmSimulator:
                         )
                     progressed = True
                     if slot >= 0:
-                        pc = pcs[warp]
-                        if pc >= oplen[warp]:
+                        if pcs[warp] >= oplen[warp]:
                             if in_flight[warp] == 0:
                                 retirable.add(warp)
                         elif (
                             blocked_until[warp] <= cycle
-                            and not scoreboards[warp] & compiled[warp][pc][_HAZARD]
+                            and not scoreboards[warp] & heads[warp]
                         ):
                             ready_masks[slot_scheduler[slot]] |= slot_bit[slot]
 
@@ -583,11 +689,10 @@ class EventSmSimulator:
                 if slot < 0:
                     continue
                 causes[slot_scheduler[slot]] = -1
-                pc = pcs[warp]
                 if (
-                    pc < oplen[warp]
+                    pcs[warp] < oplen[warp]
                     and blocked_until[warp] <= cycle
-                    and not scoreboards[warp] & compiled[warp][pc][_HAZARD]
+                    and not scoreboards[warp] & heads[warp]
                 ):
                     ready_masks[slot_scheduler[slot]] |= slot_bit[slot]
 
@@ -647,13 +752,27 @@ class EventSmSimulator:
                         index += 1
                         continue
                     del waiting[index]
+                    # The group's new free time: the port taken here for
+                    # a one-port group, one compare for two ports.
                     ports = port_groups[group]
-                    port_index = 0
-                    while ports[port_index] > cycle:
-                        port_index += 1
                     dispatch = row[_DISPATCH]
-                    ports[port_index] = cycle + dispatch
-                    free = group_free[group] = min(ports)
+                    busy = cycle + dispatch
+                    width = port_widths[group]
+                    if width == 1:
+                        ports[0] = free = busy
+                    elif width == 2:
+                        taken = 0 if ports[0] <= cycle else 1
+                        ports[taken] = busy
+                        free = ports[1 - taken]
+                        if busy < free:
+                            free = busy
+                    else:
+                        port_index = 0
+                        while ports[port_index] > cycle:
+                            port_index += 1
+                        ports[port_index] = busy
+                        free = min(ports)
+                    group_free[group] = free
                     warp = collector[_WARP]
                     delta = row[_DELTA]
                     if delta < 0:
@@ -671,13 +790,13 @@ class EventSmSimulator:
                         heappush(wheel_cycles, due)
                     else:
                         bucket.append((warp, row))
-                    instructions += 1
-                    if not row[_INSERTED]:
-                        useful_instructions += 1
                     count = waiting_count[group] = waiting_count[group] - 1
                     waiting_free[group] = free if count else _NEVER
                     if free > cycle or not count:
-                        open_at = min(waiting_free)
+                        alu_free, mem_free, sfu_free = waiting_free
+                        open_at = alu_free if alu_free < mem_free else mem_free
+                        if sfu_free < open_at:
+                            open_at = sfu_free
                         if open_at > cycle:
                             break
                 progressed = True
@@ -697,7 +816,9 @@ class EventSmSimulator:
                 if not ready:
                     cause = causes[scheduler_index]
                     if cause < 0:
-                        cause = causes[scheduler_index] = classify_stall(scheduler_index)
+                        cause = causes[scheduler_index] = classify_stall(
+                            partitions[scheduler_index], cycle
+                        )
                     stall_counts[scheduler_index][cause] += 1
                     cycle_causes[scheduler_index] = cause
                     continue
@@ -719,24 +840,25 @@ class EventSmSimulator:
                         position + 1 if position + 1 < partition_sizes[scheduler_index] else 0
                     )
                 ready_masks[scheduler_index] = ready ^ bit
-                causes[scheduler_index] = -1
                 slot = position * num_schedulers + scheduler_index
                 warp = slot_warp[slot]
+                rows = compiled[warp]
                 pc = pcs[warp]
-                row = compiled[warp][pc]
+                row = rows[pc]
                 pc += 1
                 pcs[warp] = pc
-                issued_counts[scheduler_index] += 1
+                more = pc < oplen[warp]
+                if more:
+                    head = heads[warp] = rows[pc][_HAZARD]
                 progressed = True
                 if row[_IS_BARRIER]:
-                    instructions += 1
-                    useful_instructions += 1
+                    causes[scheduler_index] = -1
                     if recorder is not None:
                         recorder.issue(
                             cycle, warp, scheduler_index, "BAR", "barrier", ()
                         )
                     arrive_at_barrier(warp, cycle)
-                    if pc >= oplen[warp] and in_flight[warp] == 0:
+                    if not more and in_flight[warp] == 0:
                         retirable.add(warp)
                     continue
                 dst_bit = row[_DST_BIT]
@@ -745,12 +867,16 @@ class EventSmSimulator:
                 in_flight[warp] += 1
                 if row[_IS_CTRL]:
                     blocked_until[warp] = _BLOCKED_ON_BRANCH
+                    causes[scheduler_index] = -1
                     ready_next = False
+                elif more:
+                    # The warp stays unblocked with ops left, so a scan
+                    # of the partition would stop at it: scoreboard.
+                    causes[scheduler_index] = STALL_SCOREBOARD
+                    ready_next = not scoreboards[warp] & head
                 else:
-                    ready_next = (
-                        pc < oplen[warp]
-                        and not scoreboards[warp] & compiled[warp][pc][_HAZARD]
-                    )
+                    causes[scheduler_index] = -1
+                    ready_next = False
                 reading.append([sequence, warp, row[_SRC_BANKS], row, pc - 1])
                 sequence += 1
                 pool += 1
@@ -762,16 +888,11 @@ class EventSmSimulator:
                         category = "CTRL"
                     else:
                         category = _PORT_CATEGORY_NAMES[row[_PORT]]
-                        if pc >= oplen[warp]:
+                        if not more:
                             hint, hint_regs = "drain", ()
                         elif not ready_next:
-                            blocking = scoreboards[warp] & compiled[warp][pc][_HAZARD]
                             hint = "scoreboard"
-                            hint_regs = tuple(
-                                register
-                                for register in range(blocking.bit_length())
-                                if blocking >> register & 1
-                            )
+                            hint_regs = _register_numbers(scoreboards[warp] & head)
                         else:
                             hint, hint_regs = "scheduler", ()
                     recorder.issue(
@@ -789,6 +910,7 @@ class EventSmSimulator:
                     compiled[warp] = segments[warp] = None
                     heappush(free_slots, slot)
                     scheduler_index = slot_scheduler[slot]
+                    issued_counts[scheduler_index] += oplen[warp]
                     causes[scheduler_index] = -1
                     if last_bits[scheduler_index] == slot_bit[slot]:
                         last_bits[scheduler_index] = 0
@@ -796,7 +918,7 @@ class EventSmSimulator:
                     if recorder is not None:
                         recorder.warp_retire(cycle, warp)
                     progressed = True
-                activate_ctas()
+                next_warp_to_activate = activate_ctas(next_warp_to_activate, cycle)
 
             if remaining <= 0:
                 cycle += 1
@@ -812,13 +934,12 @@ class EventSmSimulator:
                 if wheel_cycles:
                     next_events.append(wheel_cycles[0])
                 if waiting:
-                    busy_ports = [
-                        t
-                        for t in alu_ports + mem_ports + sfu_ports
-                        if t > cycle
-                    ]
-                    if busy_ports:
-                        next_events.append(min(busy_ports))
+                    release = _NEVER
+                    for busy in alu_ports + mem_ports + sfu_ports:
+                        if cycle < busy < release:
+                            release = busy
+                    if release < _NEVER:
+                        next_events.append(release)
                 if not next_events:
                     raise TimingError(
                         f"timing deadlock: no progress at cycle {cycle} "
@@ -838,11 +959,19 @@ class EventSmSimulator:
 
         if recorder is not None:
             recorder.finalize(cycle)
+        # Every row has issued: a barrier counts then, any other row at
+        # dispatch, and only inserted non-barrier rows do no useful work.
+        # They are counted without a table-length temporary, which can
+        # raise a large table's peak RSS.
+        instructions = table.num_ops
+        inserted = np.count_nonzero(table.inserted) - np.count_nonzero(
+            table.inserted[table.is_barrier]
+        )
         return TimingResult(
             cycles=cycle,
             instructions=instructions,
             memory_counts=self.memory.counts,
-            useful_instructions=useful_instructions,
+            useful_instructions=instructions - int(inserted),
             issued_per_scheduler=issued_counts,
             scalar_bank_conflicts=scalar_conflicts,
             bank_conflict_cycles=bank_conflict_cycles,

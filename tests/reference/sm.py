@@ -16,9 +16,11 @@ bit-identical :class:`~repro.timing.sm.TimingResult` over the same ops.
 
 Schedulers: each SM has two (Table 1); warps are statically partitioned
 by parity, as in Fermi.  A scheduler picks at most one ready warp per
-cycle.  GTO keeps issuing from the warp it last served until that warp
-stalls, then falls back to the oldest ready warp — GPGPU-Sim's default
-and the configuration the paper evaluates.  GPUs have no operand
+cycle.  Loose round-robin (LRR, the default
+``GpuConfig.scheduler_policy``) starts its search after the warp it
+last served; greedy-then-oldest (GTO), when configured, keeps issuing
+from the warp it last served until that warp stalls, then falls back
+to the oldest ready warp.  GPUs have no operand
 bypassing (§5.4): the per-warp :class:`Scoreboard` blocks an op until
 every register it reads or writes has left the pipeline.
 """

@@ -252,6 +252,40 @@ class TestRarePaths:
         ref, got = _run_both(warps, GpuConfig(), warps_per_cta=2)
         _assert_identical(ref, got, "barrier-wake-up")
 
+    # In both streams below, scheduler 0 owns slots 0 and 2: warp 0
+    # issues a branch at cycle 0, and warp 2 issues at cycle 1 an op
+    # after which it cannot stall as scoreboard.  Scheduler 0's idle
+    # cycles while the branch is in flight are branch shadow, so an
+    # engine that took every issue's warp as runnable-but-blocked
+    # (scoreboard) would differ.
+
+    @pytest.mark.parametrize("policy", list(SchedulerPolicy))
+    def test_last_op_leaves_the_branch_shadow(self, policy):
+        """Warp 2's one op is its last: the scan skips it."""
+        alu = _op(OpCategory.ALU)
+        warps = [[_op(OpCategory.CTRL), alu], [alu], [alu]]
+        ref, got = _run_both(warps, GpuConfig(scheduler_policy=policy))
+        _assert_identical(ref, got, f"last-op/{policy.name}")
+        assert got.stalls_per_scheduler[0].branch_shadow > 0
+        assert got.stalls_per_scheduler[0].scoreboard == 0
+
+    @pytest.mark.parametrize("policy", list(SchedulerPolicy))
+    def test_barrier_leaves_the_branch_shadow(self, policy):
+        """Warp 2 arrives at a barrier warp 1 reaches only later: a
+        barrier wait ranks below the branch shadow."""
+        alu = _op(OpCategory.ALU)
+        warps = [
+            [_op(OpCategory.CTRL), BARRIER],
+            [_op(OpCategory.ALU, long_latency=True), alu, BARRIER],
+            [BARRIER, alu],
+        ]
+        ref, got = _run_both(
+            warps, GpuConfig(scheduler_policy=policy), warps_per_cta=3
+        )
+        _assert_identical(ref, got, f"barrier/{policy.name}")
+        assert got.stalls_per_scheduler[0].branch_shadow > 0
+        assert got.stalls_per_scheduler[0].scoreboard == 0
+
 
 def many_cta_warps(
     num_warps: int, length: int, seed: int, distinct: bool = False
