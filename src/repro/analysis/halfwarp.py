@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TraceError
+from repro.merge import fixed
 from repro.simt.trace import ColumnarTrace
 
 
@@ -25,8 +26,8 @@ from repro.simt.trace import ColumnarTrace
 class ChunkScalarStats:
     """Figure 10 numbers for one benchmark at one warp size."""
 
-    warp_size: int
-    granularity: int
+    warp_size: int = fixed()
+    granularity: int = fixed()
     total_instructions: int
     full_scalar_instructions: int
     chunk_scalar_instructions: int

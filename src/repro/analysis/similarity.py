@@ -35,10 +35,6 @@ class AccessDistribution:
         total = max(1, self.total)
         return {name: count / total for name, count in self.counts.items()}
 
-    def merge(self, other: "AccessDistribution") -> None:
-        for name, count in other.counts.items():
-            self.counts[name] += count
-
 
 #: Category of a convergent read by the source's enc prefix length.
 _ENC_CATEGORIES = ("other", "1-byte", "2-byte", "3-byte", "scalar")

@@ -505,9 +505,10 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="stream the pipeline in chunks of whole warps, at most N "
+        help="pass each benchmark in chunks of whole warps, at most N "
         "events each unless one warp is longer (bounded memory, "
-        "bit-identical output; default: whole-trace)",
+        "bit-identical output; default: one chunk per trace, one per "
+        "replica at the large tier)",
     )
     args = parser.parse_args(arguments)
     if args.jobs < 1:
@@ -554,7 +555,8 @@ def _experiment_main(
         if needs_runner
         else None
     )
-    if runner is not None and args.jobs > 1:
+    if runner is not None:
+        # One pass per benchmark for everything the experiments read.
         modules = [_MODULES[name] for name in wanted if name in _MODULES]
         reads = {name for m in modules for name in getattr(m, "SUMMARIES", ())}
         results = {arch for m in modules for arch in getattr(m, "ARCHITECTURES", ())}

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.compression.bdi import BDI_MODES, BdiMode, bdi_modes
 from repro.compression.gscalar import compressed_bits, prefix_bytes_batch
+from repro.merge import fixed
 from repro.simt.trace import ColumnarTrace
 
 
@@ -20,7 +21,7 @@ from repro.simt.trace import ColumnarTrace
 class CompressionComparison:
     """Aggregated ours-vs-BDI statistics over register writes."""
 
-    warp_size: int
+    warp_size: int = fixed()
     registers_seen: int = 0
     ours_total_bits: int = 0
     bdi_total_bits: int = 0

@@ -20,6 +20,7 @@ import numpy as np
 from repro.compression.gscalar import prefix_bytes_batch
 from repro.errors import CompressionError
 from repro.isa.opcodes import OpCategory, category_of
+from repro.merge import fixed
 from repro.simt.trace import ID_TO_OPCODE, ColumnarTrace
 
 #: Stored opcode ids of the memory instructions.
@@ -52,11 +53,28 @@ def common_prefix_bytes_wide(values: np.ndarray, width_bytes: int = 8) -> int:
 
 @dataclass(frozen=True)
 class AddressWidthStudy:
-    """Stored-byte fractions for address registers at both widths."""
+    """Stored bytes of the address registers at both widths.
+
+    The fractions are stored bytes over register bytes (1.0 without
+    accesses); the counts are integers, so studies merge exactly.
+    """
 
     accesses: int
-    stored_fraction_32bit: float
-    stored_fraction_64bit: float
+    warp_size: int = fixed()
+    stored_bytes_32bit: int = 0
+    stored_bytes_64bit: int = 0
+
+    @property
+    def stored_fraction_32bit(self) -> float:
+        if self.accesses == 0:
+            return 1.0
+        return self.stored_bytes_32bit / (4 * self.warp_size * self.accesses)
+
+    @property
+    def stored_fraction_64bit(self) -> float:
+        if self.accesses == 0:
+            return 1.0
+        return self.stored_bytes_64bit / (8 * self.warp_size * self.accesses)
 
     @property
     def savings_32bit(self) -> float:
@@ -102,12 +120,11 @@ def address_width_study(
     narrow = trace.addresses[trace.addr_index[memory]]
     accesses, lanes = narrow.shape
     if accesses == 0:
-        return AddressWidthStudy(0, 1.0, 1.0)
-    stored_32 = int((4 - prefix_bytes_batch(narrow)).sum()) * lanes
+        return AddressWidthStudy(0, lanes)
     wide = narrow.astype(np.uint64) + np.uint64(heap_base)
-    stored_64 = int((8 - prefix_bytes_wide_batch(wide)).sum()) * lanes
     return AddressWidthStudy(
         accesses=accesses,
-        stored_fraction_32bit=stored_32 / (4 * lanes * accesses),
-        stored_fraction_64bit=stored_64 / (8 * lanes * accesses),
+        warp_size=lanes,
+        stored_bytes_32bit=int((4 - prefix_bytes_batch(narrow)).sum()) * lanes,
+        stored_bytes_64bit=int((8 - prefix_bytes_wide_batch(wide)).sum()) * lanes,
     )

@@ -31,6 +31,7 @@ from repro.compression.wide import AddressWidthStudy
 from repro.config import ArchitectureConfig
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import render_table
+from repro.merge import fixed
 from repro.power.circuit import compressor_estimate, decompressor_estimate
 from repro.power.rf_techniques import _BDI_CODEC_FACTOR
 from repro.regfile.layout import SIDECAR_ENERGY_FRACTION
@@ -58,7 +59,7 @@ class ExtrasCounts:
     elided_move_instructions: int
     width_study: AddressWidthStudy
     #: Per-register guaranteed ``enc`` from the width analysis.
-    register_enc: tuple[int, ...]
+    register_enc: tuple[int, ...] = fixed()
 
 
 @dataclass

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.tables import render_table
+from repro.experiments.tables import mean, render_table
 from repro.scalar.eligibility import ScalarClass
 from repro.scalar.tracker import TrackerStatistics
 
@@ -29,17 +29,11 @@ class Fig1Data:
 
     @property
     def average_divergent(self) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(r.stats.divergent_fraction for r in self.rows) / len(self.rows)
+        return mean(r.stats.divergent_fraction for r in self.rows)
 
     @property
     def average_divergent_scalar(self) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(
-            r.stats.fraction(ScalarClass.DIVERGENT_SCALAR) for r in self.rows
-        ) / len(self.rows)
+        return mean(r.stats.fraction(ScalarClass.DIVERGENT_SCALAR) for r in self.rows)
 
     @property
     def average_scalar_share_of_divergent(self) -> float:

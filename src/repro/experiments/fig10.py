@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.tables import render_table
+from repro.experiments.tables import mean, render_table
 
 #: Fixed checking granularity (lanes), per the paper.
 GRANULARITY = 16
@@ -33,15 +33,11 @@ class Fig10Data:
 
     @property
     def average_warp32(self) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(r.fraction_warp32 for r in self.rows) / len(self.rows)
+        return mean(r.fraction_warp32 for r in self.rows)
 
     @property
     def average_warp64(self) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(r.fraction_warp64 for r in self.rows) / len(self.rows)
+        return mean(r.fraction_warp64 for r in self.rows)
 
 
 def compute(runner: ExperimentRunner) -> Fig10Data:

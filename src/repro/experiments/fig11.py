@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.runner import ExperimentRunner, paper_architectures
-from repro.experiments.tables import render_table
+from repro.experiments.tables import mean, render_table
 
 
 @dataclass
@@ -38,24 +38,23 @@ class Fig11Row:
 class Fig11Data:
     rows: list[Fig11Row]
 
-    def _average(self, getter) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(getter(r) for r in self.rows) / len(self.rows)
+    def average_efficiency(self, arch_name: str) -> float:
+        """Mean normalized IPC/W of one architecture."""
+        return mean(r.normalized_efficiency(arch_name) for r in self.rows)
 
     @property
     def average_gscalar_efficiency(self) -> float:
         """Mean normalized IPC/W of full G-Scalar (paper: 1.24)."""
-        return self._average(lambda r: r.normalized_efficiency("gscalar"))
+        return self.average_efficiency("gscalar")
 
     @property
     def average_alu_scalar_efficiency(self) -> float:
-        return self._average(lambda r: r.normalized_efficiency("alu_scalar"))
+        return self.average_efficiency("alu_scalar")
 
     @property
     def average_gscalar_ipc(self) -> float:
         """Mean normalized IPC of G-Scalar (paper: ~0.983)."""
-        return self._average(lambda r: r.normalized_ipc("gscalar"))
+        return mean(r.normalized_ipc("gscalar") for r in self.rows)
 
 
 #: The architectures whose power reports :func:`compute` reads.
@@ -93,7 +92,7 @@ def render(data: Fig11Data) -> str:
         (
             "AVG",
             f"{data.average_alu_scalar_efficiency:.2f}",
-            f"{data._average(lambda r: r.normalized_efficiency('gscalar_no_divergent')):.2f}",
+            f"{data.average_efficiency('gscalar_no_divergent'):.2f}",
             f"{data.average_gscalar_efficiency:.2f}",
             f"{data.average_gscalar_ipc:.3f}",
         )

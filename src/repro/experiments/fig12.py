@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.tables import render_table
+from repro.experiments.tables import mean, render_table
 from repro.power.rf_techniques import RF_TECHNIQUES, technique_architecture
 
 SERIES = ("scalar_rf", "wc_bdi", "ours")
@@ -46,9 +46,7 @@ class Fig12Data:
     rows: list[Fig12Row]
 
     def average(self, technique: str) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(r.normalized[technique] for r in self.rows) / len(self.rows)
+        return mean(r.normalized[technique] for r in self.rows)
 
 
 def compute(runner: ExperimentRunner) -> Fig12Data:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from repro.analysis.similarity import CATEGORIES, AccessDistribution
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.tables import render_table
+from repro.experiments.tables import mean, render_table
 
 #: The summaries :func:`compute` reads.
 SUMMARIES = ("fig8",)
@@ -27,13 +27,8 @@ class Fig8Data:
     rows: list[Fig8Row]
 
     def average_fractions(self) -> dict[str, float]:
-        if not self.rows:
-            return {name: 0.0 for name in CATEGORIES}
-        sums = {name: 0.0 for name in CATEGORIES}
-        for row in self.rows:
-            for name, value in row.distribution.fractions().items():
-                sums[name] += value
-        return {name: value / len(self.rows) for name, value in sums.items()}
+        fractions = [row.distribution.fractions() for row in self.rows]
+        return {name: mean(f[name] for f in fractions) for name in CATEGORIES}
 
 
 def compute(runner: ExperimentRunner) -> Fig8Data:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.tables import render_table
+from repro.experiments.tables import mean, render_table
 from repro.scalar.eligibility import ScalarClass
 
 #: The summaries :func:`compute` reads.
@@ -39,18 +39,13 @@ class Fig9Row:
 class Fig9Data:
     rows: list[Fig9Row]
 
-    def _average(self, getter) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(getter(r) for r in self.rows) / len(self.rows)
-
     @property
     def average_alu_scalar(self) -> float:
-        return self._average(lambda r: r.alu_scalar)
+        return mean(r.alu_scalar for r in self.rows)
 
     @property
     def average_total(self) -> float:
-        return self._average(lambda r: r.total_eligible)
+        return mean(r.total_eligible for r in self.rows)
 
 
 def compute(runner: ExperimentRunner) -> Fig9Data:
@@ -90,9 +85,9 @@ def render(data: Fig9Data) -> str:
         (
             "AVG",
             f"{100 * data.average_alu_scalar:.1f}",
-            f"{100 * data._average(lambda r: r.sfu_mem_scalar):.1f}",
-            f"{100 * data._average(lambda r: r.half_scalar):.1f}",
-            f"{100 * data._average(lambda r: r.divergent_scalar):.1f}",
+            f"{100 * mean(r.sfu_mem_scalar for r in data.rows):.1f}",
+            f"{100 * mean(r.half_scalar for r in data.rows):.1f}",
+            f"{100 * mean(r.divergent_scalar for r in data.rows):.1f}",
             f"{100 * data.average_total:.1f}",
         )
     )

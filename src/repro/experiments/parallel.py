@@ -5,8 +5,10 @@ The matrix is embarrassingly parallel at benchmark granularity: each
 benchmark's trace, summaries and per-architecture timing/power results
 are independent of every other benchmark's.  :func:`run_matrix` spawns
 one :class:`MatrixTask` per benchmark and executes them on a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker returns
-its benchmark's summaries and (timing, power) pairs in its payload, and
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker passes
+its benchmark once, as a serial
+:meth:`~repro.experiments.runner.ExperimentRunner.prefetch` would, and
+returns its summaries and (timing, power) pairs in its payload, and
 :meth:`~repro.experiments.runner.ExperimentRunner.prefetch` puts them
 into the parent runner's memos, so no cache directory is needed and the
 parent reads nothing back from disk.  The payload stays small: summaries
@@ -44,8 +46,8 @@ class MatrixTask:
     ``cache_dir`` (optional) is where the worker stores its entries.
     ``telemetry`` asks the worker to run with an enabled telemetry
     registry and ship its snapshot back in the return payload.
-    ``chunk_events`` propagates the parent's streaming chunk size, so
-    workers stream their pairs the same way the parent would.
+    ``chunk_events`` propagates the parent's chunk size, so workers cut
+    their passes the same way the parent would.
     ``experiments`` holds the names of the summaries to build: keys of
     :data:`repro.experiments.summary.BUILDERS`, not experiment names.
     """
@@ -70,6 +72,7 @@ def _run_task(task: MatrixTask) -> dict:
         chunk_events=task.chunk_events,
     )
     abbr = task.abbr
+    runner._fill(abbr, task.experiments, task.arches)
     payload = {
         "summaries": {
             (abbr, name): runner.summary(abbr, name) for name in task.experiments
@@ -140,8 +143,8 @@ def run_matrix(
     as ``progress(abbr, completed, total)`` each time a benchmark
     finishes, in completion order.  With ``cache_dir`` set, workers
     also store their entries there.  With ``telemetry`` set, every
-    worker records into an enabled registry.  ``chunk_events`` makes
-    workers stream their compute in chunks.  The first worker exception
+    worker records into an enabled registry.  ``chunk_events`` is the
+    chunk size of the workers' passes.  The first worker exception
     cancels the tasks not yet started and is re-raised once the running
     ones finish; a worker that dies raises
     :class:`~concurrent.futures.process.BrokenProcessPool`.

@@ -1,21 +1,29 @@
 """End-to-end experiment pipeline with caching.
 
 One :class:`ExperimentRunner` owns a scale and a GPU/energy
-configuration and lazily computes, per benchmark:
+configuration and lazily computes, per benchmark, the functional trace
+(at a synthetic tier, the seed trace its passes replicate), the
+summaries (:mod:`repro.experiments.summary`) and, per architecture, an
+op-table memo entry (the digest of its
+:class:`~repro.timing.ops.TimingOpTable`, per lowering key), the power
+aggregates, the timing result and the power report.
 
-* the functional trace (executed once, shared by every architecture),
-* the classified columns (architecture-independent),
-* per-benchmark summaries (:mod:`repro.experiments.summary`): the
-  small count tables the trace-reading figures read,
-* per architecture, one op-table memo entry (the
-  :class:`~repro.timing.ops.TimingOpTable` and its digest, per
-  lowering key) and the power aggregates, reduced together from one
-  temporary set of processed columns (:meth:`ExperimentRunner._build`),
-  then timing results and power reports.
+Summaries, op tables and aggregates all come from one pass over the
+benchmark's chunks (:meth:`ExperimentRunner._pass`, through
+:func:`~repro.experiments.streaming.stream_pipeline`).  A chunk is a
+run of whole warps of at most ``chunk_events`` events; without
+``chunk_events`` the trace is one chunk (one per replica at a
+synthetic tier).  :meth:`ExperimentRunner.prefetch` asks for
+everything the experiments read, so each benchmark is passed once; a
+lazy :meth:`~ExperimentRunner.summary`, :meth:`~ExperimentRunner.timing`
+or :meth:`~ExperimentRunner.power` request passes only what it asks for.
+A pair's op table stays in the memo only when its pass was one chunk,
+so no streamed tier is held; a pair the sweeps or
+:meth:`ExperimentRunner.timeline` must simulate again is passed again.
 
-Every figure regenerator takes a runner, so a full ``python -m repro all``
-executes each benchmark exactly once at warp size 32 (Figure 10 also
-executes, counts and drops a warp-64 trace).  SM simulations are
+A full ``python -m repro all`` executes each benchmark exactly once at
+warp size 32 (Figure 10 also executes, counts and drops a warp-64
+trace).  SM simulations are
 memoized by their input (:meth:`ExperimentRunner._simulate`):
 architectures or sweep points that lower to the same op table under the
 same machine share one simulation, and a latency sweep, which leaves
@@ -24,10 +32,10 @@ the lowering key alone, lowers nothing.
 With ``cache_dir`` set, summaries and each (benchmark, architecture)
 timing and power result also persist on disk as one-file entries
 (:mod:`repro.experiments.store`), so they are shared *across*
-processes.  Traces, classified columns, op tables and aggregates are
-memoized in memory only: a warm run derives every entry's fingerprint
-from the built workload, hits every entry and executes nothing.  A
-cache-less runner derives no fingerprint at all.
+processes.  Traces, op tables and aggregates are memoized in memory
+only: a warm run derives every entry's fingerprint from the built
+workload, hits every entry and executes nothing.  A cache-less runner
+derives no fingerprint at all.
 
 Each stage has one engine: the vectorized classifier, the columnar
 architecture interpretation and power accounting, and the event-driven
@@ -41,28 +49,19 @@ stale entry, and staleness is decided from the entry's header without
 unpickling its payload.  Files from older cache layouts are never
 read: they are plain misses.
 
-With ``chunk_events`` set, each (benchmark, architecture) pair streams
-its trace chunk by chunk through
-:func:`~repro.experiments.streaming.stream_pipeline`, which ends at the
-same (op table, power aggregates) pair the whole-trace path lowers, so
-both go through one SM memo and one power evaluation; only the pair's
-``result`` entry is cached.  The op-table memo then keeps the digest
-and the aggregates but not the table, and the sweeps and
-:meth:`ExperimentRunner.timeline` never build whole-trace columns: a
-pair they must simulate again streams again.
-
-:meth:`ExperimentRunner.prefetch` fans the benchmark × (summary,
-architecture) matrix out over a process pool
-(:mod:`repro.experiments.parallel`) whose workers return their
-summaries and results into the runner's memos, with or without a
-cache, and :attr:`ExperimentRunner.stats` counts cache hits, misses,
-re-executions and per-stage wall time for observability.
+With ``jobs > 1``, :meth:`ExperimentRunner.prefetch` fans the
+benchmarks out over a process pool (:mod:`repro.experiments.parallel`)
+whose workers pass their benchmarks and return the summaries and
+results into the runner's memos, with or without a cache, and
+:attr:`ExperimentRunner.stats` counts cache hits, misses,
+re-executions, passes and per-stage wall time for observability.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -84,20 +83,13 @@ from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.power.accounting import PowerAccountant, _PowerAggregates
 from repro.power.energy import DEFAULT_ENERGY, EnergyParams
 from repro.power.report import PowerReport
-from repro.scalar.arch_batch import process_columns
-from repro.scalar.batch import classify_columnar_batch
-from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.simt.executor import run_kernel
-from repro.simt.trace import ColumnarTrace, iter_chunks
+from repro.simt.trace import ColumnarTrace, TraceChunk, iter_chunks
 from repro.timing.gpu import simulate_warp_ops
-from repro.timing.ops import TimingOpTable, build_timing_ops_columns, lowering_key
+from repro.timing.ops import TimingOpTable, lowering_key
 from repro.timing.sm import TimingResult
 from repro.workloads.registry import SCALES, BuiltWorkload, all_workloads, workload_by_name
-from repro.workloads.synth import (
-    iter_synthetic_chunks,
-    materialize_synthetic,
-    synthetic_replicas,
-)
+from repro.workloads.synth import iter_synthetic_chunks, synthetic_replicas
 
 #: Version of the derived stage entries (classified and processed
 #: columns, timing/power results).  Bump to invalidate all of them at
@@ -125,7 +117,9 @@ from repro.workloads.synth import (
 #: Version 10: the ``fig12`` summary holds Warped-Compression's activity
 #: counts, not its energy, and summaries are not keyed on the energy
 #: parameters.
-STAGE_VERSION = 10
+#: Version 11: the ``extras`` summary's address-width study holds stored
+#: bytes, not fractions, so it merges over chunks.
+STAGE_VERSION = 11
 
 #: Warp size of the runner's traces (the paper's machine).
 WARP_SIZE = 32
@@ -148,9 +142,10 @@ class RunnerStats:
 
     ``counters`` tracks cache outcomes (``summary_cache_hits``,
     ``summary_cache_misses``, ``result_cache_hits``, ...,
-    ``cache_invalid``), ``trace_executions``, ``op_tables`` (whole-trace
-    lowerings and streamed joins) and SM engine work (``sm_runs``
-    simulations, ``sm_reuses`` memo hits);
+    ``cache_invalid``), ``trace_executions``, passes (``stream_passes``,
+    one per pass over a benchmark, and their ``stream_chunks``),
+    ``op_tables`` (one per pair a pass builds) and SM engine work
+    (``sm_runs`` simulations, ``sm_reuses`` memo hits);
     ``stage_seconds`` accumulates wall time per pipeline stage.  Stats
     merge across processes, so a parallel prefetch reports the totals
     over all workers.
@@ -240,8 +235,7 @@ class RunnerStats:
         """JSON-serializable snapshot (``--stats-json`` output shape).
 
         Stamps the process's peak RSS into the gauges first, so every
-        stats snapshot reports it even for whole-trace runs that never
-        touched the streaming gauges.
+        stats snapshot reports it even for runs that passed nothing.
         """
         record_peak_rss(self.telemetry)
         return {
@@ -254,47 +248,27 @@ class RunnerStats:
         }
 
 
+@dataclass(eq=False)
 class BenchmarkRun:
     """The functional-level artifacts of one benchmark.
 
-    ``columnar`` is the trace in its columnar form: the executor's
-    trace, or for the synthetic large tier a deferred loader, so a
-    streamed run (which consumes the replica generator) never builds
-    the whole trace.
+    ``columnar`` is the executor's trace; at a synthetic tier it is the
+    seed trace, which a pass streams ``replicas`` times
+    (:func:`~repro.workloads.synth.iter_synthetic_chunks`) without ever
+    building the whole replicated trace.
     """
 
-    def __init__(
-        self,
-        abbr: str,
-        built: BuiltWorkload,
-        columnar: ColumnarTrace | None = None,
-        columnar_loader: "Callable[[BenchmarkRun], ColumnarTrace] | None" = None,
-    ):
-        if columnar is None and columnar_loader is None:
-            raise ValueError("BenchmarkRun needs a columnar trace or a loader")
-        self.abbr = abbr
-        self.built = built
-        self._columnar = columnar
-        self._columnar_loader = columnar_loader
-
-    def __repr__(self) -> str:
-        return f"BenchmarkRun(abbr={self.abbr!r})"
-
-    @property
-    def columnar(self) -> ColumnarTrace:
-        """The columnar trace (the deferred loader runs on first access)."""
-        if self._columnar is None:
-            loader = self._columnar_loader
-            self._columnar_loader = None
-            self._columnar = loader(self)
-        return self._columnar
+    abbr: str
+    built: BuiltWorkload = field(repr=False)
+    columnar: ColumnarTrace = field(repr=False)
+    replicas: int = 1
 
 
 class _OpTable(NamedTuple):
     """One pair's op-table memo entry under one lowering key."""
 
     digest: str
-    #: ``None`` on a chunked runner, which keeps only the digest.
+    #: ``None`` unless the pass that built it was one chunk.
     table: TimingOpTable | None
 
 
@@ -338,9 +312,7 @@ class ExperimentRunner:
         self._workloads: dict[str, BuiltWorkload] = {}
         self._trace_fingerprints: dict[str, str] = {}
         self._runs: dict[str, BenchmarkRun] = {}
-        self._seeds: dict[str, tuple[ColumnarTrace, int]] = {}
         self._widths: dict[str, WidthResult] = {}
-        self._classified_columns: dict[str, ClassifiedColumns] = {}
         self._op_tables: dict[tuple[str, str, tuple[int, int, int]], _OpTable] = {}
         self._aggregates: dict[tuple[str, str], _PowerAggregates] = {}
         self._summaries: dict[tuple[str, str], Any] = {}
@@ -363,21 +335,16 @@ class ExperimentRunner:
     def _stage_stem(self, key: str, stage: str) -> str:
         return f"{key}_{self.scale.name}_{stage}"
 
-    def _through_cache(
-        self,
-        kind: str,
-        entry: Callable[[], tuple[str, str]],
-        compute: Callable[[], Any],
-    ) -> Any:
-        """``compute()``'s payload, through one ``kind`` cache entry.
+    def _load(self, kind: str, entry: Callable[[], tuple[str, str]]) -> Any:
+        """The payload of a current ``kind`` cache entry, else ``None``.
 
-        With ``cache_dir`` set, a clean hit is returned and a miss is
-        computed and stored, each outcome counted; ``entry`` gives the
-        entry's ``(stem, fingerprint)``.  A cache-less runner computes
-        directly and never derives a key.
+        With ``cache_dir`` set, a hit or a miss is counted (and a stale
+        or corrupt entry as ``cache_invalid``); ``entry`` gives the
+        entry's ``(stem, fingerprint)``.  A cache-less runner reads
+        nothing and never derives a key.
         """
         if self.cache_dir is None:
-            return compute()
+            return None
         stem, fingerprint = entry()
         payload, status = store.load_entry(self.cache_dir, stem, fingerprint, kind)
         if status == "hit":
@@ -387,11 +354,19 @@ class ExperimentRunner:
             self._log(f"discarding {status} {kind} entry {stem}")
             self.stats.bump("cache_invalid")
         self.stats.bump(f"{kind}_cache_misses")
-        payload = compute()
-        store.store_entry(
-            self.cache_dir, stem, fingerprint=fingerprint, kind=kind, payload=payload
-        )
-        return payload
+        return None
+
+    def _store(self, kind: str, entry: Callable[[], tuple[str, str]], payload):
+        """Store a computed payload as a ``kind`` entry (with ``cache_dir``)."""
+        if self.cache_dir is not None:
+            stem, fingerprint = entry()
+            store.store_entry(
+                self.cache_dir,
+                stem,
+                fingerprint=fingerprint,
+                kind=kind,
+                payload=payload,
+            )
 
     # ------------------------------------------------------------------
     # Trace stage.
@@ -435,42 +410,32 @@ class ExperimentRunner:
         return self._execute(key, workload_by_name(key).builder(self.scale), warp_size)
 
     def run(self, abbr: str) -> BenchmarkRun:
-        """Execute (or fetch) one benchmark's functional trace."""
+        """Execute (or fetch) one benchmark's functional trace.
+
+        At a synthetic tier the executed trace is the seed, and the run
+        records how many replicas its passes stream.
+        """
         key = self._normalize(abbr)
         if key not in self._runs:
             built = self._workload(key)
             columnar = self._execute(key, built, WARP_SIZE)
+            replicas = synthetic_replicas(columnar, self.scale)
             if self.scale.synthetic_events > 0:
-                # Synthetic tier: what was executed above is the *seed*
-                # trace.  The run carries a deferred materializer
-                # instead of the replicated whole trace, so a streamed
-                # pass (which consumes the replica generator) never pays
-                # for — or holds — the 10^6+-event form.
-                replicas = synthetic_replicas(columnar, self.scale)
-                self._seeds[key] = (columnar, replicas)
                 self._log(
                     f"{key}: synthetic tier, {replicas} replicas of "
                     f"{columnar.num_events} seed events"
                 )
-                self._runs[key] = BenchmarkRun(
-                    abbr=key,
-                    built=built,
-                    columnar_loader=self._materialize_synthetic,
-                )
-            else:
-                self._runs[key] = BenchmarkRun(abbr=key, built=built, columnar=columnar)
+            self._runs[key] = BenchmarkRun(key, built, columnar, replicas)
         return self._runs[key]
 
-    def _materialize_synthetic(self, run: BenchmarkRun) -> ColumnarTrace:
-        """Build the whole replicated trace (the non-streaming arm)."""
-        seed, replicas = self._seeds[run.abbr]
-        self._log(
-            f"materializing synthetic {run.abbr}: {replicas} replicas, "
-            f"{seed.num_events * replicas} events"
-        )
-        self.stats.bump("synthetic_materializations")
-        with self.stats.timer("synthetic_materialize", benchmark=run.abbr):
-            return materialize_synthetic(seed, replicas)
+    def _chunks(self, run: BenchmarkRun) -> Iterator[TraceChunk]:
+        """A benchmark's chunks: runs of whole warps of at most
+        ``chunk_events`` events, else one chunk per trace.  A synthetic
+        tier streams from the replica generator, one replica at a time,
+        so nothing of the whole replicated trace is ever built."""
+        if self.scale.synthetic_events > 0:
+            return iter_synthetic_chunks(run.columnar, run.replicas, self.chunk_events)
+        return iter_chunks(run.columnar, self.chunk_events)
 
     # ------------------------------------------------------------------
     def width_analysis(self, abbr: str) -> WidthResult:
@@ -497,37 +462,21 @@ class ExperimentRunner:
     def _widths_for(self, abbr: str, arch: ArchitectureConfig):
         return self.static_widths(abbr) if arch.static_compression else None
 
-    def classified_columns(self, abbr: str) -> ClassifiedColumns:
-        """Classified columns of one benchmark (architecture-independent,
-        shared by every architecture's interpretation).  Memoized in
-        memory only."""
-        key = self._normalize(abbr)
-        if key not in self._classified_columns:
-            run = self.run(key)
-            with self.stats.timer("classify", benchmark=key):
-                self._classified_columns[key] = classify_columnar_batch(
-                    run.columnar, run.built.kernel.num_registers
-                )
-        return self._classified_columns[key]
-
     def summary(self, abbr: str, name: str) -> Any:
         """One benchmark's summary ``name`` (a key of
         :data:`repro.experiments.summary.BUILDERS`).
 
-        Built on demand by :data:`repro.experiments.summary.BUILDERS`,
-        memoized and, with ``cache_dir`` set, stored as a ``summary``
-        entry, so a warm run reads it without executing the trace.
+        Read from its ``summary`` cache entry, or folded by a pass
+        (:meth:`_pass`) and stored, then memoized, so a warm run reads
+        it without executing the trace.
         """
         from repro.experiments.summary import BUILDERS
 
         key = self._normalize(abbr)
-        builder = BUILDERS[name]
+        if name not in BUILDERS:
+            raise KeyError(f"unknown summary {name!r}; known: {', '.join(BUILDERS)}")
         if (key, name) not in self._summaries:
-            self._summaries[(key, name)] = self._through_cache(
-                "summary",
-                lambda: self._summary_entry(key, name),
-                lambda: builder(self, key),
-            )
+            self._fill(key, (name,), ())
         return self._summaries[(key, name)]
 
     def _summary_entry(self, key: str, name: str) -> tuple[str, str]:
@@ -535,18 +484,6 @@ class ExperimentRunner:
         return self._stage_stem(key, name), cachekey.summary_fingerprint(
             self._trace_fingerprint(key), name, STAGE_VERSION, WIDTH_ANALYSIS_VERSION
         )
-
-    def processed_columns(self, abbr: str, arch: ArchitectureConfig) -> ProcessedColumns:
-        """Per-architecture columnar processed trace for one benchmark.
-
-        Not memoized: the runner keeps only what they reduce to, each
-        pair's op table and power aggregates (:meth:`_build`).
-        """
-        key = self._normalize(abbr)
-        ccols = self.classified_columns(key)
-        widths = self._widths_for(key, arch)
-        with self.stats.timer("process", benchmark=key, arch=arch.name):
-            return process_columns(ccols, arch, static_widths=widths)
 
     def _result_entry(self, key: str, arch: ArchitectureConfig) -> tuple[str, str]:
         """``(stem, fingerprint)`` of one (benchmark, architecture)
@@ -567,110 +504,117 @@ class ExperimentRunner:
         """Warps per CTA of one benchmark's launch (barrier scope)."""
         return self._workload(self._normalize(abbr)).launch.warps_per_cta(WARP_SIZE)
 
-    def _results(self, key: str, arch: ArchitectureConfig) -> None:
-        """Fill timing and power for one pair.
+    def _fill(
+        self, key: str, names: Sequence[str], arches: Sequence[ArchitectureConfig]
+    ) -> None:
+        """Fill the summaries ``names`` and the results of ``arches`` of
+        one benchmark.
 
-        Probes the ``result`` entry once (with a cache directory); on a
-        miss, computes timing and power together and stores them as one
-        entry.
+        Memoized values stay and current cache entries are read; the
+        rest comes from one pass (:meth:`_pass`).  Each pair's timing
+        and power are then computed together, the SM memo simulating
+        the table the pass joined, and stored as one ``result`` entry.
         """
-        pair = self._through_cache(
-            "result",
-            lambda: self._result_entry(key, arch),
-            lambda: self._compute(key, arch),
-        )
-        self._timing[(key, arch.name)], self._power[(key, arch.name)] = pair
+        for name in names:
+            if (key, name) not in self._summaries:
+                payload = self._load("summary", lambda: self._summary_entry(key, name))
+                if payload is not None:
+                    self._summaries[(key, name)] = payload
+        for arch in arches:
+            pair = (key, arch.name)
+            if pair not in self._power:
+                payload = self._load("result", lambda: self._result_entry(key, arch))
+                if payload is not None:
+                    self._timing[pair], self._power[pair] = payload
+        names = [name for name in names if (key, name) not in self._summaries]
+        arches = [arch for arch in arches if (key, arch.name) not in self._power]
+        lkey = lowering_key(self.config)
+        unbuilt = [
+            arch for arch in arches if (key, arch.name, lkey) not in self._op_tables
+        ]
+        tables = {}
+        if names or unbuilt:
+            tables = self._pass(key, names, unbuilt, self.config)
+        for arch in arches:
+            pair = (key, arch.name)
+            joined = tables.pop(arch.name, None)
 
-    def _compute(
-        self, key: str, arch: ArchitectureConfig
-    ) -> tuple[TimingResult, PowerReport]:
-        """Timing and power of one pair: the SM memo simulates the
-        pair's op table and one evaluation accounts its power
-        aggregates, both from the op-table memo (:meth:`_build`)."""
-        timing = self.simulate_sm(key, arch)
-        accountant = PowerAccountant(arch, self.params, self.config)
-        with self.stats.timer("power", benchmark=key, arch=arch.name):
-            power = accountant.account_aggregates(
-                self.power_aggregates(key, arch), timing
+            def table(config: GpuConfig, arch=arch, joined=joined) -> TimingOpTable:
+                return self._table(key, arch, config) if joined is None else joined
+
+            timing = self._simulate(key, arch, self.config, table)
+            accountant = PowerAccountant(arch, self.params, self.config)
+            with self.stats.timer("power", benchmark=key, arch=arch.name):
+                power = accountant.account_aggregates(self._aggregates[pair], timing)
+            self._timing[pair], self._power[pair] = timing, power
+            self._store(
+                "result", lambda: self._result_entry(key, arch), (timing, power)
             )
-        return timing, power
 
-    def _build(
-        self, key: str, arch: ArchitectureConfig, config: GpuConfig
-    ) -> TimingOpTable:
-        """Build one pair's op table under ``config`` and memoize it.
+    def _pass(
+        self,
+        key: str,
+        names: Sequence[str],
+        arches: Sequence[ArchitectureConfig],
+        config: GpuConfig,
+    ) -> dict[str, TimingOpTable]:
+        """One walk over a benchmark's chunks (:meth:`_chunks`).
 
-        A whole-trace runner lowers and reduces one temporary set of
-        processed columns; a chunked runner streams the pair.  The memo
-        entry, keyed on ``config``'s
-        :func:`~repro.timing.ops.lowering_key`, keeps the digest, and
-        the table too unless the runner is chunked (so no streamed tier
-        is held); the pair's power aggregates are kept on first build.
-        Counts ``op_tables``.
+        Folds the summaries ``names`` and builds the op tables (under
+        ``config``) and power aggregates of ``arches`` through
+        :func:`~repro.experiments.streaming.stream_pipeline`.  Each
+        summary is memoized and stored; each pair's op-table memo entry,
+        keyed on ``config``'s :func:`~repro.timing.ops.lowering_key`,
+        keeps the digest, and the table too when the pass was one chunk;
+        its aggregates are kept on first build.  Returns the joined
+        tables for the caller to simulate.  Counts ``stream_passes``,
+        ``stream_chunks`` and ``op_tables``.
         """
-        pair = (key, arch.name)
-        if self.chunk_events is None:
-            self._log(f"lowering {key} on {arch.name}")
-            pcols = self.processed_columns(key, arch)
-            with self.stats.timer("timing", benchmark=key, arch=arch.name):
-                table = build_timing_ops_columns(
-                    self.classified_columns(key), pcols, arch, config
-                )
-            if pair not in self._aggregates:
-                accountant = PowerAccountant(arch, self.params, self.config)
-                with self.stats.timer("power", benchmark=key, arch=arch.name):
-                    self._aggregates[pair] = accountant.aggregates_from_columns(pcols)
-        else:
-            table, aggregates = self._stream(key, arch, config)
-            self._aggregates.setdefault(pair, aggregates)
-        self.stats.bump("op_tables")
-        with self.stats.timer("timing", benchmark=key, arch=arch.name):
-            digest = table.digest()
-        self._op_tables[(*pair, lowering_key(config))] = _OpTable(
-            digest, table if self.chunk_events is None else None
-        )
-        return table
+        from repro.experiments.summary import BUILDERS
 
-    def _table(
-        self, key: str, arch: ArchitectureConfig, config: GpuConfig
-    ) -> TimingOpTable:
-        """One pair's op table under ``config``: the memo's, or built
-        now (a chunked runner streams the pair again)."""
-        entry = self._op_tables.get((key, arch.name, lowering_key(config)))
-        if entry is not None and entry.table is not None:
-            return entry.table
-        return self._build(key, arch, config)
-
-    def _stream(
-        self, key: str, arch: ArchitectureConfig, config: GpuConfig
-    ) -> tuple[TimingOpTable, _PowerAggregates]:
-        """One pair's op table and power aggregates, streamed through
-        :func:`~repro.experiments.streaming.stream_pipeline`."""
-        self._log(f"streaming {key} on {arch.name} (chunk_events={self.chunk_events})")
         run = self.run(key)
-        seeded = self._seeds.get(key)
-        # Synthetic tiers stream from the replica generator, so nothing
-        # whole-trace is ever built.
-        if seeded is not None:
-            chunks = iter_synthetic_chunks(seeded[0], seeded[1], self.chunk_events)
-        else:
-            chunks = iter_chunks(run.columnar, self.chunk_events)
-        static_widths = {arch.name: self._widths_for(key, arch)}
-        with self.stats.timer("stream", benchmark=key, arch=arch.name):
+        folds = {name: BUILDERS[name](self, key) for name in names}
+        self._log(f"passing {key}: {', '.join([*names, *(a.name for a in arches)])}")
+        with self.stats.timer("stream", benchmark=key):
             outcome = stream_pipeline(
-                chunks,
-                (arch,),
+                self._chunks(run),
+                arches,
                 run.built.kernel.num_registers,
                 config=config,
-                static_widths=static_widths,
+                static_widths={a.name: self._widths_for(key, a) for a in arches},
+                summaries=folds,
             )
+        self.stats.bump("stream_passes")
         self.stats.bump("stream_chunks", outcome.num_chunks)
         # Gauges land in the stats registry: the shared one when
         # telemetry is on, else the runner's private registry — so
         # ``--stats-json`` reports them without a telemetry session.
         record_bytes_in_flight(outcome.peak_bytes_in_flight, self.stats.telemetry)
         record_peak_rss(self.stats.telemetry)
-        return outcome.tables[arch.name], outcome.aggregates[arch.name]
+        for name, payload in outcome.summaries.items():
+            self._summaries[(key, name)] = payload
+            self._store("summary", lambda: self._summary_entry(key, name), payload)
+        for arch in arches:
+            pair = (key, arch.name)
+            table = outcome.tables[arch.name]
+            self.stats.bump("op_tables")
+            with self.stats.timer("timing", benchmark=key, arch=arch.name):
+                digest = table.digest()
+            self._op_tables[(*pair, lowering_key(config))] = _OpTable(
+                digest, table if outcome.num_chunks == 1 else None
+            )
+            self._aggregates.setdefault(pair, outcome.aggregates[arch.name])
+        return outcome.tables
+
+    def _table(
+        self, key: str, arch: ArchitectureConfig, config: GpuConfig
+    ) -> TimingOpTable:
+        """One pair's op table under ``config``: the memo's, or built
+        by a pass of its own (again, where the memo kept no table)."""
+        entry = self._op_tables.get((key, arch.name, lowering_key(config)))
+        if entry is not None and entry.table is not None:
+            return entry.table
+        return self._pass(key, (), (arch,), config)[arch.name]
 
     def power_aggregates(self, abbr: str, arch: ArchitectureConfig) -> _PowerAggregates:
         """One pair's power aggregates, memoized with its op table.
@@ -681,7 +625,7 @@ class ExperimentRunner:
         """
         pair = (self._normalize(abbr), arch.name)
         if pair not in self._aggregates:
-            self._build(pair[0], arch, self.config)
+            self._pass(pair[0], (), (arch,), self.config)
         return self._aggregates[pair]
 
     def simulate_sm(
@@ -699,10 +643,10 @@ class ExperimentRunner:
 
         Each configuration's digest and table come from the op-table
         memo, so configurations that share a lowering key (a latency
-        sweep's points) lower nothing once the pair is built.  A chunked
-        runner keeps only digests: the first SM-memo miss streams the
-        pair again, and that table serves every other configuration of
-        the call.
+        sweep's points) lower nothing once the pair is built.  Where the
+        memo kept only a digest, the first SM-memo miss passes the pair
+        again, and that table serves every other configuration of the
+        call.
         """
         key = self._normalize(abbr)
         held: dict[tuple[int, int, int], TimingOpTable] = {}
@@ -760,7 +704,7 @@ class ExperimentRunner:
         """Cycle-level result for one (benchmark, architecture) pair."""
         key = self._normalize(abbr)
         if (key, arch.name) not in self._timing:
-            self._results(key, arch)
+            self._fill(key, (), (arch,))
         return self._timing[(key, arch.name)]
 
     def timeline(
@@ -771,8 +715,9 @@ class ExperimentRunner:
     ) -> TimingResult:
         """Re-run timing with a flight recorder threaded through.
 
-        Simulates the pair's op table from the op-table memo (a chunked
-        runner streams it again), but always simulates: it never
+        Simulates the pair's op table from the op-table memo (or passes
+        the pair again where the memo kept no table), but always
+        simulates: it never
         replays a result entry or the SM memo — recorded events cannot
         come from a cache — and never stores the result, so the
         recorded run cannot pollute the recorder-free caches.
@@ -794,7 +739,7 @@ class ExperimentRunner:
         """Power report for one (benchmark, architecture) pair."""
         key = self._normalize(abbr)
         if (key, arch.name) not in self._power:
-            self._results(key, arch)
+            self._fill(key, (), (arch,))
         return self._power[(key, arch.name)]
 
     # ------------------------------------------------------------------
@@ -811,7 +756,8 @@ class ExperimentRunner:
         """Warm the summaries ``experiments`` names (keys of
         :data:`repro.experiments.summary.BUILDERS`) and the results of
         ``arches`` (default: the four paper architectures) for each
-        benchmark.
+        benchmark, passing each benchmark once for whatever its memos
+        and cache entries do not hold (:meth:`_pass`).
 
         With ``jobs > 1`` the benchmarks fan out over a process pool
         (:func:`repro.experiments.parallel.run_matrix`).  Each worker
@@ -834,10 +780,7 @@ class ExperimentRunner:
         with self.stats.timer("prefetch"):
             if jobs == 1 or len(wanted) <= 1:
                 for index, abbr in enumerate(wanted):
-                    for name in experiments:
-                        self.summary(abbr, name)
-                    for arch in arch_list:
-                        self.power(abbr, arch)
+                    self._fill(abbr, experiments, arch_list)
                     if progress is not None:
                         progress(abbr, index + 1, len(wanted))
             else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.config import ArchitectureConfig
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.tables import render_table
+from repro.experiments.tables import mean, render_table
 from repro.timing.sm import STALL_CAUSES
 
 
@@ -49,10 +49,7 @@ class StallData:
     arch_names: tuple[str, ...]
 
     def average_stall_fraction(self, arch: str, cause: str) -> float:
-        rows = [r for r in self.rows if r.arch == arch]
-        if not rows:
-            return 0.0
-        return sum(r.stall_fraction(cause) for r in rows) / len(rows)
+        return mean(r.stall_fraction(cause) for r in self.rows if r.arch == arch)
 
 
 #: The architectures whose timing results :func:`compute` reads.
@@ -114,9 +111,8 @@ def render(data: StallData) -> str:
         arch_rows = [r for r in data.rows if r.arch == arch]
         if not arch_rows:
             continue
-        mean_issue = sum(r.issue_fraction() for r in arch_rows) / len(arch_rows)
         table_rows.append(
-            ("AVG", arch, "", _pct(mean_issue))
+            ("AVG", arch, "", _pct(mean(r.issue_fraction() for r in arch_rows)))
             + tuple(
                 _pct(data.average_stall_fraction(arch, cause))
                 for cause in STALL_CAUSES

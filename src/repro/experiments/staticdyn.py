@@ -37,9 +37,10 @@ import numpy as np
 from repro.analysis.static_.uniformity import StaticScalarClass, UniformityResult
 from repro.analysis.static_.widths import WidthResult
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.tables import render_table
+from repro.experiments.tables import mean, render_table
 from repro.isa.kernel import Kernel
 from repro.isa.opcodes import Opcode
+from repro.merge import fixed
 from repro.scalar.columns import ClassifiedColumns
 from repro.scalar.eligibility import SCALAR_CLASS_TO_ID, ScalarClass
 from repro.simt.trace import ID_TO_OPCODE, OPCODE_TO_ID
@@ -146,11 +147,11 @@ def _entry_masks(columns: ClassifiedColumns) -> np.ndarray:
 class StaticDynRow:
     """Per-benchmark join of static predictions and dynamic outcomes."""
 
-    abbr: str
+    abbr: str = fixed()
     #: Static-site counts from the uniformity analysis.
-    static_provable: int
-    static_possible: int
-    static_divergent: int
+    static_provable: int = fixed()
+    static_possible: int = fixed()
+    static_divergent: int = fixed()
     #: Dynamic event counts.
     total_events: int
     predicted_events: int  # events at PROVABLY_SCALAR sites
@@ -182,22 +183,17 @@ class StaticDynRow:
 class StaticDynData:
     rows: list[StaticDynRow]
 
-    def _average(self, getter) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(getter(r) for r in self.rows) / len(self.rows)
-
     @property
     def average_precision(self) -> float:
-        return self._average(lambda r: r.precision)
+        return mean(r.precision for r in self.rows)
 
     @property
     def average_recall(self) -> float:
-        return self._average(lambda r: r.recall)
+        return mean(r.recall for r in self.rows)
 
     @property
     def average_coverage(self) -> float:
-        return self._average(lambda r: r.coverage)
+        return mean(r.coverage for r in self.rows)
 
     @property
     def total_soundness_violations(self) -> int:
@@ -278,9 +274,9 @@ class WidthDynRow:
       all write events.
     """
 
-    abbr: str
-    narrow_registers: int
-    registers: int
+    abbr: str = fixed()
+    narrow_registers: int = fixed()
+    registers: int = fixed()
     write_events: int
     claimed_events: int  # write events whose site claims enc >= 1
     over_claims: int  # events where observed enc < claimed enc
@@ -311,22 +307,17 @@ class WidthDynRow:
 class WidthDynData:
     rows: list[WidthDynRow]
 
-    def _average(self, getter) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(getter(r) for r in self.rows) / len(self.rows)
-
     @property
     def average_precision(self) -> float:
-        return self._average(lambda r: r.precision)
+        return mean(r.precision for r in self.rows)
 
     @property
     def average_recall(self) -> float:
-        return self._average(lambda r: r.recall)
+        return mean(r.recall for r in self.rows)
 
     @property
     def average_coverage(self) -> float:
-        return self._average(lambda r: r.coverage)
+        return mean(r.coverage for r in self.rows)
 
     @property
     def total_over_claims(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.tables import render_table
+from repro.experiments.tables import mean, render_table
 from repro.scalar.eligibility import ScalarClass
 
 #: The summaries :func:`compute` reads.
@@ -38,23 +38,19 @@ class SuiteData:
     rows: list[SuiteRow]
 
     def averages(self) -> SuiteRow:
-        count = max(1, len(self.rows))
-
-        def mean(getter):
-            return sum(getter(r) for r in self.rows) / count
-
+        rows = self.rows
         return SuiteRow(
             abbr="AVG",
-            instructions=sum(r.instructions for r in self.rows),
-            divergent=mean(lambda r: r.divergent),
-            alu_scalar=mean(lambda r: r.alu_scalar),
-            sfu_scalar=mean(lambda r: r.sfu_scalar),
-            mem_scalar=mean(lambda r: r.mem_scalar),
-            half_scalar=mean(lambda r: r.half_scalar),
-            divergent_scalar=mean(lambda r: r.divergent_scalar),
-            eligible=mean(lambda r: r.eligible),
-            sfu_mix=mean(lambda r: r.sfu_mix),
-            mem_mix=mean(lambda r: r.mem_mix),
+            instructions=sum(r.instructions for r in rows),
+            divergent=mean(r.divergent for r in rows),
+            alu_scalar=mean(r.alu_scalar for r in rows),
+            sfu_scalar=mean(r.sfu_scalar for r in rows),
+            mem_scalar=mean(r.mem_scalar for r in rows),
+            half_scalar=mean(r.half_scalar for r in rows),
+            divergent_scalar=mean(r.divergent_scalar for r in rows),
+            eligible=mean(r.eligible for r in rows),
+            sfu_mix=mean(r.sfu_mix for r in rows),
+            mem_mix=mean(r.mem_mix for r in rows),
         )
 
 

@@ -8,21 +8,24 @@ and ``fig12`` hold Figure 8's access buckets, Figure 10's chunk-scalar
 counts at warp sizes 32 and 64 and Figure 12's Warped-Compression RF
 activity; ``extras`` the §5.3 compression, move-elision and address-width
 terms; ``staticdyn`` the static vs. dynamic scores and width-claim rows.
-Each builder reads one benchmark's trace, classified columns or width
-analysis, never another summary, and returns small dataclasses, never
-an array of trace size.  Each experiment names the summaries its ``compute`` reads in a
+Each experiment names the summaries its ``compute`` reads in a
 ``SUMMARIES`` module constant.
 
-:meth:`repro.experiments.runner.ExperimentRunner.summary` builds a
-summary on demand, memoizes it and, with a cache directory, stores it
-as one ``summary`` entry.  The figure modules read only summaries and
-``result`` entries, so a warm cache renders every figure without
-executing, classifying or simulating anything.
+Each builder prepares one benchmark's :class:`SummaryFold`, whose step
+counts one chunk of whole warps from its trace slice and classified
+columns; the benchmark's pass
+(:func:`repro.experiments.streaming.stream_pipeline`) sums the steps
+with :func:`repro.merge.merge`, which equals the count over the whole
+trace.  A builder reads the kernel, the width analysis or the warp-64
+trace, never another summary, and its payload is small dataclasses,
+never an array of trace size.  The runner memoizes each summary and,
+with a cache directory, stores it as one ``summary`` entry, so a warm
+cache renders every figure without executing anything.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -40,67 +43,82 @@ from repro.experiments.staticdyn import (
 )
 from repro.power.rf_techniques import wc_bdi_counts
 from repro.scalar.arch_batch import process_columns
+from repro.scalar.columns import ClassifiedColumns
 from repro.scalar.compiler import MoveElisionAnalysis
 from repro.scalar.tracker import trace_statistics
+from repro.simt.trace import TraceChunk
 
 if TYPE_CHECKING:
     from repro.experiments.runner import ExperimentRunner
 
 
-def _counts(runner: ExperimentRunner, abbr: str):
-    return trace_statistics(runner.classified_columns(abbr))
+class SummaryFold(NamedTuple):
+    """One benchmark's summary as a fold over its chunks: the pass
+    merges ``step(chunk, columns)`` of every chunk into ``start``."""
+
+    step: Callable[[TraceChunk, ClassifiedColumns], Any]
+    start: Any = None
 
 
-def _fig8(runner: ExperimentRunner, abbr: str):
-    return access_distribution(runner.classified_columns(abbr))
+def _counts(runner: ExperimentRunner, abbr: str) -> SummaryFold:
+    return SummaryFold(lambda chunk, columns: trace_statistics(columns))
 
 
-def _fig10(runner: ExperimentRunner, abbr: str):
+def _fig8(runner: ExperimentRunner, abbr: str) -> SummaryFold:
+    return SummaryFold(lambda chunk, columns: access_distribution(columns))
+
+
+def _fig10(runner: ExperimentRunner, abbr: str) -> SummaryFold:
     """Chunk-scalar stats at warp sizes 32 and 64.  The warp-64 trace
-    is executed here and dropped once counted."""
-    return (
-        chunk_scalar_stats(runner.run(abbr).columnar, GRANULARITY),
-        chunk_scalar_stats(runner.execute(abbr, 64), GRANULARITY),
+    is executed once here, counted whole and dropped."""
+    warp64 = chunk_scalar_stats(runner.execute(abbr, 64), GRANULARITY)
+    return SummaryFold(
+        lambda chunk, columns: (chunk_scalar_stats(chunk.columnar, GRANULARITY), None),
+        start=(None, warp64),
     )
 
 
-def _fig12(runner: ExperimentRunner, abbr: str):
+def _fig12(runner: ExperimentRunner, abbr: str) -> SummaryFold:
     """Warped-Compression's RF activity, replayed over the raw trace."""
-    return wc_bdi_counts(runner.run(abbr).columnar)
+    return SummaryFold(lambda chunk, columns: wc_bdi_counts(chunk.columnar))
 
 
-def _extras(runner: ExperimentRunner, abbr: str) -> ExtrasCounts:
-    run = runner.run(abbr)
-    with_compiler = process_columns(
-        runner.classified_columns(abbr),
-        ArchitectureConfig.gscalar(),
-        move_elision=MoveElisionAnalysis(run.built.kernel),
-    )
-    return ExtrasCounts(
-        comparison=compare_trace(run.columnar),
-        elided_move_instructions=int(
-            with_compiler.extra_instructions.sum(dtype=np.int64)
-        ),
-        width_study=address_width_study(run.columnar),
-        register_enc=runner.width_analysis(abbr).register_enc,
-    )
+def _extras(runner: ExperimentRunner, abbr: str) -> SummaryFold:
+    gscalar = ArchitectureConfig.gscalar()
+    elision = MoveElisionAnalysis(runner.run(abbr).built.kernel)
+    register_enc = runner.width_analysis(abbr).register_enc
+
+    def step(chunk: TraceChunk, columns: ClassifiedColumns) -> ExtrasCounts:
+        with_compiler = process_columns(columns, gscalar, move_elision=elision)
+        return ExtrasCounts(
+            comparison=compare_trace(chunk.columnar),
+            elided_move_instructions=int(
+                with_compiler.extra_instructions.sum(dtype=np.int64)
+            ),
+            width_study=address_width_study(chunk.columnar),
+            register_enc=register_enc,
+        )
+
+    return SummaryFold(step)
 
 
-def _staticdyn(runner: ExperimentRunner, abbr: str):
+def _staticdyn(runner: ExperimentRunner, abbr: str) -> SummaryFold:
     """The static-vs-dynamic row and the width-claim row (``--widths``)."""
     kernel = runner.run(abbr).built.kernel
-    columns = runner.classified_columns(abbr)
     widths = runner.width_analysis(abbr)
-    sites = annotate_sites(kernel, columns)
-    return (
-        score_benchmark(abbr, kernel, columns, sites, widths.uniformity),
-        score_widths_benchmark(abbr, kernel, columns, sites, widths),
-    )
+
+    def step(chunk: TraceChunk, columns: ClassifiedColumns) -> tuple:
+        sites = annotate_sites(kernel, columns)
+        return (
+            score_benchmark(abbr, kernel, columns, sites, widths.uniformity),
+            score_widths_benchmark(abbr, kernel, columns, sites, widths),
+        )
+
+    return SummaryFold(step)
 
 
-#: Summary builders by summary name; a prefetch builds them in this
-#: order.
-BUILDERS: dict[str, Callable[[ExperimentRunner, str], Any]] = {
+#: Summary builders by summary name; a pass folds them in this order.
+BUILDERS: dict[str, Callable[[ExperimentRunner, str], SummaryFold]] = {
     "counts": _counts,
     "fig8": _fig8,
     "fig10": _fig10,

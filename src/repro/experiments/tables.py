@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 
 def render_table(
@@ -30,6 +30,13 @@ def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"
     return str(value)
+
+
+def mean(values: Iterable[float]) -> float:
+    """The mean of per-benchmark values, summed in order (0.0 for none):
+    a table's AVG row."""
+    values = list(values)
+    return sum(values) / len(values) if values else 0.0
 
 
 def percent(fraction: float) -> str:

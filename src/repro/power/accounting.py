@@ -11,7 +11,8 @@ opcode, access counts per energy-distinct shape,
 compressor/decompressor/instruction totals), so a processed stream
 first reduces to a :class:`_PowerAggregates` and one evaluator turns
 that into picojoules, iterating keys in sorted order.  Per-chunk
-aggregates merge exactly, and the per-event reference walk in
+aggregates merge exactly (:func:`repro.merge.merge`), and the
+per-event reference walk in
 ``tests/reference`` fills the same aggregates — two walks of
 bit-identical processed streams produce bit-identical reports by
 construction.
@@ -55,23 +56,6 @@ class _PowerAggregates:
     exec_lanes_by_opcode: dict[int, int] = field(default_factory=dict)
     #: energy-distinct access shape -> count.
     access_tally: dict[TallyKey, int] = field(default_factory=dict)
-
-    def merge(self, other: "_PowerAggregates") -> None:
-        """Fold another aggregate set into this one (exact: all counts
-        are integers and the evaluator iterates sorted keys, so merged
-        per-chunk aggregates reproduce whole-trace reports bit-for-bit).
-        """
-        self.instructions += other.instructions
-        self.extra_instructions += other.extra_instructions
-        self.extra_exec_lanes += other.extra_exec_lanes
-        self.compressor_ops += other.compressor_ops
-        self.decompressor_ops += other.decompressor_ops
-        for opcode_id, lanes in other.exec_lanes_by_opcode.items():
-            self.exec_lanes_by_opcode[opcode_id] = (
-                self.exec_lanes_by_opcode.get(opcode_id, 0) + lanes
-            )
-        for key, count in other.access_tally.items():
-            self.access_tally[key] = self.access_tally.get(key, 0) + count
 
 
 class PowerAccountant:
@@ -226,9 +210,9 @@ class PowerAccountant:
     ) -> PowerReport:
         """Evaluate aggregates into a power report.
 
-        The streaming pipeline builds one :class:`_PowerAggregates` per
-        chunk with :meth:`aggregates_from_columns` and folds them with
-        :meth:`_PowerAggregates.merge`; this evaluates the merged total
+        A pass builds one :class:`_PowerAggregates` per chunk with
+        :meth:`aggregates_from_columns` and sums them with
+        :func:`repro.merge.merge`; this evaluates the merged total
         exactly as :meth:`account_columns` would for the whole trace.
         """
         params = self.params

@@ -23,6 +23,7 @@ import numpy as np
 from repro.compression.bdi import BDI_MODES, BdiMode, bdi_modes
 from repro.config import ArchitectureConfig
 from repro.errors import ConfigError
+from repro.merge import fixed
 from repro.power.accounting import PowerAccountant
 from repro.power.energy import DEFAULT_ENERGY, EnergyParams
 from repro.regfile.layout import BankGeometry, BaselineLayout
@@ -100,7 +101,7 @@ class WcBdiCounts:
     """Warped-Compression's RF activity over one trace, as integer
     counts that :meth:`energy` prices under any energy parameters."""
 
-    warp_size: int
+    warp_size: int = fixed()
     mode_accesses: tuple[int, ...]  # data-array accesses per BDI_MODES entry
     moves: int  # decompress-moves ahead of divergent writes
     partial_write_arrays: int  # arrays the divergent writes activate

@@ -389,17 +389,23 @@ class TraceChunk:
         return self.columnar.num_events
 
 
-def iter_chunks(columnar: ColumnarTrace, chunk_events: int) -> Iterator[TraceChunk]:
+def iter_chunks(
+    columnar: ColumnarTrace, chunk_events: int | None
+) -> Iterator[TraceChunk]:
     """Stream a columnar trace as :class:`TraceChunk` runs of whole warps.
 
     A chunk ends before the warp that would take it past
     ``chunk_events`` events, and a warp longer than that is a chunk by
-    itself.  Every per-warp state (the BVR/EBR sidecar, a scalar
-    register file) thus lives and dies inside one chunk, so each chunk
-    runs through the pipeline as a trace of its own.  An empty trace
-    yields one empty chunk so streaming consumers build their (empty)
-    outputs through the same path as every other trace.
+    itself; without ``chunk_events`` the whole trace is one chunk.
+    Every per-warp state (the BVR/EBR sidecar, a scalar register file)
+    thus lives and dies inside one chunk, so each chunk runs through
+    the pipeline as a trace of its own.  An empty trace yields one
+    empty chunk so streaming consumers build their (empty) outputs
+    through the same path as every other trace.
     """
+    if chunk_events is None:
+        yield TraceChunk(columnar, 0, 0, 0)
+        return
     if chunk_events < 1:
         raise TraceError(f"chunk_events must be >= 1, got {chunk_events}")
     index = first = start = events = 0
@@ -410,66 +416,4 @@ def iter_chunks(columnar: ColumnarTrace, chunk_events: int) -> Iterator[TraceChu
         events += length
     yield TraceChunk(
         columnar.slice_warps(first, columnar.num_warps), index, start, first
-    )
-
-
-def concat_columnar(traces: list[ColumnarTrace]) -> ColumnarTrace:
-    """Concatenate whole-warp columnar traces into one stream.
-
-    The inverse of warp-aligned slicing: per-event and flat arrays
-    concatenate, offset/row-index tables rebase.  Used to materialize
-    the whole-trace arm of a synthetic replica stream
-    (:mod:`repro.workloads.synth`) for differential comparison — the
-    streamed arm never builds this.
-    """
-    if not traces:
-        raise TraceError("concat_columnar needs >= 1 trace")
-    first = traces[0]
-    src_offsets = np.zeros(
-        sum(t.num_events for t in traces) + 1, dtype=np.int64
-    )
-    position = 0
-    src_base = 0
-    values_index_parts = []
-    addr_index_parts = []
-    values_base = 0
-    addr_base = 0
-    for trace in traces:
-        count = trace.num_events
-        src_offsets[position + 1 : position + count + 1] = (
-            trace.src_offsets[1:] - trace.src_offsets[0] + src_base
-        )
-        src_base = int(src_offsets[position + count])
-        position += count
-        values_index_parts.append(
-            np.where(
-                trace.values_index >= 0,
-                trace.values_index + values_base,
-                -1,
-            ).astype(np.int64)
-        )
-        values_base += int(trace.values.shape[0])
-        addr_index_parts.append(
-            np.where(
-                trace.addr_index >= 0, trace.addr_index + addr_base, -1
-            ).astype(np.int64)
-        )
-        addr_base += int(trace.addresses.shape[0])
-    return ColumnarTrace(
-        kernel_name=first.kernel_name,
-        warp_size=first.warp_size,
-        warp_ids=np.concatenate([t.warp_ids for t in traces]),
-        warp_lengths=np.concatenate([t.warp_lengths for t in traces]),
-        opcode_ids=np.concatenate([t.opcode_ids for t in traces]),
-        dst=np.concatenate([t.dst for t in traces]),
-        masks=np.concatenate([t.masks for t in traces]),
-        blocks=np.concatenate([t.blocks for t in traces]),
-        varying=np.concatenate([t.varying for t in traces]),
-        scalar_nonreg=np.concatenate([t.scalar_nonreg for t in traces]),
-        src_offsets=src_offsets,
-        src_flat=np.concatenate([t.src_flat for t in traces]),
-        values_index=np.concatenate(values_index_parts),
-        values=np.concatenate([t.values for t in traces]),
-        addr_index=np.concatenate(addr_index_parts),
-        addresses=np.concatenate([t.addresses for t in traces]),
     )

@@ -26,10 +26,8 @@ perturbation that preserves every structural invariant:
 Replica 0 is the unperturbed seed trace.  Replication is warp-aligned,
 so :func:`iter_synthetic_chunks` can stream the synthetic trace one
 chunk at a time — at most one replica's arrays are live at once, and
-the full stream is never materialized.  :func:`materialize_synthetic`
-builds the equivalent whole trace for the differential arm (and for
-demonstrating that the non-streaming path cannot stay under a memory
-ceiling the streaming path meets).
+the full stream is never materialized (``tests/reference/synth.py``
+builds it, as the stream's oracle).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.simt.trace import ColumnarTrace, TraceChunk, concat_columnar, iter_chunks
+from repro.simt.trace import ColumnarTrace, TraceChunk, iter_chunks
 from repro.workloads.registry import ScaleConfig
 
 #: Default seed for the per-replica perturbation streams.
@@ -95,15 +93,16 @@ def replicate_columnar(
 def iter_synthetic_chunks(
     seed_trace: ColumnarTrace,
     replicas: int,
-    chunk_events: int,
+    chunk_events: int | None,
     seed: int = DEFAULT_SEED,
 ) -> Iterator[TraceChunk]:
     """Stream the replicated trace as chunks with *global* indexing.
 
     Replica boundaries are warp boundaries, so each replica is chunked
     independently (its trailing chunk may hold fewer than
-    ``chunk_events`` events) and only the chunk's index / event / warp
-    offsets need rebasing to the global stream.  Consumers see the same
+    ``chunk_events`` events; without ``chunk_events`` each replica is
+    one chunk) and only the chunk's index / event / warp offsets need
+    rebasing to the global stream.  Consumers see the same
     contract as :func:`repro.simt.trace.iter_chunks`: every chunk is a
     run of whole warps.  Whether warps are grouped globally or per
     replica cannot change the pipeline's output (streaming is
@@ -124,19 +123,3 @@ def iter_synthetic_chunks(
             chunk_index += 1
         event_base += columnar.num_events
         warp_base += columnar.num_warps
-
-
-def materialize_synthetic(
-    seed_trace: ColumnarTrace, replicas: int, seed: int = DEFAULT_SEED
-) -> ColumnarTrace:
-    """The whole replicated trace as one :class:`ColumnarTrace`.
-
-    The comparison arm only: this holds every replica's arrays at once,
-    which is precisely what the streaming path avoids.
-    """
-    return concat_columnar(
-        [
-            replicate_columnar(seed_trace, replica, seed)
-            for replica in range(replicas)
-        ]
-    )

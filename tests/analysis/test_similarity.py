@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.similarity import CATEGORIES, access_distribution
 from repro.isa import KernelBuilder
+from repro.merge import merge
 from repro.scalar.batch import classify_columnar_batch
 from repro.simt import MemoryImage, run_kernel
 from repro.workloads.registry import all_workloads, build_workload
@@ -46,9 +47,11 @@ class TestAccessDistribution:
     def test_merge(self, divergent_kernel, scalar_heavy_kernel):
         a = distribution_for(divergent_kernel)
         b = distribution_for(scalar_heavy_kernel)
-        total = a.total + b.total
-        a.merge(b)
-        assert a.total == total
+        merged = merge(a, b)
+        assert merged.total == a.total + b.total
+        assert merged.counts == {
+            name: a.counts[name] + b.counts[name] for name in CATEGORIES
+        }
 
     def test_categories_order(self):
         assert CATEGORIES[0] == "scalar"

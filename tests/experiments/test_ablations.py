@@ -30,11 +30,13 @@ from repro.scalar.compiler import MoveElisionAnalysis
 from repro.scalar.tracker import trace_statistics
 from repro.timing.gpu import simulate_architecture_columns
 
+from tests.oracles import classified_columns
+
 _SFU_HEAVY = ("BP", "MQ", "SR1")
 
 
 def _efficiency(runner, abbr, arch, config=None):
-    columns = runner.classified_columns(abbr)
+    columns = classified_columns(runner, abbr)
     processed = process_columns(columns, arch)
     timing = simulate_architecture_columns(columns, processed, arch, config)
     return PowerAccountant(
@@ -110,7 +112,7 @@ def test_compiler_assist(shared_runner):
     names = shared_runner.benchmark_names()
     for abbr in names:
         run = shared_runner.run(abbr)
-        columns = shared_runner.classified_columns(abbr)
+        columns = classified_columns(shared_runner, abbr)
         stats = trace_statistics(columns)
         total += stats.total_instructions
         moves_hw += stats.decompress_moves
@@ -152,7 +154,7 @@ def test_warp64(shared_runner):
     results = {}
     for abbr in ("BP", "HS", "MM"):
         # Warp 32 (the paper's machine).
-        columns32 = shared_runner.classified_columns(abbr)
+        columns32 = classified_columns(shared_runner, abbr)
         eff32 = {}
         for a in (base, arch):
             processed = process_columns(columns32, a)
@@ -201,7 +203,7 @@ def test_scalar_bank_bottleneck(shared_runner):
     gscalar = ArchitectureConfig.gscalar()
     results = {}
     for abbr in ("MM", "MQ", "BP"):  # scalar-heavy benchmarks
-        columns = shared_runner.classified_columns(abbr)
+        columns = classified_columns(shared_runner, abbr)
         results[abbr] = {
             arch.name: simulate_architecture_columns(
                 columns,

@@ -290,6 +290,8 @@ class TestRunnerKeys:
         edited = {abbr: warm.summary(abbr, "counts") for abbr in names}
         assert warm.stats.counters == {
             "cache_invalid": 1,
+            "stream_chunks": 1,
+            "stream_passes": 1,
             "summary_cache_hits": len(names) - 1,
             "summary_cache_misses": 1,
             "trace_executions": 1,

@@ -258,7 +258,8 @@ class TestSmStats:
         import json
 
         stats_path = tmp_path / "stats.json"
-        # Whole-trace and chunk-streamed pairs reach the same SM memo.
+        # Passes of one chunk per trace and of 256-event chunks reach
+        # the same SM memo.
         for extra in ([], ["--chunk-events", "256"]):
             argv = ["all", "--scale", "tiny", "--stats-json", str(stats_path)]
             assert main(argv + extra) == 0
@@ -269,11 +270,15 @@ class TestSmStats:
             # to theirs on 5, so 22 pairs reuse another pair's simulation.
             assert counters["sm_reuses"] == 22, extra
             assert counters["sm_runs"] == 17 * 5 - 22, extra
-            # One op table per pair: lowered whole, or joined from chunks.
+            # One op table per pair, joined from its pass's chunks.
             assert counters["op_tables"] == 17 * 5, extra
-            # Runs of whole warps of at most 256 events (one warp alone
-            # where it is longer), over the 85 streamed pairs.
-            assert counters.get("stream_chunks", 0) == (100 if extra else 0), extra
+            # One pass per benchmark, for all five architectures and
+            # every summary at once.
+            assert counters["stream_passes"] == 17, extra
+            # One chunk per trace, or runs of whole warps of at most 256
+            # events: 20 over the 17 tiny traces, as LC's four 144-event
+            # warps take a chunk each and every other trace fits one.
+            assert counters["stream_chunks"] == (20 if extra else 17), extra
 
 
 class TestCacheAndJobs:
@@ -300,8 +305,13 @@ class TestCacheAndJobs:
         assert cold["jobs"] == 2
         assert "fig1" in cold["experiment_seconds"]
         # The workers built and stored the summaries and returned them:
-        # the parent read none back.
-        assert cold["counters"] == {"summary_cache_misses": 17, "trace_executions": 17}
+        # the parent read none back.  One pass of one chunk each.
+        assert cold["counters"] == {
+            "stream_chunks": 17,
+            "stream_passes": 17,
+            "summary_cache_misses": 17,
+            "trace_executions": 17,
+        }
         assert main(argv) == 0
         capsys.readouterr()
         warm = json.loads(stats_path.read_text())
@@ -345,6 +355,7 @@ class TestCacheAndJobs:
         import json
         import os
 
+        from repro.experiments import parallel
         from repro.experiments.runner import ExperimentRunner
 
         if affinity is None:
@@ -361,14 +372,24 @@ class TestCacheAndJobs:
             prefetched.append(kwargs["jobs"])
             return prefetch(runner, **kwargs)
 
+        pools = []
+        run_matrix = parallel.run_matrix
+
+        def pool_spy(**kwargs):
+            pools.append(kwargs["jobs"])
+            return run_matrix(**kwargs)
+
         monkeypatch.setattr(ExperimentRunner, "prefetch", spy)
+        monkeypatch.setattr(parallel, "run_matrix", pool_spy)
         stats_path = tmp_path / "stats.json"
         argv = ["fig1", "--scale", "tiny", "--stats-json", str(stats_path)]
         assert main(argv) == 0
         capsys.readouterr()
         assert json.loads(stats_path.read_text())["jobs"] == cpus
-        # One CPU keeps the serial path: no pool is started.
-        assert prefetched == ([] if cpus == 1 else [cpus])
+        # Every run prefetches; one CPU keeps the serial path: no pool
+        # is started.
+        assert prefetched == [cpus]
+        assert pools == ([] if cpus == 1 else [cpus])
 
     def test_fig12_jobs_prefetch_power_reports(self, tmp_path, capsys):
         import json

@@ -9,13 +9,20 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import cachekey, store, summary
+from repro.experiments import cachekey, store, streaming, summary
 from repro.experiments import runner as runner_module
 
 ARGV = ["all", "--scale", "tiny", "--widths"]
 COMPUTE_STAGES = (
-    "trace_execute", "classify", "process", "width_analysis", "timing", "power",
+    "trace_execute", "stream", "width_analysis", "timing", "power",
 )
+#: The module each entry point of a cold run is looked up in.
+ENTRY_POINTS = {
+    "run_kernel": runner_module,
+    "classify_columnar_batch": streaming,
+    "analyze_widths": runner_module,
+    "simulate_warp_ops": runner_module,
+}
 
 
 def _run(capsys, *extra) -> str:
@@ -23,11 +30,11 @@ def _run(capsys, *extra) -> str:
     return capsys.readouterr().out
 
 
-def _forbid(monkeypatch, module, name):
+def _forbid(monkeypatch, name):
     def forbidden(*args, **kwargs):
         raise AssertionError(f"a warm run called {name}")
 
-    monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(ENTRY_POINTS[name], name, forbidden)
 
 
 def test_repro_all_builds_no_classified_events(tmp_path, capsys, monkeypatch):
@@ -45,9 +52,8 @@ def test_repro_all_builds_no_classified_events(tmp_path, capsys, monkeypatch):
     assert all(path.is_file() for path in cache.iterdir())
 
     # The warm run renders from the entries alone.
-    for name in ("run_kernel", "classify_columnar_batch", "analyze_widths",
-                 "simulate_warp_ops"):
-        _forbid(monkeypatch, runner_module, name)
+    for name in ENTRY_POINTS:
+        _forbid(monkeypatch, name)
     warm = _run(capsys, "--cache-dir", str(cache), "--stats-json", str(stats))
     assert warm == reference
     recorded = json.loads(stats.read_text())
@@ -59,17 +65,14 @@ def test_repro_all_builds_no_classified_events(tmp_path, capsys, monkeypatch):
     assert not set(COMPUTE_STAGES) & set(recorded["stage_seconds"])
 
 
-@pytest.mark.parametrize(
-    "name", ["run_kernel", "classify_columnar_batch", "analyze_widths",
-             "simulate_warp_ops"],
-)
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
 def test_forbidden_entry_points_are_the_ones_a_cold_run_calls(monkeypatch, name):
     """The warm-run guard patches the names the runner really calls:
     with one of them forbidden, a cold run fails."""
     from repro.experiments.runner import ExperimentRunner
     from repro.experiments.runner import matrix_architectures
 
-    _forbid(monkeypatch, runner_module, name)
+    _forbid(monkeypatch, name)
     runner = ExperimentRunner(scale="tiny")
     with pytest.raises(AssertionError, match=name):
         runner.summary("HS", "extras")

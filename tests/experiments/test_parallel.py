@@ -290,7 +290,7 @@ class TestKilledWorker:
 
 
 #: The address-space ceiling of the memory-ceiling runs.
-CEILING_BYTES = 512 * 1024 * 1024
+CEILING_BYTES = 256 * 1024 * 1024
 
 
 def _limit_address_space():
@@ -304,24 +304,28 @@ class TestMemoryCeiling:
     """A run that outgrows a hard ``RLIMIT_AS`` ends in a named
     ``MemoryError``, serial and pooled: no hang, no stray worker.
 
-    It relies on the whole-trace arm of the large tier: without
-    ``--chunk-events``, ``repro fig1 --scale large`` materializes and
-    classifies each benchmark's >= 10^6-event trace at once, which
-    needs more than 512 MiB (the arm CI's "Whole-trace large tier dies
-    under a hard 512 MiB ceiling" step gates).  Once that run fits the
-    ceiling, this test and that step need another arm together.
+    Its arm is ``repro fig11 --scale large --chunk-events 65536`` under
+    256 MiB.  Each benchmark's one pass interprets and lowers all four
+    paper architectures and holds their four joined op tables until it
+    simulates them: BT's pass alone peaks at about 477 MB of address
+    space, where a bare ``repro`` start-up takes about 110 MB.  (The
+    whole-trace arm it replaces, ``repro fig1 --scale large`` under
+    512 MiB, now streams one replica at a time and completes, as CI's
+    "Large-tier fig1 passes under a hard 512 MiB ceiling" step gates.)
+    Once a four-architecture large-tier pass fits the ceiling, this
+    test needs another arm.
     """
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_whole_trace_large_run_dies_with_a_named_error(self, jobs):
+    def test_outgrown_ceiling_dies_with_a_named_error(self, jobs):
         src = str(Path(repro.__file__).resolve().parent.parent)
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
             part for part in (src, env.get("PYTHONPATH")) if part
         )
         child = subprocess.Popen(
-            [sys.executable, "-m", "repro", "fig1", "--scale", "large",
-             "--jobs", str(jobs)],
+            [sys.executable, "-m", "repro", "fig11", "--scale", "large",
+             "--chunk-events", "65536", "--jobs", str(jobs)],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
             text=True,

@@ -10,10 +10,15 @@ from repro.experiments import store
 from repro.experiments.runner import ExperimentRunner, RunnerStats
 from repro.experiments.sensitivity import sweep_latency_parameter
 from repro.obs.timeline import FlightRecorder
+from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.timing.gpu import simulate_architecture_columns
 from repro.timing.sm_event import EventSmSimulator
 
-from tests.oracles import sweep_latency_parameter_events
+from tests.oracles import (
+    classified_columns,
+    processed_columns,
+    sweep_latency_parameter_events,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +50,24 @@ class TestRunner:
         assert runner.stats.counters["op_tables"] == 2
 
     def test_processed_columns_are_not_kept(self):
-        """Processed columns are a temporary of the op-table build: the
-        runner holds no copy, so each call interprets afresh."""
+        """Classified and processed columns are temporaries of a pass:
+        no memo of the runner holds one."""
         runner = ExperimentRunner(scale="tiny")
-        arch = ArchitectureConfig.gscalar()
-        runner.timing("BP", arch)
-        assert runner.processed_columns("BP", arch) is not runner.processed_columns(
-            "BP", arch
-        )
+        runner.timing("BP", ArchitectureConfig.gscalar())
+        runner.summary("BP", "counts")
+        held = [
+            item
+            for memo in vars(runner).values()
+            if isinstance(memo, dict)
+            for value in memo.values()
+            for item in (value if isinstance(value, tuple) else (value,))
+        ]
+        assert held
+        assert not [
+            item
+            for item in held
+            if isinstance(item, (ClassifiedColumns, ProcessedColumns))
+        ]
 
     def test_timing_and_power(self, runner):
         arch = ArchitectureConfig.baseline()
@@ -133,8 +148,8 @@ class TestSmMemo:
         assert runner.stats.counters["sm_reuses"] == 1
         for arch, timing in zip(arches, results):
             assert timing == simulate_architecture_columns(
-                runner.classified_columns("BP"),
-                runner.processed_columns("BP", arch),
+                classified_columns(runner, "BP"),
+                processed_columns(runner, "BP", arch),
                 arch,
                 runner.config,
                 warps_per_cta=runner.warps_per_cta("BP"),
@@ -169,8 +184,9 @@ class TestSmMemo:
 
     def test_prefetched_latency_sweep_builds_no_table(self, monkeypatch):
         """After prefetch, a latency sweep reads each pair's memoized op
-        table and digest: nothing is interpreted, lowered or hashed."""
-        from repro.experiments import runner as runner_module
+        table and digest: nothing is passed, interpreted, lowered or
+        hashed."""
+        from repro.experiments import streaming
         from repro.timing.ops import TimingOpTable
 
         names = ("BP", "HS")
@@ -186,15 +202,16 @@ class TestSmMemo:
         def fail(*args, **kwargs):
             raise AssertionError("built an op table after prefetch")
 
-        monkeypatch.setattr(runner_module, "build_timing_ops_columns", fail)
-        monkeypatch.setattr(runner_module, "process_columns", fail)
+        for name in ("classify_columnar_batch", "process_columns",
+                     "build_timing_ops_columns"):
+            monkeypatch.setattr(streaming, name, fail)
         monkeypatch.setattr(TimingOpTable, "digest", fail)
         points = sweep_latency_parameter(runner, "alu_latency", factors, names)
         assert points == expected
         assert runner.stats.counters["op_tables"] == tables
 
     def test_timeline_after_timing_builds_no_table(self, monkeypatch):
-        from repro.experiments import runner as runner_module
+        from repro.experiments import streaming
 
         runner = ExperimentRunner(scale="tiny")
         expected = runner.timing("BP", self.GSCALAR)
@@ -203,8 +220,9 @@ class TestSmMemo:
         def fail(*args, **kwargs):
             raise AssertionError("timeline built an op table")
 
-        monkeypatch.setattr(runner_module, "build_timing_ops_columns", fail)
-        monkeypatch.setattr(runner_module, "process_columns", fail)
+        for name in ("classify_columnar_batch", "process_columns",
+                     "build_timing_ops_columns"):
+            monkeypatch.setattr(streaming, name, fail)
         assert runner.timeline("BP", self.GSCALAR, FlightRecorder()) == expected
         assert runner.stats.counters["op_tables"] == tables
 

@@ -1,10 +1,12 @@
-"""ExperimentRunner in chunked-streaming mode: equality, cache, wiring.
+"""ExperimentRunner passes cut into chunks: equality, cache, wiring.
 
-The runner's ``chunk_events`` mode must produce bit-identical results
-to whole-trace mode (cold, from the ``result`` entries, and re-streamed
-once those are gone), cache nothing per chunk, keep the synthetic tier
-fully streamed (no whole trace ever materialized), and surface the
-memory gauges through ``stats.to_dict``.
+A runner with ``chunk_events`` must produce bit-identical results to
+one without, whose passes are one chunk per trace (cold, from the
+``result`` entries, and passed again once those are gone), cache
+nothing per chunk, keep the synthetic tier streamed one replica at a
+time with or without ``chunk_events`` (no whole trace ever
+materialized), and surface the memory gauges through
+``stats.to_dict``.
 """
 
 import dataclasses
@@ -132,26 +134,39 @@ class TestSyntheticStreaming:
         monkeypatch.setitem(SCALES, "synthtest", scale)
         return scale
 
-    def test_streamed_never_materializes(self, synth_scale):
-        streamed = ExperimentRunner(scale="synthtest", chunk_events=128)
-        whole = ExperimentRunner(scale="synthtest")
+    def test_streamed_never_materializes(self, synth_scale, monkeypatch):
+        """Both runners feed replica chunks straight through: no
+        classification ever sees more than one replica, or more than one
+        chunk of 128 events where that is the grid."""
+        from repro.experiments import streaming
+
+        classified = []
+        classify = streaming.classify_columnar_batch
+
+        def spy(columnar, num_registers):
+            classified.append((columnar.num_events, columnar.num_warps))
+            return classify(columnar, num_registers)
+
+        monkeypatch.setattr(streaming, "classify_columnar_batch", spy)
         arches = ARCHES[:2]
-        for arch in arches:
-            assert streamed.power("HS", arch) == whole.power("HS", arch)
-        # The streamed runner fed replica chunks straight through — the
-        # replicated whole trace was never built.
-        run = streamed.run("HS")
-        assert "HS" in streamed._seeds
-        assert run._columnar is None
-        assert streamed.stats.counters.get("synthetic_materializations", 0) == 0
-        # The whole-trace arm had to materialize every replica.
-        assert whole.stats.counters.get("synthetic_materializations", 0) >= 1
+        streamed = ExperimentRunner(scale="synthtest", chunk_events=128)
+        reports = [streamed.power("HS", arch) for arch in arches]
+        assert classified
+        assert all(events <= 128 or warps == 1 for events, warps in classified)
+        classified.clear()
+        whole = ExperimentRunner(scale="synthtest")
+        assert [whole.power("HS", arch) for arch in arches] == reports
+        run = whole.run("HS")
+        assert run.replicas > 1
+        # One pass per architecture, one chunk per replica.
+        assert classified == [
+            (run.columnar.num_events, run.columnar.num_warps)
+        ] * (len(arches) * run.replicas)
 
     def test_replica_count_respects_floor(self, synth_scale):
         streamed = ExperimentRunner(scale="synthtest", chunk_events=128)
-        streamed.run("HS")
-        seed, replicas = streamed._seeds["HS"]
-        assert seed.num_events * replicas >= synth_scale.synthetic_events
+        run = streamed.run("HS")
+        assert run.columnar.num_events * run.replicas >= synth_scale.synthetic_events
 
 
 class TestParallelPassthrough:
@@ -195,8 +210,14 @@ class TestStatsGauges:
         assert payload["gauges"].get("bytes_in_flight", 0) > 0
 
     def test_whole_trace_stats_still_stamp_peak_rss(self):
+        """An unchunked runner's pass is one chunk: the whole trace is
+        in flight."""
+        from repro.experiments.streaming import _array_bytes
+
         runner = ExperimentRunner(scale="tiny")
         runner.power("HS", ARCHES[0])
         payload = runner.stats.to_dict()
         assert payload["gauges"].get("peak_rss_bytes", 0) > 0
-        assert "bytes_in_flight" not in payload["gauges"]
+        assert payload["gauges"]["bytes_in_flight"] > _array_bytes(
+            runner.run("HS").columnar
+        )

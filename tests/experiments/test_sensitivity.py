@@ -220,9 +220,9 @@ class TestChunkedRunnerSweeps:
         """On a chunked runner both sweeps read the streamed passes'
         digests and aggregates, streaming a pair again only where a
         latency point must simulate: no whole-trace classification or
-        interpretation, and the whole-trace runner's points."""
+        interpretation, and the unchunked runner's points."""
         from repro.config import ArchitectureConfig
-        from repro.experiments import runner as runner_module
+        from repro.experiments import streaming
 
         names = ("BP", "HS")
         factors = (0.5, 1.0, 2.0)
@@ -235,13 +235,20 @@ class TestChunkedRunnerSweeps:
         energy = sweep_energy_parameter(whole, "rf_full_access_pj", factors, names)
         latency = sweep_latency_parameter(whole, "alu_latency", factors, names)
 
-        runner = ExperimentRunner(scale="tiny", chunk_events=256)
+        # 64 events cut both tiny traces (two warps of 49-95 events
+        # each) into several chunks, so their op tables are not kept.
+        runner = ExperimentRunner(scale="tiny", chunk_events=64)
         runner.prefetch(names=names, arches=arches)
 
-        def fail(*args, **kwargs):
-            raise AssertionError("a chunked runner classified a whole trace")
+        classify = streaming.classify_columnar_batch
 
-        monkeypatch.setattr(runner_module, "classify_columnar_batch", fail)
+        def chunk_only(columnar, num_registers):
+            assert columnar.num_events <= 64 or columnar.num_warps == 1, (
+                "a chunked runner classified more than a chunk"
+            )
+            return classify(columnar, num_registers)
+
+        monkeypatch.setattr(streaming, "classify_columnar_batch", chunk_only)
         assert energy == sweep_energy_parameter(
             runner, "rf_full_access_pj", factors, names
         )
@@ -251,3 +258,4 @@ class TestChunkedRunnerSweeps:
         assert runner.stats.counters["op_tables"] == streams + len(names) * len(arches)
         stages = runner.stats.stage_seconds
         assert "classify" not in stages and "process" not in stages, stages
+        assert "stream" in stages, stages

@@ -19,7 +19,7 @@ from repro.simt import LaunchConfig, MemoryImage, run_kernel
 from repro.simt.trace import OPCODE_TO_ID
 from repro.workloads.registry import all_workloads
 
-from tests.oracles import annotate_sites_events
+from tests.oracles import annotate_sites_events, classified_columns
 from tests.reference.trace import to_trace
 
 
@@ -40,7 +40,7 @@ def data(runner):
 class TestAnnotateSites:
     def test_straight_line_sites_are_sequential(self, runner):
         kernel = runner.run("MM").built.kernel
-        columns = runner.classified_columns("MM")
+        columns = classified_columns(runner, "MM")
         blocks, index = staticdyn.annotate_sites(kernel, columns)
         assert np.array_equal(blocks, columns.blocks)
         for position in range(int(columns.warp_lengths[0])):
@@ -54,7 +54,7 @@ class TestAnnotateSites:
     @pytest.mark.parametrize("abbr", [spec.abbr for spec in all_workloads()])
     def test_matches_event_walk(self, runner, abbr):
         kernel = runner.run(abbr).built.kernel
-        columns = runner.classified_columns(abbr)
+        columns = classified_columns(runner, abbr)
         blocks, index = staticdyn.annotate_sites(kernel, columns)
         expected = [
             -1 if site is None else site[1]
@@ -111,7 +111,7 @@ class TestSoundness:
         # dynamic instance of a PROVABLY_SCALAR site keeps its warp's
         # entry mask.
         kernel = runner.run("BT").built.kernel
-        columns = runner.classified_columns("BT")
+        columns = classified_columns(runner, "BT")
         result = analyze_uniformity(kernel)
         blocks, index = staticdyn.annotate_sites(kernel, columns)
         bounds = columns.warp_bounds()

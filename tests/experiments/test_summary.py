@@ -3,18 +3,24 @@
 Every summary a figure reads must equal what the per-event oracle
 (``tests/oracles.py``) counts over the same benchmark's event-form
 trace, on all 17 workloads, and must hold only small objects: a summary
-is a handful of counts, never a trace-sized array.
+is a handful of counts, never a trace-sized array.  Folded over
+whole-warp chunks of any size, every summary must equal the one-chunk
+pass's, at tiny and small scale.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.static_ import analyze_uniformity
 from repro.experiments.runner import WARP_SIZE, ExperimentRunner
 from repro.experiments.summary import BUILDERS
 from repro.isa.opcodes import OpCategory
+from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.eligibility import ScalarClass
 from repro.workloads.registry import all_workloads
 
@@ -110,12 +116,57 @@ def test_summaries_match_event_walks(runner, abbr):
 
 @pytest.mark.parametrize("name", list(BUILDERS))
 def test_builders_read_no_summary(monkeypatch, name):
-    """No summary repeats another's numbers: a builder reads the trace,
-    its classified columns or the width analysis, never a summary."""
+    """No summary repeats another's numbers: a builder and its fold read
+    the trace, its classified columns or the width analysis, never a
+    summary."""
     runner = ExperimentRunner(scale="tiny")
 
     def refuse(abbr, summary):
         raise AssertionError(f"the {name} builder read the {summary} summary")
 
     monkeypatch.setattr(runner, "summary", refuse)
-    BUILDERS[name](runner, "HS")
+    runner.prefetch(names=["HS"], experiments=(name,), arches=())
+    assert ("HS", name) in runner._summaries
+
+
+@pytest.fixture(scope="module")
+def unchunked():
+    """One runner per scale whose passes are one chunk per trace."""
+    return {scale: ExperimentRunner(scale=scale) for scale in ("tiny", "small")}
+
+
+@pytest.mark.parametrize("scale", ["tiny", "small"])
+@pytest.mark.parametrize("abbr", [spec.abbr for spec in all_workloads()])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_streamed_summaries_equal_one_chunk_summaries(unchunked, scale, abbr, data):
+    """Every summary, folded over whole-warp chunks of a drawn size,
+    equals (``==``) the one-chunk pass's, and no classification input
+    is more than one chunk: at most ``chunk_events`` events, or one
+    warp."""
+    whole = unchunked[scale]
+    length = whole.run(abbr).columnar.num_events
+    chunk_events = data.draw(st.integers(1, length + 3), label="chunk_events")
+    classified = []
+    classify = classify_columnar_batch
+
+    def spy(columnar, num_registers):
+        classified.append((columnar.num_events, columnar.num_warps))
+        return classify(columnar, num_registers)
+
+    runner = ExperimentRunner(scale=scale, chunk_events=chunk_events)
+    with pytest.MonkeyPatch.context() as patch:
+        # Wherever the classifier is looked up.
+        for module in list(sys.modules.values()):
+            if getattr(module, "classify_columnar_batch", None) is classify:
+                patch.setattr(module, "classify_columnar_batch", spy)
+        runner.prefetch(names=[abbr], experiments=tuple(BUILDERS), arches=())
+    assert all(
+        events <= chunk_events or warps == 1 for events, warps in classified
+    )
+    # Each chunk is classified once, in one pass.
+    assert sum(events for events, _ in classified) == length
+    assert runner.stats.counters["stream_passes"] == 1
+    assert len(classified) == runner.stats.counters["stream_chunks"]
+    for name in BUILDERS:
+        assert runner.summary(abbr, name) == whole.summary(abbr, name), name

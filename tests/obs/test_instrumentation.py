@@ -135,7 +135,7 @@ class TestPipelineMetrics:
         )
         stages = profiled.counters_named("runner_stage_seconds")
         assert any(
-            dict(labels).get("stage") == "classify" for labels in stages
+            dict(labels).get("stage") == "stream" for labels in stages
         )
 
     def test_gscalar_compressor_counters(self):

@@ -35,6 +35,8 @@ from repro.power.rf_techniques import (
 from repro.isa.kernel import Kernel
 from repro.isa.opcodes import Opcode
 from repro.regfile.layout import BankGeometry, BaselineLayout
+from repro.scalar.arch_batch import process_columns
+from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import (
     CATEGORY_CODE_BY_OPCODE,
     ClassifiedColumns,
@@ -410,24 +412,21 @@ def compare_trace_events(trace: KernelTrace) -> CompressionComparison:
 def address_width_study_events(
     trace: KernelTrace, heap_base: int = 0x7F40_0000_0000
 ) -> AddressWidthStudy:
-    """Address-register stored-byte fractions, one memory event at a time."""
-    accesses = stored_32 = total_32 = stored_64 = total_64 = 0
+    """Address-register stored bytes, one memory event at a time."""
+    accesses = stored_32 = stored_64 = 0
     for event in trace.all_events():
         if event.category is not OpCategory.MEM or event.addresses is None:
             continue
         accesses += 1
         lanes = event.addresses.shape[0]
         stored_32 += (4 - common_prefix_bytes(event.addresses)) * lanes
-        total_32 += 4 * lanes
         wide = event.addresses.astype(np.uint64) + np.uint64(heap_base)
         stored_64 += (8 - common_prefix_bytes_wide(wide)) * lanes
-        total_64 += 8 * lanes
-    if accesses == 0:
-        return AddressWidthStudy(0, 1.0, 1.0)
     return AddressWidthStudy(
         accesses=accesses,
-        stored_fraction_32bit=stored_32 / total_32,
-        stored_fraction_64bit=stored_64 / total_64,
+        warp_size=trace.warp_size,
+        stored_bytes_32bit=stored_32,
+        stored_bytes_64bit=stored_64,
     )
 
 
@@ -478,6 +477,23 @@ def _sweep_points(parameter, scale_factors, names, value_of, report_of):
             )
         )
     return points
+
+
+def classified_columns(runner, abbr):
+    """One runner benchmark's whole trace, classified at once: the
+    columns of a pass's one chunk."""
+    run = runner.run(abbr)
+    return classify_columnar_batch(run.columnar, run.built.kernel.num_registers)
+
+
+def processed_columns(runner, abbr, arch):
+    """One pair's whole-trace processed columns, fed the width table
+    ``static_compress`` reads, as the runner's one-chunk pass builds
+    them."""
+    widths = runner.static_widths(abbr) if arch.static_compression else None
+    return process_columns(
+        classified_columns(runner, abbr), arch, static_widths=widths
+    )
 
 
 def classified_events(runner, abbr):

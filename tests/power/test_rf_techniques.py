@@ -18,6 +18,7 @@ from repro.workloads.registry import all_workloads
 from tests.conftest import run_one_warp
 from tests.oracles import (
     classified_events,
+    processed_columns,
     rf_energy_events,
     wc_bdi_energy_events,
 )
@@ -123,7 +124,7 @@ def test_power_report_rf_energy_is_the_technique_energy(small_runner, abbr):
     for technique in ("baseline", "scalar_rf", "ours"):
         arch = technique_architecture(technique)
         result = rf_energy_for_technique(
-            small_runner.processed_columns(abbr, arch), technique
+            processed_columns(small_runner, abbr, arch), technique
         )
         assert result.rf_pj == small_runner.power(abbr, arch).breakdown.rf_pj
         oracle = rf_energy_events(classified, technique, run.columnar.warp_size)

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from repro.simt import run_kernel
 from repro.simt.trace import iter_chunks
 from repro.workloads.registry import all_workloads, build_workload
-from repro.workloads.synth import iter_synthetic_chunks, materialize_synthetic
+from repro.workloads.synth import iter_synthetic_chunks
+
+from tests.reference.synth import materialize_synthetic
 
 WORKLOAD_ABBRS = [spec.abbr for spec in all_workloads()]
 REPLICAS = 3
@@ -86,6 +88,13 @@ class TestIterChunks:
         assert chunk.columnar.num_warps == 0
         assert (chunk.index, chunk.start_event, chunk.warp_start) == (0, 0, 0)
 
+    @pytest.mark.parametrize("abbr", WORKLOAD_ABBRS)
+    def test_no_chunk_size_is_one_chunk_per_trace(self, abbr):
+        trace = tiny_trace(abbr)
+        (chunk,) = iter_chunks(trace, None)
+        assert chunk.columnar is trace
+        assert (chunk.index, chunk.start_event, chunk.warp_start) == (0, 0, 0)
+
 
 class TestIterSyntheticChunks:
     @settings(max_examples=25, deadline=None)
@@ -99,3 +108,11 @@ class TestIterSyntheticChunks:
         chunks = list(iter_synthetic_chunks(seed, REPLICAS, chunk_events))
         # ``warp_start`` and ``start_event`` count over the whole stream.
         assert_whole_warp_chunks(chunks, whole, chunk_events)
+
+    def test_no_chunk_size_is_one_chunk_per_replica(self):
+        seed = tiny_trace("HS")
+        chunks = list(iter_synthetic_chunks(seed, REPLICAS, None))
+        assert [chunk.num_events for chunk in chunks] == [seed.num_events] * REPLICAS
+        assert_whole_warp_chunks(
+            chunks, materialize_synthetic(seed, REPLICAS), seed.num_events
+        )

@@ -21,6 +21,7 @@ from repro.experiments.runner import ExperimentRunner
 from repro.timing.ops import build_timing_ops_columns
 from repro.workloads.registry import all_workloads
 
+from tests.oracles import classified_columns, processed_columns
 from tests.reference.sm import SmSimulator
 from tests.reference.timing import to_ops
 from tests.timing.test_sm_event import _assert_identical
@@ -36,8 +37,8 @@ def _warp_ops(runner, bench, arch):
     """``to_ops()`` of the pair's lowered op table."""
     return to_ops(
         build_timing_ops_columns(
-            runner.classified_columns(bench),
-            runner.processed_columns(bench, arch),
+            classified_columns(runner, bench),
+            processed_columns(runner, bench, arch),
             arch,
             runner.config,
         )

@@ -48,6 +48,7 @@ from repro.timing.sm_event import EventSmSimulator
 from repro.workloads.registry import build_workload
 
 from tests.conftest import run_one_warp
+from tests.oracles import classified_columns, processed_columns
 from tests.reference.classify import classify_trace
 from tests.reference.columns import assert_tables_identical
 from tests.reference.interpret import process_classified
@@ -316,8 +317,8 @@ class TestEventCompile:
         arch = ArchitectureConfig.gscalar()
         runner = ExperimentRunner(scale="small")
         lbm = build_timing_ops_columns(
-            runner.classified_columns("LBM"),
-            runner.processed_columns("LBM", arch),
+            classified_columns(runner, "LBM"),
+            processed_columns(runner, "LBM", arch),
             arch,
             config,
         )
@@ -520,7 +521,7 @@ class TestLoweringKey:
     @pytest.mark.parametrize("abbr", ["BP", "HS", "LBM", "MM"])
     def test_configs_with_one_key_lower_to_one_table(self, abbr):
         runner = ExperimentRunner(scale="tiny")
-        ccols = runner.classified_columns(abbr)
+        ccols = classified_columns(runner, abbr)
         variants = list(_config_variants(runner.config))
         assert {name for name, _ in variants} == {
             spec.name for spec in dataclasses.fields(GpuConfig)
@@ -531,7 +532,7 @@ class TestLoweringKey:
             ArchitectureConfig.alu_scalar(),
             ArchitectureConfig.gscalar(),
         ):
-            pcols = runner.processed_columns(abbr, arch)
+            pcols = processed_columns(runner, abbr, arch)
             digests = {
                 lowering_key(runner.config): build_timing_ops_columns(
                     ccols, pcols, arch, runner.config

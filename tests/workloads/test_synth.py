@@ -15,15 +15,16 @@ import pytest
 from repro.config import ArchitectureConfig, GpuConfig
 from repro.experiments.streaming import stream_pipeline
 from repro.simt import run_kernel
-from repro.simt.trace import concat_columnar, iter_chunks
+from repro.simt.trace import iter_chunks
 from repro.workloads.registry import SCALES, build_workload
 from repro.workloads.synth import (
     iter_synthetic_chunks,
-    materialize_synthetic,
     replicate_columnar,
     synthetic_num_events,
     synthetic_replicas,
 )
+
+from tests.reference.synth import concat_columnar, materialize_synthetic
 
 _SEED_CACHE: dict[str, tuple] = {}
 
