@@ -13,12 +13,18 @@ between chunks.  Each chunk is classified once
 architecture interprets it
 (:func:`repro.scalar.arch_batch.process_columns`), reduces it to
 integer :class:`repro.power.accounting._PowerAggregates` and lowers it
-to a :class:`~repro.timing.ops.TimingOpTable` fragment.  Counts merge by
-addition (:func:`repro.merge.merge`), which is exact, and
-:meth:`~repro.timing.ops.TimingOpTable.concat` joins the fragments at
-the end of the stream.  The runner's SM memo simulates each joined
-table -- both SM engines schedule whole warps, so the simulation is the
-one whole-trace barrier a pass keeps.
+to a :class:`~repro.timing.ops.TimingOpTable` fragment.  A fragment's
+column that equals the same column of an earlier architecture's
+fragment of the chunk is that array, not a copy, and a fragment equal
+to an earlier one is that fragment (``gscalar_no_divergent`` and
+``gscalar``, ``static_compress`` and the baseline, on every workload
+at small scale).  Counts merge by addition
+(:func:`repro.merge.merge`), which is exact.  After the stream the
+runner joins one architecture's fragments at a time
+(:meth:`StreamOutcome.join`), digests and simulates that table, and
+drops it before it joins the next -- both SM engines schedule whole
+warps, so the simulation is the one whole-trace barrier a pass keeps,
+and a pass holds at most one joined table.
 
 Correctness contract: for any chunk size, each summary, joined table
 and merged aggregate set equals the one-chunk pass's (gated by
@@ -26,8 +32,9 @@ and merged aggregate set equals the one-chunk pass's (gated by
 ``tests/experiments/test_summary.py`` across all workloads).
 
 Memory accounting: the pass reports its largest live chunk set -- the
-exact bytes of one chunk's trace slice, classified and processed
-columns -- as ``peak_bytes_in_flight``, which the runner records into
+bytes of the distinct arrays of one chunk's trace slice, classified
+and processed columns, each array counted once however many of them
+share it -- as ``peak_bytes_in_flight``, which the runner records into
 the ``bytes_in_flight`` gauge once per pass, next to the process's
 peak RSS (:mod:`repro.obs.memory`).
 """
@@ -51,14 +58,43 @@ if TYPE_CHECKING:
     from repro.experiments.summary import SummaryFold
 
 
-def _array_bytes(container: Any) -> int:
-    """Exact bytes of a dataclass's live numpy arrays."""
-    total = 0
-    for spec in dataclass_fields(container):
-        value = getattr(container, spec.name)
-        if isinstance(value, np.ndarray):
-            total += value.nbytes
-    return total
+def _array_bytes(*containers: Any) -> int:
+    """Bytes of the distinct numpy arrays the dataclasses ``containers``
+    hold: an array that several fields or containers share counts once."""
+    arrays = {}
+    for container in containers:
+        for spec in dataclass_fields(container):
+            value = getattr(container, spec.name)
+            if isinstance(value, np.ndarray):
+                arrays[id(value)] = value.nbytes
+    return sum(arrays.values())
+
+
+def _shared(built: TimingOpTable, earlier: list[TimingOpTable]) -> TimingOpTable:
+    """``built``, with each column that equals the same column of an
+    ``earlier`` table of its chunk replaced by that array, or that
+    earlier table itself when every column matches it.
+
+    ``earlier``'s columns are already shared this way, so an equal
+    column is one array however many architectures lower it:
+    ``gscalar``'s chunk table is ``gscalar_no_divergent``'s, and MV's
+    coalesced segments are one array for all four paper architectures.
+    """
+    columns = {}
+    for spec in dataclass_fields(TimingOpTable):
+        column = getattr(built, spec.name)
+        columns[spec.name] = next(
+            (
+                getattr(table, spec.name)
+                for table in earlier
+                if np.array_equal(getattr(table, spec.name), column)
+            ),
+            column,
+        )
+    for table in earlier:
+        if all(getattr(table, name) is column for name, column in columns.items()):
+            return table
+    return TimingOpTable(**columns)
 
 
 @dataclass
@@ -67,10 +103,20 @@ class StreamOutcome:
 
     num_events: int
     num_chunks: int
-    tables: dict[str, TimingOpTable]  # the joined op table
+    #: Per architecture, one op table per chunk in stream order; equal
+    #: chunk tables, and equal columns of one chunk's tables, are one
+    #: object.
+    fragments: dict[str, list[TimingOpTable]]
     aggregates: dict[str, _PowerAggregates]  # the merged power aggregates
     summaries: dict[str, Any]  # the merged summary payloads
     peak_bytes_in_flight: int
+
+    def join(self, name: str) -> TimingOpTable:
+        """Architecture ``name``'s joined op table
+        (:meth:`~repro.timing.ops.TimingOpTable.concat`).  Its fragments
+        leave the outcome, so a caller that joins, uses and drops one
+        table at a time never holds two joined tables."""
+        return TimingOpTable.concat(self.fragments.pop(name))
 
 
 def stream_pipeline(
@@ -89,7 +135,8 @@ def stream_pipeline(
     ``summaries`` (by name), and interpreted, reduced to power
     aggregates and lowered once per architecture.  ``static_widths``
     maps architecture name to the per-register ``enc`` table for
-    ``static_compress`` interpretations.
+    ``static_compress`` interpretations.  The caller joins each
+    architecture's table (:meth:`StreamOutcome.join`).
     """
     arches = tuple(arches)
     config = config or GpuConfig()
@@ -105,23 +152,29 @@ def stream_pipeline(
     def feed(chunk: TraceChunk) -> int:
         """One chunk through every stage; returns its live array bytes."""
         ccols = classify_columnar_batch(chunk.columnar, num_registers)
-        live_bytes = _array_bytes(chunk.columnar) + _array_bytes(ccols)
+        shared_bytes = _array_bytes(chunk.columnar, ccols)
+        live_bytes = shared_bytes
         for name, fold in summaries.items():
             folded[name] = merge(folded[name], fold.step(chunk, ccols))
+        lowered: list[TimingOpTable] = []
         for arch in arches:
             pcols = process_columns(
                 ccols, arch, static_widths=static_widths.get(arch.name)
             )
-            live_bytes += _array_bytes(pcols)
+            # Processed columns reuse some classified arrays.
+            live_bytes += _array_bytes(chunk.columnar, ccols, pcols) - shared_bytes
             aggregates[arch.name] = merge(
                 aggregates[arch.name],
                 accountants[arch.name].aggregates_from_columns(
                     pcols, warp_base=chunk.warp_start
                 ),
             )
-            fragments[arch.name].append(
-                build_timing_ops_columns(ccols, pcols, arch, config)
+            table = _shared(
+                build_timing_ops_columns(ccols, pcols, arch, config), lowered
             )
+            if table not in lowered:
+                lowered.append(table)
+            fragments[arch.name].append(table)
         sizes.append(chunk.num_events)
         return live_bytes
 
@@ -131,11 +184,7 @@ def stream_pipeline(
     return StreamOutcome(
         num_events=sum(sizes),
         num_chunks=len(sizes),
-        # pop: each architecture's fragments die once joined.
-        tables={
-            arch.name: TimingOpTable.concat(fragments.pop(arch.name))
-            for arch in arches
-        },
+        fragments=fragments,
         aggregates=aggregates,
         summaries=folded,
         peak_bytes_in_flight=peak_bytes_in_flight,

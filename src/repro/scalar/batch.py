@@ -6,7 +6,9 @@ that write was divergent, the read also compares the reader's active
 mask against the mask the BVR holds (§4.2).  Classification is
 therefore a gather over write rows, not a sequential state machine:
 
-* every write row's encoding comes from one whole-trace array kernel —
+* every write row's encoding comes from array kernels run over fixed
+  blocks of write rows (:data:`WRITE_BLOCK_ROWS`, so their temporaries
+  do not grow with the trace) —
   the byte prefix (:func:`~repro.compression.gscalar.prefix_bytes_batch`)
   and the half-register pairs
   (:func:`~repro.compression.half.compress_halves_batch`) for full
@@ -64,34 +66,48 @@ _DIVERGENT = SCALAR_CLASS_TO_ID[ScalarClass.DIVERGENT_SCALAR]
 _CLASS_LABELS = {index: cls.value for index, cls in ID_TO_SCALAR_CLASS.items()}
 
 
+#: Write rows :func:`_write_states` encodes at a time.  The encoders'
+#: temporaries are a few copies of a ``(rows, warp_size)`` value matrix,
+#: so a block bounds them whatever the size of the chunk classified.
+WRITE_BLOCK_ROWS = 1024
+
+
 def _write_states(
-    values: np.ndarray, masks: np.ndarray, divergent: np.ndarray, warp_size: int
+    values: np.ndarray,
+    rows: np.ndarray,
+    masks: np.ndarray,
+    divergent: np.ndarray,
+    warp_size: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(enc, enc_lo, enc_hi)`` of each write row.
 
-    Full writes get the §3.1 prefix and the §4.3 half pairs; divergent
-    writes get the §4.2 masked prefix over their active lanes and no
-    half pairs (zero, as the tracker's ``RegisterEncoding`` holds).
+    Write *i*'s lane values are ``values[rows[i]]``.  Full writes get
+    the §3.1 prefix and the §4.3 half pairs; divergent writes get the
+    §4.2 masked prefix over their active lanes and no half pairs (zero,
+    as the tracker's ``RegisterEncoding`` holds).  Rows are encoded
+    :data:`WRITE_BLOCK_ROWS` at a time.
     """
-    count = values.shape[0]
+    count = rows.shape[0]
     enc = np.zeros(count, dtype=np.int8)
     enc_lo = np.zeros(count, dtype=np.int8)
     enc_hi = np.zeros(count, dtype=np.int8)
-    full = ~divergent
-    if full.any():
-        full_values = values[full]
-        enc[full] = prefix_bytes_batch(full_values)
-        halves = compress_halves_batch(
-            full_values, granularity=min(HALF_GRANULARITY, warp_size // 2)
-        )
-        enc_lo[full] = halves.enc_lo
-        enc_hi[full] = halves.enc_hi
-    if divergent.any():
-        lanes = (
-            (masks[divergent, None] >> np.arange(warp_size, dtype=np.uint64))
-            & np.uint64(1)
-        ).astype(bool)
-        enc[divergent] = masked_prefix_bytes_batch(values[divergent], lanes)
+    granularity = min(HALF_GRANULARITY, warp_size // 2)
+    lanes = np.arange(warp_size, dtype=np.uint64)
+    for start in range(0, count, WRITE_BLOCK_ROWS):
+        block = slice(start, start + WRITE_BLOCK_ROWS)
+        block_values = values[rows[block]]
+        split = divergent[block]
+        full = ~split
+        if split.any():
+            active = ((masks[block][split, None] >> lanes) & np.uint64(1)).astype(bool)
+            enc[block][split] = masked_prefix_bytes_batch(block_values[split], active)
+            # Only a block with a divergent write copies its full rows out.
+            block_values = block_values[full]
+        if block_values.shape[0]:
+            enc[block][full] = prefix_bytes_batch(block_values)
+            halves = compress_halves_batch(block_values, granularity=granularity)
+            enc_lo[block][full] = halves.enc_lo
+            enc_hi[block][full] = halves.enc_hi
     return enc, enc_lo, enc_hi
 
 
@@ -126,7 +142,8 @@ def _classify(columnar: ColumnarTrace, num_registers: int) -> ClassifiedColumns:
     write_masks = masks[writes]
     write_divergent = divergent[writes]
     write_enc, write_lo, write_hi = _write_states(
-        columnar.values[columnar.values_index[writes]],
+        columnar.values,
+        columnar.values_index[writes],
         write_masks,
         write_divergent,
         warp_size,

@@ -106,22 +106,22 @@ def from_ops(warp_ops: list[list[TimingOp]]) -> TimingOpTable:
             [CATEGORY_TO_CODE[op.category] for op in ops], dtype=np.uint8
         ),
         dst=np.array(
-            [-1 if op.dst is None else op.dst for op in ops], dtype=np.int32
+            [-1 if op.dst is None else op.dst for op in ops], dtype=np.int16
         ),
         dispatch_cycles=np.array(
-            [op.dispatch_cycles for op in ops], dtype=np.int32
+            [op.dispatch_cycles for op in ops], dtype=np.int16
         ),
         long_latency=np.array([op.long_latency for op in ops], dtype=bool),
         is_store=np.array([op.is_store for op in ops], dtype=bool),
         is_shared_mem=np.array([op.is_shared_mem for op in ops], dtype=bool),
         is_barrier=np.array([op.is_barrier for op in ops], dtype=bool),
         inserted=np.array([op.inserted for op in ops], dtype=bool),
-        src_offsets=_offsets([len(op.src_regs) for op in ops]),
-        src_regs=np.array([r for op in ops for r in op.src_regs], dtype=np.int32),
-        src_banks=np.array([b for op in ops for b in op.src_banks], dtype=np.int32),
-        seg_offsets=_offsets([len(op.mem_segments) for op in ops]),
+        src_offsets=_offsets([len(op.src_regs) for op in ops]).astype(np.int32),
+        src_regs=np.array([r for op in ops for r in op.src_regs], dtype=np.int16),
+        src_banks=np.array([b for op in ops for b in op.src_banks], dtype=np.int16),
+        seg_offsets=_offsets([len(op.mem_segments) for op in ops]).astype(np.int32),
         segments=np.array(
-            [s for op in ops for s in op.mem_segments], dtype=np.int64
+            [s for op in ops for s in op.mem_segments], dtype=np.int32
         ),
     )
 

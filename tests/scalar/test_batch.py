@@ -25,6 +25,7 @@ from repro.config import ArchitectureConfig
 from repro.errors import CompressionError, TraceError
 from repro.isa import KernelBuilder
 from repro.obs.telemetry import telemetry_session
+from repro.scalar import batch
 from repro.scalar.arch_batch import process_columns
 from repro.scalar.batch import classify_columnar_batch
 from repro.scalar.columns import CLASSIFIED_ARRAY_FIELDS
@@ -140,6 +141,20 @@ class TestDifferentialEquivalence:
             assert not processed_columns_diff(
                 via_events, process_columns(columns, arch)
             ), arch.name
+
+
+class TestWriteBlocks:
+    """Write rows are encoded :data:`repro.scalar.batch.WRITE_BLOCK_ROWS`
+    at a time: at any block size, blocks holding divergent writes, full
+    writes or both, the classifier writes the tracker's columns."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("abbr", ["BP", "LBM", "MQ"])
+    def test_block_sizes_agree_with_the_tracker(self, abbr, rows, monkeypatch):
+        monkeypatch.setattr(batch, "WRITE_BLOCK_ROWS", rows)
+        built = build_workload(abbr, "tiny")
+        trace = run_kernel(built.kernel, built.launch, built.memory)
+        assert_engines_agree(trace, built.kernel.num_registers)
 
 
 def _counters(telemetry):

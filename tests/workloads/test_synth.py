@@ -181,7 +181,7 @@ class TestSyntheticChunkStream:
         assert streamed.num_events == materialized.num_events == whole.num_events
         for arch in arches:
             assert (
-                streamed.tables[arch.name].digest()
-                == materialized.tables[arch.name].digest()
+                streamed.join(arch.name).digest()
+                == materialized.join(arch.name).digest()
             )
             assert streamed.aggregates[arch.name] == materialized.aggregates[arch.name]
