@@ -12,6 +12,7 @@ from repro.experiments.sensitivity import sweep_latency_parameter
 from repro.obs.timeline import FlightRecorder
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
 from repro.timing.gpu import simulate_architecture_columns
+from repro.timing.ops import TimingOpTable, lowering_key
 from repro.timing.sm_event import EventSmSimulator
 
 from tests.oracles import (
@@ -154,6 +155,34 @@ class TestSmMemo:
                 runner.config,
                 warps_per_cta=runner.warps_per_cta("BP"),
             )
+
+    @pytest.mark.parametrize("chunk_events", [None, 64])
+    def test_a_twin_table_is_joined_and_hashed_once(self, monkeypatch, chunk_events):
+        # gscalar lowers every chunk to gscalar_no_divergent's tables,
+        # so a pass over the four paper architectures joins and hashes
+        # three tables, and gscalar's memo entry keeps its twin's.
+        joins, digests = [], []
+        concat, digest = TimingOpTable.concat.__func__, TimingOpTable.digest
+        monkeypatch.setattr(
+            TimingOpTable,
+            "concat",
+            classmethod(lambda cls, parts: joins.append(parts) or concat(cls, parts)),
+        )
+        monkeypatch.setattr(
+            TimingOpTable, "digest", lambda self: digests.append(self) or digest(self)
+        )
+        runner = ExperimentRunner(scale="tiny", chunk_events=chunk_events)
+        runner.prefetch(names=["BP"])
+        counters = runner.stats.counters
+        assert (counters["op_tables"], len(joins), len(digests)) == (4, 3, 3)
+        assert counters["stream_chunks"] > (1 if chunk_events else 0)
+        assert (counters["sm_runs"], counters["sm_reuses"]) == (3, 1)
+        lkey = lowering_key(runner.config)
+        gscalar, twin = (
+            runner._op_tables[("BP", name, lkey)]
+            for name in ("gscalar", "gscalar_no_divergent")
+        )
+        assert gscalar.digest == twin.digest
 
     def test_a_changed_latency_simulates_again(self, monkeypatch):
         runner = ExperimentRunner(scale="tiny")
