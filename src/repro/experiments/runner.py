@@ -25,13 +25,24 @@ A pair's op table stays in the memo only when its pass was one chunk,
 so no streamed tier is held; a pair the sweeps or
 :meth:`ExperimentRunner.timeline` must simulate again is passed again.
 
-A full ``python -m repro all`` executes each benchmark exactly once at
-warp size 32 (Figure 10 also executes, counts and drops a warp-64
-trace).  SM simulations are
+A full ``python -m repro all`` builds and executes each benchmark
+exactly once at warp size 32 (Figure 10 also builds, executes, counts
+and drops a warp-64 trace).  SM simulations are
 memoized by their input (:meth:`ExperimentRunner._simulate`):
 architectures or sweep points that lower to the same op table under the
 same machine share one simulation, and a latency sweep, which leaves
 the lowering key alone, lowers nothing.
+
+Per benchmark a runner keeps the kernel and launch, the trace
+fingerprint, the width analysis, the summaries, the op-table memo
+entries, the power aggregates and the results.  The executed trace (a
+:class:`BenchmarkRun`) and the workload's memory image serve only
+passes: :meth:`ExperimentRunner.prefetch` releases both once the
+benchmark's pass is done, so a serial prefetch holds one benchmark's
+trace at a time.  A later request that needs a pass (a static-compress
+pair nobody prefetched, or a streamed pair a latency sweep simulates
+again) builds and executes the workload again, counted in
+``trace_executions``.  Lazy requests release nothing.
 
 With ``cache_dir`` set, summaries and each (benchmark, architecture)
 timing and power result also persist on disk as one-file entries
@@ -66,7 +77,7 @@ from __future__ import annotations
 import operator
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -260,7 +271,9 @@ class BenchmarkRun:
     ``columnar`` is the executor's trace; at a synthetic tier it is the
     seed trace, which a pass streams ``replicas`` times
     (:func:`~repro.workloads.synth.iter_synthetic_chunks`) without ever
-    building the whole replicated trace.
+    building the whole replicated trace.  Only passes read it:
+    :meth:`ExperimentRunner.prefetch` drops the run after the
+    benchmark's pass, and :meth:`ExperimentRunner.run` executes again.
     """
 
     abbr: str
@@ -418,11 +431,15 @@ class ExperimentRunner:
         """Execute (or fetch) one benchmark's functional trace.
 
         At a synthetic tier the executed trace is the seed, and the run
-        records how many replicas its passes stream.
+        records how many replicas its passes stream.  After
+        :meth:`prefetch` released the run, the workload is built and
+        executed again (execution mutates its memory image).
         """
         key = self._normalize(abbr)
         if key not in self._runs:
             built = self._workload(key)
+            if built.memory is None:
+                built = self._workloads[key] = workload_by_name(key).builder(self.scale)
             columnar = self._execute(key, built, WARP_SIZE)
             replicas = synthetic_replicas(columnar, self.scale)
             if self.scale.synthetic_events > 0:
@@ -808,6 +825,11 @@ class ExperimentRunner:
         disk are not dispatched at all (they are read on demand).
         Worker statistics merge into :attr:`stats` and the merged stats
         are returned.
+
+        Each benchmark ends with :meth:`_release`: its trace and memory
+        image are dropped (serially, right after its pass), so the
+        runner holds one benchmark's trace at a time, and a later
+        :meth:`run` executes again.
         """
         wanted = [self._normalize(name) for name in (names or self.benchmark_names())]
         experiments = tuple(experiments)
@@ -821,17 +843,19 @@ class ExperimentRunner:
             if jobs == 1 or len(wanted) <= 1:
                 for index, abbr in enumerate(wanted):
                     self._fill(abbr, experiments, arch_list)
+                    self._release(abbr)
                     if progress is not None:
                         progress(abbr, index + 1, len(wanted))
             else:
                 from repro.experiments.parallel import run_matrix
 
-                pending = [
-                    abbr
-                    for abbr in wanted
-                    if self.cache_dir is None
-                    or not self._cached(abbr, experiments, arch_list)
-                ]
+                pending = []
+                for abbr in wanted:
+                    if self.cache_dir is None or not self._cached(
+                        abbr, experiments, arch_list
+                    ):
+                        pending.append(abbr)
+                    self._release(abbr)
                 if pending:
                     payloads = run_matrix(
                         names=pending,
@@ -852,6 +876,22 @@ class ExperimentRunner:
                         self._timing.update(payload["timing"])
                         self._power.update(payload["power"])
         return self.stats
+
+    def _release(self, key: str) -> None:
+        """Drop what only a pass reads: the benchmark's run (its trace)
+        and its workload's memory image, which execution has mutated.
+
+        The kernel, the launch and the trace fingerprint stay (a cached
+        runner derives the fingerprint first), so later requests key
+        their entries as before; one that needs a pass builds and
+        executes the workload again (:meth:`run`).
+        """
+        self._runs.pop(key, None)
+        built = self._workloads.get(key)
+        if built is not None and built.memory is not None:
+            if self.cache_dir is not None:
+                self._trace_fingerprint(key)
+            self._workloads[key] = replace(built, memory=None)
 
     def _cached(
         self,

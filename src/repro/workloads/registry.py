@@ -64,11 +64,16 @@ SCALES: dict[str, ScaleConfig] = {
 
 @dataclass
 class BuiltWorkload:
-    """A ready-to-run workload: kernel + launch + initialized memory."""
+    """A ready-to-run workload: kernel + launch + initialized memory.
+
+    ``memory`` is ``None`` once an
+    :class:`~repro.experiments.runner.ExperimentRunner` has released it
+    after the benchmark's pass.
+    """
 
     kernel: Kernel
     launch: LaunchConfig
-    memory: MemoryImage
+    memory: MemoryImage | None
     description: str
 
 

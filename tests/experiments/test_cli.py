@@ -241,6 +241,54 @@ class TestOneSiteJoinPerBenchmark:
         assert len(set(calls)) == 17
 
 
+def count_workload_builds(monkeypatch) -> list:
+    """Wrap the builders the runner looks up; the returned list gains
+    one entry (the benchmark's abbreviation) per build."""
+    import dataclasses
+
+    from repro.experiments import runner
+
+    builds = []
+    lookup = runner.workload_by_name
+
+    def counted(name):
+        spec = lookup(name)
+
+        def build(scale):
+            builds.append(spec.abbr)
+            return spec.builder(scale)
+
+        return dataclasses.replace(spec, builder=build)
+
+    monkeypatch.setattr(runner, "workload_by_name", counted)
+    return builds
+
+
+class TestOneBuildPerWorkload:
+    """A serial ``repro all`` builds each workload once for its pass and
+    once for Figure 10's warp-64 trace, although its prefetch releases
+    every trace and memory image; a warm run builds each once, for its
+    fingerprint, and executes nothing."""
+
+    def test_cold_and_warm_runs(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        builds = count_workload_builds(monkeypatch)
+        stats = tmp_path / "stats.json"
+        argv = ["all", "--scale", "tiny", "--jobs", "1", "--stats-json", str(stats)]
+        cached = ["--cache-dir", str(tmp_path / "cache")]
+        names = [spec.abbr for spec in all_workloads()]
+        for extra, per_workload, executions in (
+            ([], 2, 34), (cached, 2, 34), (cached, 1, 0)
+        ):
+            builds.clear()
+            assert main(argv + extra) == 0
+            capsys.readouterr()
+            assert sorted(builds) == sorted(names * per_workload), extra
+            counters = json.loads(stats.read_text())["counters"]
+            assert counters.get("trace_executions", 0) == executions, extra
+
+
 class TestStaticdynWidths:
     def test_widths_gate_is_sound_at_tiny_scale(self, capsys):
         assert main(["staticdyn", "--widths", "--scale", "tiny"]) == 0

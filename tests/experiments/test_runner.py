@@ -1,16 +1,25 @@
 """Tests for the caching experiment runner."""
 
 import dataclasses
+import gc
 import pickle
+import sys
 
 import pytest
 
 from repro.config import ArchitectureConfig
 from repro.experiments import store
-from repro.experiments.runner import ExperimentRunner, RunnerStats
+from repro.experiments.runner import (
+    ExperimentRunner,
+    RunnerStats,
+    paper_architectures,
+)
 from repro.experiments.sensitivity import sweep_latency_parameter
+from repro.experiments.summary import BUILDERS
 from repro.obs.timeline import FlightRecorder
 from repro.scalar.columns import ClassifiedColumns, ProcessedColumns
+from repro.simt import MemoryImage
+from repro.simt.trace import ColumnarTrace
 from repro.timing.gpu import simulate_architecture_columns
 from repro.timing.ops import TimingOpTable, lowering_key
 from repro.timing.sm_event import EventSmSimulator
@@ -265,6 +274,144 @@ class TestSmMemo:
         runner.timing("BP", self.GSCALAR)
         assert len(runs) == 3
         assert runner.stats.counters.get("sm_reuses", 0) == 0
+
+
+def reachable(root, kinds: tuple[type, ...]) -> list:
+    """The objects of ``kinds`` reachable from ``root`` through
+    containers, instances and closures; modules and classes, which
+    reach everything, are not entered."""
+    namespaces = {id(vars(module)) for module in list(sys.modules.values())
+                  if hasattr(module, "__dict__")}
+    seen, found, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in namespaces or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kinds):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestRelease:
+    """``prefetch`` drops each benchmark's trace and memory image after
+    its pass.  What later requests read stays: the kernel and launch,
+    the trace fingerprint, summaries, op-table memo entries, aggregates
+    and results.  A request that needs a pass executes again."""
+
+    NAMES = ("BP", "HS", "MM")
+    HELD = (ColumnarTrace, MemoryImage)
+
+    def test_serial_prefetch_holds_no_trace_or_image(self):
+        runner = ExperimentRunner(scale="tiny")
+        runner.prefetch(
+            names=self.NAMES, experiments=tuple(BUILDERS), arches=paper_architectures()
+        )
+        # Warp 32 and Figure 10's warp 64, once each.
+        executions = runner.stats.trace_executions
+        assert executions == 2 * len(self.NAMES)
+        assert reachable(runner, self.HELD) == []
+        lazy = ExperimentRunner(scale="tiny")
+        for abbr in self.NAMES:
+            for name in BUILDERS:
+                assert runner.summary(abbr, name) == lazy.summary(abbr, name)
+            for arch in paper_architectures():
+                assert runner.timing(abbr, arch) == lazy.timing(abbr, arch)
+                assert runner.power(abbr, arch) == lazy.power(abbr, arch)
+        assert runner.stats.trace_executions == executions
+        # Lazy requests keep their runs: the walk does reach them.
+        assert {type(item) for item in reachable(lazy, self.HELD)} == set(self.HELD)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cached_prefetch_holds_no_image(self, tmp_path, jobs):
+        """Cold and warm, serial and pooled: a cached runner builds each
+        workload to derive its fingerprint and drops the image after."""
+        for _ in range(2):
+            runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+            runner.prefetch(
+                names=self.NAMES,
+                jobs=jobs,
+                experiments=("counts",),
+                arches=paper_architectures()[:1],
+            )
+            assert reachable(runner, self.HELD) == []
+            assert sorted(runner._trace_fingerprints) == sorted(self.NAMES)
+        assert runner.stats.trace_executions == 0
+
+    def test_kernel_and_launch_stay(self, monkeypatch):
+        from repro.experiments import runner as runner_module
+
+        runner = ExperimentRunner(scale="tiny")
+        runner.prefetch(
+            names=self.NAMES,
+            arches=(
+                ArchitectureConfig.baseline(),
+                ArchitectureConfig.alu_scalar(),
+                ArchitectureConfig.gscalar(),
+            ),
+        )
+        fresh = ExperimentRunner(scale="tiny")
+        expected = [
+            (fresh.warps_per_cta(abbr), fresh.width_analysis(abbr))
+            for abbr in self.NAMES
+        ]
+
+        def fail(name):
+            raise AssertionError(f"built {name} again")
+
+        monkeypatch.setattr(runner_module, "workload_by_name", fail)
+        assert expected == [
+            (runner.warps_per_cta(abbr), runner.width_analysis(abbr))
+            for abbr in self.NAMES
+        ]
+        points = sweep_latency_parameter(
+            runner, "alu_latency", (0.5, 1.0), benchmarks=self.NAMES
+        )
+        assert [point.scale_factor for point in points] == [0.5, 1.0]
+
+    def test_a_later_pass_executes_once_more(self):
+        runner = ExperimentRunner(scale="tiny")
+        runner.prefetch(names=self.NAMES, arches=paper_architectures())
+        executions = runner.stats.trace_executions
+        arch = ArchitectureConfig.static_compress()
+        power = runner.power("HS", arch)
+        assert runner.stats.trace_executions == executions + 1
+        fresh = ExperimentRunner(scale="tiny")
+        assert power == fresh.power("HS", arch)
+        assert runner.timing("HS", arch) == fresh.timing("HS", arch)
+        # A lazy request keeps its run, as before.
+        assert runner.run("HS") is runner.run("HS")
+        assert runner.stats.trace_executions == executions + 1
+
+    def test_a_released_runner_stores_under_a_fresh_fingerprint(self, tmp_path):
+        runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        runner.prefetch(
+            names=self.NAMES, experiments=("counts",), arches=paper_architectures()
+        )
+        assert runner._workloads["HS"].memory is None
+        arch = ArchitectureConfig.static_compress()
+        power = runner.power("HS", arch)
+        fig8 = runner.summary("HS", "fig8")
+        fresh = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        assert runner._result_entry("HS", arch) == fresh._result_entry("HS", arch)
+        assert runner._summary_entry("HS", "fig8") == fresh._summary_entry("HS", "fig8")
+        warm = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        assert warm.power("HS", arch) == power
+        assert warm.summary("HS", "fig8") == fig8
+        assert warm.stats.trace_executions == 0
+        assert warm.stats.counters["result_cache_hits"] == 1
+        assert warm.stats.counters["summary_cache_hits"] == 1
+
+    def test_a_release_before_any_entry_derives_the_fingerprint(self, tmp_path):
+        runner = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        runner.warps_per_cta("HS")  # builds the workload, derives nothing
+        runner.prefetch(names=["HS"], arches=())
+        assert runner._workloads["HS"].memory is None
+        runner.summary("HS", "counts")
+        fresh = ExperimentRunner(scale="tiny", cache_dir=tmp_path)
+        assert fresh.summary("HS", "counts") == runner.summary("HS", "counts")
+        assert fresh.stats.counters == {"summary_cache_hits": 1}
 
 
 class TestRunnerStats:

@@ -12,8 +12,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.halfwarp import ChunkScalarStats, chunk_scalar_stats
 from repro.config import ArchitectureConfig, GpuConfig
+from repro.experiments.fig10 import GRANULARITY
 from repro.experiments.streaming import stream_pipeline
+from repro.merge import merge
 from repro.simt import run_kernel
 from repro.simt.trace import iter_chunks
 from repro.workloads.registry import SCALES, build_workload
@@ -185,3 +188,38 @@ class TestSyntheticChunkStream:
                 == materialized.join(arch.name).digest()
             )
             assert streamed.aggregates[arch.name] == materialized.aggregates[arch.name]
+
+
+class TestWarp64Replicas:
+    """Figure 10's warp-64 arm needs no replication at the large tier.
+
+    A replica adds one constant to every lane, so each 16-lane chunk's
+    uniformity, and with it every ``chunk_scalar_stats`` count, equals
+    the seed's: replicating the warp-64 seed would multiply Figure 10's
+    counts by the replica count and leave its fractions as they are.
+    """
+
+    REPLICAS = 3
+
+    @pytest.mark.parametrize("abbr", ["BP", "HS", "LC", "PF"])
+    @pytest.mark.parametrize("chunk_events", [None, 300])
+    def test_replicated_counts_scale_and_fractions_hold(self, abbr, chunk_events):
+        built = build_workload(abbr, "small")
+        seed64 = run_kernel(built.kernel, built.launch, built.memory, warp_size=64)
+        seed = chunk_scalar_stats(seed64, GRANULARITY)
+        assert seed.chunk_scalar_instructions > 0
+        for replica in range(1, self.REPLICAS):
+            perturbed = replicate_columnar(seed64, replica)
+            assert not np.array_equal(perturbed.values, seed64.values)
+            assert chunk_scalar_stats(perturbed, GRANULARITY) == seed
+        merged = None
+        for chunk in iter_synthetic_chunks(seed64, self.REPLICAS, chunk_events):
+            merged = merge(merged, chunk_scalar_stats(chunk.columnar, GRANULARITY))
+        assert merged == ChunkScalarStats(
+            warp_size=64,
+            granularity=GRANULARITY,
+            total_instructions=self.REPLICAS * seed.total_instructions,
+            full_scalar_instructions=self.REPLICAS * seed.full_scalar_instructions,
+            chunk_scalar_instructions=self.REPLICAS * seed.chunk_scalar_instructions,
+        )
+        assert merged.chunk_scalar_fraction == seed.chunk_scalar_fraction
